@@ -1,9 +1,10 @@
 """Exact constant-term arithmetic for Dyson-style products.
 
-The package constructs the classical Dyson product and its q-analog, extracts
-coefficients by (pruned) expansion, evaluates the known closed forms for
-first-layer coefficients and their corrected variants, and verifies each
-identity exactly — including the one modification that is known to fail.
+The package constructs the q-Dyson product, extracts coefficients by (pruned)
+expansion, reads the classical Dyson values off them at q = 1, evaluates the
+known closed forms for first-layer coefficients and their corrected variants,
+and verifies each identity exactly — including the one modification that is
+known to fail.
 """
 
 __version__ = "0.1.0"
@@ -32,8 +33,6 @@ from .laurent import (  # noqa: F401
 )
 from .dyson import (  # noqa: F401
     DysonSpec,
-    dyson_factors,
-    dyson_source,
     q_dyson_factors,
     q_dyson_source,
     verify_dyson,

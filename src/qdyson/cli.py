@@ -26,14 +26,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from .dyson import DysonSpec, verify_dyson, verify_q_dyson
-from .firstlayer import LayerSpec, verify_first_layer
-from .kadell import reproduce_counterexample, verify_kadell
-from .paired import NpcViolationError, PairedLayer, verify_paired
+from .dyson import DysonSpec
+from .firstlayer import LayerSpec
+from .kadell import reproduce_counterexample
 from .reports import dumps
 from .sweeps import IDENTITIES, SweepConfig, run_sweep
-
-VERIFY_IDENTITIES = ("dyson", "qdyson", "firstlayer", "kadell", "main")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -54,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="check one instance of an identity")
-    p_verify.add_argument("identity", choices=VERIFY_IDENTITIES)
+    p_verify.add_argument(
+        "identity", choices=[name for name, ident in IDENTITIES.items() if ident.check]
+    )
     p_verify.add_argument("--n", type=int, required=True, help="largest variable index")
     p_verify.add_argument("--a", type=_int_list, required=True, help="exponents a0,a1,...")
     p_verify.add_argument("--I", type=_int_list, default=(), help="selected indices i1,i2,...")
@@ -63,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", metavar="PATH", default=None)
 
     p_sweep = sub.add_parser("sweep", help="check an identity over a full grid")
-    p_sweep.add_argument("identity", choices=IDENTITIES)
+    p_sweep.add_argument("identity", choices=list(IDENTITIES))
     p_sweep.add_argument("--n", type=int, required=True, help="largest variable index")
     p_sweep.add_argument("--amax", type=int, required=True, help="upper bound on each exponent")
     p_sweep.add_argument("--m", type=int, default=None, help="upper bound on layer size")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
     p_sweep.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p_sweep.add_argument("--semantics", choices=("multiset", "set"), default="multiset")
     p_sweep.add_argument("--json", metavar="PATH", default=None)
@@ -89,27 +88,13 @@ def _write_json(path: str | None, lines: list[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
+    identity = IDENTITIES[args.identity]
     try:
-        if args.identity in ("dyson", "qdyson"):
-            if args.I or args.J:
-                print("error: --I/--J do not apply to this identity", file=sys.stderr)
-                return 2
-            spec = DysonSpec(args.n, tuple(args.a))
-            report = verify_q_dyson(spec) if args.identity == "qdyson" else verify_dyson(spec)
-        elif args.identity == "firstlayer":
-            layer = LayerSpec(args.n, args.I, args.J)
-            if len(args.a) != args.n + 1:
-                raise ValueError(f"expected {args.n + 1} exponents, got {len(args.a)}")
-            report = verify_first_layer(layer, args.a)
-        elif args.identity == "kadell":
-            layer = LayerSpec(args.n, args.I, args.J)
-            if len(args.a) != args.n + 1:
-                raise ValueError(f"expected {args.n + 1} exponents, got {len(args.a)}")
-            report = verify_kadell(layer, args.a)
-        else:  # main
-            layer = PairedLayer.of(args.n, args.I, args.J)
-            report = verify_paired(layer, args.a, args.semantics)
-    except (ValueError, NpcViolationError) as exc:
+        if identity.mmin is None and (args.I or args.J):
+            raise ValueError("--I/--J do not apply to this identity")
+        layer = LayerSpec(args.n, args.I, args.J)
+        report = identity.check(DysonSpec(args.n, args.a), layer, args.semantics, None)
+    except ValueError as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

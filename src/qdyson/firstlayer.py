@@ -8,7 +8,9 @@ coefficient is the constant term of
 
 equivalently the coefficient of (prod x_i) / (prod x_j) in the product
 itself.  The closed form is a signed sum over nonempty subsets T of I whose
-q-exponents are the layer exponents computed here.
+q-exponents are the layer exponents computed here.  Its q = 1 value, the
+first-layer coefficient of the classical product, is read off the same
+extracted q-coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .dyson import DysonSpec, dyson_source, q_dyson_source
+from .dyson import DysonSpec, q_dyson_source
 from .laurent import FactoredProduct
 from .qpoly import QPoly, QRat, ZERO, multinomial, one_minus_q, q_multinomial
 from .reports import VerificationReport, make_params
@@ -150,9 +152,7 @@ def first_layer_closed(spec: LayerSpec, a: Sequence[int]) -> QRat:
     """
     if spec.m == 0:
         raise ValueError("layer must select at least one index")
-    a = tuple(a)
-    if len(a) != spec.n + 1:
-        raise ValueError(f"expected {spec.n + 1} exponents, got {len(a)}")
+    a = DysonSpec(spec.n, a).a
     total = sum(a)
     acc = QRat(ZERO)
     for T in nonempty_subsets(spec.I):
@@ -185,30 +185,20 @@ def first_layer_closed_q1(spec: LayerSpec, a: Sequence[int]) -> Fraction:
     return multinomial(a) * acc
 
 
-def first_layer_brute_q1(
-    spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
-) -> int:
-    """First-layer coefficient of the classical product (integer)."""
-    if source is None:
-        source = dyson_source(DysonSpec(spec.n, tuple(a)))
-    return source.coeff(first_layer_target(spec)).as_int()
-
-
 def verify_first_layer(
     spec: LayerSpec,
     a: Sequence[int],
     source: FactoredProduct | None = None,
-    classical_source: FactoredProduct | None = None,
 ) -> VerificationReport:
-    """Brute-force first-layer coefficient against the closed form, plus the
-    q = 1 cross-check against the classical product."""
+    """Brute-force first-layer coefficient against the closed form, plus its
+    q = 1 value against the classical closed sum."""
     t0 = time.perf_counter()
     a = tuple(a)
     brute = first_layer_brute(spec, a, source)
     closed = first_layer_closed(spec, a)
     holds = QRat(brute) == closed
 
-    q1_brute = first_layer_brute_q1(spec, a, classical_source)
+    q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(spec, a)
     holds = holds and (q1_closed == q1_brute)
 

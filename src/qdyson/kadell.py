@@ -5,6 +5,9 @@ layer (I, J) scales the constant term by a clean rational factor:
 
     (1 + total - sum of a over I) * CT = (1 + total) * multinomial(a).
 
+The correction binomials carry no q, so the corrected classical constant term
+is read off the corrected q-Dyson one at q = 1.
+
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
 one does NOT satisfy the corresponding identity; ``reproduce_counterexample``
 pins down the smallest failing instance exactly.
@@ -16,7 +19,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from .dyson import DysonSpec, dyson_source, _unit
+from .dyson import DysonSpec, _unit, q_dyson_source
 from .firstlayer import LayerSpec
 from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product, shifted_factorial
 from .qpoly import ONE, QPoly, multinomial, one_minus_q, q_multinomial_poly
@@ -42,11 +45,12 @@ def correction_factors(spec: LayerSpec) -> list[LaurentPoly]:
 def corrected_ct(
     spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
 ) -> int:
-    """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product."""
+    """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
+    at q = 1 from ``source``, the q-Dyson product."""
     if source is None:
-        source = dyson_source(DysonSpec(spec.n, tuple(a)))
+        source = q_dyson_source(DysonSpec(spec.n, tuple(a)))
     correction = expand_product(correction_factors(spec), spec.n)
-    return source.ct_times(correction).as_int()
+    return source.ct_times(correction).at_q1()
 
 
 def corrected_dyson_lhs(

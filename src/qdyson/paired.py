@@ -222,13 +222,12 @@ def verify_paired(
     if not npc_holds(layer):
         raise NpcViolationError(f"crossing pattern in pairing {layer.pairs}")
     t0 = time.perf_counter()
-    a = tuple(a)
-    if len(a) != layer.n + 1:
-        raise ValueError(f"expected {layer.n + 1} exponents, got {len(a)}")
+    spec = DysonSpec(layer.n, a)
+    a = spec.a
     total = sum(a)
     s_i = sum(a[i] for i in layer.I)
     if source is None:
-        source = q_dyson_source(DysonSpec(layer.n, a))
+        source = q_dyson_source(spec)
     ct = source.ct_times(correction_polynomial(layer, a, semantics))
     lhs = one_minus_q(1 + total - s_i) * ct
     rhs = QRat(one_minus_q(1 + total)) * q_multinomial(a)

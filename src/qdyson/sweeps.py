@@ -1,21 +1,24 @@
-"""Grid enumeration and (optionally parallel) execution of identity sweeps.
+"""The identity table, grid enumeration and (optionally parallel) sweeps.
 
-A sweep walks every exponent vector a in [0..amax]^(n+1) — and, for layer
-identities, every admissible (I, J) layout — and verifies the chosen identity
-on each instance.  Work is chunked by exponent vector so each worker expands
-the relevant product once and reuses it across layouts; results are merged in
-grid order regardless of completion order.
+``IDENTITIES`` is the one table of identities, used by ``qdyson verify`` and
+``qdyson sweep`` alike.  A sweep walks every exponent vector a in
+[0..amax]^(n+1) — and, for layer identities, every admissible (I, J) layout —
+and verifies the chosen identity on each instance.  Work is chunked by
+exponent vector so each worker expands the q-Dyson product once and reuses it
+across layouts; results are merged in grid order regardless of completion
+order.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .dyson import DysonSpec, dyson_source, q_dyson_source, verify_dyson, verify_q_dyson
+from .dyson import DysonSpec, q_dyson_source, verify_dyson, verify_q_dyson
 from .firstlayer import LayerSpec, verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
@@ -28,7 +31,42 @@ from .paired import (
 )
 from .reports import VerificationReport, make_params
 
-IDENTITIES = ("dyson", "qdyson", "firstlayer", "kadell", "main", "lemmas")
+
+@dataclass(frozen=True)
+class Identity:
+    """``check(spec, layer, semantics, source)`` verifies one instance, with
+    ``source`` the q-Dyson product of ``spec`` or None; None marks the lemma
+    suite, which only sweeps."""
+
+    check: Callable[..., VerificationReport] | None
+    mmin: int | None = None  # smallest layer size; None: no layer
+    admissible: Callable[[LayerSpec], bool] = lambda layer: True  # layouts a sweep checks
+    nmin: int = 1  # smallest n a sweep accepts
+
+
+# The checks look the verify functions up when called, not when this table is
+# built, so rebinding a module-level name (as a tracer does) reaches them.
+IDENTITIES = {
+    "dyson": Identity(lambda spec, layer, semantics, source: verify_dyson(spec, source)),
+    "qdyson": Identity(lambda spec, layer, semantics, source: verify_q_dyson(spec, source)),
+    "firstlayer": Identity(
+        lambda spec, layer, semantics, source: verify_first_layer(layer, spec.a, source),
+        mmin=1,
+    ),
+    "kadell": Identity(
+        lambda spec, layer, semantics, source: verify_kadell(layer, spec.a, source),
+        mmin=0,
+    ),
+    "main": Identity(
+        lambda spec, layer, semantics, source: verify_paired(
+            PairedLayer(layer), spec.a, semantics, source
+        ),
+        mmin=0,
+        admissible=lambda layer: npc_holds(PairedLayer(layer)),
+    ),
+    # random_paired_layer draws n from 2..nmax
+    "lemmas": Identity(None, nmin=2),
+}
 
 FACTORIZATION_DRAWS = 500
 TAIL_CANCEL_DRAWS = 100
@@ -47,9 +85,10 @@ class SweepConfig:
 
     def validate(self) -> None:
         if self.identity not in IDENTITIES:
-            raise ValueError(f"unknown identity {self.identity!r}; choose from {IDENTITIES}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError(f"unknown identity {self.identity!r}; choose from {tuple(IDENTITIES)}")
+        nmin = IDENTITIES[self.identity].nmin
+        if self.n < nmin:
+            raise ValueError(f"n must be at least {nmin} for {self.identity}")
         if self.amax < 0:
             raise ValueError("amax must be nonnegative")
         if self.jobs < 1:
@@ -84,42 +123,29 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 
 def _run_task(task) -> list[VerificationReport]:
-    kind = task[0]
-    if kind == "qdyson":
-        _, n, a = task
-        return [verify_q_dyson(DysonSpec(n, a))]
-    if kind == "dyson":
-        _, n, a = task
-        return [verify_dyson(DysonSpec(n, a))]
-    if kind == "firstlayer":
-        _, n, a, layouts = task
-        q_src = q_dyson_source(DysonSpec(n, a), expand=True)
-        c_src = dyson_source(DysonSpec(n, a), expand=True)
-        return [
-            verify_first_layer(LayerSpec(n, I, J), a, q_src, c_src)
-            for I, J in layouts
-        ]
-    if kind == "kadell":
-        _, n, a, layouts = task
-        c_src = dyson_source(DysonSpec(n, a), expand=True)
-        return [verify_kadell(LayerSpec(n, I, J), a, c_src) for I, J in layouts]
-    if kind == "main":
-        _, n, a, layouts, semantics = task
-        q_src = q_dyson_source(DysonSpec(n, a), expand=True)
-        return [
-            verify_paired(PairedLayer.of(n, I, J), a, semantics, q_src)
-            for I, J in layouts
-        ]
-    raise ValueError(f"unknown task kind {kind!r}")
+    """Check (identity, n, a, layouts, semantics).  Layer identities look up
+    many coefficients of one product, so it is expanded once."""
+    name, n, a, layouts, semantics = task
+    identity = IDENTITIES[name]
+    spec = DysonSpec(n, a)
+    source = None if identity.mmin is None else q_dyson_source(spec, expand=True)
+    return [identity.check(spec, LayerSpec(n, I, J), semantics, source) for I, J in layouts]
+
+
+def pool_workers(jobs: int, tasks: int) -> int:
+    """At most one worker per task and per CPU: under fork the pool starts
+    all its workers at once, however many ``--jobs`` asks for."""
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def _execute(tasks: Sequence[tuple], jobs: int) -> list[VerificationReport]:
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = pool_workers(jobs, len(tasks))
+    if workers <= 1:
         out: list[VerificationReport] = []
         for t in tasks:
             out.extend(_run_task(t))
         return out
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(_run_task, tasks)
         out = []
         for chunk in chunks:
@@ -204,31 +230,22 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
     """Execute a sweep; returns the reports in grid order plus a summary
     {"total", "passed", "failed", "rejected", "seed"}."""
     config.validate()
+    identity = IDENTITIES[config.identity]
     n, amax = config.n, config.amax
     rejected = 0
 
-    if config.identity == "lemmas":
+    if identity.check is None:
         reports = lemma_suite_reports(n, amax, config.seed, semantics=config.semantics)
     else:
         avecs = a_grid(n, amax)
-        if config.identity == "qdyson":
-            tasks = [("qdyson", n, a) for a in avecs]
-        elif config.identity == "dyson":
-            tasks = [("dyson", n, a) for a in avecs]
-        elif config.identity == "firstlayer":
+        if identity.mmin is None:
+            layouts = [((), ())]
+        else:
             mmax = n if config.mmax is None else config.mmax
-            layouts = layout_grid(n, 1, mmax)
-            tasks = [("firstlayer", n, a, layouts) for a in avecs]
-        elif config.identity == "kadell":
-            mmax = n if config.mmax is None else config.mmax
-            layouts = layout_grid(n, 0, mmax)
-            tasks = [("kadell", n, a, layouts) for a in avecs]
-        else:  # main
-            mmax = n if config.mmax is None else config.mmax
-            layouts = layout_grid(n, 0, mmax)
-            kept = [lay for lay in layouts if npc_holds(PairedLayer.of(n, *lay))]
-            rejected = (len(layouts) - len(kept)) * len(avecs)
-            tasks = [("main", n, a, kept, config.semantics) for a in avecs]
+            candidates = layout_grid(n, identity.mmin, mmax)
+            layouts = [lay for lay in candidates if identity.admissible(LayerSpec(n, *lay))]
+            rejected = (len(candidates) - len(layouts)) * len(avecs)
+        tasks = [(config.identity, n, a, layouts, config.semantics) for a in avecs]
         reports = _execute(tasks, config.jobs)
 
     passed = sum(1 for r in reports if r.holds)

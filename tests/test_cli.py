@@ -8,7 +8,7 @@ import pytest
 
 from qdyson import cli
 from qdyson.reports import dumps
-from qdyson.sweeps import SweepConfig, run_sweep
+from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
 
 REPORT_KEYS = {"identity", "params", "holds", "lhs", "rhs", "elapsed_ms", "engine"}
 PARAM_KEYS = {"n", "a", "I", "J", "extra"}
@@ -53,6 +53,7 @@ class TestVerifyExitCodes:
             ["sweep", "qdyson", "--n", "0", "--amax", "1"],
             ["sweep", "qdyson", "--n", "2", "--amax", "-1"],
             ["sweep", "qdyson", "--n", "2", "--amax", "1", "--jobs", "0"],
+            ["sweep", "lemmas", "--n", "1", "--amax", "2"],
         ],
     )
     def test_bad_input_exits_two(self, argv, capsys):
@@ -163,6 +164,34 @@ class TestParallelParity:
             return out
 
         assert strip(seq) == strip(par)
+
+
+def _strip_elapsed(path):
+    out = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        obj.pop("elapsed_ms", None)
+        out.append(obj)
+    return out
+
+
+@pytest.mark.parametrize("identity", [name for name, i in IDENTITIES.items() if i.check])
+def test_verify_and_sweep_agree(identity, tmp_path, capsys):
+    """Each sweep report (expanded product for layer identities) is the
+    report ``verify`` gives for that instance (pruned extraction)."""
+    path = tmp_path / "sweep.jsonl"
+    assert cli.main(["sweep", identity, "--n", "2", "--amax", "1", "--json", str(path)]) == 0
+    *reports, _summary = _strip_elapsed(path)
+    assert reports
+    for report in reports:
+        p = report["params"]
+        argv = ["verify", identity, "--n", str(p["n"]), "--a", ",".join(map(str, p["a"]))]
+        if p["I"]:
+            argv += ["--I", ",".join(map(str, p["I"])), "--J", ",".join(map(str, p["J"]))]
+        one = tmp_path / "verify.jsonl"
+        assert cli.main(argv + ["--json", str(one)]) == 0
+        assert _strip_elapsed(one) == [report]
+    capsys.readouterr()
 
 
 def test_module_entry_point():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.dyson import DysonSpec, dyson_source, q_dyson_source
+from qdyson.dyson import DysonSpec, q_dyson_source
 from qdyson.firstlayer import (
     LayerSpec,
     count_upto,
     first_layer_brute,
-    first_layer_brute_q1,
     first_layer_closed,
     first_layer_closed_q1,
     first_layer_target,
@@ -23,6 +22,7 @@ from qdyson.firstlayer import (
     weight_vector,
 )
 from qdyson.qpoly import QPoly, QRat
+from tests.test_dyson import classical_source
 
 
 def all_layouts(n, mmin=1, mmax=None):
@@ -168,19 +168,20 @@ class TestClosedForm:
 class TestQ1:
     def test_known_values(self):
         a = (1, 1, 1)
-        assert first_layer_closed_q1(LayerSpec(2, (0,), (1,)), a) == Fraction(-2)
-        assert first_layer_brute_q1(LayerSpec(2, (0,), (1,)), a) == -2
-        assert first_layer_closed_q1(LayerSpec(2, (0, 1), (2, 2)), a) == Fraction(2)
-        assert first_layer_brute_q1(LayerSpec(2, (0, 1), (2, 2)), a) == 2
+        classical = classical_source(DysonSpec(2, a))
+        for spec, value in ((LayerSpec(2, (0,), (1,)), -2), (LayerSpec(2, (0, 1), (2, 2)), 2)):
+            assert first_layer_closed_q1(spec, a) == Fraction(value)
+            assert first_layer_brute(spec, a).at_q1() == value
+            assert classical.coeff(first_layer_target(spec)).as_int() == value
 
     def test_independent_of_j(self):
         """At q = 1 the coefficient depends on the layout only through I."""
         for n in (2, 3):
             for a in itertools.product(range(3), repeat=n + 1):
-                source = dyson_source(DysonSpec(n, a), expand=True)
+                source = classical_source(DysonSpec(n, a), expand=True)
                 seen = {}
                 for spec in all_layouts(n):
-                    value = first_layer_brute_q1(spec, a, source)
+                    value = source.coeff(first_layer_target(spec)).as_int()
                     closed = first_layer_closed_q1(spec, a)
                     assert value == closed, (spec, a)
                     if spec.I in seen:

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qdyson.dyson import DysonSpec, dyson_source
+from qdyson.dyson import DysonSpec, q_dyson_source
 from qdyson.firstlayer import LayerSpec
 from qdyson.kadell import (
     corrected_ct,
@@ -18,8 +18,9 @@ from qdyson.kadell import (
     verify_kadell,
     verify_q_kadell,
 )
-from qdyson.laurent import ct_of_factor_list
+from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, q_multinomial_poly
+from tests.test_dyson import classical_source
 from tests.test_firstlayer import all_layouts
 
 
@@ -56,11 +57,17 @@ def test_empty_layer_reduces_to_plain_product():
 
 
 def test_identity_small_grid():
+    """corrected_ct reads its value off the q-product at q = 1; it must equal
+    the corrected constant term of the binomial product, and satisfy the
+    identity."""
     for n in (1, 2, 3):
         for a in itertools.product(range(3 if n < 3 else 2), repeat=n + 1):
-            source = dyson_source(DysonSpec(n, a), expand=True)
+            source = q_dyson_source(DysonSpec(n, a), expand=True)
+            classical = classical_source(DysonSpec(n, a), expand=True)
             for spec in all_layouts(n, mmin=0):
                 ct = corrected_ct(spec, a, source)
+                correction = expand_product(correction_factors(spec), n)
+                assert ct == classical.ct_times(correction).as_int(), (spec, a)
                 scale = 1 + sum(a) - sum(a[i] for i in spec.I)
                 assert scale * ct == corrected_dyson_rhs(a), (spec, a)
                 if spec.m > 0:

@@ -10,6 +10,7 @@ from qdyson.sweeps import (
     a_grid,
     layout_grid,
     lemma_suite_reports,
+    pool_workers,
     random_paired_layer,
     run_sweep,
 )
@@ -46,9 +47,21 @@ def test_config_validation():
         SweepConfig(identity="qdyson", n=1, amax=1, jobs=0),
         SweepConfig(identity="main", n=1, amax=1, mmax=-1),
         SweepConfig(identity="main", n=1, amax=1, semantics="bag"),
+        SweepConfig(identity="lemmas", n=1, amax=1),
     ]:
         with pytest.raises(ValueError):
             bad.validate()
+
+
+def test_pool_workers_are_capped(monkeypatch):
+    """No more workers than tasks or CPUs, whatever --jobs asks for; checked
+    without starting a process."""
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert pool_workers(100000, 1000) == 4
+    assert pool_workers(100000, 3) == 3
+    assert pool_workers(2, 1000) == 2
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool_workers(100000, 1000) == 1
 
 
 def test_random_layer_draws_are_deterministic():
