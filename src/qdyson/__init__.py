@@ -4,7 +4,7 @@ The package constructs the q-Dyson product, extracts coefficients by (pruned)
 expansion, reads the classical Dyson values off them at q = 1, evaluates the
 known closed forms for first-layer coefficients and their corrected variants,
 and verifies each identity exactly — including the one modification that is
-known to fail.
+known to fail.  Every check takes one validated ``Instance(n, a, I, J)``.
 """
 
 __version__ = "0.1.0"
@@ -32,14 +32,13 @@ from .laurent import (  # noqa: F401
     shifted_factorial,
 )
 from .dyson import (  # noqa: F401
-    DysonSpec,
+    Instance,
     q_dyson_factors,
     q_dyson_source,
     verify_dyson,
     verify_q_dyson,
 )
 from .firstlayer import (  # noqa: F401
-    LayerSpec,
     count_upto,
     first_layer_brute,
     first_layer_closed,
@@ -58,7 +57,6 @@ from .kadell import (  # noqa: F401
 )
 from .paired import (  # noqa: F401
     NpcViolationError,
-    PairedLayer,
     chain_exponent,
     correction_polynomial,
     matrix_choice_property,

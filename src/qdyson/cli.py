@@ -26,9 +26,9 @@ import argparse
 import sys
 from typing import Sequence
 
-from .dyson import DysonSpec
-from .firstlayer import LayerSpec
+from .dyson import Instance
 from .kadell import reproduce_counterexample
+from .paired import SEMANTICS
 from .reports import dumps
 from .sweeps import IDENTITIES, SweepConfig, run_sweep
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", type=_int_list, required=True, help="exponents a0,a1,...")
     p_verify.add_argument("--I", type=_int_list, default=(), help="selected indices i1,i2,...")
     p_verify.add_argument("--J", type=_int_list, default=(), help="paired indices j1,j2,...")
-    p_verify.add_argument("--semantics", choices=("multiset", "set"), default="multiset")
+    p_verify.add_argument("--semantics", choices=SEMANTICS, default="multiset")
     p_verify.add_argument("--json", metavar="PATH", default=None)
 
     p_sweep = sub.add_parser("sweep", help="check an identity over a full grid")
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=int, default=None, help="upper bound on layer size")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
     p_sweep.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p_sweep.add_argument("--semantics", choices=("multiset", "set"), default="multiset")
+    p_sweep.add_argument("--semantics", choices=SEMANTICS, default="multiset")
     p_sweep.add_argument("--json", metavar="PATH", default=None)
 
     p_ce = sub.add_parser(
@@ -92,8 +92,8 @@ def _cmd_verify(args) -> int:
     try:
         if identity.mmin is None and (args.I or args.J):
             raise ValueError("--I/--J do not apply to this identity")
-        layer = LayerSpec(args.n, args.I, args.J)
-        report = identity.check(DysonSpec(args.n, args.a), layer, args.semantics, None)
+        inst = Instance(args.n, args.a, args.I, args.J)
+        report = identity.check(inst, args.semantics, None)
     except ValueError as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """First-layer coefficients of the q-Dyson product and their closed forms.
 
-A layer selects m distinct indices I = {i_1 < ... < i_m} and m indices
-J = {j_1 <= ... <= j_m} (repeats allowed) disjoint from I.  The first-layer
-coefficient is the constant term of
+The layer of an ``Instance`` selects m >= 1 distinct indices
+I = {i_1 < ... < i_m} and m indices J = {j_1 <= ... <= j_m} (repeats allowed)
+disjoint from I.  The first-layer coefficient is the constant term of
 
     (x_{j_1} ... x_{j_m}) / (x_{i_1} ... x_{i_m}) * q-Dyson product,
 
@@ -17,48 +17,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .dyson import DysonSpec, q_dyson_source
+from .dyson import Instance, q_dyson_source
 from .laurent import FactoredProduct
 from .qpoly import QPoly, QRat, ZERO, multinomial, one_minus_q, q_multinomial
 from .reports import VerificationReport, make_params
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """A choice of numerator indices J and denominator indices I over
-    variables x_0..x_n; I strictly increasing, J weakly increasing, the two
-    disjoint and of the same length m <= n."""
-
-    n: int
-    I: tuple[int, ...]  # noqa: E741 - interface name
-    J: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "I", tuple(self.I))
-        object.__setattr__(self, "J", tuple(self.J))
-        if self.n < 0:
-            raise ValueError("need at least one variable")
-        if len(self.I) != len(self.J):
-            raise ValueError("index lists must have equal length")
-        if len(self.I) > self.n:
-            raise ValueError("at most n indices may be selected")
-        for v in self.I + self.J:
-            if not 0 <= v <= self.n:
-                raise ValueError(f"index {v} out of range 0..{self.n}")
-        if any(x >= y for x, y in zip(self.I, self.I[1:])):
-            raise ValueError("I must be strictly increasing")
-        if any(x > y for x, y in zip(self.J, self.J[1:])):
-            raise ValueError("J must be weakly increasing")
-        if set(self.I) & set(self.J):
-            raise ValueError("I and J must be disjoint")
-
-    @property
-    def m(self) -> int:
-        return len(self.I)
 
 
 def count_upto(k: int, values: Iterable[int]) -> int:
@@ -78,7 +43,7 @@ def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(values, size)
 
 
-def layer_exponent(T: Sequence[int], spec: LayerSpec, a: Sequence[int]) -> int:
+def layer_exponent(T: Sequence[int], inst: Instance) -> int:
     """q-exponent attached to subset T when the smallest selected index is 0:
 
         sum_k (count_upto(k, I) - count_upto(k, J)) * w_k
@@ -87,16 +52,16 @@ def layer_exponent(T: Sequence[int], spec: LayerSpec, a: Sequence[int]) -> int:
     """
     if not T:
         raise ValueError("subset must be nonempty")
-    if spec.I[0] != 0:
+    if inst.I[0] != 0:
         raise ValueError("only defined when the smallest selected index is 0")
-    w = weight_vector(a, T)
+    w = weight_vector(inst.a, T)
     return sum(
-        (count_upto(k, spec.I) - count_upto(k, spec.J)) * w[k]
-        for k in range(spec.n + 1)
+        (count_upto(k, inst.I) - count_upto(k, inst.J)) * w[k]
+        for k in range(inst.n + 1)
     )
 
 
-def layer_exponent_general(T: Sequence[int], spec: LayerSpec, a: Sequence[int]) -> int:
+def layer_exponent_general(T: Sequence[int], inst: Instance) -> int:
     """q-exponent attached to subset T without restriction on min(I).
 
     With i1 = min(I), t = #{j in J : j < i1}, J- = {j < i1}, J+ = {j > i1}:
@@ -108,40 +73,38 @@ def layer_exponent_general(T: Sequence[int], spec: LayerSpec, a: Sequence[int]) 
     """
     if not T:
         raise ValueError("subset must be nonempty")
-    i1 = spec.I[0]
-    j_below = [j for j in spec.J if j < i1]
-    j_above = [j for j in spec.J if j > i1]
+    i1 = inst.I[0]
+    j_below = [j for j in inst.J if j < i1]
+    j_above = [j for j in inst.J if j > i1]
     t = len(j_below)
-    w = weight_vector(a, T)
+    w = weight_vector(inst.a, T)
     high = sum(
-        (count_upto(k, spec.I) - count_upto(k, j_above)) * w[k]
-        for k in range(i1, spec.n + 1)
+        (count_upto(k, inst.I) - count_upto(k, j_above)) * w[k]
+        for k in range(i1, inst.n + 1)
     )
-    low = sum((t - count_upto(k, j_below)) * a[k] for k in range(i1))
+    low = sum((t - count_upto(k, j_below)) * inst.a[k] for k in range(i1))
     return t + high + low
 
 
-def first_layer_target(spec: LayerSpec) -> tuple[int, ...]:
+def first_layer_target(inst: Instance) -> tuple[int, ...]:
     """Exponent vector whose coefficient in the q-Dyson product is the
     first-layer coefficient: +1 at each index of I, -1 per occurrence in J."""
-    target = [0] * (spec.n + 1)
-    for i in spec.I:
+    target = [0] * (inst.n + 1)
+    for i in inst.I:
         target[i] += 1
-    for j in spec.J:
+    for j in inst.J:
         target[j] -= 1
     return tuple(target)
 
 
-def first_layer_brute(
-    spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
-) -> QPoly:
+def first_layer_brute(inst: Instance, source: FactoredProduct | None = None) -> QPoly:
     """First-layer coefficient straight out of the product."""
     if source is None:
-        source = q_dyson_source(DysonSpec(spec.n, tuple(a)))
-    return source.coeff(first_layer_target(spec))
+        source = q_dyson_source(inst)
+    return source.coeff(first_layer_target(inst))
 
 
-def first_layer_closed(spec: LayerSpec, a: Sequence[int]) -> QRat:
+def first_layer_closed(inst: Instance) -> QRat:
     """Closed form of the first-layer coefficient:
 
         qmultinomial(a) * sum over nonempty T subset I of
@@ -150,22 +113,19 @@ def first_layer_closed(spec: LayerSpec, a: Sequence[int]) -> QRat:
 
     Layers with m = 0 are rejected.
     """
-    if spec.m == 0:
+    if inst.m == 0:
         raise ValueError("layer must select at least one index")
-    a = DysonSpec(spec.n, a).a
-    total = sum(a)
     acc = QRat(ZERO)
-    for T in nonempty_subsets(spec.I):
-        s_t = sum(a[k] for k in T)
-        exponent = layer_exponent_general(T, spec, a)
-        num = one_minus_q(s_t).shifted(exponent)
+    for T in nonempty_subsets(inst.I):
+        s_t = sum(inst.a[k] for k in T)
+        num = one_minus_q(s_t).shifted(layer_exponent_general(T, inst))
         if len(T) % 2:
             num = -num
-        acc = acc + QRat(num, one_minus_q(1 + total - s_t))
-    return q_multinomial(a) * acc
+        acc = acc + QRat(num, one_minus_q(1 + inst.total - s_t))
+    return q_multinomial(inst.a) * acc
 
 
-def first_layer_closed_q1(spec: LayerSpec, a: Sequence[int]) -> Fraction:
+def first_layer_closed_q1(inst: Instance) -> Fraction:
     """The q = 1 specialisation of the closed form:
 
         multinomial(a) * sum over nonempty T subset I of
@@ -173,44 +133,35 @@ def first_layer_closed_q1(spec: LayerSpec, a: Sequence[int]) -> Fraction:
 
     Independent of J.
     """
-    if spec.m == 0:
+    if inst.m == 0:
         raise ValueError("layer must select at least one index")
-    a = tuple(a)
-    total = sum(a)
     acc = Fraction(0)
-    for T in nonempty_subsets(spec.I):
-        s_t = sum(a[k] for k in T)
-        term = Fraction(s_t, 1 + total - s_t)
+    for T in nonempty_subsets(inst.I):
+        s_t = sum(inst.a[k] for k in T)
+        term = Fraction(s_t, 1 + inst.total - s_t)
         acc += -term if len(T) % 2 else term
-    return multinomial(a) * acc
+    return multinomial(inst.a) * acc
 
 
 def verify_first_layer(
-    spec: LayerSpec,
-    a: Sequence[int],
-    source: FactoredProduct | None = None,
+    inst: Instance, source: FactoredProduct | None = None
 ) -> VerificationReport:
     """Brute-force first-layer coefficient against the closed form, plus its
     q = 1 value against the classical closed sum."""
     t0 = time.perf_counter()
-    a = tuple(a)
-    brute = first_layer_brute(spec, a, source)
-    closed = first_layer_closed(spec, a)
+    closed = first_layer_closed(inst)  # first: it rejects m = 0 before any extraction
+    brute = first_layer_brute(inst, source)
     holds = QRat(brute) == closed
 
     q1_brute = brute.at_q1()
-    q1_closed = first_layer_closed_q1(spec, a)
+    q1_closed = first_layer_closed_q1(inst)
     holds = holds and (q1_closed == q1_brute)
 
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity="firstlayer",
         params=make_params(
-            spec.n,
-            a,
-            spec.I,
-            spec.J,
-            extra={"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
+            inst, extra={"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)}
         ),
         holds=holds,
         lhs=brute.render(),

@@ -1,7 +1,8 @@
 """Corrected Dyson products: Kadell's identity and the failed q-modification.
 
-Multiplying the classical Dyson product by (1 - x_{j_1}/x_{i_1}) ... for a
-layer (I, J) scales the constant term by a clean rational factor:
+Multiplying the classical Dyson product by (1 - x_{j_1}/x_{i_1}) ... for the
+layer (I, J) of an ``Instance``, one binomial per positional pair, scales the
+constant term by a clean rational factor:
 
     (1 + total - sum of a over I) * CT = (1 + total) * multinomial(a).
 
@@ -17,90 +18,65 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Sequence
 
-from .dyson import DysonSpec, _unit, q_dyson_source
-from .firstlayer import LayerSpec
+from .dyson import Instance, _unit, q_dyson_source
 from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product, shifted_factorial
 from .qpoly import ONE, QPoly, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, make_params
 
-PairList = tuple[tuple[int, int], ...]
 
-
-def positional_pairs(spec: LayerSpec) -> PairList:
-    """The pairing (i_1, j_1), ..., (i_m, j_m) read off positionally."""
-    return tuple(zip(spec.I, spec.J))
-
-
-def correction_factors(spec: LayerSpec) -> list[LaurentPoly]:
+def correction_factors(inst: Instance) -> list[LaurentPoly]:
     """The binomials (1 - x_{j_k}/x_{i_k}), one per pair."""
-    n = spec.n
+    n = inst.n
     out = []
-    for i_k, j_k in positional_pairs(spec):
+    for i_k, j_k in inst.pairs:
         out.append(LaurentPoly(n, {(0,) * (n + 1): ONE, _unit(n, j_k, i_k): -ONE}))
     return out
 
 
-def corrected_ct(
-    spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
-) -> int:
+def corrected_ct(inst: Instance, source: FactoredProduct | None = None) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
     at q = 1 from ``source``, the q-Dyson product."""
     if source is None:
-        source = q_dyson_source(DysonSpec(spec.n, tuple(a)))
-    correction = expand_product(correction_factors(spec), spec.n)
+        source = q_dyson_source(inst)
+    correction = expand_product(correction_factors(inst), inst.n)
     return source.ct_times(correction).at_q1()
 
 
-def corrected_dyson_lhs(
-    spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
-) -> int:
-    a = tuple(a)
-    scale = 1 + sum(a) - sum(a[i] for i in spec.I)
-    return scale * corrected_ct(spec, a, source)
+def corrected_dyson_rhs(inst: Instance) -> int:
+    return (1 + inst.total) * multinomial(inst.a)
 
 
-def corrected_dyson_rhs(a: Sequence[int]) -> int:
-    a = tuple(a)
-    return (1 + sum(a)) * multinomial(a)
-
-
-def corrected_ct_closed(spec: LayerSpec, a: Sequence[int]) -> Fraction:
+def corrected_ct_closed(inst: Instance) -> Fraction:
     """Closed form of the corrected constant term itself:
 
         (1 + (sum of a over I) / (1 + total - sum of a over I)) * multinomial(a)
 
     Only defined for nonempty I.
     """
-    if spec.m == 0:
+    if inst.m == 0:
         raise ValueError("layer must select at least one index")
-    a = tuple(a)
-    s_i = sum(a[i] for i in spec.I)
-    return (1 + Fraction(s_i, 1 + sum(a) - s_i)) * multinomial(a)
+    s_i = inst.selected_total
+    return (1 + Fraction(s_i, 1 + inst.total - s_i)) * multinomial(inst.a)
 
 
-def verify_kadell(
-    spec: LayerSpec, a: Sequence[int], source: FactoredProduct | None = None
-) -> VerificationReport:
+def verify_kadell(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
     """Scaled corrected constant term against its product-free value, and the
     corrected constant term itself against its closed form."""
     t0 = time.perf_counter()
-    a = tuple(a)
-    ct = corrected_ct(spec, a, source)
-    scale = 1 + sum(a) - sum(a[i] for i in spec.I)
-    lhs = scale * ct
-    rhs = corrected_dyson_rhs(a)
+    ct = corrected_ct(inst, source)
+    lhs = (1 + inst.total - inst.selected_total) * ct
+    rhs = corrected_dyson_rhs(inst)
     holds = lhs == rhs
     extra: dict = {"ct": str(ct)}
-    if spec.m > 0:
-        closed = corrected_ct_closed(spec, a)
+    if inst.m > 0:
+        closed = corrected_ct_closed(inst)
         extra["ct_closed"] = str(closed)
         holds = holds and closed == ct
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity="kadell",
-        params=make_params(spec.n, a, spec.I, spec.J, extra=extra),
+        params=make_params(inst, extra=extra),
         holds=holds,
         lhs=str(lhs),
         rhs=str(rhs),
@@ -108,15 +84,12 @@ def verify_kadell(
     )
 
 
-def modified_q_product(
-    spec: LayerSpec, a: Sequence[int], pairs: PairList
-) -> list[LaurentPoly]:
+def modified_q_product(inst: Instance) -> list[LaurentPoly]:
     """q-analog product with pair-adjusted factorial lengths: for s < t the
     factor (x_s/x_t; q) has length a_s plus one if (t, s) is a pair, and
     (q x_t/x_s; q) has length a_t plus one if (s, t) is a pair."""
-    a = tuple(a)
-    n = spec.n
-    pair_set = set(pairs)
+    n, a = inst.n, inst.a
+    pair_set = set(inst.pairs)
     out = []
     for s in range(n + 1):
         for t in range(s + 1, n + 1):
@@ -127,7 +100,7 @@ def modified_q_product(
     return out
 
 
-def verify_q_kadell(spec: LayerSpec, a: Sequence[int]) -> VerificationReport:
+def verify_q_kadell(inst: Instance) -> VerificationReport:
     """The would-be q-analog of the corrected identity:
 
         (1 - q^(1 + total - sum of a over I)) * CT(modified product)
@@ -137,18 +110,14 @@ def verify_q_kadell(spec: LayerSpec, a: Sequence[int]) -> VerificationReport:
     for the given instance.
     """
     t0 = time.perf_counter()
-    a = tuple(a)
-    total = sum(a)
-    s_i = sum(a[i] for i in spec.I)
-    factors = modified_q_product(spec, a, positional_pairs(spec))
-    ct = ct_of_factor_list(factors, (0,) * (spec.n + 1))
-    lhs = one_minus_q(1 + total - s_i) * ct
-    rhs = one_minus_q(1 + total) * q_multinomial_poly(a)
+    ct = ct_of_factor_list(modified_q_product(inst), (0,) * (inst.n + 1))
+    lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
+    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
     holds = lhs == rhs
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity="qkadell",
-        params=make_params(spec.n, a, spec.I, spec.J, extra={"ct": ct.render()}),
+        params=make_params(inst, extra={"ct": ct.render()}),
         holds=holds,
         lhs=lhs.render(),
         rhs=rhs.render(),
@@ -159,8 +128,7 @@ def verify_q_kadell(spec: LayerSpec, a: Sequence[int]) -> VerificationReport:
 # Known values for the smallest failing instance of the q-modification:
 # n=2, I={0}, J={1}, a=(1,1,1).  The modified product has constant term
 # 1 + 2q + 3q^2 + 2q^3, so the two sides differ as polynomials.
-_CE_SPEC = LayerSpec(2, (0,), (1,))
-_CE_A = (1, 1, 1)
+_CE = Instance(2, (1, 1, 1), (0,), (1,))
 
 
 def _expected_counterexample() -> tuple[QPoly, QPoly, QPoly]:
@@ -173,7 +141,7 @@ def _expected_counterexample() -> tuple[QPoly, QPoly, QPoly]:
 def reproduce_counterexample() -> VerificationReport:
     """Evaluate the pinned failing instance and confirm both sides come out
     as the known polynomials (which are unequal)."""
-    report = verify_q_kadell(_CE_SPEC, _CE_A)
+    report = verify_q_kadell(_CE)
     ct_expected, lhs_expected, rhs_expected = _expected_counterexample()
     confirmed = (
         not report.holds

@@ -15,18 +15,13 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def make_params(
-    n: int,
-    a,
-    I=(),  # noqa: E741 - interface name
-    J=(),
-    extra: dict | None = None,
-) -> dict:
+def make_params(inst, extra: dict | None = None) -> dict:
+    """The ``params`` of a report on the ``Instance`` inst."""
     return {
-        "n": n,
-        "a": list(a),
-        "I": list(I),
-        "J": list(J),
+        "n": inst.n,
+        "a": list(inst.a),
+        "I": list(inst.I),
+        "J": list(inst.J),
         "extra": dict(extra or {}),
     }
 

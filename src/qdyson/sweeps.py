@@ -3,10 +3,11 @@
 ``IDENTITIES`` is the one table of identities, used by ``qdyson verify`` and
 ``qdyson sweep`` alike.  A sweep walks every exponent vector a in
 [0..amax]^(n+1) — and, for layer identities, every admissible (I, J) layout —
-and verifies the chosen identity on each instance.  Work is chunked by
-exponent vector so each worker expands the q-Dyson product once and reuses it
-across layouts; results are merged in grid order regardless of completion
-order.
+and verifies the chosen identity on one ``Instance`` (n, a, I, J) each.  The
+no-crossing filter of ``main`` reads layouts only, before any a is drawn.
+Work is chunked by exponent vector so each worker expands the q-Dyson product
+once and reuses it across layouts; results are merged in grid order
+regardless of completion order.
 """
 
 from __future__ import annotations
@@ -18,53 +19,47 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyson import DysonSpec, q_dyson_source, verify_dyson, verify_q_dyson
-from .firstlayer import LayerSpec, verify_first_layer
+from .dyson import Instance, q_dyson_source, verify_dyson, verify_q_dyson
+from .firstlayer import verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
-    PairedLayer,
+    SEMANTICS,
     matrix_choice_property,
     npc_holds,
-    tail_cancel_values,
     verify_factorization,
     verify_paired,
+    verify_tail_cancel,
 )
 from .reports import VerificationReport, make_params
 
 
 @dataclass(frozen=True)
 class Identity:
-    """``check(spec, layer, semantics, source)`` verifies one instance, with
-    ``source`` the q-Dyson product of ``spec`` or None; None marks the lemma
-    suite, which only sweeps."""
+    """``check(inst, semantics, source)`` verifies one ``Instance``, with
+    ``source`` its q-Dyson product or None; None marks the lemma suite, which
+    only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     mmin: int | None = None  # smallest layer size; None: no layer
-    admissible: Callable[[LayerSpec], bool] = lambda layer: True  # layouts a sweep checks
+    admissible: Callable[[tuple, tuple], bool] = lambda I, J: True  # layouts a sweep checks
     nmin: int = 1  # smallest n a sweep accepts
 
 
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda spec, layer, semantics, source: verify_dyson(spec, source)),
-    "qdyson": Identity(lambda spec, layer, semantics, source: verify_q_dyson(spec, source)),
+    "dyson": Identity(lambda inst, semantics, source: verify_dyson(inst, source)),
+    "qdyson": Identity(lambda inst, semantics, source: verify_q_dyson(inst, source)),
     "firstlayer": Identity(
-        lambda spec, layer, semantics, source: verify_first_layer(layer, spec.a, source),
-        mmin=1,
+        lambda inst, semantics, source: verify_first_layer(inst, source), mmin=1
     ),
-    "kadell": Identity(
-        lambda spec, layer, semantics, source: verify_kadell(layer, spec.a, source),
-        mmin=0,
-    ),
+    "kadell": Identity(lambda inst, semantics, source: verify_kadell(inst, source), mmin=0),
     "main": Identity(
-        lambda spec, layer, semantics, source: verify_paired(
-            PairedLayer(layer), spec.a, semantics, source
-        ),
+        lambda inst, semantics, source: verify_paired(inst, semantics, source),
         mmin=0,
-        admissible=lambda layer: npc_holds(PairedLayer(layer)),
+        admissible=npc_holds,
     ),
-    # random_paired_layer draws n from 2..nmax
+    # random_instance draws n from 2..nmax
     "lemmas": Identity(None, nmin=2),
 }
 
@@ -95,8 +90,8 @@ class SweepConfig:
             raise ValueError("jobs must be at least 1")
         if self.mmax is not None and self.mmax < 0:
             raise ValueError("m bound must be nonnegative")
-        if self.semantics not in ("multiset", "set"):
-            raise ValueError("semantics must be 'multiset' or 'set'")
+        if self.semantics not in SEMANTICS:
+            raise ValueError(f"semantics must be one of {SEMANTICS}")
 
 
 def a_grid(n: int, amax: int) -> list[tuple[int, ...]]:
@@ -127,9 +122,8 @@ def _run_task(task) -> list[VerificationReport]:
     many coefficients of one product, so it is expanded once."""
     name, n, a, layouts, semantics = task
     identity = IDENTITIES[name]
-    spec = DysonSpec(n, a)
-    source = None if identity.mmin is None else q_dyson_source(spec, expand=True)
-    return [identity.check(spec, LayerSpec(n, I, J), semantics, source) for I, J in layouts]
+    source = None if identity.mmin is None else q_dyson_source(Instance(n, a), expand=True)
+    return [identity.check(Instance(n, a, I, J), semantics, source) for I, J in layouts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -156,14 +150,16 @@ def _execute(tasks: Sequence[tuple], jobs: int) -> list[VerificationReport]:
 # -- randomized lemma suite ----------------------------------------------------
 
 
-def random_paired_layer(rng: random.Random, nmax: int, mmin: int = 1) -> PairedLayer:
-    """Uniform-ish draw of a paired layer with m >= mmin and n <= nmax."""
+def random_instance(rng: random.Random, nmax: int, amax: int, mmin: int = 1) -> Instance:
+    """Uniform-ish draw of an instance with m >= mmin, n <= nmax and every
+    a_k <= amax; draws n, m, I, J, then a."""
     n = rng.randint(max(2, mmin), nmax)
     m = rng.randint(mmin, n)
     I = tuple(sorted(rng.sample(range(n + 1), m)))  # noqa: E741
     rest = [x for x in range(n + 1) if x not in I]
     J = tuple(sorted(rng.choices(rest, k=m)))
-    return PairedLayer.of(n, I, J)
+    a = tuple(rng.randint(0, amax) for _ in range(n + 1))
+    return Instance(n, a, I, J)
 
 
 def lemma_suite_reports(
@@ -182,38 +178,24 @@ def lemma_suite_reports(
     reports: list[VerificationReport] = []
 
     for _ in range(factorization_draws):
-        layer = random_paired_layer(rng, nmax, mmin=2)
-        a = tuple(rng.randint(0, amax) for _ in range(layer.n + 1))
-        usize = rng.randint(1, layer.m - 1)
-        U = tuple(sorted(rng.sample(layer.I, usize)))
-        floors = [x for x in layer.I if x <= min(U)]
+        inst = random_instance(rng, nmax, amax, mmin=2)
+        usize = rng.randint(1, inst.m - 1)
+        U = tuple(sorted(rng.sample(inst.I, usize)))
+        floors = [x for x in inst.I if x <= min(U)]
         i_v = rng.choice(floors)
-        reports.append(verify_factorization(layer, U, i_v, a, semantics))
+        reports.append(verify_factorization(inst, U, i_v, semantics))
 
     for _ in range(tail_cancel_draws):
-        layer = random_paired_layer(rng, nmax, mmin=2)
-        a = tuple(rng.randint(0, amax) for _ in range(layer.n + 1))
-        for h in range(2, layer.m + 1):
-            bare, joined, expected = tail_cancel_values(layer, h, a, semantics)
-            reports.append(
-                VerificationReport(
-                    identity="tailcancel",
-                    params=make_params(
-                        layer.n, a, layer.I, layer.J, extra={"h": h, "semantics": semantics}
-                    ),
-                    holds=(bare == joined == expected),
-                    lhs=f"{bare},{joined}",
-                    rhs=str(expected),
-                    elapsed_ms=0.0,
-                )
-            )
+        inst = random_instance(rng, nmax, amax, mmin=2)
+        for h in range(2, inst.m + 1):
+            reports.append(verify_tail_cancel(inst, h, semantics))
 
     for size in CHOICE_PRODUCT_SIZES:
         ok = matrix_choice_property(size)
         reports.append(
             VerificationReport(
                 identity="choiceproduct",
-                params=make_params(size, [0] * (size + 1)),
+                params=make_params(Instance(size, (0,) * (size + 1))),
                 holds=ok,
                 lhs="every choice product",
                 rhs="contains an inversion pair",
@@ -243,7 +225,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
         else:
             mmax = n if config.mmax is None else config.mmax
             candidates = layout_grid(n, identity.mmin, mmax)
-            layouts = [lay for lay in candidates if identity.admissible(LayerSpec(n, *lay))]
+            layouts = [lay for lay in candidates if identity.admissible(*lay)]
             rejected = (len(candidates) - len(layouts)) * len(avecs)
         tasks = [(config.identity, n, a, layouts, config.semantics) for a in avecs]
         reports = _execute(tasks, config.jobs)

@@ -20,13 +20,12 @@ import pytest
 
 from qdyson import cli
 from qdyson.dyson import (
-    DysonSpec,
+    Instance,
     q_dyson_factors,
     q_dyson_source,
     verify_dyson,
 )
 from qdyson.firstlayer import (
-    LayerSpec,
     first_layer_brute,
     first_layer_closed_q1,
     first_layer_target,
@@ -34,7 +33,7 @@ from qdyson.firstlayer import (
 )
 from qdyson.kadell import correction_factors, reproduce_counterexample, verify_kadell
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, pi_action
-from qdyson.paired import PairedLayer, npc_holds
+from qdyson.paired import npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
 from tests.test_dyson import classical_source
@@ -93,7 +92,7 @@ def q_expanded():
     out = {}
     for n, amax in ((0, 2), (1, 2)) + Q_GRIDS:
         for a in a_grid(n, amax):
-            out[(n, a)] = q_dyson_source(DysonSpec(n, a), expand=True)
+            out[(n, a)] = q_dyson_source(Instance(n, a), expand=True)
     return out
 
 
@@ -103,12 +102,12 @@ def classical_expanded():
     out = {}
     for n, amax in ((0, 2),) + CLASSICAL_GRIDS:
         for a in a_grid(n, amax):
-            out[(n, a)] = classical_source(DysonSpec(n, a), expand=True)
+            out[(n, a)] = classical_source(Instance(n, a), expand=True)
     return out
 
 
-def _layouts(n, mmin, mmax):
-    return [LayerSpec(n, I, J) for I, J in layout_grid(n, mmin, mmax)]
+def _layouts(n, a, mmin, mmax):
+    return [Instance(n, a, I, J) for I, J in layout_grid(n, mmin, mmax)]
 
 
 # -- the nine criteria ----------------------------------------------------------
@@ -140,7 +139,7 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, q_expanded, classica
     t0 = time.perf_counter()
     n0 = 0
     for a0 in range(3):
-        rep = verify_dyson(DysonSpec(0, (a0,)), q_expanded[(0, (a0,))])
+        rep = verify_dyson(Instance(0, (a0,)), q_expanded[(0, (a0,))])
         oracle = classical_expanded[(0, (a0,))].constant_term().render()
         ok = ok and rep.holds and rep.lhs == oracle
         n0 += 1
@@ -152,16 +151,16 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, q_expanded, classica
 
 def test_criterion_3_first_layer_closed_form(q_expanded, classical_expanded):
     t0 = time.perf_counter()
-    layouts = _layouts(3, 1, 2)
-    offset_layouts = [s for s in layouts if s.I[0] > 0]
+    layouts = layout_grid(3, 1, 2)
+    offset_layouts = [(I, J) for I, J in layouts if I[0] > 0]
     assert offset_layouts, "grid must exercise layouts that start past x0"
     checked = failed = 0
     for a in a_grid(3, 2):
         qsrc = q_expanded[(3, a)]
         csrc = classical_expanded[(3, a)]
-        for spec in layouts:
-            rep = verify_first_layer(spec, a, qsrc)
-            oracle = csrc.coeff(first_layer_target(spec)).as_int()
+        for inst in _layouts(3, a, 1, 2):
+            rep = verify_first_layer(inst, qsrc)
+            oracle = csrc.coeff(first_layer_target(inst)).as_int()
             checked += 1
             failed += 0 if rep.holds and rep.params["extra"]["q1_brute"] == str(oracle) else 1
     elapsed = time.perf_counter() - t0
@@ -182,14 +181,14 @@ def test_criterion_4_q1_value_is_layout_independent(q_expanded, classical_expand
             qsrc = q_expanded[(n, a)]
             src = classical_expanded[(n, a)]
             values_by_i: dict = {}
-            for spec in _layouts(n, 1, n):
-                value = src.coeff(first_layer_target(spec)).as_int()
+            for inst in _layouts(n, a, 1, n):
+                value = src.coeff(first_layer_target(inst)).as_int()
                 checked += 1
-                if first_layer_closed_q1(spec, a) != value:
+                if first_layer_closed_q1(inst) != value:
                     failed += 1
-                elif first_layer_brute(spec, a, qsrc).at_q1() != value:
+                elif first_layer_brute(inst, qsrc).at_q1() != value:
                     failed += 1
-                values_by_i.setdefault(spec.I, set()).add(value)
+                values_by_i.setdefault(inst.I, set()).add(value)
             if any(len(vals) != 1 for vals in values_by_i.values()):
                 failed += 1
     elapsed = time.perf_counter() - t0
@@ -209,9 +208,9 @@ def test_criterion_5_corrected_constant_terms(q_expanded, classical_expanded):
         for a in a_grid(n, 2):
             qsrc = q_expanded[(n, a)]
             src = classical_expanded[(n, a)]
-            for spec in _layouts(n, 0, n):
-                rep = verify_kadell(spec, a, qsrc)
-                correction = expand_product(correction_factors(spec), n)
+            for inst in _layouts(n, a, 0, n):
+                rep = verify_kadell(inst, qsrc)
+                correction = expand_product(correction_factors(inst), n)
                 oracle = src.ct_times(correction).as_int()
                 checked += 1
                 failed += 0 if rep.holds and rep.params["extra"]["ct"] == str(oracle) else 1
@@ -324,9 +323,9 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
     shift_checks = 0
     for n in (1, 2):
         for a in a_grid(n, 2):
-            src = q_dyson_source(DysonSpec(n, a), expand=True)
+            src = q_dyson_source(Instance(n, a), expand=True)
             rotated = tuple([a[-1]] + list(a[:-1]))
-            src_rot = q_dyson_source(DysonSpec(n, rotated), expand=True)
+            src_rot = q_dyson_source(Instance(n, rotated), expand=True)
             for _ in range(4):
                 exps = tuple(rng.choice((-1, 0, 1)) for _ in range(n + 1))
                 L = LaurentPoly.monomial(n, exps, ONE)
@@ -348,9 +347,9 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
             expanded_ct = classical_expanded[(n, a)].constant_term().render()
             ok = ok and rep["lhs"] == expanded_ct
             pruned_checks += 1
-    targets = sorted({first_layer_target(s) for s in _layouts(3, 1, 2)})
+    targets = sorted({first_layer_target(s) for s in _layouts(3, (0,) * 4, 1, 2)})
     for a in a_grid(3, 2):
-        factors = q_dyson_factors(DysonSpec(3, a))
+        factors = q_dyson_factors(Instance(3, a))
         expanded = q_expanded[(3, a)]
         for target in targets:
             ok = ok and ct_of_factor_list(factors, target) == expanded.coeff(target)
@@ -370,4 +369,4 @@ def test_paired_layouts_under_n3_never_cross():
     layouts, so the sweep above really covers every layout."""
     for n in (1, 2, 3):
         for I, J in layout_grid(n, 0, n):
-            assert npc_holds(PairedLayer.of(n, I, J))
+            assert npc_holds(I, J)

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, JSON output, parallel parity."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qdyson
 from qdyson import cli
 from qdyson.reports import dumps
 from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
@@ -195,10 +197,14 @@ def test_verify_and_sweep_agree(identity, tmp_path, capsys):
 
 
 def test_module_entry_point():
+    """The subprocess imports the same ``qdyson`` as the tests, installed or
+    not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdyson.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "qdyson.cli", "verify", "qdyson", "--n", "1", "--a", "2,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert ":: holds" in proc.stdout

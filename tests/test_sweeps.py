@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from qdyson.paired import PairedLayer, npc_holds
+from qdyson.paired import npc_holds
 from qdyson.sweeps import (
     SweepConfig,
     a_grid,
     layout_grid,
     lemma_suite_reports,
     pool_workers,
-    random_paired_layer,
+    random_instance,
     run_sweep,
 )
 
@@ -32,10 +32,10 @@ def test_layout_grid_counts():
 
 
 def test_layout_grid_entries_are_valid():
-    from qdyson.firstlayer import LayerSpec
+    from qdyson.dyson import Instance
 
     for I, J in layout_grid(3, 0, 3):
-        LayerSpec(3, I, J)  # must not raise
+        Instance(3, (1, 1, 1, 1), I, J)  # must not raise
 
 
 def test_config_validation():
@@ -65,8 +65,8 @@ def test_pool_workers_are_capped(monkeypatch):
 
 
 def test_random_layer_draws_are_deterministic():
-    one = [random_paired_layer(random.Random(5), 5).pairs for _ in range(5)]
-    two = [random_paired_layer(random.Random(5), 5).pairs for _ in range(5)]
+    one = [random_instance(random.Random(5), 5, 3).pairs for _ in range(5)]
+    two = [random_instance(random.Random(5), 5, 3).pairs for _ in range(5)]
     assert one == two
 
 
@@ -74,7 +74,7 @@ def test_crossing_layouts_are_rejected_not_failed():
     """n=6 admits 78 crossing layouts; the sweep counts them as rejected and
     never emits a failing report for them."""
     layouts = layout_grid(6, 0, 6)
-    crossing = [lay for lay in layouts if not npc_holds(PairedLayer.of(6, *lay))]
+    crossing = [lay for lay in layouts if not npc_holds(*lay)]
     assert len(crossing) == 78
 
     reports, summary = run_sweep(SweepConfig(identity="main", n=6, amax=0))
