@@ -1,10 +1,11 @@
 """Exact constant-term arithmetic for Dyson-style products.
 
-The package constructs the q-Dyson product, extracts coefficients by (pruned)
-expansion, reads the classical Dyson values off them at q = 1, evaluates the
-known closed forms for first-layer coefficients and their corrected variants,
-and verifies each identity exactly — including the one modification that is
-known to fail.  Every check takes one validated ``Instance(n, a, I, J)``.
+The package constructs the q-Dyson product, reads its coefficients in one
+pruned pass over the box of exponent vectors each check needs, reads the
+classical Dyson values off them at q = 1, evaluates the known closed forms
+for first-layer coefficients and their corrected variants, and verifies each
+identity exactly — including the one modification that is known to fail.
+Every check takes one validated ``Instance(n, a, I, J)``.
 """
 
 __version__ = "0.1.0"
@@ -27,8 +28,6 @@ from .laurent import (  # noqa: F401
     LaurentPoly,
     ct_of_factor_list,
     expand_product,
-    homogeneous_degree,
-    pi_action,
     shifted_factorial,
 )
 from .dyson import (  # noqa: F401
@@ -43,7 +42,6 @@ from .firstlayer import (  # noqa: F401
     first_layer_brute,
     first_layer_closed,
     first_layer_closed_q1,
-    layer_exponent,
     layer_exponent_general,
     verify_first_layer,
     weight_vector,

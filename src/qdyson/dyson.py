@@ -15,7 +15,11 @@ classical values are read off it at q = 1; ``dyson_factors`` is the tests'
 independent oracle for them.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
-positionally.  The products built here read only n and a.
+positionally.  The products built here read only n and a.  A check reads its
+coefficients from one pruned pass over the box of exponent vectors it needs,
+at most ``Instance.layer_box``: for the constant terms here, whose layer is
+empty, that is the origin.  ``shared_source`` reads one product for several
+layers at once, as a sweep does.
 """
 
 from __future__ import annotations
@@ -86,6 +90,16 @@ class Instance:
         """1-based position of a selected index within I."""
         return self.I.index(value) + 1
 
+    @property
+    def layer_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(lo, hi) of the exponent vectors the layer identities read from
+        the product: hi is 1 on I, lo is minus the multiplicity in J, both
+        0 elsewhere.  The first-layer target and every flipped correction
+        monomial lie inside; for the empty layer it is the origin."""
+        lo = tuple(-self.J.count(v) for v in range(self.n + 1))
+        hi = tuple(int(v in self.I) for v in range(self.n + 1))
+        return lo, hi
+
     def paired_js(self, subset: Sequence[int]) -> list[int]:
         """The j-values paired with the given selected indices (with
         multiplicity, sorted)."""
@@ -131,15 +145,25 @@ def dyson_factors(inst: Instance) -> list[LaurentPoly]:
     return out
 
 
-def q_dyson_source(inst: Instance, expand: bool = False) -> FactoredProduct:
-    return FactoredProduct(inst.n, q_dyson_factors(inst), expand=expand)
+def q_dyson_source(inst: Instance, lo: Sequence[int], hi: Sequence[int]) -> FactoredProduct:
+    """The q-Dyson product's coefficients over the box lo <= e <= hi."""
+    return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi)
+
+
+def shared_source(insts: Sequence[Instance]) -> FactoredProduct:
+    """The q-Dyson product of instances sharing n and a, over the bounding
+    box of their layer boxes: one pruned pass serves all their checks."""
+    los, his = zip(*(inst.layer_box for inst in insts))
+    lo = tuple(map(min, zip(*los)))
+    hi = tuple(map(max, zip(*his)))
+    return q_dyson_source(insts[0], lo, hi)
 
 
 def verify_q_dyson(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
     """Constant term of the q-analog product against the q-multinomial."""
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst)
+        source = q_dyson_source(inst, *inst.layer_box)
     ct = source.constant_term()
     rhs = q_multinomial_poly(inst.a)
     holds = ct == rhs
@@ -159,7 +183,7 @@ def verify_dyson(inst: Instance, source: FactoredProduct | None = None) -> Verif
     constant term at q = 1, against the multinomial."""
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst)
+        source = q_dyson_source(inst, *inst.layer_box)
     ct = source.constant_term().at_q1()
     rhs = multinomial(inst.a)
     holds = ct == rhs

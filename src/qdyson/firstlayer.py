@@ -99,9 +99,10 @@ def first_layer_target(inst: Instance) -> tuple[int, ...]:
 
 def first_layer_brute(inst: Instance, source: FactoredProduct | None = None) -> QPoly:
     """First-layer coefficient straight out of the product."""
+    target = first_layer_target(inst)
     if source is None:
-        source = q_dyson_source(inst)
-    return source.coeff(first_layer_target(inst))
+        source = q_dyson_source(inst, target, target)
+    return source.coeff(target)
 
 
 def first_layer_closed(inst: Instance) -> QRat:

@@ -38,7 +38,7 @@ def corrected_ct(inst: Instance, source: FactoredProduct | None = None) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
     at q = 1 from ``source``, the q-Dyson product."""
     if source is None:
-        source = q_dyson_source(inst)
+        source = q_dyson_source(inst, *inst.layer_box)
     correction = expand_product(correction_factors(inst), inst.n)
     return source.ct_times(correction).at_q1()
 

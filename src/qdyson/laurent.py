@@ -1,11 +1,13 @@
 """Sparse multivariate Laurent polynomials in x_0..x_n over ``QPoly``.
 
-The heavy operation in this package is picking one coefficient out of a large
-product of small factors.  ``ct_of_factor_list`` multiplies the factors
-incrementally and discards every partial monomial that can no longer reach the
-requested exponent vector, using per-variable bounds on what the remaining
-factors may still contribute.  ``expand_product`` is the unpruned counterpart
-used as a cross-check.
+The heavy operation in this package is reading a few coefficients out of a
+large product of small factors.  ``coefficients_in_box`` multiplies the
+factors incrementally and discards every partial monomial that can no longer
+reach the box of exponent vectors the caller reads, using per-variable bounds
+on what the remaining factors may still contribute.  ``FactoredProduct``
+runs it once per product; ``ct_of_factor_list`` is the pass over a single
+point.  ``expand_product`` multiplies outright, without pruning: it is the
+tests' oracle, and the program uses it only on short correction products.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ class LaurentPoly:
     @staticmethod
     def one(n: int) -> "LaurentPoly":
         return LaurentPoly(n, {(0,) * (n + 1): ONE})
-
-    @staticmethod
-    def constant(n: int, coeff: QPoly) -> "LaurentPoly":
-        return LaurentPoly(n, {(0,) * (n + 1): coeff})
 
     @staticmethod
     def monomial(n: int, exps: Sequence[int], coeff: QPoly = ONE) -> "LaurentPoly":
@@ -194,59 +192,59 @@ def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     return result
 
 
-def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:
-    """Coefficient of x^target in the product of ``factors``.
+def coefficients_in_box(
+    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
+) -> LaurentPoly:
+    """Every term c * x^e of the product of ``factors`` with lo <= e <= hi,
+    coordinatewise.
 
     Factors are multiplied in ascending order of term count (stable on ties).
     After each step, a partial monomial e survives only if, for every
-    variable, target - e lies inside the interval of exponents the remaining
-    factors can still contribute.  An empty factor list is the constant 1.
+    variable, the box can still be reached from e with what the remaining
+    factors may contribute.  An empty factor list is the constant 1.
     """
-    target = tuple(target)
-    width = len(target)
+    width = len(lo)
     n = width - 1
     for f in factors:
         if f.n != n:
             raise AmbientMismatchError(f"{f.n + 1} variables vs {width}")
-        if f.is_zero():
-            return ZERO
 
     ordered = sorted(factors, key=LaurentPoly.num_terms)
 
-    # suffix[k][v] = (lo, hi) bounds of variable v over factors k..end
-    k_factors = len(ordered)
-    suffix_lo = [[0] * width for _ in range(k_factors + 1)]
-    suffix_hi = [[0] * width for _ in range(k_factors + 1)]
-    for k in range(k_factors - 1, -1, -1):
-        exps_list = list(ordered[k].terms)
-        for v in range(width):
-            column = [e[v] for e in exps_list]
-            suffix_lo[k][v] = suffix_lo[k + 1][v] + min(column)
-            suffix_hi[k][v] = suffix_hi[k + 1][v] + max(column)
+    # reach[k] = (floor, ceiling) a partial monomial of the first k factors
+    # must lie within, per variable, to reach the box with factors k..end
+    floor, ceiling = list(lo), list(hi)
+    reach = [(lo, hi)]
+    for f in reversed(ordered):
+        for v, column in enumerate(zip(*f.terms)):
+            floor[v] -= max(column)
+            ceiling[v] -= min(column)
+        reach.append((tuple(floor), tuple(ceiling)))
+    reach.reverse()
 
-    partial: dict[Monomial, QPoly] = {(0,) * width: ONE}
-    for k, f in enumerate(ordered):
-        lo = suffix_lo[k + 1]
-        hi = suffix_hi[k + 1]
+    partial: dict[Monomial, QPoly] = {}
+    if all(b <= 0 <= c for b, c in zip(*reach[0])):
+        partial[(0,) * width] = ONE
+    for f, (floor, ceiling) in zip(ordered, reach[1:]):
         grown: dict[Monomial, QPoly] = {}
         for e1, c1 in partial.items():
             for e2, c2 in f.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                ok = True
                 for v in range(width):
-                    rest = target[v] - key[v]
-                    if rest < lo[v] or rest > hi[v]:
-                        ok = False
+                    if key[v] < floor[v] or key[v] > ceiling[v]:
                         break
-                if not ok:
-                    continue
-                c = c1 * c2
-                prev = grown.get(key)
-                grown[key] = c if prev is None else prev + c
+                else:
+                    c = c1 * c2
+                    prev = grown.get(key)
+                    grown[key] = c if prev is None else prev + c
         partial = {e: c for e, c in grown.items() if not c.is_zero()}
-        if not partial:
-            return ZERO
-    return partial.get(target, ZERO)
+    return LaurentPoly(n, partial)
+
+
+def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:
+    """Coefficient of x^target in the product of ``factors``: the box pass
+    over the single point target."""
+    return coefficients_in_box(factors, target, target).coeff(target)
 
 
 def pi_action(f: LaurentPoly, k: int = 1) -> LaurentPoly:
@@ -287,28 +285,27 @@ def homogeneous_degree(f: LaurentPoly) -> int | None:
 
 
 class FactoredProduct:
-    """Coefficient source for a product kept in factored form.
+    """Coefficient source for a product kept in factored form: the
+    coefficients at every exponent vector of the box lo <= e <= hi, taken
+    in one pruned pass at construction and held in ``expanded``.  The box
+    is the set of coefficients the caller's checks read; reading outside it
+    raises ``ValueError`` instead of returning a zero that was never
+    computed."""
 
-    By default every requested coefficient runs the pruned extractor over the
-    factor list.  With ``expand=True`` the product is expanded once up front
-    and requests become dictionary lookups — worthwhile when many coefficients
-    of the same product are needed.
-    """
-
-    def __init__(self, n: int, factors: Sequence[LaurentPoly], expand: bool = False) -> None:
+    def __init__(
+        self, n: int, factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
+    ) -> None:
         self.n = n
-        self.factors = list(factors)
-        for f in self.factors:
-            if f.n != n:
-                raise AmbientMismatchError(f"{f.n + 1} variables vs {n + 1}")
-        self.expanded: LaurentPoly | None = None
-        if expand:
-            self.expanded = expand_product(self.factors, n)
+        self.lo = tuple(lo)
+        self.hi = tuple(hi)
+        self.expanded = coefficients_in_box(factors, lo, hi)
 
     def coeff(self, target: Sequence[int]) -> QPoly:
-        if self.expanded is not None:
-            return self.expanded.coeff(target)
-        return ct_of_factor_list(self.factors, target)
+        key = tuple(target)
+        for e, b, c in zip(key, self.lo, self.hi):
+            if e < b or e > c:
+                raise ValueError(f"exponent {key!r} outside the box {self.lo!r}..{self.hi!r}")
+        return self.expanded.coeff(key)
 
     def constant_term(self) -> QPoly:
         return self.coeff((0,) * (self.n + 1))

@@ -169,7 +169,7 @@ def verify_paired(
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst)
+        source = q_dyson_source(inst, *inst.layer_box)
     ct = source.ct_times(correction_polynomial(inst, semantics))
     lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
     rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)

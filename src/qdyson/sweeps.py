@@ -5,9 +5,10 @@
 [0..amax]^(n+1) — and, for layer identities, every admissible (I, J) layout —
 and verifies the chosen identity on one ``Instance`` (n, a, I, J) each.  The
 no-crossing filter of ``main`` reads layouts only, before any a is drawn.
-Work is chunked by exponent vector so each worker expands the q-Dyson product
-once and reuses it across layouts; results are merged in grid order
-regardless of completion order.
+Work is chunked by exponent vector: each task reads the q-Dyson product's
+coefficients once, in one pruned pass over the bounding box of its layouts'
+layer boxes, and every check of the task reads them from there.  Results are
+merged in grid order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyson import Instance, q_dyson_source, verify_dyson, verify_q_dyson
+from .dyson import Instance, shared_source, verify_dyson, verify_q_dyson
 from .firstlayer import verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
@@ -88,8 +89,9 @@ class SweepConfig:
             raise ValueError("amax must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.mmax is not None and self.mmax < 0:
-            raise ValueError("m bound must be nonnegative")
+        mmin = IDENTITIES[self.identity].mmin or 0
+        if self.mmax is not None and self.mmax < mmin:
+            raise ValueError(f"m bound must be at least {mmin} for {self.identity}")
         if self.semantics not in SEMANTICS:
             raise ValueError(f"semantics must be one of {SEMANTICS}")
 
@@ -118,12 +120,11 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 
 def _run_task(task) -> list[VerificationReport]:
-    """Check (identity, n, a, layouts, semantics).  Layer identities look up
-    many coefficients of one product, so it is expanded once."""
+    """Check (identity, n, a, layouts, semantics) on one shared product."""
     name, n, a, layouts, semantics = task
-    identity = IDENTITIES[name]
-    source = None if identity.mmin is None else q_dyson_source(Instance(n, a), expand=True)
-    return [identity.check(Instance(n, a, I, J), semantics, source) for I, J in layouts]
+    insts = [Instance(n, a, I, J) for I, J in layouts]
+    source = shared_source(insts)
+    return [IDENTITIES[name].check(inst, semantics, source) for inst in insts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:

@@ -7,7 +7,10 @@ Each criterion prints exactly one summary line (visible with ``pytest -s``):
 Every comparison is exact symbolic equality; there are no tolerances.  The
 program reads classical values off the q-product at q = 1; criteria 2-5 and
 9(c) compare them with the classical product built from repeated binomials
-(``classical_source``), an independent path.  The grids are the largest ones that stay desk-checkable: exhaustive small
+(``classical_product``), an independent path.  The oracles of criteria 2-5
+and 9 are expanded outright, without pruning; where the program's source is
+shared across layouts, it is the one a sweep builds (``shared_source``).  The
+grids are the largest ones that stay desk-checkable: exhaustive small
 parameter ranges for the identities themselves, plus seeded randomized suites
 for the supporting combinatorial statements.
 """
@@ -19,12 +22,7 @@ import time
 import pytest
 
 from qdyson import cli
-from qdyson.dyson import (
-    Instance,
-    q_dyson_factors,
-    q_dyson_source,
-    verify_dyson,
-)
+from qdyson.dyson import Instance, q_dyson_factors, shared_source, verify_dyson
 from qdyson.firstlayer import (
     first_layer_brute,
     first_layer_closed_q1,
@@ -36,7 +34,7 @@ from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, pi_ac
 from qdyson.paired import npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
-from tests.test_dyson import classical_source
+from tests.test_dyson import classical_product, ct_times
 
 # (n, amax) grids named by the criteria below
 Q_GRIDS = ((2, 3), (3, 2))                       # criterion 1
@@ -87,22 +85,22 @@ def classical_sweeps(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def q_expanded():
-    """Fully expanded q-products for every (n, a) of criterion 1, which with
-    n <= 1 added covers the runtime sources of criteria 2-5."""
+    """Unpruned q-products (the oracle of criterion 9(c)) for every (n, a)
+    of criterion 1."""
     out = {}
-    for n, amax in ((0, 2), (1, 2)) + Q_GRIDS:
+    for n, amax in Q_GRIDS:
         for a in a_grid(n, amax):
-            out[(n, a)] = q_dyson_source(Instance(n, a), expand=True)
+            out[(n, a)] = expand_product(q_dyson_factors(Instance(n, a)), n)
     return out
 
 
 @pytest.fixture(scope="module")
 def classical_expanded():
-    """Fully expanded classical products (the oracle) for criteria 2-5."""
+    """Unpruned classical products (the oracle) for criteria 2-5."""
     out = {}
     for n, amax in ((0, 2),) + CLASSICAL_GRIDS:
         for a in a_grid(n, amax):
-            out[(n, a)] = classical_source(Instance(n, a), expand=True)
+            out[(n, a)] = classical_product(Instance(n, a))
     return out
 
 
@@ -126,7 +124,7 @@ def test_criterion_1_q_dyson_constant_terms(q_sweeps):
     _report(1, ok, "; ".join(details) + f" in {elapsed:.1f}s")
 
 
-def test_criterion_2_dyson_constant_terms(classical_sweeps, q_expanded, classical_expanded):
+def test_criterion_2_dyson_constant_terms(classical_sweeps, classical_expanded):
     ok = True
     details = []
     elapsed = 0.0
@@ -139,7 +137,7 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, q_expanded, classica
     t0 = time.perf_counter()
     n0 = 0
     for a0 in range(3):
-        rep = verify_dyson(Instance(0, (a0,)), q_expanded[(0, (a0,))])
+        rep = verify_dyson(Instance(0, (a0,)))
         oracle = classical_expanded[(0, (a0,))].constant_term().render()
         ok = ok and rep.holds and rep.lhs == oracle
         n0 += 1
@@ -149,16 +147,17 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, q_expanded, classica
     _report(2, ok, "; ".join(details) + f" in {elapsed:.1f}s")
 
 
-def test_criterion_3_first_layer_closed_form(q_expanded, classical_expanded):
+def test_criterion_3_first_layer_closed_form(classical_expanded):
     t0 = time.perf_counter()
     layouts = layout_grid(3, 1, 2)
     offset_layouts = [(I, J) for I, J in layouts if I[0] > 0]
     assert offset_layouts, "grid must exercise layouts that start past x0"
     checked = failed = 0
     for a in a_grid(3, 2):
-        qsrc = q_expanded[(3, a)]
+        insts = _layouts(3, a, 1, 2)
+        qsrc = shared_source(insts)
         csrc = classical_expanded[(3, a)]
-        for inst in _layouts(3, a, 1, 2):
+        for inst in insts:
             rep = verify_first_layer(inst, qsrc)
             oracle = csrc.coeff(first_layer_target(inst)).as_int()
             checked += 1
@@ -173,15 +172,16 @@ def test_criterion_3_first_layer_closed_form(q_expanded, classical_expanded):
     )
 
 
-def test_criterion_4_q1_value_is_layout_independent(q_expanded, classical_expanded):
+def test_criterion_4_q1_value_is_layout_independent(classical_expanded):
     t0 = time.perf_counter()
     checked = failed = 0
     for n in (1, 2, 3):
         for a in a_grid(n, 2):
-            qsrc = q_expanded[(n, a)]
+            insts = _layouts(n, a, 1, n)
+            qsrc = shared_source(insts)
             src = classical_expanded[(n, a)]
             values_by_i: dict = {}
-            for inst in _layouts(n, a, 1, n):
+            for inst in insts:
                 value = src.coeff(first_layer_target(inst)).as_int()
                 checked += 1
                 if first_layer_closed_q1(inst) != value:
@@ -201,17 +201,18 @@ def test_criterion_4_q1_value_is_layout_independent(q_expanded, classical_expand
     )
 
 
-def test_criterion_5_corrected_constant_terms(q_expanded, classical_expanded):
+def test_criterion_5_corrected_constant_terms(classical_expanded):
     t0 = time.perf_counter()
     checked = failed = 0
     for n in (0, 1, 2, 3):
         for a in a_grid(n, 2):
-            qsrc = q_expanded[(n, a)]
+            insts = _layouts(n, a, 0, n)
+            qsrc = shared_source(insts)
             src = classical_expanded[(n, a)]
-            for inst in _layouts(n, a, 0, n):
+            for inst in insts:
                 rep = verify_kadell(inst, qsrc)
                 correction = expand_product(correction_factors(inst), n)
-                oracle = src.ct_times(correction).as_int()
+                oracle = ct_times(src, correction).as_int()
                 checked += 1
                 failed += 0 if rep.holds and rep.params["extra"]["ct"] == str(oracle) else 1
     elapsed = time.perf_counter() - t0
@@ -323,13 +324,13 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
     shift_checks = 0
     for n in (1, 2):
         for a in a_grid(n, 2):
-            src = q_dyson_source(Instance(n, a), expand=True)
+            src = expand_product(q_dyson_factors(Instance(n, a)), n)
             rotated = tuple([a[-1]] + list(a[:-1]))
-            src_rot = q_dyson_source(Instance(n, rotated), expand=True)
+            src_rot = expand_product(q_dyson_factors(Instance(n, rotated)), n)
             for _ in range(4):
                 exps = tuple(rng.choice((-1, 0, 1)) for _ in range(n + 1))
                 L = LaurentPoly.monomial(n, exps, ONE)
-                ok = ok and src.ct_times(L) == src_rot.ct_times(pi_action(L))
+                ok = ok and ct_times(src, L) == ct_times(src_rot, pi_action(L))
                 shift_checks += 1
 
     # (c) pruned extraction agrees with full expansion on every instance of

@@ -56,6 +56,7 @@ class TestVerifyExitCodes:
             ["sweep", "qdyson", "--n", "2", "--amax", "-1"],
             ["sweep", "qdyson", "--n", "2", "--amax", "1", "--jobs", "0"],
             ["sweep", "lemmas", "--n", "1", "--amax", "2"],
+            ["sweep", "firstlayer", "--n", "3", "--amax", "2", "--m", "0"],  # empty range
         ],
     )
     def test_bad_input_exits_two(self, argv, capsys):
@@ -179,8 +180,9 @@ def _strip_elapsed(path):
 
 @pytest.mark.parametrize("identity", [name for name, i in IDENTITIES.items() if i.check])
 def test_verify_and_sweep_agree(identity, tmp_path, capsys):
-    """Each sweep report (expanded product for layer identities) is the
-    report ``verify`` gives for that instance (pruned extraction)."""
+    """Each sweep report (read from one pass over the union of its layouts'
+    boxes) is the report ``verify`` gives for that instance (read from one
+    pass over the box of that check alone)."""
     path = tmp_path / "sweep.jsonl"
     assert cli.main(["sweep", identity, "--n", "2", "--amax", "1", "--json", str(path)]) == 0
     *reports, _summary = _strip_elapsed(path)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.dyson import Instance, q_dyson_source
+from qdyson.dyson import Instance, shared_source
 from qdyson.firstlayer import (
     count_upto,
     first_layer_brute,
@@ -21,7 +21,7 @@ from qdyson.firstlayer import (
     weight_vector,
 )
 from qdyson.qpoly import QPoly, QRat
-from tests.test_dyson import classical_source
+from tests.test_dyson import classical_product
 
 
 def all_layouts(n, a, mmin=1, mmax=None):
@@ -131,8 +131,13 @@ class TestExponents:
 
 
 def test_target_vector():
-    assert first_layer_target(Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))) == (1, -2, 1, 0)
+    """The target is the top corner of the layer box in I and its bottom
+    corner in J."""
+    inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
+    assert first_layer_target(inst) == (1, -2, 1, 0)
+    assert inst.layer_box == ((0, -2, 0, 0), (1, 0, 1, 0))
     assert first_layer_target(Instance(2, (1, 1, 1))) == (0, 0, 0)
+    assert Instance(2, (1, 1, 1)).layer_box == ((0, 0, 0), (0, 0, 0))
 
 
 class TestClosedForm:
@@ -168,8 +173,9 @@ class TestClosedForm:
     def test_brute_matches_closed_small_grid(self):
         for n in (1, 2):
             for a in itertools.product(range(3), repeat=n + 1):
-                source = q_dyson_source(Instance(n, a), expand=True)
-                for inst in all_layouts(n, a):
+                insts = list(all_layouts(n, a))
+                source = shared_source(insts)
+                for inst in insts:
                     brute = first_layer_brute(inst, source)
                     assert QRat(brute) == first_layer_closed(inst), inst
 
@@ -177,7 +183,7 @@ class TestClosedForm:
 class TestQ1:
     def test_known_values(self):
         a = (1, 1, 1)
-        classical = classical_source(Instance(2, a))
+        classical = classical_product(Instance(2, a))
         for inst, value in ((Instance(2, a, (0,), (1,)), -2), (Instance(2, a, (0, 1), (2, 2)), 2)):
             assert first_layer_closed_q1(inst) == Fraction(value)
             assert first_layer_brute(inst).at_q1() == value
@@ -187,7 +193,7 @@ class TestQ1:
         """At q = 1 the coefficient depends on the layout only through I."""
         for n in (2, 3):
             for a in itertools.product(range(3), repeat=n + 1):
-                source = classical_source(Instance(n, a), expand=True)
+                source = classical_product(Instance(n, a))
                 seen = {}
                 for inst in all_layouts(n, a):
                     value = source.coeff(first_layer_target(inst)).as_int()

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qdyson.dyson import Instance, q_dyson_source
+from qdyson.dyson import Instance, shared_source
 from qdyson.kadell import (
     corrected_ct,
     corrected_ct_closed,
@@ -17,7 +17,7 @@ from qdyson.kadell import (
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, q_multinomial_poly
-from tests.test_dyson import classical_source
+from tests.test_dyson import classical_product, ct_times
 from tests.test_firstlayer import all_layouts
 
 
@@ -58,12 +58,13 @@ def test_identity_small_grid():
     identity."""
     for n in (1, 2, 3):
         for a in itertools.product(range(3 if n < 3 else 2), repeat=n + 1):
-            source = q_dyson_source(Instance(n, a), expand=True)
-            classical = classical_source(Instance(n, a), expand=True)
-            for inst in all_layouts(n, a, mmin=0):
+            insts = list(all_layouts(n, a, mmin=0))
+            source = shared_source(insts)
+            classical = classical_product(Instance(n, a))
+            for inst in insts:
                 ct = corrected_ct(inst, source)
                 correction = expand_product(correction_factors(inst), n)
-                assert ct == classical.ct_times(correction).as_int(), inst
+                assert ct == ct_times(classical, correction).as_int(), inst
                 scale = 1 + sum(a) - sum(a[i] for i in inst.I)
                 assert scale * ct == corrected_dyson_rhs(inst), inst
                 if inst.m > 0:

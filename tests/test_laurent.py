@@ -1,5 +1,7 @@
 """Multivariate kernel: arithmetic, pruned extraction, rotation."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,7 +39,9 @@ def factor_instances(draw):
             terms[exps] = draw(small_qpolys())
         factors.append(LaurentPoly(n, terms))
     target = tuple(draw(st.integers(-3, 3)) for _ in range(width))
-    return n, factors, target
+    lo = tuple(t - draw(st.integers(0, 2)) for t in target)
+    hi = tuple(t + draw(st.integers(0, 2)) for t in target)
+    return n, factors, target, lo, hi
 
 
 def test_zero_coefficients_dropped():
@@ -90,21 +94,37 @@ def test_ct_of_factor_list_edges():
 @settings(max_examples=150)
 @given(factor_instances())
 def test_pruned_extraction_is_lossless(instance):
-    """The pruned extractor agrees with full expansion on every coefficient."""
-    n, factors, target = instance
-    expected = expand_product(factors, n).coeff(target)
-    assert ct_of_factor_list(factors, target) == expected
+    """The pruned extractor agrees with full expansion on every coefficient:
+    at a single target, and at every point of a box around it, where the
+    box source holds exactly the expansion's terms inside the box."""
+    n, factors, target, lo, hi = instance
+    full = expand_product(factors, n)
+    assert ct_of_factor_list(factors, target) == full.coeff(target)
+
+    source = FactoredProduct(n, factors, lo, hi)
+    box = list(itertools.product(*(range(b, c + 1) for b, c in zip(lo, hi))))
+    for e in box:
+        assert source.coeff(e) == full.coeff(e)
+    assert source.expanded == LaurentPoly(n, {e: full.coeff(e) for e in box})
 
 
-def test_factored_product_modes_agree():
+def test_read_outside_box_raises():
+    """A coefficient outside the box was never computed: reading it raises
+    instead of returning zero, while a zero inside the box reads as zero."""
     factors = [
         LaurentPoly.one(1) - mono(1, (1, -1)),
         LaurentPoly.one(1) - mono(1, (-1, 1), q_power(1)),
     ]
-    pruned = FactoredProduct(1, factors)
-    expanded = FactoredProduct(1, factors, expand=True)
-    for target in [(0, 0), (1, -1), (-1, 1), (2, -2)]:
-        assert pruned.coeff(target) == expanded.coeff(target)
+    # the product is (1 + q) - x0/x1 - q x1/x0
+    source = FactoredProduct(1, factors, (-1, -1), (1, 0))
+    assert source.coeff((1, -1)) == const(-1)
+    assert source.constant_term() == QPoly(0, (1, 1))
+    assert source.coeff((1, 0)) == ZERO
+    for target in [(-1, 1), (2, -2), (0, 1)]:
+        with pytest.raises(ValueError):
+            source.coeff(target)
+    with pytest.raises(ValueError):
+        source.ct_times(mono(1, (1, -1)))  # reads x^(-1, 1)
 
 
 def test_ct_times_matches_direct_multiplication():
@@ -112,7 +132,7 @@ def test_ct_times_matches_direct_multiplication():
         LaurentPoly.one(2) - mono(2, (1, -1, 0)),
         LaurentPoly.one(2) - mono(2, (0, 1, -1), q_power(1)),
     ]
-    src = FactoredProduct(2, factors)
+    src = FactoredProduct(2, factors, (-1, 0, 0), (0, 0, 1))
     multiplier = mono(2, (1, 0, -1), q_power(2)) + LaurentPoly.one(2)
     direct = (expand_product(factors, 2) * multiplier).constant_term()
     assert src.ct_times(multiplier) == direct

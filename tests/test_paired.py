@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.dyson import Instance, q_dyson_source
+from qdyson.dyson import Instance, shared_source
 from qdyson.firstlayer import layer_exponent_general, nonempty_subsets
 from qdyson.paired import (
     NpcViolationError,
@@ -189,8 +189,9 @@ class TestVerifyPaired:
     def test_small_grid(self):
         for n in (1, 2):
             for a in itertools.product(range(3), repeat=n + 1):
-                source = q_dyson_source(Instance(n, a), expand=True)
-                for inst in all_layouts(n, a, mmin=0):
+                insts = list(all_layouts(n, a, mmin=0))
+                source = shared_source(insts)
+                for inst in insts:
                     rep = verify_paired(inst, source=source)
                     assert rep.holds, inst
 

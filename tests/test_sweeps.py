@@ -48,6 +48,7 @@ def test_config_validation():
         SweepConfig(identity="main", n=1, amax=1, mmax=-1),
         SweepConfig(identity="main", n=1, amax=1, semantics="bag"),
         SweepConfig(identity="lemmas", n=1, amax=1),
+        SweepConfig(identity="firstlayer", n=3, amax=2, mmax=0),  # no layer has m = 0
     ]:
         with pytest.raises(ValueError):
             bad.validate()
