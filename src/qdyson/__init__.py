@@ -27,8 +27,6 @@ from .laurent import (  # noqa: F401
     FactoredProduct,
     LaurentPoly,
     ct_of_factor_list,
-    expand_product,
-    shifted_factorial,
 )
 from .dyson import (  # noqa: F401
     Instance,
@@ -38,28 +36,21 @@ from .dyson import (  # noqa: F401
     verify_q_dyson,
 )
 from .firstlayer import (  # noqa: F401
-    count_upto,
     first_layer_brute,
     first_layer_closed,
     first_layer_closed_q1,
-    layer_exponent_general,
     verify_first_layer,
-    weight_vector,
 )
 from .kadell import (  # noqa: F401
     corrected_ct,
     corrected_ct_closed,
-    modified_q_product,
     reproduce_counterexample,
     verify_kadell,
 )
 from .paired import (  # noqa: F401
     NpcViolationError,
-    chain_exponent,
-    correction_polynomial,
     matrix_choice_property,
     npc_holds,
-    removal_exponent,
     verify_factorization,
     verify_paired,
     verify_tail_cancel,

@@ -15,7 +15,10 @@ classical values are read off it at q = 1; ``dyson_factors`` is the tests'
 independent oracle for them.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
-positionally.  The products built here read only n and a.  A check reads its
+positionally.  ``Instance.layer_monomial`` builds the layer monomial
+x_{J(S)}/x_S of a subset S of I, and ``layer_sum`` adds it up over the
+subsets with a weight: the first-layer target, the layer box and both
+correction multipliers (Kadell's and the paired-layer one) come from them.  The products built here read only n and a.  A check reads its
 coefficients from one pruned pass over the box of exponent vectors it needs,
 at most ``Instance.layer_box``: for the constant terms here, whose layer is
 empty, that is the origin.  ``shared_source`` reads one product for several
@@ -24,12 +27,13 @@ layers at once, as a sweep does.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .laurent import FactoredProduct, LaurentPoly, shifted_factorial
-from .qpoly import ONE, multinomial, q_multinomial_poly
+from .qpoly import ONE, QPoly, multinomial, q_multinomial_poly
 from .reports import VerificationReport, make_params
 
 
@@ -90,20 +94,41 @@ class Instance:
         """1-based position of a selected index within I."""
         return self.I.index(value) + 1
 
+    def layer_monomial(self, subset: Sequence[int]) -> tuple[int, ...]:
+        """Exponent vector of the layer monomial x_{J(S)}/x_S, the product of
+        x_{j_k}/x_{i_k} over the selected indices i_k in S.  It is -1 exactly
+        on S among the entries of I, so distinct subsets give distinct
+        monomials."""
+        exps = [0] * (self.n + 1)
+        for i in subset:
+            exps[i] -= 1
+            exps[self.J[self.I.index(i)]] += 1
+        return tuple(exps)
+
     @property
     def layer_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(lo, hi) of the exponent vectors the layer identities read from
-        the product: hi is 1 on I, lo is minus the multiplicity in J, both
-        0 elsewhere.  The first-layer target and every flipped correction
-        monomial lie inside; for the empty layer it is the origin."""
-        lo = tuple(-self.J.count(v) for v in range(self.n + 1))
-        hi = tuple(int(v in self.I) for v in range(self.n + 1))
-        return lo, hi
+        the product: the box spanned by the origin and the first-layer
+        target, the flipped ``layer_monomial(I)``.  Every flipped layer
+        monomial lies inside; for the empty layer it is the origin."""
+        target = [-e for e in self.layer_monomial(self.I)]
+        return tuple(min(t, 0) for t in target), tuple(max(t, 0) for t in target)
 
     def paired_js(self, subset: Sequence[int]) -> list[int]:
         """The j-values paired with the given selected indices (with
         multiplicity, sorted)."""
         return sorted(self.J[self.I.index(u)] for u in subset)
+
+
+def layer_sum(inst: Instance, weight: Callable[[tuple[int, ...]], QPoly]) -> LaurentPoly:
+    """The sum over all subsets S of I (the empty one included) of
+    weight(S) * x_{J(S)}/x_S.  No two subsets share a monomial, so no terms
+    merge."""
+    return LaurentPoly(inst.n, {
+        inst.layer_monomial(S): weight(S)
+        for size in range(inst.m + 1)
+        for S in itertools.combinations(inst.I, size)
+    })
 
 
 def _unit(n: int, i: int, j: int) -> tuple[int, ...]:

@@ -88,13 +88,8 @@ def layer_exponent_general(T: Sequence[int], inst: Instance) -> int:
 
 def first_layer_target(inst: Instance) -> tuple[int, ...]:
     """Exponent vector whose coefficient in the q-Dyson product is the
-    first-layer coefficient: +1 at each index of I, -1 per occurrence in J."""
-    target = [0] * (inst.n + 1)
-    for i in inst.I:
-        target[i] += 1
-    for j in inst.J:
-        target[j] -= 1
-    return tuple(target)
+    first-layer coefficient: the flipped layer monomial of S = I."""
+    return tuple(-e for e in inst.layer_monomial(inst.I))
 
 
 def first_layer_brute(inst: Instance, source: FactoredProduct | None = None) -> QPoly:

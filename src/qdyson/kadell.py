@@ -19,27 +19,19 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .dyson import Instance, _unit, q_dyson_source
-from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product, shifted_factorial
-from .qpoly import ONE, QPoly, multinomial, one_minus_q, q_multinomial_poly
+from .dyson import Instance, _unit, layer_sum, q_dyson_source
+from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, shifted_factorial
+from .qpoly import QPoly, const, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, make_params
-
-
-def correction_factors(inst: Instance) -> list[LaurentPoly]:
-    """The binomials (1 - x_{j_k}/x_{i_k}), one per pair."""
-    n = inst.n
-    out = []
-    for i_k, j_k in inst.pairs:
-        out.append(LaurentPoly(n, {(0,) * (n + 1): ONE, _unit(n, j_k, i_k): -ONE}))
-    return out
 
 
 def corrected_ct(inst: Instance, source: FactoredProduct | None = None) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
-    at q = 1 from ``source``, the q-Dyson product."""
+    at q = 1 from ``source``, the q-Dyson product.  The binomials multiply
+    out to the sum over subsets S of I of (-1)^|S| x_{J(S)}/x_S."""
     if source is None:
         source = q_dyson_source(inst, *inst.layer_box)
-    correction = expand_product(correction_factors(inst), inst.n)
+    correction = layer_sum(inst, lambda S: const((-1) ** len(S)))
     return source.ct_times(correction).at_q1()
 
 

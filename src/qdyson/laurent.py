@@ -6,8 +6,9 @@ factors incrementally and discards every partial monomial that can no longer
 reach the box of exponent vectors the caller reads, using per-variable bounds
 on what the remaining factors may still contribute.  ``FactoredProduct``
 runs it once per product; ``ct_of_factor_list`` is the pass over a single
-point.  ``expand_product`` multiplies outright, without pruning: it is the
-tests' oracle, and the program uses it only on short correction products.
+point.  ``expand_product`` multiplies outright, without pruning.  Nothing in
+the program calls it: it is only the tests' oracle, and it stays in this
+module because ``benchmark/tracing.py`` traces it here.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -192,7 +193,9 @@ def lemma_suite_reports(
             reports.append(verify_tail_cancel(inst, h, semantics))
 
     for size in CHOICE_PRODUCT_SIZES:
+        t0 = time.perf_counter()
         ok = matrix_choice_property(size)
+        elapsed = (time.perf_counter() - t0) * 1000.0
         reports.append(
             VerificationReport(
                 identity="choiceproduct",
@@ -200,7 +203,7 @@ def lemma_suite_reports(
                 holds=ok,
                 lhs="every choice product",
                 rhs="contains an inversion pair",
-                elapsed_ms=0.0,
+                elapsed_ms=round(elapsed, 3),
             )
         )
     return reports

@@ -29,12 +29,12 @@ from qdyson.firstlayer import (
     first_layer_target,
     verify_first_layer,
 )
-from qdyson.kadell import correction_factors, reproduce_counterexample, verify_kadell
+from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, pi_action
 from qdyson.paired import npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
-from tests.test_dyson import classical_product, ct_times
+from tests.test_dyson import classical_product, correction_factors, ct_times
 
 # (n, amax) grids named by the criteria below
 Q_GRIDS = ((2, 3), (3, 2))                       # criterion 1

@@ -3,7 +3,9 @@
 ``classical_product`` expands the classical product from repeated binomials,
 without pruning.  The program reads classical values off the pruned q-product
 at q = 1 instead, so this is the independent oracle the tests compare those
-values with; ``ct_times`` reads a corrected constant term off it."""
+values with; ``ct_times`` reads a corrected constant term off it, and
+``correction_factors`` gives the correction binomials whose expanded product
+the program builds directly as a layer sum."""
 
 import itertools
 
@@ -11,19 +13,30 @@ import pytest
 
 from qdyson.dyson import (
     Instance,
+    _unit,
     dyson_factors,
     q_dyson_factors,
     q_dyson_source,
     verify_dyson,
     verify_q_dyson,
 )
-from qdyson.laurent import ct_of_factor_list, expand_product, homogeneous_degree
-from qdyson.qpoly import ZERO, QPoly, QRat, multinomial, q_multinomial
+from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, homogeneous_degree
+from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
 
 
 def classical_product(inst):
     """The classical Dyson product, expanded outright from ``dyson_factors``."""
     return expand_product(dyson_factors(inst), inst.n)
+
+
+def correction_factors(inst):
+    """Kadell's correction binomials (1 - x_{j_k}/x_{i_k}), one per pair.
+    Multiplied out with ``expand_product`` they are the oracle for
+    ``layer_sum`` with the sign (-1)^|S|."""
+    n = inst.n
+    return [
+        LaurentPoly(n, {(0,) * (n + 1): ONE, _unit(n, j, i): -ONE}) for i, j in inst.pairs
+    ]
 
 
 def ct_times(product, multiplier):

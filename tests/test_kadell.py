@@ -4,20 +4,19 @@ import itertools
 
 import pytest
 
-from qdyson.dyson import Instance, shared_source
+from qdyson.dyson import Instance, layer_sum, shared_source
 from qdyson.kadell import (
     corrected_ct,
     corrected_ct_closed,
     corrected_dyson_rhs,
-    correction_factors,
     modified_q_product,
     reproduce_counterexample,
     verify_kadell,
     verify_q_kadell,
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
-from qdyson.qpoly import QPoly, q_multinomial_poly
-from tests.test_dyson import classical_product, ct_times
+from qdyson.qpoly import QPoly, const, q_multinomial_poly
+from tests.test_dyson import classical_product, correction_factors, ct_times
 from tests.test_firstlayer import all_layouts
 
 
@@ -29,6 +28,25 @@ def test_positional_pairs():
 def test_correction_factors_render():
     (factor,) = correction_factors(Instance(2, (1, 1, 1), (0,), (1,)))
     assert factor.render() == "(-1)*x0^-1*x1^1 + (1)"
+
+
+def test_layer_sum_is_the_expanded_correction():
+    """With the sign (-1)^|S| the layer sum is the correction binomials
+    multiplied out, on every layout with n <= 4."""
+    for n in range(5):
+        for inst in all_layouts(n, (1,) * (n + 1), mmin=0):
+            signed = layer_sum(inst, lambda S: const((-1) ** len(S)))
+            assert signed == expand_product(correction_factors(inst), n), inst
+            assert signed.num_terms() == 2 ** inst.m
+
+
+def test_layer_monomial():
+    inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
+    assert inst.layer_monomial(()) == (0, 0, 0, 0)
+    assert inst.layer_monomial((2,)) == (0, 1, -1, 0)
+    assert inst.layer_monomial((0, 2)) == (-1, 2, -1, 0)
+    with pytest.raises(ValueError):
+        inst.layer_monomial((1,))
 
 
 def test_corrected_ct_known_values():

@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyson.dyson import Instance, shared_source
-from qdyson.firstlayer import layer_exponent_general, nonempty_subsets
+from qdyson.firstlayer import count_upto, layer_exponent_general, nonempty_subsets
 from qdyson.paired import (
+    SEMANTICS,
     NpcViolationError,
     cancellation_sum,
     chain_exponent,
-    chain_j_values,
     correction_polynomial,
     factorization_sides,
-    insertion_chain,
     matrix_choice_property,
     npc_holds,
     removal_exponent,
@@ -76,60 +75,27 @@ class TestNpc:
         assert J[1] < I[0] < J[2] < I[1]
 
 
-class TestInsertionChain:
-    def test_structure(self):
-        inst = Instance(4, (1,) * 5, (0, 2, 3), (1, 1, 4))
-        cd = insertion_chain(inst, (2,))
-        assert cd.removed_positions == (1, 3)
-        assert cd.chain == (
-            frozenset({0, 2, 3}),
-            frozenset({2, 3}),
-            frozenset({2}),
-        )
-
-    def test_full_subset_has_empty_chain_tail(self):
-        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        cd = insertion_chain(inst, (0, 1))
-        assert cd.removed_positions == ()
-        assert cd.chain == (frozenset({0, 1}),)
-
-    def test_rejects_foreign_indices(self):
-        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        with pytest.raises(ValueError):
-            insertion_chain(inst, (2,))
-
-    @given(paired_layers())
-    @settings(max_examples=60, deadline=None)
-    def test_chain_descends_to_subset(self, inst):
-        for subset in nonempty_subsets(inst.I):
-            cd = insertion_chain(inst, subset)
-            assert cd.chain[0] == frozenset(inst.I)
-            assert cd.chain[-1] == frozenset(subset)
-            for k, pos in enumerate(cd.removed_positions, start=1):
-                assert cd.chain[k - 1] == cd.chain[k] | {inst.I[pos - 1]}
-
-
-class TestChainJValues:
-    def test_semantics_differ_on_repeated_j(self):
-        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        assert chain_j_values(inst, (1,), 1, "multiset") == (2, 2)
-        assert chain_j_values(inst, (1,), 1, "set") == (2,)
-
-    def test_values_below_floor_are_dropped(self):
-        inst = Instance(3, (1, 1, 1, 1), (2, 3), (0, 1))
-        assert chain_j_values(inst, (3,), 1) == ()
-
-    def test_step_out_of_range(self):
-        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        with pytest.raises(ValueError):
-            chain_j_values(inst, (0, 1), 1)
-        with pytest.raises(ValueError):
-            chain_j_values(inst, (1,), 2)
-
-    def test_bad_semantics(self):
-        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        with pytest.raises(ValueError):
-            chain_j_values(inst, (1,), 1, "bag")
+def insertion_chain_exponent(inst, subset, semantics="multiset"):
+    """The chain exponent as an insertion chain: rebuild the selection from
+    the subset by inserting the indices of I outside it highest position
+    first, keep every intermediate set, and read each step's j-values off
+    the set that step produces.  The reference ``chain_exponent`` is
+    checked against."""
+    a = inst.a
+    subset = tuple(sorted(subset))
+    removed = [p for p in range(inst.m) if inst.I[p] not in subset]
+    chain = [frozenset(subset)]
+    for p in reversed(removed):
+        chain.insert(0, chain[0] | {inst.I[p]})
+    acc = 1 + inst.total - sum(a[u] for u in subset)
+    for step, p in enumerate(removed):
+        inserted = inst.I[p]
+        pool = inst.paired_js(subset) + [inst.J[p]]
+        jvals = [j for j in pool if j > min(chain[step])]
+        if semantics == "set":
+            jvals = set(jvals)
+        acc += (count_upto(inserted, subset) - count_upto(inserted, jvals)) * a[inserted]
+    return acc - layer_exponent_general(subset, sub_layer(inst, subset))
 
 
 class TestChainExponent:
@@ -141,6 +107,36 @@ class TestChainExponent:
         inst = Instance(2, (1, 1, 1), (0,), (2,))
         with pytest.raises(ValueError):
             chain_exponent(inst, ())
+
+    def test_rejects_foreign_indices(self):
+        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
+        with pytest.raises(ValueError):
+            chain_exponent(inst, (2,))
+        with pytest.raises(ValueError):
+            chain_exponent(inst, (0, 2))
+
+    def test_bad_semantics(self):
+        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
+        with pytest.raises(ValueError):
+            chain_exponent(inst, (1,), "bag")
+
+    def test_semantics_differ_on_repeated_j(self):
+        """Inserting 2 (paired with 1) into S = (0,) meets the j-values 1, 1:
+        two under "multiset", one under "set"."""
+        inst = Instance(2, (1, 1, 1), (0, 2), (1, 1))
+        assert chain_exponent(inst, (0,), "multiset") == 2
+        assert chain_exponent(inst, (0,), "set") == 3
+
+    def test_matches_insertion_chain(self):
+        """The one-pass form equals the insertion chain on every layout with
+        n <= 4, for every nonempty subset and both semantics."""
+        for n in range(1, 5):
+            for a in [(1,) * (n + 1), tuple(range(n + 1)), tuple(range(n + 1))[::-1]]:
+                for inst in all_layouts(n, a):
+                    for S in nonempty_subsets(inst.I):
+                        for semantics in SEMANTICS:
+                            expected = insertion_chain_exponent(inst, S, semantics)
+                            assert chain_exponent(inst, S, semantics) == expected, (inst, S)
 
     @given(paired_layers())
     @settings(max_examples=100, deadline=None)
