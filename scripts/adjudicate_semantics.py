@@ -15,10 +15,13 @@ a_i <= amax and reports which reading survives brute force.
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 
-from qdyson.sweeps import SweepConfig, run_sweep
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from qdyson.sweeps import SweepConfig, run_sweep  # noqa: E402
 
 
 def main(argv=None) -> int:

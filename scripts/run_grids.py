@@ -16,8 +16,10 @@ import pathlib
 import sys
 import time
 
-from qdyson.reports import dumps
-from qdyson.sweeps import SweepConfig, run_sweep
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from qdyson.reports import dumps  # noqa: E402
+from qdyson.sweeps import SweepConfig, run_sweep  # noqa: E402
 
 # (identity, n, amax, mmax)
 CAMPAIGN = [

@@ -11,6 +11,10 @@ itself.  The closed form is a signed sum over nonempty subsets T of I whose
 q-exponents are the layer exponents computed here.  Its q = 1 value, the
 first-layer coefficient of the classical product, is read off the same
 extracted q-coefficient.
+
+``layer_exponent`` is one formula read straight off the layout, whatever the
+smallest selected index.  It also takes the exponent within the layer of a
+subset X of I (X with its paired j's), which is how ``paired`` uses it.
 """
 
 from __future__ import annotations
@@ -31,59 +35,44 @@ def count_upto(k: int, values: Iterable[int]) -> int:
     return sum(1 for v in values if v <= k)
 
 
-def weight_vector(a: Sequence[int], T: Iterable[int]) -> tuple[int, ...]:
-    """Copy of a with the entries indexed by T zeroed out."""
-    tset = set(T)
-    return tuple(0 if k in tset else ak for k, ak in enumerate(a))
-
-
 def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets in a fixed order: by size, lexicographic within."""
     for size in range(1, len(values) + 1):
         yield from itertools.combinations(values, size)
 
 
-def layer_exponent(T: Sequence[int], inst: Instance) -> int:
-    """q-exponent attached to subset T when the smallest selected index is 0:
+def layer_exponent(
+    T: Sequence[int], inst: Instance, within: Sequence[int] | None = None
+) -> int:
+    """q-exponent attached to a nonempty subset T of the layer (X, J_X):
+    X is ``within`` (all of I by default) and J_X its paired j's.  With
+    t = #{j in J_X : j < min X}:
 
-        sum_k (count_upto(k, I) - count_upto(k, J)) * w_k
+        t + sum over k not in T of
+            (t + count_upto(k, X) - count_upto(k, J_X)) * a_k
 
-    with w the weight vector of a zeroed on T.
+    It is the split form, for i_1 = min X,
+
+        t + sum_{k=i_1..n} (count_upto(k, X) - count_upto(k, J+)) * w_k
+          + sum_{k<i_1} (t - count_upto(k, J-)) * a_k
+
+    with J- = {j < i_1}, J+ = {j > i_1} and w the copy of a zeroed on T.
+    Both sums have the coefficient above: no j equals i_1 (I and J are
+    disjoint), so count_upto(k, J_X) = t + count_upto(k, J+) for k >= i_1;
+    and for k < i_1, count_upto(k, X) = 0, every j <= k lies in J-, and
+    k is not in T.  With t = 0 it is the form for layers starting at x_0.
     """
     if not T:
         raise ValueError("subset must be nonempty")
-    if inst.I[0] != 0:
-        raise ValueError("only defined when the smallest selected index is 0")
-    w = weight_vector(inst.a, T)
-    return sum(
-        (count_upto(k, inst.I) - count_upto(k, inst.J)) * w[k]
-        for k in range(inst.n + 1)
+    X = inst.I if within is None else within
+    js = inst.paired_js(X)
+    t = count_upto(min(X) - 1, js)
+    tset = set(T)
+    return t + sum(
+        (t + count_upto(k, X) - count_upto(k, js)) * ak
+        for k, ak in enumerate(inst.a)
+        if k not in tset
     )
-
-
-def layer_exponent_general(T: Sequence[int], inst: Instance) -> int:
-    """q-exponent attached to subset T without restriction on min(I).
-
-    With i1 = min(I), t = #{j in J : j < i1}, J- = {j < i1}, J+ = {j > i1}:
-
-        t + sum_{k=i1..n} (count_upto(k, I) - count_upto(k, J+)) * w_k
-          + sum_{k=0..i1-1} (t - count_upto(k, J-)) * a_k
-
-    Coincides with ``layer_exponent`` whenever i1 = 0.
-    """
-    if not T:
-        raise ValueError("subset must be nonempty")
-    i1 = inst.I[0]
-    j_below = [j for j in inst.J if j < i1]
-    j_above = [j for j in inst.J if j > i1]
-    t = len(j_below)
-    w = weight_vector(inst.a, T)
-    high = sum(
-        (count_upto(k, inst.I) - count_upto(k, j_above)) * w[k]
-        for k in range(i1, inst.n + 1)
-    )
-    low = sum((t - count_upto(k, j_below)) * inst.a[k] for k in range(i1))
-    return t + high + low
 
 
 def first_layer_target(inst: Instance) -> tuple[int, ...]:
@@ -114,7 +103,7 @@ def first_layer_closed(inst: Instance) -> QRat:
     acc = QRat(ZERO)
     for T in nonempty_subsets(inst.I):
         s_t = sum(inst.a[k] for k in T)
-        num = one_minus_q(s_t).shifted(layer_exponent_general(T, inst))
+        num = one_minus_q(s_t).shifted(layer_exponent(T, inst))
         if len(T) % 2:
             num = -num
         acc = acc + QRat(num, one_minus_q(1 + inst.total - s_t))

@@ -17,7 +17,9 @@ corrects, for each index of I outside S, by how many selected and paired
 indices the insertion of that index passes; each insertion reads only S and
 its own pair, so the exponent is one pass over the pairs.
 Every function here reads I and J of one ``Instance`` as paired
-positionally, i_k with j_k.
+positionally, i_k with j_k.  The layer exponents it adds, of a subset U
+within the layer of a subset X of I (X with its paired j's), are
+``firstlayer.layer_exponent(U, inst, X)``, read off the same instance.
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -31,7 +33,7 @@ import time
 from typing import Sequence
 
 from .dyson import Instance, layer_sum, q_dyson_source
-from .firstlayer import count_upto, layer_exponent_general
+from .firstlayer import count_upto, layer_exponent
 from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import ONE, QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from .reports import VerificationReport, make_params
@@ -58,13 +60,6 @@ def npc_holds(I: Sequence[int], J: Sequence[int]) -> bool:  # noqa: E741
     return True
 
 
-def sub_layer(inst: Instance, subset: Sequence[int]) -> Instance:
-    """The instance induced on a subset of I: the subset with its paired j's,
-    and the same a."""
-    subset = tuple(sorted(subset))
-    return Instance(inst.n, inst.a, subset, inst.paired_js(subset))
-
-
 def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "multiset") -> int:
     """q-exponent attached to a nonempty subset S of the selection.  The
     full selection is rebuilt from S by inserting each i in I \\ S; the step
@@ -74,7 +69,7 @@ def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "mult
         1 + total - (sum of a over S)
           + sum over inserted i of
                 (count_upto(i, S) - count_upto(i, step j-values)) * a_i
-          - (general layer exponent of S within its own induced layer)
+          - (layer exponent of S within the layer of S itself)
 
     The step's chain set has minimum min(min S, i), but for i < min S the
     step adds 0 with either floor, so min S serves every step and no step
@@ -96,7 +91,7 @@ def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "mult
         if semantics == "set":
             jvals = set(jvals)
         acc += (count_upto(i, subset) - count_upto(i, jvals)) * a[i]
-    acc -= layer_exponent_general(subset, sub_layer(inst, subset))
+    acc -= layer_exponent(subset, inst, subset)
     return acc
 
 
@@ -212,15 +207,11 @@ def factorization_sides(
         for extra in itertools.combinations(candidates, r):
             s_l = tuple(sorted(set(U) | {i_v} | set(extra)))
             sign = -1 if (len(s_l) + d) % 2 else 1
-            exponent = chain_exponent(inst, s_l, semantics) + layer_exponent_general(
-                U, sub_layer(inst, s_l)
-            )
+            exponent = chain_exponent(inst, s_l, semantics) + layer_exponent(U, inst, s_l)
             left = left + q_power(exponent, sign)
 
     base = tuple(sorted(set(U) | {i_v}))
-    base_exp = chain_exponent(inst, base, semantics) + layer_exponent_general(
-        U, sub_layer(inst, base)
-    )
+    base_exp = chain_exponent(inst, base, semantics) + layer_exponent(U, inst, base)
     sign = -1 if min(U) != i_v else 1
     right = q_power(base_exp, sign)
     tpos = _t_positions(inst, U)
@@ -273,10 +264,8 @@ def tail_cancel_values(
         raise ValueError(f"tail start {h} out of range 2..{inst.m}")
     U = inst.I[h - 1 :]
     with_prev = inst.I[h - 2 :]
-    bare = chain_exponent(inst, U, semantics) + layer_exponent_general(U, sub_layer(inst, U))
-    joined = chain_exponent(inst, with_prev, semantics) + layer_exponent_general(
-        U, sub_layer(inst, with_prev)
-    )
+    bare = chain_exponent(inst, U, semantics) + layer_exponent(U, inst, U)
+    joined = chain_exponent(inst, with_prev, semantics) + layer_exponent(U, inst, with_prev)
     expected = 1 + inst.total - sum(inst.a[u] for u in U)
     return bare, joined, expected
 
@@ -298,15 +287,6 @@ def verify_tail_cancel(
         rhs=str(expected),
         elapsed_ms=round(elapsed, 3),
     )
-
-
-def cancellation_sum(inst: Instance, U: Sequence[int], semantics: str = "multiset") -> QPoly:
-    """Inner sum of the expanded identity for a fixed nonempty subset U: the
-    left factorization sides summed over all floors i_v <= min U.  Under the
-    no-crossing condition this vanishes for every U except the full
-    selection."""
-    floors = [i_v for i_v in inst.I if i_v <= min(U)]
-    return sum((factorization_sides(inst, U, i_v, semantics)[0] for i_v in floors), ZERO)
 
 
 def matrix_choice_property(n: int) -> bool:

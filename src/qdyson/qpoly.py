@@ -115,12 +115,6 @@ class QPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "QPoly":
-        other = QPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "QPoly":
         other = QPoly._coerce(other)
         if other is NotImplemented:
@@ -136,14 +130,6 @@ class QPoly:
         return QPoly(self.min_exp + other.min_exp, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        for _ in range(k):
-            result = result * self
-        return result
 
     def shifted(self, e: int) -> "QPoly":
         """Multiply by q**e (cheap exponent shift)."""

@@ -31,8 +31,8 @@ from qdyson.firstlayer import (
 )
 from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, pi_action
-from qdyson.paired import npc_holds
-from qdyson.qpoly import ONE, QPoly, one_minus_q
+from qdyson.paired import correction_polynomial, npc_holds
+from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
 from tests.test_dyson import classical_product, correction_factors, ct_times
 
@@ -371,3 +371,35 @@ def test_paired_layouts_under_n3_never_cross():
     for n in (1, 2, 3):
         for I, J in layout_grid(n, 0, n):
             assert npc_holds(I, J)
+
+
+
+def _crossing_failures(n):
+    """Each crossing layout over x_0..x_n, with the a in {0,1}^(n+1) on which
+    the paired identity fails once the guard of ``verify_paired`` is
+    bypassed."""
+    crossing = [(I, J) for I, J in layout_grid(n, 0, n) if not npc_holds(I, J)]
+    failing = {layout: [] for layout in crossing}
+    for a in a_grid(n, 1):
+        insts = [Instance(n, a, I, J) for I, J in crossing]
+        source = shared_source(insts)
+        for inst in insts:
+            ct = source.ct_times(correction_polynomial(inst))
+            lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
+            if lhs != one_minus_q(1 + inst.total) * q_multinomial_poly(a):
+                failing[inst.I, inst.J].append(a)
+    return failing
+
+
+def test_crossing_layouts_fail_without_the_guard():
+    """Companion fact to criterion 7: the no-crossing hypothesis is needed.
+    Every crossing layout with n <= 5 fails the paired identity for some a
+    in {0,1}^(n+1): the one layout with n = 4 on exactly four a, the 11 with
+    n = 5 on 100 of their 704 instances."""
+    assert _crossing_failures(4) == {
+        ((1, 3, 4), (0, 0, 2)): [(0, 1, 0, 1, 1), (0, 1, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 1, 1)]
+    }
+    five = _crossing_failures(5)
+    assert len(five) == 11
+    assert all(five.values())
+    assert sum(map(len, five.values())) == 100

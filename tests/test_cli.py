@@ -210,3 +210,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert ":: holds" in proc.stdout
+
+
+@pytest.mark.parametrize("script", ["run_grids.py", "adjudicate_semantics.py"])
+def test_script_runs_from_checkout(script, tmp_path):
+    """The scripts find the checkout's ``src/`` themselves: no install, no
+    PYTHONPATH, any working directory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", script)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, path, "--help"], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

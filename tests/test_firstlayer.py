@@ -4,9 +4,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from qdyson.dyson import Instance, shared_source
 from qdyson.firstlayer import (
     count_upto,
@@ -15,10 +12,8 @@ from qdyson.firstlayer import (
     first_layer_closed_q1,
     first_layer_target,
     layer_exponent,
-    layer_exponent_general,
     nonempty_subsets,
     verify_first_layer,
-    weight_vector,
 )
 from qdyson.qpoly import QPoly, QRat
 from tests.test_dyson import classical_product
@@ -71,16 +66,32 @@ def test_count_upto():
     assert count_upto(-1, (0, 1)) == 0
 
 
-def test_weight_vector():
-    assert weight_vector((1, 2, 3), ()) == (1, 2, 3)
-    assert weight_vector((1, 2, 3), (1,)) == (1, 0, 3)
-    assert weight_vector((1, 2, 3), (0, 1, 2)) == (0, 0, 0)
-
-
 def test_nonempty_subsets_order():
     assert list(nonempty_subsets((0, 2, 5))) == [
         (0,), (2,), (5,), (0, 2), (0, 5), (2, 5), (0, 2, 5),
     ]
+
+
+def paper_layer_exponent(T, inst):
+    """The layer exponent of T in the layer (I, J) of inst, in its split
+    form: with i1 = min(I), t = #{j in J : j < i1}, J- = {j < i1},
+    J+ = {j > i1} and w the copy of a zeroed on T,
+
+        t + sum_{k=i1..n} (count_upto(k, I) - count_upto(k, J+)) * w_k
+          + sum_{k=0..i1-1} (t - count_upto(k, J-)) * a_k
+
+    The reference ``layer_exponent`` is checked against."""
+    i1 = inst.I[0]
+    j_below = [j for j in inst.J if j < i1]
+    j_above = [j for j in inst.J if j > i1]
+    t = len(j_below)
+    w = [0 if k in T else ak for k, ak in enumerate(inst.a)]
+    high = sum(
+        (count_upto(k, inst.I) - count_upto(k, j_above)) * w[k]
+        for k in range(i1, inst.n + 1)
+    )
+    low = sum((t - count_upto(k, j_below)) * inst.a[k] for k in range(i1))
+    return t + high + low
 
 
 class TestExponents:
@@ -91,43 +102,30 @@ class TestExponents:
 
     def test_known_values_general(self):
         a = (1, 1, 1)
-        assert layer_exponent_general((1,), Instance(2, a, (1,), (0,))) == 2
-        assert layer_exponent_general((2,), Instance(2, a, (2,), (0,))) == 1
+        assert layer_exponent((1,), Instance(2, a, (1,), (0,))) == 2
+        assert layer_exponent((2,), Instance(2, a, (2,), (0,))) == 1
 
     def test_requires_nonempty_subset(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
         with pytest.raises(ValueError):
             layer_exponent((), inst)
         with pytest.raises(ValueError):
-            layer_exponent_general((), inst)
+            layer_exponent((), inst, (0,))
 
-    def test_restricted_form_needs_zero_start(self):
-        with pytest.raises(ValueError):
-            layer_exponent((1,), Instance(2, (1, 1, 1), (1,), (0,)))
-
-    @given(st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_general_form_extends_restricted(self, data):
-        n = data.draw(st.integers(1, 5))
-        m = data.draw(st.integers(1, n))
-        others = data.draw(
-            st.lists(
-                st.integers(1, n), min_size=m - 1, max_size=m - 1, unique=True
-            )
-        )
-        I = tuple(sorted([0] + others))
-        rest = sorted(set(range(n + 1)) - set(I))
-        J = tuple(
-            sorted(
-                data.draw(
-                    st.lists(st.sampled_from(rest), min_size=m, max_size=m)
-                )
-            )
-        )
-        a = tuple(data.draw(st.integers(0, 5)) for _ in range(n + 1))
-        inst = Instance(n, a, I, J)
-        for T in nonempty_subsets(I):
-            assert layer_exponent(T, inst) == layer_exponent_general(T, inst)
+    def test_matches_paper_form(self):
+        """The exponent of T within the layer of X equals the split form on
+        the instance of X with its paired j's, on every layout with n <= 5,
+        for every X and every nonempty T within it."""
+        for n in range(1, 6):
+            for a in [(1,) * (n + 1), tuple(range(n + 1)), tuple(range(n + 1))[::-1]]:
+                for inst in all_layouts(n, a):
+                    for X in nonempty_subsets(inst.I):
+                        induced = Instance(n, a, X, inst.paired_js(X))
+                        for T in nonempty_subsets(X):
+                            expected = paper_layer_exponent(T, induced)
+                            assert layer_exponent(T, inst, X) == expected, (inst, X, T)
+                            if X == inst.I:
+                                assert layer_exponent(T, inst) == expected, (inst, T)
 
 
 def test_target_vector():

@@ -8,26 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyson.dyson import Instance, shared_source
-from qdyson.firstlayer import count_upto, layer_exponent_general, nonempty_subsets
+from qdyson.firstlayer import count_upto, nonempty_subsets
 from qdyson.paired import (
     SEMANTICS,
     NpcViolationError,
-    cancellation_sum,
     chain_exponent,
     correction_polynomial,
     factorization_sides,
     matrix_choice_property,
     npc_holds,
     removal_exponent,
-    sub_layer,
     tail_cancel_values,
     verify_factorization,
     verify_paired,
     verify_tail_cancel,
     _t_positions,
 )
-from qdyson.qpoly import QPoly, q_power
-from tests.test_firstlayer import all_layouts
+from qdyson.qpoly import QPoly, ZERO, q_power
+from tests.test_firstlayer import all_layouts, paper_layer_exponent
 
 
 @st.composite
@@ -44,6 +42,13 @@ def paired_layers(draw, nmax=6, mmin=1, amax=5):
     J = tuple(sorted(draw(st.lists(st.sampled_from(rest), min_size=m, max_size=m))))
     a = tuple(draw(st.integers(0, amax)) for _ in range(n + 1))
     return Instance(n, a, I, J)
+
+
+def exponent_within(inst, U, X):
+    """Oracle for the layer exponent of U within the layer of X: the split
+    form on the instance of X with its paired j's and the same a."""
+    X = tuple(sorted(X))
+    return paper_layer_exponent(U, Instance(inst.n, inst.a, X, inst.paired_js(X)))
 
 
 class TestPairedLayer:
@@ -95,7 +100,7 @@ def insertion_chain_exponent(inst, subset, semantics="multiset"):
         if semantics == "set":
             jvals = set(jvals)
         acc += (count_upto(inserted, subset) - count_upto(inserted, jvals)) * a[inserted]
-    return acc - layer_exponent_general(subset, sub_layer(inst, subset))
+    return acc - exponent_within(inst, subset, subset)
 
 
 class TestChainExponent:
@@ -143,9 +148,7 @@ class TestChainExponent:
     def test_full_selection_combined_exponent(self, inst):
         """C(I) + L*(I|I) collapses to 1 + total - sum of a over I."""
         a = inst.a
-        combined = chain_exponent(inst, inst.I) + layer_exponent_general(
-            inst.I, sub_layer(inst, inst.I)
-        )
+        combined = chain_exponent(inst, inst.I) + exponent_within(inst, inst.I, inst.I)
         assert combined == 1 + sum(a) - sum(a[i] for i in inst.I)
 
 
@@ -250,7 +253,7 @@ class TestRemovalExponent:
         joined = tuple(sorted(set(without) | {x}))
 
         def combined(S):
-            return chain_exponent(inst, S) + layer_exponent_general(U, sub_layer(inst, S))
+            return chain_exponent(inst, S) + exponent_within(inst, U, S)
 
         g = removal_exponent(inst, U, i_v, s)
         assert combined(joined) - combined(without) == g
@@ -309,6 +312,15 @@ class TestTailCancel:
     def test_holds_on_random_layers(self, inst):
         for h in range(2, inst.m + 1):
             assert verify_tail_cancel(inst, h).holds
+
+
+def cancellation_sum(inst, U, semantics="multiset"):
+    """Inner sum of the expanded identity for a fixed nonempty subset U: the
+    left factorization sides summed over all floors i_v <= min U.  Under the
+    no-crossing condition this vanishes for every U except the full
+    selection."""
+    floors = [i_v for i_v in inst.I if i_v <= min(U)]
+    return sum((factorization_sides(inst, U, i_v, semantics)[0] for i_v in floors), ZERO)
 
 
 class TestCancellationSum:
