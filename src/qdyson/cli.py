@@ -1,13 +1,13 @@
 """Command-line front end.
 
 Usage:
-    qdyson verify <identity> --n N --a a0,a1,... [--I i1,...] [--J j1,...]
-                  [--semantics multiset|set] [--json PATH]
-    qdyson sweep <identity> --n N --amax K [--m M] [--jobs P] [--seed S]
-                  [--semantics multiset|set] [--json PATH]
+    qdyson verify <identity> --n N --a a0,a1,... [--I i1,...] [--J j1,...] [--json PATH]
+    qdyson sweep <identity> --n N --amax K [--m M] [--jobs P] [--seed S] [--json PATH]
     qdyson counterexample [--json PATH]
 
 Identities: dyson, qdyson, firstlayer, kadell, main (sweep also: lemmas).
+--I/--J and --m apply only to the layer identities firstlayer, kadell and
+main; the others reject them.
 
 Exit codes:
     0   every checked instance holds (counterexample: the expected failure
@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .dyson import Instance
 from .kadell import reproduce_counterexample
-from .paired import SEMANTICS
 from .reports import dumps
 from .sweeps import IDENTITIES, SweepConfig, run_sweep
 
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a", type=_int_list, required=True, help="exponents a0,a1,...")
     p_verify.add_argument("--I", type=_int_list, default=(), help="selected indices i1,i2,...")
     p_verify.add_argument("--J", type=_int_list, default=(), help="paired indices j1,j2,...")
-    p_verify.add_argument("--semantics", choices=SEMANTICS, default="multiset")
     p_verify.add_argument("--json", metavar="PATH", default=None)
 
     p_sweep = sub.add_parser("sweep", help="check an identity over a full grid")
@@ -68,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=int, default=None, help="upper bound on layer size")
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
     p_sweep.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    p_sweep.add_argument("--semantics", choices=SEMANTICS, default="multiset")
     p_sweep.add_argument("--json", metavar="PATH", default=None)
 
     p_ce = sub.add_parser(
@@ -93,7 +90,7 @@ def _cmd_verify(args) -> int:
         if identity.mmin is None and (args.I or args.J):
             raise ValueError("--I/--J do not apply to this identity")
         inst = Instance(args.n, args.a, args.I, args.J)
-        report = identity.check(inst, args.semantics, None)
+        report = identity.check(inst, None)
     except ValueError as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -111,7 +108,6 @@ def _cmd_sweep(args) -> int:
         mmax=args.m,
         jobs=args.jobs,
         seed=args.seed,
-        semantics=args.semantics,
     )
     try:
         reports, summary = run_sweep(config)

@@ -133,15 +133,6 @@ class LaurentPoly:
     def __hash__(self):  # dict-of-dict content hash, rarely needed
         return hash((self.n, frozenset(self.terms.items())))
 
-    # -- specialisations ------------------------------------------------------
-
-    def eval_q1(self) -> "LaurentPoly":
-        """Substitute q = 1 in every coefficient."""
-        out: dict[Monomial, QPoly] = {}
-        for exps, coeff in self.terms.items():
-            out[exps] = QPoly(0, (coeff.at_q1(),))
-        return LaurentPoly(self.n, out)
-
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:
@@ -246,43 +237,6 @@ def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> 
     """Coefficient of x^target in the product of ``factors``: the box pass
     over the single point target."""
     return coefficients_in_box(factors, target, target).coeff(target)
-
-
-def pi_action(f: LaurentPoly, k: int = 1) -> LaurentPoly:
-    """Apply the index rotation x_i -> x_{i+k} k times, where stepping past
-    x_n wraps to x_{i+k-n-1} at the price of one factor 1/q per wrap.
-
-    Rotating n+1 times is the identity on homogeneous polynomials of
-    degree 0.
-    """
-    if k < 0:
-        raise ValueError("negative rotation")
-    if k == 0 or f.is_zero():
-        return f
-    width = f.n + 1
-    out: dict[Monomial, QPoly] = {}
-    for exps, coeff in f.terms.items():
-        new = [0] * width
-        shift = 0
-        for i, e in enumerate(exps):
-            wraps, pos = divmod(i + k, width)
-            new[pos] = e
-            shift -= wraps * e
-        out[tuple(new)] = coeff.shifted(shift)
-    return LaurentPoly(f.n, out)
-
-
-def homogeneous_degree(f: LaurentPoly) -> int | None:
-    """Total degree if every monomial has the same one, else None.
-
-    The zero polynomial has no degree and raises ``ValueError``.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial has no homogeneous degree")
-    degrees = {sum(exps) for exps in f.terms}
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
 
 
 class FactoredProduct:

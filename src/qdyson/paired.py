@@ -15,7 +15,12 @@ for every layer whose pairing avoids the crossing pattern
 j_t < i_s < j_u < i_t (s < t < u).  The chain exponent of a subset S
 corrects, for each index of I outside S, by how many selected and paired
 indices the insertion of that index passes; each insertion reads only S and
-its own pair, so the exponent is one pass over the pairs.
+its own pair, so the exponent is one pass over the pairs.  The j-values an
+insertion reads count with multiplicity: an index repeated in J counts once
+per copy.  Collapsing the repeats fails the identity on 252 of the 3132
+instances with n <= 3 and every a_k <= 2, so that reading is kept only in
+the tests, as the oracle the gate refutes.  The reports still name the
+multiset reading in a constant field, so their bytes are unchanged.
 Every function here reads I and J of one ``Instance`` as paired
 positionally, i_k with j_k.  The layer exponents it adds, of a subset U
 within the layer of a subset X of I (X with its paired j's), are
@@ -38,17 +43,9 @@ from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import ONE, QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from .reports import VerificationReport, make_params
 
-SEMANTICS = ("multiset", "set")
-
-
 class NpcViolationError(ValueError):
     """The layer's pairing contains the crossing pattern the identity
     excludes (some s < t < u with j_t < i_s < j_u < i_t)."""
-
-
-def _check_semantics(semantics: str) -> None:
-    if semantics not in SEMANTICS:
-        raise ValueError(f"semantics must be one of {SEMANTICS}, got {semantics!r}")
 
 
 def npc_holds(I: Sequence[int], J: Sequence[int]) -> bool:  # noqa: E741
@@ -60,11 +57,11 @@ def npc_holds(I: Sequence[int], J: Sequence[int]) -> bool:  # noqa: E741
     return True
 
 
-def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "multiset") -> int:
+def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
     """q-exponent attached to a nonempty subset S of the selection.  The
     full selection is rebuilt from S by inserting each i in I \\ S; the step
     inserting i (paired with j) reads the j-values among the paired j's of
-    S and j that exceed min S (collapsed under "set" semantics):
+    S and j that exceed min S, with multiplicity:
 
         1 + total - (sum of a over S)
           + sum over inserted i of
@@ -75,7 +72,6 @@ def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "mult
     step adds 0 with either floor, so min S serves every step and no step
     reads another.
     """
-    _check_semantics(semantics)
     a = inst.a
     subset = tuple(sorted(subset))
     if not subset:
@@ -88,35 +84,28 @@ def chain_exponent(inst: Instance, subset: Sequence[int], semantics: str = "mult
         if i in subset:
             continue
         jvals = [v for v in js + [j] if v > subset[0]]
-        if semantics == "set":
-            jvals = set(jvals)
         acc += (count_upto(i, subset) - count_upto(i, jvals)) * a[i]
     acc -= layer_exponent(subset, inst, subset)
     return acc
 
 
-def correction_polynomial(inst: Instance, semantics: str = "multiset") -> LaurentPoly:
+def correction_polynomial(inst: Instance) -> LaurentPoly:
     """The layer sum with weight (-1)^|S| q^(chain exponent of S) on each
     nonempty subset S of I, and 1 on the empty one."""
-    _check_semantics(semantics)
     return layer_sum(
-        inst,
-        lambda S: q_power(chain_exponent(inst, S, semantics), (-1) ** len(S)) if S else ONE,
+        inst, lambda S: q_power(chain_exponent(inst, S), (-1) ** len(S)) if S else ONE
     )
 
 
-def verify_paired(
-    inst: Instance, semantics: str = "multiset", source: FactoredProduct | None = None
-) -> VerificationReport:
+def verify_paired(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
     """The paired-layer identity for one instance.  Layers violating the
     no-crossing condition are rejected with ``NpcViolationError``."""
-    _check_semantics(semantics)
     if not npc_holds(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     t0 = time.perf_counter()
     if source is None:
         source = q_dyson_source(inst, *inst.layer_box)
-    ct = source.ct_times(correction_polynomial(inst, semantics))
+    ct = source.ct_times(correction_polynomial(inst))
     lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
     rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
     holds = lhs == rhs
@@ -124,7 +113,7 @@ def verify_paired(
     return VerificationReport(
         identity="main",
         params=make_params(
-            inst, extra={"semantics": semantics, "pairing": [list(p) for p in inst.pairs]}
+            inst, extra={"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]}
         ),
         holds=holds,
         lhs=lhs.render(),
@@ -178,7 +167,7 @@ def removal_exponent(inst: Instance, U: Sequence[int], i_v: int, s: int) -> int:
 
 
 def factorization_sides(
-    inst: Instance, U: Sequence[int], i_v: int, semantics: str = "multiset"
+    inst: Instance, U: Sequence[int], i_v: int
 ) -> tuple[QPoly, QPoly, tuple[int, ...]]:
     """Both sides of the subset-sum factorization for floor i_v:
 
@@ -190,7 +179,6 @@ def factorization_sides(
 
     Returns (left, right, residual indices).
     """
-    _check_semantics(semantics)
     U = tuple(sorted(U))
     if not U:
         raise ValueError("subset must be nonempty")
@@ -207,11 +195,11 @@ def factorization_sides(
         for extra in itertools.combinations(candidates, r):
             s_l = tuple(sorted(set(U) | {i_v} | set(extra)))
             sign = -1 if (len(s_l) + d) % 2 else 1
-            exponent = chain_exponent(inst, s_l, semantics) + layer_exponent(U, inst, s_l)
+            exponent = chain_exponent(inst, s_l) + layer_exponent(U, inst, s_l)
             left = left + q_power(exponent, sign)
 
     base = tuple(sorted(set(U) | {i_v}))
-    base_exp = chain_exponent(inst, base, semantics) + layer_exponent(U, inst, base)
+    base_exp = chain_exponent(inst, base) + layer_exponent(U, inst, base)
     sign = -1 if min(U) != i_v else 1
     right = q_power(base_exp, sign)
     tpos = _t_positions(inst, U)
@@ -222,14 +210,12 @@ def factorization_sides(
     return left, right, residual
 
 
-def verify_factorization(
-    inst: Instance, U: Sequence[int], i_v: int, semantics: str = "multiset"
-) -> VerificationReport:
+def verify_factorization(inst: Instance, U: Sequence[int], i_v: int) -> VerificationReport:
     """Exact equality of the factorization sides; additionally, under the
     no-crossing condition a nonempty residual forces the right side to
     vanish, which is checked as well."""
     t0 = time.perf_counter()
-    left, right, residual = factorization_sides(inst, U, i_v, semantics)
+    left, right, residual = factorization_sides(inst, U, i_v)
     holds = left == right
     npc = npc_holds(inst.I, inst.J)
     if npc and residual:
@@ -242,7 +228,7 @@ def verify_factorization(
             extra={
                 "U": list(U),
                 "floor": i_v,
-                "semantics": semantics,
+                "semantics": "multiset",
                 "npc": npc,
                 "residual": list(residual),
             },
@@ -254,9 +240,7 @@ def verify_factorization(
     )
 
 
-def tail_cancel_values(
-    inst: Instance, h: int, semantics: str = "multiset"
-) -> tuple[int, int, int]:
+def tail_cancel_values(inst: Instance, h: int) -> tuple[int, int, int]:
     """Combined exponents for the tail subset U = {i_h, ..., i_m}: with the
     bare tail, with i_{h-1} joined in, and the predicted common value
     1 + total - sum of a over U."""
@@ -264,24 +248,22 @@ def tail_cancel_values(
         raise ValueError(f"tail start {h} out of range 2..{inst.m}")
     U = inst.I[h - 1 :]
     with_prev = inst.I[h - 2 :]
-    bare = chain_exponent(inst, U, semantics) + layer_exponent(U, inst, U)
-    joined = chain_exponent(inst, with_prev, semantics) + layer_exponent(U, inst, with_prev)
+    bare = chain_exponent(inst, U) + layer_exponent(U, inst, U)
+    joined = chain_exponent(inst, with_prev) + layer_exponent(U, inst, with_prev)
     expected = 1 + inst.total - sum(inst.a[u] for u in U)
     return bare, joined, expected
 
 
-def verify_tail_cancel(
-    inst: Instance, h: int, semantics: str = "multiset"
-) -> VerificationReport:
+def verify_tail_cancel(inst: Instance, h: int) -> VerificationReport:
     """For the tail subset U = {i_h, ..., i_m} (2 <= h <= m), the combined
     exponent is the same whether or not i_{h-1} joins, and both equal
     1 + total - sum of a over U."""
     t0 = time.perf_counter()
-    bare, joined, expected = tail_cancel_values(inst, h, semantics)
+    bare, joined, expected = tail_cancel_values(inst, h)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity="tailcancel",
-        params=make_params(inst, extra={"h": h, "semantics": semantics}),
+        params=make_params(inst, extra={"h": h, "semantics": "multiset"}),
         holds=bare == joined == expected,
         lhs=f"{bare},{joined}",
         rhs=str(expected),

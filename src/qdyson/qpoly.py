@@ -69,14 +69,6 @@ class QPoly:
         """Value at q = 1."""
         return sum(self.coeffs)
 
-    def as_int(self) -> int:
-        """This polynomial as an integer; raises unless it is constant."""
-        if not self.coeffs:
-            return 0
-        if self.min_exp == 0 and len(self.coeffs) == 1:
-            return self.coeffs[0]
-        raise ValueError(f"not a constant: {self.render()}")
-
     # -- ring operations -------------------------------------------------
 
     @staticmethod

@@ -25,7 +25,6 @@ from .dyson import Instance, shared_source, verify_dyson, verify_q_dyson
 from .firstlayer import verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
-    SEMANTICS,
     matrix_choice_property,
     npc_holds,
     verify_factorization,
@@ -37,9 +36,8 @@ from .reports import VerificationReport, make_params
 
 @dataclass(frozen=True)
 class Identity:
-    """``check(inst, semantics, source)`` verifies one ``Instance``, with
-    ``source`` its q-Dyson product or None; None marks the lemma suite, which
-    only sweeps."""
+    """``check(inst, source)`` verifies one ``Instance``, with ``source`` its
+    q-Dyson product or None; None marks the lemma suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     mmin: int | None = None  # smallest layer size; None: no layer
@@ -50,16 +48,12 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda inst, semantics, source: verify_dyson(inst, source)),
-    "qdyson": Identity(lambda inst, semantics, source: verify_q_dyson(inst, source)),
-    "firstlayer": Identity(
-        lambda inst, semantics, source: verify_first_layer(inst, source), mmin=1
-    ),
-    "kadell": Identity(lambda inst, semantics, source: verify_kadell(inst, source), mmin=0),
+    "dyson": Identity(lambda inst, source: verify_dyson(inst, source)),
+    "qdyson": Identity(lambda inst, source: verify_q_dyson(inst, source)),
+    "firstlayer": Identity(lambda inst, source: verify_first_layer(inst, source), mmin=1),
+    "kadell": Identity(lambda inst, source: verify_kadell(inst, source), mmin=0),
     "main": Identity(
-        lambda inst, semantics, source: verify_paired(inst, semantics, source),
-        mmin=0,
-        admissible=npc_holds,
+        lambda inst, source: verify_paired(inst, source), mmin=0, admissible=npc_holds
     ),
     # random_instance draws n from 2..nmax
     "lemmas": Identity(None, nmin=2),
@@ -78,7 +72,6 @@ class SweepConfig:
     mmax: int | None = None
     jobs: int = 1
     seed: int = 0
-    semantics: str = "multiset"
 
     def validate(self) -> None:
         if self.identity not in IDENTITIES:
@@ -90,11 +83,12 @@ class SweepConfig:
             raise ValueError("amax must be nonnegative")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        mmin = IDENTITIES[self.identity].mmin or 0
-        if self.mmax is not None and self.mmax < mmin:
-            raise ValueError(f"m bound must be at least {mmin} for {self.identity}")
-        if self.semantics not in SEMANTICS:
-            raise ValueError(f"semantics must be one of {SEMANTICS}")
+        mmin = IDENTITIES[self.identity].mmin
+        if self.mmax is not None:
+            if mmin is None:
+                raise ValueError(f"{self.identity} has no layer, so no m bound applies")
+            if self.mmax < mmin:
+                raise ValueError(f"m bound must be at least {mmin} for {self.identity}")
 
 
 def a_grid(n: int, amax: int) -> list[tuple[int, ...]]:
@@ -121,11 +115,11 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 
 def _run_task(task) -> list[VerificationReport]:
-    """Check (identity, n, a, layouts, semantics) on one shared product."""
-    name, n, a, layouts, semantics = task
+    """Check (identity, n, a, layouts) on one shared product."""
+    name, n, a, layouts = task
     insts = [Instance(n, a, I, J) for I, J in layouts]
     source = shared_source(insts)
-    return [IDENTITIES[name].check(inst, semantics, source) for inst in insts]
+    return [IDENTITIES[name].check(inst, source) for inst in insts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -170,7 +164,6 @@ def lemma_suite_reports(
     seed: int,
     factorization_draws: int = FACTORIZATION_DRAWS,
     tail_cancel_draws: int = TAIL_CANCEL_DRAWS,
-    semantics: str = "multiset",
 ) -> list[VerificationReport]:
     """Randomized checks of the supporting combinatorial statements:
     factorization of subset sums (with the vanishing product under the
@@ -185,12 +178,12 @@ def lemma_suite_reports(
         U = tuple(sorted(rng.sample(inst.I, usize)))
         floors = [x for x in inst.I if x <= min(U)]
         i_v = rng.choice(floors)
-        reports.append(verify_factorization(inst, U, i_v, semantics))
+        reports.append(verify_factorization(inst, U, i_v))
 
     for _ in range(tail_cancel_draws):
         inst = random_instance(rng, nmax, amax, mmin=2)
         for h in range(2, inst.m + 1):
-            reports.append(verify_tail_cancel(inst, h, semantics))
+            reports.append(verify_tail_cancel(inst, h))
 
     for size in CHOICE_PRODUCT_SIZES:
         t0 = time.perf_counter()
@@ -221,7 +214,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
     rejected = 0
 
     if identity.check is None:
-        reports = lemma_suite_reports(n, amax, config.seed, semantics=config.semantics)
+        reports = lemma_suite_reports(n, amax, config.seed)
     else:
         avecs = a_grid(n, amax)
         if identity.mmin is None:
@@ -231,7 +224,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
             candidates = layout_grid(n, identity.mmin, mmax)
             layouts = [lay for lay in candidates if identity.admissible(*lay)]
             rejected = (len(candidates) - len(layouts)) * len(avecs)
-        tasks = [(config.identity, n, a, layouts, config.semantics) for a in avecs]
+        tasks = [(config.identity, n, a, layouts) for a in avecs]
         reports = _execute(tasks, config.jobs)
 
     passed = sum(1 for r in reports if r.holds)

@@ -30,15 +30,41 @@ from qdyson.firstlayer import (
     verify_first_layer,
 )
 from qdyson.kadell import reproduce_counterexample, verify_kadell
-from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product, pi_action
+from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
-from tests.test_dyson import classical_product, correction_factors, ct_times
+from tests.test_dyson import as_int, classical_product, correction_factors, ct_times
+from tests.test_paired import use_set_reading
 
 # (n, amax) grids named by the criteria below
 Q_GRIDS = ((2, 3), (3, 2))                       # criterion 1
 CLASSICAL_GRIDS = ((1, 2), (2, 2), (3, 2), (4, 1))  # criterion 2 (n=0 direct)
+MAIN_GRIDS = ((1, 2), (2, 2), (3, 2))            # criterion 7, with (4, 1)
+
+
+def pi_action(f, k=1):
+    """Apply the index rotation x_i -> x_{i+k} k times, where stepping past
+    x_n wraps to x_{i+k-n-1} at the price of one factor 1/q per wrap.
+
+    Rotating n+1 times is the identity on homogeneous polynomials of
+    degree 0 (criterion 9(a)).
+    """
+    if k < 0:
+        raise ValueError("negative rotation")
+    if k == 0 or f.is_zero():
+        return f
+    width = f.n + 1
+    out = {}
+    for exps, coeff in f.terms.items():
+        new = [0] * width
+        shift = 0
+        for i, e in enumerate(exps):
+            wraps, pos = divmod(i + k, width)
+            new[pos] = e
+            shift -= wraps * e
+        out[tuple(new)] = coeff.shifted(shift)
+    return LaurentPoly(f.n, out)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -159,7 +185,7 @@ def test_criterion_3_first_layer_closed_form(classical_expanded):
         csrc = classical_expanded[(3, a)]
         for inst in insts:
             rep = verify_first_layer(inst, qsrc)
-            oracle = csrc.coeff(first_layer_target(inst)).as_int()
+            oracle = as_int(csrc.coeff(first_layer_target(inst)))
             checked += 1
             failed += 0 if rep.holds and rep.params["extra"]["q1_brute"] == str(oracle) else 1
     elapsed = time.perf_counter() - t0
@@ -182,7 +208,7 @@ def test_criterion_4_q1_value_is_layout_independent(classical_expanded):
             src = classical_expanded[(n, a)]
             values_by_i: dict = {}
             for inst in insts:
-                value = src.coeff(first_layer_target(inst)).as_int()
+                value = as_int(src.coeff(first_layer_target(inst)))
                 checked += 1
                 if first_layer_closed_q1(inst) != value:
                     failed += 1
@@ -212,7 +238,7 @@ def test_criterion_5_corrected_constant_terms(classical_expanded):
             for inst in insts:
                 rep = verify_kadell(inst, qsrc)
                 correction = expand_product(correction_factors(inst), n)
-                oracle = ct_times(src, correction).as_int()
+                oracle = as_int(ct_times(src, correction))
                 checked += 1
                 failed += 0 if rep.holds and rep.params["extra"]["ct"] == str(oracle) else 1
     elapsed = time.perf_counter() - t0
@@ -246,30 +272,37 @@ def test_criterion_6_exact_counterexample(capsys):
     _report(6, ok, "pinned failing instance reproduced character-for-character")
 
 
-def test_criterion_7_paired_identity_full_grid():
+def _main_totals(grids):
+    """[total, failed, rejected] of the ``main`` sweeps over the grids."""
+    totals = [0, 0, 0]
+    for n, amax in grids:
+        _, summary = run_sweep(SweepConfig(identity="main", n=n, amax=amax))
+        totals[0] += summary["total"]
+        totals[1] += summary["failed"]
+        totals[2] += summary["rejected"]
+    return totals
+
+
+def test_criterion_7_paired_identity_full_grid(monkeypatch):
     t0 = time.perf_counter()
-    totals = {"multiset": [0, 0, 0], "set": [0, 0, 0]}  # total, failed, rejected
-    for semantics in ("multiset", "set"):
-        for n in (1, 2, 3):
-            _, summary = run_sweep(
-                SweepConfig(identity="main", n=n, amax=2, semantics=semantics)
-            )
-            totals[semantics][0] += summary["total"]
-            totals[semantics][1] += summary["failed"]
-            totals[semantics][2] += summary["rejected"]
+    multi = _main_totals(MAIN_GRIDS)
+    crossing = _main_totals(((4, 1),))  # the one crossing layout is rejected
+    use_set_reading(monkeypatch)
+    refuted = _main_totals(MAIN_GRIDS)
     elapsed = time.perf_counter() - t0
-    multi, st_set = totals["multiset"], totals["set"]
     ok = (
         multi == [3132, 0, 0]
-        and st_set[0] == 3132
-        and st_set[1] == 252  # the alternative reading demonstrably fails
+        and crossing == [4000, 0, 32]
+        and refuted == [3132, 252, 0]  # the "set" reading demonstrably fails
         and elapsed < 900.0
     )
     _report(
         7,
         ok,
-        f"default semantics {multi[0] - multi[1]}/{multi[0]}; alternative "
-        f"fails {st_set[1]} as recorded; in {elapsed:.1f}s",
+        f"n<=3,a<=2: {multi[0] - multi[1]}/{multi[0]}; n=4,a<=1: "
+        f"{crossing[0] - crossing[1]}/{crossing[0]} with {crossing[2]} crossing "
+        f"instances rejected; the refuted set reading fails {refuted[1]} as "
+        f"recorded; in {elapsed:.1f}s",
     )
 
 

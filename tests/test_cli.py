@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, JSON output, parallel parity."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +13,7 @@ import qdyson
 from qdyson import cli
 from qdyson.reports import dumps
 from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
+from tests.test_paired import use_set_reading
 
 REPORT_KEYS = {"identity", "params", "holds", "lhs", "rhs", "elapsed_ms", "engine"}
 PARAM_KEYS = {"n", "a", "I", "J", "extra"}
@@ -33,13 +36,11 @@ class TestVerifyExitCodes:
         assert cli.main(argv) == 0
         assert ":: holds" in capsys.readouterr().out
 
-    def test_failing_instance_exits_one(self, capsys):
-        argv = [
-            "verify", "main", "--n", "2", "--a", "1,0,1",
-            "--I", "0,2", "--J", "1,1", "--semantics", "set",
-        ]
+    def test_failing_instance_exits_one(self, monkeypatch, capsys):
+        use_set_reading(monkeypatch)
+        argv = ["verify", "main", "--n", "2", "--a", "1,0,1", "--I", "0,2", "--J", "1,1"]
         assert cli.main(argv) == 1
-        assert ":: FAILS" in capsys.readouterr().out
+        assert "main n=2 a=1,0,1 I=0,2 J=1,1 :: FAILS" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -57,6 +58,10 @@ class TestVerifyExitCodes:
             ["sweep", "qdyson", "--n", "2", "--amax", "1", "--jobs", "0"],
             ["sweep", "lemmas", "--n", "1", "--amax", "2"],
             ["sweep", "firstlayer", "--n", "3", "--amax", "2", "--m", "0"],  # empty range
+            ["sweep", "qdyson", "--n", "1", "--amax", "1", "--m", "5"],  # no layer
+            ["verify", "main", "--n", "2", "--a", "1,0,1",
+             "--I", "0,2", "--J", "1,1", "--semantics", "set"],  # no such flag
+            ["sweep", "main", "--n", "2", "--amax", "1", "--semantics", "set"],
         ],
     )
     def test_bad_input_exits_two(self, argv, capsys):
@@ -78,12 +83,13 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "qdyson: total=8 passed=8 failed=0 rejected=0 seed=0" in out
 
-    def test_failing_sweep_exits_one(self, capsys):
-        argv = ["sweep", "main", "--n", "2", "--amax", "1", "--semantics", "set"]
-        assert cli.main(argv) == 1
+    def test_failing_sweep_exits_one(self, monkeypatch, capsys):
+        use_set_reading(monkeypatch)
+        assert cli.main(["sweep", "main", "--n", "2", "--amax", "1"]) == 1
         out = capsys.readouterr().out
         assert "failed=2" in out
         assert out.count(":: FAILS") == 2
+        assert "main n=2 a=1,0,1 I=0,2 J=1,1 :: FAILS" in out
 
     def test_lemma_sweep(self, capsys, tmp_path):
         path = tmp_path / "lemmas.jsonl"
@@ -212,7 +218,7 @@ def test_module_entry_point():
     assert ":: holds" in proc.stdout
 
 
-@pytest.mark.parametrize("script", ["run_grids.py", "adjudicate_semantics.py"])
+@pytest.mark.parametrize("script", ["run_grids.py"])
 def test_script_runs_from_checkout(script, tmp_path):
     """The scripts find the checkout's ``src/`` themselves: no install, no
     PYTHONPATH, any working directory."""
@@ -223,3 +229,23 @@ def test_script_runs_from_checkout(script, tmp_path):
         [sys.executable, path, "--help"], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_usage_names_every_flag():
+    """Each usage line of the ``cli`` docstring names exactly the flags its
+    subcommand's parser defines, so a removed flag cannot linger in the
+    help text and a new one cannot go unmentioned."""
+    usage = {}
+    for line in cli.__doc__.splitlines():
+        words = line.split()
+        if words[:1] == ["qdyson"]:
+            usage[words[1]] = set(re.findall(r"--\w+", line))
+    (subparsers,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert usage == defined

@@ -16,7 +16,7 @@ from qdyson.kadell import (
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, const, q_multinomial_poly
-from tests.test_dyson import classical_product, correction_factors, ct_times
+from tests.test_dyson import as_int, classical_product, correction_factors, ct_times
 from tests.test_firstlayer import all_layouts
 
 
@@ -82,7 +82,7 @@ def test_identity_small_grid():
             for inst in insts:
                 ct = corrected_ct(inst, source)
                 correction = expand_product(correction_factors(inst), n)
-                assert ct == ct_times(classical, correction).as_int(), inst
+                assert ct == as_int(ct_times(classical, correction)), inst
                 scale = 1 + sum(a) - sum(a[i] for i in inst.I)
                 assert scale * ct == corrected_dyson_rhs(inst), inst
                 if inst.m > 0:

@@ -1,4 +1,5 @@
-"""Multivariate kernel: arithmetic, pruned extraction, rotation."""
+"""Multivariate kernel: arithmetic and pruned extraction.  Also checks the
+tests' own helpers for rotation, degree and q = 1."""
 
 import itertools
 
@@ -11,11 +12,11 @@ from qdyson.laurent import (
     LaurentPoly,
     ct_of_factor_list,
     expand_product,
-    homogeneous_degree,
-    pi_action,
     shifted_factorial,
 )
 from qdyson.qpoly import ONE, ZERO, QPoly, const, q_power
+from tests.test_acceptance import pi_action
+from tests.test_dyson import eval_q1, homogeneous_degree
 
 
 def mono(n, exps, coeff=ONE):
@@ -184,7 +185,7 @@ def test_homogeneous_degree():
 
 def test_eval_q1():
     f = mono(1, (1, -1), QPoly(0, (1, -1)))  # coefficient 1 - q
-    g = f.eval_q1()
+    g = eval_q1(f)
     assert g.is_zero()
 
 

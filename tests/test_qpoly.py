@@ -18,6 +18,7 @@ from qdyson.qpoly import (
     q_pochhammer,
     q_power,
 )
+from tests.test_dyson import as_int
 
 
 @st.composite
@@ -93,10 +94,10 @@ def test_shift_is_q_power_multiplication(p, e):
 
 def test_at_q1_and_as_int():
     assert q_pochhammer(2).at_q1() == 0
-    assert const(7).as_int() == 7
-    assert ZERO.as_int() == 0
+    assert as_int(const(7)) == 7
+    assert as_int(ZERO) == 0
     with pytest.raises(ValueError):
-        q_power(1).as_int()
+        as_int(q_power(1))
 
 
 # -- rendering ---------------------------------------------------------------

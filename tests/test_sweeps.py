@@ -46,9 +46,10 @@ def test_config_validation():
         SweepConfig(identity="qdyson", n=1, amax=-1),
         SweepConfig(identity="qdyson", n=1, amax=1, jobs=0),
         SweepConfig(identity="main", n=1, amax=1, mmax=-1),
-        SweepConfig(identity="main", n=1, amax=1, semantics="bag"),
         SweepConfig(identity="lemmas", n=1, amax=1),
         SweepConfig(identity="firstlayer", n=3, amax=2, mmax=0),  # no layer has m = 0
+        SweepConfig(identity="qdyson", n=1, amax=1, mmax=5),  # no layer to bound
+        SweepConfig(identity="lemmas", n=2, amax=1, mmax=2),
     ]:
         with pytest.raises(ValueError):
             bad.validate()
