@@ -4,15 +4,23 @@ The heavy operation in this package is reading a few coefficients out of a
 large product of small factors.  ``coefficients_in_box`` multiplies the
 factors incrementally and discards every partial monomial that can no longer
 reach the box of exponent vectors the caller reads, using per-variable bounds
-on what the remaining factors may still contribute.  ``FactoredProduct``
-runs it once per product; ``ct_of_factor_list`` is the pass over a single
-point.  ``expand_product`` multiplies outright, without pruning.  Nothing in
-the program calls it: it is only the tests' oracle, and it stays in this
-module because ``benchmark/tracing.py`` traces it here.
+on what the remaining factors may still contribute.  Inside the pass each
+q-coefficient is packed into one integer, its value at q = 2^k (Kronecker
+substitution), after dividing each factor by its lowest power of q so that
+negative powers need no second loop.  k is read off the factors: 2^(k-1)
+exceeds B, the product of the factors' L1 norms, which bounds every
+q-coefficient a partial product can have, so each surviving coefficient
+unpacks to a unique ``QPoly``.  ``FactoredProduct`` runs the pass once per
+product; ``ct_of_factor_list`` is the pass over a single point.
+``expand_product`` multiplies outright, without pruning.  Nothing in the
+program calls it: it is only the tests' oracle, and it stays in this module
+because ``benchmark/tracing.py`` traces it here.
 """
 
 from __future__ import annotations
 
+import math
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .qpoly import ONE, ZERO, QPoly
@@ -184,6 +192,30 @@ def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     return result
 
 
+def _pack(p: QPoly, low: int, k: int) -> int:
+    """p * q^-low at q = 2^k, for p with no power of q below ``low``."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << k) + c
+    return v << (k * (p.min_exp - low))
+
+
+def _unpack(v: int, k: int, low: int) -> QPoly:
+    """The ``QPoly`` p * q^low, where p(2^k) = v and every coefficient of p
+    is below 2^(k-1) in absolute value: read base-2^k digits from the
+    bottom, each in [-2^(k-1), 2^(k-1)), borrowing from the next digit when
+    one is negative."""
+    digits = []
+    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> k
+    return QPoly(low, digits)
+
+
 def coefficients_in_box(
     factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
 ) -> LaurentPoly:
@@ -194,6 +226,19 @@ def coefficients_in_box(
     After each step, a partial monomial e survives only if, for every
     variable, the box can still be reached from e with what the remaining
     factors may contribute.  An empty factor list is the constant 1.
+
+    Coefficients travel through the pass as integers: each factor's
+    coefficients are divided by its lowest power of q and evaluated at
+    q = 2^k, so partial coefficients are multiplied and added as plain ints
+    and tested for zero with ``c == 0``.  Pruning never changes the
+    coefficient of a monomial that survives, so each partial coefficient is
+    an exact coefficient of a product of the first factors, and none of its
+    q-coefficients exceeds B, the product of the factors' L1 norms (the sum
+    of |c| over all q-coefficients of a factor).  A zero factor makes B = 0,
+    but it has no terms, so it sorts first and empties the pass.  With
+    2^(k-1) > B the evaluation is one-to-one on these coefficients, and each
+    surviving one is unpacked at the end with a signed borrow and multiplied
+    back by q to the sum of the factors' lowest powers.
     """
     width = len(lo)
     n = width - 1
@@ -203,8 +248,8 @@ def coefficients_in_box(
 
     ordered = sorted(factors, key=LaurentPoly.num_terms)
 
-    # reach[k] = (floor, ceiling) a partial monomial of the first k factors
-    # must lie within, per variable, to reach the box with factors k..end
+    # reach[i] = (floor, ceiling) a partial monomial of the first i factors
+    # must lie within, per variable, to reach the box with factors i..end
     floor, ceiling = list(lo), list(hi)
     reach = [(lo, hi)]
     for f in reversed(ordered):
@@ -214,23 +259,28 @@ def coefficients_in_box(
         reach.append((tuple(floor), tuple(ceiling)))
     reach.reverse()
 
-    partial: dict[Monomial, QPoly] = {}
+    lows = [min((c.min_exp for c in f.terms.values()), default=0) for f in ordered]
+    bound = math.prod(
+        sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs) for f in ordered
+    )
+    k = bound.bit_length() + 1
+
+    partial: dict[Monomial, int] = {}
     if all(b <= 0 <= c for b, c in zip(*reach[0])):
-        partial[(0,) * width] = ONE
-    for f, (floor, ceiling) in zip(ordered, reach[1:]):
-        grown: dict[Monomial, QPoly] = {}
+        partial[(0,) * width] = 1
+    for f, low, (floor, ceiling) in zip(ordered, lows, reach[1:]):
+        packed = [(e, _pack(c, low, k)) for e, c in f.terms.items()]
+        grown: dict[Monomial, int] = {}
         for e1, c1 in partial.items():
-            for e2, c2 in f.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in packed:
+                key = tuple(map(add, e1, e2))
                 for v in range(width):
                     if key[v] < floor[v] or key[v] > ceiling[v]:
                         break
                 else:
-                    c = c1 * c2
-                    prev = grown.get(key)
-                    grown[key] = c if prev is None else prev + c
-        partial = {e: c for e, c in grown.items() if not c.is_zero()}
-    return LaurentPoly(n, partial)
+                    grown[key] = grown.get(key, 0) + c1 * c2
+        partial = {e: c for e, c in grown.items() if c != 0}
+    return LaurentPoly(n, {e: _unpack(c, k, sum(lows)) for e, c in partial.items()})
 
 
 def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:

@@ -8,6 +8,7 @@ decided by cross-multiplication.  Both types are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -253,7 +254,13 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
 
 
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
-    """The q-multinomial coefficient as an honest polynomial (exact division)."""
+    """The q-multinomial coefficient as an honest polynomial (exact division).
+    Computed once per distinct ``a``: a sweep asks again for every layout."""
+    return _q_multinomial_poly(tuple(a))
+
+
+@functools.lru_cache(maxsize=1024)
+def _q_multinomial_poly(a: tuple[int, ...]) -> QPoly:
     r = q_multinomial(a)
     return divexact(r.num, r.den)
 

@@ -125,6 +125,13 @@ def test_single_variable_product_is_empty():
     assert verify_q_dyson(inst).holds
 
 
+@pytest.mark.parametrize("n, a", [(5, (2,) * 6), (6, (1,) * 7)])
+def test_q_dyson_at_scale(n, a):
+    """The largest q-Dyson constant terms the gate checks: n = 5 with
+    a = (2,)*6 and n = 6 with a = (1,)*7."""
+    assert verify_q_dyson(Instance(n, a)).holds
+
+
 def test_classical_ct_is_multinomial():
     for n in (1, 2):
         for a in itertools.product(range(3), repeat=n + 1):

@@ -1,7 +1,9 @@
 """Multivariate kernel: arithmetic and pruned extraction.  Also checks the
-tests' own helpers for rotation, degree and q = 1."""
+tests' own helpers for rotation, degree and q = 1, and holds the box pass
+with ``QPoly`` arithmetic as the oracle of the packed one."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from qdyson.laurent import (
     AmbientMismatchError,
     FactoredProduct,
     LaurentPoly,
+    coefficients_in_box,
     ct_of_factor_list,
     expand_product,
     shifted_factorial,
@@ -21,6 +24,40 @@ from tests.test_dyson import eval_q1, homogeneous_degree
 
 def mono(n, exps, coeff=ONE):
     return LaurentPoly.monomial(n, exps, coeff)
+
+
+def box_pass_oracle(factors, lo, hi):
+    """The pruned box pass of ``coefficients_in_box`` with ``QPoly``
+    arithmetic at every step: the same factor order and the same pruning,
+    but no packing into integers."""
+    width = len(lo)
+    ordered = sorted(factors, key=LaurentPoly.num_terms)
+    floor, ceiling = list(lo), list(hi)
+    reach = [(lo, hi)]
+    for f in reversed(ordered):
+        for v, column in enumerate(zip(*f.terms)):
+            floor[v] -= max(column)
+            ceiling[v] -= min(column)
+        reach.append((tuple(floor), tuple(ceiling)))
+    reach.reverse()
+
+    partial = {}
+    if all(b <= 0 <= c for b, c in zip(*reach[0])):
+        partial[(0,) * width] = ONE
+    for f, (floor, ceiling) in zip(ordered, reach[1:]):
+        grown = {}
+        for e1, c1 in partial.items():
+            for e2, c2 in f.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                if all(b <= x <= c for b, x, c in zip(floor, key, ceiling)):
+                    grown[key] = grown.get(key, ZERO) + c1 * c2
+        partial = {e: c for e, c in grown.items() if not c.is_zero()}
+    return LaurentPoly(width - 1, partial)
+
+
+def l1_norm(f):
+    """Sum of |c| over every q-coefficient of a factor."""
+    return sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs)
 
 
 @st.composite
@@ -97,7 +134,8 @@ def test_ct_of_factor_list_edges():
 def test_pruned_extraction_is_lossless(instance):
     """The pruned extractor agrees with full expansion on every coefficient:
     at a single target, and at every point of a box around it, where the
-    box source holds exactly the expansion's terms inside the box."""
+    box source holds exactly the expansion's terms inside the box.  On both
+    boxes the packed pass gives what the ``QPoly`` pass gives."""
     n, factors, target, lo, hi = instance
     full = expand_product(factors, n)
     assert ct_of_factor_list(factors, target) == full.coeff(target)
@@ -107,6 +145,45 @@ def test_pruned_extraction_is_lossless(instance):
     for e in box:
         assert source.coeff(e) == full.coeff(e)
     assert source.expanded == LaurentPoly(n, {e: full.coeff(e) for e in box})
+    assert source.expanded == box_pass_oracle(factors, lo, hi)
+    assert coefficients_in_box(factors, target, target) == box_pass_oracle(factors, target, target)
+
+
+def test_packing_bound_is_tight():
+    """Coefficients equal in absolute value to B, the product of the factors'
+    L1 norms, of both signs, at 2^40 scale and at negative powers of q, come
+    out of the packed pass exactly; so do a product that cancels to zero
+    inside the box, a zero factor and the empty factor list."""
+    big = 2**40
+    single_term_products = [
+        [mono(1, (1, 0), const(-7)), mono(1, (0, 1), q_power(-3, 11)),
+         mono(1, (-1, -1), q_power(2, -13))],  # +1001 q^-1
+        [mono(1, (1, 0), const(-7)), mono(1, (0, 1), q_power(-3, 11))],  # -77 q^-3
+        [mono(1, (1, -1), const(big + 1)), mono(1, (-1, 1), q_power(5, -(big - 3)))],
+        [mono(1, (1, -1), q_power(-4, big)), mono(1, (-1, 1), q_power(1, big))],
+        [mono(1, (1, -1), const(big)), mono(1, (0, 0), const(-1))],
+    ]
+    for factors in single_term_products:
+        bound = math.prod(l1_norm(f) for f in factors)
+        (e, c), = expand_product(factors, 1).terms.items()
+        assert abs(c.coeffs[0]) == bound and len(c.coeffs) == 1
+        assert coefficients_in_box(factors, e, e) == mono(1, e, c)
+        lo, hi = tuple(x - 1 for x in e), tuple(x + 1 for x in e)
+        assert coefficients_in_box(factors, lo, hi) == box_pass_oracle(factors, lo, hi)
+
+    # (q^-1 x0 - x1)(q^-1 x0 + x1): the x0*x1 terms cancel
+    cancelling = [
+        mono(1, (1, 0), q_power(-1)) - mono(1, (0, 1)),
+        mono(1, (1, 0), q_power(-1)) + mono(1, (0, 1)),
+    ]
+    inside = coefficients_in_box(cancelling, (0, 0), (2, 2))
+    assert inside == LaurentPoly(1, {(2, 0): q_power(-2), (0, 2): const(-1)})
+    assert inside.coeff((1, 1)) == ZERO
+
+    huge = [mono(1, (1, -1), const(big)) + LaurentPoly.one(1)] * 3
+    assert coefficients_in_box(huge + [LaurentPoly.zero(1)], (-3, -3), (3, 3)).is_zero()
+    assert coefficients_in_box([], (-1, -1), (1, 1)) == LaurentPoly.one(1)
+    assert coefficients_in_box([], (1, -1), (1, 1)).is_zero()
 
 
 def test_read_outside_box_raises():

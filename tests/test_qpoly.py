@@ -141,6 +141,8 @@ def test_q_multinomial_values():
     assert q_multinomial_poly((2, 1)) == QPoly(0, (1, 1, 1))
     assert q_multinomial_poly((1, 1, 1)) == QPoly(0, (1, 2, 2, 1))
     assert q_multinomial_poly(()) == ONE
+    # one value per distinct a, whether a comes as a tuple or a list
+    assert q_multinomial_poly([2, 1]) is q_multinomial_poly((2, 1))
 
 
 def test_multinomial_values():
