@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dyson import Instance, q_dyson_source
 from .laurent import FactoredProduct
-from .qpoly import QPoly, QRat, ZERO, multinomial, one_minus_q, q_multinomial
+from .qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, make_params
 
 
@@ -96,18 +96,24 @@ def first_layer_closed(inst: Instance) -> QRat:
             (-1)^|T| q^(layer exponent of T)
             * (1 - q^(sum of a over T)) / (1 - q^(1 + total - sum of a over T))
 
+    The terms are grouped by their denominator d = 1 + total - (sum of a
+    over T), so the sum is one numerator over the product of the distinct
+    (1 - q^d), each taken once; the q-multinomial multiplies the numerator.
     Layers with m = 0 are rejected.
     """
     if inst.m == 0:
         raise ValueError("layer must select at least one index")
-    acc = QRat(ZERO)
+    groups: dict[int, QPoly] = {}
     for T in nonempty_subsets(inst.I):
         s_t = sum(inst.a[k] for k in T)
-        num = one_minus_q(s_t).shifted(layer_exponent(T, inst))
-        if len(T) % 2:
-            num = -num
-        acc = acc + QRat(num, one_minus_q(1 + inst.total - s_t))
-    return q_multinomial(inst.a) * acc
+        term = one_minus_q(s_t).shifted(layer_exponent(T, inst))
+        d = 1 + inst.total - s_t
+        groups[d] = groups.get(d, ZERO) + (-term if len(T) % 2 else term)
+    num, den = ZERO, ONE
+    for d, part in groups.items():
+        factor = one_minus_q(d)
+        num, den = num * factor + part * den, den * factor
+    return QRat(q_multinomial_poly(inst.a) * num, den)
 
 
 def first_layer_closed_q1(inst: Instance) -> Fraction:

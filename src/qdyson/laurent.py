@@ -138,9 +138,6 @@ class LaurentPoly:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):  # dict-of-dict content hash, rarely needed
-        return hash((self.n, frozenset(self.terms.items())))
-
     # -- rendering -------------------------------------------------------------
 
     def render(self) -> str:

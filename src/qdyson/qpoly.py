@@ -2,8 +2,9 @@
 
 ``QPoly`` stores a dense coefficient window together with the exponent of its
 lowest term, so negative powers of q cost nothing extra.  ``QRat`` is a formal
-numerator/denominator pair over ``QPoly``; it is never reduced, and equality is
-decided by cross-multiplication.  Both types are immutable after construction.
+numerator/denominator pair over ``QPoly`` with no arithmetic of its own: it is
+built once, compared by cross-multiplication, and divided out only to render.
+Both types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -266,10 +267,12 @@ def _q_multinomial_poly(a: tuple[int, ...]) -> QPoly:
 
 
 class QRat:
-    """Formal quotient of two ``QPoly`` values.
+    """Formal quotient of two ``QPoly`` values: a compared pair with no
+    arithmetic.
 
     No gcd reduction is performed, ever: ``num`` and ``den`` stay exactly as
-    built, and equality means ``num1*den2 == num2*den1``.
+    built, and equality means ``num1*den2 == num2*den1``.  A ``QPoly`` or int
+    compares as itself over 1.
     """
 
     __slots__ = ("num", "den")
@@ -290,49 +293,14 @@ class QRat:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("QRat is immutable")
 
-    @staticmethod
-    def _coerce(other) -> "QRat":
-        if isinstance(other, QRat):
-            return other
-        if isinstance(other, (QPoly, int)):
-            return QRat(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "QRat":
-        other = QRat._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QRat":
-        return QRat(-self.num, self.den)
-
-    def __sub__(self, other) -> "QRat":
-        other = QRat._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "QRat":
-        other = QRat._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        other = QRat._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (QPoly, int)):
+            other = QRat(other)
+        elif not isinstance(other, QRat):
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
     __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def to_poly(self) -> QPoly:
         """Exact polynomial value; raises if the quotient is not polynomial."""

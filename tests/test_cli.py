@@ -218,7 +218,7 @@ def test_module_entry_point():
     assert ":: holds" in proc.stdout
 
 
-@pytest.mark.parametrize("script", ["run_grids.py"])
+@pytest.mark.parametrize("script", ["run_grids.py", "count_code_lines.py"])
 def test_script_runs_from_checkout(script, tmp_path):
     """The scripts find the checkout's ``src/`` themselves: no install, no
     PYTHONPATH, any working directory."""

@@ -15,7 +15,7 @@ from qdyson.firstlayer import (
     nonempty_subsets,
     verify_first_layer,
 )
-from qdyson.qpoly import QPoly, QRat
+from qdyson.qpoly import QPoly, QRat, one_minus_q
 from tests.test_dyson import as_int, classical_product
 
 
@@ -167,6 +167,13 @@ class TestClosedForm:
         brute = first_layer_brute(inst)
         assert brute == QPoly(2, (-1, -1))
         assert QRat(brute) == first_layer_closed(inst)
+
+    def test_denominator_takes_each_value_once(self):
+        # the seven subsets of I have denominators 1 - q^d, d in {4,4,4,3,3,3,2}
+        inst = Instance(3, (1, 1, 1, 1), (0, 1, 2), (3, 3, 3))
+        closed = first_layer_closed(inst)
+        assert closed.den == one_minus_q(2) * one_minus_q(3) * one_minus_q(4)
+        assert QRat(first_layer_brute(inst)) == closed
 
     def test_brute_matches_closed_small_grid(self):
         for n in (1, 2):
