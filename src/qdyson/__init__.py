@@ -30,6 +30,7 @@ from .laurent import (  # noqa: F401
 )
 from .dyson import (  # noqa: F401
     Instance,
+    Layout,
     q_dyson_factors,
     q_dyson_source,
     verify_dyson,
@@ -49,6 +50,7 @@ from .kadell import (  # noqa: F401
 )
 from .paired import (  # noqa: F401
     NpcViolationError,
+    compile_layout,
     matrix_choice_property,
     npc_holds,
     verify_factorization,

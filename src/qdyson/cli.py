@@ -28,6 +28,7 @@ from typing import Sequence
 
 from .dyson import Instance
 from .kadell import reproduce_counterexample
+from .paired import compile_layout
 from .reports import dumps
 from .sweeps import IDENTITIES, SweepConfig, run_sweep
 
@@ -90,7 +91,7 @@ def _cmd_verify(args) -> int:
         if identity.mmin is None and (args.I or args.J):
             raise ValueError("--I/--J do not apply to this identity")
         inst = Instance(args.n, args.a, args.I, args.J)
-        report = identity.check(inst, None)
+        report = identity.check(inst, compile_layout(inst.n, inst.I, inst.J), None)
     except ValueError as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,24 +16,24 @@ independent oracle for them.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
 positionally.  ``Instance.layer_monomial`` builds the layer monomial
-x_{J(S)}/x_S of a subset S of I, and ``layer_sum`` adds it up over the
-subsets with a weight: the first-layer target, the layer box and both
-correction multipliers (Kadell's and the paired-layer one) come from them.  The products built here read only n and a.  A check reads its
-coefficients from one pruned pass over the box of exponent vectors it needs,
-at most ``Instance.layer_box``: for the constant terms here, whose layer is
-empty, that is the origin.  ``shared_source`` reads one product for several
-layers at once, as a sweep does.
+x_{J(S)}/x_S of a subset S of I.  The layer identities read a ``Layout``:
+everything they need of (I, J), compiled once by ``paired.compile_layout``
+before any a is drawn, with each q-exponent kept as an affine function of a
+that ``evaluate`` turns into a number by one dot product.  The products
+built here read only n and a.  A check reads its coefficients from one
+pruned pass over the box of exponent vectors it needs: the origin for the
+constant terms here, at most ``Layout.box`` for a layer.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import mul
+from typing import Sequence
 
 from .laurent import FactoredProduct, LaurentPoly, shifted_factorial
-from .qpoly import ONE, QPoly, multinomial, q_multinomial_poly
+from .qpoly import ONE, multinomial, q_multinomial_poly
 from .reports import VerificationReport, make_params
 
 
@@ -105,30 +105,42 @@ class Instance:
             exps[self.J[self.I.index(i)]] += 1
         return tuple(exps)
 
-    @property
-    def layer_box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(lo, hi) of the exponent vectors the layer identities read from
-        the product: the box spanned by the origin and the first-layer
-        target, the flipped ``layer_monomial(I)``.  Every flipped layer
-        monomial lies inside; for the empty layer it is the origin."""
-        target = [-e for e in self.layer_monomial(self.I)]
-        return tuple(min(t, 0) for t in target), tuple(max(t, 0) for t in target)
-
     def paired_js(self, subset: Sequence[int]) -> list[int]:
         """The j-values paired with the given selected indices (with
         multiplicity, sorted)."""
         return sorted(self.J[self.I.index(u)] for u in subset)
 
 
-def layer_sum(inst: Instance, weight: Callable[[tuple[int, ...]], QPoly]) -> LaurentPoly:
-    """The sum over all subsets S of I (the empty one included) of
-    weight(S) * x_{J(S)}/x_S.  No two subsets share a monomial, so no terms
-    merge."""
-    return LaurentPoly(inst.n, {
-        inst.layer_monomial(S): weight(S)
-        for size in range(inst.m + 1)
-        for S in itertools.combinations(inst.I, size)
-    })
+Affine = tuple[int, tuple[int, ...]]
+
+
+def evaluate(affine: Affine, a: Sequence[int]) -> int:
+    """The value c0 + sum of c_k * a_k of affine = (c0, c) at a."""
+    c0, c = affine
+    return c0 + sum(map(mul, c, a))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A layer (I, J) compiled for every exponent vector at once.  Each
+    q-exponent is an ``Affine`` (c0, c), read at a by ``evaluate``.
+
+    ``subsets`` holds, for each subset S of I (the empty one first, then by
+    size, lexicographic within): the flipped layer monomial, the negated
+    ``layer_monomial(S)``; the sign (-1)^|S|; and the chain exponent of S,
+    which is 0 for the empty subset, whose weight is 1.  No two subsets
+    share a monomial.  ``terms`` holds, for each nonempty T in the same
+    order: the sign (-1)^|T|, T itself and the layer exponent of T.  ``box``
+    is (lo, hi) of the exponent vectors the layer identities read from the
+    product: the box spanned by the origin and the flipped monomial of
+    S = I, which holds every flipped monomial; for the empty layer it is
+    the origin."""
+
+    I: tuple[int, ...]  # noqa: E741 - interface name
+    J: tuple[int, ...]
+    subsets: tuple[tuple[tuple[int, ...], int, Affine], ...]
+    terms: tuple[tuple[int, tuple[int, ...], Affine], ...]
+    box: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _unit(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -175,20 +187,12 @@ def q_dyson_source(inst: Instance, lo: Sequence[int], hi: Sequence[int]) -> Fact
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi)
 
 
-def shared_source(insts: Sequence[Instance]) -> FactoredProduct:
-    """The q-Dyson product of instances sharing n and a, over the bounding
-    box of their layer boxes: one pruned pass serves all their checks."""
-    los, his = zip(*(inst.layer_box for inst in insts))
-    lo = tuple(map(min, zip(*los)))
-    hi = tuple(map(max, zip(*his)))
-    return q_dyson_source(insts[0], lo, hi)
-
-
 def verify_q_dyson(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
     """Constant term of the q-analog product against the q-multinomial."""
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst, *inst.layer_box)
+        origin = (0,) * (inst.n + 1)
+        source = q_dyson_source(inst, origin, origin)
     ct = source.constant_term()
     rhs = q_multinomial_poly(inst.a)
     holds = ct == rhs
@@ -208,7 +212,8 @@ def verify_dyson(inst: Instance, source: FactoredProduct | None = None) -> Verif
     constant term at q = 1, against the multinomial."""
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst, *inst.layer_box)
+        origin = (0,) * (inst.n + 1)
+        source = q_dyson_source(inst, origin, origin)
     ct = source.constant_term().at_q1()
     rhs = multinomial(inst.a)
     holds = ct == rhs

@@ -12,9 +12,12 @@ q-exponents are the layer exponents computed here.  Its q = 1 value, the
 first-layer coefficient of the classical product, is read off the same
 extracted q-coefficient.
 
-``layer_exponent`` is one formula read straight off the layout, whatever the
-smallest selected index.  It also takes the exponent within the layer of a
-subset X of I (X with its paired j's), which is how ``paired`` uses it.
+``layer_coefficients`` is one formula read straight off the layout, whatever
+the smallest selected index: the layer exponent as an affine function of a.
+It also takes the exponent within the layer of a subset X of I (X with its
+paired j's), which is how ``paired`` uses it.  A ``Layout`` holds these
+coefficients for every T, compiled once per layout, so the closed form of
+each check reads every exponent by one dot product with a.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .dyson import Instance, q_dyson_source
+from .dyson import Affine, Instance, Layout, evaluate, q_dyson_source
 from .laurent import FactoredProduct
 from .qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, make_params
@@ -41,15 +44,16 @@ def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(values, size)
 
 
-def layer_exponent(
+def layer_coefficients(
     T: Sequence[int], inst: Instance, within: Sequence[int] | None = None
-) -> int:
-    """q-exponent attached to a nonempty subset T of the layer (X, J_X):
-    X is ``within`` (all of I by default) and J_X its paired j's.  With
-    t = #{j in J_X : j < min X}:
+) -> Affine:
+    """The q-exponent attached to a nonempty subset T of the layer (X, J_X),
+    as (c0, c) with the exponent c0 + sum of c_k * a_k: X is ``within``
+    (all of I by default) and J_X its paired j's.  Reads only n, I and J.
+    With t = #{j in J_X : j < min X}, c0 = t and
 
-        t + sum over k not in T of
-            (t + count_upto(k, X) - count_upto(k, J_X)) * a_k
+        c_k = t + count_upto(k, X) - count_upto(k, J_X)  for k not in T,
+        c_k = 0                                          for k in T.
 
     It is the split form, for i_1 = min X,
 
@@ -67,12 +71,19 @@ def layer_exponent(
     X = inst.I if within is None else within
     js = inst.paired_js(X)
     t = count_upto(min(X) - 1, js)
-    tset = set(T)
-    return t + sum(
-        (t + count_upto(k, X) - count_upto(k, js)) * ak
-        for k, ak in enumerate(inst.a)
-        if k not in tset
-    )
+    tset, xset = set(T), set(X)
+    coeffs, level = [], t
+    for k in range(inst.n + 1):
+        level += (k in xset) - js.count(k)  # t + count_upto(k, X) - count_upto(k, J_X)
+        coeffs.append(0 if k in tset else level)
+    return t, tuple(coeffs)
+
+
+def layer_exponent(
+    T: Sequence[int], inst: Instance, within: Sequence[int] | None = None
+) -> int:
+    """The q-exponent of ``layer_coefficients`` at inst.a."""
+    return evaluate(layer_coefficients(T, inst, within), inst.a)
 
 
 def first_layer_target(inst: Instance) -> tuple[int, ...]:
@@ -89,8 +100,9 @@ def first_layer_brute(inst: Instance, source: FactoredProduct | None = None) -> 
     return source.coeff(target)
 
 
-def first_layer_closed(inst: Instance) -> QRat:
-    """Closed form of the first-layer coefficient:
+def first_layer_closed(inst: Instance, layout: Layout) -> QRat:
+    """Closed form of the first-layer coefficient, from the compiled layout
+    of inst:
 
         qmultinomial(a) * sum over nonempty T subset I of
             (-1)^|T| q^(layer exponent of T)
@@ -101,19 +113,20 @@ def first_layer_closed(inst: Instance) -> QRat:
     (1 - q^d), each taken once; the q-multinomial multiplies the numerator.
     Layers with m = 0 are rejected.
     """
-    if inst.m == 0:
+    if not layout.terms:
         raise ValueError("layer must select at least one index")
+    a, total = inst.a, inst.total
     groups: dict[int, QPoly] = {}
-    for T in nonempty_subsets(inst.I):
-        s_t = sum(inst.a[k] for k in T)
-        term = one_minus_q(s_t).shifted(layer_exponent(T, inst))
-        d = 1 + inst.total - s_t
-        groups[d] = groups.get(d, ZERO) + (-term if len(T) % 2 else term)
+    for sign, T, exponent in layout.terms:
+        s_t = sum(a[k] for k in T)
+        term = one_minus_q(s_t).shifted(evaluate(exponent, a))
+        d = 1 + total - s_t
+        groups[d] = groups.get(d, ZERO) + (term if sign > 0 else -term)
     num, den = ZERO, ONE
     for d, part in groups.items():
         factor = one_minus_q(d)
         num, den = num * factor + part * den, den * factor
-    return QRat(q_multinomial_poly(inst.a) * num, den)
+    return QRat(q_multinomial_poly(a) * num, den)
 
 
 def first_layer_closed_q1(inst: Instance) -> Fraction:
@@ -135,12 +148,13 @@ def first_layer_closed_q1(inst: Instance) -> Fraction:
 
 
 def verify_first_layer(
-    inst: Instance, source: FactoredProduct | None = None
+    inst: Instance, layout: Layout, source: FactoredProduct | None = None
 ) -> VerificationReport:
     """Brute-force first-layer coefficient against the closed form, plus its
-    q = 1 value against the classical closed sum."""
+    q = 1 value against the classical closed sum; ``layout`` is the compiled
+    layout of inst."""
     t0 = time.perf_counter()
-    closed = first_layer_closed(inst)  # first: it rejects m = 0 before any extraction
+    closed = first_layer_closed(inst, layout)  # first: it rejects m = 0 before any extraction
     brute = first_layer_brute(inst, source)
     holds = QRat(brute) == closed
 

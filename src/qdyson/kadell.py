@@ -7,7 +7,9 @@ constant term by a clean rational factor:
     (1 + total - sum of a over I) * CT = (1 + total) * multinomial(a).
 
 The correction binomials carry no q, so the corrected classical constant term
-is read off the corrected q-Dyson one at q = 1.
+is read off the corrected q-Dyson one at q = 1.  Multiplied out they are the
+signed layer monomials of a compiled ``Layout``, so the check reads the
+product at the layout's flipped monomials and adds the values with signs.
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
 one does NOT satisfy the corresponding identity; ``reproduce_counterexample``
@@ -19,20 +21,23 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .dyson import Instance, _unit, layer_sum, q_dyson_source
+from .dyson import Instance, Layout, _unit, q_dyson_source
 from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, shifted_factorial
-from .qpoly import QPoly, const, multinomial, one_minus_q, q_multinomial_poly
+from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, make_params
 
 
-def corrected_ct(inst: Instance, source: FactoredProduct | None = None) -> int:
+def corrected_ct(
+    inst: Instance, layout: Layout, source: FactoredProduct | None = None
+) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
-    at q = 1 from ``source``, the q-Dyson product.  The binomials multiply
-    out to the sum over subsets S of I of (-1)^|S| x_{J(S)}/x_S."""
+    at q = 1 from ``source``, the q-Dyson product, with ``layout`` the
+    compiled layout of inst.  The binomials multiply out to the sum over
+    subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
+    sum of (-1)^|S| times the coefficient at the flipped monomial."""
     if source is None:
-        source = q_dyson_source(inst, *inst.layer_box)
-    correction = layer_sum(inst, lambda S: const((-1) ** len(S)))
-    return source.ct_times(correction).at_q1()
+        source = q_dyson_source(inst, *layout.box)
+    return sum(sign * source.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
 
 
 def corrected_dyson_rhs(inst: Instance) -> int:
@@ -52,11 +57,14 @@ def corrected_ct_closed(inst: Instance) -> Fraction:
     return (1 + Fraction(s_i, 1 + inst.total - s_i)) * multinomial(inst.a)
 
 
-def verify_kadell(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
+def verify_kadell(
+    inst: Instance, layout: Layout, source: FactoredProduct | None = None
+) -> VerificationReport:
     """Scaled corrected constant term against its product-free value, and the
-    corrected constant term itself against its closed form."""
+    corrected constant term itself against its closed form; ``layout`` is
+    the compiled layout of inst."""
     t0 = time.perf_counter()
-    ct = corrected_ct(inst, source)
+    ct = corrected_ct(inst, layout, source)
     lhs = (1 + inst.total - inst.selected_total) * ct
     rhs = corrected_dyson_rhs(inst)
     holds = lhs == rhs

@@ -166,19 +166,33 @@ def shifted_factorial(z: Sequence[int], m: int, offset: int = 0) -> LaurentPoly:
     """Product (1 - q^offset * x^z)(1 - q^(offset+1) * x^z) ... , m factors.
 
     ``z`` is an exponent vector; ``offset=0`` gives the plain q-shifted
-    factorial of the monomial, ``offset=1`` starts at q.
+    factorial of the monomial, ``offset=1`` starts at q.  Written out by the
+    q-binomial theorem: the coefficient of x^(r z) is
+
+        (-1)^r q^(r * offset + r(r-1)/2) [m choose r]_q,
+
+    with the Gaussian binomials [j choose r]_q built row by row from the
+    q-Pascal rule [j, r] = [j-1, r-1] + q^r [j-1, r].  The terms of a zero z
+    all land on x^0 and add up.
     """
     if m < 0:
         raise ValueError("negative length")
-    n = len(z) - 1
-    result = LaurentPoly.one(n)
-    zkey = tuple(z)
-    for k in range(m):
-        binom = LaurentPoly(
-            n, {(0,) * (n + 1): ONE, zkey: QPoly(offset + k, (-1,))}
-        )
-        result = result * binom
-    return result
+    row = [[1]]  # coefficient lists of [j choose r]_q for r = 0..j, from j = 0
+    for j in range(1, m + 1):
+        nxt = [[1]]
+        for r in range(1, j):
+            low, high = row[r - 1], row[r]
+            coeffs = low + [0] * (r + len(high) - len(low))
+            for i, c in enumerate(high):
+                coeffs[r + i] += c
+            nxt.append(coeffs)
+        row = nxt + [[1]]
+    terms: dict[Monomial, QPoly] = {}
+    for r, coeffs in enumerate(row):
+        key = tuple(r * e for e in z)
+        signed = coeffs if r % 2 == 0 else [-c for c in coeffs]
+        terms[key] = terms.get(key, ZERO) + QPoly(r * offset + r * (r - 1) // 2, signed)
+    return LaurentPoly(len(z) - 1, terms)
 
 
 def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
@@ -311,14 +325,3 @@ class FactoredProduct:
 
     def constant_term(self) -> QPoly:
         return self.coeff((0,) * (self.n + 1))
-
-    def ct_times(self, multiplier: LaurentPoly) -> QPoly:
-        """Constant term of multiplier * product, by linearity: each term
-        c * x^e of the multiplier contributes c * (coefficient of x^-e)."""
-        if multiplier.n != self.n:
-            raise AmbientMismatchError(f"{multiplier.n + 1} variables vs {self.n + 1}")
-        total = ZERO
-        for exps, coeff in multiplier.terms.items():
-            flipped = tuple(-e for e in exps)
-            total = total + coeff * self.coeff(flipped)
-        return total

@@ -1,8 +1,8 @@
 """The paired-layer q-analog of the corrected Dyson identity.
 
 Instead of bumping factorial lengths (which breaks, see ``kadell``), the
-working q-analog multiplies the q-Dyson product by the layer sum (see
-``dyson.layer_sum``) of the layer monomials x_{J(S)}/x_S weighted by q-powers
+working q-analog multiplies the q-Dyson product by the sum, over all subsets
+S of I, of the layer monomials x_{J(S)}/x_S weighted by q-powers
 
     1 + sum over nonempty subsets S of I of
         (-1)^|S| q^(chain exponent of S) * x_{J(S)}/x_S
@@ -26,6 +26,12 @@ positionally, i_k with j_k.  The layer exponents it adds, of a subset U
 within the layer of a subset X of I (X with its paired j's), are
 ``firstlayer.layer_exponent(U, inst, X)``, read off the same instance.
 
+Both exponents are affine in a, with coefficients read off the layout
+alone.  ``compile_layout`` writes them out once per layout, with the flipped
+layer monomials and signs (a ``dyson.Layout``): a sweep compiles each of its
+layouts once, a single ``verify`` its one layout, and each check of the
+layer identities reads every exponent by a dot product with a.
+
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
 implemented here as directly checkable statements.
@@ -35,12 +41,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from operator import sub
 from typing import Sequence
 
-from .dyson import Instance, layer_sum, q_dyson_source
-from .firstlayer import count_upto, layer_exponent
+from .dyson import Affine, Instance, Layout, evaluate, q_dyson_source
+from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
-from .qpoly import ONE, QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
+from .qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from .reports import VerificationReport, make_params
 
 class NpcViolationError(ValueError):
@@ -57,11 +64,12 @@ def npc_holds(I: Sequence[int], J: Sequence[int]) -> bool:  # noqa: E741
     return True
 
 
-def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
-    """q-exponent attached to a nonempty subset S of the selection.  The
-    full selection is rebuilt from S by inserting each i in I \\ S; the step
-    inserting i (paired with j) reads the j-values among the paired j's of
-    S and j that exceed min S, with multiplicity:
+def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
+    """The q-exponent attached to a nonempty subset S of the selection, as
+    (c0, c) with the exponent c0 + sum of c_k * a_k.  Reads only n, I and
+    J.  The full selection is rebuilt from S by inserting each i in I \\ S;
+    the step inserting i (paired with j) reads the j-values among the
+    paired j's of S and j that exceed min S, with multiplicity:
 
         1 + total - (sum of a over S)
           + sum over inserted i of
@@ -72,42 +80,81 @@ def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
     step adds 0 with either floor, so min S serves every step and no step
     reads another.
     """
-    a = inst.a
     subset = tuple(sorted(subset))
     if not subset:
         raise ValueError("subset must be nonempty")
     if not set(subset) <= set(inst.I):
         raise ValueError("subset must consist of selected indices")
     js = inst.paired_js(subset)
-    acc = 1 + inst.total - sum(a[u] for u in subset)
+    c = [1] * (inst.n + 1)
+    for u in subset:
+        c[u] -= 1
     for i, j in inst.pairs:
         if i in subset:
             continue
         jvals = [v for v in js + [j] if v > subset[0]]
-        acc += (count_upto(i, subset) - count_upto(i, jvals)) * a[i]
-    acc -= layer_exponent(subset, inst, subset)
-    return acc
+        c[i] += count_upto(i, subset) - count_upto(i, jvals)
+    t, own = layer_coefficients(subset, inst, subset)
+    return 1 - t, tuple(map(sub, c, own))
 
 
-def correction_polynomial(inst: Instance) -> LaurentPoly:
-    """The layer sum with weight (-1)^|S| q^(chain exponent of S) on each
-    nonempty subset S of I, and 1 on the empty one."""
-    return layer_sum(
-        inst, lambda S: q_power(chain_exponent(inst, S), (-1) ** len(S)) if S else ONE
+def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
+    """The q-exponent of ``chain_coefficients`` at inst.a."""
+    return evaluate(chain_coefficients(inst, subset), inst.a)
+
+
+def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noqa: E741
+    """Everything the layer identities read off the layout (I, J) over
+    x_0..x_n, for every exponent vector at once.  The chain coefficients
+    are looked up here when called, so rebinding ``chain_coefficients``
+    (as the tests do for the refuted reading) reaches every check."""
+    inst = Instance(n, (0,) * (n + 1), I, J)
+    subsets = [()] + list(nonempty_subsets(inst.I))
+    signs = [(-1) ** len(S) for S in subsets]
+    flipped = [tuple(-e for e in inst.layer_monomial(S)) for S in subsets]
+    chains = [(0, (0,) * (n + 1))] + [chain_coefficients(inst, S) for S in subsets[1:]]
+    target = flipped[-1]
+    return Layout(
+        inst.I,
+        inst.J,
+        subsets=tuple(zip(flipped, signs, chains)),
+        terms=tuple(
+            (sign, T, layer_coefficients(T, inst)) for sign, T in zip(signs[1:], subsets[1:])
+        ),
+        box=(tuple(min(e, 0) for e in target), tuple(max(e, 0) for e in target)),
     )
 
 
-def verify_paired(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
-    """The paired-layer identity for one instance.  Layers violating the
-    no-crossing condition are rejected with ``NpcViolationError``."""
+def correction_polynomial(inst: Instance, layout: Layout) -> LaurentPoly:
+    """The multiplier of the identity, from the compiled layout of inst: the
+    sum over subsets S of I of (-1)^|S| q^(chain exponent of S) x_{J(S)}/x_S,
+    with weight 1 on the empty one."""
+    return LaurentPoly(inst.n, {
+        tuple(-e for e in flipped): q_power(evaluate(chain, inst.a), sign)
+        for flipped, sign, chain in layout.subsets
+    })
+
+
+def verify_paired(
+    inst: Instance, layout: Layout, source: FactoredProduct | None = None
+) -> VerificationReport:
+    """The paired-layer identity for one instance, with ``layout`` its
+    compiled layout.  The constant term of the multiplied product is, term
+    by term of the multiplier, its weight times the product's coefficient at
+    the flipped monomial.  Layers violating the no-crossing condition are
+    rejected with ``NpcViolationError``."""
     if not npc_holds(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     t0 = time.perf_counter()
     if source is None:
-        source = q_dyson_source(inst, *inst.layer_box)
-    ct = source.ct_times(correction_polynomial(inst))
+        source = q_dyson_source(inst, *layout.box)
+    a = inst.a
+    ct = ZERO
+    for flipped, sign, chain in layout.subsets:
+        term = source.coeff(flipped).shifted(evaluate(chain, a))
+        ct = ct + term if sign > 0 else ct - term
     lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
-    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
+    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(a)
     holds = lhs == rhs
     elapsed = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(

@@ -177,10 +177,6 @@ ZERO = QPoly()
 ONE = QPoly(0, (1,))
 
 
-def const(c: int) -> QPoly:
-    return QPoly(0, (c,))
-
-
 def q_power(e: int, c: int = 1) -> QPoly:
     """c * q**e."""
     return QPoly(e, (c,))

@@ -5,10 +5,13 @@
 [0..amax]^(n+1) — and, for layer identities, every admissible (I, J) layout —
 and verifies the chosen identity on one ``Instance`` (n, a, I, J) each.  The
 no-crossing filter of ``main`` reads layouts only, before any a is drawn.
-Work is chunked by exponent vector: each task reads the q-Dyson product's
-coefficients once, in one pruned pass over the bounding box of its layouts'
-layer boxes, and every check of the task reads them from there.  Results are
-merged in grid order regardless of completion order.
+So does ``compile_layout``: the sweep compiles every admissible layout once,
+and each check evaluates its exponents at its a by dot products.  Work is
+chunked by exponent vector: each task carries the compiled layouts and the
+bounding box of their boxes, computed once per sweep; it reads the q-Dyson
+product's coefficients once, in one pruned pass over that box, and every
+check of the task reads them from there.  Results are merged in grid order
+regardless of completion order.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyson import Instance, shared_source, verify_dyson, verify_q_dyson
+from .dyson import Instance, q_dyson_source, verify_dyson, verify_q_dyson
 from .firstlayer import verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
+    compile_layout,
     matrix_choice_property,
     npc_holds,
     verify_factorization,
@@ -36,8 +40,9 @@ from .reports import VerificationReport, make_params
 
 @dataclass(frozen=True)
 class Identity:
-    """``check(inst, source)`` verifies one ``Instance``, with ``source`` its
-    q-Dyson product or None; None marks the lemma suite, which only sweeps."""
+    """``check(inst, layout, source)`` verifies one ``Instance``, with
+    ``layout`` its compiled layout and ``source`` its q-Dyson product or
+    None; None marks the lemma suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     mmin: int | None = None  # smallest layer size; None: no layer
@@ -48,12 +53,16 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda inst, source: verify_dyson(inst, source)),
-    "qdyson": Identity(lambda inst, source: verify_q_dyson(inst, source)),
-    "firstlayer": Identity(lambda inst, source: verify_first_layer(inst, source), mmin=1),
-    "kadell": Identity(lambda inst, source: verify_kadell(inst, source), mmin=0),
+    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source)),
+    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source)),
+    "firstlayer": Identity(
+        lambda inst, layout, source: verify_first_layer(inst, layout, source), mmin=1
+    ),
+    "kadell": Identity(lambda inst, layout, source: verify_kadell(inst, layout, source), mmin=0),
     "main": Identity(
-        lambda inst, source: verify_paired(inst, source), mmin=0, admissible=npc_holds
+        lambda inst, layout, source: verify_paired(inst, layout, source),
+        mmin=0,
+        admissible=npc_holds,
     ),
     # random_instance draws n from 2..nmax
     "lemmas": Identity(None, nmin=2),
@@ -115,11 +124,12 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 
 def _run_task(task) -> list[VerificationReport]:
-    """Check (identity, n, a, layouts) on one shared product."""
-    name, n, a, layouts = task
-    insts = [Instance(n, a, I, J) for I, J in layouts]
-    source = shared_source(insts)
-    return [IDENTITIES[name].check(inst, source) for inst in insts]
+    """Check (identity, n, a, compiled layouts, box) on one product, read
+    over the box."""
+    name, n, a, layouts, box = task
+    source = q_dyson_source(Instance(n, a), *box)
+    check = IDENTITIES[name].check
+    return [check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -218,13 +228,16 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
     else:
         avecs = a_grid(n, amax)
         if identity.mmin is None:
-            layouts = [((), ())]
+            grid = [((), ())]
         else:
             mmax = n if config.mmax is None else config.mmax
             candidates = layout_grid(n, identity.mmin, mmax)
-            layouts = [lay for lay in candidates if identity.admissible(*lay)]
-            rejected = (len(candidates) - len(layouts)) * len(avecs)
-        tasks = [(config.identity, n, a, layouts) for a in avecs]
+            grid = [lay for lay in candidates if identity.admissible(*lay)]
+            rejected = (len(candidates) - len(grid)) * len(avecs)
+        layouts = [compile_layout(n, I, J) for I, J in grid]
+        los, his = zip(*(lay.box for lay in layouts))
+        box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+        tasks = [(config.identity, n, a, layouts, box) for a in avecs]
         reports = _execute(tasks, config.jobs)
 
     passed = sum(1 for r in reports if r.holds)

@@ -9,7 +9,8 @@ program reads classical values off the q-product at q = 1; criteria 2-5 and
 9(c) compare them with the classical product built from repeated binomials
 (``classical_product``), an independent path.  The oracles of criteria 2-5
 and 9 are expanded outright, without pruning; where the program's source is
-shared across layouts, it is the one a sweep builds (``shared_source``).  The
+shared across layouts, it is read over the box a sweep reads
+(``shared_source``), and each check gets its layout compiled (``compiled``).  The
 grids are the largest ones that stay desk-checkable: exhaustive small
 parameter ranges for the identities themselves, plus seeded randomized suites
 for the supporting combinatorial statements.
@@ -22,7 +23,7 @@ import time
 import pytest
 
 from qdyson import cli
-from qdyson.dyson import Instance, q_dyson_factors, shared_source, verify_dyson
+from qdyson.dyson import Instance, q_dyson_factors, verify_dyson
 from qdyson.firstlayer import (
     first_layer_brute,
     first_layer_closed_q1,
@@ -34,7 +35,14 @@ from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
-from tests.test_dyson import as_int, classical_product, correction_factors, ct_times
+from tests.test_dyson import (
+    as_int,
+    classical_product,
+    compiled,
+    correction_factors,
+    ct_times,
+    shared_source,
+)
 from tests.test_paired import use_set_reading
 
 # (n, amax) grids named by the criteria below
@@ -184,7 +192,7 @@ def test_criterion_3_first_layer_closed_form(classical_expanded):
         qsrc = shared_source(insts)
         csrc = classical_expanded[(3, a)]
         for inst in insts:
-            rep = verify_first_layer(inst, qsrc)
+            rep = verify_first_layer(inst, compiled(inst), qsrc)
             oracle = as_int(csrc.coeff(first_layer_target(inst)))
             checked += 1
             failed += 0 if rep.holds and rep.params["extra"]["q1_brute"] == str(oracle) else 1
@@ -236,7 +244,7 @@ def test_criterion_5_corrected_constant_terms(classical_expanded):
             qsrc = shared_source(insts)
             src = classical_expanded[(n, a)]
             for inst in insts:
-                rep = verify_kadell(inst, qsrc)
+                rep = verify_kadell(inst, compiled(inst), qsrc)
                 correction = expand_product(correction_factors(inst), n)
                 oracle = as_int(ct_times(src, correction))
                 checked += 1
@@ -417,7 +425,7 @@ def _crossing_failures(n):
         insts = [Instance(n, a, I, J) for I, J in crossing]
         source = shared_source(insts)
         for inst in insts:
-            ct = source.ct_times(correction_polynomial(inst))
+            ct = ct_times(source, correction_polynomial(inst, compiled(inst)))
             lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
             if lhs != one_minus_q(1 + inst.total) * q_multinomial_poly(a):
                 failing[inst.I, inst.J].append(a)

@@ -174,6 +174,24 @@ class TestParallelParity:
 
         assert strip(seq) == strip(par)
 
+    @pytest.mark.parametrize(
+        "identity, n", [("firstlayer", 3), ("kadell", 3), ("main", 3), ("main", 4)]
+    )
+    def test_compiled_layouts_cross_the_pool(self, identity, n):
+        """Compiled layouts travel to the workers in the task tuples: the
+        layer identities give the same reports and summary with one process
+        as with two.  ``main n=4 amax=1`` is the grid with rejected
+        layouts."""
+        runs = [
+            run_sweep(SweepConfig(identity=identity, n=n, amax=1, jobs=jobs)) for jobs in (1, 2)
+        ]
+        (seq, seq_summary), (par, par_summary) = runs
+        assert seq_summary == par_summary
+        assert seq_summary["rejected"] == (32 if n == 4 else 0)
+        assert [r.to_dict() | {"elapsed_ms": 0} for r in seq] == [
+            r.to_dict() | {"elapsed_ms": 0} for r in par
+        ]
+
 
 def _strip_elapsed(path):
     out = []

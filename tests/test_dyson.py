@@ -5,7 +5,10 @@ without pruning.  The program reads classical values off the pruned q-product
 at q = 1 instead, so this is the independent oracle the tests compare those
 values with; ``ct_times`` reads a corrected constant term off it, and
 ``correction_factors`` gives the correction binomials whose expanded product
-the program builds directly as a layer sum.  ``as_int``, ``eval_q1`` and
+the program reads as the signed layer monomials of a compiled layout.
+``layer_sum``, ``layer_box`` and ``shared_source`` are the tests' readings
+of a layer, each the oracle for a piece of ``Layout``, and ``compiled``
+compiles the layout of an instance.  ``as_int``, ``eval_q1`` and
 ``homogeneous_degree`` are small readings of a polynomial that only the
 tests take."""
 
@@ -23,6 +26,7 @@ from qdyson.dyson import (
     verify_q_dyson,
 )
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
+from qdyson.paired import compile_layout
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
 
 
@@ -68,12 +72,42 @@ def correction_factors(inst):
 
 
 def ct_times(product, multiplier):
-    """Constant term of multiplier * product, for an expanded product: each
-    term c * x^e of the multiplier contributes c * (coefficient of x^-e)."""
+    """Constant term of multiplier * product, for an expanded product or a
+    ``FactoredProduct``: each term c * x^e of the multiplier contributes
+    c * (coefficient of x^-e)."""
     return sum(
         (c * product.coeff(tuple(-e for e in exps)) for exps, c in multiplier.terms.items()),
         ZERO,
     )
+
+
+def compiled(inst):
+    """The compiled layout of an instance's layer."""
+    return compile_layout(inst.n, inst.I, inst.J)
+
+
+def layer_sum(inst, weight):
+    """The sum over all subsets S of I (the empty one included) of
+    weight(S) * x_{J(S)}/x_S."""
+    return LaurentPoly(inst.n, {
+        inst.layer_monomial(S): weight(S)
+        for size in range(inst.m + 1)
+        for S in itertools.combinations(inst.I, size)
+    })
+
+
+def layer_box(inst):
+    """(lo, hi) of the box spanned by the origin and the first-layer target,
+    the flipped ``layer_monomial(I)``; the origin for the empty layer."""
+    target = [-e for e in inst.layer_monomial(inst.I)]
+    return tuple(min(t, 0) for t in target), tuple(max(t, 0) for t in target)
+
+
+def shared_source(insts):
+    """The q-Dyson product of instances sharing n and a, over the bounding
+    box of their layer boxes, as a sweep reads it."""
+    los, his = zip(*map(layer_box, insts))
+    return q_dyson_source(insts[0], tuple(map(min, zip(*los))), tuple(map(max, zip(*his))))
 
 
 def test_spec_validation():
@@ -108,13 +142,13 @@ def test_constant_terms_small():
     }
     for a, expected in values.items():
         inst = Instance(len(a) - 1, a)
-        assert q_dyson_source(inst, *inst.layer_box).constant_term() == expected
+        assert q_dyson_source(inst, *layer_box(inst)).constant_term() == expected
         assert QRat(expected) == q_multinomial(a)
 
 
 def test_empty_exponents_give_one():
     inst = Instance(2, (0, 0, 0))
-    assert q_dyson_source(inst, *inst.layer_box).constant_term() == QPoly(0, (1,))
+    assert q_dyson_source(inst, *layer_box(inst)).constant_term() == QPoly(0, (1,))
     assert classical_product(inst).constant_term() == QPoly(0, (1,))
 
 

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from qdyson.dyson import Instance, shared_source
+from qdyson.dyson import Instance
 from qdyson.firstlayer import (
     count_upto,
     first_layer_brute,
@@ -16,7 +16,7 @@ from qdyson.firstlayer import (
     verify_first_layer,
 )
 from qdyson.qpoly import QPoly, QRat, one_minus_q
-from tests.test_dyson import as_int, classical_product
+from tests.test_dyson import as_int, classical_product, compiled, layer_box, shared_source
 
 
 def all_layouts(n, a, mmin=1, mmax=None):
@@ -133,16 +133,16 @@ def test_target_vector():
     corner in J."""
     inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
     assert first_layer_target(inst) == (1, -2, 1, 0)
-    assert inst.layer_box == ((0, -2, 0, 0), (1, 0, 1, 0))
+    assert layer_box(inst) == compiled(inst).box == ((0, -2, 0, 0), (1, 0, 1, 0))
     assert first_layer_target(Instance(2, (1, 1, 1))) == (0, 0, 0)
-    assert Instance(2, (1, 1, 1)).layer_box == ((0, 0, 0), (0, 0, 0))
+    assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
 
 
 class TestClosedForm:
     def test_rejects_empty_layer(self):
         inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
-            first_layer_closed(inst)
+            first_layer_closed(inst, compiled(inst))
         with pytest.raises(ValueError):
             first_layer_closed_q1(inst)
 
@@ -151,27 +151,28 @@ class TestClosedForm:
             def coeff(self, target):
                 raise AssertionError("extracted a coefficient")
 
+        inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
-            verify_first_layer(Instance(2, (1, 1, 1)), Unreadable())
+            verify_first_layer(inst, compiled(inst), Unreadable())
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
         brute = first_layer_brute(inst)
         assert brute == QPoly(0, (-1, -1))
         assert brute.render() == "-1 - 1*q"
-        assert QRat(brute) == first_layer_closed(inst)
+        assert QRat(brute) == first_layer_closed(inst, compiled(inst))
 
     def test_known_coefficient_with_offset_start(self):
         # smallest selected index > 0 exercises the t > 0 branch
         inst = Instance(2, (1, 1, 1), (1,), (0,))
         brute = first_layer_brute(inst)
         assert brute == QPoly(2, (-1, -1))
-        assert QRat(brute) == first_layer_closed(inst)
+        assert QRat(brute) == first_layer_closed(inst, compiled(inst))
 
     def test_denominator_takes_each_value_once(self):
         # the seven subsets of I have denominators 1 - q^d, d in {4,4,4,3,3,3,2}
         inst = Instance(3, (1, 1, 1, 1), (0, 1, 2), (3, 3, 3))
-        closed = first_layer_closed(inst)
+        closed = first_layer_closed(inst, compiled(inst))
         assert closed.den == one_minus_q(2) * one_minus_q(3) * one_minus_q(4)
         assert QRat(first_layer_brute(inst)) == closed
 
@@ -182,7 +183,7 @@ class TestClosedForm:
                 source = shared_source(insts)
                 for inst in insts:
                     brute = first_layer_brute(inst, source)
-                    assert QRat(brute) == first_layer_closed(inst), inst
+                    assert QRat(brute) == first_layer_closed(inst, compiled(inst)), inst
 
 
 class TestQ1:
@@ -211,7 +212,8 @@ class TestQ1:
 
 
 def test_verify_report():
-    rep = verify_first_layer(Instance(2, (1, 1, 1), (0,), (1,)))
+    inst = Instance(2, (1, 1, 1), (0,), (1,))
+    rep = verify_first_layer(inst, compiled(inst))
     assert rep.holds
     assert rep.identity == "firstlayer"
     assert rep.lhs == "-1 - 1*q"

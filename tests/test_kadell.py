@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qdyson.dyson import Instance, layer_sum, shared_source
+from qdyson.dyson import Instance
 from qdyson.kadell import (
     corrected_ct,
     corrected_ct_closed,
@@ -15,8 +15,16 @@ from qdyson.kadell import (
     verify_q_kadell,
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
-from qdyson.qpoly import QPoly, const, q_multinomial_poly
-from tests.test_dyson import as_int, classical_product, correction_factors, ct_times
+from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
+from tests.test_dyson import (
+    as_int,
+    classical_product,
+    compiled,
+    correction_factors,
+    ct_times,
+    layer_sum,
+    shared_source,
+)
 from tests.test_firstlayer import all_layouts
 
 
@@ -35,7 +43,7 @@ def test_layer_sum_is_the_expanded_correction():
     multiplied out, on every layout with n <= 4."""
     for n in range(5):
         for inst in all_layouts(n, (1,) * (n + 1), mmin=0):
-            signed = layer_sum(inst, lambda S: const((-1) ** len(S)))
+            signed = layer_sum(inst, lambda S: q_power(0, (-1) ** len(S)))
             assert signed == expand_product(correction_factors(inst), n), inst
             assert signed.num_terms() == 2 ** inst.m
 
@@ -51,8 +59,9 @@ def test_layer_monomial():
 
 def test_corrected_ct_known_values():
     a = (1, 1, 1)
-    assert corrected_ct(Instance(2, a, (0,), (1,))) == 8
-    assert corrected_ct(Instance(2, a, (0, 1), (2, 2))) == 12
+    for I, J, value in (((0,), (1,), 8), ((0, 1), (2, 2), 12)):
+        inst = Instance(2, a, I, J)
+        assert corrected_ct(inst, compiled(inst)) == value
     assert corrected_ct_closed(Instance(2, a, (0,), (1,))) == 8
     assert corrected_ct_closed(Instance(2, a, (0, 1), (2, 2))) == 12
 
@@ -65,7 +74,7 @@ def test_closed_form_rejects_empty_layer():
 def test_empty_layer_reduces_to_plain_product():
     # no correction factors: the scaled identity becomes (1+a) * CT = (1+a) * mult
     inst = Instance(2, (2, 1, 0))
-    rep = verify_kadell(inst)
+    rep = verify_kadell(inst, compiled(inst))
     assert rep.lhs == rep.rhs == str(corrected_dyson_rhs(inst))
     assert rep.holds and "ct_closed" not in rep.params["extra"]
 
@@ -80,7 +89,7 @@ def test_identity_small_grid():
             source = shared_source(insts)
             classical = classical_product(Instance(n, a))
             for inst in insts:
-                ct = corrected_ct(inst, source)
+                ct = corrected_ct(inst, compiled(inst), source)
                 correction = expand_product(correction_factors(inst), n)
                 assert ct == as_int(ct_times(classical, correction)), inst
                 scale = 1 + sum(a) - sum(a[i] for i in inst.I)
@@ -90,7 +99,8 @@ def test_identity_small_grid():
 
 
 def test_verify_report_fields():
-    rep = verify_kadell(Instance(2, (1, 1, 1), (0,), (1,)))
+    inst = Instance(2, (1, 1, 1), (0,), (1,))
+    rep = verify_kadell(inst, compiled(inst))
     assert rep.holds
     assert rep.identity == "kadell"
     assert rep.lhs == "24" and rep.rhs == "24"

@@ -1,6 +1,7 @@
 """Multivariate kernel: arithmetic and pruned extraction.  Also checks the
 tests' own helpers for rotation, degree and q = 1, and holds the box pass
-with ``QPoly`` arithmetic as the oracle of the packed one."""
+with ``QPoly`` arithmetic as the oracle of the packed one, and the product
+of binomials as the oracle of the q-binomial form of ``shifted_factorial``."""
 
 import itertools
 import math
@@ -17,9 +18,9 @@ from qdyson.laurent import (
     expand_product,
     shifted_factorial,
 )
-from qdyson.qpoly import ONE, ZERO, QPoly, const, q_power
+from qdyson.qpoly import ONE, ZERO, QPoly, q_pochhammer, q_power
 from tests.test_acceptance import pi_action
-from tests.test_dyson import eval_q1, homogeneous_degree
+from tests.test_dyson import ct_times, eval_q1, homogeneous_degree
 
 
 def mono(n, exps, coeff=ONE):
@@ -96,9 +97,9 @@ def test_addition_cancels_terms():
 def test_known_binomial_product():
     # (1 - x0/x1)(1 - x1/x0) = 2 - x0/x1 - x1/x0
     f = (LaurentPoly.one(1) - mono(1, (1, -1))) * (LaurentPoly.one(1) - mono(1, (-1, 1)))
-    assert f.coeff((0, 0)) == const(2)
-    assert f.coeff((1, -1)) == const(-1)
-    assert f.coeff((-1, 1)) == const(-1)
+    assert f.coeff((0, 0)) == q_power(0, 2)
+    assert f.coeff((1, -1)) == q_power(0, -1)
+    assert f.coeff((-1, 1)) == q_power(0, -1)
     assert f.num_terms() == 3
 
 
@@ -120,6 +121,32 @@ def test_shifted_factorial_example():
     assert f.coeff((-1, 1)) == QPoly(1, (-1, -1))
     assert f.coeff((-2, 2)) == q_power(3)
     assert shifted_factorial((1, -1), 0).num_terms() == 1
+
+
+def shifted_factorial_oracle(z, m, offset=0):
+    """(1 - q^offset x^z)(1 - q^(offset+1) x^z) ..., m factors, multiplied
+    out one binomial at a time."""
+    n = len(z) - 1
+    result = LaurentPoly.one(n)
+    for k in range(m):
+        result = result * LaurentPoly(n, {(0,) * (n + 1): ONE, tuple(z): QPoly(offset + k, (-1,))})
+    return result
+
+
+@pytest.mark.parametrize("z", [(-1, 1), (1, -1), (0, 2, -1), (-2, 0, 1)])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_shifted_factorial_matches_the_product(z, offset):
+    """The q-binomial form equals the product of its binomials for every
+    length m <= 16, on monomials with negative exponents too."""
+    for m in range(17):
+        assert shifted_factorial(z, m, offset) == shifted_factorial_oracle(z, m, offset), m
+
+
+def test_shifted_factorial_of_the_constant_monomial():
+    """With z = 0 every term lands on x^0 and they add up to the
+    q-Pochhammer symbol (1 - q)...(1 - q^m)."""
+    for m in range(6):
+        assert shifted_factorial((0, 0), m, offset=1) == mono(1, (0, 0), q_pochhammer(m))
 
 
 def test_ct_of_factor_list_edges():
@@ -156,12 +183,12 @@ def test_packing_bound_is_tight():
     inside the box, a zero factor and the empty factor list."""
     big = 2**40
     single_term_products = [
-        [mono(1, (1, 0), const(-7)), mono(1, (0, 1), q_power(-3, 11)),
+        [mono(1, (1, 0), q_power(0, -7)), mono(1, (0, 1), q_power(-3, 11)),
          mono(1, (-1, -1), q_power(2, -13))],  # +1001 q^-1
-        [mono(1, (1, 0), const(-7)), mono(1, (0, 1), q_power(-3, 11))],  # -77 q^-3
-        [mono(1, (1, -1), const(big + 1)), mono(1, (-1, 1), q_power(5, -(big - 3)))],
+        [mono(1, (1, 0), q_power(0, -7)), mono(1, (0, 1), q_power(-3, 11))],  # -77 q^-3
+        [mono(1, (1, -1), q_power(0, big + 1)), mono(1, (-1, 1), q_power(5, -(big - 3)))],
         [mono(1, (1, -1), q_power(-4, big)), mono(1, (-1, 1), q_power(1, big))],
-        [mono(1, (1, -1), const(big)), mono(1, (0, 0), const(-1))],
+        [mono(1, (1, -1), q_power(0, big)), mono(1, (0, 0), q_power(0, -1))],
     ]
     for factors in single_term_products:
         bound = math.prod(l1_norm(f) for f in factors)
@@ -177,10 +204,10 @@ def test_packing_bound_is_tight():
         mono(1, (1, 0), q_power(-1)) + mono(1, (0, 1)),
     ]
     inside = coefficients_in_box(cancelling, (0, 0), (2, 2))
-    assert inside == LaurentPoly(1, {(2, 0): q_power(-2), (0, 2): const(-1)})
+    assert inside == LaurentPoly(1, {(2, 0): q_power(-2), (0, 2): q_power(0, -1)})
     assert inside.coeff((1, 1)) == ZERO
 
-    huge = [mono(1, (1, -1), const(big)) + LaurentPoly.one(1)] * 3
+    huge = [mono(1, (1, -1), q_power(0, big)) + LaurentPoly.one(1)] * 3
     assert coefficients_in_box(huge + [LaurentPoly.zero(1)], (-3, -3), (3, 3)).is_zero()
     assert coefficients_in_box([], (-1, -1), (1, 1)) == LaurentPoly.one(1)
     assert coefficients_in_box([], (1, -1), (1, 1)).is_zero()
@@ -195,14 +222,14 @@ def test_read_outside_box_raises():
     ]
     # the product is (1 + q) - x0/x1 - q x1/x0
     source = FactoredProduct(1, factors, (-1, -1), (1, 0))
-    assert source.coeff((1, -1)) == const(-1)
+    assert source.coeff((1, -1)) == q_power(0, -1)
     assert source.constant_term() == QPoly(0, (1, 1))
     assert source.coeff((1, 0)) == ZERO
     for target in [(-1, 1), (2, -2), (0, 1)]:
         with pytest.raises(ValueError):
             source.coeff(target)
     with pytest.raises(ValueError):
-        source.ct_times(mono(1, (1, -1)))  # reads x^(-1, 1)
+        ct_times(source, mono(1, (1, -1)))  # reads x^(-1, 1)
 
 
 def test_ct_times_matches_direct_multiplication():
@@ -213,7 +240,7 @@ def test_ct_times_matches_direct_multiplication():
     src = FactoredProduct(2, factors, (-1, 0, 0), (0, 0, 1))
     multiplier = mono(2, (1, 0, -1), q_power(2)) + LaurentPoly.one(2)
     direct = (expand_product(factors, 2) * multiplier).constant_term()
-    assert src.ct_times(multiplier) == direct
+    assert ct_times(src, multiplier) == direct
 
 
 # -- rotation ------------------------------------------------------------------

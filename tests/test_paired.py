@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.dyson import Instance, shared_source
+from qdyson.dyson import Instance, evaluate
 from qdyson.firstlayer import count_upto, nonempty_subsets
 from qdyson.paired import (
     NpcViolationError,
     chain_exponent,
+    compile_layout,
     correction_polynomial,
     factorization_sides,
     matrix_choice_property,
@@ -24,6 +25,7 @@ from qdyson.paired import (
     _t_positions,
 )
 from qdyson.qpoly import QPoly, ZERO, q_power
+from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
 from tests.test_firstlayer import all_layouts, paper_layer_exponent
 
 
@@ -104,15 +106,26 @@ def insertion_chain_exponent(inst, subset, semantics="multiset"):
     return acc - exponent_within(inst, subset, subset)
 
 
+def set_reading_coefficients(inst, subset):
+    """The refuted "set" reading of the chain exponent as (c0, c): its
+    insertion chain read at a = 0 for c0, and at each unit vector e_k for
+    c0 + c_k.  Like the program's coefficients it reads only n, I and J."""
+    n = inst.n
+
+    def at(a):
+        return insertion_chain_exponent(Instance(n, a, inst.I, inst.J), subset, "set")
+
+    c0 = at((0,) * (n + 1))
+    return c0, tuple(at(tuple(int(v == k) for v in range(n + 1))) - c0 for k in range(n + 1))
+
+
 def use_set_reading(monkeypatch):
     """Swap the refuted "set" reading, which collapses repeated j-values, in
-    for the program's chain exponent.  ``correction_polynomial`` and the
-    lemma code reach it through the module global, so a ``--jobs 1`` sweep
-    checks the identity under it."""
-    monkeypatch.setattr(
-        "qdyson.paired.chain_exponent",
-        lambda inst, subset: insertion_chain_exponent(inst, subset, "set"),
-    )
+    for the program's chain coefficients.  ``compile_layout`` and
+    ``chain_exponent`` reach them through the module global, so every layout
+    a ``--jobs 1`` sweep or a ``verify`` compiles afterwards is checked
+    under it."""
+    monkeypatch.setattr("qdyson.paired.chain_coefficients", set_reading_coefficients)
 
 
 class TestChainExponent:
@@ -159,20 +172,66 @@ class TestChainExponent:
         assert combined == 1 + sum(a) - sum(a[i] for i in inst.I)
 
 
+class TestCompiledLayout:
+    def test_matches_the_oracles(self):
+        """On every layout with n <= 4: the monomials and signs are the
+        signed layer sum, in its order, and the box is the layer box; and for
+        every a in {0,1,2}^(n+1) each compiled exponent, evaluated at a, is
+        the insertion chain or the split form of the layer exponent.  So the
+        exponents are affine in a, with the compiled coefficients."""
+        for n in range(1, 5):
+            avecs = list(itertools.product(range(3), repeat=n + 1))
+            for base in all_layouts(n, (0,) * (n + 1), mmin=0):
+                layout = compile_layout(n, base.I, base.J)
+                assert (layout.I, layout.J, layout.box) == (base.I, base.J, layer_box(base))
+                signed = layer_sum(base, lambda S: q_power(0, (-1) ** len(S)))
+                unflipped = [
+                    (tuple(-e for e in flipped), q_power(0, sign))
+                    for flipped, sign, _ in layout.subsets
+                ]
+                assert unflipped == list(signed.terms.items()), base
+                subsets = list(nonempty_subsets(base.I))
+                assert [(sign, T) for sign, T, _ in layout.terms] == [
+                    ((-1) ** len(T), T) for T in subsets
+                ], base
+                assert layout.subsets[0][2] == (0, (0,) * (n + 1))
+                for a in avecs:
+                    inst = Instance(n, a, base.I, base.J)
+                    for (_, _, chain), (_, T, layer) in zip(layout.subsets[1:], layout.terms):
+                        assert evaluate(chain, a) == insertion_chain_exponent(inst, T), (inst, T)
+                        assert evaluate(layer, a) == paper_layer_exponent(T, inst), (inst, T)
+
+    def test_known_layout(self):
+        """x_2/x_0 over x_0..x_2: chain exponent 1 + a_2 and layer exponent
+        a_1, read off the layout alone (2 and 1 at a = (1, 1, 1), as in
+        ``test_known_value`` and ``test_known_values``).  Compiling validates
+        I and J as an instance does."""
+        layout = compile_layout(2, (0,), (2,))
+        assert layout.subsets == (
+            ((0, 0, 0), 1, (0, (0, 0, 0))),
+            ((1, 0, -1), -1, (1, (0, 0, 1))),
+        )
+        assert layout.terms == ((-1, (0,), (0, (0, 1, 0))),)
+        assert layout.box == ((0, 0, -1), (1, 0, 0))
+        with pytest.raises(ValueError):
+            compile_layout(2, (0,), (0,))
+
+
 class TestCorrectionPolynomial:
     def test_empty_selection_is_one(self):
-        poly = correction_polynomial(Instance(2, (1, 1, 1)))
-        assert poly.render() == "(1)"
+        inst = Instance(2, (1, 1, 1))
+        assert correction_polynomial(inst, compiled(inst)).render() == "(1)"
 
     def test_single_pair(self):
-        poly = correction_polynomial(Instance(2, (1, 1, 1), (0,), (2,)))
+        inst = Instance(2, (1, 1, 1), (0,), (2,))
+        poly = correction_polynomial(inst, compiled(inst))
         assert poly.num_terms() == 2
         assert poly.coeff((0, 0, 0)) == QPoly(0, (1,))
         assert poly.coeff((-1, 0, 1)) == q_power(2, -1)
 
     def test_two_pairs_signs(self):
         inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        poly = correction_polynomial(inst)
+        poly = correction_polynomial(inst, compiled(inst))
         assert poly.num_terms() == 4
         assert poly.coeff((0, 0, 0)) == QPoly(0, (1,))
         assert poly.coeff((-1, 0, 1)) == q_power(chain_exponent(inst, (0,)), -1)
@@ -183,11 +242,13 @@ class TestCorrectionPolynomial:
 class TestVerifyPaired:
     def test_known_holding_instances(self):
         a = (1, 1, 1)
-        assert verify_paired(Instance(2, a, (0,), (1,))).holds
-        assert verify_paired(Instance(2, a, (0, 1), (2, 2))).holds
+        for I, J in (((0,), (1,)), ((0, 1), (2, 2))):
+            inst = Instance(2, a, I, J)
+            assert verify_paired(inst, compiled(inst)).holds
 
     def test_empty_selection_reduces_to_plain_identity(self):
-        rep = verify_paired(Instance(2, (2, 1, 1)))
+        inst = Instance(2, (2, 1, 1))
+        rep = verify_paired(inst, compiled(inst))
         assert rep.holds
         assert rep.identity == "main"
         assert rep.params["extra"]["pairing"] == []
@@ -198,26 +259,27 @@ class TestVerifyPaired:
                 insts = list(all_layouts(n, a, mmin=0))
                 source = shared_source(insts)
                 for inst in insts:
-                    rep = verify_paired(inst, source=source)
+                    rep = verify_paired(inst, compiled(inst), source)
                     assert rep.holds, inst
 
     def test_semantics_divergence_instance(self, monkeypatch):
         """An instance that holds, and fails under the refuted "set" reading."""
         inst = Instance(2, (1, 0, 1), (0, 2), (1, 1))
-        rep = verify_paired(inst)
+        rep = verify_paired(inst, compiled(inst))
         assert rep.holds
         assert rep.params["extra"]["semantics"] == "multiset"
         use_set_reading(monkeypatch)
-        assert not verify_paired(inst).holds
+        assert not verify_paired(inst, compiled(inst)).holds
 
     def test_rejects_crossing_pairing(self):
         inst = Instance(6, (1,) * 7, (2, 5, 6), (0, 1, 3))
         with pytest.raises(NpcViolationError):
-            verify_paired(inst)
+            verify_paired(inst, compiled(inst))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            verify_paired(Instance(2, (1, 1), (0,), (1,)))
+            inst = Instance(2, (1, 1), (0,), (1,))
+            verify_paired(inst, compiled(inst))
 
 
 class TestRemovalExponent:
