@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Count the code lines of each ``qdyson`` module and their total.
+"""Count the code lines and statements of each ``qdyson`` module and their
+totals.
 
 A code line is one that is not blank, not a comment only, and not inside a
-module, class or function docstring (found with ``ast``).
+module, class or function docstring (found with ``ast``).  A statement is an
+``ast`` statement node other than a docstring; unlike a line count, it does
+not move when code is reformatted.
 
     python scripts/count_code_lines.py
 """
@@ -19,38 +22,41 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import qdyson  # noqa: E402
 
 
-def docstring_lines(tree: ast.Module) -> set[int]:
-    """Line numbers covered by the module, class and function docstrings."""
-    lines: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(
-            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        if ast.get_docstring(node, clean=False) is not None:
-            doc = node.body[0]
-            lines.update(range(doc.lineno, doc.end_lineno + 1))
-    return lines
+def docstrings(tree: ast.Module) -> list[ast.Expr]:
+    """The module, class and function docstrings."""
+    return [
+        node.body[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    ]
 
 
-def code_lines(source: str) -> int:
-    skip = docstring_lines(ast.parse(source))
-    return sum(
+def counts(source: str) -> tuple[int, int]:
+    """(code lines, statements) of one module's source."""
+    tree = ast.parse(source)
+    docs = docstrings(tree)
+    skip = {number for doc in docs for number in range(doc.lineno, doc.end_lineno + 1)}
+    lines = sum(
         1
         for number, line in enumerate(source.splitlines(), start=1)
         if number not in skip and line.strip() and not line.lstrip().startswith("#")
     )
+    statements = sum(1 for node in ast.walk(tree) if isinstance(node, ast.stmt)) - len(docs)
+    return lines, statements
 
 
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     package = pathlib.Path(qdyson.__file__).parent
-    total = 0
+    total_lines = total_statements = 0
+    print("module code_lines statements")
     for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name} {count}")
-    print(f"total {total}")
+        lines, statements = counts(path.read_text())
+        total_lines += lines
+        total_statements += statements
+        print(f"{path.name} {lines} {statements}")
+    print(f"total {total_lines} {total_statements}")
 
 
 if __name__ == "__main__":

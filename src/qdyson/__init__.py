@@ -5,7 +5,9 @@ pruned pass over the box of exponent vectors each check needs, reads the
 classical Dyson values off them at q = 1, evaluates the known closed forms
 for first-layer coefficients and their corrected variants, and verifies each
 identity exactly — including the one modification that is known to fail.
-Every check takes one validated ``Instance(n, a, I, J)``.
+Every check takes one validated ``Instance(n, a, I, J)`` and the product its
+caller built; ``verify(identity, n, a, I, J)`` checks one instance end to
+end, and ``run_sweep`` a whole grid.
 """
 
 __version__ = "0.1.0"
@@ -58,4 +60,4 @@ from .paired import (  # noqa: F401
     verify_tail_cancel,
 )
 from .reports import VerificationReport  # noqa: F401
-from .sweeps import SweepConfig, run_sweep  # noqa: F401
+from .sweeps import SweepConfig, run_sweep, verify  # noqa: F401

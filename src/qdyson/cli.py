@@ -26,11 +26,9 @@ import argparse
 import sys
 from typing import Sequence
 
-from .dyson import Instance
 from .kadell import reproduce_counterexample
-from .paired import compile_layout
 from .reports import dumps
-from .sweeps import IDENTITIES, SweepConfig, run_sweep
+from .sweeps import IDENTITIES, SweepConfig, run_sweep, verify
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -86,12 +84,8 @@ def _write_json(path: str | None, lines: list[str]) -> None:
 
 
 def _cmd_verify(args) -> int:
-    identity = IDENTITIES[args.identity]
     try:
-        if identity.mmin is None and (args.I or args.J):
-            raise ValueError("--I/--J do not apply to this identity")
-        inst = Instance(args.n, args.a, args.I, args.J)
-        report = identity.check(inst, compile_layout(inst.n, inst.I, inst.J), None)
+        report = verify(args.identity, args.n, args.a, args.I, args.J)
     except ValueError as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,13 @@ x_{J(S)}/x_S of a subset S of I.  The layer identities read a ``Layout``:
 everything they need of (I, J), compiled once by ``paired.compile_layout``
 before any a is drawn, with each q-exponent kept as an affine function of a
 that ``evaluate`` turns into a number by one dot product.  The products
-built here read only n and a.  A check reads its coefficients from one
-pruned pass over the box of exponent vectors it needs: the origin for the
-constant terms here, at most ``Layout.box`` for a layer.
+built here read only n and a: ``pair_factors`` is the one loop over the
+pairs, given each factor's length, for the q-Dyson product and for
+``kadell``'s modified one.  A check builds no product: it reads the
+coefficients from ``source``, one pruned pass its caller made over a box
+that holds what the check reads.  Which box that is, is the read rule of
+the identity's row in ``sweeps.IDENTITIES``: the origin for the constant
+terms here.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .laurent import FactoredProduct, LaurentPoly, shifted_factorial
 from .qpoly import ONE, multinomial, q_multinomial_poly
-from .reports import VerificationReport, make_params
+from .reports import VerificationReport, report
 
 
 @dataclass(frozen=True)
@@ -151,17 +155,22 @@ def _unit(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-def q_dyson_factors(inst: Instance) -> list[LaurentPoly]:
+def pair_factors(n: int, length: Callable[[int, int], int]) -> list[LaurentPoly]:
     """One factor per q-shifted factorial: for each pair i < j, the pair
-    contributes (x_i/x_j; q)_{a_i} and (q x_j/x_i; q)_{a_j}, each expanded
-    once.  Keeping factors small and few is what makes pruning effective."""
-    n = inst.n
+    contributes (x_i/x_j; q)_{length(i, j)} and (q x_j/x_i; q)_{length(j, i)},
+    each expanded once.  Keeping factors small and few is what makes
+    pruning effective."""
     out = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            out.append(shifted_factorial(_unit(n, i, j), inst.a[i], offset=0))
-            out.append(shifted_factorial(_unit(n, j, i), inst.a[j], offset=1))
+            out.append(shifted_factorial(_unit(n, i, j), length(i, j), offset=0))
+            out.append(shifted_factorial(_unit(n, j, i), length(j, i), offset=1))
     return out
+
+
+def q_dyson_factors(inst: Instance) -> list[LaurentPoly]:
+    """The q-Dyson product's factors: (x_i/x_j; q) has length a_i."""
+    return pair_factors(inst.n, lambda i, j: inst.a[i])
 
 
 def dyson_factors(inst: Instance) -> list[LaurentPoly]:
@@ -187,42 +196,18 @@ def q_dyson_source(inst: Instance, lo: Sequence[int], hi: Sequence[int]) -> Fact
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi)
 
 
-def verify_q_dyson(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
+def verify_q_dyson(inst: Instance, source: FactoredProduct) -> VerificationReport:
     """Constant term of the q-analog product against the q-multinomial."""
     t0 = time.perf_counter()
-    if source is None:
-        origin = (0,) * (inst.n + 1)
-        source = q_dyson_source(inst, origin, origin)
     ct = source.constant_term()
     rhs = q_multinomial_poly(inst.a)
-    holds = ct == rhs
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="qdyson",
-        params=make_params(inst),
-        holds=holds,
-        lhs=ct.render(),
-        rhs=rhs.render(),
-        elapsed_ms=round(elapsed, 3),
-    )
+    return report("qdyson", inst, t0, ct == rhs, ct, rhs)
 
 
-def verify_dyson(inst: Instance, source: FactoredProduct | None = None) -> VerificationReport:
+def verify_dyson(inst: Instance, source: FactoredProduct) -> VerificationReport:
     """Constant term of the classical product, read off the q-product's
     constant term at q = 1, against the multinomial."""
     t0 = time.perf_counter()
-    if source is None:
-        origin = (0,) * (inst.n + 1)
-        source = q_dyson_source(inst, origin, origin)
     ct = source.constant_term().at_q1()
     rhs = multinomial(inst.a)
-    holds = ct == rhs
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="dyson",
-        params=make_params(inst),
-        holds=holds,
-        lhs=str(ct),
-        rhs=str(rhs),
-        elapsed_ms=round(elapsed, 3),
-    )
+    return report("dyson", inst, t0, ct == rhs, ct, rhs)

@@ -7,10 +7,12 @@ disjoint from I.  The first-layer coefficient is the constant term of
     (x_{j_1} ... x_{j_m}) / (x_{i_1} ... x_{i_m}) * q-Dyson product,
 
 equivalently the coefficient of (prod x_i) / (prod x_j) in the product
-itself.  The closed form is a signed sum over nonempty subsets T of I whose
-q-exponents are the layer exponents computed here.  Its q = 1 value, the
-first-layer coefficient of the classical product, is read off the same
-extracted q-coefficient.
+itself.  The brute-force side reads that one coefficient, and nothing else,
+from the source its caller built (the read rule of ``firstlayer`` in
+``sweeps.IDENTITIES``).  The closed form is a signed sum over nonempty
+subsets T of I whose q-exponents are the layer exponents computed here.  Its
+q = 1 value, the first-layer coefficient of the classical product, is read
+off the same extracted q-coefficient.
 
 ``layer_coefficients`` is one formula read straight off the layout, whatever
 the smallest selected index: the layer exponent as an affine function of a.
@@ -27,10 +29,10 @@ import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .dyson import Affine, Instance, Layout, evaluate, q_dyson_source
+from .dyson import Affine, Instance, Layout, evaluate
 from .laurent import FactoredProduct
 from .qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
-from .reports import VerificationReport, make_params
+from .reports import VerificationReport, report
 
 
 def count_upto(k: int, values: Iterable[int]) -> int:
@@ -92,12 +94,9 @@ def first_layer_target(inst: Instance) -> tuple[int, ...]:
     return tuple(-e for e in inst.layer_monomial(inst.I))
 
 
-def first_layer_brute(inst: Instance, source: FactoredProduct | None = None) -> QPoly:
+def first_layer_brute(inst: Instance, source: FactoredProduct) -> QPoly:
     """First-layer coefficient straight out of the product."""
-    target = first_layer_target(inst)
-    if source is None:
-        source = q_dyson_source(inst, target, target)
-    return source.coeff(target)
+    return source.coeff(first_layer_target(inst))
 
 
 def first_layer_closed(inst: Instance, layout: Layout) -> QRat:
@@ -148,28 +147,18 @@ def first_layer_closed_q1(inst: Instance) -> Fraction:
 
 
 def verify_first_layer(
-    inst: Instance, layout: Layout, source: FactoredProduct | None = None
+    inst: Instance, layout: Layout, source: FactoredProduct
 ) -> VerificationReport:
     """Brute-force first-layer coefficient against the closed form, plus its
     q = 1 value against the classical closed sum; ``layout`` is the compiled
     layout of inst."""
     t0 = time.perf_counter()
-    closed = first_layer_closed(inst, layout)  # first: it rejects m = 0 before any extraction
+    closed = first_layer_closed(inst, layout)
     brute = first_layer_brute(inst, source)
-    holds = QRat(brute) == closed
-
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(inst)
-    holds = holds and (q1_closed == q1_brute)
-
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="firstlayer",
-        params=make_params(
-            inst, extra={"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)}
-        ),
-        holds=holds,
-        lhs=brute.render(),
-        rhs=closed.render(),
-        elapsed_ms=round(elapsed, 3),
+    holds = QRat(brute) == closed and q1_closed == q1_brute
+    return report(
+        "firstlayer", inst, t0, holds, brute, closed,
+        lambda: {"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
     )

@@ -21,22 +21,18 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .dyson import Instance, Layout, _unit, q_dyson_source
-from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, shifted_factorial
+from .dyson import Instance, Layout, pair_factors
+from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list
 from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly
-from .reports import VerificationReport, make_params
+from .reports import VerificationReport, report
 
 
-def corrected_ct(
-    inst: Instance, layout: Layout, source: FactoredProduct | None = None
-) -> int:
+def corrected_ct(inst: Instance, layout: Layout, source: FactoredProduct) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
     at q = 1 from ``source``, the q-Dyson product, with ``layout`` the
     compiled layout of inst.  The binomials multiply out to the sum over
     subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
     sum of (-1)^|S| times the coefficient at the flipped monomial."""
-    if source is None:
-        source = q_dyson_source(inst, *layout.box)
     return sum(sign * source.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
 
 
@@ -57,9 +53,7 @@ def corrected_ct_closed(inst: Instance) -> Fraction:
     return (1 + Fraction(s_i, 1 + inst.total - s_i)) * multinomial(inst.a)
 
 
-def verify_kadell(
-    inst: Instance, layout: Layout, source: FactoredProduct | None = None
-) -> VerificationReport:
+def verify_kadell(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
     """Scaled corrected constant term against its product-free value, and the
     corrected constant term itself against its closed form; ``layout`` is
     the compiled layout of inst."""
@@ -67,20 +61,11 @@ def verify_kadell(
     ct = corrected_ct(inst, layout, source)
     lhs = (1 + inst.total - inst.selected_total) * ct
     rhs = corrected_dyson_rhs(inst)
-    holds = lhs == rhs
-    extra: dict = {"ct": str(ct)}
-    if inst.m > 0:
-        closed = corrected_ct_closed(inst)
-        extra["ct_closed"] = str(closed)
-        holds = holds and closed == ct
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="kadell",
-        params=make_params(inst, extra=extra),
-        holds=holds,
-        lhs=str(lhs),
-        rhs=str(rhs),
-        elapsed_ms=round(elapsed, 3),
+    closed = corrected_ct_closed(inst) if inst.m > 0 else None
+    holds = lhs == rhs and (closed is None or closed == ct)
+    return report(
+        "kadell", inst, t0, holds, lhs, rhs,
+        lambda: {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": str(closed)},
     )
 
 
@@ -88,16 +73,8 @@ def modified_q_product(inst: Instance) -> list[LaurentPoly]:
     """q-analog product with pair-adjusted factorial lengths: for s < t the
     factor (x_s/x_t; q) has length a_s plus one if (t, s) is a pair, and
     (q x_t/x_s; q) has length a_t plus one if (s, t) is a pair."""
-    n, a = inst.n, inst.a
     pair_set = set(inst.pairs)
-    out = []
-    for s in range(n + 1):
-        for t in range(s + 1, n + 1):
-            len_st = a[s] + (1 if (t, s) in pair_set else 0)
-            len_ts = a[t] + (1 if (s, t) in pair_set else 0)
-            out.append(shifted_factorial(_unit(n, s, t), len_st, offset=0))
-            out.append(shifted_factorial(_unit(n, t, s), len_ts, offset=1))
-    return out
+    return pair_factors(inst.n, lambda i, j: inst.a[i] + ((j, i) in pair_set))
 
 
 def verify_q_kadell(inst: Instance) -> VerificationReport:
@@ -113,16 +90,7 @@ def verify_q_kadell(inst: Instance) -> VerificationReport:
     ct = ct_of_factor_list(modified_q_product(inst), (0,) * (inst.n + 1))
     lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
     rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
-    holds = lhs == rhs
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="qkadell",
-        params=make_params(inst, extra={"ct": ct.render()}),
-        holds=holds,
-        lhs=lhs.render(),
-        rhs=rhs.render(),
-        elapsed_ms=round(elapsed, 3),
-    )
+    return report("qkadell", inst, t0, lhs == rhs, lhs, rhs, lambda: {"ct": ct.render()})
 
 
 # Known values for the smallest failing instance of the q-modification:
@@ -141,14 +109,14 @@ def _expected_counterexample() -> tuple[QPoly, QPoly, QPoly]:
 def reproduce_counterexample() -> VerificationReport:
     """Evaluate the pinned failing instance and confirm both sides come out
     as the known polynomials (which are unequal)."""
-    report = verify_q_kadell(_CE)
+    rep = verify_q_kadell(_CE)
     ct_expected, lhs_expected, rhs_expected = _expected_counterexample()
     confirmed = (
-        not report.holds
-        and report.params["extra"]["ct"] == ct_expected.render()
-        and report.lhs == lhs_expected.render()
-        and report.rhs == rhs_expected.render()
+        not rep.holds
+        and rep.params["extra"]["ct"] == ct_expected.render()
+        and rep.lhs == lhs_expected.render()
+        and rep.rhs == rhs_expected.render()
     )
-    report.params["extra"]["expected_failure"] = True
-    report.params["extra"]["confirmed"] = confirmed
-    return report
+    rep.params["extra"]["expected_failure"] = True
+    rep.params["extra"]["confirmed"] = confirmed
+    return rep

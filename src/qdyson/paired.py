@@ -44,11 +44,11 @@ import time
 from operator import sub
 from typing import Sequence
 
-from .dyson import Affine, Instance, Layout, evaluate, q_dyson_source
+from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
-from .reports import VerificationReport, make_params
+from .reports import VerificationReport, report
 
 class NpcViolationError(ValueError):
     """The layer's pairing contains the crossing pattern the identity
@@ -135,9 +135,7 @@ def correction_polynomial(inst: Instance, layout: Layout) -> LaurentPoly:
     })
 
 
-def verify_paired(
-    inst: Instance, layout: Layout, source: FactoredProduct | None = None
-) -> VerificationReport:
+def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
     """The paired-layer identity for one instance, with ``layout`` its
     compiled layout.  The constant term of the multiplied product is, term
     by term of the multiplier, its weight times the product's coefficient at
@@ -146,8 +144,6 @@ def verify_paired(
     if not npc_holds(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     t0 = time.perf_counter()
-    if source is None:
-        source = q_dyson_source(inst, *layout.box)
     a = inst.a
     ct = ZERO
     for flipped, sign, chain in layout.subsets:
@@ -155,17 +151,9 @@ def verify_paired(
         ct = ct + term if sign > 0 else ct - term
     lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
     rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(a)
-    holds = lhs == rhs
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="main",
-        params=make_params(
-            inst, extra={"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]}
-        ),
-        holds=holds,
-        lhs=lhs.render(),
-        rhs=rhs.render(),
-        elapsed_ms=round(elapsed, 3),
+    return report(
+        "main", inst, t0, lhs == rhs, lhs, rhs,
+        lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},
     )
 
 
@@ -267,23 +255,15 @@ def verify_factorization(inst: Instance, U: Sequence[int], i_v: int) -> Verifica
     npc = npc_holds(inst.I, inst.J)
     if npc and residual:
         holds = holds and right.is_zero()
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="factorization",
-        params=make_params(
-            inst,
-            extra={
-                "U": list(U),
-                "floor": i_v,
-                "semantics": "multiset",
-                "npc": npc,
-                "residual": list(residual),
-            },
-        ),
-        holds=holds,
-        lhs=left.render(),
-        rhs=right.render(),
-        elapsed_ms=round(elapsed, 3),
+    return report(
+        "factorization", inst, t0, holds, left, right,
+        lambda: {
+            "U": list(U),
+            "floor": i_v,
+            "semantics": "multiset",
+            "npc": npc,
+            "residual": list(residual),
+        },
     )
 
 
@@ -307,14 +287,9 @@ def verify_tail_cancel(inst: Instance, h: int) -> VerificationReport:
     1 + total - sum of a over U."""
     t0 = time.perf_counter()
     bare, joined, expected = tail_cancel_values(inst, h)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity="tailcancel",
-        params=make_params(inst, extra={"h": h, "semantics": "multiset"}),
-        holds=bare == joined == expected,
-        lhs=f"{bare},{joined}",
-        rhs=str(expected),
-        elapsed_ms=round(elapsed, 3),
+    return report(
+        "tailcancel", inst, t0, bare == joined == expected, f"{bare},{joined}", expected,
+        lambda: {"h": h, "semantics": "multiset"},
     )
 
 

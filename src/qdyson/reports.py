@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 ENGINE = "qdyson/0.1.0"
 
@@ -13,17 +14,6 @@ def dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, compact separators.  Parsing a line and
     re-dumping it reproduces the bytes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def make_params(inst, extra: dict | None = None) -> dict:
-    """The ``params`` of a report on the ``Instance`` inst."""
-    return {
-        "n": inst.n,
-        "a": list(inst.a),
-        "I": list(inst.I),
-        "J": list(inst.J),
-        "extra": dict(extra or {}),
-    }
 
 
 @dataclass
@@ -65,3 +55,38 @@ class VerificationReport:
         if p["J"]:
             bits.append("J=" + ",".join(map(str, p["J"])))
         return f"{' '.join(bits)} :: {verdict} ({self.elapsed_ms:.1f} ms)"
+
+
+def _render(value: Any) -> str:
+    return value.render() if hasattr(value, "render") else str(value)
+
+
+def report(
+    identity: str,
+    inst,
+    t0: float,
+    holds: bool,
+    lhs: Any,
+    rhs: Any,
+    extra: Callable[[], dict] | None = None,
+) -> VerificationReport:
+    """The report of one check of the ``Instance`` inst, begun at t0 (a
+    ``time.perf_counter`` reading).  The clock is read first, so
+    ``elapsed_ms`` covers the check and nothing of its report: only then
+    are ``extra()`` built and lhs and rhs rendered (by their ``render``
+    method, else by ``str``)."""
+    elapsed = time.perf_counter() - t0
+    return VerificationReport(
+        identity=identity,
+        params={
+            "n": inst.n,
+            "a": list(inst.a),
+            "I": list(inst.I),
+            "J": list(inst.J),
+            "extra": extra() if extra else {},
+        },
+        holds=holds,
+        lhs=_render(lhs),
+        rhs=_render(rhs),
+        elapsed_ms=round(elapsed * 1000.0, 3),
+    )

@@ -1,17 +1,22 @@
-"""The identity table, grid enumeration and (optionally parallel) sweeps.
+"""The identity table, the one-instance check, grid enumeration and
+(optionally parallel) sweeps.
 
 ``IDENTITIES`` is the one table of identities, used by ``qdyson verify`` and
-``qdyson sweep`` alike.  A sweep walks every exponent vector a in
-[0..amax]^(n+1) — and, for layer identities, every admissible (I, J) layout —
-and verifies the chosen identity on one ``Instance`` (n, a, I, J) each.  The
-no-crossing filter of ``main`` reads layouts only, before any a is drawn.
-So does ``compile_layout``: the sweep compiles every admissible layout once,
-and each check evaluates its exponents at its a by dot products.  Work is
-chunked by exponent vector: each task carries the compiled layouts and the
-bounding box of their boxes, computed once per sweep; it reads the q-Dyson
-product's coefficients once, in one pruned pass over that box, and every
-check of the task reads them from there.  Results are merged in grid order
-regardless of completion order.
+``qdyson sweep`` alike.  Each row names the check, the layers it accepts and
+its read rule: the box of exponent vectors its check reads from the q-Dyson
+product, worked out from the compiled layout.  Every check reads a product
+its caller built, and ``_run_task`` is the one caller that builds it: one
+pruned pass over a box, then every check of the task.  ``verify`` runs one
+instance as a task of one layout, read over that layout's box, after
+rejecting any layer the row does not accept.  A sweep walks every exponent
+vector a in [0..amax]^(n+1) — and, for layer identities, every admissible
+(I, J) layout — and verifies the chosen identity on one ``Instance``
+(n, a, I, J) each.  The no-crossing filter of ``main`` reads layouts only,
+before any a is drawn.  So does ``compile_layout``: the sweep compiles every
+admissible layout once, and each check evaluates its exponents at its a by
+dot products.  Work is chunked by exponent vector: each task carries the
+compiled layouts and the bounding box of what they read, computed once per
+sweep.  Results are merged in grid order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dyson import Instance, q_dyson_source, verify_dyson, verify_q_dyson
+from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
 from .firstlayer import verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
+    NpcViolationError,
     compile_layout,
     matrix_choice_property,
     npc_holds,
@@ -35,16 +41,31 @@ from .paired import (
     verify_paired,
     verify_tail_cancel,
 )
-from .reports import VerificationReport, make_params
+from .reports import VerificationReport, report
+
+
+Box = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _origin(layout: Layout) -> Box:
+    """The origin alone: the flipped monomial of the empty subset."""
+    return layout.subsets[0][0], layout.subsets[0][0]
+
+
+def _target(layout: Layout) -> Box:
+    """The first-layer target alone: the flipped monomial of S = I."""
+    return layout.subsets[-1][0], layout.subsets[-1][0]
 
 
 @dataclass(frozen=True)
 class Identity:
     """``check(inst, layout, source)`` verifies one ``Instance``, with
-    ``layout`` its compiled layout and ``source`` its q-Dyson product or
-    None; None marks the lemma suite, which only sweeps."""
+    ``layout`` its compiled layout and ``source`` its q-Dyson product, read
+    over a box that holds ``reads(layout)``; a check of None marks the
+    lemma suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
+    reads: Callable[[Layout], Box] = lambda layout: layout.box
     mmin: int | None = None  # smallest layer size; None: no layer
     admissible: Callable[[tuple, tuple], bool] = lambda I, J: True  # layouts a sweep checks
     nmin: int = 1  # smallest n a sweep accepts
@@ -53,10 +74,12 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source)),
-    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source)),
+    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source), reads=_origin),
+    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source), reads=_origin),
     "firstlayer": Identity(
-        lambda inst, layout, source: verify_first_layer(inst, layout, source), mmin=1
+        lambda inst, layout, source: verify_first_layer(inst, layout, source),
+        reads=_target,
+        mmin=1,
     ),
     "kadell": Identity(lambda inst, layout, source: verify_kadell(inst, layout, source), mmin=0),
     "main": Identity(
@@ -123,13 +146,15 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 # -- per-exponent-vector workers (top level so they pickle) -------------------
 
 
-def _run_task(task) -> list[VerificationReport]:
+def _run_task(task) -> tuple[float, list[VerificationReport]]:
     """Check (identity, n, a, compiled layouts, box) on one product, read
-    over the box."""
+    over the box; returns the product pass's time in ms with the reports."""
     name, n, a, layouts, box = task
+    t0 = time.perf_counter()
     source = q_dyson_source(Instance(n, a), *box)
+    pass_ms = (time.perf_counter() - t0) * 1000.0
     check = IDENTITIES[name].check
-    return [check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
+    return pass_ms, [check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -143,14 +168,40 @@ def _execute(tasks: Sequence[tuple], jobs: int) -> list[VerificationReport]:
     if workers <= 1:
         out: list[VerificationReport] = []
         for t in tasks:
-            out.extend(_run_task(t))
+            out.extend(_run_task(t)[1])
         return out
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(_run_task, tasks)
         out = []
-        for chunk in chunks:
+        for _, chunk in chunks:
             out.extend(chunk)
         return out
+
+
+# -- one instance --------------------------------------------------------------
+
+
+def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationReport:  # noqa: E741
+    """Check one instance (n, a, I, J) of the identity ``name``, read over
+    the box its table row names.  A layer the row does not accept is
+    rejected before any product is built: (I, J) where the identity has no
+    layer, an empty layer where it needs one, a layout a sweep would not
+    admit.  ``elapsed_ms`` covers the product's pass as well as the check."""
+    identity = IDENTITIES.get(name)
+    if identity is None or identity.check is None:
+        checked = tuple(key for key, row in IDENTITIES.items() if row.check)
+        raise ValueError(f"cannot verify {name!r} on one instance; choose from {checked}")
+    if identity.mmin is None and (I or J):
+        raise ValueError("--I/--J do not apply to this identity")
+    inst = Instance(n, a, I, J)
+    if inst.m < (identity.mmin or 0):
+        raise ValueError("layer must select at least one index")
+    if not identity.admissible(inst.I, inst.J):
+        raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
+    layout = compile_layout(n, inst.I, inst.J)
+    pass_ms, [rep] = _run_task((name, n, inst.a, [layout], identity.reads(layout)))
+    rep.elapsed_ms = round(rep.elapsed_ms + pass_ms, 3)
+    return rep
 
 
 # -- randomized lemma suite ----------------------------------------------------
@@ -196,19 +247,12 @@ def lemma_suite_reports(
             reports.append(verify_tail_cancel(inst, h))
 
     for size in CHOICE_PRODUCT_SIZES:
+        inst = Instance(size, (0,) * (size + 1))
         t0 = time.perf_counter()
-        ok = matrix_choice_property(size)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        reports.append(
-            VerificationReport(
-                identity="choiceproduct",
-                params=make_params(Instance(size, (0,) * (size + 1))),
-                holds=ok,
-                lhs="every choice product",
-                rhs="contains an inversion pair",
-                elapsed_ms=round(elapsed, 3),
-            )
-        )
+        reports.append(report(
+            "choiceproduct", inst, t0, matrix_choice_property(size),
+            "every choice product", "contains an inversion pair",
+        ))
     return reports
 
 
@@ -235,7 +279,7 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
             grid = [lay for lay in candidates if identity.admissible(*lay)]
             rejected = (len(candidates) - len(grid)) * len(avecs)
         layouts = [compile_layout(n, I, J) for I, J in grid]
-        los, his = zip(*(lay.box for lay in layouts))
+        los, his = zip(*map(identity.reads, layouts))
         box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
         tasks = [(config.identity, n, a, layouts, box) for a in avecs]
         reports = _execute(tasks, config.jobs)

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from qdyson import cli
-from qdyson.dyson import Instance, q_dyson_factors, verify_dyson
+from qdyson.dyson import Instance, q_dyson_factors
 from qdyson.firstlayer import (
     first_layer_brute,
     first_layer_closed_q1,
@@ -34,7 +34,7 @@ from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
-from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep
+from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep, verify
 from tests.test_dyson import (
     as_int,
     classical_product,
@@ -171,7 +171,7 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, classical_expanded):
     t0 = time.perf_counter()
     n0 = 0
     for a0 in range(3):
-        rep = verify_dyson(Instance(0, (a0,)))
+        rep = verify("dyson", 0, (a0,))
         oracle = classical_expanded[(0, (a0,))].constant_term().render()
         ok = ok and rep.holds and rep.lhs == oracle
         n0 += 1

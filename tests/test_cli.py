@@ -68,6 +68,29 @@ class TestVerifyExitCodes:
         assert cli.main(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "dyson", "--n", "2", "--a", "1,1,1", "--I", "0", "--J", "1"],
+             "--I/--J do not apply to this identity"),
+            (["verify", "firstlayer", "--n", "2", "--a", "1,1,1"],
+             "layer must select at least one index"),
+            (["verify", "main", "--n", "6", "--a", "1,1,1,1,1,1,1", "--I", "2,5,6", "--J", "0,1,3"],
+             "crossing pattern in pairing ((2, 0), (5, 1), (6, 3))"),
+        ],
+        ids=["dyson", "firstlayer", "main"],
+    )
+    def test_rejected_layers_build_no_product(self, argv, message, monkeypatch, capsys):
+        """A layer the identity does not accept fails with exit 2 before the
+        q-Dyson product is built."""
+
+        def unbuildable(*args):
+            raise AssertionError("built a product")
+
+        monkeypatch.setattr("qdyson.sweeps.q_dyson_source", unbuildable)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

@@ -22,12 +22,11 @@ from qdyson.dyson import (
     dyson_factors,
     q_dyson_factors,
     q_dyson_source,
-    verify_dyson,
-    verify_q_dyson,
 )
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import compile_layout
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
+from qdyson.sweeps import verify
 
 
 def as_int(p):
@@ -155,15 +154,15 @@ def test_empty_exponents_give_one():
 def test_single_variable_product_is_empty():
     inst = Instance(0, (3,))
     assert q_dyson_factors(inst) == []
-    assert verify_dyson(inst).holds
-    assert verify_q_dyson(inst).holds
+    assert verify("dyson", inst.n, inst.a).holds
+    assert verify("qdyson", inst.n, inst.a).holds
 
 
 @pytest.mark.parametrize("n, a", [(5, (2,) * 6), (6, (1,) * 7)])
 def test_q_dyson_at_scale(n, a):
     """The largest q-Dyson constant terms the gate checks: n = 5 with
     a = (2,)*6 and n = 6 with a = (1,)*7."""
-    assert verify_q_dyson(Instance(n, a)).holds
+    assert verify("qdyson", n, a).holds
 
 
 def test_classical_ct_is_multinomial():
@@ -200,11 +199,11 @@ def test_q1_specialisation_matches_multinomial():
 
 
 def test_verify_reports():
-    rep = verify_q_dyson(Instance(2, (1, 1, 1)))
+    rep = verify("qdyson", 2, (1, 1, 1))
     assert rep.holds
     assert rep.identity == "qdyson"
     assert rep.lhs == "1 + 2*q + 2*q^2 + 1*q^3"
     assert rep.lhs == rep.rhs
-    rep = verify_dyson(Instance(2, (2, 1, 1)))
+    rep = verify("dyson", 2, (2, 1, 1))
     assert rep.holds and rep.lhs == "12"
 

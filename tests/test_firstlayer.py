@@ -16,6 +16,7 @@ from qdyson.firstlayer import (
     verify_first_layer,
 )
 from qdyson.qpoly import QPoly, QRat, one_minus_q
+from qdyson.sweeps import verify
 from tests.test_dyson import as_int, classical_product, compiled, layer_box, shared_source
 
 
@@ -157,7 +158,7 @@ class TestClosedForm:
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
-        brute = first_layer_brute(inst)
+        brute = first_layer_brute(inst, shared_source([inst]))
         assert brute == QPoly(0, (-1, -1))
         assert brute.render() == "-1 - 1*q"
         assert QRat(brute) == first_layer_closed(inst, compiled(inst))
@@ -165,7 +166,7 @@ class TestClosedForm:
     def test_known_coefficient_with_offset_start(self):
         # smallest selected index > 0 exercises the t > 0 branch
         inst = Instance(2, (1, 1, 1), (1,), (0,))
-        brute = first_layer_brute(inst)
+        brute = first_layer_brute(inst, shared_source([inst]))
         assert brute == QPoly(2, (-1, -1))
         assert QRat(brute) == first_layer_closed(inst, compiled(inst))
 
@@ -174,7 +175,7 @@ class TestClosedForm:
         inst = Instance(3, (1, 1, 1, 1), (0, 1, 2), (3, 3, 3))
         closed = first_layer_closed(inst, compiled(inst))
         assert closed.den == one_minus_q(2) * one_minus_q(3) * one_minus_q(4)
-        assert QRat(first_layer_brute(inst)) == closed
+        assert QRat(first_layer_brute(inst, shared_source([inst]))) == closed
 
     def test_brute_matches_closed_small_grid(self):
         for n in (1, 2):
@@ -192,7 +193,7 @@ class TestQ1:
         classical = classical_product(Instance(2, a))
         for inst, value in ((Instance(2, a, (0,), (1,)), -2), (Instance(2, a, (0, 1), (2, 2)), 2)):
             assert first_layer_closed_q1(inst) == Fraction(value)
-            assert first_layer_brute(inst).at_q1() == value
+            assert first_layer_brute(inst, shared_source([inst])).at_q1() == value
             assert as_int(classical.coeff(first_layer_target(inst))) == value
 
     def test_independent_of_j(self):
@@ -212,8 +213,7 @@ class TestQ1:
 
 
 def test_verify_report():
-    inst = Instance(2, (1, 1, 1), (0,), (1,))
-    rep = verify_first_layer(inst, compiled(inst))
+    rep = verify("firstlayer", 2, (1, 1, 1), (0,), (1,))
     assert rep.holds
     assert rep.identity == "firstlayer"
     assert rep.lhs == "-1 - 1*q"

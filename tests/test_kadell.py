@@ -4,18 +4,18 @@ import itertools
 
 import pytest
 
-from qdyson.dyson import Instance
+from qdyson.dyson import Instance, q_dyson_factors
 from qdyson.kadell import (
     corrected_ct,
     corrected_ct_closed,
     corrected_dyson_rhs,
     modified_q_product,
     reproduce_counterexample,
-    verify_kadell,
     verify_q_kadell,
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
+from qdyson.sweeps import verify
 from tests.test_dyson import (
     as_int,
     classical_product,
@@ -61,7 +61,7 @@ def test_corrected_ct_known_values():
     a = (1, 1, 1)
     for I, J, value in (((0,), (1,), 8), ((0, 1), (2, 2), 12)):
         inst = Instance(2, a, I, J)
-        assert corrected_ct(inst, compiled(inst)) == value
+        assert corrected_ct(inst, compiled(inst), shared_source([inst])) == value
     assert corrected_ct_closed(Instance(2, a, (0,), (1,))) == 8
     assert corrected_ct_closed(Instance(2, a, (0, 1), (2, 2))) == 12
 
@@ -74,7 +74,7 @@ def test_closed_form_rejects_empty_layer():
 def test_empty_layer_reduces_to_plain_product():
     # no correction factors: the scaled identity becomes (1+a) * CT = (1+a) * mult
     inst = Instance(2, (2, 1, 0))
-    rep = verify_kadell(inst, compiled(inst))
+    rep = verify("kadell", inst.n, inst.a)
     assert rep.lhs == rep.rhs == str(corrected_dyson_rhs(inst))
     assert rep.holds and "ct_closed" not in rep.params["extra"]
 
@@ -99,8 +99,7 @@ def test_identity_small_grid():
 
 
 def test_verify_report_fields():
-    inst = Instance(2, (1, 1, 1), (0,), (1,))
-    rep = verify_kadell(inst, compiled(inst))
+    rep = verify("kadell", 2, (1, 1, 1), (0,), (1,))
     assert rep.holds
     assert rep.identity == "kadell"
     assert rep.lhs == "24" and rep.rhs == "24"
@@ -112,6 +111,14 @@ class TestQModification:
         inst = Instance(2, (1, 2, 1))
         ct = ct_of_factor_list(modified_q_product(inst), (0, 0, 0))
         assert ct == q_multinomial_poly(inst.a)
+
+    def test_empty_layer_gives_the_q_dyson_factors(self):
+        """Without pairs no length is raised: factor by factor, the modified
+        product is the q-Dyson product, for every a in {0,1,2}^(n+1), n <= 3."""
+        for n in range(4):
+            for a in itertools.product(range(3), repeat=n + 1):
+                inst = Instance(n, a)
+                assert modified_q_product(inst) == q_dyson_factors(inst), a
 
     def test_holds_for_empty_layer(self):
         rep = verify_q_kadell(Instance(2, (1, 1, 1)))

@@ -25,6 +25,7 @@ from qdyson.paired import (
     _t_positions,
 )
 from qdyson.qpoly import QPoly, ZERO, q_power
+from qdyson.sweeps import verify
 from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
 from tests.test_firstlayer import all_layouts, paper_layer_exponent
 
@@ -243,12 +244,10 @@ class TestVerifyPaired:
     def test_known_holding_instances(self):
         a = (1, 1, 1)
         for I, J in (((0,), (1,)), ((0, 1), (2, 2))):
-            inst = Instance(2, a, I, J)
-            assert verify_paired(inst, compiled(inst)).holds
+            assert verify("main", 2, a, I, J).holds
 
     def test_empty_selection_reduces_to_plain_identity(self):
-        inst = Instance(2, (2, 1, 1))
-        rep = verify_paired(inst, compiled(inst))
+        rep = verify("main", 2, (2, 1, 1))
         assert rep.holds
         assert rep.identity == "main"
         assert rep.params["extra"]["pairing"] == []
@@ -264,17 +263,17 @@ class TestVerifyPaired:
 
     def test_semantics_divergence_instance(self, monkeypatch):
         """An instance that holds, and fails under the refuted "set" reading."""
-        inst = Instance(2, (1, 0, 1), (0, 2), (1, 1))
-        rep = verify_paired(inst, compiled(inst))
+        instance = (2, (1, 0, 1), (0, 2), (1, 1))
+        rep = verify("main", *instance)
         assert rep.holds
         assert rep.params["extra"]["semantics"] == "multiset"
         use_set_reading(monkeypatch)
-        assert not verify_paired(inst, compiled(inst)).holds
+        assert not verify("main", *instance).holds
 
     def test_rejects_crossing_pairing(self):
         inst = Instance(6, (1,) * 7, (2, 5, 6), (0, 1, 3))
         with pytest.raises(NpcViolationError):
-            verify_paired(inst, compiled(inst))
+            verify_paired(inst, compiled(inst), shared_source([inst]))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
