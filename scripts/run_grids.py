@@ -2,8 +2,9 @@
 """Run the full verification campaign over the standard grids.
 
 Sweeps every identity over the largest grids that finish quickly on a laptop
-and prints one summary row per sweep.  Use --json-dir to keep the raw
-per-instance reports.
+and prints one summary row per sweep: its counts, its wall time and the
+median and largest ``elapsed_ms`` of its reports.  Use --json-dir to keep
+the raw per-instance reports.
 
     python scripts/run_grids.py
     python scripts/run_grids.py --jobs 4 --json-dir out/
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import statistics
 import sys
 import time
 
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
         json_dir.mkdir(parents=True, exist_ok=True)
 
     print(f"{'identity':<11} {'n':>2} {'amax':>4} {'total':>6} {'passed':>6} "
-          f"{'failed':>6} {'rejected':>8} {'secs':>7}")
+          f"{'failed':>6} {'rejected':>8} {'secs':>7} {'p50_ms':>7} {'max_ms':>7}")
     any_failed = False
     for identity, n, amax, mmax in CAMPAIGN:
         config = SweepConfig(
@@ -60,9 +62,11 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         reports, summary = run_sweep(config)
         secs = time.perf_counter() - t0
+        elapsed = [report.elapsed_ms for report in reports]
         print(f"{identity:<11} {n:>2} {amax:>4} {summary['total']:>6} "
               f"{summary['passed']:>6} {summary['failed']:>6} "
-              f"{summary['rejected']:>8} {secs:>7.2f}")
+              f"{summary['rejected']:>8} {secs:>7.2f} "
+              f"{statistics.median(elapsed):>7.3f} {max(elapsed):>7.3f}")
         if summary["failed"]:
             any_failed = True
             for report in reports:

@@ -191,9 +191,13 @@ def dyson_factors(inst: Instance) -> list[LaurentPoly]:
     return out
 
 
-def q_dyson_source(inst: Instance, lo: Sequence[int], hi: Sequence[int]) -> FactoredProduct:
-    """The q-Dyson product's coefficients over the box lo <= e <= hi."""
-    return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi)
+def q_dyson_source(
+    inst: Instance, lo: Sequence[int], hi: Sequence[int], headroom: int = 0
+) -> FactoredProduct:
+    """The q-Dyson product's coefficients over the box lo <= e <= hi,
+    packed with ``headroom`` spare bits for the checks that compute on
+    them."""
+    return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom)
 
 
 def verify_q_dyson(inst: Instance, source: FactoredProduct) -> VerificationReport:

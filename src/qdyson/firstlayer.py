@@ -20,17 +20,26 @@ It also takes the exponent within the layer of a subset X of I (X with its
 paired j's), which is how ``paired`` uses it.  A ``Layout`` holds these
 coefficients for every T, compiled once per layout, so the closed form of
 each check reads every exponent by one dot product with a.
+
+``verify_first_layer`` compares the brute coefficient with the closed form
+without dividing and without ``QPoly`` arithmetic: both cross-multiplied
+sides are integers at q = 2^k, as the source keeps the coefficients, with
+the spare bits of k that ``first_layer_headroom`` derives.
+``first_layer_closed`` builds the closed form as a ``QRat`` to render it
+when a check fails.  The q = 1 closed value depends on I and a only and is
+computed once per pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
-from .laurent import FactoredProduct
+from .laurent import FactoredProduct, pack, packed_equal
 from .qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, report
 
@@ -134,16 +143,50 @@ def first_layer_closed_q1(inst: Instance) -> Fraction:
         multinomial(a) * sum over nonempty T subset I of
             (-1)^|T| * (sum of a over T) / (1 + total - sum of a over T)
 
-    Independent of J.
+    Independent of J, so it is computed once per (I, a).
     """
     if inst.m == 0:
         raise ValueError("layer must select at least one index")
+    return _closed_q1(inst.I, inst.a)
+
+
+@functools.lru_cache(maxsize=1024)
+def _closed_q1(I: tuple[int, ...], a: tuple[int, ...]) -> Fraction:  # noqa: E741
+    total = sum(a)
     acc = Fraction(0)
-    for T in nonempty_subsets(inst.I):
-        s_t = sum(inst.a[k] for k in T)
-        term = Fraction(s_t, 1 + inst.total - s_t)
+    for T in nonempty_subsets(I):
+        s_t = sum(a[k] for k in T)
+        term = Fraction(s_t, 1 + total - s_t)
         acc += -term if len(T) % 2 else term
-    return multinomial(inst.a) * acc
+    return multinomial(a) * acc
+
+
+def first_layer_headroom(layout: Layout) -> int:
+    """Spare bits of k that ``verify_first_layer`` needs to compare its two
+    sides packed (``laurent.packed_equal``): m + D - 1, with D = 2^m - 1 the
+    most distinct denominators the 2^m - 1 subsets T can give; 0 for the
+    empty layer, which the check rejects.
+
+    With B the bound of ``laurent.packed_in_box``, 2^(k - 1 - headroom) > B.
+    The sides are brute * den and qmult(a) * num, where den is the product
+    of the D distinct (1 - q^d) and num sums, over the subsets T,
+    +-q^L(T) (1 - q^(s_T)) times the D - 1 factors of den other than T's.
+    By L1 norms: brute, one coefficient of the product, is at most B, so
+    brute * den is at most 2^D B; each subset's term of num is at most 2^D,
+    and qmult(a) at most B (see ``paired.paired_headroom``), so
+    qmult(a) * num is at most (2^m - 1) 2^D B.  So |X_i| + |Y_i| <=
+    2^(m + D) B < 2^(k + m + D - 1 - headroom), and headroom m + D - 1 puts
+    it below 2^k.
+    """
+    m = len(layout.I)
+    return m + 2**m - 2 if m else 0
+
+
+@functools.lru_cache(maxsize=1024)
+def _packed_q_multinomial(a: tuple[int, ...], k: int) -> int:
+    """qmult(a) at q = 2^k: once per exponent vector in a sweep, whose
+    tasks each keep one k."""
+    return pack(q_multinomial_poly(a), 0, k)
 
 
 def verify_first_layer(
@@ -151,14 +194,46 @@ def verify_first_layer(
 ) -> VerificationReport:
     """Brute-force first-layer coefficient against the closed form, plus its
     q = 1 value against the classical closed sum; ``layout`` is the compiled
-    layout of inst."""
+    layout of inst.
+
+    The closed form is compared without division, as brute * den against
+    qmult(a) * num in the terms of ``first_layer_closed``, with both sides
+    packed at q = 2^k as ``source`` holds the coefficients: den and num are
+    folded up group by group, each factor (1 - q^d) a shift and a
+    subtraction, and qmult(a) is packed once per a.  A check that holds
+    prints the brute's text on both sides, which is what the closed form
+    renders to; only a failing one builds and renders
+    ``first_layer_closed``.  An empty layer is rejected before anything is
+    read, and a source with less headroom than ``first_layer_headroom``
+    with ``ValueError``."""
+    if not layout.terms:
+        raise ValueError("layer must select at least one index")
+    if source.headroom < first_layer_headroom(layout):
+        raise ValueError("source packed with too little headroom for the first-layer check")
     t0 = time.perf_counter()
-    closed = first_layer_closed(inst, layout)
-    brute = first_layer_brute(inst, source)
+    a, total, k = inst.a, inst.total, source.k
+    exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
+    base = min(exponents)
+    groups: dict[int, int] = {}
+    for (sign, T, _), e in zip(layout.terms, exponents):
+        s_t = sum(a[i] for i in T)
+        term = 1 << (k * (e - base))
+        term -= term << (k * s_t)
+        d = 1 + total - s_t
+        groups[d] = groups.get(d, 0) + (term if sign > 0 else -term)
+    num, den = 0, 1
+    for d, part in groups.items():
+        num, den = num - (num << (k * d)) + part * den, den - (den << (k * d))
+    target = layout.subsets[-1][0]
+    brute_den = source.packed_coeff(target) * den
+    brute = source.coeff(target)
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(inst)
-    holds = QRat(brute) == closed and q1_closed == q1_brute
+    holds = (
+        packed_equal(brute_den, source.low, _packed_q_multinomial(a, k) * num, base, k)
+        and q1_closed == q1_brute
+    )
     return report(
-        "firstlayer", inst, t0, holds, brute, closed,
+        "firstlayer", inst, t0, holds, brute, brute if holds else first_layer_closed(inst, layout),
         lambda: {"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
     )

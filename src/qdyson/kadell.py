@@ -9,7 +9,10 @@ constant term by a clean rational factor:
 The correction binomials carry no q, so the corrected classical constant term
 is read off the corrected q-Dyson one at q = 1.  Multiplied out they are the
 signed layer monomials of a compiled ``Layout``, so the check reads the
-product at the layout's flipped monomials and adds the values with signs.
+product at the layout's flipped monomials and adds their values at q = 1
+with signs.  It reads them with ``coeff``, which unpacks each coefficient
+from the source's packed integers on its first read; the check needs no
+headroom.
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
 one does NOT satisfy the corresponding identity; ``reproduce_counterexample``

@@ -1,24 +1,32 @@
 """Sparse multivariate Laurent polynomials in x_0..x_n over ``QPoly``.
 
 The heavy operation in this package is reading a few coefficients out of a
-large product of small factors.  ``coefficients_in_box`` multiplies the
-factors incrementally and discards every partial monomial that can no longer
-reach the box of exponent vectors the caller reads, using per-variable bounds
-on what the remaining factors may still contribute.  Inside the pass each
+large product of small factors.  ``packed_in_box`` multiplies the factors
+incrementally and discards every partial monomial that can no longer reach
+the box of exponent vectors the caller reads, using per-variable bounds on
+what the remaining factors may still contribute.  Inside the pass each
 q-coefficient is packed into one integer, its value at q = 2^k (Kronecker
 substitution), after dividing each factor by its lowest power of q so that
 negative powers need no second loop.  k is read off the factors: 2^(k-1)
 exceeds B, the product of the factors' L1 norms, which bounds every
 q-coefficient a partial product can have, so each surviving coefficient
-unpacks to a unique ``QPoly``.  ``FactoredProduct`` runs the pass once per
-product; ``ct_of_factor_list`` is the pass over a single point.
-``expand_product`` multiplies outright, without pruning.  Nothing in the
-program calls it: it is only the tests' oracle, and it stays in this module
-because ``benchmark/tracing.py`` traces it here.
+unpacks to a unique ``QPoly``.  A caller that goes on computing with the
+packed values asks for ``headroom`` extra bits of k, enough for the
+coefficients of whatever it computes.
+
+``FactoredProduct`` runs the pass once per product and keeps the packed
+integers: the layer checks read them as they are (``packed_coeff``) and do
+their sums and products on integers, while ``coeff`` unpacks one
+coefficient on its first read and keeps it.  ``coefficients_in_box``
+unpacks the whole box, and ``ct_of_factor_list`` is the pass over a single
+point.  ``expand_product`` multiplies outright, without pruning.  Nothing in
+the program calls it: it is only the tests' oracle, and it stays in this
+module because ``benchmark/tracing.py`` traces it here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -203,7 +211,7 @@ def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     return result
 
 
-def _pack(p: QPoly, low: int, k: int) -> int:
+def pack(p: QPoly, low: int, k: int) -> int:
     """p * q^-low at q = 2^k, for p with no power of q below ``low``."""
     v = 0
     for c in reversed(p.coeffs):
@@ -211,7 +219,7 @@ def _pack(p: QPoly, low: int, k: int) -> int:
     return v << (k * (p.min_exp - low))
 
 
-def _unpack(v: int, k: int, low: int) -> QPoly:
+def unpack(v: int, k: int, low: int) -> QPoly:
     """The ``QPoly`` p * q^low, where p(2^k) = v and every coefficient of p
     is below 2^(k-1) in absolute value: read base-2^k digits from the
     bottom, each in [-2^(k-1), 2^(k-1)), borrowing from the next digit when
@@ -227,11 +235,26 @@ def _unpack(v: int, k: int, low: int) -> QPoly:
     return QPoly(low, digits)
 
 
-def coefficients_in_box(
-    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
-) -> LaurentPoly:
+def packed_equal(x: int, x_low: int, y: int, y_low: int, k: int) -> bool:
+    """Whether q^x_low X = q^y_low Y, for polynomials X and Y with
+    X(2^k) = x and Y(2^k) = y whose coefficients satisfy |X_i| + |Y_i| < 2^k
+    at every power of q.  Under that bound the comparison of integers is
+    exact: were X != Y after aligning the two at the lower power of q, the
+    lowest nonzero coefficient of their difference would be a nonzero
+    multiple of 2^k.  A caller makes the bound hold by asking the pass for
+    enough headroom."""
+    if x_low >= y_low:
+        return x << (k * (x_low - y_low)) == y
+    return x == y << (k * (y_low - x_low))
+
+
+def packed_in_box(
+    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int], headroom: int = 0
+) -> tuple[dict[Monomial, int], int, int]:
     """Every term c * x^e of the product of ``factors`` with lo <= e <= hi,
-    coordinatewise.
+    coordinatewise, packed: (the nonzero coefficients by exponent vector,
+    k, low), where each coefficient c is q^low times the polynomial whose
+    value at q = 2^k is its integer.
 
     Factors are multiplied in ascending order of term count (stable on ties).
     After each step, a partial monomial e survives only if, for every
@@ -241,15 +264,16 @@ def coefficients_in_box(
     Coefficients travel through the pass as integers: each factor's
     coefficients are divided by its lowest power of q and evaluated at
     q = 2^k, so partial coefficients are multiplied and added as plain ints
-    and tested for zero with ``c == 0``.  Pruning never changes the
-    coefficient of a monomial that survives, so each partial coefficient is
-    an exact coefficient of a product of the first factors, and none of its
-    q-coefficients exceeds B, the product of the factors' L1 norms (the sum
-    of |c| over all q-coefficients of a factor).  A zero factor makes B = 0,
-    but it has no terms, so it sorts first and empties the pass.  With
-    2^(k-1) > B the evaluation is one-to-one on these coefficients, and each
-    surviving one is unpacked at the end with a signed borrow and multiplied
-    back by q to the sum of the factors' lowest powers.
+    and tested for zero with ``c == 0``; low is the sum of the factors'
+    lowest powers.  Pruning never changes the coefficient of a monomial that
+    survives, so each partial coefficient is an exact coefficient of a
+    product of the first factors, and none of its q-coefficients exceeds B,
+    the product of the factors' L1 norms (the sum of |c| over all
+    q-coefficients of a factor).  The same holds summed over monomials: the
+    q-coefficients of all the terms of the product together have L1 norm at
+    most B.  A zero factor makes B = 0, but it has no terms, so it sorts
+    first and empties the pass.  k = B.bit_length() + 1 + headroom, so
+    2^(k-1-headroom) > B and ``unpack`` reads each coefficient back exactly.
     """
     width = len(lo)
     n = width - 1
@@ -274,13 +298,13 @@ def coefficients_in_box(
     bound = math.prod(
         sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs) for f in ordered
     )
-    k = bound.bit_length() + 1
+    k = bound.bit_length() + 1 + headroom
 
     partial: dict[Monomial, int] = {}
     if all(b <= 0 <= c for b, c in zip(*reach[0])):
         partial[(0,) * width] = 1
     for f, low, (floor, ceiling) in zip(ordered, lows, reach[1:]):
-        packed = [(e, _pack(c, low, k)) for e, c in f.terms.items()]
+        packed = [(e, pack(c, low, k)) for e, c in f.terms.items()]
         grown: dict[Monomial, int] = {}
         for e1, c1 in partial.items():
             for e2, c2 in packed:
@@ -291,7 +315,16 @@ def coefficients_in_box(
                 else:
                     grown[key] = grown.get(key, 0) + c1 * c2
         partial = {e: c for e, c in grown.items() if c != 0}
-    return LaurentPoly(n, {e: _unpack(c, k, sum(lows)) for e, c in partial.items()})
+    return partial, k, sum(lows)
+
+
+def coefficients_in_box(
+    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
+) -> LaurentPoly:
+    """Every term c * x^e of the product of ``factors`` with lo <= e <= hi,
+    coordinatewise: the pass of ``packed_in_box``, unpacked."""
+    packed, k, low = packed_in_box(factors, lo, hi)
+    return LaurentPoly(len(lo) - 1, {e: unpack(c, k, low) for e, c in packed.items()})
 
 
 def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:
@@ -303,25 +336,50 @@ def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> 
 class FactoredProduct:
     """Coefficient source for a product kept in factored form: the
     coefficients at every exponent vector of the box lo <= e <= hi, taken
-    in one pruned pass at construction and held in ``expanded``.  The box
-    is the set of coefficients the caller's checks read; reading outside it
-    raises ``ValueError`` instead of returning a zero that was never
-    computed."""
+    in one pruned pass at construction and kept packed, with ``headroom``
+    spare bits of k for the caller's arithmetic on them (see
+    ``packed_in_box``).  The box is the set of coefficients the caller's
+    checks read; reading outside it raises ``ValueError`` instead of
+    returning a zero that was never computed.  ``coeff`` unpacks a
+    coefficient on its first read and keeps it; ``expanded`` is the whole
+    box unpacked, once."""
 
     def __init__(
-        self, n: int, factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
+        self,
+        n: int,
+        factors: Sequence[LaurentPoly],
+        lo: Sequence[int],
+        hi: Sequence[int],
+        headroom: int = 0,
     ) -> None:
         self.n = n
         self.lo = tuple(lo)
         self.hi = tuple(hi)
-        self.expanded = coefficients_in_box(factors, lo, hi)
+        self.headroom = headroom
+        self.packed, self.k, self.low = packed_in_box(factors, lo, hi, headroom)
+        self._read: dict[Monomial, QPoly] = {}
 
-    def coeff(self, target: Sequence[int]) -> QPoly:
+    def _key(self, target: Sequence[int]) -> Monomial:
         key = tuple(target)
         for e, b, c in zip(key, self.lo, self.hi):
             if e < b or e > c:
                 raise ValueError(f"exponent {key!r} outside the box {self.lo!r}..{self.hi!r}")
-        return self.expanded.coeff(key)
+        return key
+
+    def packed_coeff(self, target: Sequence[int]) -> int:
+        """The coefficient at ``target`` as q^-low times it at q = 2^k."""
+        return self.packed.get(self._key(target), 0)
+
+    def coeff(self, target: Sequence[int]) -> QPoly:
+        key = self._key(target)
+        value = self._read.get(key)
+        if value is None:
+            value = self._read[key] = unpack(self.packed.get(key, 0), self.k, self.low)
+        return value
 
     def constant_term(self) -> QPoly:
         return self.coeff((0,) * (self.n + 1))
+
+    @functools.cached_property
+    def expanded(self) -> LaurentPoly:
+        return LaurentPoly(self.n, {e: unpack(c, self.k, self.low) for e, c in self.packed.items()})

@@ -32,6 +32,11 @@ layer monomials and signs (a ``dyson.Layout``): a sweep compiles each of its
 layouts once, a single ``verify`` its one layout, and each check of the
 layer identities reads every exponent by a dot product with a.
 
+``verify_paired`` computes on the product's coefficients as the source keeps
+them, packed into integers at q = 2^k, so both sides of the identity are
+compared as two integers; ``paired_headroom`` derives the spare bits of k
+that make the comparison exact.
+
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
 implemented here as directly checkable statements.
@@ -39,6 +44,7 @@ implemented here as directly checkable statements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from operator import sub
@@ -46,7 +52,7 @@ from typing import Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
-from .laurent import FactoredProduct, LaurentPoly
+from .laurent import FactoredProduct, LaurentPoly, pack, packed_equal, unpack
 from .qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from .reports import VerificationReport, report
 
@@ -135,24 +141,64 @@ def correction_polynomial(inst: Instance, layout: Layout) -> LaurentPoly:
     })
 
 
+def paired_headroom(layout: Layout) -> int:
+    """Spare bits of k that ``verify_paired`` needs to compare its two sides
+    packed (``laurent.packed_equal``): 1, for every layout.
+
+    With B the bound of ``laurent.packed_in_box``, 2^(k - 1 - headroom) > B.
+    The constant term is a signed, shifted sum of the product's coefficients
+    at distinct monomials, so its q-coefficients have L1 norm at most B,
+    however many subsets there are; times (1 - q^A), at most 2B.  The right
+    side (1 - q^(1 + total)) qmult(a) has L1 norm 2 multinomial(a), and
+    multinomial(a) <= (n + 1)^total <= 2^(n total) = B, the product of the
+    L1 norms 2^(a_i) of the q-Dyson factors.  So |X_i| + |Y_i| <= 4B <
+    2^(k + 1 - headroom): headroom 1 puts it below 2^k, and keeps the left
+    side's coefficients below 2^(k - 1), so a failing check unpacks it.
+    """
+    return 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
+    """(1 - q^(1 + total)) qmult(a), packed at q = 2^k, and its text: once
+    per exponent vector in a sweep, whose tasks each keep one k."""
+    rhs = one_minus_q(1 + sum(a)) * q_multinomial_poly(a)
+    return pack(rhs, 0, k), rhs.render()
+
+
 def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
     """The paired-layer identity for one instance, with ``layout`` its
     compiled layout.  The constant term of the multiplied product is, term
     by term of the multiplier, its weight times the product's coefficient at
-    the flipped monomial.  Layers violating the no-crossing condition are
-    rejected with ``NpcViolationError``."""
+    the flipped monomial.  Both sides stay packed at q = 2^k, as ``source``
+    holds its coefficients: the sum over subsets adds shifted integers, the
+    factor (1 - q^A) is one shift and subtraction, and the right side is
+    packed and rendered once per a.  A check that holds prints the right
+    side's text on both sides; only a failing one unpacks its left side.
+    Layers violating the no-crossing condition are rejected with
+    ``NpcViolationError``, and a source with less headroom than
+    ``paired_headroom`` with ``ValueError``."""
     if not npc_holds(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
+    if source.headroom < paired_headroom(layout):
+        raise ValueError("source packed with too little headroom for the paired check")
     t0 = time.perf_counter()
-    a = inst.a
-    ct = ZERO
-    for flipped, sign, chain in layout.subsets:
-        term = source.coeff(flipped).shifted(evaluate(chain, a))
-        ct = ct + term if sign > 0 else ct - term
-    lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
-    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(a)
+    a, k = inst.a, source.k
+    terms = [
+        (sign, source.packed_coeff(flipped), evaluate(chain, a))
+        for flipped, sign, chain in layout.subsets
+    ]
+    base = min(e for _, _, e in terms)
+    ct = 0
+    for sign, c, e in terms:
+        c <<= k * (e - base)
+        ct = ct + c if sign > 0 else ct - c
+    lhs = ct - (ct << (k * (1 + inst.total - inst.selected_total)))
+    low = source.low + base  # the left side is q^low times its packed polynomial
+    rhs, rhs_text = _paired_rhs(a, k)
+    holds = packed_equal(lhs, low, rhs, 0, k)
     return report(
-        "main", inst, t0, lhs == rhs, lhs, rhs,
+        "main", inst, t0, holds, rhs_text if holds else unpack(lhs, k, low), rhs_text,
         lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},
     )
 

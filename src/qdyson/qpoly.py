@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -251,15 +252,35 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
 
 
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
-    """The q-multinomial coefficient as an honest polynomial (exact division).
-    Computed once per distinct ``a``: a sweep asks again for every layout."""
+    """The q-multinomial coefficient as an honest polynomial.  Computed once
+    per distinct ``a``: a sweep asks again for every layout."""
     return _q_multinomial_poly(tuple(a))
 
 
 @functools.lru_cache(maxsize=1024)
 def _q_multinomial_poly(a: tuple[int, ...]) -> QPoly:
-    r = q_multinomial(a)
-    return divexact(r.num, r.den)
+    """The chain of Gaussian binomials prod_k [s_k choose a_k]_q, with
+    s_k = a_0 + ... + a_k, without a dense product or a division of
+    polynomials.  [s + r choose r]_q is the product over i = 1..r of
+    (1 - q^(s+i)) / (1 - q^i), and after each i the running product is the
+    earlier binomials times [s + i choose i]_q, a polynomial.  So each step
+    multiplies by (1 - q^(s+i)), a shifted subtraction, and then divides
+    exactly by (1 - q^i): the quotient c of p by (1 - q^i) has
+    c_t = p_t + c_(t-i), one pass of additions, block by block of i, and
+    its top i entries come out zero and are dropped."""
+    coeffs = [1]
+    s = 0
+    for r in a:
+        for i in range(1, r + 1):
+            e = s + i
+            coeffs = list(map(sub, coeffs + [0] * e, [0] * e + coeffs))
+            for start in range(i, len(coeffs), i):
+                coeffs[start : start + i] = map(
+                    add, coeffs[start : start + i], coeffs[start - i : start]
+                )
+            del coeffs[-i:]
+        s += r
+    return QPoly(0, coeffs)
 
 
 class QRat:

@@ -74,8 +74,9 @@ def report(
     ``time.perf_counter`` reading).  The clock is read first, so
     ``elapsed_ms`` covers the check and nothing of its report: only then
     are ``extra()`` built and lhs and rhs rendered (by their ``render``
-    method, else by ``str``)."""
+    method, else by ``str``), once when they are the same object."""
     elapsed = time.perf_counter() - t0
+    lhs_text = _render(lhs)
     return VerificationReport(
         identity=identity,
         params={
@@ -86,7 +87,7 @@ def report(
             "extra": extra() if extra else {},
         },
         holds=holds,
-        lhs=_render(lhs),
-        rhs=_render(rhs),
+        lhs=lhs_text,
+        rhs=lhs_text if rhs is lhs else _render(rhs),
         elapsed_ms=round(elapsed * 1000.0, 3),
     )

@@ -2,21 +2,24 @@
 (optionally parallel) sweeps.
 
 ``IDENTITIES`` is the one table of identities, used by ``qdyson verify`` and
-``qdyson sweep`` alike.  Each row names the check, the layers it accepts and
-its read rule: the box of exponent vectors its check reads from the q-Dyson
-product, worked out from the compiled layout.  Every check reads a product
-its caller built, and ``_run_task`` is the one caller that builds it: one
-pruned pass over a box, then every check of the task.  ``verify`` runs one
-instance as a task of one layout, read over that layout's box, after
-rejecting any layer the row does not accept.  A sweep walks every exponent
-vector a in [0..amax]^(n+1) — and, for layer identities, every admissible
-(I, J) layout — and verifies the chosen identity on one ``Instance``
-(n, a, I, J) each.  The no-crossing filter of ``main`` reads layouts only,
-before any a is drawn.  So does ``compile_layout``: the sweep compiles every
-admissible layout once, and each check evaluates its exponents at its a by
-dot products.  Work is chunked by exponent vector: each task carries the
-compiled layouts and the bounding box of what they read, computed once per
-sweep.  Results are merged in grid order regardless of completion order.
+``qdyson sweep`` alike.  Each row names the check, the layers it accepts,
+its read rule (the box of exponent vectors its check reads from the q-Dyson
+product) and its headroom rule (the spare bits of k its check needs to
+compute on the packed coefficients), both worked out from the compiled
+layout.  Every check reads a product its caller built, and ``_run_task`` is
+the one caller that builds it: one pruned pass over a box, with the most
+headroom any of the task's layouts needs, then every check of the task.
+``verify`` runs one instance as a task of one layout, read over that
+layout's box, after rejecting any layer the row does not accept.  A sweep
+walks every exponent vector a in [0..amax]^(n+1) — and, for layer
+identities, every admissible (I, J) layout — and verifies the chosen
+identity on one ``Instance`` (n, a, I, J) each.  The no-crossing filter of
+``main`` reads layouts only, before any a is drawn.  So does
+``compile_layout``: the sweep compiles every admissible layout once, and
+each check evaluates its exponents at its a by dot products.  Work is
+chunked by exponent vector: each task carries the compiled layouts and the
+bounding box of what they read, computed once per sweep.  Results are merged
+in grid order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
-from .firstlayer import verify_first_layer
+from .firstlayer import first_layer_headroom, verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
     NpcViolationError,
     compile_layout,
     matrix_choice_property,
     npc_holds,
+    paired_headroom,
     verify_factorization,
     verify_paired,
     verify_tail_cancel,
@@ -61,11 +65,13 @@ def _target(layout: Layout) -> Box:
 class Identity:
     """``check(inst, layout, source)`` verifies one ``Instance``, with
     ``layout`` its compiled layout and ``source`` its q-Dyson product, read
-    over a box that holds ``reads(layout)``; a check of None marks the
-    lemma suite, which only sweeps."""
+    over a box that holds ``reads(layout)`` and packed with at least
+    ``headroom(layout)`` spare bits; a check of None marks the lemma suite,
+    which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     reads: Callable[[Layout], Box] = lambda layout: layout.box
+    headroom: Callable[[Layout], int] = lambda layout: 0
     mmin: int | None = None  # smallest layer size; None: no layer
     admissible: Callable[[tuple, tuple], bool] = lambda I, J: True  # layouts a sweep checks
     nmin: int = 1  # smallest n a sweep accepts
@@ -79,11 +85,13 @@ IDENTITIES = {
     "firstlayer": Identity(
         lambda inst, layout, source: verify_first_layer(inst, layout, source),
         reads=_target,
+        headroom=first_layer_headroom,
         mmin=1,
     ),
     "kadell": Identity(lambda inst, layout, source: verify_kadell(inst, layout, source), mmin=0),
     "main": Identity(
         lambda inst, layout, source: verify_paired(inst, layout, source),
+        headroom=paired_headroom,
         mmin=0,
         admissible=npc_holds,
     ),
@@ -148,13 +156,15 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 def _run_task(task) -> tuple[float, list[VerificationReport]]:
     """Check (identity, n, a, compiled layouts, box) on one product, read
-    over the box; returns the product pass's time in ms with the reports."""
+    over the box and packed with the headroom every layout's check needs;
+    returns the product pass's time in ms with the reports."""
     name, n, a, layouts, box = task
+    identity = IDENTITIES[name]
+    headroom = max(map(identity.headroom, layouts), default=0)
     t0 = time.perf_counter()
-    source = q_dyson_source(Instance(n, a), *box)
+    source = q_dyson_source(Instance(n, a), *box, headroom)
     pass_ms = (time.perf_counter() - t0) * 1000.0
-    check = IDENTITIES[name].check
-    return pass_ms, [check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
+    return pass_ms, [identity.check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
 
 
 def pool_workers(jobs: int, tasks: int) -> int:

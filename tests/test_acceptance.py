@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from qdyson import cli
+from qdyson import cli, sweeps
 from qdyson.dyson import Instance, q_dyson_factors
 from qdyson.firstlayer import (
     first_layer_brute,
@@ -34,6 +34,7 @@ from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
+from qdyson.reports import dumps
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep, verify
 from tests.test_dyson import (
     as_int,
@@ -43,7 +44,8 @@ from tests.test_dyson import (
     ct_times,
     shared_source,
 )
-from tests.test_paired import use_set_reading
+from tests.test_firstlayer import verify_first_layer_oracle
+from tests.test_paired import use_set_reading, verify_paired_oracle
 
 # (n, amax) grids named by the criteria below
 Q_GRIDS = ((2, 3), (3, 2))                       # criterion 1
@@ -444,3 +446,69 @@ def test_crossing_layouts_fail_without_the_guard():
     assert len(five) == 11
     assert all(five.values())
     assert sum(map(len, five.values())) == 100
+
+
+# -- the packed checks against the QPoly checks they replaced ------------------
+
+
+def _stripped(rep):
+    fields = rep.to_dict()
+    del fields["elapsed_ms"]
+    return dumps(fields)
+
+
+def _compare_with(monkeypatch, oracle):
+    """Make every sweep task, and so every ``verify``, compare the report of
+    each of its checks with ``oracle(inst, layout, source)`` on the same
+    product, byte for byte with ``elapsed_ms`` stripped.  Returns a counter
+    of the compared reports."""
+    source, compared = [None], [0]
+    build, run_task = sweeps.q_dyson_source, sweeps._run_task
+
+    def recording(*args):
+        source[0] = build(*args)
+        return source[0]
+
+    def checked(task):
+        pass_ms, reports = run_task(task)
+        _, n, a, layouts, _ = task
+        for layout, rep in zip(layouts, reports, strict=True):
+            expected = oracle(Instance(n, a, layout.I, layout.J), layout, source[0])
+            assert _stripped(rep) == _stripped(expected)
+        compared[0] += len(reports)
+        return pass_ms, reports
+
+    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", recording)
+    monkeypatch.setattr("qdyson.sweeps._run_task", checked)
+    return compared
+
+
+def _kadell_oracle(inst, layout, source):
+    """``verify_kadell`` reading the whole box unpacked at once."""
+    return verify_kadell(inst, layout, source.expanded)
+
+
+@pytest.mark.parametrize("criterion", [3, 5, 7])
+def test_packed_checks_match_the_qpoly_checks(criterion, monkeypatch):
+    """On the grids of criteria 3, 5 and 7, every report of the packed checks
+    is, ``elapsed_ms`` apart, the report of the ``QPoly`` check it replaced.
+    Criterion 7 includes the refuted set reading, whose 252 failures take
+    the path that unpacks and renders the left side."""
+    if criterion == 3:
+        compared = _compare_with(monkeypatch, verify_first_layer_oracle)
+        _, summary = run_sweep(SweepConfig(identity="firstlayer", n=3, amax=2, mmax=2))
+        assert summary["failed"] == 0
+        assert compared[0] == len(layout_grid(3, 1, 2)) * 81
+    elif criterion == 5:
+        compared = _compare_with(monkeypatch, _kadell_oracle)
+        assert all(verify("kadell", 0, (a0,)).holds for a0 in range(3))
+        for n in (1, 2, 3):
+            _, summary = run_sweep(SweepConfig(identity="kadell", n=n, amax=2))
+            assert summary["failed"] == 0
+        assert compared[0] == 3 + sum(len(layout_grid(n, 0, n)) * 3 ** (n + 1) for n in (1, 2, 3))
+    else:
+        compared = _compare_with(monkeypatch, verify_paired_oracle)
+        assert _main_totals(MAIN_GRIDS + ((4, 1),)) == [3132 + 4000, 0, 32]
+        use_set_reading(monkeypatch)
+        assert _main_totals(MAIN_GRIDS) == [3132, 252, 0]
+        assert compared[0] == 3132 + 4000 + 3132

@@ -24,7 +24,8 @@ from qdyson.dyson import (
     q_dyson_source,
 )
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
-from qdyson.paired import compile_layout
+from qdyson.firstlayer import first_layer_headroom
+from qdyson.paired import compile_layout, paired_headroom
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
 from qdyson.sweeps import verify
 
@@ -104,9 +105,15 @@ def layer_box(inst):
 
 def shared_source(insts):
     """The q-Dyson product of instances sharing n and a, over the bounding
-    box of their layer boxes, as a sweep reads it."""
+    box of their layer boxes, as a sweep reads it, packed with the headroom
+    that the first-layer and paired checks of every instance need."""
     los, his = zip(*map(layer_box, insts))
-    return q_dyson_source(insts[0], tuple(map(min, zip(*los))), tuple(map(max, zip(*his))))
+    headroom = max(
+        max(first_layer_headroom(lay), paired_headroom(lay)) for lay in map(compiled, insts)
+    )
+    return q_dyson_source(
+        insts[0], tuple(map(min, zip(*los))), tuple(map(max, zip(*his))), headroom
+    )
 
 
 def test_spec_validation():

@@ -1,21 +1,24 @@
 """Layer coefficients: exponent formulas, closed forms, q = 1 specialisation."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
-from qdyson.dyson import Instance
+from qdyson.dyson import Instance, q_dyson_source
 from qdyson.firstlayer import (
     count_upto,
     first_layer_brute,
     first_layer_closed,
     first_layer_closed_q1,
+    first_layer_headroom,
     first_layer_target,
     layer_exponent,
     nonempty_subsets,
     verify_first_layer,
 )
 from qdyson.qpoly import QPoly, QRat, one_minus_q
+from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import as_int, classical_product, compiled, layer_box, shared_source
 
@@ -139,6 +142,24 @@ def test_target_vector():
     assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
 
 
+def verify_first_layer_oracle(inst, layout, source):
+    """The first-layer check with ``QPoly`` arithmetic, reading the whole box
+    of ``source`` unpacked at once: the closed form built as a ``QRat``,
+    compared with the brute coefficient by cross-multiplication and rendered
+    by exact division.  The packed ``verify_first_layer`` must give the same
+    report, ``elapsed_ms`` apart."""
+    t0 = time.perf_counter()
+    closed = first_layer_closed(inst, layout)
+    brute = source.expanded.coeff(first_layer_target(inst))
+    q1_brute = brute.at_q1()
+    q1_closed = first_layer_closed_q1(inst)
+    holds = QRat(brute) == closed and q1_closed == q1_brute
+    return report(
+        "firstlayer", inst, t0, holds, brute, closed,
+        lambda: {"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
+    )
+
+
 class TestClosedForm:
     def test_rejects_empty_layer(self):
         inst = Instance(2, (1, 1, 1))
@@ -155,6 +176,13 @@ class TestClosedForm:
         inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
             verify_first_layer(inst, compiled(inst), Unreadable())
+
+    def test_verify_rejects_a_source_without_headroom(self):
+        inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
+        layout = compiled(inst)
+        source = q_dyson_source(inst, *layout.box, first_layer_headroom(layout) - 1)
+        with pytest.raises(ValueError):
+            verify_first_layer(inst, layout, source)
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
@@ -185,6 +213,25 @@ class TestClosedForm:
                 for inst in insts:
                     brute = first_layer_brute(inst, source)
                     assert QRat(brute) == first_layer_closed(inst, compiled(inst)), inst
+
+    def test_failing_check_reports_as_the_qpoly_check(self):
+        """Read off the product of another a, 70 of the 72 checks of a small
+        grid fail, and every report is the one the ``QPoly`` check gives: a
+        failing one renders the closed form on the right, not the brute's
+        text."""
+        failed = 0
+        for a in itertools.product(range(1, 3), repeat=3):
+            insts = list(all_layouts(2, a))
+            wrong = shared_source([Instance(2, (a[0] + 1,) + a[1:], i.I, i.J) for i in insts])
+            for inst in insts:
+                layout = compiled(inst)
+                rep = verify_first_layer(inst, layout, wrong)
+                expected = verify_first_layer_oracle(inst, layout, wrong)
+                assert (rep.holds, rep.lhs, rep.rhs, rep.params) == (
+                    expected.holds, expected.lhs, expected.rhs, expected.params
+                ), inst
+                failed += rep.rhs != rep.lhs
+        assert failed == 70
 
 
 class TestQ1:

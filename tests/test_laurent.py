@@ -16,9 +16,14 @@ from qdyson.laurent import (
     coefficients_in_box,
     ct_of_factor_list,
     expand_product,
+    pack,
+    packed_equal,
     shifted_factorial,
+    unpack,
 )
+from qdyson.paired import compile_layout
 from qdyson.qpoly import ONE, ZERO, QPoly, q_pochhammer, q_power
+from qdyson.sweeps import IDENTITIES
 from tests.test_acceptance import pi_action
 from tests.test_dyson import ct_times, eval_q1, homogeneous_degree
 
@@ -211,6 +216,33 @@ def test_packing_bound_is_tight():
     assert coefficients_in_box(huge + [LaurentPoly.zero(1)], (-3, -3), (3, 3)).is_zero()
     assert coefficients_in_box([], (-1, -1), (1, 1)) == LaurentPoly.one(1)
     assert coefficients_in_box([], (1, -1), (1, 1)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "name, m", [("main", 0), ("main", 3), ("firstlayer", 1), ("firstlayer", 2), ("firstlayer", 3)]
+)
+def test_headroom_bound_is_tight(name, m):
+    """Packed sides whose coefficients reach the bounds the check's headroom
+    rule is derived from, for a product bound B as large as k allows: L1
+    norms 2B on both sides for ``main``, and 2^D B and (2^m - 1) 2^D B with
+    D = 2^m - 1 for ``firstlayer``.  With the row's headroom the two
+    bounds add up to less than 2^k, so no two unequal sides compare equal;
+    a pair that reaches them does compare equal with one bit less."""
+    layout = compile_layout(m, tuple(range(m)), (m,) * m)
+    headroom = IDENTITIES[name].headroom(layout)
+    bound = 2**20 - 1  # the largest B with 2^(k - 1 - headroom) > B, k - headroom = 21
+    d = 2**m - 1
+    lx, ly = (2 * bound, 2 * bound) if name == "main" else (2**d * bound, d * 2**d * bound)
+    k = bound.bit_length() + 1 + headroom
+    assert lx + ly < 2**k
+    x0 = min(lx, 2 ** (k - 1))
+    x, y = QPoly(0, (x0,)), QPoly(0, (x0 - 2 ** (k - 1), 1))  # unequal, equal at 2^(k - 1)
+    assert sum(map(abs, x.coeffs)) <= lx and sum(map(abs, y.coeffs)) <= ly
+    assert packed_equal(pack(x, 0, k - 1), 0, pack(y, 0, k - 1), 0, k - 1)
+    assert not packed_equal(pack(x, 0, k), 0, pack(y, 0, k), 0, k)
+    if name == "main":  # a failing check unpacks its left side
+        for c in (lx, -lx):
+            assert unpack(pack(q_power(-3, c), -3, k), k, -3) == q_power(-3, c)
 
 
 def test_read_outside_box_raises():

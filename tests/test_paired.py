@@ -2,12 +2,13 @@
 combinatorial statements."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdyson.dyson import Instance, evaluate
+from qdyson.dyson import Instance, evaluate, q_dyson_source
 from qdyson.firstlayer import count_upto, nonempty_subsets
 from qdyson.paired import (
     NpcViolationError,
@@ -24,7 +25,8 @@ from qdyson.paired import (
     verify_tail_cancel,
     _t_positions,
 )
-from qdyson.qpoly import QPoly, ZERO, q_power
+from qdyson.qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
+from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
 from tests.test_firstlayer import all_layouts, paper_layer_exponent
@@ -240,6 +242,25 @@ class TestCorrectionPolynomial:
         assert poly.coeff((-1, -1, 2)) == q_power(chain_exponent(inst, (0, 1)), 1)
 
 
+def verify_paired_oracle(inst, layout, source):
+    """The paired check with ``QPoly`` arithmetic, reading the whole box of
+    ``source`` unpacked at once: the signed sum over subsets, the product by
+    (1 - q^A) and the right side as polynomials, each side rendered.  The
+    packed ``verify_paired`` must give the same report, ``elapsed_ms``
+    apart."""
+    t0 = time.perf_counter()
+    ct = ZERO
+    for flipped, sign, chain in layout.subsets:
+        term = source.expanded.coeff(flipped).shifted(evaluate(chain, inst.a))
+        ct = ct + term if sign > 0 else ct - term
+    lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
+    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
+    return report(
+        "main", inst, t0, lhs == rhs, lhs, rhs,
+        lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},
+    )
+
+
 class TestVerifyPaired:
     def test_known_holding_instances(self):
         a = (1, 1, 1)
@@ -277,8 +298,11 @@ class TestVerifyPaired:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            inst = Instance(2, (1, 1), (0,), (1,))
-            verify_paired(inst, compiled(inst))
+            Instance(2, (1, 1), (0,), (1,))
+        inst = Instance(2, (1, 1, 1), (0,), (1,))
+        layout = compiled(inst)
+        with pytest.raises(ValueError):  # packed without the check's headroom
+            verify_paired(inst, layout, q_dyson_source(inst, *layout.box))
 
 
 class TestRemovalExponent:

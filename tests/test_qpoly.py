@@ -1,5 +1,7 @@
 """Coefficient-ring kernel: canonical forms, exact division, q-multinomials."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -171,6 +173,16 @@ def test_q_multinomial_divisibility_and_q1():
             assert poly.at_q1() == multinomial(a)
             checked += 1
     assert checked > 400
+
+
+def test_q_multinomial_poly_is_the_exact_quotient():
+    """The chain of Gaussian binomials equals the exact division of
+    (q)_total by the product of the (q)_(a_k), for every a in
+    {0..3}^(n+1) with n <= 3 and for (16, 16, 16)."""
+    avecs = [a for n in range(4) for a in itertools.product(range(4), repeat=n + 1)]
+    for a in avecs + [(16, 16, 16)]:
+        r = q_multinomial(a)
+        assert q_multinomial_poly(a) == divexact(r.num, r.den), a
 
 
 # -- formal quotients --------------------------------------------------------

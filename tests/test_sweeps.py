@@ -89,9 +89,9 @@ def test_verify_reads_the_box_of_its_identity(name, layer, box, monkeypatch):
     build = sweeps.q_dyson_source
     boxes = []
 
-    def recording(inst, lo, hi):
+    def recording(inst, lo, hi, headroom):
         boxes.append((tuple(lo), tuple(hi)))
-        return build(inst, lo, hi)
+        return build(inst, lo, hi, headroom)
 
     monkeypatch.setattr("qdyson.sweeps.q_dyson_source", recording)
     assert verify(name, 3, (1, 1, 1, 1), *layer).holds
