@@ -77,6 +77,14 @@ class Instance:
         if set(self.I) & set(self.J):
             raise ValueError("I and J must be disjoint")
 
+    def with_layout(self, layout: "Layout") -> "Instance":
+        """This instance with the layer of ``layout``, validated no further:
+        ``paired.compile_layout`` validated (I, J) over n when it compiled
+        the layout, and n and a were validated here."""
+        inst = object.__new__(Instance)
+        inst.__dict__.update(n=self.n, a=self.a, I=layout.I, J=layout.J)
+        return inst
+
     @property
     def m(self) -> int:
         return len(self.I)

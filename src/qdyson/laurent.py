@@ -17,7 +17,11 @@ coefficients of whatever it computes.
 ``FactoredProduct`` runs the pass once per product and keeps the packed
 integers: the layer checks read them as they are (``packed_coeff``) and do
 their sums and products on integers, while ``coeff`` unpacks one
-coefficient on its first read and keeps it.  ``coefficients_in_box``
+coefficient on its first read and keeps it.  A read looks its key up first
+and checks the box only when the key is missing.  ``rotated`` turns the
+q-Dyson product D(a) over a cube into D(rot(a))'s over the same cube
+without a pass, by relabelling the keys and shifting the packed integers:
+a layer sweep makes one pass per cyclic orbit of a.  ``coefficients_in_box``
 unpacks the whole box, and ``ct_of_factor_list`` is the pass over a single
 point.  ``expand_product`` multiplies outright, without pruning.  Nothing in
 the program calls it: it is only the tests' oracle, and it stays in this
@@ -342,7 +346,8 @@ class FactoredProduct:
     checks read; reading outside it raises ``ValueError`` instead of
     returning a zero that was never computed.  ``coeff`` unpacks a
     coefficient on its first read and keeps it; ``expanded`` is the whole
-    box unpacked, once."""
+    box unpacked, once; ``rotated`` makes the product of a rotated
+    exponent vector from a q-Dyson product."""
 
     def __init__(
         self,
@@ -359,23 +364,60 @@ class FactoredProduct:
         self.packed, self.k, self.low = packed_in_box(factors, lo, hi, headroom)
         self._read: dict[Monomial, QPoly] = {}
 
-    def _key(self, target: Sequence[int]) -> Monomial:
-        key = tuple(target)
+    def _absent(self, key: Monomial) -> int:
+        """The packed coefficient at a key the pass did not keep: 0 inside
+        the box, where the pass dropped only zeros.  Every kept key lies in
+        the box, so a read checks the box here alone, on a miss."""
         for e, b, c in zip(key, self.lo, self.hi):
             if e < b or e > c:
                 raise ValueError(f"exponent {key!r} outside the box {self.lo!r}..{self.hi!r}")
-        return key
+        return 0
 
     def packed_coeff(self, target: Sequence[int]) -> int:
         """The coefficient at ``target`` as q^-low times it at q = 2^k."""
-        return self.packed.get(self._key(target), 0)
+        key = tuple(target)
+        value = self.packed.get(key)
+        return self._absent(key) if value is None else value
 
     def coeff(self, target: Sequence[int]) -> QPoly:
-        key = self._key(target)
+        key = tuple(target)
         value = self._read.get(key)
         if value is None:
-            value = self._read[key] = unpack(self.packed.get(key, 0), self.k, self.low)
+            value = self._read[key] = unpack(self.packed_coeff(key), self.k, self.low)
         return value
+
+    def rotated(self, r: int) -> "FactoredProduct":
+        """For this product the q-Dyson product D(a) over a cube, the same
+        box of D(rot^r a), with rot(a) = (a_n, a_0, ..., a_{n-1}), made
+        without a pass.  It is the cyclic symmetry behind Lv-Xin-Zhou's pi
+        operation: with pi^r moving exponent i to position (i + r) mod
+        (n + 1),
+
+            [x^f] D(a) = q^s [x^(pi^r f)] D(rot^r a),
+            s = sum of floor((i + r) / (n + 1)) f_i,
+
+        so each packed key is relabelled by pi^r and its int divided by q^s,
+        a shift right by k s bits (left when s < 0).  The shift is exact:
+        every factor of a q-Dyson product has lowest power q^0, so low is 0
+        and every coefficient is a polynomial in q.  k, low and headroom
+        carry over, as B = 2^(n total) does not change under rotation.
+        r = 0 gives this product itself; any other r raises ``ValueError``
+        on a box that is not a cube, as only a cube is closed under pi."""
+        width = self.n + 1
+        if r % width == 0:
+            return self
+        if len(set(self.lo)) > 1 or len(set(self.hi)) > 1:
+            raise ValueError(f"the box {self.lo!r}..{self.hi!r} is not a cube")
+        cut = width - r % width  # the coordinates i with i + r >= n + 1
+        k = self.k
+        packed = {}
+        for e, c in self.packed.items():
+            s = k * sum(e[cut:])
+            packed[e[cut:] + e[:cut]] = c >> s if s >= 0 else c << -s
+        out = object.__new__(FactoredProduct)
+        out.n, out.lo, out.hi, out.headroom = self.n, self.lo, self.hi, self.headroom
+        out.packed, out.k, out.low, out._read = packed, k, self.low, {}
+        return out
 
     def constant_term(self) -> QPoly:
         return self.coeff((0,) * (self.n + 1))

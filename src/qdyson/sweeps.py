@@ -9,17 +9,24 @@ compute on the packed coefficients), both worked out from the compiled
 layout.  Every check reads a product its caller built, and ``_run_task`` is
 the one caller that builds it: one pruned pass over a box, with the most
 headroom any of the task's layouts needs, then every check of the task.
-``verify`` runs one instance as a task of one layout, read over that
-layout's box, after rejecting any layer the row does not accept.  A sweep
+``verify`` runs one instance as a task of one a and one layout, read over
+that layout's box, after rejecting any layer the row does not accept.
+Each check gets an ``Instance`` validated once per a, with its layout's
+(I, J) attached unchecked, as ``compile_layout`` validated them.  A sweep
 walks every exponent vector a in [0..amax]^(n+1) — and, for layer
 identities, every admissible (I, J) layout — and verifies the chosen
 identity on one ``Instance`` (n, a, I, J) each.  The no-crossing filter of
 ``main`` reads layouts only, before any a is drawn.  So does
 ``compile_layout``: the sweep compiles every admissible layout once, and
-each check evaluates its exponents at its a by dot products.  Work is
-chunked by exponent vector: each task carries the compiled layouts and the
-bounding box of what they read, computed once per sweep.  Results are merged
-in grid order regardless of completion order.
+each check evaluates its exponents at its a by dot products.  Each task
+carries the compiled layouts and the bounding box of what they read,
+computed once per sweep.  A layer sweep makes one task per cyclic orbit
+(a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ..., a_{n-1}): one pass
+for a, and for every other member that pass rotated
+(``FactoredProduct.rotated``), which the union box allows because it is a
+cube, as the sweep asserts.  The constant-term sweeps keep one task and one
+pass per a, so each product is checked on its own.  Results are merged in
+grid order regardless of orbit or completion order.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
@@ -136,6 +144,24 @@ def a_grid(n: int, amax: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(amax + 1), repeat=n + 1))
 
 
+def cyclic_orbits(avecs: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The exponent vectors, closed under rot(a) = (a_n, a_0, ..., a_{n-1}),
+    as cyclic orbits (a, rot(a), rot^2(a), ...) that end before a comes
+    round again, each led by its first vector in the given order."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for a in avecs:
+        if a in seen:
+            continue
+        orbit, b = [a], a[-1:] + a[:-1]
+        while b != a:
+            orbit.append(b)
+            b = b[-1:] + b[:-1]
+        seen.update(orbit)
+        out.append(tuple(orbit))
+    return out
+
+
 def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (I, J) layouts with mmin <= m <= mmax: I runs over m-subsets of
     0..n, J over weakly increasing m-tuples from the complement."""
@@ -151,20 +177,27 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
     return out
 
 
-# -- per-exponent-vector workers (top level so they pickle) -------------------
+# -- per-orbit workers (top level so they pickle) -----------------------------
 
 
 def _run_task(task) -> tuple[float, list[VerificationReport]]:
-    """Check (identity, n, a, compiled layouts, box) on one product, read
-    over the box and packed with the headroom every layout's check needs;
-    returns the product pass's time in ms with the reports."""
-    name, n, a, layouts, box = task
+    """Check (identity, n, orbit, compiled layouts, box) on one product per
+    member of the orbit, a tuple (a, rot(a), rot^2(a), ...): one pass for
+    a, read over the box and packed with the headroom every layout's check
+    needs, rotated for each other member before any check starts its clock.
+    Returns the pass's time in ms with the reports, member by member."""
+    name, n, orbit, layouts, box = task
     identity = IDENTITIES[name]
     headroom = max(map(identity.headroom, layouts), default=0)
+    insts = [Instance(n, a) for a in orbit]
     t0 = time.perf_counter()
-    source = q_dyson_source(Instance(n, a), *box, headroom)
+    source = q_dyson_source(insts[0], *box, headroom)
     pass_ms = (time.perf_counter() - t0) * 1000.0
-    return pass_ms, [identity.check(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
+    reports = []
+    for r, inst in enumerate(insts):
+        member = source.rotated(r)
+        reports += [identity.check(inst.with_layout(lay), lay, member) for lay in layouts]
+    return pass_ms, reports
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -209,7 +242,7 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
     if not identity.admissible(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     layout = compile_layout(n, inst.I, inst.J)
-    pass_ms, [rep] = _run_task((name, n, inst.a, [layout], identity.reads(layout)))
+    pass_ms, [rep] = _run_task((name, n, (inst.a,), [layout], identity.reads(layout)))
     rep.elapsed_ms = round(rep.elapsed_ms + pass_ms, 3)
     return rep
 
@@ -291,8 +324,16 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
         layouts = [compile_layout(n, I, J) for I, J in grid]
         los, his = zip(*map(identity.reads, layouts))
         box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-        tasks = [(config.identity, n, a, layouts, box) for a in avecs]
-        reports = _execute(tasks, config.jobs)
+        if identity.mmin is None:  # the constant terms: one pass per a
+            orbits = [(a,) for a in avecs]
+        else:
+            assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
+            orbits = cyclic_orbits(avecs)
+        tasks = [(config.identity, n, orbit, layouts, box) for orbit in orbits]
+        rank = {a: i for i, a in enumerate(avecs)}
+        order = [rank[a] for orbit in orbits for a in orbit for _ in layouts]
+        done = sorted(zip(order, _execute(tasks, config.jobs)), key=itemgetter(0))
+        reports = [rep for _, rep in done]
 
     passed = sum(1 for r in reports if r.holds)
     summary = {

@@ -31,7 +31,7 @@ from qdyson.firstlayer import (
     verify_first_layer,
 )
 from qdyson.kadell import reproduce_counterexample, verify_kadell
-from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
+from qdyson.laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
 from qdyson.reports import dumps
@@ -459,26 +459,31 @@ def _stripped(rep):
 
 def _compare_with(monkeypatch, oracle):
     """Make every sweep task, and so every ``verify``, compare the report of
-    each of its checks with ``oracle(inst, layout, source)`` on the same
-    product, byte for byte with ``elapsed_ms`` stripped.  Returns a counter
-    of the compared reports."""
-    source, compared = [None], [0]
-    build, run_task = sweeps.q_dyson_source, sweeps._run_task
+    each of its checks with ``oracle(inst, layout, source)`` on the product
+    that check read, its orbit member's rotation of the task's one pass,
+    byte for byte with ``elapsed_ms`` stripped.  Returns a counter of the
+    compared reports."""
+    members, compared = [], [0]
+    rotated, run_task = FactoredProduct.rotated, sweeps._run_task
 
-    def recording(*args):
-        source[0] = build(*args)
-        return source[0]
+    def recording(source, r):
+        members.append(rotated(source, r))
+        return members[-1]
 
     def checked(task):
+        members.clear()
         pass_ms, reports = run_task(task)
-        _, n, a, layouts, _ = task
-        for layout, rep in zip(layouts, reports, strict=True):
-            expected = oracle(Instance(n, a, layout.I, layout.J), layout, source[0])
-            assert _stripped(rep) == _stripped(expected)
+        _, n, orbit, layouts, _ = task
+        unread = iter(reports)
+        for a, source in zip(orbit, members, strict=True):
+            for layout in layouts:
+                expected = oracle(Instance(n, a, layout.I, layout.J), layout, source)
+                assert _stripped(next(unread)) == _stripped(expected)
+        assert next(unread, None) is None
         compared[0] += len(reports)
         return pass_ms, reports
 
-    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", recording)
+    monkeypatch.setattr(FactoredProduct, "rotated", recording)
     monkeypatch.setattr("qdyson.sweeps._run_task", checked)
     return compared
 
@@ -498,17 +503,22 @@ def test_packed_checks_match_the_qpoly_checks(criterion, monkeypatch):
         compared = _compare_with(monkeypatch, verify_first_layer_oracle)
         _, summary = run_sweep(SweepConfig(identity="firstlayer", n=3, amax=2, mmax=2))
         assert summary["failed"] == 0
-        assert compared[0] == len(layout_grid(3, 1, 2)) * 81
+        assert compared[0] == summary["total"] == len(layout_grid(3, 1, 2)) * 81
     elif criterion == 5:
         compared = _compare_with(monkeypatch, _kadell_oracle)
         assert all(verify("kadell", 0, (a0,)).holds for a0 in range(3))
+        totals = 3
         for n in (1, 2, 3):
             _, summary = run_sweep(SweepConfig(identity="kadell", n=n, amax=2))
             assert summary["failed"] == 0
-        assert compared[0] == 3 + sum(len(layout_grid(n, 0, n)) * 3 ** (n + 1) for n in (1, 2, 3))
+            totals += summary["total"]
+        assert compared[0] == totals
+        assert totals == 3 + sum(len(layout_grid(n, 0, n)) * 3 ** (n + 1) for n in (1, 2, 3))
     else:
         compared = _compare_with(monkeypatch, verify_paired_oracle)
-        assert _main_totals(MAIN_GRIDS + ((4, 1),)) == [3132 + 4000, 0, 32]
+        held = _main_totals(MAIN_GRIDS + ((4, 1),))
+        assert held == [3132 + 4000, 0, 32]
         use_set_reading(monkeypatch)
-        assert _main_totals(MAIN_GRIDS) == [3132, 252, 0]
-        assert compared[0] == 3132 + 4000 + 3132
+        refuted = _main_totals(MAIN_GRIDS)
+        assert refuted == [3132, 252, 0]
+        assert compared[0] == held[0] + refuted[0]

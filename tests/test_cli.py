@@ -201,10 +201,11 @@ class TestParallelParity:
         "identity, n", [("firstlayer", 3), ("kadell", 3), ("main", 3), ("main", 4)]
     )
     def test_compiled_layouts_cross_the_pool(self, identity, n):
-        """Compiled layouts travel to the workers in the task tuples: the
-        layer identities give the same reports and summary with one process
-        as with two.  ``main n=4 amax=1`` is the grid with rejected
-        layouts."""
+        """Compiled layouts travel to the workers in the task tuples, one
+        task per cyclic orbit of a, and each worker rotates its one pass to
+        the orbit's other members: the layer identities give the same
+        reports, in grid order, and summary with one process as with two.
+        ``main n=4 amax=1`` is the grid with rejected layouts."""
         runs = [
             run_sweep(SweepConfig(identity=identity, n=n, amax=1, jobs=jobs)) for jobs in (1, 2)
         ]

@@ -27,7 +27,7 @@ from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.firstlayer import first_layer_headroom
 from qdyson.paired import compile_layout, paired_headroom
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
-from qdyson.sweeps import verify
+from qdyson.sweeps import a_grid, layout_grid, verify
 
 
 def as_int(p):
@@ -130,6 +130,45 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             Instance(n, a, I, J)
     assert Instance(2, (1, 0, 2)).total == 3
+
+
+def test_with_layout_is_the_validated_instance():
+    """Attaching a compiled layout gives the instance that validating
+    (n, a, I, J) gives, for every layout over x_0..x_3."""
+    base = Instance(3, (2, 0, 1, 2))
+    for I, J in layout_grid(3, 0, 3):  # noqa: E741
+        inst = base.with_layout(compile_layout(3, I, J))
+        assert inst == Instance(3, base.a, I, J)
+        assert hash(inst) == hash(Instance(3, base.a, I, J))
+
+
+@pytest.mark.parametrize("n, amax", [(3, 2), (4, 1)])
+def test_rotation_is_a_fresh_pass(n, amax):
+    """The orbit oracle: for every a of the grid and every r, the pass of
+    D(a) over the cube [-n, 1]^(n+1), rotated by r, is the pass of
+    D(rot^r a) over that cube, packed int for packed int, with the same k
+    and low."""
+    cube = (-n,) * (n + 1), (1,) * (n + 1)
+    fresh = {a: q_dyson_source(Instance(n, a), *cube, 3) for a in a_grid(n, amax)}
+    for a, source in fresh.items():
+        b = a
+        for r in range(n + 2):
+            member, want = source.rotated(r), fresh[b]
+            assert (member.packed, member.k, member.low) == (want.packed, want.k, want.low)
+            assert (member.lo, member.hi, member.headroom) == cube + (3,)
+            b = b[-1:] + b[:-1]
+
+
+def test_rotation_needs_a_cube():
+    """Rotating by 0 (mod n + 1) gives the product itself, on any box; any
+    other rotation of a box that is not a cube raises."""
+    inst = Instance(2, (1, 2, 0))
+    box = q_dyson_source(inst, (-2, -1, -2), (1, 1, 1))
+    assert box.rotated(0) is box and box.rotated(3) is box
+    with pytest.raises(ValueError, match="not a cube"):
+        box.rotated(1)
+    cube = q_dyson_source(inst, (-2,) * 3, (1,) * 3)
+    assert cube.rotated(2).coeff((0, 0, 0)) == cube.constant_term()
 
 
 def test_factor_counts():

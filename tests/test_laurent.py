@@ -264,6 +264,35 @@ def test_read_outside_box_raises():
         ct_times(source, mono(1, (1, -1)))  # reads x^(-1, 1)
 
 
+def test_reads_just_outside_the_box_raise():
+    """A read one step outside the box, along any coordinate and on either
+    side, raises the same ``ValueError``, before and after every key inside
+    the box has been read, and on a rotated product too."""
+    n, lo, hi = 2, (-2, -2, -2), (1, 1, 1)
+    factors = [
+        LaurentPoly.one(n) - mono(n, (1, -1, 0)),
+        LaurentPoly.one(n) - mono(n, (0, 1, -1), q_power(1)),
+        LaurentPoly.one(n) - mono(n, (-1, 0, 1), q_power(2)),
+    ]
+    source = FactoredProduct(n, factors, lo, hi)
+    outside = []
+    for v in range(n + 1):
+        for step, edge in ((-1, lo), (1, hi)):
+            key = [0] * (n + 1)
+            key[v] = edge[v] + step
+            outside.append(tuple(key))
+    message = r"outside the box \(-2, -2, -2\)\.\.\(1, 1, 1\)"
+    inside = list(itertools.product(range(-2, 2), repeat=n + 1))
+    for product in (source, source, FactoredProduct(n, factors, lo, hi).rotated(1)):
+        for key in outside:
+            with pytest.raises(ValueError, match=message):
+                product.packed_coeff(key)
+            with pytest.raises(ValueError, match=message):
+                product.coeff(key)
+        for key in inside:  # the second round reads every cached key first
+            assert unpack(product.packed_coeff(key), product.k, product.low) == product.coeff(key)
+
+
 def test_ct_times_matches_direct_multiplication():
     factors = [
         LaurentPoly.one(2) - mono(2, (1, -1, 0)),

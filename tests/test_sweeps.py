@@ -10,6 +10,7 @@ from qdyson.paired import npc_holds
 from qdyson.sweeps import (
     SweepConfig,
     a_grid,
+    cyclic_orbits,
     layout_grid,
     lemma_suite_reports,
     pool_workers,
@@ -22,6 +23,50 @@ from qdyson.sweeps import (
 def test_a_grid():
     assert a_grid(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert len(a_grid(2, 2)) == 27
+
+
+@pytest.mark.parametrize(
+    "n, amax, orbits", [(1, 3, 10), (3, 2, 24), (4, 1, 8), (4, 2, 51), (2, 5, 76)]
+)
+def test_cyclic_orbits(n, amax, orbits):
+    """The grid falls into cyclic orbits (a, rot(a), ...) of distinct
+    vectors, each led by its first vector in grid order."""
+    grid = a_grid(n, amax)
+    out = cyclic_orbits(grid)
+    assert len(out) == orbits
+    assert sorted(a for orbit in out for a in orbit) == grid
+    assert [orbit[0] for orbit in out] == sorted(orbit[0] for orbit in out)
+    for orbit in out:
+        assert orbit[0] == min(orbit)
+        assert [b[-1:] + b[:-1] for b in orbit] == list(orbit[1:] + orbit[:1])
+
+
+@pytest.mark.parametrize(
+    "identity, n, amax, passes",
+    [
+        ("dyson", 3, 2, 81),
+        ("qdyson", 3, 2, 81),
+        ("firstlayer", 3, 2, 24),
+        ("kadell", 3, 2, 24),
+        ("main", 3, 2, 24),
+        ("main", 4, 1, 8),
+    ],
+)
+def test_sweeps_count_their_passes(identity, n, amax, passes, monkeypatch):
+    """The constant-term sweeps run one pass per a, so each product is
+    checked on its own; the layer sweeps one per cyclic orbit of a."""
+    build, calls = sweeps.q_dyson_source, []
+
+    def counting(*args):
+        calls.append(args[0].a)
+        return build(*args)
+
+    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", counting)
+    _, summary = run_sweep(SweepConfig(identity=identity, n=n, amax=amax))
+    assert summary["failed"] == 0
+    assert len(calls) == passes
+    if passes < len(a_grid(n, amax)):
+        assert calls == [orbit[0] for orbit in cyclic_orbits(a_grid(n, amax))]
 
 
 def test_layout_grid_counts():
@@ -157,6 +202,15 @@ def test_sweep_reports_follow_grid_order():
     reports, _ = run_sweep(SweepConfig(identity="qdyson", n=1, amax=2))
     seen = [tuple(r.params["a"]) for r in reports]
     assert seen == a_grid(1, 2)
+
+
+def test_layer_sweep_reports_follow_grid_order():
+    """A layer sweep runs by orbits, yet reports a by a in grid order, and
+    the layouts of each a in layout order."""
+    reports, _ = run_sweep(SweepConfig(identity="main", n=2, amax=2))
+    layouts = [lay for lay in layout_grid(2, 0, 2) if npc_holds(*lay)]
+    seen = [(tuple(r.params["a"]), tuple(r.params["I"]), tuple(r.params["J"])) for r in reports]
+    assert seen == [(a, I, J) for a in a_grid(2, 2) for I, J in layouts]  # noqa: E741
 
 
 def test_lemma_suite_shapes():
