@@ -75,12 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str | None, lines: list[str]) -> None:
+def _write_json(path: str | None, reports, summary: dict | None = None) -> None:
+    """One JSON line per report, then the summary if given; without a path
+    nothing is encoded."""
     if path is None:
         return
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for report in reports:
+            fh.write(report.to_json() + "\n")
+        if summary is not None:
+            fh.write(dumps(summary) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -91,7 +95,7 @@ def _cmd_verify(args) -> int:
         return 2
 
     print(report.summary_line())
-    _write_json(args.json, [report.to_json()])
+    _write_json(args.json, [report])
     return 0 if report.holds else 1
 
 
@@ -117,9 +121,7 @@ def _cmd_sweep(args) -> int:
         f"{args.identity}: total={summary['total']} passed={summary['passed']} "
         f"failed={summary['failed']} rejected={summary['rejected']} seed={summary['seed']}"
     )
-    lines = [r.to_json() for r in reports]
-    lines.append(dumps(summary))
-    _write_json(args.json, lines)
+    _write_json(args.json, reports, summary)
     return 0 if summary["failed"] == 0 else 1
 
 
@@ -133,7 +135,7 @@ def _cmd_counterexample(args) -> int:
         print("expected failure confirmed: LHS != RHS, both sides as pinned")
     else:  # pragma: no cover - would indicate a kernel regression
         print("UNEXPECTED: instance did not reproduce the pinned values")
-    _write_json(args.json, [report.to_json()])
+    _write_json(args.json, [report])
     return 0 if confirmed else 1
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 ENGINE = "qdyson/0.1.0"
@@ -21,7 +21,8 @@ class VerificationReport:
     """Outcome of one identity check.
 
     ``holds`` records exact equality of the two sides; ``lhs``/``rhs`` are
-    their canonical renderings.
+    their canonical renderings.  A report is not changed once built: derive
+    another with ``dataclasses.replace``, which starts with no kept line.
     """
 
     identity: str
@@ -31,6 +32,7 @@ class VerificationReport:
     rhs: str
     elapsed_ms: float
     engine: str = ENGINE
+    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -44,7 +46,13 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return dumps(self.to_dict())
+        """The canonical JSON line of ``to_dict``.  It is made on the first
+        call and kept, pickled with the report, so a pool worker encodes its
+        reports once and the parent reads the kept lines; this relies on the
+        report not changing after it is built."""
+        if self._json is None:
+            self._json = dumps(self.to_dict())
+        return self._json
 
     def summary_line(self) -> str:
         verdict = "holds" if self.holds else "FAILS"

@@ -18,15 +18,19 @@ identities, every admissible (I, J) layout — and verifies the chosen
 identity on one ``Instance`` (n, a, I, J) each.  The no-crossing filter of
 ``main`` reads layouts only, before any a is drawn.  So does
 ``compile_layout``: the sweep compiles every admissible layout once, and
-each check evaluates its exponents at its a by dot products.  Each task
-carries the compiled layouts and the bounding box of what they read,
+each check evaluates its exponents at its a by dot products.  The tasks of
+a sweep share the compiled layouts and the bounding box of what they read,
 computed once per sweep.  A layer sweep makes one task per cyclic orbit
 (a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ..., a_{n-1}): one pass
 for a, and for every other member that pass rotated
 (``FactoredProduct.rotated``), which the union box allows because it is a
 cube, as the sweep asserts.  The constant-term sweeps keep one task and one
-pass per a, so each product is checked on its own.  Results are merged in
-grid order regardless of orbit or completion order.
+pass per a, so each product is checked on its own.  With ``--jobs`` above
+one, a process pool gets the shared (identity, n, layouts, box) once per
+worker, through its initializer, and then one orbit per task, largest
+first; each worker encodes its reports' JSON lines, which travel back with
+them.  Results are merged in grid order regardless of orbit or completion
+order.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -206,19 +210,45 @@ def pool_workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+# The (identity, n, layouts, box) that every task of the pool's sweep shares,
+# set once in each worker by the pool's initializer.  The parent never sets it.
+_shared: tuple | None = None
+
+
+def _share(context: tuple) -> None:
+    global _shared
+    _shared = context
+
+
+def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> list[VerificationReport]:
+    """A pool task: ``_run_task`` (looked up when called, so a rebinding
+    reaches it) on the shared context and this orbit, then each report
+    encoded, so its JSON line comes back with it."""
+    name, n, layouts, box = _shared
+    reports = _run_task((name, n, orbit, layouts, box))[1]
+    for rep in reports:
+        rep.to_json()
+    return reports
+
+
 def _execute(tasks: Sequence[tuple], jobs: int) -> list[VerificationReport]:
+    """The reports of the tasks, in task order.  A pool gets the tasks'
+    shared (identity, n, layouts, box) once per worker and their orbits,
+    largest first, one per task."""
     workers = pool_workers(jobs, len(tasks))
     if workers <= 1:
         out: list[VerificationReport] = []
         for t in tasks:
             out.extend(_run_task(t)[1])
         return out
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_run_task, tasks)
-        out = []
-        for _, chunk in chunks:
-            out.extend(chunk)
-        return out
+    name, n, _, layouts, box = tasks[0]
+    assert all(t[3] is layouts and t[4] == box for t in tasks), "tasks of two sweeps"
+    first = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][2]))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_share, initargs=((name, n, layouts, box),)
+    ) as pool:
+        chunks = dict(zip(first, pool.map(_run_orbit, [tasks[i][2] for i in first])))
+    return [rep for i in range(len(tasks)) for rep in chunks[i]]
 
 
 # -- one instance --------------------------------------------------------------
@@ -243,8 +273,7 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     layout = compile_layout(n, inst.I, inst.J)
     pass_ms, [rep] = _run_task((name, n, (inst.a,), [layout], identity.reads(layout)))
-    rep.elapsed_ms = round(rep.elapsed_ms + pass_ms, 3)
-    return rep
+    return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
 
 
 # -- randomized lemma suite ----------------------------------------------------

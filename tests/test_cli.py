@@ -1,18 +1,22 @@
 """Command-line interface: exit codes, JSON output, parallel parity."""
 
 import argparse
+import functools
 import json
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import qdyson
 from qdyson import cli
-from qdyson.reports import dumps
-from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
+from qdyson.reports import VerificationReport, dumps
+from qdyson.sweeps import IDENTITIES, SweepConfig, a_grid, run_sweep
 from tests.test_paired import use_set_reading
 
 REPORT_KEYS = {"identity", "params", "holds", "lhs", "rhs", "elapsed_ms", "engine"}
@@ -162,6 +166,20 @@ class TestJsonOutput:
             assert set(obj) == REPORT_KEYS
             assert dumps(obj) == line
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "main", "--n", "2", "--a", "1,1,1", "--I", "0", "--J", "1"],
+            ["sweep", "main", "--n", "2", "--amax", "1"],
+            ["counterexample"],
+        ],
+    )
+    def test_no_json_encodes_nothing(self, argv, monkeypatch, capsys):
+        """Without ``--json`` no report is encoded."""
+        monkeypatch.setattr(VerificationReport, "to_json", None)
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+
 
 class TestCounterexample:
     def test_exit_zero_and_message(self, capsys):
@@ -180,9 +198,21 @@ class TestCounterexample:
         assert obj["params"]["extra"]["confirmed"] is True
 
 
+def _stripped_lines(reports):
+    """Each report's JSON line, parsed, without ``elapsed_ms``: from a pool
+    the lines are the ones the workers encoded."""
+    out = []
+    for r in reports:
+        obj = json.loads(r.to_json())
+        obj.pop("elapsed_ms")
+        out.append(obj)
+    return out
+
+
 class TestParallelParity:
     def test_jobs_do_not_change_reports(self):
-        """Worker count affects timing only: same reports, same order."""
+        """Worker count affects timing only: same reports, same order, same
+        JSON lines."""
         seq, seq_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=1))
         par, par_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=2))
         assert seq_summary == par_summary
@@ -196,15 +226,17 @@ class TestParallelParity:
             return out
 
         assert strip(seq) == strip(par)
+        assert _stripped_lines(seq) == _stripped_lines(par) == strip(seq)
 
     @pytest.mark.parametrize(
         "identity, n", [("firstlayer", 3), ("kadell", 3), ("main", 3), ("main", 4)]
     )
     def test_compiled_layouts_cross_the_pool(self, identity, n):
-        """Compiled layouts travel to the workers in the task tuples, one
-        task per cyclic orbit of a, and each worker rotates its one pass to
-        the orbit's other members: the layer identities give the same
-        reports, in grid order, and summary with one process as with two.
+        """Compiled layouts and their box reach each worker once, through the
+        pool's initializer; each task is one cyclic orbit of a, and each
+        worker rotates its one pass to the orbit's other members and encodes
+        the reports: the layer identities give the same reports and JSON
+        lines, in grid order, and summary with one process as with two.
         ``main n=4 amax=1`` is the grid with rejected layouts."""
         runs = [
             run_sweep(SweepConfig(identity=identity, n=n, amax=1, jobs=jobs)) for jobs in (1, 2)
@@ -215,6 +247,50 @@ class TestParallelParity:
         assert [r.to_dict() | {"elapsed_ms": 0} for r in seq] == [
             r.to_dict() | {"elapsed_ms": 0} for r in par
         ]
+        assert _stripped_lines(seq) == _stripped_lines(par)
+
+    def test_only_orbits_cross_the_pool(self, monkeypatch):
+        """Each item the pool maps over is one orbit, a tuple of exponent
+        tuples with no ``Layout`` in it, largest first, and together they
+        are the grid and pickle to under 2 KB (the layouts sent with every
+        task came to about 400 KB on this grid)."""
+        submitted = []
+
+        class Recording(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                (items,) = map(list, iterables)
+                submitted.extend(items)
+                return super().map(fn, items, **kwargs)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("qdyson.sweeps.ProcessPoolExecutor", Recording)
+        _, summary = run_sweep(SweepConfig(identity="main", n=4, amax=1, jobs=2))
+        assert summary["total"] == 4000 and summary["failed"] == 0
+        assert all(
+            type(orbit) is tuple
+            and all(type(a) is tuple and all(type(x) is int for x in a) for a in orbit)
+            for orbit in submitted
+        )
+        sizes = [len(orbit) for orbit in submitted]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+        assert sorted(a for orbit in submitted for a in orbit) == a_grid(4, 1)
+        assert len(pickle.dumps(submitted)) < 2048
+
+    def test_the_pool_runs_under_spawn(self, monkeypatch):
+        """The workers take the sweep's layouts from the pool's initializer,
+        not from a forked parent: under spawn (the default on macOS; Python
+        3.14 defaults to forkserver on Linux) a pool sweep gives the serial
+        reports."""
+        seq, seq_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=1))
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            "qdyson.sweeps.ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=spawn),
+        )
+        par, par_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=2))
+        assert seq_summary == par_summary
+        assert _stripped_lines(seq) == _stripped_lines(par)
 
 
 def _strip_elapsed(path):

@@ -1,5 +1,6 @@
 """Grid enumeration, sweep summaries, and the randomized lemma suite."""
 
+import json
 import random
 
 import pytest
@@ -141,6 +142,25 @@ def test_verify_reads_the_box_of_its_identity(name, layer, box, monkeypatch):
     monkeypatch.setattr("qdyson.sweeps.q_dyson_source", recording)
     assert verify(name, 3, (1, 1, 1, 1), *layer).holds
     assert boxes == [box]
+
+
+@pytest.mark.parametrize("name, layer", [("main", ((0, 2), (1, 1))), ("qdyson", ((), ()))])
+def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
+    """``verify`` adds the pass to ``elapsed_ms`` in a new report, so its
+    kept JSON line carries that time even when the check's report was
+    encoded first, as a pool worker encodes it."""
+    run_task = sweeps._run_task
+
+    def encoding(task):
+        pass_ms, reports = run_task(task)
+        for rep in reports:
+            rep.to_json()
+        return pass_ms, reports
+
+    monkeypatch.setattr("qdyson.sweeps._run_task", encoding)
+    rep = verify(name, 3, (1, 1, 1, 1), *layer)
+    assert json.loads(rep.to_json())["elapsed_ms"] == rep.elapsed_ms
+    assert rep.to_json() is rep.to_json()
 
 
 def test_verify_rejects_what_only_sweeps(monkeypatch):
