@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Count the code lines and statements of each ``qdyson`` module and their
-totals.
+totals, and of the tests together.
 
 A code line is one that is not blank, not a comment only, and not inside a
 module, class or function docstring (found with ``ast``).  A statement is an
 ``ast`` statement node other than a docstring; unlike a line count, it does
-not move when code is reformatted.
+not move when code is reformatted.  The ``tests`` line sums ``tests/*.py``,
+so code moved from the package into the tests still shows.
 
     python scripts/count_code_lines.py
 """
@@ -49,6 +50,7 @@ def counts(source: str) -> tuple[int, int]:
 def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     package = pathlib.Path(qdyson.__file__).parent
+    tests = pathlib.Path(__file__).resolve().parent.parent / "tests"
     total_lines = total_statements = 0
     print("module code_lines statements")
     for path in sorted(package.glob("*.py")):
@@ -57,6 +59,8 @@ def main() -> None:
         total_statements += statements
         print(f"{path.name} {lines} {statements}")
     print(f"total {total_lines} {total_statements}")
+    test_counts = [counts(path.read_text()) for path in sorted(tests.glob("*.py"))]
+    print("tests", *map(sum, zip(*test_counts)))
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .dyson import (  # noqa: F401
     verify_q_dyson,
 )
 from .firstlayer import (  # noqa: F401
-    first_layer_brute,
     first_layer_closed,
     first_layer_closed_q1,
     verify_first_layer,

@@ -7,8 +7,10 @@ disjoint from I.  The first-layer coefficient is the constant term of
     (x_{j_1} ... x_{j_m}) / (x_{i_1} ... x_{i_m}) * q-Dyson product,
 
 equivalently the coefficient of (prod x_i) / (prod x_j) in the product
-itself.  The brute-force side reads that one coefficient, and nothing else,
-from the source its caller built (the read rule of ``firstlayer`` in
+itself, the flipped layer monomial of S = I, which a compiled ``Layout``
+lists last among its subsets.  The brute-force side is that one
+coefficient: ``verify_first_layer`` reads it, and nothing else, from the
+source its caller built (the read rule of ``firstlayer`` in
 ``sweeps.IDENTITIES``).  The closed form is a signed sum over nonempty
 subsets T of I whose q-exponents are the layer exponents computed here.  Its
 q = 1 value, the first-layer coefficient of the classical product, is read
@@ -95,17 +97,6 @@ def layer_exponent(
 ) -> int:
     """The q-exponent of ``layer_coefficients`` at inst.a."""
     return evaluate(layer_coefficients(T, inst, within), inst.a)
-
-
-def first_layer_target(inst: Instance) -> tuple[int, ...]:
-    """Exponent vector whose coefficient in the q-Dyson product is the
-    first-layer coefficient: the flipped layer monomial of S = I."""
-    return tuple(-e for e in inst.layer_monomial(inst.I))
-
-
-def first_layer_brute(inst: Instance, source: FactoredProduct) -> QPoly:
-    """First-layer coefficient straight out of the product."""
-    return source.coeff(first_layer_target(inst))
 
 
 def first_layer_closed(inst: Instance, layout: Layout) -> QRat:

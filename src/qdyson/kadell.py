@@ -8,11 +8,12 @@ constant term by a clean rational factor:
 
 The correction binomials carry no q, so the corrected classical constant term
 is read off the corrected q-Dyson one at q = 1.  Multiplied out they are the
-signed layer monomials of a compiled ``Layout``, so the check reads the
-product at the layout's flipped monomials and adds their values at q = 1
-with signs.  It reads them with ``coeff``, which unpacks each coefficient
-from the source's packed integers on its first read; the check needs no
-headroom.
+signed layer monomials of a compiled ``Layout``, so the check adds the
+source's packed integers at the layout's flipped monomials with signs,
+unpacks the sum once and takes it at q = 1.  The sum needs no headroom:
+its terms are coefficients of one product at distinct monomials, so its
+q-coefficients have L1 norm at most B, the bound of
+``laurent.packed_in_box`` that every source's k already clears.
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
 one does NOT satisfy the corresponding identity; ``reproduce_counterexample``
@@ -25,7 +26,7 @@ import time
 from fractions import Fraction
 
 from .dyson import Instance, Layout, pair_factors
-from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list
+from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, unpack
 from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, report
 
@@ -35,8 +36,10 @@ def corrected_ct(inst: Instance, layout: Layout, source: FactoredProduct) -> int
     at q = 1 from ``source``, the q-Dyson product, with ``layout`` the
     compiled layout of inst.  The binomials multiply out to the sum over
     subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
-    sum of (-1)^|S| times the coefficient at the flipped monomial."""
-    return sum(sign * source.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
+    sum of (-1)^|S| times the coefficient at the flipped monomial, summed
+    packed and unpacked once."""
+    packed = sum(sign * source.packed_coeff(flipped) for flipped, sign, _ in layout.subsets)
+    return unpack(packed, source.k, source.low).at_q1()
 
 
 def corrected_dyson_rhs(inst: Instance) -> int:

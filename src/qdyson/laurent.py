@@ -16,16 +16,16 @@ coefficients of whatever it computes.
 
 ``FactoredProduct`` runs the pass once per product and keeps the packed
 integers: the layer checks read them as they are (``packed_coeff``) and do
-their sums and products on integers, while ``coeff`` unpacks one
-coefficient on its first read and keeps it.  A read looks its key up first
-and checks the box only when the key is missing.  ``rotated`` turns the
-q-Dyson product D(a) over a cube into D(rot(a))'s over the same cube
-without a pass, by relabelling the keys and shifting the packed integers:
-a layer sweep makes one pass per cyclic orbit of a.  ``coefficients_in_box``
-unpacks the whole box, and ``ct_of_factor_list`` is the pass over a single
-point.  ``expand_product`` multiplies outright, without pruning.  Nothing in
-the program calls it: it is only the tests' oracle, and it stays in this
-module because ``benchmark/tracing.py`` traces it here.
+their sums and products on integers, and ``coeff`` unpacks one coefficient
+on each read.  A read looks its key up first and checks the box only when
+the key is missing.  ``rotated`` turns the q-Dyson product D(a) over a cube
+into D(rot(a))'s over the same cube without a pass, by relabelling the
+keys and shifting the packed integers: a layer sweep makes one pass per
+cyclic orbit of a.  ``ct_of_factor_list`` is the pass over a single point.
+``LaurentPoly`` holds the factors.  ``expand_product`` multiplies them
+outright, without pruning, through ``LaurentPoly.one`` and ``__mul__``.
+Nothing in the program calls these: they are only the tests' oracle, and
+they stay in this module because ``benchmark/tracing.py`` traces them here.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .qpoly import ONE, ZERO, QPoly
+from .qpoly import ONE, ZERO, QPoly, q_multinomial_poly
 
 Monomial = tuple[int, ...]
 
@@ -76,21 +76,10 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(n: int) -> "LaurentPoly":
-        return LaurentPoly(n)
-
-    @staticmethod
     def one(n: int) -> "LaurentPoly":
         return LaurentPoly(n, {(0,) * (n + 1): ONE})
 
-    @staticmethod
-    def monomial(n: int, exps: Sequence[int], coeff: QPoly = ONE) -> "LaurentPoly":
-        return LaurentPoly(n, {tuple(exps): coeff})
-
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -104,33 +93,11 @@ class LaurentPoly:
             )
         return self.terms.get(key, ZERO)
 
-    def constant_term(self) -> QPoly:
-        """Coefficient of x_0^0 ... x_n^0."""
-        return self.terms.get((0,) * (self.n + 1), ZERO)
-
     def _check(self, other: "LaurentPoly") -> None:
         if self.n != other.n:
             raise AmbientMismatchError(f"{self.n + 1} variables vs {other.n + 1}")
 
     # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            prev = out.get(exps)
-            out[exps] = coeff if prev is None else prev + coeff
-        return LaurentPoly(self.n, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -150,26 +117,6 @@ class LaurentPoly:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    # -- rendering -------------------------------------------------------------
-
-    def render(self) -> str:
-        """Canonical text form: monomials in lexicographic exponent order,
-        coefficients parenthesised, zero exponents omitted."""
-        if not self.terms:
-            return "(0)"
-        parts = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            vars_part = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e != 0)
-            if vars_part:
-                parts.append(f"({coeff.render()})*{vars_part}")
-            else:
-                parts.append(f"({coeff.render()})")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
-
     def __repr__(self) -> str:
         return f"LaurentPoly(n={self.n}, {len(self.terms)} terms)"
 
@@ -183,27 +130,17 @@ def shifted_factorial(z: Sequence[int], m: int, offset: int = 0) -> LaurentPoly:
 
         (-1)^r q^(r * offset + r(r-1)/2) [m choose r]_q,
 
-    with the Gaussian binomials [j choose r]_q built row by row from the
-    q-Pascal rule [j, r] = [j-1, r-1] + q^r [j-1, r].  The terms of a zero z
-    all land on x^0 and add up.
+    with the Gaussian binomial [m choose r]_q taken from
+    ``q_multinomial_poly((r, m - r))``, which keeps it for the next factor
+    of the same length.  The terms of a zero z all land on x^0 and add up.
     """
     if m < 0:
         raise ValueError("negative length")
-    row = [[1]]  # coefficient lists of [j choose r]_q for r = 0..j, from j = 0
-    for j in range(1, m + 1):
-        nxt = [[1]]
-        for r in range(1, j):
-            low, high = row[r - 1], row[r]
-            coeffs = low + [0] * (r + len(high) - len(low))
-            for i, c in enumerate(high):
-                coeffs[r + i] += c
-            nxt.append(coeffs)
-        row = nxt + [[1]]
     terms: dict[Monomial, QPoly] = {}
-    for r, coeffs in enumerate(row):
+    for r in range(m + 1):
         key = tuple(r * e for e in z)
-        signed = coeffs if r % 2 == 0 else [-c for c in coeffs]
-        terms[key] = terms.get(key, ZERO) + QPoly(r * offset + r * (r - 1) // 2, signed)
+        term = q_multinomial_poly((r, m - r)).shifted(r * offset + r * (r - 1) // 2)
+        terms[key] = terms.get(key, ZERO) + (-term if r % 2 else term)
     return LaurentPoly(len(z) - 1, terms)
 
 
@@ -322,19 +259,10 @@ def packed_in_box(
     return partial, k, sum(lows)
 
 
-def coefficients_in_box(
-    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int]
-) -> LaurentPoly:
-    """Every term c * x^e of the product of ``factors`` with lo <= e <= hi,
-    coordinatewise: the pass of ``packed_in_box``, unpacked."""
-    packed, k, low = packed_in_box(factors, lo, hi)
-    return LaurentPoly(len(lo) - 1, {e: unpack(c, k, low) for e, c in packed.items()})
-
-
 def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:
     """Coefficient of x^target in the product of ``factors``: the box pass
     over the single point target."""
-    return coefficients_in_box(factors, target, target).coeff(target)
+    return FactoredProduct(len(target) - 1, factors, target, target).coeff(target)
 
 
 class FactoredProduct:
@@ -344,10 +272,10 @@ class FactoredProduct:
     spare bits of k for the caller's arithmetic on them (see
     ``packed_in_box``).  The box is the set of coefficients the caller's
     checks read; reading outside it raises ``ValueError`` instead of
-    returning a zero that was never computed.  ``coeff`` unpacks a
-    coefficient on its first read and keeps it; ``expanded`` is the whole
-    box unpacked, once; ``rotated`` makes the product of a rotated
-    exponent vector from a q-Dyson product."""
+    returning a zero that was never computed.  ``coeff`` unpacks one
+    coefficient; ``expanded`` is the whole box unpacked, once; ``rotated``
+    makes the product of a rotated exponent vector from a q-Dyson
+    product."""
 
     def __init__(
         self,
@@ -362,7 +290,6 @@ class FactoredProduct:
         self.hi = tuple(hi)
         self.headroom = headroom
         self.packed, self.k, self.low = packed_in_box(factors, lo, hi, headroom)
-        self._read: dict[Monomial, QPoly] = {}
 
     def _absent(self, key: Monomial) -> int:
         """The packed coefficient at a key the pass did not keep: 0 inside
@@ -380,11 +307,7 @@ class FactoredProduct:
         return self._absent(key) if value is None else value
 
     def coeff(self, target: Sequence[int]) -> QPoly:
-        key = tuple(target)
-        value = self._read.get(key)
-        if value is None:
-            value = self._read[key] = unpack(self.packed_coeff(key), self.k, self.low)
-        return value
+        return unpack(self.packed_coeff(target), self.k, self.low)
 
     def rotated(self, r: int) -> "FactoredProduct":
         """For this product the q-Dyson product D(a) over a cube, the same
@@ -416,7 +339,7 @@ class FactoredProduct:
             packed[e[cut:] + e[:cut]] = c >> s if s >= 0 else c << -s
         out = object.__new__(FactoredProduct)
         out.n, out.lo, out.hi, out.headroom = self.n, self.lo, self.hi, self.headroom
-        out.packed, out.k, out.low, out._read = packed, k, self.low, {}
+        out.packed, out.k, out.low = packed, k, self.low
         return out
 
     def constant_term(self) -> QPoly:

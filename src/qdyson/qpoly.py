@@ -61,13 +61,6 @@ class QPoly:
             raise ValueError("zero polynomial has no degree")
         return self.min_exp + len(self.coeffs) - 1
 
-    def coeff(self, e: int) -> int:
-        """Coefficient of q**e."""
-        k = e - self.min_exp
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
-
     def at_q1(self) -> int:
         """Value at q = 1."""
         return sum(self.coeffs)
@@ -253,7 +246,9 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
 
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
     """The q-multinomial coefficient as an honest polynomial.  Computed once
-    per distinct ``a``: a sweep asks again for every layout."""
+    per distinct ``a``: a sweep asks again for every layout, and
+    ``laurent.shifted_factorial`` asks for the Gaussian binomial
+    [m choose r]_q as (r, m - r) for every factor of length m."""
     return _q_multinomial_poly(tuple(a))
 
 
@@ -267,7 +262,9 @@ def _q_multinomial_poly(a: tuple[int, ...]) -> QPoly:
     multiplies by (1 - q^(s+i)), a shifted subtraction, and then divides
     exactly by (1 - q^i): the quotient c of p by (1 - q^i) has
     c_t = p_t + c_(t-i), one pass of additions, block by block of i, and
-    its top i entries come out zero and are dropped."""
+    its top i entries come out zero and are dropped.  For a = (r, m - r)
+    the chain is the one binomial [m choose r]_q, which is how the factors
+    of the q-Dyson product get theirs."""
     coeffs = [1]
     s = 0
     for r in a:

@@ -265,7 +265,7 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
         checked = tuple(key for key, row in IDENTITIES.items() if row.check)
         raise ValueError(f"cannot verify {name!r} on one instance; choose from {checked}")
     if identity.mmin is None and (I or J):
-        raise ValueError("--I/--J do not apply to this identity")
+        raise ValueError(f"{name} has no layer, so I and J do not apply")
     inst = Instance(n, a, I, J)
     if inst.m < (identity.mmin or 0):
         raise ValueError("layer must select at least one index")

@@ -24,12 +24,7 @@ import pytest
 
 from qdyson import cli, sweeps
 from qdyson.dyson import Instance, q_dyson_factors
-from qdyson.firstlayer import (
-    first_layer_brute,
-    first_layer_closed_q1,
-    first_layer_target,
-    verify_first_layer,
-)
+from qdyson.firstlayer import first_layer_closed_q1, verify_first_layer
 from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
@@ -42,9 +37,11 @@ from tests.test_dyson import (
     compiled,
     correction_factors,
     ct_times,
+    first_layer_target,
     shared_source,
 )
 from tests.test_firstlayer import verify_first_layer_oracle
+from tests.test_kadell import verify_kadell_oracle
 from tests.test_paired import use_set_reading, verify_paired_oracle
 
 # (n, amax) grids named by the criteria below
@@ -62,7 +59,7 @@ def pi_action(f, k=1):
     """
     if k < 0:
         raise ValueError("negative rotation")
-    if k == 0 or f.is_zero():
+    if k == 0 or not f.terms:
         return f
     width = f.n + 1
     out = {}
@@ -174,7 +171,7 @@ def test_criterion_2_dyson_constant_terms(classical_sweeps, classical_expanded):
     n0 = 0
     for a0 in range(3):
         rep = verify("dyson", 0, (a0,))
-        oracle = classical_expanded[(0, (a0,))].constant_term().render()
+        oracle = classical_expanded[(0, (a0,))].coeff((0,)).render()
         ok = ok and rep.holds and rep.lhs == oracle
         n0 += 1
     elapsed += time.perf_counter() - t0
@@ -222,7 +219,7 @@ def test_criterion_4_q1_value_is_layout_independent(classical_expanded):
                 checked += 1
                 if first_layer_closed_q1(inst) != value:
                     failed += 1
-                elif first_layer_brute(inst, qsrc).at_q1() != value:
+                elif qsrc.coeff(first_layer_target(inst)).at_q1() != value:
                     failed += 1
                 values_by_i.setdefault(inst.I, set()).add(value)
             if any(len(vals) != 1 for vals in values_by_i.values()):
@@ -372,7 +369,7 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
             src_rot = expand_product(q_dyson_factors(Instance(n, rotated)), n)
             for _ in range(4):
                 exps = tuple(rng.choice((-1, 0, 1)) for _ in range(n + 1))
-                L = LaurentPoly.monomial(n, exps, ONE)
+                L = LaurentPoly(n, {exps: ONE})
                 ok = ok and ct_times(src, L) == ct_times(src_rot, pi_action(L))
                 shift_checks += 1
 
@@ -382,13 +379,13 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
     for (n, _), (_, reports, _, _) in q_sweeps.items():
         for rep in reports:
             a = tuple(rep["params"]["a"])
-            expanded_ct = q_expanded[(n, a)].constant_term().render()
+            expanded_ct = q_expanded[(n, a)].coeff((0,) * (n + 1)).render()
             ok = ok and rep["lhs"] == expanded_ct
             pruned_checks += 1
     for (n, _), (_, reports, _, _) in classical_sweeps.items():
         for rep in reports:
             a = tuple(rep["params"]["a"])
-            expanded_ct = classical_expanded[(n, a)].constant_term().render()
+            expanded_ct = classical_expanded[(n, a)].coeff((0,) * (n + 1)).render()
             ok = ok and rep["lhs"] == expanded_ct
             pruned_checks += 1
     targets = sorted({first_layer_target(s) for s in _layouts(3, (0,) * 4, 1, 2)})
@@ -488,11 +485,6 @@ def _compare_with(monkeypatch, oracle):
     return compared
 
 
-def _kadell_oracle(inst, layout, source):
-    """``verify_kadell`` reading the whole box unpacked at once."""
-    return verify_kadell(inst, layout, source.expanded)
-
-
 @pytest.mark.parametrize("criterion", [3, 5, 7])
 def test_packed_checks_match_the_qpoly_checks(criterion, monkeypatch):
     """On the grids of criteria 3, 5 and 7, every report of the packed checks
@@ -505,7 +497,7 @@ def test_packed_checks_match_the_qpoly_checks(criterion, monkeypatch):
         assert summary["failed"] == 0
         assert compared[0] == summary["total"] == len(layout_grid(3, 1, 2)) * 81
     elif criterion == 5:
-        compared = _compare_with(monkeypatch, _kadell_oracle)
+        compared = _compare_with(monkeypatch, verify_kadell_oracle)
         assert all(verify("kadell", 0, (a0,)).holds for a0 in range(3))
         totals = 3
         for n in (1, 2, 3):

@@ -76,7 +76,7 @@ class TestVerifyExitCodes:
         "argv, message",
         [
             (["verify", "dyson", "--n", "2", "--a", "1,1,1", "--I", "0", "--J", "1"],
-             "--I/--J do not apply to this identity"),
+             "dyson has no layer, so I and J do not apply"),
             (["verify", "firstlayer", "--n", "2", "--a", "1,1,1"],
              "layer must select at least one index"),
             (["verify", "main", "--n", "6", "--a", "1,1,1,1,1,1,1", "--I", "2,5,6", "--J", "0,1,3"],
@@ -339,7 +339,8 @@ def test_module_entry_point():
 @pytest.mark.parametrize("script", ["run_grids.py", "count_code_lines.py"])
 def test_script_runs_from_checkout(script, tmp_path):
     """The scripts find the checkout's ``src/`` themselves: no install, no
-    PYTHONPATH, any working directory."""
+    PYTHONPATH, any working directory.  The line count also counts the
+    tests."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(root, "scripts", script)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -347,6 +348,13 @@ def test_script_runs_from_checkout(script, tmp_path):
         [sys.executable, path, "--help"], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "count_code_lines.py":
+        proc = subprocess.run(
+            [sys.executable, path], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        name, lines, statements = proc.stdout.splitlines()[-1].split()
+        assert name == "tests" and int(lines) > 0 and int(statements) > 0
 
 
 def test_usage_names_every_flag():

@@ -8,11 +8,9 @@ import pytest
 from qdyson.dyson import Instance, q_dyson_source
 from qdyson.firstlayer import (
     count_upto,
-    first_layer_brute,
     first_layer_closed,
     first_layer_closed_q1,
     first_layer_headroom,
-    first_layer_target,
     layer_exponent,
     nonempty_subsets,
     verify_first_layer,
@@ -20,7 +18,14 @@ from qdyson.firstlayer import (
 from qdyson.qpoly import QPoly, QRat, one_minus_q
 from qdyson.reports import report
 from qdyson.sweeps import verify
-from tests.test_dyson import as_int, classical_product, compiled, layer_box, shared_source
+from tests.test_dyson import (
+    as_int,
+    classical_product,
+    compiled,
+    first_layer_target,
+    layer_box,
+    shared_source,
+)
 
 
 def all_layouts(n, a, mmin=1, mmax=None):
@@ -134,9 +139,9 @@ class TestExponents:
 
 def test_target_vector():
     """The target is the top corner of the layer box in I and its bottom
-    corner in J."""
+    corner in J, and the last flipped monomial of the compiled layout."""
     inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
-    assert first_layer_target(inst) == (1, -2, 1, 0)
+    assert first_layer_target(inst) == compiled(inst).subsets[-1][0] == (1, -2, 1, 0)
     assert layer_box(inst) == compiled(inst).box == ((0, -2, 0, 0), (1, 0, 1, 0))
     assert first_layer_target(Instance(2, (1, 1, 1))) == (0, 0, 0)
     assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
@@ -186,7 +191,7 @@ class TestClosedForm:
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
-        brute = first_layer_brute(inst, shared_source([inst]))
+        brute = shared_source([inst]).coeff(first_layer_target(inst))
         assert brute == QPoly(0, (-1, -1))
         assert brute.render() == "-1 - 1*q"
         assert QRat(brute) == first_layer_closed(inst, compiled(inst))
@@ -194,7 +199,7 @@ class TestClosedForm:
     def test_known_coefficient_with_offset_start(self):
         # smallest selected index > 0 exercises the t > 0 branch
         inst = Instance(2, (1, 1, 1), (1,), (0,))
-        brute = first_layer_brute(inst, shared_source([inst]))
+        brute = shared_source([inst]).coeff(first_layer_target(inst))
         assert brute == QPoly(2, (-1, -1))
         assert QRat(brute) == first_layer_closed(inst, compiled(inst))
 
@@ -203,7 +208,7 @@ class TestClosedForm:
         inst = Instance(3, (1, 1, 1, 1), (0, 1, 2), (3, 3, 3))
         closed = first_layer_closed(inst, compiled(inst))
         assert closed.den == one_minus_q(2) * one_minus_q(3) * one_minus_q(4)
-        assert QRat(first_layer_brute(inst, shared_source([inst]))) == closed
+        assert QRat(shared_source([inst]).coeff(first_layer_target(inst))) == closed
 
     def test_brute_matches_closed_small_grid(self):
         for n in (1, 2):
@@ -211,7 +216,7 @@ class TestClosedForm:
                 insts = list(all_layouts(n, a))
                 source = shared_source(insts)
                 for inst in insts:
-                    brute = first_layer_brute(inst, source)
+                    brute = source.coeff(first_layer_target(inst))
                     assert QRat(brute) == first_layer_closed(inst, compiled(inst)), inst
 
     def test_failing_check_reports_as_the_qpoly_check(self):
@@ -240,7 +245,7 @@ class TestQ1:
         classical = classical_product(Instance(2, a))
         for inst, value in ((Instance(2, a, (0,), (1,)), -2), (Instance(2, a, (0, 1), (2, 2)), 2)):
             assert first_layer_closed_q1(inst) == Fraction(value)
-            assert first_layer_brute(inst, shared_source([inst])).at_q1() == value
+            assert shared_source([inst]).coeff(first_layer_target(inst)).at_q1() == value
             assert as_int(classical.coeff(first_layer_target(inst))) == value
 
     def test_independent_of_j(self):

@@ -1,6 +1,7 @@
 """Corrected Dyson constant terms and the failure of the q-modification."""
 
 import itertools
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from qdyson.kadell import (
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
+from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import (
     as_int,
@@ -28,14 +30,28 @@ from tests.test_dyson import (
 from tests.test_firstlayer import all_layouts
 
 
+def verify_kadell_oracle(inst, layout, source):
+    """The kadell check reading the whole box of ``source`` unpacked at
+    once and adding the coefficients at the flipped monomials at q = 1, one
+    by one.  ``verify_kadell``, which adds them packed and unpacks the sum,
+    must give the same report, ``elapsed_ms`` apart."""
+    t0 = time.perf_counter()
+    ct = sum(sign * source.expanded.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
+    lhs = (1 + inst.total - inst.selected_total) * ct
+    closed = corrected_ct_closed(inst) if inst.m > 0 else None
+    holds = lhs == corrected_dyson_rhs(inst) and (closed is None or closed == ct)
+    extra = {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": str(closed)}
+    return report("kadell", inst, t0, holds, lhs, corrected_dyson_rhs(inst), lambda: extra)
+
+
 def test_positional_pairs():
     assert Instance(3, (1, 1, 1, 1), (0, 2), (1, 3)).pairs == ((0, 1), (2, 3))
     assert Instance(2, (1, 1, 1)).pairs == ()
 
 
-def test_correction_factors_render():
+def test_correction_factors_terms():
     (factor,) = correction_factors(Instance(2, (1, 1, 1), (0,), (1,)))
-    assert factor.render() == "(-1)*x0^-1*x1^1 + (1)"
+    assert factor.terms == {(0, 0, 0): QPoly(0, (1,)), (-1, 1, 0): QPoly(0, (-1,))}
 
 
 def test_layer_sum_is_the_expanded_correction():

@@ -47,14 +47,6 @@ def test_unique_zero_representation():
     assert (QPoly(2, (3,)) + QPoly(2, (-3,))).min_exp == 0
 
 
-def test_coeff_lookup():
-    p = QPoly(-1, (2, 0, 5))
-    assert p.coeff(-1) == 2
-    assert p.coeff(0) == 0
-    assert p.coeff(1) == 5
-    assert p.coeff(99) == 0
-
-
 # -- arithmetic --------------------------------------------------------------
 
 
