@@ -9,10 +9,12 @@ The q-analog replaces each unordered pair {i < j} by
 
     (x_i/x_j; q)_{a_i} * (q x_j/x_i; q)_{a_j}
 
-and its constant term is the q-multinomial coefficient.  At q = 1 the q-analog
-is the classical product factor by factor, so only the q-analog is built and
-classical values are read off it at q = 1; ``dyson_factors`` is the tests'
-independent oracle for them.
+and its constant term is the q-multinomial coefficient.  Each pair's two
+q-shifted factorials are built as one factor, by the finite form of Jacobi's
+triple product (``pair_factors``), so the product has n(n+1)/2 factors.  At
+q = 1 the q-analog is the classical product pair by pair, so only the
+q-analog is built and classical values are read off it at q = 1;
+``dyson_factors`` is the tests' independent oracle for them.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
 positionally.  ``Instance.layer_monomial`` builds the layer monomial
@@ -21,10 +23,10 @@ everything they need of (I, J), compiled once by ``paired.compile_layout``
 before any a is drawn, with each q-exponent kept as an affine function of a
 that ``evaluate`` turns into a number by one dot product.  The products
 built here read only n and a: ``pair_factors`` is the one loop over the
-pairs, given each factor's length, for the q-Dyson product and for
-``kadell``'s modified one.  A check builds no product: it reads the
-coefficients from ``source``, one pruned pass its caller made over a box
-that holds what the check reads.  Which box that is, is the read rule of
+pairs, given the lengths of each pair's two q-shifted factorials, for the
+q-Dyson product and for ``kadell``'s modified one.  A check builds no
+product: it reads the coefficients from ``source``, one pruned pass its
+caller made over a box that holds what the check reads.  Which box that is, is the read rule of
 the identity's row in ``sweeps.IDENTITIES``: the origin for the constant
 terms here.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from .laurent import FactoredProduct, LaurentPoly, shifted_factorial
+from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import ONE, multinomial, q_multinomial_poly
 from .reports import VerificationReport, report
 
@@ -164,15 +166,33 @@ def _unit(n: int, i: int, j: int) -> tuple[int, ...]:
 
 
 def pair_factors(n: int, length: Callable[[int, int], int]) -> list[LaurentPoly]:
-    """One factor per q-shifted factorial: for each pair i < j, the pair
-    contributes (x_i/x_j; q)_{length(i, j)} and (q x_j/x_i; q)_{length(j, i)},
-    each expanded once.  Keeping factors small and few is what makes
-    pruning effective."""
+    """One factor per pair i < j: with z = x_i/x_j, a = length(i, j) and
+    b = length(j, i), the product (z; q)_a (q/z; q)_b, written out by the
+    finite form of Jacobi's triple product,
+
+        (z; q)_a (q/z; q)_b = sum over r = -b..a of
+                              (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
+
+    with the Gaussian binomials taken from ``q_multinomial_poly``, which
+    keeps them for the next pair with the same a + b.  Merging the pair's
+    two q-shifted factorials into one halves the factors a box pass
+    multiplies, to n(n+1)/2, and leaves every bound of the pass as it was.
+    A Gaussian binomial has nonnegative coefficients, so the merged
+    factor's L1 norm is the sum of the binomials C(a+b, a-r) over r, which
+    is 2^(a+b): the product of the two old factors' norms 2^a and 2^b.  Its
+    lowest power of q is 0, from the r = 0 term, as was each old factor's.
+    So B, k and low of ``laurent.packed_in_box`` do not change, and neither
+    do the headroom bounds derived from them or
+    ``FactoredProduct.rotated``."""
     out = []
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            out.append(shifted_factorial(_unit(n, i, j), length(i, j), offset=0))
-            out.append(shifted_factorial(_unit(n, j, i), length(j, i), offset=1))
+            a, b, z = length(i, j), length(j, i), _unit(n, i, j)
+            terms = {}
+            for r in range(-b, a + 1):
+                c = q_multinomial_poly((a - r, b + r)).shifted(r * (r - 1) // 2)
+                terms[tuple(r * e for e in z)] = -c if r % 2 else c
+            out.append(LaurentPoly(n, terms))
     return out
 
 

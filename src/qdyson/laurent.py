@@ -4,15 +4,19 @@ The heavy operation in this package is reading a few coefficients out of a
 large product of small factors.  ``packed_in_box`` multiplies the factors
 incrementally and discards every partial monomial that can no longer reach
 the box of exponent vectors the caller reads, using per-variable bounds on
-what the remaining factors may still contribute.  Inside the pass each
-q-coefficient is packed into one integer, its value at q = 2^k (Kronecker
-substitution), after dividing each factor by its lowest power of q so that
-negative powers need no second loop.  k is read off the factors: 2^(k-1)
-exceeds B, the product of the factors' L1 norms, which bounds every
-q-coefficient a partial product can have, so each surviving coefficient
-unpacks to a unique ``QPoly``.  A caller that goes on computing with the
-packed values asks for ``headroom`` extra bits of k, enough for the
-coefficients of whatever it computes.
+what the remaining factors may still contribute, and packs only the terms
+of a factor that some surviving partial monomial can use.  Inside the pass
+an exponent vector is one integer key, a mixed-radix number over the hull
+of these bounds, so a factor's term adds a fixed integer to it, and a step
+checks only the coordinates its factor moves.  Each q-coefficient is packed
+into one integer too, its value at q = 2^k (Kronecker substitution), after
+dividing each factor by its lowest power of q so that negative powers need
+no second loop.  k is read off the factors: 2^(k-1) exceeds B, the product
+of the factors' L1 norms, which bounds every q-coefficient a partial
+product can have, so each surviving coefficient unpacks to a unique
+``QPoly``.  A caller that goes on computing with the packed values asks for
+``headroom`` extra bits of k, enough for the coefficients of whatever it
+computes.
 
 ``FactoredProduct`` runs the pass once per product and keeps the packed
 integers: the layer checks read them as they are (``packed_coeff``) and do
@@ -32,10 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add
+from operator import gt, le, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .qpoly import ONE, ZERO, QPoly, q_multinomial_poly
+from .qpoly import ONE, ZERO, QPoly
 
 Monomial = tuple[int, ...]
 
@@ -121,29 +125,6 @@ class LaurentPoly:
         return f"LaurentPoly(n={self.n}, {len(self.terms)} terms)"
 
 
-def shifted_factorial(z: Sequence[int], m: int, offset: int = 0) -> LaurentPoly:
-    """Product (1 - q^offset * x^z)(1 - q^(offset+1) * x^z) ... , m factors.
-
-    ``z`` is an exponent vector; ``offset=0`` gives the plain q-shifted
-    factorial of the monomial, ``offset=1`` starts at q.  Written out by the
-    q-binomial theorem: the coefficient of x^(r z) is
-
-        (-1)^r q^(r * offset + r(r-1)/2) [m choose r]_q,
-
-    with the Gaussian binomial [m choose r]_q taken from
-    ``q_multinomial_poly((r, m - r))``, which keeps it for the next factor
-    of the same length.  The terms of a zero z all land on x^0 and add up.
-    """
-    if m < 0:
-        raise ValueError("negative length")
-    terms: dict[Monomial, QPoly] = {}
-    for r in range(m + 1):
-        key = tuple(r * e for e in z)
-        term = q_multinomial_poly((r, m - r)).shifted(r * offset + r * (r - 1) // 2)
-        terms[key] = terms.get(key, ZERO) + (-term if r % 2 else term)
-    return LaurentPoly(len(z) - 1, terms)
-
-
 def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     """Multiply the factors outright (no pruning)."""
     result = LaurentPoly.one(n)
@@ -198,9 +179,25 @@ def packed_in_box(
     value at q = 2^k is its integer.
 
     Factors are multiplied in ascending order of term count (stable on ties).
-    After each step, a partial monomial e survives only if, for every
-    variable, the box can still be reached from e with what the remaining
-    factors may contribute.  An empty factor list is the constant 1.
+    After the first t factors, a partial monomial lies in window t: the box
+    of exponent vectors that the first t factors can produce, cut down to
+    those from which the box lo..hi can still be reached with what the
+    remaining factors may contribute, per variable.  Every other partial
+    monomial is dropped.  A factor's term is packed only if it can move some
+    vector of window t into window t + 1.  An empty factor list is the
+    constant 1.
+
+    Inside the pass an exponent vector is one integer, a mixed-radix number
+    whose digit v is e_v minus the least value of coordinate v over all the
+    windows, in base the width of the windows' hull along v.  A term of a
+    factor adds a fixed integer to the key.  A factor moves only the
+    coordinates in its support, where some term has a nonzero exponent, and
+    the windows of the other coordinates are the same before and after it.
+    So for each partial monomial the step decodes and checks only the
+    support's digits, and does so once per distinct digit tuple: the terms
+    that keep those digits inside window t + 1 are kept as a list of key
+    increments.  Every key stays inside the hull, so no digit carries into
+    the next.  The survivors are decoded to exponent tuples once, at the end.
 
     Coefficients travel through the pass as integers: each factor's
     coefficients are divided by its lowest power of q and evaluated at
@@ -215,6 +212,7 @@ def packed_in_box(
     most B.  A zero factor makes B = 0, but it has no terms, so it sorts
     first and empties the pass.  k = B.bit_length() + 1 + headroom, so
     2^(k-1-headroom) > B and ``unpack`` reads each coefficient back exactly.
+    B and low are taken over every term, packed or not.
     """
     width = len(lo)
     n = width - 1
@@ -223,40 +221,69 @@ def packed_in_box(
             raise AmbientMismatchError(f"{f.n + 1} variables vs {width}")
 
     ordered = sorted(factors, key=LaurentPoly.num_terms)
+    columns = [list(zip(*f.terms)) for f in ordered]
+    lows = [min((c.min_exp for c in f.terms.values()), default=0) for f in ordered]
+    bound = math.prod(
+        sum(sum(map(abs, coeff.coeffs)) for coeff in f.terms.values()) for f in ordered
+    )
+    k = bound.bit_length() + 1 + headroom
 
-    # reach[i] = (floor, ceiling) a partial monomial of the first i factors
-    # must lie within, per variable, to reach the box with factors i..end
+    # backward: the box minus what factors t..end may still add
     floor, ceiling = list(lo), list(hi)
     reach = [(lo, hi)]
-    for f in reversed(ordered):
-        for v, column in enumerate(zip(*f.terms)):
+    for cols in reversed(columns):
+        for v, column in enumerate(cols):
             floor[v] -= max(column)
             ceiling[v] -= min(column)
         reach.append((tuple(floor), tuple(ceiling)))
     reach.reverse()
+    # forward: what factors 0..t-1 can produce; window t is the intersection
+    least, most = [0] * width, [0] * width
+    windows = []
+    for cols, (floor, ceiling) in zip(columns + [[]], reach):
+        window = tuple(map(max, floor, least)), tuple(map(min, ceiling, most))
+        if any(map(gt, *window)):
+            return {}, k, sum(lows)
+        windows.append(window)
+        for v, column in enumerate(cols):
+            least[v] += min(column)
+            most[v] += max(column)
 
-    lows = [min((c.min_exp for c in f.terms.values()), default=0) for f in ordered]
-    bound = math.prod(
-        sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs) for f in ordered
-    )
-    k = bound.bit_length() + 1 + headroom
+    base = [min(w[0][v] for w in windows) for v in range(width)]
+    radix = [max(w[1][v] for w in windows) - base[v] + 1 for v in range(width)]
+    stride = [math.prod(radix[:v]) for v in range(width)]
 
-    partial: dict[Monomial, int] = {}
-    if all(b <= 0 <= c for b, c in zip(*reach[0])):
-        partial[(0,) * width] = 1
-    for f, low, (floor, ceiling) in zip(ordered, lows, reach[1:]):
-        packed = [(e, pack(c, low, k)) for e, c in f.terms.items()]
-        grown: dict[Monomial, int] = {}
-        for e1, c1 in partial.items():
-            for e2, c2 in packed:
-                key = tuple(map(add, e1, e2))
-                for v in range(width):
-                    if key[v] < floor[v] or key[v] > ceiling[v]:
-                        break
-                else:
-                    grown[key] = grown.get(key, 0) + c1 * c2
+    partial = {-sum(map(mul, base, stride)): 1}
+    for f, cols, low, (before, after) in zip(ordered, columns, lows, zip(windows, windows[1:])):
+        support = [v for v, column in enumerate(cols) if any(column)]
+        moves = [
+            ([e[v] for v in support], sum(e[v] * stride[v] for v in support), pack(c, low, k))
+            for e, c in f.terms.items()
+            if all(after[0][v] - before[1][v] <= e[v] <= after[1][v] - before[0][v]
+                   for v in support)
+        ]
+        digits = [(stride[v], radix[v]) for v in support]
+        bottom = [after[0][v] - base[v] for v in support]
+        top = [after[1][v] - base[v] for v in support]
+        usable: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        grown: dict[int, int] = {}
+        for key, c1 in partial.items():
+            at = tuple([key // s % r for s, r in digits])
+            steps = usable.get(at)
+            if steps is None:
+                lower, upper = list(map(sub, bottom, at)), list(map(sub, top, at))
+                steps = usable[at] = [
+                    (delta, c2) for d, delta, c2 in moves
+                    if all(map(le, lower, d)) and all(map(le, d, upper))
+                ]
+            for delta, c2 in steps:
+                key2 = key + delta
+                grown[key2] = grown.get(key2, 0) + c1 * c2
         partial = {e: c for e, c in grown.items() if c != 0}
-    return partial, k, sum(lows)
+    return {
+        tuple(key // s % r + g for s, r, g in zip(stride, radix, base)): c
+        for key, c in partial.items()
+    }, k, sum(lows)
 
 
 def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:

@@ -151,9 +151,10 @@ def paired_headroom(layout: Layout) -> int:
     however many subsets there are; times (1 - q^A), at most 2B.  The right
     side (1 - q^(1 + total)) qmult(a) has L1 norm 2 multinomial(a), and
     multinomial(a) <= (n + 1)^total <= 2^(n total) = B, the product of the
-    L1 norms 2^(a_i) of the q-Dyson factors.  So |X_i| + |Y_i| <= 4B <
-    2^(k + 1 - headroom): headroom 1 puts it below 2^k, and keeps the left
-    side's coefficients below 2^(k - 1), so a failing check unpacks it.
+    L1 norms 2^(a_i + a_j) of the q-Dyson product's pair factors.  So
+    |X_i| + |Y_i| <= 4B < 2^(k + 1 - headroom): headroom 1 puts it below
+    2^k, and keeps the left side's coefficients below 2^(k - 1), so a
+    failing check unpacks it.
     """
     return 1
 

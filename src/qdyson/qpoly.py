@@ -247,8 +247,8 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
     """The q-multinomial coefficient as an honest polynomial.  Computed once
     per distinct ``a``: a sweep asks again for every layout, and
-    ``laurent.shifted_factorial`` asks for the Gaussian binomial
-    [m choose r]_q as (r, m - r) for every factor of length m."""
+    ``dyson.pair_factors`` asks for the Gaussian binomial [a+b choose a-r]_q
+    as (a - r, b + r) for every pair with lengths a and b."""
     return _q_multinomial_poly(tuple(a))
 
 

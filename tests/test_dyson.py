@@ -10,7 +10,8 @@ the program reads as the signed layer monomials of a compiled layout.
 are the tests' readings of a layer, each the oracle for a piece of
 ``Layout``, and ``compiled`` compiles the layout of an instance.
 ``as_int``, ``eval_q1`` and ``homogeneous_degree`` are small readings of a
-polynomial that only the tests take."""
+polynomial that only the tests take.  ``shifted_factorial`` writes out one
+q-shifted factorial, the oracle for the merged factor of a pair."""
 
 import itertools
 
@@ -20,13 +21,14 @@ from qdyson.dyson import (
     Instance,
     _unit,
     dyson_factors,
+    pair_factors,
     q_dyson_factors,
     q_dyson_source,
 )
 from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.firstlayer import first_layer_headroom
 from qdyson.paired import compile_layout, paired_headroom
-from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial
+from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial, q_multinomial_poly
 from qdyson.sweeps import a_grid, layout_grid, verify
 
 
@@ -54,6 +56,28 @@ def homogeneous_degree(f):
     if len(degrees) == 1:
         return degrees.pop()
     return None
+
+
+def shifted_factorial(z, m, offset=0):
+    """Product (1 - q^offset * x^z)(1 - q^(offset+1) * x^z) ... , m factors.
+
+    ``z`` is an exponent vector; ``offset=0`` gives the plain q-shifted
+    factorial of the monomial, ``offset=1`` starts at q.  Written out by the
+    q-binomial theorem: the coefficient of x^(r z) is
+
+        (-1)^r q^(r * offset + r(r-1)/2) [m choose r]_q.
+
+    The terms of a zero z all land on x^0 and add up.  A q-Dyson pair
+    multiplies two of these, (x_i/x_j; q)_a and (q x_j/x_i; q)_b, which
+    ``pair_factors`` writes out as one factor."""
+    if m < 0:
+        raise ValueError("negative length")
+    terms = {}
+    for r in range(m + 1):
+        key = tuple(r * e for e in z)
+        term = q_multinomial_poly((r, m - r)).shifted(r * offset + r * (r - 1) // 2)
+        terms[key] = terms.get(key, ZERO) + (-term if r % 2 else term)
+    return LaurentPoly(len(z) - 1, terms)
 
 
 def classical_product(inst):
@@ -179,9 +203,20 @@ def test_rotation_needs_a_cube():
 
 def test_factor_counts():
     inst = Instance(2, (2, 1, 0))
-    assert len(q_dyson_factors(inst)) == 6  # two per unordered pair
+    assert len(q_dyson_factors(inst)) == 3  # one per unordered pair
     # classical: a_i binomials for each ordered pair (i, j)
     assert len(dyson_factors(inst)) == 2 * 2 + 1 * 2
+
+
+def test_pair_factor_is_the_product_of_its_two_factorials():
+    """For every a, b <= 4 the merged factor of a pair is the product of
+    (x_0/x_1; q)_a and (q x_1/x_0; q)_b, multiplied out, and its L1 norm
+    is 2^(a+b), the product of theirs, with lowest power q^0."""
+    for a, b in itertools.product(range(5), repeat=2):
+        (merged,) = pair_factors(1, lambda i, j: a if i == 0 else b)
+        assert merged == shifted_factorial((1, -1), a) * shifted_factorial((-1, 1), b, offset=1)
+        assert sum(abs(c) for coeff in merged.terms.values() for c in coeff.coeffs) == 2 ** (a + b)
+        assert min(coeff.min_exp for coeff in merged.terms.values()) == 0
 
 
 def test_constant_terms_small():

@@ -9,6 +9,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmark.workloads import GRID_SETS
+from qdyson import cli, laurent, sweeps
+from qdyson.dyson import Instance, q_dyson_factors, q_dyson_source
 from qdyson.laurent import (
     AmbientMismatchError,
     FactoredProduct,
@@ -17,14 +20,14 @@ from qdyson.laurent import (
     expand_product,
     pack,
     packed_equal,
-    shifted_factorial,
+    packed_in_box,
     unpack,
 )
 from qdyson.paired import compile_layout
 from qdyson.qpoly import ONE, ZERO, QPoly, q_pochhammer, q_power
-from qdyson.sweeps import IDENTITIES
+from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
 from tests.test_acceptance import pi_action
-from tests.test_dyson import ct_times, eval_q1, homogeneous_degree
+from tests.test_dyson import ct_times, eval_q1, homogeneous_degree, shifted_factorial
 
 
 def box_pass_oracle(factors, lo, hi):
@@ -59,6 +62,17 @@ def box_pass_oracle(factors, lo, hi):
 def l1_norm(f):
     """Sum of |c| over every q-coefficient of a factor."""
     return sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs)
+
+
+def assert_pass_matches_oracle(factors, lo, hi, headroom=0):
+    """The packed pass keeps exactly the oracle's terms, each packed at k =
+    B.bit_length() + 1 + headroom below q^low, with B the product of the
+    factors' L1 norms and low the sum of their lowest powers of q."""
+    packed, k, low = packed_in_box(factors, lo, hi, headroom)
+    assert k == math.prod(map(l1_norm, factors)).bit_length() + 1 + headroom
+    assert low == sum(min((c.min_exp for c in f.terms.values()), default=0) for f in factors)
+    unpacked = {e: unpack(v, k, low) for e, v in packed.items()}
+    assert unpacked == box_pass_oracle(factors, lo, hi).terms
 
 
 @st.composite
@@ -164,9 +178,54 @@ def test_pruned_extraction_is_lossless(instance):
     for e in box:
         assert source.coeff(e) == full.coeff(e)
     assert source.expanded == LaurentPoly(n, {e: full.coeff(e) for e in box})
-    assert source.expanded == box_pass_oracle(factors, lo, hi)
-    point = FactoredProduct(n, factors, target, target)
-    assert point.expanded == box_pass_oracle(factors, target, target)
+    assert_pass_matches_oracle(factors, lo, hi)
+    assert_pass_matches_oracle(factors, target, target)
+
+
+# The sweeps of criteria 1, 3 and 7 of ``tests/test_acceptance.py``, then the
+# benchmark's held-out grids.
+SWEEP_ARGV = [
+    ("sweep", "qdyson", "--n", "2", "--amax", "3"),
+    ("sweep", "qdyson", "--n", "3", "--amax", "2"),
+    ("sweep", "firstlayer", "--n", "3", "--amax", "2", "--m", "2"),
+    *(("sweep", "main", "--n", str(n), "--amax", str(amax))
+      for n, amax in ((1, 2), (2, 2), (3, 2), (4, 1))),
+    *(argv for _, argv in GRID_SETS["heldout"]),
+]
+
+
+@pytest.mark.parametrize("argv", SWEEP_ARGV, ids=" ".join)
+def test_sweep_passes_match_the_oracle(argv, monkeypatch):
+    """Every box pass a sweep makes, over the sweep's own box (a cube for a
+    layer sweep) and with its headroom, keeps the terms, k and low of the
+    ``QPoly`` pass.  The tasks are taken from the sweep without running
+    them."""
+    tasks = []
+    monkeypatch.setattr(sweeps, "_execute", lambda batch, jobs: tasks.extend(batch) or [])
+    args = cli.build_parser().parse_args(argv)
+    run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
+    assert tasks
+    for name, n, orbit, layouts, (lo, hi) in tasks:
+        headroom = max(map(IDENTITIES[name].headroom, layouts), default=0)
+        assert_pass_matches_oracle(q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
+
+
+def test_pass_packs_only_usable_terms(monkeypatch):
+    """At a = (80, 0, 0) the pair (x_1, x_2) gives the constant 1, and each
+    of the other two pairs gives 81 terms, of which only r = 0 keeps the
+    origin reachable: x_0 can only rise, so the first of them must leave
+    it at 0, and the last must add 0 too.  So the pass packs three terms,
+    not 163, and the constant term is still 1."""
+    calls = []
+
+    def counting(p, low, k):
+        calls.append(len(p.coeffs))
+        return pack(p, low, k)
+
+    monkeypatch.setattr(laurent, "pack", counting)
+    origin = (0, 0, 0)
+    assert q_dyson_source(Instance(2, (80, 0, 0)), origin, origin).constant_term() == ONE
+    assert calls == [1, 1, 1]
 
 
 def test_packing_bound_is_tight():

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from benchmark.tracing import Tracer
 from benchmark.workloads import GRID_SETS
-from qdyson import cli, sweeps
+from qdyson import cli, dyson, kadell, laurent, sweeps
 from qdyson.paired import npc_holds
 from qdyson.sweeps import (
     SweepConfig,
@@ -250,3 +251,30 @@ def test_lemma_suite_seed_changes_draws():
     params_one = [r.params for r in one if r.identity == "factorization"]
     params_two = [r.params for r in two if r.identity == "factorization"]
     assert params_one != params_two
+
+
+def test_tracer_binds_every_traced_name(tmp_path):
+    """``benchmark/tracing.py`` installs on this program: ``install`` raises
+    if any name it traces is bound nowhere.  Installed, it wraps the
+    product builders, the box pass's entry point and the ``LaurentPoly``
+    multiplication and ``FactoredProduct.coeff`` it counts, and one traced
+    q-Dyson check counts one build of three merged factors of three terms
+    each; ``uninstall`` puts every original back."""
+    traced = [
+        (laurent.LaurentPoly, "__mul__"), (laurent, "expand_product"),
+        (dyson, "dyson_factors"), (dyson, "q_dyson_factors"), (kadell, "modified_q_product"),
+        (laurent.FactoredProduct, "coeff"), (laurent, "ct_of_factor_list"),
+    ]
+    originals = [vars(space)[name] for space, name in traced]
+    assert "expanded" in vars(laurent.FactoredProduct)  # read by the lookup counter
+    tracer = Tracer(str(tmp_path / "spool"))
+    tracer.install()
+    try:
+        for (space, name), original in zip(traced, originals):
+            assert vars(space)[name].__wrapped__ is original, name
+        assert verify("qdyson", 2, (1, 1, 1)).holds
+    finally:
+        tracer.uninstall()
+    assert [vars(space)[name] for space, name in traced] == originals
+    assert tracer.agg["dyson.build_calls"] == 1
+    assert tracer.agg["dyson.factor_terms"] == 9
