@@ -23,6 +23,7 @@ a summary object {"total", "passed", "failed", "rejected", "seed"}.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -41,7 +42,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; each
+    subcommand names the function that runs it as ``run``."""
     parser = argparse.ArgumentParser(
         prog="qdyson",
         description="Exact verification of Dyson-style constant-term identities.",
@@ -57,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--I", type=_int_list, default=(), help="selected indices i1,i2,...")
     p_verify.add_argument("--J", type=_int_list, default=(), help="paired indices j1,j2,...")
     p_verify.add_argument("--json", metavar="PATH", default=None)
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="check an identity over a full grid")
     p_sweep.add_argument("identity", choices=list(IDENTITIES))
@@ -66,12 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the CPU count)")
     p_sweep.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p_sweep.add_argument("--json", metavar="PATH", default=None)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_ce = sub.add_parser(
         "counterexample",
         help="reproduce the smallest failing instance of the naive q-analog",
     )
     p_ce.add_argument("--json", metavar="PATH", default=None)
+    p_ce.set_defaults(run=_cmd_counterexample)
     return parser
 
 
@@ -88,12 +95,7 @@ def _write_json(path: str | None, reports, summary: dict | None = None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = verify(args.identity, args.n, args.a, args.I, args.J)
-    except ValueError as exc:  # NpcViolationError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    report = verify(args.identity, args.n, args.a, args.I, args.J)
     print(report.summary_line())
     _write_json(args.json, [report])
     return 0 if report.holds else 1
@@ -108,12 +110,7 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
-    try:
-        reports, summary = run_sweep(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    reports, summary = run_sweep(config)
     for report in reports:
         if not report.holds:
             print(report.summary_line())
@@ -140,18 +137,13 @@ def _cmd_counterexample(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_counterexample(args)
-    except OSError as exc:
+        return args.run(args)
+    except (ValueError, OSError) as exc:  # NpcViolationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

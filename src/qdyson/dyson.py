@@ -11,10 +11,12 @@ The q-analog replaces each unordered pair {i < j} by
 
 and its constant term is the q-multinomial coefficient.  Each pair's two
 q-shifted factorials are built as one factor, by the finite form of Jacobi's
-triple product (``pair_factors``), so the product has n(n+1)/2 factors.  At
-q = 1 the q-analog is the classical product pair by pair, so only the
-q-analog is built and classical values are read off it at q = 1;
-``dyson_factors`` is the tests' independent oracle for them.
+triple product (``pair_factors``), so the product has n(n+1)/2 factors.
+A pair's q-coefficients are Gaussian binomials, all read from the one
+cached row ``qpoly.q_binomial_row(a_i + a_j)``.  At q = 1 the q-analog is
+the classical product pair by pair, so only the q-analog is built and
+classical values are read off it at q = 1; ``dyson_factors`` is the tests'
+independent oracle for them.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
 positionally.  ``Instance.layer_monomial`` builds the layer monomial
@@ -26,9 +28,9 @@ built here read only n and a: ``pair_factors`` is the one loop over the
 pairs, given the lengths of each pair's two q-shifted factorials, for the
 q-Dyson product and for ``kadell``'s modified one.  A check builds no
 product: it reads the coefficients from ``source``, one pruned pass its
-caller made over a box that holds what the check reads.  Which box that is, is the read rule of
-the identity's row in ``sweeps.IDENTITIES``: the origin for the constant
-terms here.
+caller made over a box that holds what the check reads.  Which box that
+is, is the read rule of the identity's row in ``sweeps.IDENTITIES``: for
+the constant terms here, the box of the empty layer, the origin.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .laurent import FactoredProduct, LaurentPoly
-from .qpoly import ONE, multinomial, q_multinomial_poly
+from .qpoly import ONE, multinomial, q_binomial_row, q_multinomial_poly
 from .reports import VerificationReport, report
 
 
@@ -173,8 +175,9 @@ def pair_factors(n: int, length: Callable[[int, int], int]) -> list[LaurentPoly]
         (z; q)_a (q/z; q)_b = sum over r = -b..a of
                               (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
 
-    with the Gaussian binomials taken from ``q_multinomial_poly``, which
-    keeps them for the next pair with the same a + b.  Merging the pair's
+    with the Gaussian binomials [a+b choose a-r]_q read from the one row
+    ``q_binomial_row(a + b)``, built once for every pair with the same
+    a + b, one multiply-and-divide step per entry.  Merging the pair's
     two q-shifted factorials into one halves the factors a box pass
     multiplies, to n(n+1)/2, and leaves every bound of the pass as it was.
     A Gaussian binomial has nonnegative coefficients, so the merged
@@ -188,9 +191,10 @@ def pair_factors(n: int, length: Callable[[int, int], int]) -> list[LaurentPoly]
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             a, b, z = length(i, j), length(j, i), _unit(n, i, j)
+            row = q_binomial_row(a + b)
             terms = {}
             for r in range(-b, a + 1):
-                c = q_multinomial_poly((a - r, b + r)).shifted(r * (r - 1) // 2)
+                c = row[a - r].shifted(r * (r - 1) // 2)
                 terms[tuple(r * e for e in z)] = -c if r % 2 else c
             out.append(LaurentPoly(n, terms))
     return out

@@ -5,6 +5,11 @@ lowest term, so negative powers of q cost nothing extra.  ``QRat`` is a formal
 numerator/denominator pair over ``QPoly`` with no arithmetic of its own: it is
 built once, compared by cross-multiplication, and divided out only to render.
 Both types are immutable after construction.
+
+The Gaussian binomials and q-multinomial coefficients are built as
+polynomials by one exact step, ``_times_ratio``, which multiplies by
+1 - q^e and divides by 1 - q^i: ``q_multinomial_poly`` runs it along a
+chain of binomials, ``q_binomial_row`` once per entry of a row.
 """
 
 from __future__ import annotations
@@ -244,40 +249,48 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
     return QRat(q_pochhammer(sum(a)), den)
 
 
+def _times_ratio(coeffs: list[int], e: int, i: int) -> list[int]:
+    """The coefficients of p (1 - q^e) / (1 - q^i), for p given by its
+    coefficients from q^0 up, when the quotient is a polynomial: a
+    shifted subtraction, then the exact division, whose quotient c has
+    c_t = p_t + c_(t-i), one pass of additions, block by block of i; its
+    top i entries come out zero and are dropped."""
+    coeffs = list(map(sub, coeffs + [0] * e, [0] * e + coeffs))
+    for start in range(i, len(coeffs), i):
+        coeffs[start : start + i] = map(add, coeffs[start : start + i], coeffs[start - i : start])
+    del coeffs[-i:]
+    return coeffs
+
+
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
-    """The q-multinomial coefficient as an honest polynomial.  Computed once
-    per distinct ``a``: a sweep asks again for every layout, and
-    ``dyson.pair_factors`` asks for the Gaussian binomial [a+b choose a-r]_q
-    as (a - r, b + r) for every pair with lengths a and b."""
-    return _q_multinomial_poly(tuple(a))
-
-
-@functools.lru_cache(maxsize=1024)
-def _q_multinomial_poly(a: tuple[int, ...]) -> QPoly:
-    """The chain of Gaussian binomials prod_k [s_k choose a_k]_q, with
-    s_k = a_0 + ... + a_k, without a dense product or a division of
-    polynomials.  [s + r choose r]_q is the product over i = 1..r of
+    """The q-multinomial coefficient as an honest polynomial: the chain of
+    Gaussian binomials prod_k [s_k choose a_k]_q, with s_k = a_0 + ... +
+    a_k, without a dense product or a division of polynomials.
+    [s + r choose r]_q is the product over i = 1..r of
     (1 - q^(s+i)) / (1 - q^i), and after each i the running product is the
-    earlier binomials times [s + i choose i]_q, a polynomial.  So each step
-    multiplies by (1 - q^(s+i)), a shifted subtraction, and then divides
-    exactly by (1 - q^i): the quotient c of p by (1 - q^i) has
-    c_t = p_t + c_(t-i), one pass of additions, block by block of i, and
-    its top i entries come out zero and are dropped.  For a = (r, m - r)
-    the chain is the one binomial [m choose r]_q, which is how the factors
-    of the q-Dyson product get theirs."""
-    coeffs = [1]
-    s = 0
+    earlier binomials times [s + i choose i]_q, a polynomial, so each step
+    is one ``_times_ratio``.  Not cached: its callers keep what they
+    reuse."""
+    coeffs, s = [1], 0
     for r in a:
         for i in range(1, r + 1):
-            e = s + i
-            coeffs = list(map(sub, coeffs + [0] * e, [0] * e + coeffs))
-            for start in range(i, len(coeffs), i):
-                coeffs[start : start + i] = map(
-                    add, coeffs[start : start + i], coeffs[start - i : start]
-                )
-            del coeffs[-i:]
+            coeffs = _times_ratio(coeffs, s + i, i)
         s += r
     return QPoly(0, coeffs)
+
+
+@functools.lru_cache(maxsize=256)
+def q_binomial_row(m: int) -> tuple[QPoly, ...]:
+    """The Gaussian binomials [m choose s]_q for s = 0..m, computed once
+    per m, one ``_times_ratio`` step per s, by
+    [m choose s+1]_q = [m choose s]_q (1 - q^(m-s)) / (1 - q^(s+1)).
+    ``dyson.pair_factors`` reads the terms of every pair with a + b = m
+    from this one row."""
+    coeffs, row = [1], [ONE]
+    for s in range(m):
+        coeffs = _times_ratio(coeffs, m - s, s + 1)
+        row.append(QPoly(0, coeffs))
+    return tuple(row)
 
 
 class QRat:

@@ -9,30 +9,33 @@ compute on the packed coefficients), both worked out from the compiled
 layout.  Every check reads a product its caller built, and ``_run_task`` is
 the one caller that builds it: one pruned pass over a box, with the most
 headroom any of the task's layouts needs, then every check of the task.
-``verify`` runs one instance as a task of one a and one layout, read over
-that layout's box, after rejecting any layer the row does not accept.
-Each check gets an ``Instance`` validated once per a, with its layout's
-(I, J) attached unchecked, as ``compile_layout`` validated them.  A sweep
-walks every exponent vector a in [0..amax]^(n+1) — and, for layer
-identities, every admissible (I, J) layout — and verifies the chosen
-identity on one ``Instance`` (n, a, I, J) each.  The no-crossing filter of
-``main`` reads layouts only, before any a is drawn.  So does
-``compile_layout``: the sweep compiles every admissible layout once, and
-each check evaluates its exponents at its a by dot products.  The tasks of
-a sweep share the compiled layouts and the bounding box of what they read,
-computed once per sweep.  A layer sweep makes one task per cyclic orbit
-(a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ..., a_{n-1}): one pass
-for a, and for every other member that pass rotated
+
+A task is ``(context, orbit)``.  The context (identity, n, layouts, box) is
+what every task of one sweep shares, built once per sweep: the identity's
+name, n, the compiled layouts and the bounding box of what they read.  The
+orbit is a tuple of exponent vectors that one pass serves.  ``verify`` runs
+one instance as a task of one a and one layout, read over that layout's
+box, after rejecting any layer the row does not accept.  Each check gets an
+``Instance`` validated once per a, with its layout's (I, J) attached
+unchecked, as ``compile_layout`` validated them.  A sweep walks every
+exponent vector a in [0..amax]^(n+1) — and, for layer identities, every
+admissible (I, J) layout — and verifies the chosen identity on one
+``Instance`` (n, a, I, J) each.  The no-crossing filter of ``main`` reads
+layouts only, before any a is drawn.  So does ``compile_layout``: the sweep
+compiles every admissible layout once, and each check evaluates its
+exponents at its a by dot products.  A layer sweep makes one task per
+cyclic orbit (a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ...,
+a_{n-1}): one pass for a, and for every other member that pass rotated
 (``FactoredProduct.rotated``), which the union box allows because it is a
 cube, as the sweep asserts.  The constant-term sweeps keep one task and one
 pass per a, so each product is checked on its own.  With ``--jobs`` above
-one, a process pool gets the shared (identity, n, layouts, box) once per
-worker, through its initializer, and then one orbit per task, largest
-first; each worker encodes its reports' JSON lines, which travel back with
-them.  Results are merged in grid order regardless of orbit or completion
-order.
+one, a process pool gets the context once per worker, through its
+initializer, and then one orbit per task, largest first; each worker
+encodes its reports' JSON lines, which travel back with them.  The tasks'
+reports come back in any order, each a's contiguous and in layout order;
+``run_sweep`` restores grid order once, by a stable sort on the grid rank
+of each report's a.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -41,7 +44,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
@@ -61,11 +63,6 @@ from .reports import VerificationReport, report
 
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _origin(layout: Layout) -> Box:
-    """The origin alone: the flipped monomial of the empty subset."""
-    return layout.subsets[0][0], layout.subsets[0][0]
 
 
 def _target(layout: Layout) -> Box:
@@ -92,8 +89,8 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source), reads=_origin),
-    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source), reads=_origin),
+    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source)),
+    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source)),
     "firstlayer": Identity(
         lambda inst, layout, source: verify_first_layer(inst, layout, source),
         reads=_target,
@@ -185,12 +182,13 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 
 
 def _run_task(task) -> tuple[float, list[VerificationReport]]:
-    """Check (identity, n, orbit, compiled layouts, box) on one product per
-    member of the orbit, a tuple (a, rot(a), rot^2(a), ...): one pass for
-    a, read over the box and packed with the headroom every layout's check
-    needs, rotated for each other member before any check starts its clock.
-    Returns the pass's time in ms with the reports, member by member."""
-    name, n, orbit, layouts, box = task
+    """Check a task ``(context, orbit)``, context = (identity, n, compiled
+    layouts, box), on one product per member of the orbit, a tuple (a,
+    rot(a), rot^2(a), ...): one pass for a, read over the box and packed
+    with the headroom every layout's check needs, rotated for each other
+    member before any check starts its clock.  Returns the pass's time in
+    ms with the reports, member by member, each member's in layout order."""
+    (name, n, layouts, box), orbit = task
     identity = IDENTITIES[name]
     headroom = max(map(identity.headroom, layouts), default=0)
     insts = [Instance(n, a) for a in orbit]
@@ -210,8 +208,8 @@ def pool_workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
-# The (identity, n, layouts, box) that every task of the pool's sweep shares,
-# set once in each worker by the pool's initializer.  The parent never sets it.
+# The context (identity, n, layouts, box) of the pool's sweep, set once in
+# each worker by the pool's initializer.  The parent never sets it.
 _shared: tuple | None = None
 
 
@@ -222,33 +220,24 @@ def _share(context: tuple) -> None:
 
 def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> list[VerificationReport]:
     """A pool task: ``_run_task`` (looked up when called, so a rebinding
-    reaches it) on the shared context and this orbit, then each report
-    encoded, so its JSON line comes back with it."""
-    name, n, layouts, box = _shared
-    reports = _run_task((name, n, orbit, layouts, box))[1]
+    reaches it) on the worker's shared context and this orbit, then each
+    report encoded, so its JSON line comes back with it."""
+    reports = _run_task((_shared, orbit))[1]
     for rep in reports:
         rep.to_json()
     return reports
 
 
-def _execute(tasks: Sequence[tuple], jobs: int) -> list[VerificationReport]:
-    """The reports of the tasks, in task order.  A pool gets the tasks'
-    shared (identity, n, layouts, box) once per worker and their orbits,
-    largest first, one per task."""
-    workers = pool_workers(jobs, len(tasks))
+def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> list[VerificationReport]:
+    """The reports of the tasks (context, orbit), one per orbit, in no set
+    order of orbits: serially in the given order; in a pool, which gets
+    the context once per worker, largest orbit first."""
+    workers = pool_workers(jobs, len(orbits))
     if workers <= 1:
-        out: list[VerificationReport] = []
-        for t in tasks:
-            out.extend(_run_task(t)[1])
-        return out
-    name, n, _, layouts, box = tasks[0]
-    assert all(t[3] is layouts and t[4] == box for t in tasks), "tasks of two sweeps"
-    first = sorted(range(len(tasks)), key=lambda i: -len(tasks[i][2]))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_share, initargs=((name, n, layouts, box),)
-    ) as pool:
-        chunks = dict(zip(first, pool.map(_run_orbit, [tasks[i][2] for i in first])))
-    return [rep for i in range(len(tasks)) for rep in chunks[i]]
+        return [rep for orbit in orbits for rep in _run_task((context, orbit))[1]]
+    largest_first = sorted(orbits, key=len, reverse=True)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
+        return [rep for reports in pool.map(_run_orbit, largest_first) for rep in reports]
 
 
 # -- one instance --------------------------------------------------------------
@@ -272,7 +261,8 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
     if not identity.admissible(inst.I, inst.J):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     layout = compile_layout(n, inst.I, inst.J)
-    pass_ms, [rep] = _run_task((name, n, (inst.a,), [layout], identity.reads(layout)))
+    context = (name, n, [layout], identity.reads(layout))
+    pass_ms, [rep] = _run_task((context, (inst.a,)))
     return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
 
 
@@ -343,26 +333,23 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
         reports = lemma_suite_reports(n, amax, config.seed)
     else:
         avecs = a_grid(n, amax)
-        if identity.mmin is None:
-            grid = [((), ())]
+        if identity.mmin is None:  # the constant terms: one pass per a
+            grid, orbits = [((), ())], [(a,) for a in avecs]
         else:
             mmax = n if config.mmax is None else config.mmax
             candidates = layout_grid(n, identity.mmin, mmax)
             grid = [lay for lay in candidates if identity.admissible(*lay)]
             rejected = (len(candidates) - len(grid)) * len(avecs)
+            orbits = cyclic_orbits(avecs)
         layouts = [compile_layout(n, I, J) for I, J in grid]
         los, his = zip(*map(identity.reads, layouts))
         box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-        if identity.mmin is None:  # the constant terms: one pass per a
-            orbits = [(a,) for a in avecs]
-        else:
-            assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
-            orbits = cyclic_orbits(avecs)
-        tasks = [(config.identity, n, orbit, layouts, box) for orbit in orbits]
+        assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
         rank = {a: i for i, a in enumerate(avecs)}
-        order = [rank[a] for orbit in orbits for a in orbit for _ in layouts]
-        done = sorted(zip(order, _execute(tasks, config.jobs)), key=itemgetter(0))
-        reports = [rep for _, rep in done]
+        reports = sorted(
+            _execute(orbits, (config.identity, n, layouts, box), config.jobs),
+            key=lambda rep: rank[tuple(rep.params["a"])],
+        )
 
     passed = sum(1 for r in reports if r.holds)
     summary = {

@@ -470,7 +470,7 @@ def _compare_with(monkeypatch, oracle):
     def checked(task):
         members.clear()
         pass_ms, reports = run_task(task)
-        _, n, orbit, layouts, _ = task
+        (_, n, layouts, _), orbit = task
         unread = iter(reports)
         for a, source in zip(orbit, members, strict=True):
             for layout in layouts:

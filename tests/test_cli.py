@@ -95,6 +95,40 @@ class TestVerifyExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        """Several ``cli.main`` calls in one process share one parser."""
+        roots = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "qdyson":
+                roots.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (
+            ["verify", "qdyson", "--n", "1", "--a", "2,1"],
+            ["sweep", "dyson", "--n", "1", "--amax", "1"],
+            ["counterexample"],
+            ["verify", "qdyson", "--n", "1", "--a", "2,x"],
+        ):
+            cli.main(argv)
+        capsys.readouterr()
+        assert len(roots) <= 1
+
+    def test_value_error_under_counterexample_exits_two(self, monkeypatch, capsys):
+        """A ``ValueError`` from any subcommand leaves through the one error
+        path: ``error: ...`` on stderr, exit 2."""
+
+        def failing():
+            raise ValueError("no such instance")
+
+        monkeypatch.setattr(cli, "reproduce_counterexample", failing)
+        assert cli.main(["counterexample"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no such instance\n"
+        assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

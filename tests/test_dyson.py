@@ -17,6 +17,7 @@ import itertools
 
 import pytest
 
+from qdyson import qpoly
 from qdyson.dyson import (
     Instance,
     _unit,
@@ -217,6 +218,28 @@ def test_pair_factor_is_the_product_of_its_two_factorials():
         assert merged == shifted_factorial((1, -1), a) * shifted_factorial((-1, 1), b, offset=1)
         assert sum(abs(c) for coeff in merged.terms.values() for c in coeff.coeffs) == 2 ** (a + b)
         assert min(coeff.min_exp for coeff in merged.terms.values()) == 0
+
+
+def test_large_factor_builds_one_row(monkeypatch):
+    """The factors at a = (160, 0, 0) take their 2 x 161 Gaussian binomials
+    from the one row [160 choose s]_q, s = 0..160: at most 161
+    multiply-and-divide steps, where a chain per binomial takes about
+    25,000."""
+    steps = []
+    times_ratio = qpoly._times_ratio
+
+    def counting(coeffs, e, i):
+        steps.append((e, i))
+        return times_ratio(coeffs, e, i)
+
+    monkeypatch.setattr(qpoly, "_times_ratio", counting)
+    qpoly.q_binomial_row.cache_clear()
+    try:
+        factors = q_dyson_factors(Instance(2, (160, 0, 0)))
+    finally:
+        qpoly.q_binomial_row.cache_clear()
+    assert [len(f.terms) for f in factors] == [161, 161, 1]
+    assert len(steps) <= 161
 
 
 def test_constant_terms_small():

@@ -201,11 +201,16 @@ def test_sweep_passes_match_the_oracle(argv, monkeypatch):
     ``QPoly`` pass.  The tasks are taken from the sweep without running
     them."""
     tasks = []
-    monkeypatch.setattr(sweeps, "_execute", lambda batch, jobs: tasks.extend(batch) or [])
+
+    def collect(orbits, context, jobs):
+        tasks.extend((context, orbit) for orbit in orbits)
+        return []
+
+    monkeypatch.setattr(sweeps, "_execute", collect)
     args = cli.build_parser().parse_args(argv)
     run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
     assert tasks
-    for name, n, orbit, layouts, (lo, hi) in tasks:
+    for (name, n, layouts, (lo, hi)), orbit in tasks:
         headroom = max(map(IDENTITIES[name].headroom, layouts), default=0)
         assert_pass_matches_oracle(q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
 

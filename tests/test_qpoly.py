@@ -14,6 +14,7 @@ from qdyson.qpoly import (
     divexact,
     multinomial,
     one_minus_q,
+    q_binomial_row,
     q_multinomial,
     q_multinomial_poly,
     q_pochhammer,
@@ -134,8 +135,6 @@ def test_q_multinomial_values():
     assert q_multinomial_poly((2, 1)) == QPoly(0, (1, 1, 1))
     assert q_multinomial_poly((1, 1, 1)) == QPoly(0, (1, 2, 2, 1))
     assert q_multinomial_poly(()) == ONE
-    # one value per distinct a, whether a comes as a tuple or a list
-    assert q_multinomial_poly([2, 1]) is q_multinomial_poly((2, 1))
 
 
 def test_multinomial_values():
@@ -175,6 +174,16 @@ def test_q_multinomial_poly_is_the_exact_quotient():
     for a in avecs + [(16, 16, 16)]:
         r = q_multinomial(a)
         assert q_multinomial_poly(a) == divexact(r.num, r.den), a
+
+
+def test_q_binomial_row_is_the_chain():
+    """Each entry of the row [m choose s]_q, s = 0..m, built by the ratio
+    of neighbours, is the chain's [m choose s]_q, for every m <= 12."""
+    for m in range(13):
+        row = q_binomial_row(m)
+        assert len(row) == m + 1
+        for s, entry in enumerate(row):
+            assert entry == q_multinomial_poly((s, m - s)), (m, s)
 
 
 # -- formal quotients --------------------------------------------------------

@@ -180,12 +180,17 @@ def test_sweep_reads_the_union_of_its_read_boxes(grid_set, slot, monkeypatch):
     """Every task of a benchmark grid reads the cube [-min(m bound, n), 1]^(n+1),
     the union of the boxes its layouts' checks read.  No check runs."""
     tasks = []
-    monkeypatch.setattr("qdyson.sweeps._execute", lambda t, jobs: tasks.extend(t) or [])
+
+    def collect(orbits, context, jobs):
+        tasks.extend((context, orbit) for orbit in orbits)
+        return []
+
+    monkeypatch.setattr("qdyson.sweeps._execute", collect)
     args = cli.build_parser().parse_args(dict(GRID_SETS[grid_set])[slot])
     run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
     depth = min(args.n if args.m is None else args.m, args.n)
     cube = ((-depth,) * (args.n + 1), (1,) * (args.n + 1))
-    assert tasks and all(task[-1] == cube for task in tasks)
+    assert tasks and all(context[-1] == cube for context, _ in tasks)
 
 
 def test_random_layer_draws_are_deterministic():
@@ -259,7 +264,9 @@ def test_tracer_binds_every_traced_name(tmp_path):
     product builders, the box pass's entry point and the ``LaurentPoly``
     multiplication and ``FactoredProduct.coeff`` it counts, and one traced
     q-Dyson check counts one build of three merged factors of three terms
-    each; ``uninstall`` puts every original back."""
+    each.  A traced serial sweep counts one task per cyclic orbit of its
+    grid, as the tracer reads the task count off ``_execute``'s first
+    argument.  ``uninstall`` puts every original back."""
     traced = [
         (laurent.LaurentPoly, "__mul__"), (laurent, "expand_product"),
         (dyson, "dyson_factors"), (dyson, "q_dyson_factors"), (kadell, "modified_q_product"),
@@ -273,8 +280,12 @@ def test_tracer_binds_every_traced_name(tmp_path):
         for (space, name), original in zip(traced, originals):
             assert vars(space)[name].__wrapped__ is original, name
         assert verify("qdyson", 2, (1, 1, 1)).holds
+        built, terms = tracer.agg["dyson.build_calls"], tracer.agg["dyson.factor_terms"]
+        _, summary = sweeps.run_sweep(SweepConfig(identity="main", n=2, amax=1))
     finally:
         tracer.uninstall()
     assert [vars(space)[name] for space, name in traced] == originals
-    assert tracer.agg["dyson.build_calls"] == 1
-    assert tracer.agg["dyson.factor_terms"] == 9
+    assert built == 1
+    assert terms == 9
+    assert summary["failed"] == 0
+    assert tracer.agg["sweeps.tasks"] == len(cyclic_orbits(a_grid(2, 1)))
