@@ -23,6 +23,7 @@ pins down the smallest failing instance exactly.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from .dyson import Instance, Layout, pair_factors
@@ -114,7 +115,9 @@ def _expected_counterexample() -> tuple[QPoly, QPoly, QPoly]:
 
 def reproduce_counterexample() -> VerificationReport:
     """Evaluate the pinned failing instance and confirm both sides come out
-    as the known polynomials (which are unequal)."""
+    as the known polynomials (which are unequal): the report of
+    ``verify_q_kadell``, derived anew with the expected failure and its
+    confirmation added to ``extra``."""
     rep = verify_q_kadell(_CE)
     ct_expected, lhs_expected, rhs_expected = _expected_counterexample()
     confirmed = (
@@ -123,6 +126,5 @@ def reproduce_counterexample() -> VerificationReport:
         and rep.lhs == lhs_expected.render()
         and rep.rhs == rhs_expected.render()
     )
-    rep.params["extra"]["expected_failure"] = True
-    rep.params["extra"]["confirmed"] = confirmed
-    return rep
+    extra = rep.params["extra"] | {"expected_failure": True, "confirmed": confirmed}
+    return replace(rep, params=rep.params | {"extra": extra})

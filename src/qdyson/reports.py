@@ -47,9 +47,9 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """The canonical JSON line of ``to_dict``.  It is made on the first
-        call and kept, pickled with the report, so a pool worker encodes its
-        reports once and the parent reads the kept lines; this relies on the
-        report not changing after it is built."""
+        call and kept, which relies on the report not changing after it is
+        built.  A pool worker encodes its reports, and only each one's
+        ``holds`` and line go back to the parent, as a ``ReportRow``."""
         if self._json is None:
             self._json = dumps(self.to_dict())
         return self._json
@@ -63,6 +63,31 @@ class VerificationReport:
         if p["J"]:
             bits.append("J=" + ",".join(map(str, p["J"])))
         return f"{' '.join(bits)} :: {verdict} ({self.elapsed_ms:.1f} ms)"
+
+
+class ReportRow:
+    """A check's verdict and its JSON line, as a pool worker sends them
+    back.  ``holds`` and ``to_json`` read them as they are; every other
+    field and method is that of the ``VerificationReport`` parsed from the
+    line on the first such read and kept.  So a passing check written out
+    with ``--json`` is never parsed."""
+
+    __slots__ = ("holds", "_line", "_report")
+
+    def __init__(self, holds: bool, line: str) -> None:
+        self.holds = holds
+        self._line = line
+        self._report: VerificationReport | None = None
+
+    def to_json(self) -> str:
+        return self._line
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("_"):  # pickle and copy probe these, maybe before __init__
+            raise AttributeError(name)
+        if self._report is None:
+            self._report = VerificationReport(**json.loads(self._line))
+        return getattr(self._report, name)
 
 
 def _render(value: Any) -> str:

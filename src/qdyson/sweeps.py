@@ -31,10 +31,13 @@ cube, as the sweep asserts.  The constant-term sweeps keep one task and one
 pass per a, so each product is checked on its own.  With ``--jobs`` above
 one, a process pool gets the context once per worker, through its
 initializer, and then one orbit per task, largest first; each worker
-encodes its reports' JSON lines, which travel back with them.  The tasks'
-reports come back in any order, each a's contiguous and in layout order;
-``run_sweep`` restores grid order once, by a stable sort on the grid rank
-of each report's a.
+encodes its reports, and only rows (holds, JSON line) travel back, which
+the parent wraps as ``ReportRow``s that parse their line only when a field
+other than those two is read.  ``_execute`` gives each member a of each
+orbit with its reports in layout order, in any order of members: the pool
+knows each row's a from the orbit it mapped, since ``pool.map`` keeps input
+order.  ``run_sweep`` restores grid order once, by sorting the members on
+the grid rank of a.
 """
 from __future__ import annotations
 
@@ -59,10 +62,11 @@ from .paired import (
     verify_paired,
     verify_tail_cancel,
 )
-from .reports import VerificationReport, report
+from .reports import ReportRow, VerificationReport, report
 
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
+Member = tuple[tuple[int, ...], list]  # an exponent vector and its reports
 
 
 def _target(layout: Layout) -> Box:
@@ -218,26 +222,34 @@ def _share(context: tuple) -> None:
     _shared = context
 
 
-def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> list[VerificationReport]:
+def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> list[tuple[bool, str]]:
     """A pool task: ``_run_task`` (looked up when called, so a rebinding
     reaches it) on the worker's shared context and this orbit, then each
-    report encoded, so its JSON line comes back with it."""
-    reports = _run_task((_shared, orbit))[1]
-    for rep in reports:
-        rep.to_json()
-    return reports
+    report as the row (holds, JSON line) that goes back to the parent in
+    its place, in the order of the reports."""
+    return [(rep.holds, rep.to_json()) for rep in _run_task((_shared, orbit))[1]]
 
 
-def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> list[VerificationReport]:
-    """The reports of the tasks (context, orbit), one per orbit, in no set
-    order of orbits: serially in the given order; in a pool, which gets
-    the context once per worker, largest orbit first."""
+def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> list[Member]:
+    """Each member a of the orbits with its reports, in layout order, from
+    the tasks (context, orbit), one per orbit, in no set order of members:
+    serially in the given order, as ``VerificationReport``s; in a pool,
+    which gets the context once per worker, largest orbit first, as
+    ``ReportRow``s of the rows its workers send back."""
+    per = len(context[2])
     workers = pool_workers(jobs, len(orbits))
     if workers <= 1:
-        return [rep for orbit in orbits for rep in _run_task((context, orbit))[1]]
-    largest_first = sorted(orbits, key=len, reverse=True)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
-        return [rep for reports in pool.map(_run_orbit, largest_first) for rep in reports]
+        runs = [(orbit, _run_task((context, orbit))[1]) for orbit in orbits]
+    else:
+        largest_first = sorted(orbits, key=len, reverse=True)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
+            runs = [
+                (orbit, [ReportRow(*row) for row in rows])
+                for orbit, rows in zip(largest_first, pool.map(_run_orbit, largest_first))
+            ]
+    return [
+        (a, reports[i * per:(i + 1) * per]) for orbit, reports in runs for i, a in enumerate(orbit)
+    ]
 
 
 # -- one instance --------------------------------------------------------------
@@ -321,9 +333,10 @@ def lemma_suite_reports(
 # -- top-level sweep ------------------------------------------------------------
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
+def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport | ReportRow], dict]:
     """Execute a sweep; returns the reports in grid order plus a summary
-    {"total", "passed", "failed", "rejected", "seed"}."""
+    {"total", "passed", "failed", "rejected", "seed"}.  A pool sweep's
+    reports are ``ReportRow``s, read like the serial ``VerificationReport``s."""
     config.validate()
     identity = IDENTITIES[config.identity]
     n, amax = config.n, config.amax
@@ -346,10 +359,11 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport], dict]:
         box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
         assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
         rank = {a: i for i, a in enumerate(avecs)}
-        reports = sorted(
+        members = sorted(
             _execute(orbits, (config.identity, n, layouts, box), config.jobs),
-            key=lambda rep: rank[tuple(rep.params["a"])],
+            key=lambda member: rank[member[0]],
         )
+        reports = [rep for _, member_reports in members for rep in member_reports]
 
     passed = sum(1 for r in reports if r.holds)
     summary = {

@@ -327,6 +327,43 @@ class TestParallelParity:
         assert _stripped_lines(seq) == _stripped_lines(par)
 
 
+class TestPoolRows:
+    """A pool sweep's reports come back as rows (holds, JSON line) and are
+    read like the serial reports."""
+
+    @staticmethod
+    def _untimed(text):
+        return re.sub(r"\(\d+\.\d ms\)", "(ms)", text)
+
+    def test_a_failing_pool_sweep_prints_the_serial_output(self, monkeypatch, capsys):
+        use_set_reading(monkeypatch)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        outs = []
+        for jobs in ("1", "2"):
+            argv = ["sweep", "main", "--n", "2", "--amax", "1", "--jobs", jobs]
+            assert cli.main(argv) == 1
+            outs.append(self._untimed(capsys.readouterr().out))
+        assert outs[0] == outs[1]
+        assert outs[1].count(":: FAILS") == 2
+
+    def test_a_library_caller_reads_the_serial_fields(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        runs = [
+            run_sweep(SweepConfig(identity="kadell", n=2, amax=1, jobs=jobs))[0]
+            for jobs in (1, 2)
+        ]
+
+        def fields(rep):
+            return (
+                rep.identity, rep.params, rep.holds, rep.lhs, rep.rhs, rep.engine,
+                type(rep.elapsed_ms), self._untimed(rep.summary_line()),
+            )
+
+        seq, par = ([fields(rep) for rep in reports] for reports in runs)
+        assert seq == par
+        assert all(type(rep) is VerificationReport for rep in runs[0])
+
+
 def _strip_elapsed(path):
     out = []
     for line in path.read_text().splitlines():

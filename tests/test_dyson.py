@@ -17,7 +17,7 @@ import itertools
 
 import pytest
 
-from qdyson import qpoly
+from qdyson import dyson, qpoly
 from qdyson.dyson import (
     Instance,
     _unit,
@@ -220,11 +220,23 @@ def test_pair_factor_is_the_product_of_its_two_factorials():
         assert min(coeff.min_exp for coeff in merged.terms.values()) == 0
 
 
-def test_large_factor_builds_one_row(monkeypatch):
+@pytest.fixture
+def fresh_rows():
+    """Empty the caches of Gaussian binomial rows before the test and after
+    it, so the test builds its rows and leaves no large row behind."""
+    caches = (qpoly.q_binomial_row, dyson._signed_row)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_large_factor_builds_one_row(monkeypatch, fresh_rows):
     """The factors at a = (160, 0, 0) take their 2 x 161 Gaussian binomials
-    from the one row [160 choose s]_q, s = 0..160: at most 161
-    multiply-and-divide steps, where a chain per binomial takes about
-    25,000."""
+    from the one row [160 choose s]_q, s = 0..160, built with the caches
+    empty in at most 161 multiply-and-divide steps, where a chain per
+    binomial takes about 25,000."""
     steps = []
     times_ratio = qpoly._times_ratio
 
@@ -233,13 +245,26 @@ def test_large_factor_builds_one_row(monkeypatch):
         return times_ratio(coeffs, e, i)
 
     monkeypatch.setattr(qpoly, "_times_ratio", counting)
-    qpoly.q_binomial_row.cache_clear()
-    try:
-        factors = q_dyson_factors(Instance(2, (160, 0, 0)))
-    finally:
-        qpoly.q_binomial_row.cache_clear()
+    factors = q_dyson_factors(Instance(2, (160, 0, 0)))
     assert [len(f.terms) for f in factors] == [161, 161, 1]
-    assert len(steps) <= 161
+    assert 160 <= len(steps) <= 161
+
+
+def test_large_factors_negate_one_row(monkeypatch, fresh_rows):
+    """The two pairs of a = (320, 0, 0) with a factor share a + b = 320 and
+    the parity of a, so they share one signed row: its 160 odd entries are
+    negated once, not once per pair."""
+    negated = []
+    neg = QPoly.__neg__
+
+    def counting(poly):
+        negated.append(poly)
+        return neg(poly)
+
+    monkeypatch.setattr(QPoly, "__neg__", counting)
+    factors = q_dyson_factors(Instance(2, (320, 0, 0)))
+    assert [len(f.terms) for f in factors] == [321, 321, 1]
+    assert len(negated) <= 160
 
 
 def test_constant_terms_small():

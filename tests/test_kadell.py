@@ -1,6 +1,7 @@
 """Corrected Dyson constant terms and the failure of the q-modification."""
 
 import itertools
+import json
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from qdyson.kadell import (
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
 from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
-from qdyson.reports import report
+from qdyson.reports import dumps, report
 from qdyson.sweeps import verify
 from tests.test_dyson import (
     as_int,
@@ -153,6 +154,25 @@ class TestQModification:
         assert rep.params["extra"]["ct"] == "1 + 2*q + 3*q^2 + 2*q^3"
         assert rep.lhs == "1 + 2*q + 3*q^2 + 1*q^3 - 2*q^4 - 3*q^5 - 2*q^6"
         assert rep.rhs == "1 + 2*q + 2*q^2 + 1*q^3 - 1*q^4 - 2*q^5 - 2*q^6 - 1*q^7"
+
+    def test_counterexample_leaves_the_checked_report_as_built(self, monkeypatch):
+        """The expected failure goes on a new report: the one
+        ``verify_q_kadell`` built keeps only ``ct`` in ``extra``, and a
+        line it kept stays its own."""
+        built = []
+
+        def recording(inst):
+            rep = verify_q_kadell(inst)
+            built.append((rep, rep.to_json()))
+            return rep
+
+        monkeypatch.setattr("qdyson.kadell.verify_q_kadell", recording)
+        rep = reproduce_counterexample()
+        ((checked, line),) = built
+        assert checked.params["extra"] == {"ct": "1 + 2*q + 3*q^2 + 2*q^3"}
+        assert checked.to_json() == dumps(checked.to_dict()) == line
+        assert rep is not checked and rep.params["extra"]["confirmed"] is True
+        assert json.loads(rep.to_json())["params"]["extra"]["expected_failure"] is True
 
     def test_counterexample_ct_recomputed_from_product(self):
         factors = modified_q_product(Instance(2, (1, 1, 1), (0,), (1,)))

@@ -1,6 +1,7 @@
 """Grid enumeration, sweep summaries, and the randomized lemma suite."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from benchmark.tracing import Tracer
 from benchmark.workloads import GRID_SETS
 from qdyson import cli, dyson, kadell, laurent, sweeps
 from qdyson.paired import npc_holds
+from qdyson.reports import ReportRow
 from qdyson.sweeps import (
     SweepConfig,
     a_grid,
@@ -191,6 +193,64 @@ def test_sweep_reads_the_union_of_its_read_boxes(grid_set, slot, monkeypatch):
     depth = min(args.n if args.m is None else args.m, args.n)
     cube = ((-depth,) * (args.n + 1), (1,) * (args.n + 1))
     assert tasks and all(context[-1] == cube for context, _ in tasks)
+
+
+def _without_elapsed(line):
+    obj = json.loads(line)
+    obj.pop("elapsed_ms")
+    return obj
+
+
+def test_a_pool_task_sends_rows_back(monkeypatch):
+    """A pool task, run in process on the context its initializer shares,
+    returns only (holds, JSON line) rows: the verdicts and lines of the
+    serial reports of its orbit, apart from ``elapsed_ms``, in their
+    order."""
+    tasks = []
+    monkeypatch.setattr(
+        "qdyson.sweeps._execute",
+        lambda orbits, context, jobs: tasks.extend((context, orbit) for orbit in orbits) or [],
+    )
+    run_sweep(SweepConfig(identity="main", n=2, amax=1))
+    context, orbit = max(tasks, key=lambda task: len(task[1]))
+    monkeypatch.setattr("qdyson.sweeps._shared", None)  # restored after the test
+    sweeps._share(context)
+    rows = sweeps._run_orbit(orbit)
+    serial = sweeps._run_task((context, orbit))[1]
+    assert len(orbit) == 3 and len(rows) == len(serial) == 3 * len(context[2])
+    assert all(
+        type(row) is tuple and len(row) == 2 and type(row[0]) is bool and type(row[1]) is str
+        for row in rows
+    )
+    assert [holds for holds, _ in rows] == [rep.holds for rep in serial]
+    assert [_without_elapsed(line) for _, line in rows] == [
+        _without_elapsed(rep.to_json()) for rep in serial
+    ]
+
+
+def test_a_row_parses_its_line_once_and_only_when_read(monkeypatch):
+    """``holds`` and ``to_json`` read the row as it is; any other read
+    parses the line once, into the report it was encoded from.  A row
+    pickles without being parsed."""
+    rep = verify("kadell", 2, (1, 0, 1), (0,), (1,))
+    parsed = []
+    loads = json.loads
+
+    def counting(line):
+        parsed.append(line)
+        return loads(line)
+
+    monkeypatch.setattr(json, "loads", counting)
+    row = ReportRow(rep.holds, rep.to_json())
+    again = pickle.loads(pickle.dumps(row))
+    assert row.holds is again.holds is True
+    assert row.to_json() is rep.to_json() and again.to_json() == rep.to_json()
+    assert parsed == []
+    assert row.params == rep.params and row.lhs == rep.lhs and row.rhs == rep.rhs
+    assert row.elapsed_ms == rep.elapsed_ms and row.engine == rep.engine
+    assert row.to_dict() == rep.to_dict()
+    assert row.summary_line() == rep.summary_line()
+    assert parsed == [rep.to_json()]
 
 
 def test_random_layer_draws_are_deterministic():
