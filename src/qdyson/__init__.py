@@ -28,6 +28,7 @@ from .laurent import (  # noqa: F401
     AmbientMismatchError,
     FactoredProduct,
     LaurentPoly,
+    Pair,
     ct_of_factor_list,
 )
 from .dyson import (  # noqa: F401

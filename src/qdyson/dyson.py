@@ -10,14 +10,12 @@ The q-analog replaces each unordered pair {i < j} by
     (x_i/x_j; q)_{a_i} * (q x_j/x_i; q)_{a_j}
 
 and its constant term is the q-multinomial coefficient.  Each pair's two
-q-shifted factorials are built as one factor, by the finite form of Jacobi's
-triple product (``pair_factors``), so the product has n(n+1)/2 factors.
-A pair's q-coefficients are signed Gaussian binomials, all read from the
-one cached row ``qpoly.q_binomial_row(a_i + a_j)``, signed once per
-a_i + a_j and parity of a_i.  At q = 1 the q-analog is the classical
+q-shifted factorials are one factor, a ``laurent.Pair`` given by i, j and
+the two lengths (``pair_factors``), so the product has n(n+1)/2 factors,
+which the box pass expands.  At q = 1 the q-analog is the classical
 product pair by pair, so only the q-analog is built and classical values
 are read off it at q = 1; ``dyson_factors`` is the tests' independent
-oracle for them.
+oracle for them, a list of ``LaurentPoly`` binomials.
 
 Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
 positionally.  ``Instance.layer_monomial`` builds the layer monomial
@@ -36,14 +34,13 @@ the constant terms here, the box of the empty layer, the origin.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
-from .laurent import FactoredProduct, LaurentPoly
-from .qpoly import ONE, multinomial, q_binomial_row, q_multinomial_poly
+from .laurent import FactoredProduct, LaurentPoly, Pair
+from .qpoly import ONE, multinomial, q_multinomial_poly
 from .reports import VerificationReport, report
 
 
@@ -169,48 +166,19 @@ def _unit(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(z)
 
 
-@functools.lru_cache(maxsize=256)
-def _signed_row(m: int, parity: int) -> tuple[QPoly, ...]:
-    """The row ``q_binomial_row(m)`` with entry s negated when s + parity
-    is odd: the coefficients (-1)^r [m choose a-r]_q, s = a - r, of every
-    pair with a + b = m and a = parity mod 2, negated once for them all."""
-    return tuple(-c if (s + parity) % 2 else c for s, c in enumerate(q_binomial_row(m)))
+def pair_factors(n: int, length: Callable[[int, int], int]) -> list[Pair]:
+    """One ``Pair`` per pair i < j: with z = x_i/x_j, a = length(i, j) and
+    b = length(j, i), the factor (z; q)_a (q/z; q)_b.  The pass expands it
+    (``laurent.packed_in_box``), so a product of n(n+1)/2 pairs is built
+    as n(n+1)/2 records of four integers."""
+    return [
+        Pair(i, j, length(i, j), length(j, i))
+        for i in range(n + 1)
+        for j in range(i + 1, n + 1)
+    ]
 
 
-def pair_factors(n: int, length: Callable[[int, int], int]) -> list[LaurentPoly]:
-    """One factor per pair i < j: with z = x_i/x_j, a = length(i, j) and
-    b = length(j, i), the product (z; q)_a (q/z; q)_b, written out by the
-    finite form of Jacobi's triple product,
-
-        (z; q)_a (q/z; q)_b = sum over r = -b..a of
-                              (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
-
-    with the Gaussian binomials [a+b choose a-r]_q read from the one row
-    ``q_binomial_row(a + b)``, built once for every pair with the same
-    a + b, one multiply-and-divide step per entry, and signed once for
-    every pair with the same a + b and a mod 2 (``_signed_row``).  Merging
-    the pair's two q-shifted factorials into one halves the factors a box
-    pass multiplies, to n(n+1)/2, and leaves every bound of the pass as it
-    was.  A Gaussian binomial has nonnegative coefficients, so the merged
-    factor's L1 norm is the sum of the binomials C(a+b, a-r) over r, which
-    is 2^(a+b): the product of the two old factors' norms 2^a and 2^b.  Its
-    lowest power of q is 0, from the r = 0 term, as was each old factor's.
-    So B, k and low of ``laurent.packed_in_box`` do not change, and neither
-    do the headroom bounds derived from them or
-    ``FactoredProduct.rotated``."""
-    out = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            a, b, z = length(i, j), length(j, i), _unit(n, i, j)
-            row = _signed_row(a + b, a % 2)
-            terms = {}
-            for r in range(-b, a + 1):
-                terms[tuple(r * e for e in z)] = row[a - r].shifted(r * (r - 1) // 2)
-            out.append(LaurentPoly(n, terms))
-    return out
-
-
-def q_dyson_factors(inst: Instance) -> list[LaurentPoly]:
+def q_dyson_factors(inst: Instance) -> list[Pair]:
     """The q-Dyson product's factors: (x_i/x_j; q) has length a_i."""
     return pair_factors(inst.n, lambda i, j: inst.a[i])
 

@@ -221,7 +221,7 @@ def verify_first_layer(
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(inst)
     holds = (
-        packed_equal(brute_den, source.low, _packed_q_multinomial(a, k) * num, base, k)
+        packed_equal(brute_den, 0, _packed_q_multinomial(a, k) * num, base, k)
         and q1_closed == q1_brute
     )
     return report(

@@ -16,8 +16,11 @@ q-coefficients have L1 norm at most B, the bound of
 ``laurent.packed_in_box`` that every source's k already clears.
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
-one does NOT satisfy the corresponding identity; ``reproduce_counterexample``
-pins down the smallest failing instance exactly.
+one does NOT satisfy the corresponding identity.  Its product is the
+q-Dyson product's pairs with some lengths raised by one
+(``modified_q_product``), so the box pass reads its constant term like any
+other; ``reproduce_counterexample`` pins down the smallest failing instance
+exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .dyson import Instance, Layout, pair_factors
-from .laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, unpack
+from .laurent import FactoredProduct, Pair, ct_of_factor_list, unpack
 from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly
 from .reports import VerificationReport, report
 
@@ -40,7 +43,7 @@ def corrected_ct(inst: Instance, layout: Layout, source: FactoredProduct) -> int
     sum of (-1)^|S| times the coefficient at the flipped monomial, summed
     packed and unpacked once."""
     packed = sum(sign * source.packed_coeff(flipped) for flipped, sign, _ in layout.subsets)
-    return unpack(packed, source.k, source.low).at_q1()
+    return unpack(packed, source.k, 0).at_q1()
 
 
 def corrected_dyson_rhs(inst: Instance) -> int:
@@ -76,10 +79,11 @@ def verify_kadell(inst: Instance, layout: Layout, source: FactoredProduct) -> Ve
     )
 
 
-def modified_q_product(inst: Instance) -> list[LaurentPoly]:
-    """q-analog product with pair-adjusted factorial lengths: for s < t the
-    factor (x_s/x_t; q) has length a_s plus one if (t, s) is a pair, and
-    (q x_t/x_s; q) has length a_t plus one if (s, t) is a pair."""
+def modified_q_product(inst: Instance) -> list[Pair]:
+    """q-analog product with pair-adjusted factorial lengths, one ``Pair``
+    (s, t, a, b) per s < t: the factor (x_s/x_t; q)_a (q x_t/x_s; q)_b with
+    a = a_s, plus one if (t, s) is a pair of the layer, and b = a_t, plus
+    one if (s, t) is."""
     pair_set = set(inst.pairs)
     return pair_factors(inst.n, lambda i, j: inst.a[i] + ((j, i) in pair_set))
 

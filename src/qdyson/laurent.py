@@ -1,20 +1,20 @@
-"""Sparse multivariate Laurent polynomials in x_0..x_n over ``QPoly``.
+"""Products of pair factors over x_0..x_n, read in one pruned pass.
 
-The heavy operation in this package is reading a few coefficients out of a
-large product of small factors.  ``packed_in_box`` multiplies the factors
-incrementally and discards every partial monomial that can no longer reach
-the box of exponent vectors the caller reads, using per-variable bounds on
-what the remaining factors may still contribute, and packs only the terms
-of a factor that some surviving partial monomial can use.  Inside the pass
-an exponent vector is one integer key, a mixed-radix number over the hull
-of these bounds, so a factor's term adds a fixed integer to it, and a step
-checks only the coordinates its factor moves.  Each q-coefficient is packed
-into one integer too, its value at q = 2^k (Kronecker substitution), after
-dividing each factor by its lowest power of q so that negative powers need
-no second loop.  k is read off the factors: 2^(k-1) exceeds B, the product
-of the factors' L1 norms, which bounds every q-coefficient a partial
-product can have, so each surviving coefficient unpacks to a unique
-``QPoly``.  A caller that goes on computing with the packed values asks for
+Every product this package builds is a product of pair factors
+(x_i/x_j; q)_a (q x_j/x_i; q)_b, i < j, each given by its four integers as
+a ``Pair``.  The heavy operation is reading a few coefficients out of a
+large such product.  ``packed_in_box`` multiplies the pairs incrementally
+and discards every partial monomial that can no longer reach the box of
+exponent vectors the caller reads, using per-variable bounds on what the
+remaining pairs may still contribute.  At one partial monomial the usable
+terms of a pair are one interval of powers of x_i/x_j, and only terms some
+partial monomial can use are packed.  Inside the pass an exponent vector
+is one integer key, a mixed-radix number over the hull of these bounds,
+so a term adds a fixed integer to it, and a step reads only the two
+digits its pair moves.  Each q-coefficient is packed into one integer too,
+its value at q = 2^k (Kronecker substitution), with k read off the pairs'
+lengths, so each surviving coefficient unpacks to a unique ``QPoly``.  A
+caller that goes on computing with the packed values asks for
 ``headroom`` extra bits of k, enough for the coefficients of whatever it
 computes.
 
@@ -26,20 +26,22 @@ the key is missing.  ``rotated`` turns the q-Dyson product D(a) over a cube
 into D(rot(a))'s over the same cube without a pass, by relabelling the
 keys and shifting the packed integers: a layer sweep makes one pass per
 cyclic orbit of a.  ``ct_of_factor_list`` is the pass over a single point.
-``LaurentPoly`` holds the factors.  ``expand_product`` multiplies them
-outright, without pruning, through ``LaurentPoly.one`` and ``__mul__``.
-Nothing in the program calls these: they are only the tests' oracle, and
-they stay in this module because ``benchmark/tracing.py`` traces them here.
+
+``LaurentPoly`` is a sparse multivariate Laurent polynomial over ``QPoly``:
+the type of ``FactoredProduct.expanded``, and of the tests' oracles, which
+``expand_product`` multiplies out without pruning, through
+``LaurentPoly.one`` and ``__mul__``.  No check builds one; they stay in
+this module because ``benchmark/tracing.py`` traces them here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from operator import gt, le, mul, sub
-from typing import Iterable, Mapping, Sequence
+from operator import gt, mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .qpoly import ONE, ZERO, QPoly
+from .qpoly import ONE, ZERO, QPoly, q_binomial_row
 
 Monomial = tuple[int, ...]
 
@@ -170,126 +172,141 @@ def packed_equal(x: int, x_low: int, y: int, y_low: int, k: int) -> bool:
     return x == y << (k * (y_low - x_low))
 
 
-def packed_in_box(
-    factors: Sequence[LaurentPoly], lo: Sequence[int], hi: Sequence[int], headroom: int = 0
-) -> tuple[dict[Monomial, int], int, int]:
-    """Every term c * x^e of the product of ``factors`` with lo <= e <= hi,
-    coordinatewise, packed: (the nonzero coefficients by exponent vector,
-    k, low), where each coefficient c is q^low times the polynomial whose
-    value at q = 2^k is its integer.
+class Pair(NamedTuple):
+    """The pair factor (x_i/x_j; q)_a (q x_j/x_i; q)_b, i < j, of a product
+    over x_0..x_n: a + b + 1 terms, one per power of x_i/x_j (see
+    ``packed_in_box``)."""
 
-    Factors are multiplied in ascending order of term count (stable on ties).
-    After the first t factors, a partial monomial lies in window t: the box
-    of exponent vectors that the first t factors can produce, cut down to
+    i: int
+    j: int
+    a: int
+    b: int
+
+    def num_terms(self) -> int:
+        return self.a + self.b + 1
+
+
+def packed_in_box(
+    n: int, pairs: Sequence[Pair], lo: Sequence[int], hi: Sequence[int], headroom: int = 0
+) -> tuple[dict[Monomial, int], int]:
+    """Every term c * x^e of the product of ``pairs`` over x_0..x_n with
+    lo <= e <= hi, coordinatewise, packed: (the nonzero coefficients by
+    exponent vector, k), where each coefficient c is the polynomial in q
+    whose value at q = 2^k is its integer.  Before any work, a box of
+    another width raises ``AmbientMismatchError``, and a pair outside
+    0 <= i < j <= n or with a negative length ``ValueError``.
+
+    With z = x_i/x_j, the finite form of Jacobi's triple product writes a
+    pair out as
+
+        (z; q)_a (q/z; q)_b = sum over r = -b..a of
+                              (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
+
+    so its term r moves e_i by r and e_j by -r.  The Gaussian binomials
+    come from the row ``q_binomial_row(a + b)``, built at most once per
+    pass for all the pairs with that a + b, and dropped with the pass.
+
+    Pairs are multiplied in ascending order of term count (stable on ties).
+    After the first t pairs, a partial monomial lies in window t: the box
+    of exponent vectors that the first t pairs can produce, cut down to
     those from which the box lo..hi can still be reached with what the
-    remaining factors may contribute, per variable.  Every other partial
-    monomial is dropped.  A factor's term is packed only if it can move some
-    vector of window t into window t + 1.  An empty factor list is the
-    constant 1.
+    remaining pairs may contribute, per variable.  Every other partial
+    monomial is dropped.  At one partial monomial the terms that land in
+    window t + 1 are those whose r lies in one interval, bounded by -b and
+    a and by window t + 1 along x_i and along x_j; a term is packed only
+    if its r lies in that interval for some vector of window t.  An empty
+    pair list is the constant 1.
 
     Inside the pass an exponent vector is one integer, a mixed-radix number
     whose digit v is e_v minus the least value of coordinate v over all the
-    windows, in base the width of the windows' hull along v.  A term of a
-    factor adds a fixed integer to the key.  A factor moves only the
-    coordinates in its support, where some term has a nonzero exponent, and
-    the windows of the other coordinates are the same before and after it.
-    So for each partial monomial the step decodes and checks only the
-    support's digits, and does so once per distinct digit tuple: the terms
-    that keep those digits inside window t + 1 are kept as a list of key
-    increments.  Every key stays inside the hull, so no digit carries into
-    the next.  The survivors are decoded to exponent tuples once, at the end.
+    windows, in base the width of the windows' hull along v.  Term r adds
+    r (stride_i - stride_j) to the key, so a step decodes only digits i
+    and j.  Every key stays inside the hull, so no digit carries into the
+    next.  The survivors are decoded to exponent tuples once, at the end.
 
-    Coefficients travel through the pass as integers: each factor's
-    coefficients are divided by its lowest power of q and evaluated at
+    Coefficients travel through the pass as integers, their values at
     q = 2^k, so partial coefficients are multiplied and added as plain ints
-    and tested for zero with ``c == 0``; low is the sum of the factors'
-    lowest powers.  Pruning never changes the coefficient of a monomial that
-    survives, so each partial coefficient is an exact coefficient of a
-    product of the first factors, and none of its q-coefficients exceeds B,
-    the product of the factors' L1 norms (the sum of |c| over all
-    q-coefficients of a factor).  The same holds summed over monomials: the
-    q-coefficients of all the terms of the product together have L1 norm at
-    most B.  A zero factor makes B = 0, but it has no terms, so it sorts
-    first and empties the pass.  k = B.bit_length() + 1 + headroom, so
-    2^(k-1-headroom) > B and ``unpack`` reads each coefficient back exactly.
-    B and low are taken over every term, packed or not.
+    and tested for zero with ``c == 0``.  As r(r-1)/2 >= 0, every term's
+    coefficient is a polynomial in q, and so is every coefficient of the
+    product: no power of q needs dividing out.  Pruning never changes the
+    coefficient of a monomial that survives, so each partial coefficient
+    is an exact coefficient of a product of the first pairs, and none of
+    its q-coefficients exceeds B, the product of the pairs' L1 norms (the
+    sum of |c| over all their q-coefficients).  The same holds summed over
+    monomials: the q-coefficients of all the terms of the product together
+    have L1 norm at most B.  A Gaussian binomial has nonnegative
+    coefficients, so a pair's L1 norm is the sum of C(a+b, a-r) over r,
+    2^(a+b), and B = 2^(sum of a + b).  k = B.bit_length() + 1 + headroom,
+    the sum of a + b plus 2 + headroom, so 2^(k-1-headroom) > B and
+    ``unpack`` reads each coefficient back exactly.
     """
-    width = len(lo)
-    n = width - 1
-    for f in factors:
-        if f.n != n:
-            raise AmbientMismatchError(f"{f.n + 1} variables vs {width}")
+    width = n + 1
+    if len(lo) != width or len(hi) != width:
+        raise AmbientMismatchError(f"box {lo!r}..{hi!r} does not fit {width} variables")
+    for pair in pairs:
+        if not 0 <= pair.i < pair.j <= n or pair.a < 0 or pair.b < 0:
+            raise ValueError(f"{pair!r} is no pair factor over x_0..x_{n}")
 
-    ordered = sorted(factors, key=LaurentPoly.num_terms)
-    columns = [list(zip(*f.terms)) for f in ordered]
-    lows = [min((c.min_exp for c in f.terms.values()), default=0) for f in ordered]
-    bound = math.prod(
-        sum(sum(map(abs, coeff.coeffs)) for coeff in f.terms.values()) for f in ordered
-    )
-    k = bound.bit_length() + 1 + headroom
+    ordered = sorted(pairs, key=Pair.num_terms)
+    k = sum(a + b for _, _, a, b in ordered) + 2 + headroom
+    # each pair's range of moves: e_i by -b..a, e_j by -a..b
+    spans = [((i, -b, a), (j, -a, b)) for i, j, a, b in ordered]
 
-    # backward: the box minus what factors t..end may still add
+    # backward: the box minus what pairs t..end may still add
     floor, ceiling = list(lo), list(hi)
-    reach = [(lo, hi)]
-    for cols in reversed(columns):
-        for v, column in enumerate(cols):
-            floor[v] -= max(column)
-            ceiling[v] -= min(column)
+    reach = [(tuple(lo), tuple(hi))]
+    for span in reversed(spans):
+        for v, low, high in span:
+            floor[v] -= high
+            ceiling[v] -= low
         reach.append((tuple(floor), tuple(ceiling)))
     reach.reverse()
-    # forward: what factors 0..t-1 can produce; window t is the intersection
+    # forward: what pairs 0..t-1 can produce; window t is the intersection
     least, most = [0] * width, [0] * width
     windows = []
-    for cols, (floor, ceiling) in zip(columns + [[]], reach):
+    for span, (floor, ceiling) in zip(spans + [()], reach):
         window = tuple(map(max, floor, least)), tuple(map(min, ceiling, most))
         if any(map(gt, *window)):
-            return {}, k, sum(lows)
+            return {}, k
         windows.append(window)
-        for v, column in enumerate(cols):
-            least[v] += min(column)
-            most[v] += max(column)
+        for v, low, high in span:
+            least[v] += low
+            most[v] += high
 
     base = [min(w[0][v] for w in windows) for v in range(width)]
     radix = [max(w[1][v] for w in windows) - base[v] + 1 for v in range(width)]
     stride = [math.prod(radix[:v]) for v in range(width)]
 
+    rows = {m: q_binomial_row(m) for m in {a + b for _, _, a, b in ordered}}
     partial = {-sum(map(mul, base, stride)): 1}
-    for f, cols, low, (before, after) in zip(ordered, columns, lows, zip(windows, windows[1:])):
-        support = [v for v, column in enumerate(cols) if any(column)]
-        moves = [
-            ([e[v] for v in support], sum(e[v] * stride[v] for v in support), pack(c, low, k))
-            for e, c in f.terms.items()
-            if all(after[0][v] - before[1][v] <= e[v] <= after[1][v] - before[0][v]
-                   for v in support)
-        ]
-        digits = [(stride[v], radix[v]) for v in support]
-        bottom = [after[0][v] - base[v] for v in support]
-        top = [after[1][v] - base[v] for v in support]
-        usable: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for (i, j, a, b), ((lo1, hi1), (lo2, hi2)) in zip(ordered, zip(windows, windows[1:])):
+        # r is usable from window t if e_i + r and e_j - r lie in window t + 1
+        r0 = max(-b, lo2[i] - hi1[i], lo1[j] - hi2[j])
+        r1 = min(a, hi2[i] - lo1[i], hi1[j] - lo2[j])
+        row, delta = rows[a + b], stride[i] - stride[j]
+        terms = [(r, pack(row[a - r].shifted(r * (r - 1) // 2), 0, k)) for r in range(r0, r1 + 1)]
+        steps = [(r * delta, -v if r % 2 else v) for r, v in terms]
+        # at digits d_i, d_j the usable steps are steps[start:stop]
+        si, ri, sj, rj = stride[i], radix[i], stride[j], radix[j]
+        bi, ti = lo2[i] - base[i] - r0, hi2[i] - base[i] - r0 + 1
+        bj, tj = hi2[j] - base[j] + r0, lo2[j] - base[j] + r0 - 1
         grown: dict[int, int] = {}
         for key, c1 in partial.items():
-            at = tuple([key // s % r for s, r in digits])
-            steps = usable.get(at)
-            if steps is None:
-                lower, upper = list(map(sub, bottom, at)), list(map(sub, top, at))
-                steps = usable[at] = [
-                    (delta, c2) for d, delta, c2 in moves
-                    if all(map(le, lower, d)) and all(map(le, d, upper))
-                ]
-            for delta, c2 in steps:
+            di, dj = key // si % ri, key // sj % rj
+            for delta, c2 in steps[max(0, bi - di, dj - bj):max(0, min(ti - di, dj - tj))]:
                 key2 = key + delta
                 grown[key2] = grown.get(key2, 0) + c1 * c2
         partial = {e: c for e, c in grown.items() if c != 0}
     return {
         tuple(key // s % r + g for s, r, g in zip(stride, radix, base)): c
         for key, c in partial.items()
-    }, k, sum(lows)
+    }, k
 
 
-def ct_of_factor_list(factors: Sequence[LaurentPoly], target: Sequence[int]) -> QPoly:
-    """Coefficient of x^target in the product of ``factors``: the box pass
+def ct_of_factor_list(pairs: Sequence[Pair], target: Sequence[int]) -> QPoly:
+    """Coefficient of x^target in the product of ``pairs``: the box pass
     over the single point target."""
-    return FactoredProduct(len(target) - 1, factors, target, target).coeff(target)
+    return FactoredProduct(len(target) - 1, pairs, target, target).coeff(target)
 
 
 class FactoredProduct:
@@ -307,7 +324,7 @@ class FactoredProduct:
     def __init__(
         self,
         n: int,
-        factors: Sequence[LaurentPoly],
+        pairs: Sequence[Pair],
         lo: Sequence[int],
         hi: Sequence[int],
         headroom: int = 0,
@@ -316,25 +333,24 @@ class FactoredProduct:
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         self.headroom = headroom
-        self.packed, self.k, self.low = packed_in_box(factors, lo, hi, headroom)
+        self.packed, self.k = packed_in_box(n, pairs, lo, hi, headroom)
 
-    def _absent(self, key: Monomial) -> int:
-        """The packed coefficient at a key the pass did not keep: 0 inside
-        the box, where the pass dropped only zeros.  Every kept key lies in
-        the box, so a read checks the box here alone, on a miss."""
+    def packed_coeff(self, target: Sequence[int]) -> int:
+        """The coefficient at ``target``, a polynomial in q, at q = 2^k.  A
+        key the pass did not keep reads 0 inside the box, where the pass
+        dropped only zeros.  Every kept key lies in the box, so a read
+        checks the box only on a miss."""
+        key = tuple(target)
+        value = self.packed.get(key)
+        if value is not None:
+            return value
         for e, b, c in zip(key, self.lo, self.hi):
             if e < b or e > c:
                 raise ValueError(f"exponent {key!r} outside the box {self.lo!r}..{self.hi!r}")
         return 0
 
-    def packed_coeff(self, target: Sequence[int]) -> int:
-        """The coefficient at ``target`` as q^-low times it at q = 2^k."""
-        key = tuple(target)
-        value = self.packed.get(key)
-        return self._absent(key) if value is None else value
-
     def coeff(self, target: Sequence[int]) -> QPoly:
-        return unpack(self.packed_coeff(target), self.k, self.low)
+        return unpack(self.packed_coeff(target), self.k, 0)
 
     def rotated(self, r: int) -> "FactoredProduct":
         """For this product the q-Dyson product D(a) over a cube, the same
@@ -347,10 +363,10 @@ class FactoredProduct:
             s = sum of floor((i + r) / (n + 1)) f_i,
 
         so each packed key is relabelled by pi^r and its int divided by q^s,
-        a shift right by k s bits (left when s < 0).  The shift is exact:
-        every factor of a q-Dyson product has lowest power q^0, so low is 0
-        and every coefficient is a polynomial in q.  k, low and headroom
-        carry over, as B = 2^(n total) does not change under rotation.
+        a shift right by k s bits (left when s < 0).  The shift is exact, as
+        the coefficients of both products are polynomials in q (see
+        ``packed_in_box``).  k and headroom carry over, as k reads only the
+        sum of the pairs' lengths, n total, which rotation keeps.
         r = 0 gives this product itself; any other r raises ``ValueError``
         on a box that is not a cube, as only a cube is closed under pi."""
         width = self.n + 1
@@ -366,7 +382,7 @@ class FactoredProduct:
             packed[e[cut:] + e[:cut]] = c >> s if s >= 0 else c << -s
         out = object.__new__(FactoredProduct)
         out.n, out.lo, out.hi, out.headroom = self.n, self.lo, self.hi, self.headroom
-        out.packed, out.k, out.low = packed, k, self.low
+        out.packed, out.k = packed, k
         return out
 
     def constant_term(self) -> QPoly:
@@ -374,4 +390,4 @@ class FactoredProduct:
 
     @functools.cached_property
     def expanded(self) -> LaurentPoly:
-        return LaurentPoly(self.n, {e: unpack(c, self.k, self.low) for e, c in self.packed.items()})
+        return LaurentPoly(self.n, {e: unpack(c, self.k, 0) for e, c in self.packed.items()})

@@ -195,11 +195,11 @@ def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> Ve
         c <<= k * (e - base)
         ct = ct + c if sign > 0 else ct - c
     lhs = ct - (ct << (k * (1 + inst.total - inst.selected_total)))
-    low = source.low + base  # the left side is q^low times its packed polynomial
     rhs, rhs_text = _paired_rhs(a, k)
-    holds = packed_equal(lhs, low, rhs, 0, k)
+    # the left side is q^base times the polynomial whose value at q = 2^k is lhs
+    holds = packed_equal(lhs, base, rhs, 0, k)
     return report(
-        "main", inst, t0, holds, rhs_text if holds else unpack(lhs, k, low), rhs_text,
+        "main", inst, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
         lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},
     )
 

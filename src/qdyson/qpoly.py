@@ -14,7 +14,6 @@ chain of binomials, ``q_binomial_row`` once per entry of a row.
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -279,13 +278,12 @@ def q_multinomial_poly(a: Iterable[int]) -> QPoly:
     return QPoly(0, coeffs)
 
 
-@functools.lru_cache(maxsize=256)
 def q_binomial_row(m: int) -> tuple[QPoly, ...]:
-    """The Gaussian binomials [m choose s]_q for s = 0..m, computed once
-    per m, one ``_times_ratio`` step per s, by
+    """The Gaussian binomials [m choose s]_q for s = 0..m, one
+    ``_times_ratio`` step per s, by
     [m choose s+1]_q = [m choose s]_q (1 - q^(m-s)) / (1 - q^(s+1)).
-    ``dyson.pair_factors`` reads the terms of every pair with a + b = m
-    from this one row."""
+    Not cached: ``laurent.packed_in_box`` builds each row it needs once per
+    pass and drops it with the pass."""
     coeffs, row = [1], [ONE]
     for s in range(m):
         coeffs = _times_ratio(coeffs, m - s, s + 1)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 ENGINE = "qdyson/0.1.0"
@@ -22,7 +22,7 @@ class VerificationReport:
 
     ``holds`` records exact equality of the two sides; ``lhs``/``rhs`` are
     their canonical renderings.  A report is not changed once built: derive
-    another with ``dataclasses.replace``, which starts with no kept line.
+    another with ``dataclasses.replace``.
     """
 
     identity: str
@@ -32,7 +32,6 @@ class VerificationReport:
     rhs: str
     elapsed_ms: float
     engine: str = ENGINE
-    _json: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -46,13 +45,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """The canonical JSON line of ``to_dict``.  It is made on the first
-        call and kept, which relies on the report not changing after it is
-        built.  A pool worker encodes its reports, and only each one's
-        ``holds`` and line go back to the parent, as a ``ReportRow``."""
-        if self._json is None:
-            self._json = dumps(self.to_dict())
-        return self._json
+        """The canonical JSON line of ``to_dict``, made on each call: a run
+        encodes each report at most once.  A pool worker encodes its
+        reports, and only each one's ``holds`` and line go back to the
+        parent, as a ``ReportRow``."""
+        return dumps(self.to_dict())
 
     def summary_line(self) -> str:
         verdict = "holds" if self.holds else "FAILS"

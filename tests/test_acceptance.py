@@ -38,6 +38,7 @@ from tests.test_dyson import (
     correction_factors,
     ct_times,
     first_layer_target,
+    oracle_factors,
     shared_source,
 )
 from tests.test_firstlayer import verify_first_layer_oracle
@@ -118,12 +119,13 @@ def classical_sweeps(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def q_expanded():
-    """Unpruned q-products (the oracle of criterion 9(c)) for every (n, a)
+    """Unpruned q-products, each pair multiplied out from its two
+    q-shifted factorials (the oracle of criterion 9(c)), for every (n, a)
     of criterion 1."""
     out = {}
     for n, amax in Q_GRIDS:
         for a in a_grid(n, amax):
-            out[(n, a)] = expand_product(q_dyson_factors(Instance(n, a)), n)
+            out[(n, a)] = expand_product(oracle_factors(n, q_dyson_factors(Instance(n, a))), n)
     return out
 
 
@@ -364,9 +366,9 @@ def test_criterion_9_kernel_properties(q_sweeps, classical_sweeps, q_expanded, c
     shift_checks = 0
     for n in (1, 2):
         for a in a_grid(n, 2):
-            src = expand_product(q_dyson_factors(Instance(n, a)), n)
+            src = expand_product(oracle_factors(n, q_dyson_factors(Instance(n, a))), n)
             rotated = tuple([a[-1]] + list(a[:-1]))
-            src_rot = expand_product(q_dyson_factors(Instance(n, rotated)), n)
+            src_rot = expand_product(oracle_factors(n, q_dyson_factors(Instance(n, rotated))), n)
             for _ in range(4):
                 exps = tuple(rng.choice((-1, 0, 1)) for _ in range(n + 1))
                 L = LaurentPoly(n, {exps: ONE})

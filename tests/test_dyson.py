@@ -11,13 +11,16 @@ are the tests' readings of a layer, each the oracle for a piece of
 ``Layout``, and ``compiled`` compiles the layout of an instance.
 ``as_int``, ``eval_q1`` and ``homogeneous_degree`` are small readings of a
 polynomial that only the tests take.  ``shifted_factorial`` writes out one
-q-shifted factorial, the oracle for the merged factor of a pair."""
+q-shifted factorial, and ``pair_oracle`` the factor of a ``Pair`` as the
+product of its two, the oracle for the terms the box pass expands a pair
+into."""
 
+import functools
 import itertools
 
 import pytest
 
-from qdyson import dyson, qpoly
+from qdyson import qpoly
 from qdyson.dyson import (
     Instance,
     _unit,
@@ -26,7 +29,7 @@ from qdyson.dyson import (
     q_dyson_factors,
     q_dyson_source,
 )
-from qdyson.laurent import LaurentPoly, ct_of_factor_list, expand_product
+from qdyson.laurent import FactoredProduct, LaurentPoly, Pair, ct_of_factor_list, expand_product
 from qdyson.firstlayer import first_layer_headroom
 from qdyson.paired import compile_layout, paired_headroom
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial, q_multinomial_poly
@@ -70,7 +73,7 @@ def shifted_factorial(z, m, offset=0):
 
     The terms of a zero z all land on x^0 and add up.  A q-Dyson pair
     multiplies two of these, (x_i/x_j; q)_a and (q x_j/x_i; q)_b, which
-    ``pair_factors`` writes out as one factor."""
+    ``pair_oracle`` does."""
     if m < 0:
         raise ValueError("negative length")
     terms = {}
@@ -79,6 +82,27 @@ def shifted_factorial(z, m, offset=0):
         term = q_multinomial_poly((r, m - r)).shifted(r * offset + r * (r - 1) // 2)
         terms[key] = terms.get(key, ZERO) + (-term if r % 2 else term)
     return LaurentPoly(len(z) - 1, terms)
+
+
+@functools.cache
+def pair_oracle(n, pair):
+    """The factor of a ``Pair`` over x_0..x_n, multiplied out from its two
+    q-shifted factorials (x_i/x_j; q)_a (q x_j/x_i; q)_b, independently of
+    the Jacobi expansion the box pass uses."""
+    z = _unit(n, pair.i, pair.j)
+    return shifted_factorial(z, pair.a) * shifted_factorial(tuple(-e for e in z), pair.b, offset=1)
+
+
+def oracle_factors(n, pairs):
+    """``pair_oracle`` of each pair."""
+    return [pair_oracle(n, pair) for pair in pairs]
+
+
+def whole_box(n, pairs):
+    """A box that holds every term of the product of ``pairs``: each pair
+    moves a coordinate by at most a + b either way."""
+    reach = sum(pair.a + pair.b for pair in pairs)
+    return (-reach,) * (n + 1), (reach,) * (n + 1)
 
 
 def classical_product(inst):
@@ -177,15 +201,14 @@ def test_with_layout_is_the_validated_instance():
 def test_rotation_is_a_fresh_pass(n, amax):
     """The orbit oracle: for every a of the grid and every r, the pass of
     D(a) over the cube [-n, 1]^(n+1), rotated by r, is the pass of
-    D(rot^r a) over that cube, packed int for packed int, with the same k
-    and low."""
+    D(rot^r a) over that cube, packed int for packed int, with the same k."""
     cube = (-n,) * (n + 1), (1,) * (n + 1)
     fresh = {a: q_dyson_source(Instance(n, a), *cube, 3) for a in a_grid(n, amax)}
     for a, source in fresh.items():
         b = a
         for r in range(n + 2):
             member, want = source.rotated(r), fresh[b]
-            assert (member.packed, member.k, member.low) == (want.packed, want.k, want.low)
+            assert (member.packed, member.k) == (want.packed, want.k)
             assert (member.lo, member.hi, member.headroom) == cube + (3,)
             b = b[-1:] + b[:-1]
 
@@ -210,33 +233,25 @@ def test_factor_counts():
 
 
 def test_pair_factor_is_the_product_of_its_two_factorials():
-    """For every a, b <= 4 the merged factor of a pair is the product of
-    (x_0/x_1; q)_a and (q x_1/x_0; q)_b, multiplied out, and its L1 norm
-    is 2^(a+b), the product of theirs, with lowest power q^0."""
+    """For every a, b <= 4 the pair of (x_0/x_1; q)_a (q x_1/x_0; q)_b
+    expands, in the box pass, to the two factorials multiplied out, with
+    a + b + 1 terms; their L1 norm is 2^(a+b), the product of theirs, and
+    their lowest power is q^0, the two facts the pass's k rests on."""
     for a, b in itertools.product(range(5), repeat=2):
-        (merged,) = pair_factors(1, lambda i, j: a if i == 0 else b)
-        assert merged == shifted_factorial((1, -1), a) * shifted_factorial((-1, 1), b, offset=1)
-        assert sum(abs(c) for coeff in merged.terms.values() for c in coeff.coeffs) == 2 ** (a + b)
-        assert min(coeff.min_exp for coeff in merged.terms.values()) == 0
+        (pair,) = pair_factors(1, lambda i, j: a if i == 0 else b)
+        assert pair == Pair(0, 1, a, b)
+        oracle = shifted_factorial((1, -1), a) * shifted_factorial((-1, 1), b, offset=1)
+        assert FactoredProduct(1, [pair], *whole_box(1, [pair])).expanded == oracle
+        assert pair.num_terms() == oracle.num_terms() == a + b + 1
+        assert sum(abs(c) for coeff in oracle.terms.values() for c in coeff.coeffs) == 2 ** (a + b)
+        assert min(coeff.min_exp for coeff in oracle.terms.values()) == 0
 
 
-@pytest.fixture
-def fresh_rows():
-    """Empty the caches of Gaussian binomial rows before the test and after
-    it, so the test builds its rows and leaves no large row behind."""
-    caches = (qpoly.q_binomial_row, dyson._signed_row)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_large_factor_builds_one_row(monkeypatch, fresh_rows):
-    """The factors at a = (160, 0, 0) take their 2 x 161 Gaussian binomials
-    from the one row [160 choose s]_q, s = 0..160, built with the caches
-    empty in at most 161 multiply-and-divide steps, where a chain per
-    binomial takes about 25,000."""
+def test_large_factor_builds_one_row(monkeypatch):
+    """A pass at a = (160, 0, 0) takes the Gaussian binomials of both its
+    long pairs from the one row [160 choose s]_q, s = 0..160, built once
+    in at most 161 multiply-and-divide steps, where a chain per binomial
+    takes about 25,000."""
     steps = []
     times_ratio = qpoly._times_ratio
 
@@ -245,26 +260,10 @@ def test_large_factor_builds_one_row(monkeypatch, fresh_rows):
         return times_ratio(coeffs, e, i)
 
     monkeypatch.setattr(qpoly, "_times_ratio", counting)
-    factors = q_dyson_factors(Instance(2, (160, 0, 0)))
-    assert [len(f.terms) for f in factors] == [161, 161, 1]
+    inst = Instance(2, (160, 0, 0))
+    assert [pair.num_terms() for pair in q_dyson_factors(inst)] == [161, 161, 1]
+    assert q_dyson_source(inst, (-1,) * 3, (1,) * 3).constant_term() == ONE
     assert 160 <= len(steps) <= 161
-
-
-def test_large_factors_negate_one_row(monkeypatch, fresh_rows):
-    """The two pairs of a = (320, 0, 0) with a factor share a + b = 320 and
-    the parity of a, so they share one signed row: its 160 odd entries are
-    negated once, not once per pair."""
-    negated = []
-    neg = QPoly.__neg__
-
-    def counting(poly):
-        negated.append(poly)
-        return neg(poly)
-
-    monkeypatch.setattr(QPoly, "__neg__", counting)
-    factors = q_dyson_factors(Instance(2, (320, 0, 0)))
-    assert [len(f.terms) for f in factors] == [321, 321, 1]
-    assert len(negated) <= 160
 
 
 def test_constant_terms_small():
@@ -318,7 +317,10 @@ def test_classical_ct_symmetric_in_a():
 def test_products_are_homogeneous_degree_zero():
     for a in [(1, 1), (2, 1, 1), (1, 0, 2)]:
         inst = Instance(len(a) - 1, a)
-        assert homogeneous_degree(expand_product(q_dyson_factors(inst), inst.n)) == 0
+        pairs = q_dyson_factors(inst)
+        product = FactoredProduct(inst.n, pairs, *whole_box(inst.n, pairs)).expanded
+        assert product == expand_product(oracle_factors(inst.n, pairs), inst.n)
+        assert homogeneous_degree(product) == 0
 
 
 def test_q1_specialisation_matches_multinomial():
@@ -328,9 +330,10 @@ def test_q1_specialisation_matches_multinomial():
     for n, amax_plus_one in grids:
         for a in itertools.product(range(amax_plus_one), repeat=n + 1):
             inst = Instance(n, a)
-            factors = [eval_q1(f) for f in q_dyson_factors(inst)]
-            ct = ct_of_factor_list(factors, (0,) * (n + 1))
-            assert as_int(ct) == multinomial(a), (n, a)
+            pairs, origin = q_dyson_factors(inst), (0,) * (n + 1)
+            factors = [eval_q1(f) for f in oracle_factors(n, pairs)]
+            assert as_int(expand_product(factors, n).coeff(origin)) == multinomial(a), (n, a)
+            assert ct_of_factor_list(pairs, origin).at_q1() == multinomial(a), (n, a)
 
 
 def test_verify_reports():

@@ -1,7 +1,9 @@
 """Multivariate kernel: arithmetic and pruned extraction.  Also checks the
 tests' own helpers for rotation, degree and q = 1, and holds the box pass
-with ``QPoly`` arithmetic as the oracle of the packed one, and the product
-of binomials as the oracle of the q-binomial form of ``shifted_factorial``."""
+with ``QPoly`` arithmetic over general ``LaurentPoly`` factors as the
+oracle of the packed pass over pairs, each pair written out by
+``pair_oracle``, and the product of binomials as the oracle of the
+q-binomial form of ``shifted_factorial``."""
 
 import itertools
 import math
@@ -16,6 +18,7 @@ from qdyson.laurent import (
     AmbientMismatchError,
     FactoredProduct,
     LaurentPoly,
+    Pair,
     ct_of_factor_list,
     expand_product,
     pack,
@@ -27,13 +30,19 @@ from qdyson.paired import compile_layout
 from qdyson.qpoly import ONE, ZERO, QPoly, q_pochhammer, q_power
 from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
 from tests.test_acceptance import pi_action
-from tests.test_dyson import ct_times, eval_q1, homogeneous_degree, shifted_factorial
+from tests.test_dyson import (
+    ct_times,
+    eval_q1,
+    homogeneous_degree,
+    oracle_factors,
+    shifted_factorial,
+)
 
 
 def box_pass_oracle(factors, lo, hi):
-    """The pruned box pass of ``packed_in_box`` with ``QPoly``
-    arithmetic at every step: the same factor order and the same pruning,
-    but no packing into integers."""
+    """The pruned box pass of ``packed_in_box`` over any ``LaurentPoly``
+    factors, with ``QPoly`` arithmetic at every step: the same factor order
+    and the same pruning, but no packing into integers."""
     width = len(lo)
     ordered = sorted(factors, key=LaurentPoly.num_terms)
     floor, ceiling = list(lo), list(hi)
@@ -64,14 +73,16 @@ def l1_norm(f):
     return sum(abs(c) for coeff in f.terms.values() for c in coeff.coeffs)
 
 
-def assert_pass_matches_oracle(factors, lo, hi, headroom=0):
-    """The packed pass keeps exactly the oracle's terms, each packed at k =
-    B.bit_length() + 1 + headroom below q^low, with B the product of the
-    factors' L1 norms and low the sum of their lowest powers of q."""
-    packed, k, low = packed_in_box(factors, lo, hi, headroom)
+def assert_pass_matches_oracle(n, pairs, lo, hi, headroom=0):
+    """The packed pass over ``pairs`` keeps exactly the terms of the oracle
+    pass over their ``pair_oracle`` factors, each packed at k =
+    B.bit_length() + 1 + headroom, with B the product of those factors' L1
+    norms, every one of which has lowest power q^0."""
+    factors = oracle_factors(n, pairs)
+    packed, k = packed_in_box(n, pairs, lo, hi, headroom)
     assert k == math.prod(map(l1_norm, factors)).bit_length() + 1 + headroom
-    assert low == sum(min((c.min_exp for c in f.terms.values()), default=0) for f in factors)
-    unpacked = {e: unpack(v, k, low) for e, v in packed.items()}
+    assert all(min(c.min_exp for c in f.terms.values()) == 0 for f in factors)
+    unpacked = {e: unpack(v, k, 0) for e, v in packed.items()}
     assert unpacked == box_pass_oracle(factors, lo, hi).terms
 
 
@@ -81,20 +92,17 @@ def small_qpolys(draw):
 
 
 @st.composite
-def factor_instances(draw):
-    n = draw(st.integers(0, 2))
+def pair_instances(draw):
+    n = draw(st.integers(0, 3))
     width = n + 1
-    factors = []
-    for _ in range(draw(st.integers(0, 3))):
-        terms = {}
-        for _ in range(draw(st.integers(1, 3))):
-            exps = tuple(draw(st.integers(-2, 2)) for _ in range(width))
-            terms[exps] = draw(small_qpolys())
-        factors.append(LaurentPoly(n, terms))
+    pairs = []
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True)))
+        pairs.append(Pair(i, j, draw(st.integers(0, 3)), draw(st.integers(0, 3))))
     target = tuple(draw(st.integers(-3, 3)) for _ in range(width))
     lo = tuple(t - draw(st.integers(0, 2)) for t in target)
     hi = tuple(t + draw(st.integers(0, 2)) for t in target)
-    return n, factors, target, lo, hi
+    return n, pairs, target, lo, hi
 
 
 def test_zero_coefficients_dropped():
@@ -157,29 +165,36 @@ def test_shifted_factorial_of_the_constant_monomial():
 
 
 def test_ct_of_factor_list_edges():
+    """The empty pair list is the constant 1; a target out of a pair's
+    reach, or of nonzero degree, reads zero."""
     assert ct_of_factor_list([], (0, 0)) == ONE
     assert ct_of_factor_list([], (1, 0)) == ZERO
-    assert ct_of_factor_list([LaurentPoly(1), LaurentPoly.one(1)], (0, 0)) == ZERO
+    # (1 - x0/x1)(1 - q x1/x0) = (1 + q) - x0/x1 - q x1/x0
+    pair = [Pair(0, 1, 1, 1)]
+    assert ct_of_factor_list(pair, (0, 0)) == QPoly(0, (1, 1))
+    assert ct_of_factor_list(pair, (-1, 1)) == q_power(1, -1)
+    assert ct_of_factor_list(pair, (2, -2)) == ZERO
+    assert ct_of_factor_list(pair, (1, 0)) == ZERO
 
 
 @settings(max_examples=150)
-@given(factor_instances())
+@given(pair_instances())
 def test_pruned_extraction_is_lossless(instance):
     """The pruned extractor agrees with full expansion on every coefficient:
     at a single target, and at every point of a box around it, where the
     box source holds exactly the expansion's terms inside the box.  On both
     boxes the packed pass gives what the ``QPoly`` pass gives."""
-    n, factors, target, lo, hi = instance
-    full = expand_product(factors, n)
-    assert ct_of_factor_list(factors, target) == full.coeff(target)
+    n, pairs, target, lo, hi = instance
+    full = expand_product(oracle_factors(n, pairs), n)
+    assert ct_of_factor_list(pairs, target) == full.coeff(target)
 
-    source = FactoredProduct(n, factors, lo, hi)
+    source = FactoredProduct(n, pairs, lo, hi)
     box = list(itertools.product(*(range(b, c + 1) for b, c in zip(lo, hi))))
     for e in box:
         assert source.coeff(e) == full.coeff(e)
     assert source.expanded == LaurentPoly(n, {e: full.coeff(e) for e in box})
-    assert_pass_matches_oracle(factors, lo, hi)
-    assert_pass_matches_oracle(factors, target, target)
+    assert_pass_matches_oracle(n, pairs, lo, hi)
+    assert_pass_matches_oracle(n, pairs, target, target)
 
 
 # The sweeps of criteria 1, 3 and 7 of ``tests/test_acceptance.py``, then the
@@ -197,7 +212,7 @@ SWEEP_ARGV = [
 @pytest.mark.parametrize("argv", SWEEP_ARGV, ids=" ".join)
 def test_sweep_passes_match_the_oracle(argv, monkeypatch):
     """Every box pass a sweep makes, over the sweep's own box (a cube for a
-    layer sweep) and with its headroom, keeps the terms, k and low of the
+    layer sweep) and with its headroom, keeps the terms and k of the
     ``QPoly`` pass.  The tasks are taken from the sweep without running
     them."""
     tasks = []
@@ -212,7 +227,7 @@ def test_sweep_passes_match_the_oracle(argv, monkeypatch):
     assert tasks
     for (name, n, layouts, (lo, hi)), orbit in tasks:
         headroom = max(map(IDENTITIES[name].headroom, layouts), default=0)
-        assert_pass_matches_oracle(q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
+        assert_pass_matches_oracle(n, q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
 
 
 def test_pass_packs_only_usable_terms(monkeypatch):
@@ -234,40 +249,28 @@ def test_pass_packs_only_usable_terms(monkeypatch):
 
 
 def test_packing_bound_is_tight():
-    """Coefficients equal in absolute value to B, the product of the factors'
-    L1 norms, of both signs, at 2^40 scale and at negative powers of q, come
-    out of the packed pass exactly; so do a product that cancels to zero
-    inside the box, a zero factor and the empty factor list."""
-    big = 2**40
-    single_term_products = [
-        [LaurentPoly(1, {(1, 0): q_power(0, -7)}), LaurentPoly(1, {(0, 1): q_power(-3, 11)}),
-         LaurentPoly(1, {(-1, -1): q_power(2, -13)})],  # +1001 q^-1
-        [LaurentPoly(1, {(1, 0): q_power(0, -7)}),
-         LaurentPoly(1, {(0, 1): q_power(-3, 11)})],  # -77 q^-3
-        [LaurentPoly(1, {(1, -1): q_power(0, big + 1)}),
-         LaurentPoly(1, {(-1, 1): q_power(5, -(big - 3))})],
-        [LaurentPoly(1, {(1, -1): q_power(-4, big)}), LaurentPoly(1, {(-1, 1): q_power(1, big)})],
-        [LaurentPoly(1, {(1, -1): q_power(0, big)}), LaurentPoly(1, {(0, 0): q_power(0, -1)})],
-    ]
-    for factors in single_term_products:
-        bound = math.prod(l1_norm(f) for f in factors)
-        (e, c), = expand_product(factors, 1).terms.items()
-        assert abs(c.coeffs[0]) == bound and len(c.coeffs) == 1
-        assert FactoredProduct(1, factors, e, e).expanded.terms == {e: c}
-        lo, hi = tuple(x - 1 for x in e), tuple(x + 1 for x in e)
-        assert FactoredProduct(1, factors, lo, hi).expanded == box_pass_oracle(factors, lo, hi)
+    """Coefficients equal in absolute value to a bound B, of both signs and
+    up to 2^80 scale, unpack exactly at the k a pass takes for B, and B
+    does not at one bit less.  A pair product that cancels to zero inside
+    the box reads zero there, and the empty pair list is the constant 1."""
+    for bound in (77, 1001, 2**40, 2**80 + 1):
+        k = bound.bit_length() + 1
+        for p in (q_power(0, bound), q_power(3, -bound), QPoly(0, (bound, 0, -bound, bound))):
+            assert unpack(pack(p, 0, k), k, 0) == p
+        assert unpack(pack(q_power(0, bound), 0, k - 1), k - 1, 0) != q_power(0, bound)
 
-    # (q^-1 x0 - x1)(q^-1 x0 + x1): the x0*x1 terms cancel
-    cancelling = [
-        LaurentPoly(1, {(1, 0): q_power(-1), (0, 1): -ONE}),
-        LaurentPoly(1, {(1, 0): q_power(-1), (0, 1): ONE}),
-    ]
-    inside = FactoredProduct(1, cancelling, (0, 0), (2, 2))
-    assert inside.expanded.terms == {(2, 0): q_power(-2), (0, 2): q_power(0, -1)}
-    assert inside.coeff((1, 1)) == ZERO
+    # (1 - q x1/x0)(1 - q x2/x0)(1 - x1/x2): the two x1/x0 terms cancel
+    cancelling = [Pair(0, 1, 0, 1), Pair(0, 2, 0, 1), Pair(1, 2, 1, 0)]
+    box = (-2, -1, -1), (0, 2, 1)
+    inside = FactoredProduct(2, cancelling, *box)
+    assert (-1, 1, 0) not in inside.packed
+    assert inside.coeff((-1, 1, 0)) == ZERO
+    assert inside.expanded == box_pass_oracle(oracle_factors(2, cancelling), *box)
+    assert inside.expanded == LaurentPoly(2, {
+        e: c for e, c in expand_product(oracle_factors(2, cancelling), 2).terms.items()
+        if all(b <= x <= t for b, t, x in zip(*box, e))
+    })
 
-    huge = [LaurentPoly(1, {(1, -1): q_power(0, big), (0, 0): ONE})] * 3
-    assert FactoredProduct(1, huge + [LaurentPoly(1)], (-3, -3), (3, 3)).expanded.terms == {}
     assert FactoredProduct(1, [], (-1, -1), (1, 1)).expanded == LaurentPoly.one(1)
     assert FactoredProduct(1, [], (1, -1), (1, 1)).expanded.terms == {}
 
@@ -315,12 +318,9 @@ def test_headroom_bound_is_tight(name, m):
 def test_read_outside_box_raises():
     """A coefficient outside the box was never computed: reading it raises
     instead of returning zero, while a zero inside the box reads as zero."""
-    factors = [
-        LaurentPoly(1, {(0, 0): ONE, (1, -1): -ONE}),
-        LaurentPoly(1, {(0, 0): ONE, (-1, 1): q_power(1, -1)}),
-    ]
-    # the product is (1 + q) - x0/x1 - q x1/x0
-    source = FactoredProduct(1, factors, (-1, -1), (1, 0))
+    pairs = [Pair(0, 1, 1, 0), Pair(0, 1, 0, 1)]
+    # the product (1 - x0/x1)(1 - q x1/x0) is (1 + q) - x0/x1 - q x1/x0
+    source = FactoredProduct(1, pairs, (-1, -1), (1, 0))
     assert source.coeff((1, -1)) == q_power(0, -1)
     assert source.constant_term() == QPoly(0, (1, 1))
     assert source.coeff((1, 0)) == ZERO
@@ -336,12 +336,9 @@ def test_reads_just_outside_the_box_raise():
     side, raises the same ``ValueError``, before and after every key inside
     the box has been read, and on a rotated product too."""
     n, lo, hi = 2, (-2, -2, -2), (1, 1, 1)
-    factors = [
-        LaurentPoly(n, {(0, 0, 0): ONE, (1, -1, 0): -ONE}),
-        LaurentPoly(n, {(0, 0, 0): ONE, (0, 1, -1): q_power(1, -1)}),
-        LaurentPoly(n, {(0, 0, 0): ONE, (-1, 0, 1): q_power(2, -1)}),
-    ]
-    source = FactoredProduct(n, factors, lo, hi)
+    # (1 - x0/x1)(1 - x1/x2)(1 - q x2/x0)
+    pairs = [Pair(0, 1, 1, 0), Pair(1, 2, 1, 0), Pair(0, 2, 0, 1)]
+    source = FactoredProduct(n, pairs, lo, hi)
     outside = []
     for v in range(n + 1):
         for step, edge in ((-1, lo), (1, hi)):
@@ -350,25 +347,64 @@ def test_reads_just_outside_the_box_raise():
             outside.append(tuple(key))
     message = r"outside the box \(-2, -2, -2\)\.\.\(1, 1, 1\)"
     inside = list(itertools.product(range(-2, 2), repeat=n + 1))
-    for product in (source, source, FactoredProduct(n, factors, lo, hi).rotated(1)):
+    for product in (source, source, FactoredProduct(n, pairs, lo, hi).rotated(1)):
         for key in outside:
             with pytest.raises(ValueError, match=message):
                 product.packed_coeff(key)
             with pytest.raises(ValueError, match=message):
                 product.coeff(key)
         for key in inside:  # the second round reads every key again
-            assert unpack(product.packed_coeff(key), product.k, product.low) == product.coeff(key)
+            assert unpack(product.packed_coeff(key), product.k, 0) == product.coeff(key)
 
 
 def test_ct_times_matches_direct_multiplication():
-    factors = [
-        LaurentPoly(2, {(0, 0, 0): ONE, (1, -1, 0): -ONE}),
-        LaurentPoly(2, {(0, 0, 0): ONE, (0, 1, -1): q_power(1, -1)}),
-    ]
-    src = FactoredProduct(2, factors, (-1, 0, 0), (0, 0, 1))
+    pairs = [Pair(0, 1, 1, 0), Pair(1, 2, 0, 1)]
+    src = FactoredProduct(2, pairs, (-1, 0, 0), (0, 0, 1))
     multiplier = LaurentPoly(2, {(1, 0, -1): q_power(2), (0, 0, 0): ONE})
-    direct = (expand_product(factors, 2) * multiplier).coeff((0, 0, 0))
+    direct = (expand_product(oracle_factors(2, pairs), 2) * multiplier).coeff((0, 0, 0))
     assert ct_times(src, multiplier) == direct
+
+
+def test_bad_pairs_raise_before_any_work(monkeypatch):
+    """A pair with an index outside 0..n, with i >= j or with a negative
+    length, and a box of the wrong width, raise ``ValueError`` before the
+    pass builds a row of Gaussian binomials, wherever they stand in the
+    list."""
+    rows = []
+    monkeypatch.setattr(laurent, "q_binomial_row", lambda m: rows.append(m))
+    good = Pair(0, 1, 2, 2)
+    for bad in (Pair(0, 3, 1, 1), Pair(-1, 1, 1, 1), Pair(1, 1, 1, 1), Pair(2, 1, 1, 1),
+                Pair(0, 1, -1, 0), Pair(0, 1, 0, -1)):
+        for pairs in ([bad], [good, bad]):
+            with pytest.raises(ValueError, match="no pair factor"):
+                FactoredProduct(2, pairs, (-1,) * 3, (1,) * 3)
+            with pytest.raises(ValueError, match="no pair factor"):
+                ct_of_factor_list(pairs, (0, 0, 0))
+    with pytest.raises(AmbientMismatchError):
+        FactoredProduct(2, [good], (0, 0), (0, 0))
+    assert rows == []
+
+
+@pytest.mark.parametrize("argv", [
+    *(("verify", name, "--n", "2", "--a", "1,2,1", *layer) for name, layer in (
+        ("dyson", ()), ("qdyson", ()), ("firstlayer", ("--I", "0", "--J", "1")),
+        ("kadell", ("--I", "0,2", "--J", "1,1")), ("main", ("--I", "1", "--J", "0")),
+    )),
+    *(("sweep", name, "--n", "2", "--amax", "1") for name in ("qdyson", "firstlayer", "kadell", "main")),
+    ("counterexample",),
+], ids=" ".join)
+def test_the_runtime_builds_no_laurent_poly(argv, monkeypatch, capsys):
+    """Every identity's check, sweep and the counterexample run on pairs and
+    packed integers alone: with ``LaurentPoly`` unable to be built, each
+    exits with its usual code."""
+    want = cli.main(list(argv))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("LaurentPoly built at run time")
+
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    assert cli.main(list(argv)) == want == 0
+    capsys.readouterr()
 
 
 # -- rotation ------------------------------------------------------------------
