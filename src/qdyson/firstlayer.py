@@ -177,7 +177,7 @@ def first_layer_headroom(layout: Layout) -> int:
 def _packed_q_multinomial(a: tuple[int, ...], k: int) -> int:
     """qmult(a) at q = 2^k: once per exponent vector in a sweep, whose
     tasks each keep one k."""
-    return pack(q_multinomial_poly(a), 0, k)
+    return pack(q_multinomial_poly(a), k)
 
 
 def verify_first_layer(
@@ -221,7 +221,7 @@ def verify_first_layer(
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(inst)
     holds = (
-        packed_equal(brute_den, 0, _packed_q_multinomial(a, k) * num, base, k)
+        packed_equal(brute_den, _packed_q_multinomial(a, k) * num, -base, k)
         and q1_closed == q1_brute
     )
     return report(

@@ -23,9 +23,10 @@ integers: the layer checks read them as they are (``packed_coeff``) and do
 their sums and products on integers, and ``coeff`` unpacks one coefficient
 on each read.  A read looks its key up first and checks the box only when
 the key is missing.  ``rotated`` turns the q-Dyson product D(a) over a cube
-into D(rot(a))'s over the same cube without a pass, by relabelling the
-keys and shifting the packed integers: a layer sweep makes one pass per
-cyclic orbit of a.  ``ct_of_factor_list`` is the pass over a single point.
+into D(rot(a))'s over the same cube without a pass, by rotating each key
+one place and shifting its packed integer: a layer sweep makes one pass
+per cyclic orbit of a and steps it once per further member.
+``ct_of_factor_list`` is the pass over a single point.
 
 ``LaurentPoly`` is a sparse multivariate Laurent polynomial over ``QPoly``:
 the type of ``FactoredProduct.expanded``, and of the tests' oracles, which
@@ -135,12 +136,12 @@ def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     return result
 
 
-def pack(p: QPoly, low: int, k: int) -> int:
-    """p * q^-low at q = 2^k, for p with no power of q below ``low``."""
+def pack(p: QPoly, k: int) -> int:
+    """p at q = 2^k, for p with no negative power of q."""
     v = 0
     for c in reversed(p.coeffs):
         v = (v << k) + c
-    return v << (k * (p.min_exp - low))
+    return v << (k * p.min_exp)
 
 
 def unpack(v: int, k: int, low: int) -> QPoly:
@@ -159,17 +160,17 @@ def unpack(v: int, k: int, low: int) -> QPoly:
     return QPoly(low, digits)
 
 
-def packed_equal(x: int, x_low: int, y: int, y_low: int, k: int) -> bool:
-    """Whether q^x_low X = q^y_low Y, for polynomials X and Y with
-    X(2^k) = x and Y(2^k) = y whose coefficients satisfy |X_i| + |Y_i| < 2^k
-    at every power of q.  Under that bound the comparison of integers is
-    exact: were X != Y after aligning the two at the lower power of q, the
-    lowest nonzero coefficient of their difference would be a nonzero
-    multiple of 2^k.  A caller makes the bound hold by asking the pass for
-    enough headroom."""
-    if x_low >= y_low:
-        return x << (k * (x_low - y_low)) == y
-    return x == y << (k * (y_low - x_low))
+def packed_equal(x: int, y: int, shift: int, k: int) -> bool:
+    """Whether q^shift X = Y, for polynomials X and Y with X(2^k) = x and
+    Y(2^k) = y whose coefficients satisfy |X_i| + |Y_i| < 2^k at every
+    power of q.  Under that bound the comparison of integers is exact:
+    were the two sides unequal after aligning them at the lower power of
+    q, the lowest nonzero coefficient of their difference would be a
+    nonzero multiple of 2^k.  A caller makes the bound hold by asking the
+    pass for enough headroom."""
+    if shift >= 0:
+        return x << (k * shift) == y
+    return x == y << (-k * shift)
 
 
 class Pair(NamedTuple):
@@ -203,8 +204,11 @@ def packed_in_box(
                               (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
 
     so its term r moves e_i by r and e_j by -r.  The Gaussian binomials
-    come from the row ``q_binomial_row(a + b)``, built at most once per
-    pass for all the pairs with that a + b, and dropped with the pass.
+    come from the row ``q_binomial_row(a + b, depth)``, built at most once
+    per pass for all the pairs with that a + b, and dropped with the pass.
+    [a+b choose a-r]_q is read as [a+b choose min(a-r, b+r)]_q, by the
+    symmetry of the row, so the row runs only as deep as the usable r of
+    its pairs reach.
 
     Pairs are multiplied in ascending order of term count (stable on ties).
     After the first t pairs, a partial monomial lies in window t: the box
@@ -277,14 +281,24 @@ def packed_in_box(
     radix = [max(w[1][v] for w in windows) - base[v] + 1 for v in range(width)]
     stride = [math.prod(radix[:v]) for v in range(width)]
 
-    rows = {m: q_binomial_row(m) for m in {a + b for _, _, a, b in ordered}}
+    # r is usable from window t if e_i + r and e_j - r lie in window t + 1
+    usable = [
+        (max(-b, lo2[i] - hi1[i], lo1[j] - hi2[j]), min(a, hi2[i] - lo1[i], hi1[j] - lo2[j]))
+        for (i, j, a, b), ((lo1, hi1), (lo2, hi2)) in zip(ordered, zip(windows, windows[1:]))
+    ]
+    # min(a - r, b + r) peaks at r = (a - b) // 2, or at the nearer end
+    depth: dict[int, int] = {}
+    for (_, _, a, b), (r0, r1) in zip(ordered, usable):
+        r = min(max((a - b) // 2, r0), r1)
+        depth[a + b] = max(depth.get(a + b, 0), min(a - r, b + r))
+    rows = {m: q_binomial_row(m, d) for m, d in depth.items()}
     partial = {-sum(map(mul, base, stride)): 1}
-    for (i, j, a, b), ((lo1, hi1), (lo2, hi2)) in zip(ordered, zip(windows, windows[1:])):
-        # r is usable from window t if e_i + r and e_j - r lie in window t + 1
-        r0 = max(-b, lo2[i] - hi1[i], lo1[j] - hi2[j])
-        r1 = min(a, hi2[i] - lo1[i], hi1[j] - lo2[j])
+    for (i, j, a, b), (lo2, hi2), (r0, r1) in zip(ordered, windows[1:], usable):
         row, delta = rows[a + b], stride[i] - stride[j]
-        terms = [(r, pack(row[a - r].shifted(r * (r - 1) // 2), 0, k)) for r in range(r0, r1 + 1)]
+        terms = [
+            (r, pack(row[min(a - r, b + r)].shifted(r * (r - 1) // 2), k))
+            for r in range(r0, r1 + 1)
+        ]
         steps = [(r * delta, -v if r % 2 else v) for r, v in terms]
         # at digits d_i, d_j the usable steps are steps[start:stop]
         si, ri, sj, rj = stride[i], radix[i], stride[j], radix[j]
@@ -352,34 +366,28 @@ class FactoredProduct:
     def coeff(self, target: Sequence[int]) -> QPoly:
         return unpack(self.packed_coeff(target), self.k, 0)
 
-    def rotated(self, r: int) -> "FactoredProduct":
+    def rotated(self) -> "FactoredProduct":
         """For this product the q-Dyson product D(a) over a cube, the same
-        box of D(rot^r a), with rot(a) = (a_n, a_0, ..., a_{n-1}), made
-        without a pass.  It is the cyclic symmetry behind Lv-Xin-Zhou's pi
-        operation: with pi^r moving exponent i to position (i + r) mod
-        (n + 1),
+        box of D(rot a), rot(a) = (a_n, a_0, ..., a_{n-1}), made without a
+        pass.  It is one step of the cyclic symmetry behind Lv-Xin-Zhou's
+        pi operation:
 
-            [x^f] D(a) = q^s [x^(pi^r f)] D(rot^r a),
-            s = sum of floor((i + r) / (n + 1)) f_i,
+            [x^f] D(a) = q^(f_n) [x^(rot f)] D(rot a),
 
-        so each packed key is relabelled by pi^r and its int divided by q^s,
-        a shift right by k s bits (left when s < 0).  The shift is exact, as
-        the coefficients of both products are polynomials in q (see
-        ``packed_in_box``).  k and headroom carry over, as k reads only the
-        sum of the pairs' lengths, n total, which rotation keeps.
-        r = 0 gives this product itself; any other r raises ``ValueError``
-        on a box that is not a cube, as only a cube is closed under pi."""
-        width = self.n + 1
-        if r % width == 0:
-            return self
+        so each packed key e becomes e[-1:] + e[:-1] and its int is divided
+        by q^(e_n), a shift right by k e_n bits (left when e_n < 0).  The
+        shift is exact, as the coefficients of both products are
+        polynomials in q (see ``packed_in_box``).  k and headroom carry
+        over, as k reads only the sum of the pairs' lengths, n total, which
+        rotation keeps.  A box that is not a cube raises ``ValueError``, as
+        only a cube is closed under rot."""
         if len(set(self.lo)) > 1 or len(set(self.hi)) > 1:
             raise ValueError(f"the box {self.lo!r}..{self.hi!r} is not a cube")
-        cut = width - r % width  # the coordinates i with i + r >= n + 1
         k = self.k
         packed = {}
         for e, c in self.packed.items():
-            s = k * sum(e[cut:])
-            packed[e[cut:] + e[:cut]] = c >> s if s >= 0 else c << -s
+            s = k * e[-1]
+            packed[e[-1:] + e[:-1]] = c >> s if s >= 0 else c << -s
         out = object.__new__(FactoredProduct)
         out.n, out.lo, out.hi, out.headroom = self.n, self.lo, self.hi, self.headroom
         out.packed, out.k = packed, k

@@ -164,7 +164,7 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     """(1 - q^(1 + total)) qmult(a), packed at q = 2^k, and its text: once
     per exponent vector in a sweep, whose tasks each keep one k."""
     rhs = one_minus_q(1 + sum(a)) * q_multinomial_poly(a)
-    return pack(rhs, 0, k), rhs.render()
+    return pack(rhs, k), rhs.render()
 
 
 def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
@@ -197,7 +197,7 @@ def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> Ve
     lhs = ct - (ct << (k * (1 + inst.total - inst.selected_total)))
     rhs, rhs_text = _paired_rhs(a, k)
     # the left side is q^base times the polynomial whose value at q = 2^k is lhs
-    holds = packed_equal(lhs, base, rhs, 0, k)
+    holds = packed_equal(lhs, rhs, base, k)
     return report(
         "main", inst, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
         lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},

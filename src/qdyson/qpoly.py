@@ -278,14 +278,16 @@ def q_multinomial_poly(a: Iterable[int]) -> QPoly:
     return QPoly(0, coeffs)
 
 
-def q_binomial_row(m: int) -> tuple[QPoly, ...]:
-    """The Gaussian binomials [m choose s]_q for s = 0..m, one
-    ``_times_ratio`` step per s, by
+def q_binomial_row(m: int, depth: int) -> tuple[QPoly, ...]:
+    """The Gaussian binomials [m choose s]_q for s = 0..depth, depth <= m,
+    one ``_times_ratio`` step per s, by
     [m choose s+1]_q = [m choose s]_q (1 - q^(m-s)) / (1 - q^(s+1)).
-    Not cached: ``laurent.packed_in_box`` builds each row it needs once per
-    pass and drops it with the pass."""
+    [m choose s]_q = [m choose m-s]_q, so a row to depth m // 2 holds
+    every entry.  Not cached: ``laurent.packed_in_box`` builds each row it
+    needs once per pass, only as deep as it reads, and drops it with the
+    pass."""
     coeffs, row = [1], [ONE]
-    for s in range(m):
+    for s in range(depth):
         coeffs = _times_ratio(coeffs, m - s, s + 1)
         row.append(QPoly(0, coeffs))
     return tuple(row)

@@ -25,19 +25,17 @@ layouts only, before any a is drawn.  So does ``compile_layout``: the sweep
 compiles every admissible layout once, and each check evaluates its
 exponents at its a by dot products.  A layer sweep makes one task per
 cyclic orbit (a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ...,
-a_{n-1}): one pass for a, and for every other member that pass rotated
-(``FactoredProduct.rotated``), which the union box allows because it is a
-cube, as the sweep asserts.  The constant-term sweeps keep one task and one
-pass per a, so each product is checked on its own.  With ``--jobs`` above
-one, a process pool gets the context once per worker, through its
-initializer, and then one orbit per task, largest first; each worker
-encodes its reports, and only rows (holds, JSON line) travel back, which
-the parent wraps as ``ReportRow``s that parse their line only when a field
-other than those two is read.  ``_execute`` gives each member a of each
-orbit with its reports in layout order, in any order of members: the pool
-knows each row's a from the orbit it mapped, since ``pool.map`` keeps input
-order.  ``run_sweep`` restores grid order once, by sorting the members on
-the grid rank of a.
+a_{n-1}): one pass for a, stepped one rotation further
+(``FactoredProduct.rotated``) for each next member, which the union box
+allows because it is a cube, as the sweep asserts.  The constant-term
+sweeps keep one task and one pass per a, so each product is checked on its
+own.  With ``--jobs`` above one, a process pool gets the context once per
+worker, through its initializer, and then one orbit per task, largest
+first; each worker encodes its reports, and only rows (holds, JSON line)
+travel back, which the parent wraps as ``ReportRow``s that parse their line
+only when a field other than those two is read.  A task keys each member's
+reports by its a, and so do ``_execute`` and the pool's rows:
+``run_sweep`` reads them back a by a in grid order.
 """
 from __future__ import annotations
 
@@ -66,7 +64,6 @@ from .reports import ReportRow, VerificationReport, report
 
 
 Box = tuple[tuple[int, ...], tuple[int, ...]]
-Member = tuple[tuple[int, ...], list]  # an exponent vector and its reports
 
 
 def _target(layout: Layout) -> Box:
@@ -185,24 +182,26 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 # -- per-orbit workers (top level so they pickle) -----------------------------
 
 
-def _run_task(task) -> tuple[float, list[VerificationReport]]:
+def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationReport]]]:
     """Check a task ``(context, orbit)``, context = (identity, n, compiled
     layouts, box), on one product per member of the orbit, a tuple (a,
     rot(a), rot^2(a), ...): one pass for a, read over the box and packed
-    with the headroom every layout's check needs, rotated for each other
-    member before any check starts its clock.  Returns the pass's time in
-    ms with the reports, member by member, each member's in layout order."""
+    with the headroom every layout's check needs, then rotated one step
+    for each next member before its checks start their clocks.  Returns
+    the pass's time in ms with each member's reports, in layout order,
+    keyed by its exponent vector."""
     (name, n, layouts, box), orbit = task
     identity = IDENTITIES[name]
     headroom = max(map(identity.headroom, layouts), default=0)
     insts = [Instance(n, a) for a in orbit]
     t0 = time.perf_counter()
-    source = q_dyson_source(insts[0], *box, headroom)
+    member = q_dyson_source(insts[0], *box, headroom)
     pass_ms = (time.perf_counter() - t0) * 1000.0
-    reports = []
-    for r, inst in enumerate(insts):
-        member = source.rotated(r)
-        reports += [identity.check(inst.with_layout(lay), lay, member) for lay in layouts]
+    reports = {}
+    for inst in insts:
+        if reports:
+            member = member.rotated()
+        reports[inst.a] = [identity.check(inst.with_layout(lay), lay, member) for lay in layouts]
     return pass_ms, reports
 
 
@@ -222,34 +221,31 @@ def _share(context: tuple) -> None:
     _shared = context
 
 
-def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> list[tuple[bool, str]]:
+def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], list[tuple[bool, str]]]:
     """A pool task: ``_run_task`` (looked up when called, so a rebinding
     reaches it) on the worker's shared context and this orbit, then each
     report as the row (holds, JSON line) that goes back to the parent in
-    its place, in the order of the reports."""
-    return [(rep.holds, rep.to_json()) for rep in _run_task((_shared, orbit))[1]]
+    its place, keyed by its member's exponent vector, in layout order."""
+    reports = _run_task((_shared, orbit))[1]
+    return {a: [(rep.holds, rep.to_json()) for rep in reps] for a, reps in reports.items()}
 
 
-def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> list[Member]:
-    """Each member a of the orbits with its reports, in layout order, from
-    the tasks (context, orbit), one per orbit, in no set order of members:
-    serially in the given order, as ``VerificationReport``s; in a pool,
-    which gets the context once per worker, largest orbit first, as
-    ``ReportRow``s of the rows its workers send back."""
-    per = len(context[2])
+def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[int, ...], list]:
+    """The reports of every member a of the orbits, each in layout order,
+    keyed by a, from the tasks (context, orbit), one per orbit: serially in
+    the given order, as ``VerificationReport``s; in a pool, which gets the
+    context once per worker, largest orbit first, as ``ReportRow``s of the
+    rows its workers send back."""
     workers = pool_workers(jobs, len(orbits))
     if workers <= 1:
-        runs = [(orbit, _run_task((context, orbit))[1]) for orbit in orbits]
-    else:
-        largest_first = sorted(orbits, key=len, reverse=True)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
-            runs = [
-                (orbit, [ReportRow(*row) for row in rows])
-                for orbit, rows in zip(largest_first, pool.map(_run_orbit, largest_first))
-            ]
-    return [
-        (a, reports[i * per:(i + 1) * per]) for orbit, reports in runs for i, a in enumerate(orbit)
-    ]
+        return {a: reps for orbit in orbits for a, reps in _run_task((context, orbit))[1].items()}
+    largest_first = sorted(orbits, key=len, reverse=True)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
+        return {
+            a: [ReportRow(*row) for row in rows]
+            for member_rows in pool.map(_run_orbit, largest_first)
+            for a, rows in member_rows.items()
+        }
 
 
 # -- one instance --------------------------------------------------------------
@@ -274,7 +270,8 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     layout = compile_layout(n, inst.I, inst.J)
     context = (name, n, [layout], identity.reads(layout))
-    pass_ms, [rep] = _run_task((context, (inst.a,)))
+    pass_ms, reports = _run_task((context, (inst.a,)))
+    [rep] = reports[inst.a]
     return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
 
 
@@ -358,12 +355,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport | ReportRow]
         los, his = zip(*map(identity.reads, layouts))
         box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
         assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
-        rank = {a: i for i, a in enumerate(avecs)}
-        members = sorted(
-            _execute(orbits, (config.identity, n, layouts, box), config.jobs),
-            key=lambda member: rank[member[0]],
-        )
-        reports = [rep for _, member_reports in members for rep in member_reports]
+        by_a = _execute(orbits, (config.identity, n, layouts, box), config.jobs)
+        reports = [rep for a in avecs for rep in by_a[a]]
 
     passed = sum(1 for r in reports if r.holds)
     summary = {

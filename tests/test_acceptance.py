@@ -459,30 +459,35 @@ def _stripped(rep):
 def _compare_with(monkeypatch, oracle):
     """Make every sweep task, and so every ``verify``, compare the report of
     each of its checks with ``oracle(inst, layout, source)`` on the product
-    that check read, its orbit member's rotation of the task's one pass,
-    byte for byte with ``elapsed_ms`` stripped.  Returns a counter of the
-    compared reports."""
+    that check read, byte for byte with ``elapsed_ms`` stripped: the task's
+    one pass for the first member of its orbit, and one more step of
+    rotation for each next member.  Returns a counter of the compared
+    reports."""
     members, compared = [], [0]
-    rotated, run_task = FactoredProduct.rotated, sweeps._run_task
+    build, rotated, run_task = sweeps.q_dyson_source, FactoredProduct.rotated, sweeps._run_task
 
-    def recording(source, r):
-        members.append(rotated(source, r))
+    def passing(*args):
+        members.append(build(*args))
+        return members[-1]
+
+    def stepping(source):
+        assert source is members[-1]
+        members.append(rotated(source))
         return members[-1]
 
     def checked(task):
         members.clear()
         pass_ms, reports = run_task(task)
         (_, n, layouts, _), orbit = task
-        unread = iter(reports)
+        assert list(reports) == list(orbit)
         for a, source in zip(orbit, members, strict=True):
-            for layout in layouts:
-                expected = oracle(Instance(n, a, layout.I, layout.J), layout, source)
-                assert _stripped(next(unread)) == _stripped(expected)
-        assert next(unread, None) is None
-        compared[0] += len(reports)
+            expected = [oracle(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
+            assert list(map(_stripped, reports[a])) == list(map(_stripped, expected))
+        compared[0] += sum(map(len, reports.values()))
         return pass_ms, reports
 
-    monkeypatch.setattr(FactoredProduct, "rotated", recording)
+    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", passing)
+    monkeypatch.setattr(FactoredProduct, "rotated", stepping)
     monkeypatch.setattr("qdyson.sweeps._run_task", checked)
     return compared
 

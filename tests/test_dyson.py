@@ -199,30 +199,34 @@ def test_with_layout_is_the_validated_instance():
 
 @pytest.mark.parametrize("n, amax", [(3, 2), (4, 1)])
 def test_rotation_is_a_fresh_pass(n, amax):
-    """The orbit oracle: for every a of the grid and every r, the pass of
-    D(a) over the cube [-n, 1]^(n+1), rotated by r, is the pass of
-    D(rot^r a) over that cube, packed int for packed int, with the same k."""
+    """The orbit oracle: for every a of the grid, the pass of D(a) over the
+    cube [-n, 1]^(n+1), rotated one step at a time n + 2 times, is after
+    r steps the pass of D(rot^r a) over that cube, packed int for packed
+    int, with the same k: once round the orbit and one step on."""
     cube = (-n,) * (n + 1), (1,) * (n + 1)
     fresh = {a: q_dyson_source(Instance(n, a), *cube, 3) for a in a_grid(n, amax)}
-    for a, source in fresh.items():
+    for a, member in fresh.items():
         b = a
-        for r in range(n + 2):
-            member, want = source.rotated(r), fresh[b]
+        for _ in range(n + 2):
+            member, b = member.rotated(), b[-1:] + b[:-1]
+            want = fresh[b]
             assert (member.packed, member.k) == (want.packed, want.k)
             assert (member.lo, member.hi, member.headroom) == cube + (3,)
-            b = b[-1:] + b[:-1]
 
 
 def test_rotation_needs_a_cube():
-    """Rotating by 0 (mod n + 1) gives the product itself, on any box; any
-    other rotation of a box that is not a cube raises."""
+    """Rotating a box that is not a cube raises; on a cube, n + 1 steps
+    give back the product's packed coefficients and k, and every step
+    keeps the constant term."""
     inst = Instance(2, (1, 2, 0))
     box = q_dyson_source(inst, (-2, -1, -2), (1, 1, 1))
-    assert box.rotated(0) is box and box.rotated(3) is box
     with pytest.raises(ValueError, match="not a cube"):
-        box.rotated(1)
-    cube = q_dyson_source(inst, (-2,) * 3, (1,) * 3)
-    assert cube.rotated(2).coeff((0, 0, 0)) == cube.constant_term()
+        box.rotated()
+    cube = member = q_dyson_source(inst, (-2,) * 3, (1,) * 3)
+    for _ in range(3):
+        member = member.rotated()
+        assert member.coeff((0, 0, 0)) == cube.constant_term()
+    assert member is not cube and (member.packed, member.k) == (cube.packed, cube.k)
 
 
 def test_factor_counts():
@@ -248,22 +252,29 @@ def test_pair_factor_is_the_product_of_its_two_factorials():
 
 
 def test_large_factor_builds_one_row(monkeypatch):
-    """A pass at a = (160, 0, 0) takes the Gaussian binomials of both its
-    long pairs from the one row [160 choose s]_q, s = 0..160, built once
-    in at most 161 multiply-and-divide steps, where a chain per binomial
-    takes about 25,000."""
+    """A row of Gaussian binomials is built only as deep as the pass reads
+    it, by [m choose s]_q = [m choose m - s]_q.  At a = (160, 0, 0) the
+    origin reads only [160 choose 160]_q = 1 of both long pairs, so the
+    pass makes no multiply-and-divide step.  At a = (80, 80, 0) the cube
+    [-1, 1]^3 reads the middle [160 choose 80]_q of the pair (x_0, x_1),
+    from one row of at most 80 steps, where the full row takes 160 and a
+    chain per binomial about 25,000."""
     steps = []
     times_ratio = qpoly._times_ratio
 
     def counting(coeffs, e, i):
-        steps.append((e, i))
+        steps.append(e + i - 1)  # step s of row m is _times_ratio(coeffs, m - s, s + 1)
         return times_ratio(coeffs, e, i)
 
+    middle = q_multinomial_poly((80, 80, 0))
     monkeypatch.setattr(qpoly, "_times_ratio", counting)
     inst = Instance(2, (160, 0, 0))
     assert [pair.num_terms() for pair in q_dyson_factors(inst)] == [161, 161, 1]
-    assert q_dyson_source(inst, (-1,) * 3, (1,) * 3).constant_term() == ONE
-    assert 160 <= len(steps) <= 161
+    assert q_dyson_source(inst, (0,) * 3, (0,) * 3).constant_term() == ONE
+    assert steps == []
+    inst = Instance(2, (80, 80, 0))
+    assert q_dyson_source(inst, (-1,) * 3, (1,) * 3).constant_term() == middle
+    assert 0 < steps.count(160) <= 80
 
 
 def test_constant_terms_small():

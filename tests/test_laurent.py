@@ -219,7 +219,7 @@ def test_sweep_passes_match_the_oracle(argv, monkeypatch):
 
     def collect(orbits, context, jobs):
         tasks.extend((context, orbit) for orbit in orbits)
-        return []
+        return {a: [] for orbit in orbits for a in orbit}
 
     monkeypatch.setattr(sweeps, "_execute", collect)
     args = cli.build_parser().parse_args(argv)
@@ -238,9 +238,9 @@ def test_pass_packs_only_usable_terms(monkeypatch):
     not 163, and the constant term is still 1."""
     calls = []
 
-    def counting(p, low, k):
+    def counting(p, k):
         calls.append(len(p.coeffs))
-        return pack(p, low, k)
+        return pack(p, k)
 
     monkeypatch.setattr(laurent, "pack", counting)
     origin = (0, 0, 0)
@@ -256,8 +256,8 @@ def test_packing_bound_is_tight():
     for bound in (77, 1001, 2**40, 2**80 + 1):
         k = bound.bit_length() + 1
         for p in (q_power(0, bound), q_power(3, -bound), QPoly(0, (bound, 0, -bound, bound))):
-            assert unpack(pack(p, 0, k), k, 0) == p
-        assert unpack(pack(q_power(0, bound), 0, k - 1), k - 1, 0) != q_power(0, bound)
+            assert unpack(pack(p, k), k, 0) == p
+        assert unpack(pack(q_power(0, bound), k - 1), k - 1, 0) != q_power(0, bound)
 
     # (1 - q x1/x0)(1 - q x2/x0)(1 - x1/x2): the two x1/x0 terms cancel
     cancelling = [Pair(0, 1, 0, 1), Pair(0, 2, 0, 1), Pair(1, 2, 1, 0)]
@@ -273,6 +273,20 @@ def test_packing_bound_is_tight():
 
     assert FactoredProduct(1, [], (-1, -1), (1, 1)).expanded == LaurentPoly.one(1)
     assert FactoredProduct(1, [], (1, -1), (1, 1)).expanded.terms == {}
+
+
+def test_packed_equal_shifts_the_left_side():
+    """packed_equal(x, y, shift, k) is q^shift X = Y, for a shift of either
+    sign, and a shift one off either way compares unequal."""
+    k = 8
+    x = QPoly(0, (3, -5, 7))
+    for shift in (-2, 0, 3):
+        y = x.shifted(shift)
+        low = min(shift, 0)
+        px, py = pack(x.shifted(-low), k), pack(y.shifted(-low), k)
+        assert packed_equal(px, py, shift, k)
+        assert not packed_equal(px, py, shift + 1, k)
+        assert not packed_equal(px, py, shift - 1, k)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +313,7 @@ def test_headroom_bound_is_tight(name, m):
         for signs in ((1, -1), (-1, 1)):
             want = q_power(-3, signs[0] * bound)
             for bits, exact in ((k, True), (k - 1, False)):
-                total = sum(sign * pack(part, -3, bits) for sign, part in zip(signs, parts))
+                total = sum(sign * pack(part.shifted(3), bits) for sign, part in zip(signs, parts))
                 assert (unpack(total, bits, -3) == want) is exact
         return
     d = 2**m - 1
@@ -308,11 +322,11 @@ def test_headroom_bound_is_tight(name, m):
     x0 = min(lx, 2 ** (k - 1))
     x, y = QPoly(0, (x0,)), QPoly(0, (x0 - 2 ** (k - 1), 1))  # unequal, equal at 2^(k - 1)
     assert sum(map(abs, x.coeffs)) <= lx and sum(map(abs, y.coeffs)) <= ly
-    assert packed_equal(pack(x, 0, k - 1), 0, pack(y, 0, k - 1), 0, k - 1)
-    assert not packed_equal(pack(x, 0, k), 0, pack(y, 0, k), 0, k)
+    assert packed_equal(pack(x, k - 1), pack(y, k - 1), 0, k - 1)
+    assert not packed_equal(pack(x, k), pack(y, k), 0, k)
     if name == "main":  # a failing check unpacks its left side
         for c in (lx, -lx):
-            assert unpack(pack(q_power(-3, c), -3, k), k, -3) == q_power(-3, c)
+            assert unpack(pack(q_power(0, c), k), k, -3) == q_power(-3, c)
 
 
 def test_read_outside_box_raises():
@@ -347,7 +361,7 @@ def test_reads_just_outside_the_box_raise():
             outside.append(tuple(key))
     message = r"outside the box \(-2, -2, -2\)\.\.\(1, 1, 1\)"
     inside = list(itertools.product(range(-2, 2), repeat=n + 1))
-    for product in (source, source, FactoredProduct(n, pairs, lo, hi).rotated(1)):
+    for product in (source, source, FactoredProduct(n, pairs, lo, hi).rotated()):
         for key in outside:
             with pytest.raises(ValueError, match=message):
                 product.packed_coeff(key)
@@ -371,7 +385,7 @@ def test_bad_pairs_raise_before_any_work(monkeypatch):
     pass builds a row of Gaussian binomials, wherever they stand in the
     list."""
     rows = []
-    monkeypatch.setattr(laurent, "q_binomial_row", lambda m: rows.append(m))
+    monkeypatch.setattr(laurent, "q_binomial_row", lambda m, depth: rows.append(m))
     good = Pair(0, 1, 2, 2)
     for bad in (Pair(0, 3, 1, 1), Pair(-1, 1, 1, 1), Pair(1, 1, 1, 1), Pair(2, 1, 1, 1),
                 Pair(0, 1, -1, 0), Pair(0, 1, 0, -1)):

@@ -177,13 +177,15 @@ def test_q_multinomial_poly_is_the_exact_quotient():
 
 
 def test_q_binomial_row_is_the_chain():
-    """Each entry of the row [m choose s]_q, s = 0..m, built by the ratio
-    of neighbours, is the chain's [m choose s]_q, for every m <= 12."""
+    """Each entry of the row [m choose s]_q, s = 0..depth, built by the
+    ratio of neighbours, is the chain's [m choose s]_q, for every m <= 12
+    and every depth <= m."""
     for m in range(13):
-        row = q_binomial_row(m)
-        assert len(row) == m + 1
-        for s, entry in enumerate(row):
-            assert entry == q_multinomial_poly((s, m - s)), (m, s)
+        for depth in range(m + 1):
+            row = q_binomial_row(m, depth)
+            assert len(row) == depth + 1
+            for s, entry in enumerate(row):
+                assert entry == q_multinomial_poly((s, m - s)), (m, s)
 
 
 # -- formal quotients --------------------------------------------------------

@@ -156,8 +156,9 @@ def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
 
     def encoding(task):
         pass_ms, reports = run_task(task)
-        for rep in reports:
-            rep.to_json()
+        for reps in reports.values():
+            for rep in reps:
+                rep.to_json()
         return pass_ms, reports
 
     monkeypatch.setattr("qdyson.sweeps._run_task", encoding)
@@ -184,7 +185,7 @@ def test_sweep_reads_the_union_of_its_read_boxes(grid_set, slot, monkeypatch):
 
     def collect(orbits, context, jobs):
         tasks.extend((context, orbit) for orbit in orbits)
-        return []
+        return {a: [] for orbit in orbits for a in orbit}
 
     monkeypatch.setattr("qdyson.sweeps._execute", collect)
     args = cli.build_parser().parse_args(dict(GRID_SETS[grid_set])[slot])
@@ -202,13 +203,14 @@ def _without_elapsed(line):
 
 def test_a_pool_task_sends_rows_back(monkeypatch):
     """A pool task, run in process on the context its initializer shares,
-    returns only (holds, JSON line) rows: the verdicts and lines of the
-    serial reports of its orbit, apart from ``elapsed_ms``, in their
-    order."""
+    returns only (holds, JSON line) rows, keyed by the orbit's members: the
+    verdicts and lines of the serial reports of each member, apart from
+    ``elapsed_ms``, in their order."""
     tasks = []
     monkeypatch.setattr(
         "qdyson.sweeps._execute",
-        lambda orbits, context, jobs: tasks.extend((context, orbit) for orbit in orbits) or [],
+        lambda orbits, context, jobs: tasks.extend((context, orbit) for orbit in orbits)
+        or {a: [] for orbit in orbits for a in orbit},
     )
     run_sweep(SweepConfig(identity="main", n=2, amax=1))
     context, orbit = max(tasks, key=lambda task: len(task[1]))
@@ -216,15 +218,18 @@ def test_a_pool_task_sends_rows_back(monkeypatch):
     sweeps._share(context)
     rows = sweeps._run_orbit(orbit)
     serial = sweeps._run_task((context, orbit))[1]
-    assert len(orbit) == 3 and len(rows) == len(serial) == 3 * len(context[2])
-    assert all(
-        type(row) is tuple and len(row) == 2 and type(row[0]) is bool and type(row[1]) is str
-        for row in rows
-    )
-    assert [holds for holds, _ in rows] == [rep.holds for rep in serial]
-    assert [_without_elapsed(line) for _, line in rows] == [
-        _without_elapsed(rep.to_json()) for rep in serial
-    ]
+    assert len(orbit) == 3 and list(rows) == list(serial) == list(orbit)
+    for a in orbit:
+        assert len(rows[a]) == len(serial[a]) == len(context[2])
+        assert all(
+            type(row) is tuple and len(row) == 2 and type(row[0]) is bool and type(row[1]) is str
+            for row in rows[a]
+        )
+        assert [holds for holds, _ in rows[a]] == [rep.holds for rep in serial[a]]
+        assert all(json.loads(line)["params"]["a"] == list(a) for _, line in rows[a])
+        assert [_without_elapsed(line) for _, line in rows[a]] == [
+            _without_elapsed(rep.to_json()) for rep in serial[a]
+        ]
 
 
 def test_a_row_parses_its_line_once_and_only_when_read(monkeypatch):
