@@ -41,8 +41,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
-from .laurent import FactoredProduct, pack, packed_equal
-from .qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
+from .laurent import FactoredProduct
+from .qpoly import (
+    ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, packed_equal, q_multinomial_at,
+    q_multinomial_poly,
+)
 from .reports import VerificationReport, report
 
 
@@ -154,7 +157,7 @@ def _closed_q1(I: tuple[int, ...], a: tuple[int, ...]) -> Fraction:  # noqa: E74
 
 def first_layer_headroom(layout: Layout) -> int:
     """Spare bits of k that ``verify_first_layer`` needs to compare its two
-    sides packed (``laurent.packed_equal``): m + D - 1, with D = 2^m - 1 the
+    sides packed (``qpoly.packed_equal``): m + D - 1, with D = 2^m - 1 the
     most distinct denominators the 2^m - 1 subsets T can give; 0 for the
     empty layer, which the check rejects.
 
@@ -173,13 +176,6 @@ def first_layer_headroom(layout: Layout) -> int:
     return m + 2**m - 2 if m else 0
 
 
-@functools.lru_cache(maxsize=1024)
-def _packed_q_multinomial(a: tuple[int, ...], k: int) -> int:
-    """qmult(a) at q = 2^k: once per exponent vector in a sweep, whose
-    tasks each keep one k."""
-    return pack(q_multinomial_poly(a), k)
-
-
 def verify_first_layer(
     inst: Instance, layout: Layout, source: FactoredProduct
 ) -> VerificationReport:
@@ -191,7 +187,8 @@ def verify_first_layer(
     qmult(a) * num in the terms of ``first_layer_closed``, with both sides
     packed at q = 2^k as ``source`` holds the coefficients: den and num are
     folded up group by group, each factor (1 - q^d) a shift and a
-    subtraction, and qmult(a) is packed once per a.  A check that holds
+    subtraction, and qmult(a) at 2^k is built once per (a, k) by
+    ``qpoly.q_multinomial_at``.  A check that holds
     prints the brute's text on both sides, which is what the closed form
     renders to; only a failing one builds and renders
     ``first_layer_closed``.  An empty layer is rejected before anything is
@@ -221,7 +218,7 @@ def verify_first_layer(
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(inst)
     holds = (
-        packed_equal(brute_den, _packed_q_multinomial(a, k) * num, -base, k)
+        packed_equal(brute_den, q_multinomial_at(a, k) * num, -base, k)
         and q1_closed == q1_brute
     )
     return report(

@@ -30,8 +30,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .dyson import Instance, Layout, pair_factors
-from .laurent import FactoredProduct, Pair, ct_of_factor_list, unpack
-from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly
+from .laurent import FactoredProduct, Pair, ct_of_factor_list
+from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly, unpack
 from .reports import VerificationReport, report
 
 

@@ -8,12 +8,14 @@ and discards every partial monomial that can no longer reach the box of
 exponent vectors the caller reads, using per-variable bounds on what the
 remaining pairs may still contribute.  At one partial monomial the usable
 terms of a pair are one interval of powers of x_i/x_j, and only terms some
-partial monomial can use are packed.  Inside the pass an exponent vector
+partial monomial can use are built.  Inside the pass an exponent vector
 is one integer key, a mixed-radix number over the hull of these bounds,
 so a term adds a fixed integer to it, and a step reads only the two
-digits its pair moves.  Each q-coefficient is packed into one integer too,
-its value at q = 2^k (Kronecker substitution), with k read off the pairs'
-lengths, so each surviving coefficient unpacks to a unique ``QPoly``.  A
+digits its pair moves.  Each q-coefficient is one integer too, its value
+at q = 2^k (Kronecker substitution), with k read off the pairs' lengths,
+so each surviving coefficient unpacks to a unique ``QPoly``.  The pass
+builds its Gaussian binomials as such integers (``qpoly.q_binomial_row``)
+and a term from one of them by a shift, so it builds no ``QPoly``.  A
 caller that goes on computing with the packed values asks for
 ``headroom`` extra bits of k, enough for the coefficients of whatever it
 computes.
@@ -42,7 +44,7 @@ import math
 from operator import gt, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .qpoly import ONE, ZERO, QPoly, q_binomial_row
+from .qpoly import ONE, ZERO, QPoly, q_binomial_row, unpack
 
 Monomial = tuple[int, ...]
 
@@ -136,43 +138,6 @@ def expand_product(factors: Iterable[LaurentPoly], n: int) -> LaurentPoly:
     return result
 
 
-def pack(p: QPoly, k: int) -> int:
-    """p at q = 2^k, for p with no negative power of q."""
-    v = 0
-    for c in reversed(p.coeffs):
-        v = (v << k) + c
-    return v << (k * p.min_exp)
-
-
-def unpack(v: int, k: int, low: int) -> QPoly:
-    """The ``QPoly`` p * q^low, where p(2^k) = v and every coefficient of p
-    is below 2^(k-1) in absolute value: read base-2^k digits from the
-    bottom, each in [-2^(k-1), 2^(k-1)), borrowing from the next digit when
-    one is negative."""
-    digits = []
-    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= base
-        digits.append(d)
-        v = (v - d) >> k
-    return QPoly(low, digits)
-
-
-def packed_equal(x: int, y: int, shift: int, k: int) -> bool:
-    """Whether q^shift X = Y, for polynomials X and Y with X(2^k) = x and
-    Y(2^k) = y whose coefficients satisfy |X_i| + |Y_i| < 2^k at every
-    power of q.  Under that bound the comparison of integers is exact:
-    were the two sides unequal after aligning them at the lower power of
-    q, the lowest nonzero coefficient of their difference would be a
-    nonzero multiple of 2^k.  A caller makes the bound hold by asking the
-    pass for enough headroom."""
-    if shift >= 0:
-        return x << (k * shift) == y
-    return x == y << (-k * shift)
-
-
 class Pair(NamedTuple):
     """The pair factor (x_i/x_j; q)_a (q x_j/x_i; q)_b, i < j, of a product
     over x_0..x_n: a + b + 1 terms, one per power of x_i/x_j (see
@@ -204,11 +169,12 @@ def packed_in_box(
                               (-1)^r q^(r(r-1)/2) [a+b choose a-r]_q z^r,
 
     so its term r moves e_i by r and e_j by -r.  The Gaussian binomials
-    come from the row ``q_binomial_row(a + b, depth)``, built at most once
-    per pass for all the pairs with that a + b, and dropped with the pass.
-    [a+b choose a-r]_q is read as [a+b choose min(a-r, b+r)]_q, by the
-    symmetry of the row, so the row runs only as deep as the usable r of
-    its pairs reach.
+    come from the row ``q_binomial_row(a + b, depth, k)``, their values at
+    q = 2^k, built at most once per pass for all the pairs with that a + b,
+    and dropped with the pass.  [a+b choose a-r]_q is read as
+    [a+b choose min(a-r, b+r)]_q, by the symmetry of the row, so the row
+    runs only as deep as the usable r of its pairs reach.  Term r is then
+    that entry shifted left by k r(r-1)/2 bits, negated for odd r.
 
     Pairs are multiplied in ascending order of term count (stable on ties).
     After the first t pairs, a partial monomial lies in window t: the box
@@ -217,7 +183,7 @@ def packed_in_box(
     remaining pairs may contribute, per variable.  Every other partial
     monomial is dropped.  At one partial monomial the terms that land in
     window t + 1 are those whose r lies in one interval, bounded by -b and
-    a and by window t + 1 along x_i and along x_j; a term is packed only
+    a and by window t + 1 along x_i and along x_j; a term is built only
     if its r lies in that interval for some vector of window t.  An empty
     pair list is the constant 1.
 
@@ -291,14 +257,11 @@ def packed_in_box(
     for (_, _, a, b), (r0, r1) in zip(ordered, usable):
         r = min(max((a - b) // 2, r0), r1)
         depth[a + b] = max(depth.get(a + b, 0), min(a - r, b + r))
-    rows = {m: q_binomial_row(m, d) for m, d in depth.items()}
+    rows = {m: q_binomial_row(m, d, k) for m, d in depth.items()}
     partial = {-sum(map(mul, base, stride)): 1}
     for (i, j, a, b), (lo2, hi2), (r0, r1) in zip(ordered, windows[1:], usable):
         row, delta = rows[a + b], stride[i] - stride[j]
-        terms = [
-            (r, pack(row[min(a - r, b + r)].shifted(r * (r - 1) // 2), k))
-            for r in range(r0, r1 + 1)
-        ]
+        terms = [(r, row[min(a - r, b + r)] << k * (r * (r - 1) // 2)) for r in range(r0, r1 + 1)]
         steps = [(r * delta, -v if r % 2 else v) for r, v in terms]
         # at digits d_i, d_j the usable steps are steps[start:stop]
         si, ri, sj, rj = stride[i], radix[i], stride[j], radix[j]

@@ -52,8 +52,8 @@ from typing import Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
-from .laurent import FactoredProduct, LaurentPoly, pack, packed_equal, unpack
-from .qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
+from .laurent import FactoredProduct, LaurentPoly
+from .qpoly import QPoly, ZERO, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
 from .reports import VerificationReport, report
 
 class NpcViolationError(ValueError):
@@ -143,7 +143,7 @@ def correction_polynomial(inst: Instance, layout: Layout) -> LaurentPoly:
 
 def paired_headroom(layout: Layout) -> int:
     """Spare bits of k that ``verify_paired`` needs to compare its two sides
-    packed (``laurent.packed_equal``): 1, for every layout.
+    packed (``qpoly.packed_equal``): 1, for every layout.
 
     With B the bound of ``laurent.packed_in_box``, 2^(k - 1 - headroom) > B.
     The constant term is a signed, shifted sum of the product's coefficients
@@ -161,10 +161,15 @@ def paired_headroom(layout: Layout) -> int:
 
 @functools.lru_cache(maxsize=1024)
 def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
-    """(1 - q^(1 + total)) qmult(a), packed at q = 2^k, and its text: once
-    per exponent vector in a sweep, whose tasks each keep one k."""
-    rhs = one_minus_q(1 + sum(a)) * q_multinomial_poly(a)
-    return pack(rhs, k), rhs.render()
+    """(1 - q^(1 + total)) qmult(a) at q = 2^k, v - (v << k (1 + total))
+    for v = qmult(a) at 2^k, and its text: once per exponent vector in a
+    sweep, whose tasks each keep one k.  The text is read back at this k,
+    which is exact at the k of any source that ``verify_paired`` accepts:
+    by the bound of ``paired_headroom`` each coefficient of the right side
+    is at most its L1 norm 2 multinomial(a) <= 2B < 2^(k - 1)."""
+    v = q_multinomial_at(a, k)
+    rhs = v - (v << k * (1 + sum(a)))
+    return rhs, unpack(rhs, k, 0).render()
 
 
 def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:

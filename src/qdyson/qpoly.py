@@ -7,15 +7,18 @@ built once, compared by cross-multiplication, and divided out only to render.
 Both types are immutable after construction.
 
 The Gaussian binomials and q-multinomial coefficients are built as
-polynomials by one exact step, ``_times_ratio``, which multiplies by
-1 - q^e and divides by 1 - q^i: ``q_multinomial_poly`` runs it along a
-chain of binomials, ``q_binomial_row`` once per entry of a row.
+integers, their values at q = 2^k (Kronecker substitution), by one exact
+step, ``_times_ratio``, which multiplies by 1 - q^e and divides by 1 - q^i:
+``q_multinomial_at`` runs it along a chain of binomials, ``q_binomial_row``
+once per entry of a row.  ``unpack`` reads such an integer back as a
+``QPoly`` and ``packed_equal`` compares two of them, so the packed format
+lives in this module; ``q_multinomial_poly`` is the chain unpacked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -248,49 +251,92 @@ def q_multinomial(a: Iterable[int]) -> "QRat":
     return QRat(q_pochhammer(sum(a)), den)
 
 
-def _times_ratio(coeffs: list[int], e: int, i: int) -> list[int]:
-    """The coefficients of p (1 - q^e) / (1 - q^i), for p given by its
-    coefficients from q^0 up, when the quotient is a polynomial: a
-    shifted subtraction, then the exact division, whose quotient c has
-    c_t = p_t + c_(t-i), one pass of additions, block by block of i; its
-    top i entries come out zero and are dropped."""
-    coeffs = list(map(sub, coeffs + [0] * e, [0] * e + coeffs))
-    for start in range(i, len(coeffs), i):
-        coeffs[start : start + i] = map(add, coeffs[start : start + i], coeffs[start - i : start])
-    del coeffs[-i:]
-    return coeffs
+def _times_ratio(v: int, e: int, i: int, k: int) -> int:
+    """p (1 - q^e) / (1 - q^i) at q = 2^k, for p(2^k) = v > 0 and e >= 1:
+    Q = x / (2^M - 1), with x = v (2^(ke) - 1) and M = ki.  When the
+    quotient is a polynomial with integer coefficients, its value at 2^k
+    is an integer, so the division is exact at every k >= 1.  Being exact,
+    it runs from the low bits up: Q (2^M - 1) = x gives
+    Q = -x (1 + 2^M + 2^(2M) + ...) modulo any 2^L, and Q < 2^L for
+    L = x.bit_length() - M + 2.  The series is summed by doubling its
+    length, one shift and add on L bits each time, where long division
+    would take time L times M."""
+    x, m = (v << k * e) - v, k * i
+    mask = (1 << x.bit_length() - m + 2) - 1
+    y = x & mask
+    while m < mask.bit_length():
+        y, m = (y + (y << m)) & mask, 2 * m
+    return -y & mask
+
+
+@functools.lru_cache(maxsize=1024)
+def q_multinomial_at(a: tuple[int, ...], k: int) -> int:
+    """The q-multinomial coefficient at q = 2^k: the chain of Gaussian
+    binomials prod_k [s_k choose a_k]_q, with s_k = a_0 + ... + a_k.
+    [s + r choose r]_q is the product over i = 1..r of
+    (1 - q^(s+i)) / (1 - q^i), and after each i the running product is the
+    earlier binomials times [s + i choose i]_q, a polynomial, so each step
+    is one exact ``_times_ratio``.  Cached once per (a, k): a sweep's
+    tasks each keep one k."""
+    v, s = 1, 0
+    for r in a:
+        for i in range(1, r + 1):
+            v = _times_ratio(v, s + i, i, k)
+        s += r
+    return v
 
 
 def q_multinomial_poly(a: Iterable[int]) -> QPoly:
     """The q-multinomial coefficient as an honest polynomial: the chain of
-    Gaussian binomials prod_k [s_k choose a_k]_q, with s_k = a_0 + ... +
-    a_k, without a dense product or a division of polynomials.
-    [s + r choose r]_q is the product over i = 1..r of
-    (1 - q^(s+i)) / (1 - q^i), and after each i the running product is the
-    earlier binomials times [s + i choose i]_q, a polynomial, so each step
-    is one ``_times_ratio``.  Not cached: its callers keep what they
-    reuse."""
-    coeffs, s = [1], 0
-    for r in a:
-        for i in range(1, r + 1):
-            coeffs = _times_ratio(coeffs, s + i, i)
-        s += r
-    return QPoly(0, coeffs)
+    ``q_multinomial_at`` unpacked.  Its coefficients are nonnegative and sum
+    to multinomial(a), so k = multinomial(a).bit_length() + 1 reads each of
+    them back exactly."""
+    a = tuple(a)
+    k = multinomial(a).bit_length() + 1
+    return unpack(q_multinomial_at(a, k), k, 0)
 
 
-def q_binomial_row(m: int, depth: int) -> tuple[QPoly, ...]:
-    """The Gaussian binomials [m choose s]_q for s = 0..depth, depth <= m,
-    one ``_times_ratio`` step per s, by
+def q_binomial_row(m: int, depth: int, k: int) -> tuple[int, ...]:
+    """The Gaussian binomials [m choose s]_q at q = 2^k for s = 0..depth,
+    depth <= m, one ``_times_ratio`` step per s, by
     [m choose s+1]_q = [m choose s]_q (1 - q^(m-s)) / (1 - q^(s+1)).
     [m choose s]_q = [m choose m-s]_q, so a row to depth m // 2 holds
     every entry.  Not cached: ``laurent.packed_in_box`` builds each row it
     needs once per pass, only as deep as it reads, and drops it with the
     pass."""
-    coeffs, row = [1], [ONE]
+    row = [1]
     for s in range(depth):
-        coeffs = _times_ratio(coeffs, m - s, s + 1)
-        row.append(QPoly(0, coeffs))
+        row.append(_times_ratio(row[-1], m - s, s + 1, k))
     return tuple(row)
+
+
+def unpack(v: int, k: int, low: int) -> QPoly:
+    """The ``QPoly`` p * q^low, where p(2^k) = v and every coefficient of p
+    is below 2^(k-1) in absolute value: read base-2^k digits from the
+    bottom, each in [-2^(k-1), 2^(k-1)), borrowing from the next digit when
+    one is negative."""
+    digits = []
+    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> k
+    return QPoly(low, digits)
+
+
+def packed_equal(x: int, y: int, shift: int, k: int) -> bool:
+    """Whether q^shift X = Y, for polynomials X and Y with X(2^k) = x and
+    Y(2^k) = y whose coefficients satisfy |X_i| + |Y_i| < 2^k at every
+    power of q.  Under that bound the comparison of integers is exact:
+    were the two sides unequal after aligning them at the lower power of
+    q, the lowest nonzero coefficient of their difference would be a
+    nonzero multiple of 2^k.  A caller makes the bound hold by asking the
+    box pass for enough headroom."""
+    if shift >= 0:
+        return x << (k * shift) == y
+    return x == y << (-k * shift)
 
 
 class QRat:

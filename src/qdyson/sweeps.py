@@ -206,9 +206,11 @@ def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationRepor
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
-    """At most one worker per task and per CPU: under fork the pool starts
-    all its workers at once, however many ``--jobs`` asks for."""
-    return min(jobs, tasks, os.cpu_count() or 1)
+    """At most one worker per task and per usable CPU, those of the
+    process's affinity set where the platform has one: under fork the pool
+    starts all its workers at once, however many ``--jobs`` asks for."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return min(jobs, tasks, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 # The context (identity, n, layouts, box) of the pool's sweep, set once in

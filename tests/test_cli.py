@@ -1,6 +1,8 @@
-"""Command-line interface: exit codes, JSON output, parallel parity."""
+"""Command-line interface: exit codes, JSON output, parallel parity; and the
+package source itself: no module imports a name it never uses."""
 
 import argparse
+import ast
 import functools
 import json
 import multiprocessing
@@ -22,6 +24,12 @@ from tests.test_paired import use_set_reading
 REPORT_KEYS = {"identity", "params", "holds", "lhs", "rhs", "elapsed_ms", "engine"}
 PARAM_KEYS = {"n", "a", "I", "J", "extra"}
 SUMMARY_KEYS = {"total", "passed", "failed", "rejected", "seed"}
+
+
+def two_usable_cpus(monkeypatch):
+    """Let a sweep with ``--jobs 2`` start its pool on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
 
 
 class TestVerifyExitCodes:
@@ -296,7 +304,7 @@ class TestParallelParity:
                 submitted.extend(items)
                 return super().map(fn, items, **kwargs)
 
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        two_usable_cpus(monkeypatch)
         monkeypatch.setattr("qdyson.sweeps.ProcessPoolExecutor", Recording)
         _, summary = run_sweep(SweepConfig(identity="main", n=4, amax=1, jobs=2))
         assert summary["total"] == 4000 and summary["failed"] == 0
@@ -317,7 +325,7 @@ class TestParallelParity:
         reports."""
         seq, seq_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=1))
         spawn = multiprocessing.get_context("spawn")
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        two_usable_cpus(monkeypatch)
         monkeypatch.setattr(
             "qdyson.sweeps.ProcessPoolExecutor",
             functools.partial(ProcessPoolExecutor, mp_context=spawn),
@@ -337,7 +345,7 @@ class TestPoolRows:
 
     def test_a_failing_pool_sweep_prints_the_serial_output(self, monkeypatch, capsys):
         use_set_reading(monkeypatch)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        two_usable_cpus(monkeypatch)
         outs = []
         for jobs in ("1", "2"):
             argv = ["sweep", "main", "--n", "2", "--amax", "1", "--jobs", jobs]
@@ -347,7 +355,7 @@ class TestPoolRows:
         assert outs[1].count(":: FAILS") == 2
 
     def test_a_library_caller_reads_the_serial_fields(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        two_usable_cpus(monkeypatch)
         runs = [
             run_sweep(SweepConfig(identity="kadell", n=2, amax=1, jobs=jobs))[0]
             for jobs in (1, 2)
@@ -426,6 +434,27 @@ def test_script_runs_from_checkout(script, tmp_path):
         assert proc.returncode == 0, proc.stderr
         name, lines, statements = proc.stdout.splitlines()[-1].split()
         assert name == "tests" and int(lines) > 0 and int(statements) > 0
+
+
+def test_no_module_imports_an_unused_name():
+    """Every name a ``src/qdyson`` module imports is read somewhere in that
+    module, by an ``ast`` walk, as no linter is a dependency.  The package
+    ``__init__`` is left out, as its imports are the exported API, and so
+    is ``from __future__``."""
+    package = os.path.dirname(os.path.abspath(qdyson.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= read, (name, sorted(imported - read))
 
 
 def test_usage_names_every_flag():

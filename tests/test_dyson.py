@@ -255,16 +255,16 @@ def test_large_factor_builds_one_row(monkeypatch):
     """A row of Gaussian binomials is built only as deep as the pass reads
     it, by [m choose s]_q = [m choose m - s]_q.  At a = (160, 0, 0) the
     origin reads only [160 choose 160]_q = 1 of both long pairs, so the
-    pass makes no multiply-and-divide step.  At a = (80, 80, 0) the cube
-    [-1, 1]^3 reads the middle [160 choose 80]_q of the pair (x_0, x_1),
-    from one row of at most 80 steps, where the full row takes 160 and a
-    chain per binomial about 25,000."""
+    pass makes no integer step ``_times_ratio``.  At a = (80, 80, 0) the
+    cube [-1, 1]^3 reads the middle [160 choose 80]_q of the pair
+    (x_0, x_1), from one row of at most 80 steps, where the full row takes
+    160 and a chain per binomial about 25,000."""
     steps = []
     times_ratio = qpoly._times_ratio
 
-    def counting(coeffs, e, i):
-        steps.append(e + i - 1)  # step s of row m is _times_ratio(coeffs, m - s, s + 1)
-        return times_ratio(coeffs, e, i)
+    def counting(v, e, i, k):
+        steps.append(e + i - 1)  # step s of row m is _times_ratio(v, m - s, s + 1, k)
+        return times_ratio(v, e, i, k)
 
     middle = q_multinomial_poly((80, 80, 0))
     monkeypatch.setattr(qpoly, "_times_ratio", counting)

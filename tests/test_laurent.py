@@ -21,13 +21,10 @@ from qdyson.laurent import (
     Pair,
     ct_of_factor_list,
     expand_product,
-    pack,
-    packed_equal,
     packed_in_box,
-    unpack,
 )
 from qdyson.paired import compile_layout
-from qdyson.qpoly import ONE, ZERO, QPoly, q_pochhammer, q_power
+from qdyson.qpoly import ONE, ZERO, QPoly, packed_equal, q_pochhammer, q_power, unpack
 from qdyson.sweeps import IDENTITIES, SweepConfig, run_sweep
 from tests.test_acceptance import pi_action
 from tests.test_dyson import (
@@ -37,6 +34,7 @@ from tests.test_dyson import (
     oracle_factors,
     shifted_factorial,
 )
+from tests.test_qpoly import pack
 
 
 def box_pass_oracle(factors, lo, hi):
@@ -209,12 +207,10 @@ SWEEP_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", SWEEP_ARGV, ids=" ".join)
-def test_sweep_passes_match_the_oracle(argv, monkeypatch):
-    """Every box pass a sweep makes, over the sweep's own box (a cube for a
-    layer sweep) and with its headroom, keeps the terms and k of the
-    ``QPoly`` pass.  The tasks are taken from the sweep without running
-    them."""
+def sweep_passes(argv, monkeypatch):
+    """The box passes of a sweep, as (n, pairs, lo, hi, headroom): over the
+    sweep's own box (a cube for a layer sweep) and with its headroom.  The
+    tasks are taken from the sweep without running them."""
     tasks = []
 
     def collect(orbits, context, jobs):
@@ -225,27 +221,57 @@ def test_sweep_passes_match_the_oracle(argv, monkeypatch):
     args = cli.build_parser().parse_args(argv)
     run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
     assert tasks
-    for (name, n, layouts, (lo, hi)), orbit in tasks:
-        headroom = max(map(IDENTITIES[name].headroom, layouts), default=0)
-        assert_pass_matches_oracle(n, q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
+    return [
+        (n, q_dyson_factors(Instance(n, orbit[0])), lo, hi,
+         max(map(IDENTITIES[name].headroom, layouts), default=0))
+        for (name, n, layouts, (lo, hi)), orbit in tasks
+    ]
+
+
+@pytest.mark.parametrize("argv", SWEEP_ARGV, ids=" ".join)
+def test_sweep_passes_match_the_oracle(argv, monkeypatch):
+    """Every box pass a sweep makes keeps the terms and k of the ``QPoly``
+    pass."""
+    for n, pairs, lo, hi, headroom in sweep_passes(argv, monkeypatch):
+        assert_pass_matches_oracle(n, pairs, lo, hi, headroom)
+
+
+@pytest.mark.parametrize("argv", SWEEP_ARGV, ids=" ".join)
+def test_sweep_passes_build_no_qpoly(argv, monkeypatch):
+    """The box pass works on integers alone, its Gaussian rows included:
+    with ``QPoly`` unable to be built, every pass a sweep makes still runs,
+    and keeps the same terms and k."""
+    passes = sweep_passes(argv, monkeypatch)
+    want = [packed_in_box(*p) for p in passes]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("QPoly built in the box pass")
+
+    monkeypatch.setattr(QPoly, "__init__", refuse)
+    assert [packed_in_box(*p) for p in passes] == want
 
 
 def test_pass_packs_only_usable_terms(monkeypatch):
     """At a = (80, 0, 0) the pair (x_1, x_2) gives the constant 1, and each
     of the other two pairs gives 81 terms, of which only r = 0 keeps the
     origin reachable: x_0 can only rise, so the first of them must leave
-    it at 0, and the last must add 0 too.  So the pass packs three terms,
-    not 163, and the constant term is still 1."""
-    calls = []
+    it at 0, and the last must add 0 too.  So the pass builds three terms,
+    not 163, each from the entry s = 0 of its row, and the constant term
+    is still 1."""
+    reads = []
+    build_row = laurent.q_binomial_row
 
-    def counting(p, k):
-        calls.append(len(p.coeffs))
-        return pack(p, k)
+    class CountingRow(tuple):
+        def __getitem__(self, s):
+            reads.append(s)
+            return tuple.__getitem__(self, s)
 
-    monkeypatch.setattr(laurent, "pack", counting)
+    monkeypatch.setattr(
+        laurent, "q_binomial_row", lambda m, depth, k: CountingRow(build_row(m, depth, k))
+    )
     origin = (0, 0, 0)
     assert q_dyson_source(Instance(2, (80, 0, 0)), origin, origin).constant_term() == ONE
-    assert calls == [1, 1, 1]
+    assert reads == [0, 0, 0]
 
 
 def test_packing_bound_is_tight():
@@ -385,7 +411,7 @@ def test_bad_pairs_raise_before_any_work(monkeypatch):
     pass builds a row of Gaussian binomials, wherever they stand in the
     list."""
     rows = []
-    monkeypatch.setattr(laurent, "q_binomial_row", lambda m, depth: rows.append(m))
+    monkeypatch.setattr(laurent, "q_binomial_row", lambda *args: rows.append(args))
     good = Pair(0, 1, 2, 2)
     for bad in (Pair(0, 3, 1, 1), Pair(-1, 1, 1, 1), Pair(1, 1, 1, 1), Pair(2, 1, 1, 1),
                 Pair(0, 1, -1, 0), Pair(0, 1, 0, -1)):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from qdyson import qpoly
 from qdyson.qpoly import (
     ONE,
     ZERO,
@@ -16,11 +17,21 @@ from qdyson.qpoly import (
     one_minus_q,
     q_binomial_row,
     q_multinomial,
+    q_multinomial_at,
     q_multinomial_poly,
     q_pochhammer,
     q_power,
 )
 from tests.test_dyson import as_int
+
+
+def pack(p, k):
+    """p at q = 2^k, for p with no negative power of q, one coefficient at
+    a time: the oracle of the integers the program builds at q = 2^k."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << k) + c
+    return v << (k * p.min_exp)
 
 
 @st.composite
@@ -176,16 +187,48 @@ def test_q_multinomial_poly_is_the_exact_quotient():
         assert q_multinomial_poly(a) == divexact(r.num, r.den), a
 
 
-def test_q_binomial_row_is_the_chain():
-    """Each entry of the row [m choose s]_q, s = 0..depth, built by the
-    ratio of neighbours, is the chain's [m choose s]_q, for every m <= 12
-    and every depth <= m."""
+def test_q_binomial_row_is_the_chain(monkeypatch):
+    """Each entry of the row [m choose s]_q at q = 2^k, s = 0..depth,
+    built by the ratio of neighbours, is the chain's [m choose s]_q at
+    2^k, for every m <= 12, every depth <= m and k = m + 2, the k of a box
+    pass over one pair of length m.  The row to depth d takes d integer
+    steps, step s being (1 - q^(m-s)) / (1 - q^(s+1))."""
+    steps = []
+    times_ratio = qpoly._times_ratio
+
+    def counting(v, e, i, k):
+        steps.append((e, i))
+        return times_ratio(v, e, i, k)
+
+    monkeypatch.setattr(qpoly, "_times_ratio", counting)
     for m in range(13):
+        k = m + 2
         for depth in range(m + 1):
-            row = q_binomial_row(m, depth)
+            steps.clear()
+            row = q_binomial_row(m, depth, k)
+            assert steps == [(m - s, s + 1) for s in range(depth)]
             assert len(row) == depth + 1
             for s, entry in enumerate(row):
-                assert entry == q_multinomial_poly((s, m - s)), (m, s)
+                assert entry == q_multinomial_at((s, m - s), k), (m, s)
+
+
+def test_chain_is_exact_at_every_k():
+    """The integer steps divide exactly at every k, not only where the
+    base-2^k digits are apart: from k = 1, where they overlap, up to k = 40,
+    above the k of every box pass of a ``main`` check on these a (n total
+    + 3), ``q_multinomial_at(a, k)`` for every a in {0..3}^(n+1) with
+    n <= 3, and every entry of ``q_binomial_row(m, m, k)`` for m <= 12, is
+    the exact quotient of ``divexact`` evaluated at q = 2^k."""
+    ks = range(1, 41)
+    for a in (a for n in range(4) for a in itertools.product(range(4), repeat=n + 1)):
+        r = q_multinomial(a)
+        want = divexact(r.num, r.den)
+        for k in ks:
+            assert q_multinomial_at(a, k) == pack(want, k), (a, k)
+    for m in range(13):
+        want = [divexact(r.num, r.den) for r in (q_multinomial((s, m - s)) for s in range(m + 1))]
+        for k in ks:
+            assert list(q_binomial_row(m, m, k)) == [pack(p, k) for p in want], (m, k)
 
 
 # -- formal quotients --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Grid enumeration, sweep summaries, and the randomized lemma suite."""
 
 import json
+import os
 import pickle
 import random
 
@@ -108,9 +109,17 @@ def test_config_validation():
 
 
 def test_pool_workers_are_capped(monkeypatch):
-    """No more workers than tasks or CPUs, whatever --jobs asks for; checked
-    without starting a process."""
+    """No more workers than tasks or usable CPUs, whatever --jobs asks for;
+    checked without starting a process.  The usable CPUs are the affinity
+    set where the platform has one, however many the machine has, and the
+    CPU count elsewhere."""
     monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_workers(8, 40) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+    assert pool_workers(100000, 1000) == 3
+    assert pool_workers(100000, 2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert pool_workers(100000, 1000) == 4
     assert pool_workers(100000, 3) == 3
     assert pool_workers(2, 1000) == 2
