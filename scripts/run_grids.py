@@ -20,7 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qdyson.reports import dumps  # noqa: E402
+from qdyson.reports import write_jsonl  # noqa: E402
 from qdyson.sweeps import SweepConfig, run_sweep  # noqa: E402
 
 # (identity, n, amax, mmax)
@@ -73,11 +73,7 @@ def main(argv=None) -> int:
                 if not report.holds:
                     print(f"  FAIL {report.summary_line()}")
         if json_dir:
-            path = json_dir / f"{identity}_n{n}_a{amax}.jsonl"
-            with path.open("w", encoding="utf-8") as fh:
-                for report in reports:
-                    fh.write(report.to_json() + "\n")
-                fh.write(dumps(summary) + "\n")
+            write_jsonl(str(json_dir / f"{identity}_n{n}_a{amax}.jsonl"), reports, summary)
     return 1 if any_failed else 0
 
 

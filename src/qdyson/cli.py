@@ -14,7 +14,8 @@ Exit codes:
         reproduced exactly)
     1   at least one instance failed verification
     2   malformed input or configuration (bad index lists, overlap,
-        crossing pairing where forbidden, bad bounds)
+        crossing pairing where forbidden, bad bounds, a grid sweep of more
+        than sweeps.MAX_SWEEP_CHECKS checks)
 
 With --json, one report object is written per line, followed (for sweeps) by
 a summary object {"total", "passed", "failed", "rejected", "seed"}.
@@ -28,7 +29,7 @@ import sys
 from typing import Sequence
 
 from .kadell import reproduce_counterexample
-from .reports import dumps
+from .reports import write_jsonl
 from .sweeps import IDENTITIES, SweepConfig, run_sweep, verify
 
 
@@ -82,22 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str | None, reports, summary: dict | None = None) -> None:
-    """One JSON line per report, then the summary if given; without a path
-    nothing is encoded."""
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        for report in reports:
-            fh.write(report.to_json() + "\n")
-        if summary is not None:
-            fh.write(dumps(summary) + "\n")
-
-
 def _cmd_verify(args) -> int:
     report = verify(args.identity, args.n, args.a, args.I, args.J)
     print(report.summary_line())
-    _write_json(args.json, [report])
+    write_jsonl(args.json, [report])
     return 0 if report.holds else 1
 
 
@@ -118,7 +107,7 @@ def _cmd_sweep(args) -> int:
         f"{args.identity}: total={summary['total']} passed={summary['passed']} "
         f"failed={summary['failed']} rejected={summary['rejected']} seed={summary['seed']}"
     )
-    _write_json(args.json, reports, summary)
+    write_jsonl(args.json, reports, summary)
     return 0 if summary["failed"] == 0 else 1
 
 
@@ -132,7 +121,7 @@ def _cmd_counterexample(args) -> int:
         print("expected failure confirmed: LHS != RHS, both sides as pinned")
     else:  # pragma: no cover - would indicate a kernel regression
         print("UNEXPECTED: instance did not reproduce the pinned values")
-    _write_json(args.json, [report])
+    write_jsonl(args.json, [report])
     return 0 if confirmed else 1
 
 

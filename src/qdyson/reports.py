@@ -1,37 +1,84 @@
-"""Structured verification results and their stable JSON form."""
+"""Structured verification results and their stable JSON form.
+
+A report keeps what its JSON line needs and nothing more: the identity,
+the verdict, the rendered sides, the time, the instance's (n, a, I, J) as
+the check had them and its ``extra`` mapping.  ``params``, ``to_dict()``
+and the line are built from those fields when something reads them.  The
+line is joined from its parts (``VerificationReport.to_json``) and is the
+one ``dumps(to_dict())`` gives, byte for byte; the tests hold the two
+together.  ``write_jsonl`` is the one writer of a run's JSONL file.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from json.encoder import encode_basestring_ascii as _string
+from typing import Any, Callable, Iterable
 
 ENGINE = "qdyson/0.1.0"
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, compact separators.  Parsing a line and
     re-dumping it reproduces the bytes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class VerificationReport:
     """Outcome of one identity check.
 
     ``holds`` records exact equality of the two sides; ``lhs``/``rhs`` are
     their canonical renderings.  A report is not changed once built: derive
-    another with ``dataclasses.replace``.
+    another with ``dataclasses.replace``, which takes ``params`` too, as a
+    parsed JSON line gives it.
     """
 
     identity: str
-    params: dict
     holds: bool
     lhs: str
     rhs: str
     elapsed_ms: float
-    engine: str = ENGINE
+    n: int
+    a: tuple[int, ...]
+    I: tuple[int, ...]  # noqa: E741 - interface name
+    J: tuple[int, ...]
+    extra: dict
+    engine: str
+
+    def __init__(
+        self, identity, holds, lhs, rhs, elapsed_ms, n=0, a=(), I=(), J=(),  # noqa: E741
+        extra=None, engine=ENGINE, params=None,
+    ) -> None:
+        """The fields, with a, I and J any sequences of ints and no extra
+        an empty one, or a ``params`` mapping in place of n, a, I, J and
+        extra."""
+        if params is not None:
+            n, a, I, J = params["n"], params["a"], params["I"], params["J"]  # noqa: E741
+            extra = params["extra"]
+        self.identity = identity
+        self.holds = holds
+        self.lhs = lhs
+        self.rhs = rhs
+        self.elapsed_ms = elapsed_ms
+        self.n = n
+        self.a = tuple(a)
+        self.I = tuple(I)
+        self.J = tuple(J)
+        self.extra = {} if extra is None else extra
+        self.engine = engine
+
+    @property
+    def params(self) -> dict:
+        """The instance and ``extra`` as the line's ``params`` object, built
+        anew on each read."""
+        return {"n": self.n, "a": list(self.a), "I": list(self.I), "J": list(self.J),
+                "extra": self.extra}
 
     def to_dict(self) -> dict:
         return {
@@ -45,21 +92,52 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        """The canonical JSON line of ``to_dict``, made on each call: a run
-        encodes each report at most once.  A pool worker encodes its
-        reports, and only each one's ``holds`` and line go back to the
-        parent, as a ``ReportRow``."""
-        return dumps(self.to_dict())
+        """The canonical JSON line of ``to_dict``, joined from its parts in
+        sorted key order, on each call: a run encodes each report at most
+        once.  The head (engine, verdict, identity) and the layer part
+        ``"I":[..],"J":[..]`` come from small caches, the digits of a and n
+        and an ``extra`` of strings are joined here, and any other
+        ``extra`` goes through ``dumps``.  Strings are escaped by the
+        encoder's own ``encode_basestring_ascii`` and the time, a finite
+        float, is its ``repr``, as ``json`` writes them.  A pool worker
+        encodes its reports, and only each one's ``holds`` and line go back
+        to the parent, as a ``ReportRow``."""
+        return (
+            f'{{"elapsed_ms":{float.__repr__(self.elapsed_ms)},'
+            f"{_head(self.engine, self.holds, self.identity)}"
+            f'"lhs":{_string(self.lhs)},"params":{{{_layer(self.I, self.J)}'
+            f'"a":[{",".join(map(str, self.a))}],"extra":{_extra(self.extra)},'
+            f'"n":{self.n}}},"rhs":{_string(self.rhs)}}}'
+        )
 
     def summary_line(self) -> str:
         verdict = "holds" if self.holds else "FAILS"
-        p = self.params
-        bits = [self.identity, f"n={p['n']}", "a=" + ",".join(map(str, p["a"]))]
-        if p["I"]:
-            bits.append("I=" + ",".join(map(str, p["I"])))
-        if p["J"]:
-            bits.append("J=" + ",".join(map(str, p["J"])))
+        bits = [self.identity, f"n={self.n}", "a=" + ",".join(map(str, self.a))]
+        if self.I:
+            bits.append("I=" + ",".join(map(str, self.I)))
+        if self.J:
+            bits.append("J=" + ",".join(map(str, self.J)))
         return f"{' '.join(bits)} :: {verdict} ({self.elapsed_ms:.1f} ms)"
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: True and 1 encode apart
+def _head(engine: str, holds: bool, identity: str) -> str:
+    return f'"engine":{_string(engine)},"holds":{dumps(holds)},"identity":{_string(identity)},'
+
+
+@functools.lru_cache(maxsize=256)  # a grid sweep has at most 125 layouts up to n = 4
+def _layer(I: tuple[int, ...], J: tuple[int, ...]) -> str:  # noqa: E741
+    return f'"I":[{",".join(map(str, I))}],"J":[{",".join(map(str, J))}],'
+
+
+def _extra(extra: dict) -> str:
+    parts = []
+    for key in sorted(extra):
+        value = extra[key]
+        if type(key) is not str or type(value) is not str:
+            return dumps(extra)
+        parts.append(f"{_string(key)}:{_string(value)}")
+    return "{" + ",".join(parts) + "}"
 
 
 class ReportRow:
@@ -104,20 +182,23 @@ def report(
     ``time.perf_counter`` reading).  The clock is read first, so
     ``elapsed_ms`` covers the check and nothing of its report: only then
     are ``extra()`` built and lhs and rhs rendered (by their ``render``
-    method, else by ``str``), once when they are the same object."""
+    method, else by ``str``), once when they are the same object.  The
+    report keeps inst's n and its a, I and J tuples as they are."""
     elapsed = time.perf_counter() - t0
     lhs_text = _render(lhs)
     return VerificationReport(
-        identity=identity,
-        params={
-            "n": inst.n,
-            "a": list(inst.a),
-            "I": list(inst.I),
-            "J": list(inst.J),
-            "extra": extra() if extra else {},
-        },
-        holds=holds,
-        lhs=lhs_text,
-        rhs=lhs_text if rhs is lhs else _render(rhs),
-        elapsed_ms=round(elapsed * 1000.0, 3),
+        identity, holds, lhs_text, lhs_text if rhs is lhs else _render(rhs),
+        round(elapsed * 1000.0, 3), inst.n, inst.a, inst.I, inst.J, extra() if extra else None,
     )
+
+
+def write_jsonl(path: str | None, reports: Iterable, summary: dict | None = None) -> None:
+    """One JSON line per report, then the summary if given; without a path
+    nothing is encoded."""
+    if path is None:
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        for rep in reports:
+            fh.write(rep.to_json() + "\n")
+        if summary is not None:
+            fh.write(dumps(summary) + "\n")

@@ -31,15 +31,20 @@ allows because it is a cube, as the sweep asserts.  The constant-term
 sweeps keep one task and one pass per a, so each product is checked on its
 own.  With ``--jobs`` above one, a process pool gets the context once per
 worker, through its initializer, and then one orbit per task, largest
-first; each worker encodes its reports, and only rows (holds, JSON line)
-travel back, which the parent wraps as ``ReportRow``s that parse their line
-only when a field other than those two is read.  A task keys each member's
-reports by its a, and so do ``_execute`` and the pool's rows:
-``run_sweep`` reads them back a by a in grid order.
+first; each worker encodes its reports, each line joined from its parts
+by ``VerificationReport.to_json``, and only rows (holds, JSON line) travel
+back.  The parent wraps them as ``ReportRow``s, which parse their line,
+``params`` and all, only when a field other than those two is read, such
+as a failing check's summary line.  A task keys each member's reports by
+its a, and so do ``_execute`` and the pool's rows: ``run_sweep`` reads them
+back a by a in grid order.  Before any of that, ``SweepConfig.validate``
+counts the checks of a grid sweep by formula and refuses one of more than
+``MAX_SWEEP_CHECKS``, so that no grid too large to enumerate is built.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import time
@@ -109,6 +114,10 @@ IDENTITIES = {
     "lemmas": Identity(None, nmin=2),
 }
 
+# The most checks a grid sweep may make, counted before anything is
+# enumerated; the largest grid in use, main n=4 amax=2, makes 30,375.
+MAX_SWEEP_CHECKS = 1_000_000
+
 FACTORIZATION_DRAWS = 500
 TAIL_CANCEL_DRAWS = 100
 CHOICE_PRODUCT_SIZES = (2, 3, 4, 5)
@@ -139,6 +148,31 @@ class SweepConfig:
                 raise ValueError(f"{self.identity} has no layer, so no m bound applies")
             if self.mmax < mmin:
                 raise ValueError(f"m bound must be at least {mmin} for {self.identity}")
+        if IDENTITIES[self.identity].check and self.grid_checks() > MAX_SWEEP_CHECKS:
+            raise ValueError(
+                f"the sweep would make more than MAX_SWEEP_CHECKS = {MAX_SWEEP_CHECKS:,} "
+                "checks; lower n, amax or the m bound"
+            )
+
+    def grid_checks(self) -> int:
+        """The checks of the grid sweep, counted without enumerating it: the
+        (amax + 1)^(n + 1) exponent vectors times the candidate layouts,
+        one for the constant terms, else the sum over layer sizes m of
+        C(n + 1, m) C(n, m) (I an m-subset of 0..n, J an m-multiset of the
+        other n + 1 - m indices).  Exact up to MAX_SWEEP_CHECKS; past it,
+        some larger number, so that a huge n builds no huge power or
+        binomial."""
+        n, cap = self.n, MAX_SWEEP_CHECKS
+        vectors = (self.amax + 1) ** min(n + 1, cap.bit_length())  # 2^bit_length > cap
+        mmin = IDENTITIES[self.identity].mmin
+        if mmin is None:
+            return vectors
+        layouts = 0
+        for m in range(mmin, min(n if self.mmax is None else self.mmax, n) + 1):
+            layouts += math.comb(n + 1, m) * math.comb(n, m)
+            if layouts > cap:
+                break
+        return vectors * layouts
 
 
 def a_grid(n: int, amax: int) -> list[tuple[int, ...]]:

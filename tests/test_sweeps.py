@@ -108,6 +108,41 @@ def test_config_validation():
             bad.validate()
 
 
+@pytest.mark.parametrize(
+    "identity, n, amax, mmax",
+    [("dyson", 2, 2, None), ("kadell", 3, 1, None), ("firstlayer", 3, 2, 2), ("main", 4, 1, 3),
+     ("main", 2, 0, 7), ("kadell", 6, 0, None)],
+)
+def test_grid_checks_counts_the_grid(identity, n, amax, mmax):
+    """The count by formula is the grid's vectors times its candidate
+    layouts, crossing ones included, as the sweep enumerates them."""
+    config = SweepConfig(identity=identity, n=n, amax=amax, mmax=mmax)
+    mmin = sweeps.IDENTITIES[identity].mmin
+    layouts = 1 if mmin is None else len(layout_grid(n, mmin, n if mmax is None else mmax))
+    assert config.grid_checks() == len(a_grid(n, amax)) * layouts
+
+
+def test_a_grid_over_the_limit_fails_before_enumerating(monkeypatch, capsys):
+    """A sweep whose count passes MAX_SWEEP_CHECKS exits 2 naming the
+    limit, before any grid is built; a sweep at the limit runs.  A huge n
+    is refused at once, its power and binomials never built."""
+    monkeypatch.setattr("qdyson.sweeps.a_grid", None)
+    monkeypatch.setattr("qdyson.sweeps.layout_grid", None)
+    for argv in (["sweep", "dyson", "--n", "30", "--amax", "1"],
+                 ["sweep", "main", "--n", "1000000000", "--amax", "0"],
+                 ["sweep", "qdyson", "--n", "1000000000", "--amax", "5"],
+                 ["sweep", "firstlayer", "--n", "1000000000", "--amax", "1", "--m", "1"]):
+        assert cli.main(argv) == 2
+        assert "MAX_SWEEP_CHECKS = 1,000,000" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr("qdyson.sweeps.MAX_SWEEP_CHECKS", 79)  # main n=2 amax=1 makes 8 x 10
+    assert cli.main(["sweep", "main", "--n", "2", "--amax", "1"]) == 2
+    assert "MAX_SWEEP_CHECKS = 79 " in capsys.readouterr().err
+    monkeypatch.setattr("qdyson.sweeps.MAX_SWEEP_CHECKS", 80)
+    assert cli.main(["sweep", "main", "--n", "2", "--amax", "1"]) == 0
+    assert "total=80" in capsys.readouterr().out
+
+
 def test_pool_workers_are_capped(monkeypatch):
     """No more workers than tasks or usable CPUs, whatever --jobs asks for;
     checked without starting a process.  The usable CPUs are the affinity
