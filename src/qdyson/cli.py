@@ -15,7 +15,8 @@ Exit codes:
     1   at least one instance failed verification
     2   malformed input or configuration (bad index lists, overlap,
         crossing pairing where forbidden, bad bounds, a grid sweep of more
-        than sweeps.MAX_SWEEP_CHECKS checks)
+        than sweeps.MAX_SWEEP_CHECKS checks, a lemma suite past
+        sweeps.MAX_LEMMA_N or sweeps.MAX_LEMMA_AMAX)
 
 With --json, one report object is written per line, followed (for sweeps) by
 a summary object {"total", "passed", "failed", "rejected", "seed"}.
@@ -113,8 +114,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     report = reproduce_counterexample()
-    confirmed = report.params["extra"]["confirmed"]
-    print(f"CT  = {report.params['extra']['ct']}")
+    confirmed = report.extra["confirmed"]
+    print(f"CT  = {report.extra['ct']}")
     print(f"LHS = {report.lhs}")
     print(f"RHS = {report.rhs}")
     if confirmed:

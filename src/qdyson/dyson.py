@@ -17,19 +17,21 @@ product pair by pair, so only the q-analog is built and classical values
 are read off it at q = 1; ``dyson_factors`` is the tests' independent
 oracle for them, a list of ``LaurentPoly`` binomials.
 
-Every check takes one validated ``Instance``: n, a and a layer (I, J) paired
-positionally.  ``Instance.layer_monomial`` builds the layer monomial
-x_{J(S)}/x_S of a subset S of I.  The layer identities read a ``Layout``:
-everything they need of (I, J), compiled once by ``paired.compile_layout``
-before any a is drawn, with each q-exponent kept as an affine function of a
-that ``evaluate`` turns into a number by one dot product.  The products
-built here read only n and a: ``pair_factors`` is the one loop over the
-pairs, given the lengths of each pair's two q-shifted factorials, for the
-q-Dyson product and for ``kadell``'s modified one.  A check builds no
-product: it reads the coefficients from ``source``, one pruned pass its
-caller made over a box that holds what the check reads.  Which box that
-is, is the read rule of the identity's row in ``sweeps.IDENTITIES``: for
-the constant terms here, the box of the empty layer, the origin.
+``Instance`` validates the input: n, a and a layer (I, J) paired
+positionally, and ``Instance.layer_monomial`` builds the layer monomial
+x_{J(S)}/x_S of a subset S of I.  A check reads an exponent vector a and a
+``Layout``: everything the identities need of n and (I, J), compiled and
+validated once by ``paired.compile_layout`` before any a is drawn, with
+each q-exponent kept as an affine function of a that ``evaluate`` turns
+into a number by one dot product.  The layout is the one carrier of
+(n, I, J) a check and its report read.  The products built here read only
+n and a: ``pair_factors`` is the one loop over the pairs, given the
+lengths of each pair's two q-shifted factorials, for the q-Dyson product
+and for ``kadell``'s modified one.  A check builds no product: it reads
+the coefficients from ``source``, one pruned pass its caller made over a
+box that holds what the check reads.  Which box that is, is the read rule
+of the identity's row in ``sweeps.IDENTITIES``: for the constant terms
+here, the box of the empty layer, the origin.
 """
 
 from __future__ import annotations
@@ -80,14 +82,6 @@ class Instance:
         if set(self.I) & set(self.J):
             raise ValueError("I and J must be disjoint")
 
-    def with_layout(self, layout: "Layout") -> "Instance":
-        """This instance with the layer of ``layout``, validated no further:
-        ``paired.compile_layout`` validated (I, J) over n when it compiled
-        the layout, and n and a were validated here."""
-        inst = object.__new__(Instance)
-        inst.__dict__.update(n=self.n, a=self.a, I=layout.I, J=layout.J)
-        return inst
-
     @property
     def m(self) -> int:
         return len(self.I)
@@ -95,11 +89,6 @@ class Instance:
     @property
     def total(self) -> int:
         return sum(self.a)
-
-    @property
-    def selected_total(self) -> int:
-        """Sum of a over I."""
-        return sum(self.a[i] for i in self.I)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -137,7 +126,8 @@ def evaluate(affine: Affine, a: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Layout:
-    """A layer (I, J) compiled for every exponent vector at once.  Each
+    """A layer (I, J) over x_0..x_n compiled for every exponent vector at
+    once, validated when ``paired.compile_layout`` built it.  Each
     q-exponent is an ``Affine`` (c0, c), read at a by ``evaluate``.
 
     ``subsets`` holds, for each subset S of I (the empty one first, then by
@@ -151,6 +141,7 @@ class Layout:
     S = I, which holds every flipped monomial; for the empty layer it is
     the origin."""
 
+    n: int
     I: tuple[int, ...]  # noqa: E741 - interface name
     J: tuple[int, ...]
     subsets: tuple[tuple[tuple[int, ...], int, Affine], ...]
@@ -210,18 +201,24 @@ def q_dyson_source(
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom)
 
 
-def verify_q_dyson(inst: Instance, source: FactoredProduct) -> VerificationReport:
-    """Constant term of the q-analog product against the q-multinomial."""
+def verify_q_dyson(
+    a: tuple[int, ...], layout: Layout, source: FactoredProduct
+) -> VerificationReport:
+    """Constant term of the q-analog product of a against the
+    q-multinomial; ``layout`` is the empty layer over x_0..x_n."""
     t0 = time.perf_counter()
     ct = source.constant_term()
-    rhs = q_multinomial_poly(inst.a)
-    return report("qdyson", inst, t0, ct == rhs, ct, rhs)
+    rhs = q_multinomial_poly(a)
+    return report("qdyson", a, layout, t0, ct == rhs, ct, rhs)
 
 
-def verify_dyson(inst: Instance, source: FactoredProduct) -> VerificationReport:
-    """Constant term of the classical product, read off the q-product's
-    constant term at q = 1, against the multinomial."""
+def verify_dyson(
+    a: tuple[int, ...], layout: Layout, source: FactoredProduct
+) -> VerificationReport:
+    """Constant term of the classical product of a, read off the
+    q-product's constant term at q = 1, against the multinomial;
+    ``layout`` is the empty layer over x_0..x_n."""
     t0 = time.perf_counter()
     ct = source.constant_term().at_q1()
-    rhs = multinomial(inst.a)
-    return report("dyson", inst, t0, ct == rhs, ct, rhs)
+    rhs = multinomial(a)
+    return report("dyson", a, layout, t0, ct == rhs, ct, rhs)

@@ -1,8 +1,8 @@
 """First-layer coefficients of the q-Dyson product and their closed forms.
 
-The layer of an ``Instance`` selects m >= 1 distinct indices
-I = {i_1 < ... < i_m} and m indices J = {j_1 <= ... <= j_m} (repeats allowed)
-disjoint from I.  The first-layer coefficient is the constant term of
+A layer selects m >= 1 distinct indices I = {i_1 < ... < i_m} and m indices
+J = {j_1 <= ... <= j_m} (repeats allowed) disjoint from I.  The first-layer
+coefficient is the constant term of
 
     (x_{j_1} ... x_{j_m}) / (x_{i_1} ... x_{i_m}) * q-Dyson product,
 
@@ -29,7 +29,8 @@ sides are integers at q = 2^k, as the source keeps the coefficients, with
 the spare bits of k that ``first_layer_headroom`` derives.
 ``first_layer_closed`` builds the closed form as a ``QRat`` to render it
 when a check fails.  The q = 1 closed value depends on I and a only and is
-computed once per pair.
+computed once per pair.  Like every check, these read an exponent vector a
+and the compiled ``Layout`` of the layer.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def layer_exponent(
     return evaluate(layer_coefficients(T, inst, within), inst.a)
 
 
-def first_layer_closed(inst: Instance, layout: Layout) -> QRat:
-    """Closed form of the first-layer coefficient, from the compiled layout
-    of inst:
+def first_layer_closed(a: tuple[int, ...], layout: Layout) -> QRat:
+    """Closed form of the first-layer coefficient at a, from the compiled
+    layout:
 
         qmultinomial(a) * sum over nonempty T subset I of
             (-1)^|T| q^(layer exponent of T)
@@ -117,7 +118,7 @@ def first_layer_closed(inst: Instance, layout: Layout) -> QRat:
     """
     if not layout.terms:
         raise ValueError("layer must select at least one index")
-    a, total = inst.a, inst.total
+    total = sum(a)
     groups: dict[int, QPoly] = {}
     for sign, T, exponent in layout.terms:
         s_t = sum(a[k] for k in T)
@@ -131,17 +132,17 @@ def first_layer_closed(inst: Instance, layout: Layout) -> QRat:
     return QRat(q_multinomial_poly(a) * num, den)
 
 
-def first_layer_closed_q1(inst: Instance) -> Fraction:
-    """The q = 1 specialisation of the closed form:
+def first_layer_closed_q1(a: tuple[int, ...], layout: Layout) -> Fraction:
+    """The q = 1 specialisation of the closed form at a:
 
         multinomial(a) * sum over nonempty T subset I of
             (-1)^|T| * (sum of a over T) / (1 + total - sum of a over T)
 
     Independent of J, so it is computed once per (I, a).
     """
-    if inst.m == 0:
+    if not layout.I:
         raise ValueError("layer must select at least one index")
-    return _closed_q1(inst.I, inst.a)
+    return _closed_q1(layout.I, a)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -177,11 +178,11 @@ def first_layer_headroom(layout: Layout) -> int:
 
 
 def verify_first_layer(
-    inst: Instance, layout: Layout, source: FactoredProduct
+    a: tuple[int, ...], layout: Layout, source: FactoredProduct
 ) -> VerificationReport:
-    """Brute-force first-layer coefficient against the closed form, plus its
-    q = 1 value against the classical closed sum; ``layout`` is the compiled
-    layout of inst.
+    """Brute-force first-layer coefficient of the product of a against the
+    closed form, plus its q = 1 value against the classical closed sum, on
+    the compiled layout.
 
     The closed form is compared without division, as brute * den against
     qmult(a) * num in the terms of ``first_layer_closed``, with both sides
@@ -199,7 +200,7 @@ def verify_first_layer(
     if source.headroom < first_layer_headroom(layout):
         raise ValueError("source packed with too little headroom for the first-layer check")
     t0 = time.perf_counter()
-    a, total, k = inst.a, inst.total, source.k
+    total, k = sum(a), source.k
     exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
     base = min(exponents)
     groups: dict[int, int] = {}
@@ -216,12 +217,13 @@ def verify_first_layer(
     brute_den = source.packed_coeff(target) * den
     brute = source.coeff(target)
     q1_brute = brute.at_q1()
-    q1_closed = first_layer_closed_q1(inst)
+    q1_closed = first_layer_closed_q1(a, layout)
     holds = (
         packed_equal(brute_den, q_multinomial_at(a, k) * num, -base, k)
         and q1_closed == q1_brute
     )
     return report(
-        "firstlayer", inst, t0, holds, brute, brute if holds else first_layer_closed(inst, layout),
+        "firstlayer", a, layout, t0, holds, brute,
+        brute if holds else first_layer_closed(a, layout),
         lambda: {"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
     )

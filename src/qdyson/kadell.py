@@ -1,8 +1,8 @@
 """Corrected Dyson products: Kadell's identity and the failed q-modification.
 
-Multiplying the classical Dyson product by (1 - x_{j_1}/x_{i_1}) ... for the
-layer (I, J) of an ``Instance``, one binomial per positional pair, scales the
-constant term by a clean rational factor:
+Multiplying the classical Dyson product by (1 - x_{j_1}/x_{i_1}) ... for a
+layer (I, J), one binomial per positional pair, scales the constant term by
+a clean rational factor:
 
     (1 + total - sum of a over I) * CT = (1 + total) * multinomial(a).
 
@@ -36,10 +36,10 @@ from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly, unpack
 from .reports import VerificationReport, report
 
 
-def corrected_ct(inst: Instance, layout: Layout, source: FactoredProduct) -> int:
+def corrected_ct(layout: Layout, source: FactoredProduct) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
     at q = 1 from ``source``, the q-Dyson product, with ``layout`` the
-    compiled layout of inst.  The binomials multiply out to the sum over
+    compiled layer of the binomials.  They multiply out to the sum over
     subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
     sum of (-1)^|S| times the coefficient at the flipped monomial, summed
     packed and unpacked once."""
@@ -47,20 +47,21 @@ def corrected_ct(inst: Instance, layout: Layout, source: FactoredProduct) -> int
     return unpack(packed, source.k, 0).at_q1()
 
 
-def corrected_dyson_rhs(inst: Instance) -> int:
-    return (1 + inst.total) * multinomial(inst.a)
+def corrected_dyson_rhs(a: tuple[int, ...]) -> int:
+    return (1 + sum(a)) * multinomial(a)
 
 
-def corrected_ct_closed(inst: Instance) -> Fraction:
-    """Closed form of the corrected constant term itself:
+def corrected_ct_closed(a: tuple[int, ...], layout: Layout) -> Fraction:
+    """Closed form of the corrected constant term itself, at a on the
+    compiled layout:
 
         (1 + (sum of a over I) / (1 + total - sum of a over I)) * multinomial(a)
 
     Only defined for nonempty I.
     """
-    if inst.m == 0:
+    if not layout.I:
         raise ValueError("layer must select at least one index")
-    return _ct_closed(inst.a, inst.selected_total)[0]
+    return _ct_closed(a, sum(a[i] for i in layout.I))[0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -71,19 +72,21 @@ def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[Fraction, str]:
     return closed, str(closed)
 
 
-def verify_kadell(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
-    """Scaled corrected constant term against its product-free value, and the
-    corrected constant term itself against its closed form; ``layout`` is
-    the compiled layout of inst."""
+def verify_kadell(
+    a: tuple[int, ...], layout: Layout, source: FactoredProduct
+) -> VerificationReport:
+    """Scaled corrected constant term of the product of a against its
+    product-free value, and the corrected constant term itself against its
+    closed form, on the compiled layout."""
     t0 = time.perf_counter()
-    ct = corrected_ct(inst, layout, source)
-    s_i = inst.selected_total
-    lhs = (1 + inst.total - s_i) * ct
-    rhs = corrected_dyson_rhs(inst)
-    closed, closed_text = _ct_closed(inst.a, s_i) if inst.m > 0 else (None, None)
+    ct = corrected_ct(layout, source)
+    s_i = sum(a[i] for i in layout.I)
+    lhs = (1 + sum(a) - s_i) * ct
+    rhs = corrected_dyson_rhs(a)
+    closed, closed_text = _ct_closed(a, s_i) if layout.I else (None, None)
     holds = lhs == rhs and (closed is None or closed == ct)
     return report(
-        "kadell", inst, t0, holds, lhs, rhs,
+        "kadell", a, layout, t0, holds, lhs, rhs,
         lambda: {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": closed_text},
     )
 
@@ -108,9 +111,9 @@ def verify_q_kadell(inst: Instance) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ct = ct_of_factor_list(modified_q_product(inst), (0,) * (inst.n + 1))
-    lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
+    lhs = one_minus_q(1 + inst.total - sum(inst.a[i] for i in inst.I)) * ct
     rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
-    return report("qkadell", inst, t0, lhs == rhs, lhs, rhs, lambda: {"ct": ct.render()})
+    return report("qkadell", inst.a, inst, t0, lhs == rhs, lhs, rhs, lambda: {"ct": ct.render()})
 
 
 # Known values for the smallest failing instance of the q-modification:
@@ -135,9 +138,8 @@ def reproduce_counterexample() -> VerificationReport:
     ct_expected, lhs_expected, rhs_expected = _expected_counterexample()
     confirmed = (
         not rep.holds
-        and rep.params["extra"]["ct"] == ct_expected.render()
+        and rep.extra["ct"] == ct_expected.render()
         and rep.lhs == lhs_expected.render()
         and rep.rhs == rhs_expected.render()
     )
-    extra = rep.params["extra"] | {"expected_failure": True, "confirmed": confirmed}
-    return replace(rep, params=rep.params | {"extra": extra})
+    return replace(rep, extra=rep.extra | {"expected_failure": True, "confirmed": confirmed})

@@ -21,9 +21,10 @@ per copy.  Collapsing the repeats fails the identity on 252 of the 3132
 instances with n <= 3 and every a_k <= 2, so that reading is kept only in
 the tests, as the oracle the gate refutes.  The reports still name the
 multiset reading in a constant field, so their bytes are unchanged.
-Every function here reads I and J of one ``Instance`` as paired
-positionally, i_k with j_k.  The layer exponents it adds, of a subset U
-within the layer of a subset X of I (X with its paired j's), are
+Every function here reads I and J as paired positionally, i_k with j_k:
+the exponent formulas and the lemmas off one ``Instance``, the check off a
+compiled ``Layout``.  The layer exponents it adds, of a subset U within the
+layer of a subset X of I (X with its paired j's), are
 ``firstlayer.layer_exponent(U, inst, X)``, read off the same instance.
 
 Both exponents are affine in a, with coefficients read off the layout
@@ -121,6 +122,7 @@ def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noq
     chains = [(0, (0,) * (n + 1))] + [chain_coefficients(inst, S) for S in subsets[1:]]
     target = flipped[-1]
     return Layout(
+        n,
         inst.I,
         inst.J,
         subsets=tuple(zip(flipped, signs, chains)),
@@ -131,12 +133,12 @@ def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noq
     )
 
 
-def correction_polynomial(inst: Instance, layout: Layout) -> LaurentPoly:
-    """The multiplier of the identity, from the compiled layout of inst: the
+def correction_polynomial(a: tuple[int, ...], layout: Layout) -> LaurentPoly:
+    """The multiplier of the identity at a, from the compiled layout: the
     sum over subsets S of I of (-1)^|S| q^(chain exponent of S) x_{J(S)}/x_S,
     with weight 1 on the empty one."""
-    return LaurentPoly(inst.n, {
-        tuple(-e for e in flipped): q_power(evaluate(chain, inst.a), sign)
+    return LaurentPoly(layout.n, {
+        tuple(-e for e in flipped): q_power(evaluate(chain, a), sign)
         for flipped, sign, chain in layout.subsets
     })
 
@@ -172,9 +174,11 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     return rhs, unpack(rhs, k, 0).render()
 
 
-def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> VerificationReport:
-    """The paired-layer identity for one instance, with ``layout`` its
-    compiled layout.  The constant term of the multiplied product is, term
+def verify_paired(
+    a: tuple[int, ...], layout: Layout, source: FactoredProduct
+) -> VerificationReport:
+    """The paired-layer identity for the product of a on the compiled
+    layout.  The constant term of the multiplied product is, term
     by term of the multiplier, its weight times the product's coefficient at
     the flipped monomial.  Both sides stay packed at q = 2^k, as ``source``
     holds its coefficients: the sum over subsets adds shifted integers, the
@@ -184,12 +188,12 @@ def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> Ve
     Layers violating the no-crossing condition are rejected with
     ``NpcViolationError``, and a source with less headroom than
     ``paired_headroom`` with ``ValueError``."""
-    if not npc_holds(inst.I, inst.J):
-        raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
+    if not npc_holds(layout.I, layout.J):
+        raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
     if source.headroom < paired_headroom(layout):
         raise ValueError("source packed with too little headroom for the paired check")
     t0 = time.perf_counter()
-    a, k = inst.a, source.k
+    k = source.k
     terms = [
         (sign, source.packed_coeff(flipped), evaluate(chain, a))
         for flipped, sign, chain in layout.subsets
@@ -199,13 +203,13 @@ def verify_paired(inst: Instance, layout: Layout, source: FactoredProduct) -> Ve
     for sign, c, e in terms:
         c <<= k * (e - base)
         ct = ct + c if sign > 0 else ct - c
-    lhs = ct - (ct << (k * (1 + inst.total - inst.selected_total)))
+    lhs = ct - (ct << (k * (1 + sum(a) - sum(a[i] for i in layout.I))))
     rhs, rhs_text = _paired_rhs(a, k)
     # the left side is q^base times the polynomial whose value at q = 2^k is lhs
     holds = packed_equal(lhs, rhs, base, k)
     return report(
-        "main", inst, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
-        lambda: {"semantics": "multiset", "pairing": [list(p) for p in inst.pairs]},
+        "main", a, layout, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
+        lambda: {"semantics": "multiset", "pairing": [[i, j] for i, j in zip(layout.I, layout.J)]},
     )
 
 
@@ -308,7 +312,7 @@ def verify_factorization(inst: Instance, U: Sequence[int], i_v: int) -> Verifica
     if npc and residual:
         holds = holds and right.is_zero()
     return report(
-        "factorization", inst, t0, holds, left, right,
+        "factorization", inst.a, inst, t0, holds, left, right,
         lambda: {
             "U": list(U),
             "floor": i_v,
@@ -340,7 +344,7 @@ def verify_tail_cancel(inst: Instance, h: int) -> VerificationReport:
     t0 = time.perf_counter()
     bare, joined, expected = tail_cancel_values(inst, h)
     return report(
-        "tailcancel", inst, t0, bare == joined == expected, f"{bare},{joined}", expected,
+        "tailcancel", inst.a, inst, t0, bare == joined == expected, f"{bare},{joined}", expected,
         lambda: {"h": h, "semantics": "multiset"},
     )
 

@@ -1,12 +1,13 @@
 """Structured verification results and their stable JSON form.
 
 A report keeps what its JSON line needs and nothing more: the identity,
-the verdict, the rendered sides, the time, the instance's (n, a, I, J) as
-the check had them and its ``extra`` mapping.  ``params``, ``to_dict()``
-and the line are built from those fields when something reads them.  The
-line is joined from its parts (``VerificationReport.to_json``) and is the
-one ``dumps(to_dict())`` gives, byte for byte; the tests hold the two
-together.  ``write_jsonl`` is the one writer of a run's JSONL file.
+the verdict, the rendered sides, the time, the exponent vector a and the
+layer's (n, I, J) as the check had them, and its ``extra`` mapping.
+``params``, ``to_dict()`` and the line are built from those fields when
+something reads them.  The line is joined from its parts
+(``VerificationReport.to_json``) and is the one ``dumps(to_dict())`` gives,
+byte for byte; the tests hold the two together.  ``write_jsonl`` is the one
+writer of a run's JSONL file.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ class VerificationReport:
 
     ``holds`` records exact equality of the two sides; ``lhs``/``rhs`` are
     their canonical renderings.  A report is not changed once built: derive
-    another with ``dataclasses.replace``, which takes ``params`` too, as a
-    parsed JSON line gives it.
+    another with ``dataclasses.replace``.
     """
 
     identity: str
@@ -53,14 +53,10 @@ class VerificationReport:
 
     def __init__(
         self, identity, holds, lhs, rhs, elapsed_ms, n=0, a=(), I=(), J=(),  # noqa: E741
-        extra=None, engine=ENGINE, params=None,
+        extra=None, engine=ENGINE,
     ) -> None:
         """The fields, with a, I and J any sequences of ints and no extra
-        an empty one, or a ``params`` mapping in place of n, a, I, J and
-        extra."""
-        if params is not None:
-            n, a, I, J = params["n"], params["a"], params["I"], params["J"]  # noqa: E741
-            extra = params["extra"]
+        an empty one."""
         self.identity = identity
         self.holds = holds
         self.lhs = lhs
@@ -144,8 +140,9 @@ class ReportRow:
     """A check's verdict and its JSON line, as a pool worker sends them
     back.  ``holds`` and ``to_json`` read them as they are; every other
     field and method is that of the ``VerificationReport`` parsed from the
-    line on the first such read and kept.  So a passing check written out
-    with ``--json`` is never parsed."""
+    line on the first such read and kept, its ``params`` object taken apart
+    into the fields.  So a passing check written out with ``--json`` is
+    never parsed."""
 
     __slots__ = ("holds", "_line", "_report")
 
@@ -161,7 +158,9 @@ class ReportRow:
         if name.startswith("_"):  # pickle and copy probe these, maybe before __init__
             raise AttributeError(name)
         if self._report is None:
-            self._report = VerificationReport(**json.loads(self._line))
+            fields = json.loads(self._line)
+            params = fields.pop("params")
+            self._report = VerificationReport(**fields, **params)
         return getattr(self._report, name)
 
 
@@ -171,24 +170,27 @@ def _render(value: Any) -> str:
 
 def report(
     identity: str,
-    inst,
+    a: tuple[int, ...],
+    layer,
     t0: float,
     holds: bool,
     lhs: Any,
     rhs: Any,
     extra: Callable[[], dict] | None = None,
 ) -> VerificationReport:
-    """The report of one check of the ``Instance`` inst, begun at t0 (a
-    ``time.perf_counter`` reading).  The clock is read first, so
-    ``elapsed_ms`` covers the check and nothing of its report: only then
-    are ``extra()`` built and lhs and rhs rendered (by their ``render``
-    method, else by ``str``), once when they are the same object.  The
-    report keeps inst's n and its a, I and J tuples as they are."""
+    """The report of one check of the exponent vector a on ``layer``, a
+    compiled ``Layout`` or, for the lemma and q-Kadell reports, an
+    ``Instance``, begun at t0 (a ``time.perf_counter`` reading).  The clock
+    is read first, so ``elapsed_ms`` covers the check and nothing of its
+    report: only then are ``extra()`` built and lhs and rhs rendered (by
+    their ``render`` method, else by ``str``), once when they are the same
+    object.  The report keeps a and the layer's n and its I and J tuples
+    as they are."""
     elapsed = time.perf_counter() - t0
     lhs_text = _render(lhs)
     return VerificationReport(
         identity, holds, lhs_text, lhs_text if rhs is lhs else _render(rhs),
-        round(elapsed * 1000.0, 3), inst.n, inst.a, inst.I, inst.J, extra() if extra else None,
+        round(elapsed * 1000.0, 3), layer.n, a, layer.I, layer.J, extra() if extra else None,
     )
 
 

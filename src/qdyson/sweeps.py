@@ -15,17 +15,17 @@ what every task of one sweep shares, built once per sweep: the identity's
 name, n, the compiled layouts and the bounding box of what they read.  The
 orbit is a tuple of exponent vectors that one pass serves.  ``verify`` runs
 one instance as a task of one a and one layout, read over that layout's
-box, after rejecting any layer the row does not accept.  Each check gets an
-``Instance`` validated once per a, with its layout's (I, J) attached
-unchecked, as ``compile_layout`` validated them.  A sweep walks every
-exponent vector a in [0..amax]^(n+1) — and, for layer identities, every
-admissible (I, J) layout — and verifies the chosen identity on one
-``Instance`` (n, a, I, J) each.  The no-crossing filter of ``main`` reads
-layouts only, before any a is drawn.  So does ``compile_layout``: the sweep
-compiles every admissible layout once, and each check evaluates its
-exponents at its a by dot products.  A layer sweep makes one task per
-cyclic orbit (a, rot(a), ...) of the grid, rot(a) = (a_n, a_0, ...,
-a_{n-1}): one pass for a, stepped one rotation further
+box, after rejecting any layer the row does not accept and validating
+(n, a, I, J) as an ``Instance``.  A sweep walks every exponent vector a in
+[0..amax]^(n+1) — and, for layer identities, every admissible (I, J)
+layout — and checks the chosen identity on each pair of a and layout.  The
+no-crossing filter of ``main`` reads layouts only, before any a is drawn.
+So does ``compile_layout``: the sweep compiles and validates every
+admissible layout once, the one carrier of (n, I, J) that a check and its
+report read, and each check evaluates its exponents at its a by dot
+products.  A layer sweep makes one task per cyclic orbit (a, rot(a), ...)
+of the grid, rot(a) = (a_n, a_0, ..., a_{n-1}): one pass for a, the one
+``Instance`` the task validates, stepped one rotation further
 (``FactoredProduct.rotated``) for each next member, which the union box
 allows because it is a cube, as the sweep asserts.  The constant-term
 sweeps keep one task and one pass per a, so each product is checked on its
@@ -39,7 +39,9 @@ as a failing check's summary line.  A task keys each member's reports by
 its a, and so do ``_execute`` and the pool's rows: ``run_sweep`` reads them
 back a by a in grid order.  Before any of that, ``SweepConfig.validate``
 counts the checks of a grid sweep by formula and refuses one of more than
-``MAX_SWEEP_CHECKS``, so that no grid too large to enumerate is built.
+``MAX_SWEEP_CHECKS``, so that no grid too large to enumerate is built, and
+refuses a lemma suite with n past ``MAX_LEMMA_N`` or amax past
+``MAX_LEMMA_AMAX``, before anything is drawn.
 """
 from __future__ import annotations
 
@@ -78,11 +80,11 @@ def _target(layout: Layout) -> Box:
 
 @dataclass(frozen=True)
 class Identity:
-    """``check(inst, layout, source)`` verifies one ``Instance``, with
-    ``layout`` its compiled layout and ``source`` its q-Dyson product, read
-    over a box that holds ``reads(layout)`` and packed with at least
-    ``headroom(layout)`` spare bits; a check of None marks the lemma suite,
-    which only sweeps."""
+    """``check(a, layout, source)`` verifies the identity for the exponent
+    vector a on the compiled ``layout``, with ``source`` the q-Dyson product
+    of a, read over a box that holds ``reads(layout)`` and packed with at
+    least ``headroom(layout)`` spare bits; a check of None marks the lemma
+    suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     reads: Callable[[Layout], Box] = lambda layout: layout.box
@@ -95,17 +97,17 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda inst, layout, source: verify_dyson(inst, source)),
-    "qdyson": Identity(lambda inst, layout, source: verify_q_dyson(inst, source)),
+    "dyson": Identity(lambda a, layout, source: verify_dyson(a, layout, source)),
+    "qdyson": Identity(lambda a, layout, source: verify_q_dyson(a, layout, source)),
     "firstlayer": Identity(
-        lambda inst, layout, source: verify_first_layer(inst, layout, source),
+        lambda a, layout, source: verify_first_layer(a, layout, source),
         reads=_target,
         headroom=first_layer_headroom,
         mmin=1,
     ),
-    "kadell": Identity(lambda inst, layout, source: verify_kadell(inst, layout, source), mmin=0),
+    "kadell": Identity(lambda a, layout, source: verify_kadell(a, layout, source), mmin=0),
     "main": Identity(
-        lambda inst, layout, source: verify_paired(inst, layout, source),
+        lambda a, layout, source: verify_paired(a, layout, source),
         headroom=paired_headroom,
         mmin=0,
         admissible=npc_holds,
@@ -117,6 +119,14 @@ IDENTITIES = {
 # The most checks a grid sweep may make, counted before anything is
 # enumerated; the largest grid in use, main n=4 amax=2, makes 30,375.
 MAX_SWEEP_CHECKS = 1_000_000
+
+# The largest n and amax a lemma suite may draw from, checked before any
+# draw: its time grows exponentially in n and its polynomials' lengths
+# with amax.  One ``qdyson sweep lemmas`` process, 2-core VM, Python 3.11:
+# 0.3 s at n = 7 with amax = 5, the pinned suites, 2.2 s at n = 16 with
+# amax = 5 and 6.5 s at both limits.
+MAX_LEMMA_N = 16
+MAX_LEMMA_AMAX = 256
 
 FACTORIZATION_DRAWS = 500
 TAIL_CANCEL_DRAWS = 100
@@ -148,7 +158,14 @@ class SweepConfig:
                 raise ValueError(f"{self.identity} has no layer, so no m bound applies")
             if self.mmax < mmin:
                 raise ValueError(f"m bound must be at least {mmin} for {self.identity}")
-        if IDENTITIES[self.identity].check and self.grid_checks() > MAX_SWEEP_CHECKS:
+        if IDENTITIES[self.identity].check is None:
+            if self.n > MAX_LEMMA_N:
+                raise ValueError(f"the lemma suite takes n up to MAX_LEMMA_N = {MAX_LEMMA_N}")
+            if self.amax > MAX_LEMMA_AMAX:
+                raise ValueError(
+                    f"the lemma suite takes amax up to MAX_LEMMA_AMAX = {MAX_LEMMA_AMAX}"
+                )
+        elif self.grid_checks() > MAX_SWEEP_CHECKS:
             raise ValueError(
                 f"the sweep would make more than MAX_SWEEP_CHECKS = {MAX_SWEEP_CHECKS:,} "
                 "checks; lower n, amax or the m bound"
@@ -219,7 +236,8 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationReport]]]:
     """Check a task ``(context, orbit)``, context = (identity, n, compiled
     layouts, box), on one product per member of the orbit, a tuple (a,
-    rot(a), rot^2(a), ...): one pass for a, read over the box and packed
+    rot(a), rot^2(a), ...): one pass for a, validated here as the one
+    ``Instance`` of the task, read over the box and packed
     with the headroom every layout's check needs, then rotated one step
     for each next member before its checks start their clocks.  Returns
     the pass's time in ms with each member's reports, in layout order,
@@ -227,15 +245,14 @@ def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationRepor
     (name, n, layouts, box), orbit = task
     identity = IDENTITIES[name]
     headroom = max(map(identity.headroom, layouts), default=0)
-    insts = [Instance(n, a) for a in orbit]
     t0 = time.perf_counter()
-    member = q_dyson_source(insts[0], *box, headroom)
+    member = q_dyson_source(Instance(n, orbit[0]), *box, headroom)
     pass_ms = (time.perf_counter() - t0) * 1000.0
     reports = {}
-    for inst in insts:
+    for a in orbit:
         if reports:
             member = member.rotated()
-        reports[inst.a] = [identity.check(inst.with_layout(lay), lay, member) for lay in layouts]
+        reports[a] = [identity.check(a, lay, member) for lay in layouts]
     return pass_ms, reports
 
 
@@ -357,7 +374,7 @@ def lemma_suite_reports(
         inst = Instance(size, (0,) * (size + 1))
         t0 = time.perf_counter()
         reports.append(report(
-            "choiceproduct", inst, t0, matrix_choice_property(size),
+            "choiceproduct", inst.a, inst, t0, matrix_choice_property(size),
             "every choice product", "contains an inversion pair",
         ))
     return reports

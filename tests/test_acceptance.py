@@ -193,7 +193,7 @@ def test_criterion_3_first_layer_closed_form(classical_expanded):
         qsrc = shared_source(insts)
         csrc = classical_expanded[(3, a)]
         for inst in insts:
-            rep = verify_first_layer(inst, compiled(inst), qsrc)
+            rep = verify_first_layer(a, compiled(inst), qsrc)
             oracle = as_int(csrc.coeff(first_layer_target(inst)))
             checked += 1
             failed += 0 if rep.holds and rep.params["extra"]["q1_brute"] == str(oracle) else 1
@@ -219,7 +219,7 @@ def test_criterion_4_q1_value_is_layout_independent(classical_expanded):
             for inst in insts:
                 value = as_int(src.coeff(first_layer_target(inst)))
                 checked += 1
-                if first_layer_closed_q1(inst) != value:
+                if first_layer_closed_q1(a, compiled(inst)) != value:
                     failed += 1
                 elif qsrc.coeff(first_layer_target(inst)).at_q1() != value:
                     failed += 1
@@ -245,7 +245,7 @@ def test_criterion_5_corrected_constant_terms(classical_expanded):
             qsrc = shared_source(insts)
             src = classical_expanded[(n, a)]
             for inst in insts:
-                rep = verify_kadell(inst, compiled(inst), qsrc)
+                rep = verify_kadell(a, compiled(inst), qsrc)
                 correction = expand_product(correction_factors(inst), n)
                 oracle = as_int(ct_times(src, correction))
                 checked += 1
@@ -426,8 +426,8 @@ def _crossing_failures(n):
         insts = [Instance(n, a, I, J) for I, J in crossing]
         source = shared_source(insts)
         for inst in insts:
-            ct = ct_times(source, correction_polynomial(inst, compiled(inst)))
-            lhs = one_minus_q(1 + inst.total - inst.selected_total) * ct
+            ct = ct_times(source, correction_polynomial(a, compiled(inst)))
+            lhs = one_minus_q(1 + inst.total - sum(a[i] for i in inst.I)) * ct
             if lhs != one_minus_q(1 + inst.total) * q_multinomial_poly(a):
                 failing[inst.I, inst.J].append(a)
     return failing
@@ -458,7 +458,7 @@ def _stripped(rep):
 
 def _compare_with(monkeypatch, oracle):
     """Make every sweep task, and so every ``verify``, compare the report of
-    each of its checks with ``oracle(inst, layout, source)`` on the product
+    each of its checks with ``oracle(a, layout, source)`` on the product
     that check read, byte for byte with ``elapsed_ms`` stripped: the task's
     one pass for the first member of its orbit, and one more step of
     rotation for each next member.  Returns a counter of the compared
@@ -478,10 +478,10 @@ def _compare_with(monkeypatch, oracle):
     def checked(task):
         members.clear()
         pass_ms, reports = run_task(task)
-        (_, n, layouts, _), orbit = task
+        (_, _, layouts, _), orbit = task
         assert list(reports) == list(orbit)
         for a, source in zip(orbit, members, strict=True):
-            expected = [oracle(Instance(n, a, lay.I, lay.J), lay, source) for lay in layouts]
+            expected = [oracle(a, lay, source) for lay in layouts]
             assert list(map(_stripped, reports[a])) == list(map(_stripped, expected))
         compared[0] += sum(map(len, reports.values()))
         return pass_ms, reports

@@ -33,7 +33,7 @@ from qdyson.laurent import FactoredProduct, LaurentPoly, Pair, ct_of_factor_list
 from qdyson.firstlayer import first_layer_headroom
 from qdyson.paired import compile_layout, paired_headroom
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial, q_multinomial_poly
-from qdyson.sweeps import a_grid, layout_grid, verify
+from qdyson.sweeps import a_grid, verify
 
 
 def as_int(p):
@@ -185,16 +185,6 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             Instance(n, a, I, J)
     assert Instance(2, (1, 0, 2)).total == 3
-
-
-def test_with_layout_is_the_validated_instance():
-    """Attaching a compiled layout gives the instance that validating
-    (n, a, I, J) gives, for every layout over x_0..x_3."""
-    base = Instance(3, (2, 0, 1, 2))
-    for I, J in layout_grid(3, 0, 3):  # noqa: E741
-        inst = base.with_layout(compile_layout(3, I, J))
-        assert inst == Instance(3, base.a, I, J)
-        assert hash(inst) == hash(Instance(3, base.a, I, J))
 
 
 @pytest.mark.parametrize("n, amax", [(3, 2), (4, 1)])

@@ -147,20 +147,20 @@ def test_target_vector():
     assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
 
 
-def verify_first_layer_oracle(inst, layout, source):
+def verify_first_layer_oracle(a, layout, source):
     """The first-layer check with ``QPoly`` arithmetic, reading the whole box
     of ``source`` unpacked at once: the closed form built as a ``QRat``,
     compared with the brute coefficient by cross-multiplication and rendered
     by exact division.  The packed ``verify_first_layer`` must give the same
     report, ``elapsed_ms`` apart."""
     t0 = time.perf_counter()
-    closed = first_layer_closed(inst, layout)
-    brute = source.expanded.coeff(first_layer_target(inst))
+    closed = first_layer_closed(a, layout)
+    brute = source.expanded.coeff(first_layer_target(Instance(layout.n, a, layout.I, layout.J)))
     q1_brute = brute.at_q1()
-    q1_closed = first_layer_closed_q1(inst)
+    q1_closed = first_layer_closed_q1(a, layout)
     holds = QRat(brute) == closed and q1_closed == q1_brute
     return report(
-        "firstlayer", inst, t0, holds, brute, closed,
+        "firstlayer", a, layout, t0, holds, brute, closed,
         lambda: {"q1_brute": str(q1_brute), "q1_closed": str(q1_closed)},
     )
 
@@ -169,9 +169,9 @@ class TestClosedForm:
     def test_rejects_empty_layer(self):
         inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
-            first_layer_closed(inst, compiled(inst))
+            first_layer_closed(inst.a, compiled(inst))
         with pytest.raises(ValueError):
-            first_layer_closed_q1(inst)
+            first_layer_closed_q1(inst.a, compiled(inst))
 
     def test_verify_rejects_empty_layer_before_extraction(self):
         class Unreadable:
@@ -180,33 +180,33 @@ class TestClosedForm:
 
         inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
-            verify_first_layer(inst, compiled(inst), Unreadable())
+            verify_first_layer(inst.a, compiled(inst), Unreadable())
 
     def test_verify_rejects_a_source_without_headroom(self):
         inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
         layout = compiled(inst)
         source = q_dyson_source(inst, *layout.box, first_layer_headroom(layout) - 1)
         with pytest.raises(ValueError):
-            verify_first_layer(inst, layout, source)
+            verify_first_layer(inst.a, layout, source)
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
         brute = shared_source([inst]).coeff(first_layer_target(inst))
         assert brute == QPoly(0, (-1, -1))
         assert brute.render() == "-1 - 1*q"
-        assert QRat(brute) == first_layer_closed(inst, compiled(inst))
+        assert QRat(brute) == first_layer_closed(inst.a, compiled(inst))
 
     def test_known_coefficient_with_offset_start(self):
         # smallest selected index > 0 exercises the t > 0 branch
         inst = Instance(2, (1, 1, 1), (1,), (0,))
         brute = shared_source([inst]).coeff(first_layer_target(inst))
         assert brute == QPoly(2, (-1, -1))
-        assert QRat(brute) == first_layer_closed(inst, compiled(inst))
+        assert QRat(brute) == first_layer_closed(inst.a, compiled(inst))
 
     def test_denominator_takes_each_value_once(self):
         # the seven subsets of I have denominators 1 - q^d, d in {4,4,4,3,3,3,2}
         inst = Instance(3, (1, 1, 1, 1), (0, 1, 2), (3, 3, 3))
-        closed = first_layer_closed(inst, compiled(inst))
+        closed = first_layer_closed(inst.a, compiled(inst))
         assert closed.den == one_minus_q(2) * one_minus_q(3) * one_minus_q(4)
         assert QRat(shared_source([inst]).coeff(first_layer_target(inst))) == closed
 
@@ -217,7 +217,7 @@ class TestClosedForm:
                 source = shared_source(insts)
                 for inst in insts:
                     brute = source.coeff(first_layer_target(inst))
-                    assert QRat(brute) == first_layer_closed(inst, compiled(inst)), inst
+                    assert QRat(brute) == first_layer_closed(inst.a, compiled(inst)), inst
 
     def test_failing_check_reports_as_the_qpoly_check(self):
         """Read off the product of another a, 70 of the 72 checks of a small
@@ -230,8 +230,8 @@ class TestClosedForm:
             wrong = shared_source([Instance(2, (a[0] + 1,) + a[1:], i.I, i.J) for i in insts])
             for inst in insts:
                 layout = compiled(inst)
-                rep = verify_first_layer(inst, layout, wrong)
-                expected = verify_first_layer_oracle(inst, layout, wrong)
+                rep = verify_first_layer(inst.a, layout, wrong)
+                expected = verify_first_layer_oracle(inst.a, layout, wrong)
                 assert (rep.holds, rep.lhs, rep.rhs, rep.params) == (
                     expected.holds, expected.lhs, expected.rhs, expected.params
                 ), inst
@@ -244,7 +244,7 @@ class TestQ1:
         a = (1, 1, 1)
         classical = classical_product(Instance(2, a))
         for inst, value in ((Instance(2, a, (0,), (1,)), -2), (Instance(2, a, (0, 1), (2, 2)), 2)):
-            assert first_layer_closed_q1(inst) == Fraction(value)
+            assert first_layer_closed_q1(inst.a, compiled(inst)) == Fraction(value)
             assert shared_source([inst]).coeff(first_layer_target(inst)).at_q1() == value
             assert as_int(classical.coeff(first_layer_target(inst))) == value
 
@@ -256,7 +256,7 @@ class TestQ1:
                 seen = {}
                 for inst in all_layouts(n, a):
                     value = as_int(source.coeff(first_layer_target(inst)))
-                    closed = first_layer_closed_q1(inst)
+                    closed = first_layer_closed_q1(inst.a, compiled(inst))
                     assert value == closed, inst
                     if inst.I in seen:
                         assert seen[inst.I] == value, inst

@@ -16,6 +16,7 @@ from qdyson.kadell import (
     verify_q_kadell,
 )
 from qdyson.laurent import ct_of_factor_list, expand_product
+from qdyson.paired import compile_layout
 from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
 from qdyson.reports import dumps, report
 from qdyson.sweeps import verify
@@ -31,18 +32,18 @@ from tests.test_dyson import (
 from tests.test_firstlayer import all_layouts
 
 
-def verify_kadell_oracle(inst, layout, source):
+def verify_kadell_oracle(a, layout, source):
     """The kadell check reading the whole box of ``source`` unpacked at
     once and adding the coefficients at the flipped monomials at q = 1, one
     by one.  ``verify_kadell``, which adds them packed and unpacks the sum,
     must give the same report, ``elapsed_ms`` apart."""
     t0 = time.perf_counter()
     ct = sum(sign * source.expanded.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
-    lhs = (1 + inst.total - inst.selected_total) * ct
-    closed = corrected_ct_closed(inst) if inst.m > 0 else None
-    holds = lhs == corrected_dyson_rhs(inst) and (closed is None or closed == ct)
+    lhs = (1 + sum(a) - sum(a[i] for i in layout.I)) * ct
+    closed = corrected_ct_closed(a, layout) if layout.I else None
+    holds = lhs == corrected_dyson_rhs(a) and (closed is None or closed == ct)
     extra = {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": str(closed)}
-    return report("kadell", inst, t0, holds, lhs, corrected_dyson_rhs(inst), lambda: extra)
+    return report("kadell", a, layout, t0, holds, lhs, corrected_dyson_rhs(a), lambda: extra)
 
 
 def test_positional_pairs():
@@ -78,21 +79,21 @@ def test_corrected_ct_known_values():
     a = (1, 1, 1)
     for I, J, value in (((0,), (1,), 8), ((0, 1), (2, 2), 12)):
         inst = Instance(2, a, I, J)
-        assert corrected_ct(inst, compiled(inst), shared_source([inst])) == value
-    assert corrected_ct_closed(Instance(2, a, (0,), (1,))) == 8
-    assert corrected_ct_closed(Instance(2, a, (0, 1), (2, 2))) == 12
+        assert corrected_ct(compiled(inst), shared_source([inst])) == value
+    assert corrected_ct_closed(a, compile_layout(2, (0,), (1,))) == 8
+    assert corrected_ct_closed(a, compile_layout(2, (0, 1), (2, 2))) == 12
 
 
 def test_closed_form_rejects_empty_layer():
     with pytest.raises(ValueError):
-        corrected_ct_closed(Instance(2, (1, 1, 1)))
+        corrected_ct_closed((1, 1, 1), compile_layout(2, (), ()))
 
 
 def test_empty_layer_reduces_to_plain_product():
     # no correction factors: the scaled identity becomes (1+a) * CT = (1+a) * mult
     inst = Instance(2, (2, 1, 0))
     rep = verify("kadell", inst.n, inst.a)
-    assert rep.lhs == rep.rhs == str(corrected_dyson_rhs(inst))
+    assert rep.lhs == rep.rhs == str(corrected_dyson_rhs(inst.a))
     assert rep.holds and "ct_closed" not in rep.params["extra"]
 
 
@@ -106,13 +107,13 @@ def test_identity_small_grid():
             source = shared_source(insts)
             classical = classical_product(Instance(n, a))
             for inst in insts:
-                ct = corrected_ct(inst, compiled(inst), source)
+                ct = corrected_ct(compiled(inst), source)
                 correction = expand_product(correction_factors(inst), n)
                 assert ct == as_int(ct_times(classical, correction)), inst
                 scale = 1 + sum(a) - sum(a[i] for i in inst.I)
-                assert scale * ct == corrected_dyson_rhs(inst), inst
+                assert scale * ct == corrected_dyson_rhs(a), inst
                 if inst.m > 0:
-                    assert corrected_ct_closed(inst) == ct, inst
+                    assert corrected_ct_closed(a, compiled(inst)) == ct, inst
 
 
 def test_verify_report_fields():

@@ -10,7 +10,7 @@ import pytest
 
 from benchmark import gate, workloads
 from qdyson import cli
-from qdyson.dyson import Instance
+from qdyson.paired import compile_layout
 from qdyson.reports import ReportRow, VerificationReport, report, write_jsonl
 from qdyson.sweeps import verify
 from tests.test_cli import two_usable_cpus
@@ -22,12 +22,20 @@ def canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def parsed(line):
+    """The report a line was encoded from, its ``params`` object taken apart
+    into the fields."""
+    fields = json.loads(line)
+    params = fields.pop("params")
+    return VerificationReport(**fields, **params)
+
+
 def assert_encoded(rep):
     """The line is ``to_dict()`` dumped canonically, and parses back to a
     report with the same line and fields."""
     line = rep.to_json()
     assert line == canonical(rep.to_dict())
-    again = VerificationReport(**json.loads(line))
+    again = parsed(line)
     assert again.to_json() == line and again.to_dict() == rep.to_dict()
 
 
@@ -47,10 +55,11 @@ EXTRAS = [
     {"pairing": [[0, 1], [2, 1]], "nested": [[], [1, [2, [3]]]], "semantics": "multiset"},
     {"U": [0], "floor": 0, "npc": True, "residual": [], "big": 10**40, "neg": -7},
 ]
+# (a, layout) of every instance shape: no layer, one pair, a repeated j
 INSTANCES = [
-    Instance(0, (0,)),
-    Instance(2, (1, 1, 1), (0,), (1,)),
-    Instance(4, (12, 0, 3, 0, 7), (0, 2), (1, 1)),
+    ((0,), compile_layout(0, (), ())),
+    ((1, 1, 1), compile_layout(2, (0,), (1,))),
+    ((12, 0, 3, 0, 7), compile_layout(4, (0, 2), (1, 1))),
 ]
 
 
@@ -60,11 +69,11 @@ def test_report_lines_are_the_canonical_dump(lhs, rhs, extra):
     """Strings with quotes, backslashes, control and non-ASCII characters;
     int, bool, nested-list and empty extras; either verdict; every
     instance shape: the joined line is the dump of ``to_dict()``."""
-    for holds, inst in itertools.product((True, False), INSTANCES):
+    for holds, (a, layout) in itertools.product((True, False), INSTANCES):
         built = None if extra is None else (lambda: extra)
-        rep = report("edge", inst, 0.0, holds, lhs, rhs, built)
+        rep = report("edge", a, layout, 0.0, holds, lhs, rhs, built)
         assert rep.params == {
-            "n": inst.n, "a": list(inst.a), "I": list(inst.I), "J": list(inst.J),
+            "n": layout.n, "a": list(a), "I": list(layout.I), "J": list(layout.J),
             "extra": {} if extra is None else extra,
         }
         assert_encoded(rep)
@@ -74,7 +83,7 @@ def test_report_lines_are_the_canonical_dump(lhs, rhs, extra):
     "elapsed_ms", [0.0, 0.001, 1.5, 123456789.125, 1e16, 1.7976931348623157e308]
 )
 def test_elapsed_ms_is_written_as_json_writes_it(elapsed_ms):
-    rep = replace(report("dyson", INSTANCES[1], 0.0, True, 6, 6), elapsed_ms=elapsed_ms)
+    rep = replace(report("dyson", *INSTANCES[1], 0.0, True, 6, 6), elapsed_ms=elapsed_ms)
     assert_encoded(rep)
     assert json.loads(rep.to_json())["elapsed_ms"] == elapsed_ms
 
@@ -96,15 +105,32 @@ def test_a_verify_report_is_the_canonical_dump(args):
     assert json.loads(rep.to_json())["elapsed_ms"] == rep.elapsed_ms
 
 
-def test_a_report_derived_with_params_takes_them():
-    """``replace(report, params=...)`` sets the instance and ``extra`` from
-    the mapping, as a parsed line does."""
-    rep = report("main", INSTANCES[1], 0.0, True, "x", "x", lambda: {"ct": "1"})
-    params = rep.params | {"a": [3, 2, 1], "extra": {"ct": "1", "confirmed": True}}
-    derived = replace(rep, params=params)
-    assert derived.params == params and derived.a == (3, 2, 1)
-    assert rep.params["extra"] == {"ct": "1"}
+def test_a_report_derived_with_extra_takes_it():
+    """``replace(report, extra=...)`` gives a new report with that
+    ``extra`` and every other field kept; the report it came from keeps
+    its own."""
+    rep = report("main", *INSTANCES[2], 0.0, False, "x", "y", lambda: {"ct": "1"})
+    derived = replace(rep, extra=rep.extra | {"confirmed": True})
+    assert derived.extra == {"ct": "1", "confirmed": True} and rep.extra == {"ct": "1"}
+    assert derived.params == rep.params | {"extra": derived.extra}
+    assert derived.to_dict() == rep.to_dict() | {"params": derived.params}
     assert_encoded(derived)
+
+
+@pytest.mark.parametrize("extra", EXTRAS)
+def test_a_row_takes_the_params_of_its_line_apart(extra):
+    """A ``ReportRow`` reads n, a, I, J and ``extra`` off its line's
+    ``params`` into the fields of its report, a, I and J as tuples, for
+    every instance shape and either verdict."""
+    for holds, (a, layout) in itertools.product((True, False), INSTANCES):
+        rep = report("edge", a, layout, 0.0, holds, "1", "2", extra and (lambda: extra))
+        row = ReportRow(holds, rep.to_json())
+        assert (row.n, row.a, row.I, row.J) == (layout.n, a, layout.I, layout.J)
+        assert type(row.a) is type(row.I) is type(row.J) is tuple
+        assert row.extra == rep.extra and row.params == rep.params
+        assert (row.identity, row.lhs, row.rhs) == ("edge", "1", "2")
+        assert row.elapsed_ms == rep.elapsed_ms
+        assert row.to_dict() == rep.to_dict()
 
 
 def test_one_writer_for_every_jsonl_file(tmp_path):

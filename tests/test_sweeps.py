@@ -10,7 +10,8 @@ import pytest
 from benchmark.tracing import Tracer
 from benchmark.workloads import GRID_SETS
 from qdyson import cli, dyson, kadell, laurent, sweeps
-from qdyson.paired import npc_holds
+from qdyson.dyson import Instance, q_dyson_source
+from qdyson.paired import compile_layout, npc_holds
 from qdyson.reports import ReportRow
 from qdyson.sweeps import (
     SweepConfig,
@@ -208,6 +209,75 @@ def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
     monkeypatch.setattr("qdyson.sweeps._run_task", encoding)
     rep = verify(name, 3, (1, 1, 1, 1), *layer)
     assert json.loads(rep.to_json())["elapsed_ms"] == rep.elapsed_ms
+
+
+@pytest.mark.parametrize("name", [name for name, row in sweeps.IDENTITIES.items() if row.check])
+def test_a_check_reports_the_layer_of_its_layout(name):
+    """For every layout of ``layout_grid(3, 0, 3)`` the identity's row
+    accepts, its check of a on that compiled layout holds, and the report's
+    n, a, I and J are a and the layout's: a check reads (n, I, J) from its
+    layout and nowhere else."""
+    identity, a = sweeps.IDENTITIES[name], (1, 2, 1, 1)
+    mmin, checked = identity.mmin, 0
+    for I, J in layout_grid(3, 0, 3):  # noqa: E741
+        if (len(I) > 0 if mmin is None else len(I) < mmin) or not identity.admissible(I, J):
+            continue
+        layout = compile_layout(3, I, J)
+        source = q_dyson_source(Instance(3, a), *identity.reads(layout), identity.headroom(layout))
+        rep = identity.check(a, layout, source)
+        assert rep.holds and rep.identity == name, (I, J)
+        assert (rep.n, rep.a, rep.I, rep.J) == (layout.n, a, layout.I, layout.J) == (3, a, I, J)
+        checked += 1
+    assert checked == {None: 1, 0: 35, 1: 34}[mmin]
+
+
+def test_a_sweep_validates_one_instance_per_orbit(monkeypatch):
+    """During ``_execute`` of ``sweep main --n 3 --amax 2`` the only
+    ``Instance`` built is one per cyclic orbit, for its first member, the
+    product's a: no check builds one."""
+    built, post_init = [], Instance.__post_init__
+
+    def counting(inst):
+        built.append(inst.a)
+        post_init(inst)
+
+    execute, during = sweeps._execute, []
+
+    def executing(orbits, context, jobs):
+        built.clear()
+        out = execute(orbits, context, jobs)
+        during.append(list(built))
+        return out
+
+    monkeypatch.setattr(Instance, "__post_init__", counting)
+    monkeypatch.setattr("qdyson.sweeps._execute", executing)
+    _, summary = run_sweep(SweepConfig(identity="main", n=3, amax=2))
+    assert summary["failed"] == 0 and summary["total"] == 35 * 81
+    assert during == [[orbit[0] for orbit in cyclic_orbits(a_grid(3, 2))]]
+    assert len(during[0]) == 24
+
+
+def test_a_lemma_suite_over_a_limit_fails_before_drawing(monkeypatch, capsys):
+    """A lemma suite with n past MAX_LEMMA_N or amax past MAX_LEMMA_AMAX
+    exits 2 naming the limit, before anything is drawn; a suite at both
+    limits runs."""
+    suite = sweeps.lemma_suite_reports
+    monkeypatch.setattr("qdyson.sweeps.lemma_suite_reports", None)
+    for argv, limit in (
+        (["--n", "1000000000", "--amax", "5"], "MAX_LEMMA_N = 16"),
+        (["--n", "7", "--amax", "1000000000"], "MAX_LEMMA_AMAX = 256"),
+    ):
+        assert cli.main(["sweep", "lemmas", *argv]) == 2
+        assert limit in capsys.readouterr().err
+    monkeypatch.setattr("qdyson.sweeps.MAX_LEMMA_N", 4)
+    monkeypatch.setattr("qdyson.sweeps.MAX_LEMMA_AMAX", 3)
+    for argv, limit in ((["--n", "5", "--amax", "3"], "MAX_LEMMA_N = 4"),
+                        (["--n", "4", "--amax", "4"], "MAX_LEMMA_AMAX = 3")):
+        assert cli.main(["sweep", "lemmas", *argv]) == 2
+        assert limit in capsys.readouterr().err
+    monkeypatch.setattr("qdyson.sweeps.lemma_suite_reports", suite)
+    assert cli.main(["sweep", "lemmas", "--n", "4", "--amax", "3"]) == 0
+    assert "failed=0" in capsys.readouterr().out
 
 
 def test_verify_rejects_what_only_sweeps(monkeypatch):
