@@ -29,7 +29,8 @@ n and a: ``pair_factors`` is the one loop over the pairs, given the
 lengths of each pair's two q-shifted factorials, for the q-Dyson product
 and for ``kadell``'s modified one.  A check builds no product: it reads
 the coefficients from ``source``, one pruned pass its caller made over a
-box that holds what the check reads.  Which box that is, is the read rule
+box that holds what the check reads, and refuses a source that is not the
+product of its a with ``ValueError``.  Which box that is, is the read rule
 of the identity's row in ``sweeps.IDENTITIES``: for the constant terms
 here, the box of the empty layer, the origin.
 """
@@ -197,8 +198,8 @@ def q_dyson_source(
 ) -> FactoredProduct:
     """The q-Dyson product's coefficients over the box lo <= e <= hi,
     packed with ``headroom`` spare bits for the checks that compute on
-    them."""
-    return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom)
+    them, and recording inst.a, which every check compares with its own."""
+    return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom, inst.a)
 
 
 def verify_q_dyson(
@@ -206,6 +207,7 @@ def verify_q_dyson(
 ) -> VerificationReport:
     """Constant term of the q-analog product of a against the
     q-multinomial; ``layout`` is the empty layer over x_0..x_n."""
+    source.check_a(a)
     t0 = time.perf_counter()
     ct = source.constant_term()
     rhs = q_multinomial_poly(a)
@@ -218,6 +220,7 @@ def verify_dyson(
     """Constant term of the classical product of a, read off the
     q-product's constant term at q = 1, against the multinomial;
     ``layout`` is the empty layer over x_0..x_n."""
+    source.check_a(a)
     t0 = time.perf_counter()
     ct = source.constant_term().at_q1()
     rhs = multinomial(a)

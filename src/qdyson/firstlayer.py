@@ -29,8 +29,9 @@ sides are integers at q = 2^k, as the source keeps the coefficients, with
 the spare bits of k that ``first_layer_headroom`` derives.
 ``first_layer_closed`` builds the closed form as a ``QRat`` to render it
 when a check fails.  The q = 1 closed value depends on I and a only and is
-computed once per pair.  Like every check, these read an exponent vector a
-and the compiled ``Layout`` of the layer.
+computed once per pair, its terms grouped by denominator as on the q side
+and folded as integers into one ``Fraction``.  Like every check, these read
+an exponent vector a and the compiled ``Layout`` of the layer.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def first_layer_closed_q1(a: tuple[int, ...], layout: Layout) -> Fraction:
         multinomial(a) * sum over nonempty T subset I of
             (-1)^|T| * (sum of a over T) / (1 + total - sum of a over T)
 
-    Independent of J, so it is computed once per (I, a).
+    Independent of J, so it is computed once per (I, a).  As on the q side
+    (``first_layer_closed``), the terms are grouped by their denominator
+    d = 1 + total - (sum of a over T) and folded as integers into one
+    numerator over the product of the distinct d, so it builds a single
+    ``Fraction``.
     """
     if not layout.I:
         raise ValueError("layer must select at least one index")
@@ -148,12 +153,15 @@ def first_layer_closed_q1(a: tuple[int, ...], layout: Layout) -> Fraction:
 @functools.lru_cache(maxsize=1024)
 def _closed_q1(I: tuple[int, ...], a: tuple[int, ...]) -> Fraction:  # noqa: E741
     total = sum(a)
-    acc = Fraction(0)
+    groups: dict[int, int] = {}
     for T in nonempty_subsets(I):
         s_t = sum(a[k] for k in T)
-        term = Fraction(s_t, 1 + total - s_t)
-        acc += -term if len(T) % 2 else term
-    return multinomial(a) * acc
+        d = 1 + total - s_t
+        groups[d] = groups.get(d, 0) + (-s_t if len(T) % 2 else s_t)
+    num, den = 0, 1
+    for d, part in groups.items():
+        num, den = num * d + part * den, den * d
+    return Fraction(multinomial(a) * num, den)
 
 
 def first_layer_headroom(layout: Layout) -> int:
@@ -192,13 +200,16 @@ def verify_first_layer(
     ``qpoly.q_multinomial_at``.  A check that holds
     prints the brute's text on both sides, which is what the closed form
     renders to; only a failing one builds and renders
-    ``first_layer_closed``.  An empty layer is rejected before anything is
-    read, and a source with less headroom than ``first_layer_headroom``
+    ``first_layer_closed``.  The one target is read once, by ``coeff``,
+    which checks the box; its packed integer is then a plain dict lookup.
+    An empty layer is rejected before anything is read, and a source with
+    less headroom than ``first_layer_headroom``, or not the product of a,
     with ``ValueError``."""
     if not layout.terms:
         raise ValueError("layer must select at least one index")
     if source.headroom < first_layer_headroom(layout):
         raise ValueError("source packed with too little headroom for the first-layer check")
+    source.check_a(a)
     t0 = time.perf_counter()
     total, k = sum(a), source.k
     exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
@@ -214,8 +225,8 @@ def verify_first_layer(
     for d, part in groups.items():
         num, den = num - (num << (k * d)) + part * den, den - (den << (k * d))
     target = layout.subsets[-1][0]
-    brute_den = source.packed_coeff(target) * den
     brute = source.coeff(target)
+    brute_den = source.packed.get(target, 0) * den
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(a, layout)
     holds = (

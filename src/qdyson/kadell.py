@@ -9,11 +9,17 @@ a clean rational factor:
 The correction binomials carry no q, so the corrected classical constant term
 is read off the corrected q-Dyson one at q = 1.  Multiplied out they are the
 signed layer monomials of a compiled ``Layout``, so the check adds the
-source's packed integers at the layout's flipped monomials with signs,
-unpacks the sum once and takes it at q = 1.  The sum needs no headroom:
-its terms are coefficients of one product at distinct monomials, so its
+source's packed integers at the layout's flipped monomials with signs and
+takes the sum at q = 1 without unpacking it.  The sum v is p(2^k) for a
+polynomial p in q, and 2^k = 1 modulo 2^k - 1, so v = p(1) modulo 2^k - 1.
+Its terms are coefficients of one product at distinct monomials, so p's
 q-coefficients have L1 norm at most B, the bound of
-``laurent.packed_in_box`` that every source's k already clears.
+``laurent.packed_in_box`` that every source's k already clears, and
+|p(1)| <= B < 2^(k-1).  So p(1) is the residue of v modulo 2^k - 1 of
+absolute value below 2^(k-1): one big-integer ``%``
+(``qpoly.packed_at_q1``), with no ``QPoly`` built and no headroom.  The
+multinomial of the right side comes with the closed form, once per
+(a, sum of a over I).
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
 one does NOT satisfy the corresponding identity.  Its product is the
@@ -32,19 +38,21 @@ from fractions import Fraction
 
 from .dyson import Instance, Layout, pair_factors
 from .laurent import FactoredProduct, Pair, ct_of_factor_list
-from .qpoly import QPoly, multinomial, one_minus_q, q_multinomial_poly, unpack
+from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, q_multinomial_poly
 from .reports import VerificationReport, report
 
 
-def corrected_ct(layout: Layout, source: FactoredProduct) -> int:
-    """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product, taken
-    at q = 1 from ``source``, the q-Dyson product, with ``layout`` the
-    compiled layer of the binomials.  They multiply out to the sum over
-    subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
-    sum of (-1)^|S| times the coefficient at the flipped monomial, summed
-    packed and unpacked once."""
-    packed = sum(sign * source.packed_coeff(flipped) for flipped, sign, _ in layout.subsets)
-    return unpack(packed, source.k, 0).at_q1()
+def corrected_ct(a: tuple[int, ...], layout: Layout, source: FactoredProduct) -> int:
+    """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product of a,
+    taken at q = 1 from ``source``, the q-Dyson product of a, with
+    ``layout`` the compiled layer of the binomials.  They multiply out to
+    the sum over subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant
+    term is the sum of (-1)^|S| times the coefficient at the flipped
+    monomial, summed packed and read at q = 1 by one residue.  The reads
+    lie in ``layout.box``, checked once."""
+    packed = source.reads(a, *layout.box)
+    v = sum(sign * packed.get(flipped, 0) for flipped, sign, _ in layout.subsets)
+    return packed_at_q1(v, source.k)
 
 
 def corrected_dyson_rhs(a: tuple[int, ...]) -> int:
@@ -65,11 +73,14 @@ def corrected_ct_closed(a: tuple[int, ...], layout: Layout) -> Fraction:
 
 
 @functools.lru_cache(maxsize=1024)
-def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[Fraction, str]:
-    """The closed form at a, with s_i the sum of a over I, and its text:
-    once per (a, s_i), which is all it reads."""
-    closed = (1 + Fraction(s_i, 1 + sum(a) - s_i)) * multinomial(a)
-    return closed, str(closed)
+def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[Fraction, str, int]:
+    """The closed form at a, with s_i the sum of a over I, its text and the
+    right side ``corrected_dyson_rhs(a)`` of the scaled identity, which it
+    divides by 1 + total - s_i: once per (a, s_i), which is all they
+    read."""
+    rhs = corrected_dyson_rhs(a)
+    closed = Fraction(rhs, 1 + sum(a) - s_i)
+    return closed, str(closed), rhs
 
 
 def verify_kadell(
@@ -79,15 +90,14 @@ def verify_kadell(
     product-free value, and the corrected constant term itself against its
     closed form, on the compiled layout."""
     t0 = time.perf_counter()
-    ct = corrected_ct(layout, source)
+    ct = corrected_ct(a, layout, source)
     s_i = sum(a[i] for i in layout.I)
     lhs = (1 + sum(a) - s_i) * ct
-    rhs = corrected_dyson_rhs(a)
-    closed, closed_text = _ct_closed(a, s_i) if layout.I else (None, None)
-    holds = lhs == rhs and (closed is None or closed == ct)
+    closed, closed_text, rhs = _ct_closed(a, s_i)
+    holds = lhs == rhs and (not layout.I or closed == ct)
     return report(
         "kadell", a, layout, t0, holds, lhs, rhs,
-        lambda: {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": closed_text},
+        lambda: {"ct": str(ct), "ct_closed": closed_text} if layout.I else {"ct": str(ct)},
     )
 
 

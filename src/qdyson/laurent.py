@@ -21,12 +21,15 @@ caller that goes on computing with the packed values asks for
 computes.
 
 ``FactoredProduct`` runs the pass once per product and keeps the packed
-integers: the layer checks read them as they are (``packed_coeff``) and do
-their sums and products on integers, and ``coeff`` unpacks one coefficient
-on each read.  A read looks its key up first and checks the box only when
-the key is missing.  ``rotated`` turns the q-Dyson product D(a) over a cube
-into D(rot(a))'s over the same cube without a pass, by rotating each key
-one place and shifting its packed integer: a layer sweep makes one pass
+integers and, for a q-Dyson product, its exponent vector a.  Every check
+first compares its own a with the product's (``check_a``).  A check that
+reads many coefficients then checks once that its read box lies in the
+product's (``reads``) and reads each as a plain ``dict.get`` with default
+0, as the pass keeps no zero and drops nothing else inside its box;
+``packed_coeff`` and ``coeff`` read one coefficient, packed or unpacked,
+after the same box check.  ``rotated`` turns the q-Dyson product D(a) over
+a cube into D(rot(a))'s over the same cube without a pass, by rotating each
+key one place and shifting its packed integer: a layer sweep makes one pass
 per cyclic orbit of a and steps it once per further member.
 ``ct_of_factor_list`` is the pass over a single point.
 
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import gt, mul
+from operator import gt, lt, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .qpoly import ONE, ZERO, QPoly, q_binomial_row, unpack
@@ -291,9 +294,11 @@ class FactoredProduct:
     coefficients at every exponent vector of the box lo <= e <= hi, taken
     in one pruned pass at construction and kept packed, with ``headroom``
     spare bits of k for the caller's arithmetic on them (see
-    ``packed_in_box``).  The box is the set of coefficients the caller's
-    checks read; reading outside it raises ``ValueError`` instead of
-    returning a zero that was never computed.  ``coeff`` unpacks one
+    ``packed_in_box``).  ``a`` is the exponent vector of the q-Dyson
+    product the source holds, which ``dyson.q_dyson_source`` records, and
+    None for any other product.  The box is the set of coefficients the
+    caller's checks read; reading outside it raises ``ValueError`` instead
+    of returning a zero that was never computed.  ``coeff`` unpacks one
     coefficient; ``expanded`` is the whole box unpacked, once; ``rotated``
     makes the product of a rotated exponent vector from a q-Dyson
     product."""
@@ -305,26 +310,45 @@ class FactoredProduct:
         lo: Sequence[int],
         hi: Sequence[int],
         headroom: int = 0,
+        a: tuple[int, ...] | None = None,
     ) -> None:
         self.n = n
         self.lo = tuple(lo)
         self.hi = tuple(hi)
         self.headroom = headroom
+        self.a = a
         self.packed, self.k = packed_in_box(n, pairs, lo, hi, headroom)
 
+    def check_a(self, a: tuple[int, ...]) -> None:
+        """Raises ``ValueError`` unless this is the q-Dyson product of the
+        exponent vector a: a check's one tuple comparison before it reads."""
+        if a != self.a:
+            raise ValueError(f"the source is the product of a = {self.a!r}, not of {a!r}")
+
+    def reads(
+        self, a: tuple[int, ...], lo: Sequence[int], hi: Sequence[int]
+    ) -> dict[Monomial, int]:
+        """The packed coefficients by exponent vector, for a check of the
+        product of a that reads only inside the box lo..hi, where every
+        vector missing from the dict has coefficient 0 (the pass keeps no
+        zero).  Before anything is read, ``check_a`` and one box check:
+        ``ValueError`` unless lo..hi lies inside the box of the pass."""
+        self.check_a(a)
+        self._check_box(lo, hi)
+        return self.packed
+
+    def _check_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
+        if any(map(lt, lo, self.lo)) or any(map(gt, hi, self.hi)):
+            raise ValueError(
+                f"exponents {tuple(lo)!r}..{tuple(hi)!r} outside the box {self.lo!r}..{self.hi!r}"
+            )
+
     def packed_coeff(self, target: Sequence[int]) -> int:
-        """The coefficient at ``target``, a polynomial in q, at q = 2^k.  A
-        key the pass did not keep reads 0 inside the box, where the pass
-        dropped only zeros.  Every kept key lies in the box, so a read
-        checks the box only on a miss."""
+        """The coefficient at ``target``, a polynomial in q, at q = 2^k; a
+        target outside the box raises ``ValueError``."""
         key = tuple(target)
-        value = self.packed.get(key)
-        if value is not None:
-            return value
-        for e, b, c in zip(key, self.lo, self.hi):
-            if e < b or e > c:
-                raise ValueError(f"exponent {key!r} outside the box {self.lo!r}..{self.hi!r}")
-        return 0
+        self._check_box(key, key)
+        return self.packed.get(key, 0)
 
     def coeff(self, target: Sequence[int]) -> QPoly:
         return unpack(self.packed_coeff(target), self.k, 0)
@@ -342,8 +366,8 @@ class FactoredProduct:
         shift is exact, as the coefficients of both products are
         polynomials in q (see ``packed_in_box``).  k and headroom carry
         over, as k reads only the sum of the pairs' lengths, n total, which
-        rotation keeps.  A box that is not a cube raises ``ValueError``, as
-        only a cube is closed under rot."""
+        rotation keeps, and a becomes rot(a).  A box that is not a cube
+        raises ``ValueError``, as only a cube is closed under rot."""
         if len(set(self.lo)) > 1 or len(set(self.hi)) > 1:
             raise ValueError(f"the box {self.lo!r}..{self.hi!r} is not a cube")
         k = self.k
@@ -353,6 +377,7 @@ class FactoredProduct:
             packed[e[-1:] + e[:-1]] = c >> s if s >= 0 else c << -s
         out = object.__new__(FactoredProduct)
         out.n, out.lo, out.hi, out.headroom = self.n, self.lo, self.hi, self.headroom
+        out.a = None if self.a is None else self.a[-1:] + self.a[:-1]
         out.packed, out.k = packed, k
         return out
 

@@ -36,7 +36,10 @@ layer identities reads every exponent by a dot product with a.
 ``verify_paired`` computes on the product's coefficients as the source keeps
 them, packed into integers at q = 2^k, so both sides of the identity are
 compared as two integers; ``paired_headroom`` derives the spare bits of k
-that make the comparison exact.
+that make the comparison exact.  It checks once that its reads lie in the
+layout's box and then reads each coefficient as a plain dict lookup.  The
+report's ``extra`` depends on the layout alone, so it is built, and its
+JSON text encoded, once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -55,7 +58,7 @@ from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import QPoly, ZERO, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
-from .reports import VerificationReport, report
+from .reports import Extra, VerificationReport, report
 
 class NpcViolationError(ValueError):
     """The layer's pairing contains the crossing pattern the identity
@@ -174,6 +177,12 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     return rhs, unpack(rhs, k, 0).render()
 
 
+@functools.lru_cache(maxsize=256)  # a grid sweep has at most 125 layouts up to n = 4
+def _pairing(I: tuple[int, ...], J: tuple[int, ...]) -> Extra:  # noqa: E741
+    """The ``extra`` of every report of the layout (I, J), with its text."""
+    return Extra({"semantics": "multiset", "pairing": [[i, j] for i, j in zip(I, J)]})
+
+
 def verify_paired(
     a: tuple[int, ...], layout: Layout, source: FactoredProduct
 ) -> VerificationReport:
@@ -187,15 +196,17 @@ def verify_paired(
     side's text on both sides; only a failing one unpacks its left side.
     Layers violating the no-crossing condition are rejected with
     ``NpcViolationError``, and a source with less headroom than
-    ``paired_headroom`` with ``ValueError``."""
+    ``paired_headroom``, or not the product of a, or whose box does not
+    hold ``layout.box``, with ``ValueError``."""
     if not npc_holds(layout.I, layout.J):
         raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
     if source.headroom < paired_headroom(layout):
         raise ValueError("source packed with too little headroom for the paired check")
     t0 = time.perf_counter()
     k = source.k
+    packed = source.reads(a, *layout.box)
     terms = [
-        (sign, source.packed_coeff(flipped), evaluate(chain, a))
+        (sign, packed.get(flipped, 0), evaluate(chain, a))
         for flipped, sign, chain in layout.subsets
     ]
     base = min(e for _, _, e in terms)
@@ -209,7 +220,7 @@ def verify_paired(
     holds = packed_equal(lhs, rhs, base, k)
     return report(
         "main", a, layout, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
-        lambda: {"semantics": "multiset", "pairing": [[i, j] for i, j in zip(layout.I, layout.J)]},
+        lambda: _pairing(layout.I, layout.J),
     )
 
 

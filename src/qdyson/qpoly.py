@@ -11,8 +11,9 @@ integers, their values at q = 2^k (Kronecker substitution), by one exact
 step, ``_times_ratio``, which multiplies by 1 - q^e and divides by 1 - q^i:
 ``q_multinomial_at`` runs it along a chain of binomials, ``q_binomial_row``
 once per entry of a row.  ``unpack`` reads such an integer back as a
-``QPoly`` and ``packed_equal`` compares two of them, so the packed format
-lives in this module; ``q_multinomial_poly`` is the chain unpacked.
+``QPoly``, ``packed_at_q1`` reads its value at q = 1 without unpacking it
+and ``packed_equal`` compares two of them, so the packed format lives in
+this module; ``q_multinomial_poly`` is the chain unpacked.
 """
 
 from __future__ import annotations
@@ -324,6 +325,18 @@ def unpack(v: int, k: int, low: int) -> QPoly:
         digits.append(d)
         v = (v - d) >> k
     return QPoly(low, digits)
+
+
+def packed_at_q1(v: int, k: int) -> int:
+    """p(1), for the polynomial p in q with p(2^k) = v and |p(1)| below
+    2^(k-1): as 2^k = 1 modulo 2^k - 1, so is every power of it, and
+    v = p(2^k) = p(1) modulo 2^k - 1; under the bound p(1) is the one
+    residue of absolute value below 2^(k-1).  One ``%``, no ``unpack``.
+    |p(1)| is at most the L1 norm of p's coefficients, so an L1 norm below
+    2^(k-1) is enough."""
+    m = (1 << k) - 1
+    r = v % m
+    return r - m if r >> (k - 1) else r
 
 
 def packed_equal(x: int, y: int, shift: int, k: int) -> bool:

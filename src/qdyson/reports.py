@@ -6,8 +6,10 @@ layer's (n, I, J) as the check had them, and its ``extra`` mapping.
 ``params``, ``to_dict()`` and the line are built from those fields when
 something reads them.  The line is joined from its parts
 (``VerificationReport.to_json``) and is the one ``dumps(to_dict())`` gives,
-byte for byte; the tests hold the two together.  ``write_jsonl`` is the one
-writer of a run's JSONL file.
+byte for byte; the tests hold the two together.  An ``extra`` that depends
+on the layout alone, as ``main``'s does, is an ``Extra``: built and encoded
+once per layout, and written as that text by every report that holds it.
+``write_jsonl`` is the one writer of a run's JSONL file.
 """
 
 from __future__ import annotations
@@ -28,6 +30,29 @@ def dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, compact separators.  Parsing a line and
     re-dumping it reproduces the bytes."""
     return _ENCODER.encode(obj)
+
+
+class Extra(dict):
+    """An ``extra`` mapping that the reports of many checks share, with its
+    JSON text ``text``, encoded once when it is built; ``to_json`` writes
+    that text.  Changing it in place raises ``TypeError``, as that would
+    change every report that holds it and leave its text stale: a report
+    with another ``extra`` is derived with ``dataclasses.replace``, and a
+    plain dict there, such as ``rep.extra | {...}``, is encoded anew."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, mapping: dict) -> None:
+        super().__init__(mapping)
+        self.text = dumps(self)
+
+    def __reduce__(self):
+        return Extra, (dict(self),)
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("an Extra is shared by many reports and is never changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
 
 
 @dataclass(init=False, slots=True)
@@ -92,8 +117,8 @@ class VerificationReport:
         sorted key order, on each call: a run encodes each report at most
         once.  The head (engine, verdict, identity) and the layer part
         ``"I":[..],"J":[..]`` come from small caches, the digits of a and n
-        and an ``extra`` of strings are joined here, and any other
-        ``extra`` goes through ``dumps``.  Strings are escaped by the
+        and an ``extra`` of strings are joined here, an ``Extra`` gives its
+        text, and any other ``extra`` goes through ``dumps``.  Strings are escaped by the
         encoder's own ``encode_basestring_ascii`` and the time, a finite
         float, is its ``repr``, as ``json`` writes them.  A pool worker
         encodes its reports, and only each one's ``holds`` and line go back
@@ -127,6 +152,8 @@ def _layer(I: tuple[int, ...], J: tuple[int, ...]) -> str:  # noqa: E741
 
 
 def _extra(extra: dict) -> str:
+    if type(extra) is Extra:
+        return extra.text
     parts = []
     for key in sorted(extra):
         value = extra[key]

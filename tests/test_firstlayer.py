@@ -15,7 +15,8 @@ from qdyson.firstlayer import (
     nonempty_subsets,
     verify_first_layer,
 )
-from qdyson.qpoly import QPoly, QRat, one_minus_q
+from qdyson.paired import compile_layout
+from qdyson.qpoly import QPoly, QRat, multinomial, one_minus_q
 from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import (
@@ -223,11 +224,13 @@ class TestClosedForm:
         """Read off the product of another a, 70 of the 72 checks of a small
         grid fail, and every report is the one the ``QPoly`` check gives: a
         failing one renders the closed form on the right, not the brute's
-        text."""
+        text.  The wrong product is relabelled with the checks' a, which a
+        check refuses to read otherwise."""
         failed = 0
         for a in itertools.product(range(1, 3), repeat=3):
             insts = list(all_layouts(2, a))
             wrong = shared_source([Instance(2, (a[0] + 1,) + a[1:], i.I, i.J) for i in insts])
+            wrong.a = a
             for inst in insts:
                 layout = compiled(inst)
                 rep = verify_first_layer(inst.a, layout, wrong)
@@ -239,7 +242,34 @@ class TestClosedForm:
         assert failed == 70
 
 
+def closed_q1_oracle(I, a):  # noqa: E741
+    """The q = 1 closed form as a sum of one ``Fraction`` per subset T."""
+    total, acc = sum(a), Fraction(0)
+    for T in nonempty_subsets(I):
+        s_t = sum(a[k] for k in T)
+        term = Fraction(s_t, 1 + total - s_t)
+        acc += -term if len(T) % 2 else term
+    return multinomial(a) * acc
+
+
 class TestQ1:
+    def test_integer_fold_is_the_fraction_sum(self):
+        """The closed form folded as one integer fraction is the sum of
+        ``Fraction``s, with the same text, for every (I, a) with n <= 3
+        and every a_k <= 3."""
+        checked = 0
+        for n in (1, 2, 3):
+            for I in nonempty_subsets(range(n + 1)):  # noqa: E741
+                if len(I) > n:
+                    continue
+                J = (min(set(range(n + 1)) - set(I)),) * len(I)
+                layout = compile_layout(n, I, J)
+                for a in itertools.product(range(4), repeat=n + 1):
+                    value, oracle = first_layer_closed_q1(a, layout), closed_q1_oracle(I, a)
+                    assert value == oracle and str(value) == str(oracle), (I, a)
+                    checked += 1
+        assert checked == 2 * 4**2 + 6 * 4**3 + 14 * 4**4
+
     def test_known_values(self):
         a = (1, 1, 1)
         classical = classical_product(Instance(2, a))

@@ -1,6 +1,7 @@
 """Coefficient-ring kernel: canonical forms, exact division, q-multinomials."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,12 +16,14 @@ from qdyson.qpoly import (
     divexact,
     multinomial,
     one_minus_q,
+    packed_at_q1,
     q_binomial_row,
     q_multinomial,
     q_multinomial_at,
     q_multinomial_poly,
     q_pochhammer,
     q_power,
+    unpack,
 )
 from tests.test_dyson import as_int
 
@@ -257,3 +260,30 @@ def test_qrat_cross_multiplication(p, d1, d2):
     if d1.is_zero() or d2.is_zero():
         return
     assert QRat(p * d1, d1) == QRat(p * d2, d2)
+
+
+def test_packed_at_q1_is_the_unpacked_value():
+    """The residue of p(2^k) modulo 2^k - 1 read as p(1) agrees with
+    ``unpack`` at q = 1 whenever the L1 norm of p is below 2^(k-1): on
+    seeded random polynomials, on 0, on negative values, and at
+    |p(1)| = 2^(k-1) - 1, the largest the bound allows."""
+    rng = random.Random(7)
+    cases = []
+    for _ in range(400):
+        k = rng.randint(2, 40)
+        length = rng.randint(1, 12)
+        budget = (1 << (k - 1)) - 1  # the L1 norm stays at most this
+        coeffs = []
+        for _ in range(length):
+            c = rng.randint(-budget, budget) if budget else 0
+            coeffs.append(c)
+            budget -= abs(c)
+        cases.append((QPoly(rng.randint(0, 4), coeffs), k))
+    for k in (2, 3, 10, 64):
+        edge = (1 << (k - 1)) - 1
+        cases += [(ZERO, k), (QPoly(0, (edge,)), k), (QPoly(0, (-edge,)), k)]
+        cases += [(QPoly(3, (-1, 0, -(edge - 1))), k), (QPoly(1, (edge - 1, 1)), k)]
+    assert any(p.at_q1() < 0 for p, _ in cases)
+    for p, k in cases:
+        v = pack(p, k)
+        assert packed_at_q1(v, k) == unpack(v, k, 0).at_q1() == p.at_q1(), (p, k)

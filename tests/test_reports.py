@@ -4,6 +4,7 @@ on edge cases, and the raw bytes of pinned benchmark units."""
 import itertools
 import json
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from benchmark import gate, workloads
 from qdyson import cli
 from qdyson.paired import compile_layout
-from qdyson.reports import ReportRow, VerificationReport, report, write_jsonl
+from qdyson.reports import Extra, ReportRow, VerificationReport, report, write_jsonl
 from qdyson.sweeps import verify
 from tests.test_cli import two_usable_cpus
 
@@ -54,6 +55,7 @@ EXTRAS = [
     {"expected_failure": True, "confirmed": False, "ct": "1"},
     {"pairing": [[0, 1], [2, 1]], "nested": [[], [1, [2, [3]]]], "semantics": "multiset"},
     {"U": [0], "floor": 0, "npc": True, "residual": [], "big": 10**40, "neg": -7},
+    Extra({"semantics": "multiset", "pairing": [[0, 1], [2, 1]]}),
 ]
 # (a, layout) of every instance shape: no layer, one pair, a repeated j
 INSTANCES = [
@@ -115,6 +117,28 @@ def test_a_report_derived_with_extra_takes_it():
     assert derived.params == rep.params | {"extra": derived.extra}
     assert derived.to_dict() == rep.to_dict() | {"params": derived.params}
     assert_encoded(derived)
+
+
+def test_a_report_derived_from_a_shared_extra_encodes_its_own():
+    """``main``'s reports share one ``Extra`` per layout, which reads as the
+    dict it was built from, refuses to change in place and pickles with its
+    text; a report derived with another ``extra`` writes that one, not the
+    shared text."""
+    rep = verify("main", 2, (1, 1, 1), (0,), (1,))
+    assert type(rep.extra) is Extra
+    assert rep.extra == {"semantics": "multiset", "pairing": [[0, 1]]}
+    assert verify("main", 2, (2, 1, 1), (0,), (1,)).extra is rep.extra
+    with pytest.raises(TypeError):
+        rep.extra["confirmed"] = True
+    with pytest.raises(TypeError):
+        rep.extra.update(confirmed=True)
+    assert pickle.loads(pickle.dumps(rep.extra)).text == rep.extra.text
+    derived = replace(rep, extra=rep.extra | {"confirmed": True})
+    assert_encoded(derived)
+    assert json.loads(derived.to_json())["params"]["extra"] == {
+        "semantics": "multiset", "pairing": [[0, 1]], "confirmed": True
+    }
+    assert_encoded(rep)
 
 
 @pytest.mark.parametrize("extra", EXTRAS)

@@ -9,7 +9,7 @@ import pytest
 
 from benchmark.tracing import Tracer
 from benchmark.workloads import GRID_SETS
-from qdyson import cli, dyson, kadell, laurent, sweeps
+from qdyson import cli, dyson, firstlayer, kadell, laurent, paired, qpoly, reports, sweeps
 from qdyson.dyson import Instance, q_dyson_source
 from qdyson.paired import compile_layout, npc_holds
 from qdyson.reports import ReportRow
@@ -468,3 +468,144 @@ def test_tracer_binds_every_traced_name(tmp_path):
     assert terms == 9
     assert summary["failed"] == 0
     assert tracer.agg["sweeps.tasks"] == len(cyclic_orbits(a_grid(2, 1)))
+
+
+# -- the per-check hot path, guarded by counts ---------------------------------
+
+
+def test_main_encodes_its_extra_once_per_layout(tmp_path, monkeypatch):
+    """``sweep main --n 4 --amax 1 --json PATH`` writes 4,000 lines, but
+    encodes ``main``'s extra, which reads the layout alone, at most once
+    per layout, and every line still carries its layout's pairing."""
+    encoded, dumps = [], reports.dumps
+
+    def counting(obj):
+        if isinstance(obj, dict) and "pairing" in obj:
+            encoded.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(reports, "dumps", counting)
+    paired._pairing.cache_clear()
+    path = tmp_path / "main.jsonl"
+    assert cli.main(["sweep", "main", "--n", "4", "--amax", "1", "--json", str(path)]) == 0
+    *lines, summary = path.read_text(encoding="utf-8").splitlines()
+    checks = json.loads(summary)["total"]
+    layouts = checks // 2**5
+    assert checks == len(lines) == 4000 and layouts == 125
+    assert 0 < len(encoded) <= layouts
+    for line in lines:
+        params = json.loads(line)["params"]
+        assert params["extra"] == {
+            "semantics": "multiset", "pairing": [list(p) for p in zip(params["I"], params["J"])]
+        }
+
+
+def _counting_everywhere(monkeypatch, name, calls):
+    """Rebind the ``qpoly`` function ``name`` in every ``qdyson`` module
+    that binds it, to a wrapper that appends its arguments to calls."""
+    original = getattr(qpoly, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (qpoly, laurent, dyson, firstlayer, kadell, paired, sweeps):
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counting)
+
+
+def test_kadell_sweep_unpacks_nothing(monkeypatch):
+    """Every check of ``sweep kadell --n 3 --amax 2`` holds, and none unpacks
+    a packed integer: the corrected constant term is read at q = 1 by one
+    residue.  The counter itself counts, as a ``coeff`` read shows."""
+    calls = []
+    _counting_everywhere(monkeypatch, "unpack", calls)
+    _, summary = run_sweep(SweepConfig(identity="kadell", n=3, amax=2))
+    assert summary["failed"] == 0 and summary["passed"] == 35 * 81
+    assert calls == []
+    q_dyson_source(Instance(2, (1, 1, 1)), (0,) * 3, (0,) * 3).constant_term()
+    assert len(calls) == 1
+
+
+class _Unread(dict):
+    """A packed map no check may read."""
+
+    def get(self, key, default=None):
+        raise AssertionError(f"read {key!r}")
+
+    __getitem__ = get
+
+
+@pytest.mark.parametrize("name", [name for name, row in sweeps.IDENTITIES.items() if row.check])
+def test_a_read_outside_the_source_box_raises_before_any_read(name):
+    """A check whose read box is not inside its source's box raises
+    ``ValueError`` before it reads a coefficient: a source over the point
+    (1, 0, -1, 0), or over the far corner of the layout's box, serves no
+    check of (I, J) = ((0, 2), (1, 1))."""
+    identity, a = sweeps.IDENTITIES[name], (1, 2, 1, 1)
+    layout = compile_layout(3, *(((), ()) if identity.mmin is None else ((0, 2), (1, 1))))
+    lo, hi = identity.reads(layout)
+    for box in (((1, 0, -1, 0),) * 2, (hi, hi), (lo, lo)):
+        if box == (lo, hi):
+            continue
+        source = q_dyson_source(Instance(3, a), *box, identity.headroom(layout))
+        source.packed = _Unread(source.packed)
+        with pytest.raises(ValueError, match="outside the box"):
+            identity.check(a, layout, source)
+
+
+def test_grid_expand_reaches_every_traced_check_step(tmp_path):
+    """The grid-expand sweeps, run traced with ``--json``, still reach the
+    names ``benchmark/tracing.py`` times or counts on the checks' path: the
+    corrected constant term, the first-layer q = 1 closed form, a
+    coefficient read by ``FactoredProduct.coeff``, the JSON line and the
+    paired check."""
+    tracer = Tracer(str(tmp_path / "spool"))
+    tracer.install()
+    try:
+        for slot, argv in GRID_SETS["default"]:
+            path = tmp_path / f"{slot}.jsonl"
+            assert cli.main([*argv, "--json", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    agg = tracer.agg
+    assert agg["kadell.corrected_ct_calls"] > 0
+    assert agg["firstlayer.closed_calls"] > 0
+    assert agg["laurent.lookups"] > 0
+    assert agg["reports.to_json_calls"] > 0
+    assert any(span[2] == "qdyson.paired.verify_paired" for span in tracer.spans)
+
+
+def test_a_check_refuses_the_product_of_another_a():
+    """Kadell's identity on a = (1, 2, 1, 1), read off the product of
+    (1, 1, 1, 1), would fail (lhs 120 against rhs 360) though it holds: the
+    check refuses that source with ``ValueError`` instead, and so does every
+    other check."""
+    layout = compile_layout(3, (1,), (2,))
+    source = q_dyson_source(Instance(3, (1, 1, 1, 1)), *layout.box)
+    with pytest.raises(ValueError, match=r"product of a = \(1, 1, 1, 1\), not of \(1, 2, 1, 1\)"):
+        kadell.verify_kadell((1, 2, 1, 1), layout, source)
+    assert kadell.verify_kadell((1, 1, 1, 1), layout, source).holds
+    ones = Instance(3, (1, 1, 1, 1))
+    for name, identity in sweeps.IDENTITIES.items():
+        if identity.check is None:
+            continue
+        lay = compile_layout(3, (), ()) if identity.mmin is None else layout
+        src = q_dyson_source(ones, *identity.reads(lay), identity.headroom(lay))
+        with pytest.raises(ValueError, match="not of"):
+            identity.check((1, 2, 1, 1), lay, src)
+
+
+def test_a_rotated_source_is_the_product_of_the_rotated_a():
+    """``rotated`` carries the product's a along: the member of the orbit of
+    (1, 2, 1, 1) one step on is the product of (1, 1, 2, 1), which its
+    checks read, and which a check of the first member refuses."""
+    a, layout = (1, 2, 1, 1), compile_layout(3, (1,), (2,))
+    cube = (-1,) * 4, (1,) * 4
+    member = q_dyson_source(Instance(3, a), *cube, 1).rotated()
+    assert member.a == (1, 1, 2, 1)
+    for name in ("kadell", "main"):
+        check = sweeps.IDENTITIES[name].check
+        assert check((1, 1, 2, 1), layout, member).holds
+        with pytest.raises(ValueError, match="not of"):
+            check(a, layout, member)
