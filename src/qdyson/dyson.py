@@ -110,11 +110,6 @@ class Instance:
             exps[self.J[self.I.index(i)]] += 1
         return tuple(exps)
 
-    def paired_js(self, subset: Sequence[int]) -> list[int]:
-        """The j-values paired with the given selected indices (with
-        multiplicity, sorted)."""
-        return sorted(self.J[self.I.index(u)] for u in subset)
-
 
 Affine = tuple[int, tuple[int, ...]]
 
@@ -140,7 +135,9 @@ class Layout:
     is (lo, hi) of the exponent vectors the layer identities read from the
     product: the box spanned by the origin and the flipped monomial of
     S = I, which holds every flipped monomial; for the empty layer it is
-    the origin."""
+    the origin.  ``npc`` is the verdict of ``paired.npc_holds`` on (I, J):
+    whether the pairing avoids the crossing pattern the paired identity
+    excludes."""
 
     n: int
     I: tuple[int, ...]  # noqa: E741 - interface name
@@ -148,6 +145,7 @@ class Layout:
     subsets: tuple[tuple[tuple[int, ...], int, Affine], ...]
     terms: tuple[tuple[int, tuple[int, ...], Affine], ...]
     box: tuple[tuple[int, ...], tuple[int, ...]]
+    npc: bool
 
 
 def _unit(n: int, i: int, j: int) -> tuple[int, ...]:

@@ -18,6 +18,9 @@ off the same extracted q-coefficient.
 
 ``layer_coefficients`` is one formula read straight off the layout, whatever
 the smallest selected index: the layer exponent as an affine function of a.
+Its coefficients are one prefix sum over 0..n, of +1 at each selected index
+and -1 at each paired j, so a layer exponent costs one pass over the
+layout however many indices it counts below each k.
 It also takes the exponent within the layer of a subset X of I (X with its
 paired j's), which is how ``paired`` uses it.  A ``Layout`` holds these
 coefficients for every T, compiled once per layout, so the closed form of
@@ -40,7 +43,7 @@ import functools
 import itertools
 import time
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .laurent import FactoredProduct
@@ -49,11 +52,6 @@ from .qpoly import (
     q_multinomial_poly,
 )
 from .reports import VerificationReport, report
-
-
-def count_upto(k: int, values: Iterable[int]) -> int:
-    """Number of entries <= k, counted with multiplicity."""
-    return sum(1 for v in values if v <= k)
 
 
 def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -68,10 +66,14 @@ def layer_coefficients(
     """The q-exponent attached to a nonempty subset T of the layer (X, J_X),
     as (c0, c) with the exponent c0 + sum of c_k * a_k: X is ``within``
     (all of I by default) and J_X its paired j's.  Reads only n, I and J.
-    With t = #{j in J_X : j < min X}, c0 = t and
+    With count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity,
+    and t = #{j in J_X : j < min X}, c0 = t and
 
         c_k = t + count_upto(k, X) - count_upto(k, J_X)  for k not in T,
         c_k = 0                                          for k in T.
+
+    The first line, for every k at once, is one prefix sum over the layout
+    (``layer_levels``), which the entries on T then overwrite.
 
     It is the split form, for i_1 = min X,
 
@@ -87,14 +89,31 @@ def layer_coefficients(
     if not T:
         raise ValueError("subset must be nonempty")
     X = inst.I if within is None else within
-    js = inst.paired_js(X)
-    t = count_upto(min(X) - 1, js)
-    tset, xset = set(T), set(X)
-    coeffs, level = [], t
-    for k in range(inst.n + 1):
-        level += (k in xset) - js.count(k)  # t + count_upto(k, X) - count_upto(k, J_X)
-        coeffs.append(0 if k in tset else level)
-    return t, tuple(coeffs)
+    levels, t = layer_levels(inst, X)
+    for k in T:
+        levels[k] = 0
+    return t, tuple(levels)
+
+
+def layer_levels(inst: Instance, X: Sequence[int]) -> tuple[list[int], int]:
+    """([t + count_upto(k, X) - count_upto(k, J_X) for k = 0..n], t), with
+    J_X the j's paired with X and t = #{j in J_X : j < min X}: a prefix sum
+    of +1 at each x in X and -1 at each paired j, started at t.  Raises
+    ``ValueError`` on an index of X outside I."""
+    I, J = inst.I, inst.J  # noqa: E741
+    lo = min(X)
+    delta = [0] * (inst.n + 1)
+    t = 0
+    for x in X:
+        try:
+            j = J[I.index(x)]
+        except ValueError:
+            raise ValueError("subset must consist of selected indices") from None
+        delta[x] += 1
+        delta[j] -= 1
+        t += j < lo
+    delta[0] += t
+    return list(itertools.accumulate(delta)), t
 
 
 def layer_exponent(

@@ -15,7 +15,10 @@ for every layer whose pairing avoids the crossing pattern
 j_t < i_s < j_u < i_t (s < t < u).  The chain exponent of a subset S
 corrects, for each index of I outside S, by how many selected and paired
 indices the insertion of that index passes; each insertion reads only S and
-its own pair, so the exponent is one pass over the pairs.  The j-values an
+its own pair.  Less the layer exponent of S within its own layer, each
+insertion's count cancels against that exponent's level, so the
+coefficients are one prefix sum over 0..n (``firstlayer.layer_levels``)
+and one pass over the pairs, with no insertion counted.  The j-values an
 insertion reads count with multiplicity: an index repeated in J counts once
 per copy.  Collapsing the repeats fails the identity on 252 of the 3132
 instances with n <= 3 and every a_k <= 2, so that reading is kept only in
@@ -29,9 +32,10 @@ layer of a subset X of I (X with its paired j's), are
 
 Both exponents are affine in a, with coefficients read off the layout
 alone.  ``compile_layout`` writes them out once per layout, with the flipped
-layer monomials and signs (a ``dyson.Layout``): a sweep compiles each of its
-layouts once, a single ``verify`` its one layout, and each check of the
-layer identities reads every exponent by a dot product with a.
+layer monomials and signs and the verdict of ``npc_holds`` (a
+``dyson.Layout``): a sweep compiles each of its layouts once, a single
+``verify`` its one layout, and each check of the layer identities reads
+every exponent by a dot product with a, and the verdict as a field.
 
 ``verify_paired`` computes on the product's coefficients as the source keeps
 them, packed into integers at q = 2^k, so both sides of the identity are
@@ -43,7 +47,9 @@ JSON text encoded, once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
-implemented here as directly checkable statements.
+implemented here as directly checkable statements.  They read the same
+one-pass exponents, and the factorization sums its left side as integer
+weights by exponent into one ``QPoly``.
 """
 
 from __future__ import annotations
@@ -51,13 +57,12 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from operator import sub
 from typing import Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
-from .firstlayer import count_upto, layer_coefficients, layer_exponent, nonempty_subsets
+from .firstlayer import layer_coefficients, layer_exponent, layer_levels, nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
-from .qpoly import QPoly, ZERO, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
+from .qpoly import QPoly, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
 from .reports import Extra, VerificationReport, report
 
 class NpcViolationError(ValueError):
@@ -78,34 +83,41 @@ def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
     """The q-exponent attached to a nonempty subset S of the selection, as
     (c0, c) with the exponent c0 + sum of c_k * a_k.  Reads only n, I and
     J.  The full selection is rebuilt from S by inserting each i in I \\ S;
-    the step inserting i (paired with j) reads the j-values among the
-    paired j's of S and j that exceed min S, with multiplicity:
+    the step inserting i (paired with j_i) reads the j-values among the
+    paired j's of S and j_i that exceed lo = min S, with multiplicity:
 
         1 + total - (sum of a over S)
           + sum over inserted i of
                 (count_upto(i, S) - count_upto(i, step j-values)) * a_i
           - (layer exponent of S within the layer of S itself)
 
-    The step's chain set has minimum min(min S, i), but for i < min S the
-    step adds 0 with either floor, so min S serves every step and no step
-    reads another.
+    with count_upto(k, V) = #{v in V : v <= k}.  The step's chain set has
+    minimum min(lo, i), but for i < lo the step adds 0 with either floor,
+    so lo serves every step and no step reads another.
+
+    The sum collapses to one pass over the layout.  With
+    t = #{j in J_S : j < lo} and level_k = t + count_upto(k, S) -
+    count_upto(k, J_S), the last term is t plus level_k * a_k summed over
+    k not in S (``firstlayer.layer_coefficients``).  So c0 = 1 - t, c_k = 0
+    on S, and c_k = 1 - level_k at every k that no step inserts, and at
+    every inserted i < lo, whose step adds 0.  At an inserted i > lo, no j
+    equals lo (I and J are disjoint), so the step counts
+    count_upto(i, J_S) - t + [lo < j_i <= i] j-values and adds
+    level_i - [lo < j_i <= i]; the level cancels against the last term's,
+    and c_i = 1 - [lo < j_i <= i].
     """
-    subset = tuple(sorted(subset))
     if not subset:
         raise ValueError("subset must be nonempty")
-    if not set(subset) <= set(inst.I):
-        raise ValueError("subset must consist of selected indices")
-    js = inst.paired_js(subset)
-    c = [1] * (inst.n + 1)
-    for u in subset:
-        c[u] -= 1
-    for i, j in inst.pairs:
-        if i in subset:
-            continue
-        jvals = [v for v in js + [j] if v > subset[0]]
-        c[i] += count_upto(i, subset) - count_upto(i, jvals)
-    t, own = layer_coefficients(subset, inst, subset)
-    return 1 - t, tuple(map(sub, c, own))
+    levels, t = layer_levels(inst, subset)  # raises on an index outside I
+    sset = set(subset)
+    c = [1 - level for level in levels]
+    lo = min(subset)
+    for i, j in zip(inst.I, inst.J):
+        if i in sset:
+            c[i] = 0
+        elif i > lo:
+            c[i] = 1 - (lo < j <= i)
+    return 1 - t, tuple(c)
 
 
 def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
@@ -133,6 +145,7 @@ def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noq
             (sign, T, layer_coefficients(T, inst)) for sign, T in zip(signs[1:], subsets[1:])
         ),
         box=(tuple(min(e, 0) for e in target), tuple(max(e, 0) for e in target)),
+        npc=npc_holds(inst.I, inst.J),
     )
 
 
@@ -198,7 +211,7 @@ def verify_paired(
     ``NpcViolationError``, and a source with less headroom than
     ``paired_headroom``, or not the product of a, or whose box does not
     hold ``layout.box``, with ``ValueError``."""
-    if not npc_holds(layout.I, layout.J):
+    if not layout.npc:
         raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
     if source.headroom < paired_headroom(layout):
         raise ValueError("source packed with too little headroom for the paired check")
@@ -279,7 +292,8 @@ def factorization_sides(
            of U in U+{i_v}) * prod over unselected indices past i_v of
            (1 - q^(removal exponent))
 
-    Returns (left, right, residual indices).
+    The left side's terms are summed as integer weights by exponent and
+    built as one ``QPoly``.  Returns (left, right, residual indices).
     """
     U = tuple(sorted(U))
     if not U:
@@ -291,16 +305,19 @@ def factorization_sides(
     d = len(U)
     v = inst.position(i_v)
 
-    candidates = [x for x in inst.I if x > i_v and x not in set(U)]
-    left = ZERO
+    fixed = set(U) | {i_v}
+    candidates = [x for x in inst.I if x > i_v and x not in fixed]
+    weights: dict[int, int] = {}  # the left side's coefficient at each q-exponent
     for r in range(len(candidates) + 1):
         for extra in itertools.combinations(candidates, r):
-            s_l = tuple(sorted(set(U) | {i_v} | set(extra)))
+            s_l = tuple(sorted(fixed.union(extra)))
             sign = -1 if (len(s_l) + d) % 2 else 1
             exponent = chain_exponent(inst, s_l) + layer_exponent(U, inst, s_l)
-            left = left + q_power(exponent, sign)
+            weights[exponent] = weights.get(exponent, 0) + sign
+    low = min(weights)
+    left = QPoly(low, [weights.get(e, 0) for e in range(low, max(weights) + 1)])
 
-    base = tuple(sorted(set(U) | {i_v}))
+    base = tuple(sorted(fixed))
     base_exp = chain_exponent(inst, base) + layer_exponent(U, inst, base)
     sign = -1 if min(U) != i_v else 1
     right = q_power(base_exp, sign)

@@ -123,8 +123,8 @@ MAX_SWEEP_CHECKS = 1_000_000
 # The largest n and amax a lemma suite may draw from, checked before any
 # draw: its time grows exponentially in n and its polynomials' lengths
 # with amax.  One ``qdyson sweep lemmas`` process, 2-core VM, Python 3.11:
-# 0.3 s at n = 7 with amax = 5, the pinned suites, 2.2 s at n = 16 with
-# amax = 5 and 6.5 s at both limits.
+# 0.2 s at n = 7 with amax = 5, the pinned suites, 0.8 s at n = 16 with
+# amax = 5 and 0.7 s at both limits, whose draws differ.
 MAX_LEMMA_N = 16
 MAX_LEMMA_AMAX = 256
 

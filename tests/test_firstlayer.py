@@ -1,16 +1,17 @@
 """Layer coefficients: exponent formulas, closed forms, q = 1 specialisation."""
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from qdyson.dyson import Instance, q_dyson_source
 from qdyson.firstlayer import (
-    count_upto,
     first_layer_closed,
     first_layer_closed_q1,
     first_layer_headroom,
+    layer_coefficients,
     layer_exponent,
     nonempty_subsets,
     verify_first_layer,
@@ -27,6 +28,34 @@ from tests.test_dyson import (
     layer_box,
     shared_source,
 )
+
+
+def count_upto(k, values):
+    """Number of entries <= k, counted with multiplicity."""
+    return sum(1 for v in values if v <= k)
+
+
+def paired_js(inst, subset):
+    """The j-values paired with the given selected indices of inst (with
+    multiplicity, sorted)."""
+    return sorted(inst.J[inst.I.index(u)] for u in subset)
+
+
+def oracle_avecs(n):
+    """The exponent vectors the exponent oracles are checked at: all ones,
+    ascending and descending."""
+    return [(1,) * (n + 1), tuple(range(n + 1)), tuple(range(n + 1))[::-1]]
+
+
+def seeded_layouts(n, count, seed=0):
+    """count random layouts (I, J) over x_0..x_n with m >= 1, drawn as
+    ``sweeps.random_instance`` draws them at that n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, n)
+        I = tuple(sorted(rng.sample(range(n + 1), m)))
+        rest = [x for x in range(n + 1) if x not in I]
+        yield I, tuple(sorted(rng.choices(rest, k=m)))
 
 
 def all_layouts(n, a, mmin=1, mmax=None):
@@ -127,15 +156,36 @@ class TestExponents:
         the instance of X with its paired j's, on every layout with n <= 5,
         for every X and every nonempty T within it."""
         for n in range(1, 6):
-            for a in [(1,) * (n + 1), tuple(range(n + 1)), tuple(range(n + 1))[::-1]]:
+            for a in oracle_avecs(n):
                 for inst in all_layouts(n, a):
-                    for X in nonempty_subsets(inst.I):
-                        induced = Instance(n, a, X, inst.paired_js(X))
-                        for T in nonempty_subsets(X):
-                            expected = paper_layer_exponent(T, induced)
-                            assert layer_exponent(T, inst, X) == expected, (inst, X, T)
-                            if X == inst.I:
-                                assert layer_exponent(T, inst) == expected, (inst, T)
+                    assert_matches_paper_form(inst)
+
+    def test_matches_paper_form_at_the_lemma_suite_n(self):
+        """The same on seeded random layouts at n = 6 and 7, the largest n
+        the pinned lemma suites draw."""
+        for n in (6, 7):
+            for I, J in seeded_layouts(n, 4):
+                for a in oracle_avecs(n):
+                    assert_matches_paper_form(Instance(n, a, I, J))
+
+    def test_coefficients_reject_empty_and_foreign_subsets(self):
+        inst = Instance(3, (1, 1, 1, 1), (0, 1), (2, 2))
+        with pytest.raises(ValueError):
+            layer_coefficients((), inst)
+        with pytest.raises(ValueError):  # 3 is not selected, so has no paired j
+            layer_coefficients((0,), inst, (0, 3))
+
+
+def assert_matches_paper_form(inst):
+    """``layer_exponent`` against the split form, for every nonempty X of
+    the selection of inst and every nonempty T within it."""
+    for X in nonempty_subsets(inst.I):
+        induced = Instance(inst.n, inst.a, X, paired_js(inst, X))
+        for T in nonempty_subsets(X):
+            expected = paper_layer_exponent(T, induced)
+            assert layer_exponent(T, inst, X) == expected, (inst, X, T)
+            if X == inst.I:
+                assert layer_exponent(T, inst) == expected, (inst, T)
 
 
 def test_target_vector():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdyson.dyson import Instance, evaluate, q_dyson_source
-from qdyson.firstlayer import count_upto, nonempty_subsets
+from qdyson.firstlayer import nonempty_subsets
 from qdyson.paired import (
     NpcViolationError,
     chain_exponent,
@@ -29,7 +29,14 @@ from qdyson.qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
-from tests.test_firstlayer import all_layouts, paper_layer_exponent
+from tests.test_firstlayer import (
+    all_layouts,
+    count_upto,
+    oracle_avecs,
+    paired_js,
+    paper_layer_exponent,
+    seeded_layouts,
+)
 
 
 @st.composite
@@ -52,7 +59,7 @@ def exponent_within(inst, U, X):
     """Oracle for the layer exponent of U within the layer of X: the split
     form on the instance of X with its paired j's and the same a."""
     X = tuple(sorted(X))
-    return paper_layer_exponent(U, Instance(inst.n, inst.a, X, inst.paired_js(X)))
+    return paper_layer_exponent(U, Instance(inst.n, inst.a, X, paired_js(inst, X)))
 
 
 class TestPairedLayer:
@@ -61,11 +68,11 @@ class TestPairedLayer:
         assert inst.pairs == ((0, 1), (2, 3))
         assert inst.position(2) == 2
         assert inst.J[2 - 1] == 3
-        assert inst.paired_js((2, 0)) == [1, 3]
+        assert paired_js(inst, (2, 0)) == [1, 3]
 
     def test_paired_js_keeps_multiplicity(self):
         inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
-        assert inst.paired_js((0, 1)) == [2, 2]
+        assert paired_js(inst, (0, 1)) == [2, 2]
 
 
 class TestNpc:
@@ -101,7 +108,7 @@ def insertion_chain_exponent(inst, subset, semantics="multiset"):
     acc = 1 + inst.total - sum(a[u] for u in subset)
     for step, p in enumerate(removed):
         inserted = inst.I[p]
-        pool = inst.paired_js(subset) + [inst.J[p]]
+        pool = paired_js(inst, subset) + [inst.J[p]]
         jvals = [j for j in pool if j > min(chain[step])]
         if semantics == "set":
             jvals = set(jvals)
@@ -131,6 +138,13 @@ def use_set_reading(monkeypatch):
     monkeypatch.setattr("qdyson.paired.chain_coefficients", set_reading_coefficients)
 
 
+def assert_matches_insertion_chain(inst):
+    """``chain_exponent`` against the insertion chain, for every nonempty
+    subset of the selection of inst."""
+    for S in nonempty_subsets(inst.I):
+        assert chain_exponent(inst, S) == insertion_chain_exponent(inst, S), (inst, S)
+
+
 class TestChainExponent:
     def test_known_value(self):
         inst = Instance(2, (1, 1, 1), (0,), (2,))
@@ -158,13 +172,19 @@ class TestChainExponent:
 
     def test_matches_insertion_chain(self):
         """The one-pass form equals the insertion chain on every layout with
-        n <= 4, for every nonempty subset."""
-        for n in range(1, 5):
-            for a in [(1,) * (n + 1), tuple(range(n + 1)), tuple(range(n + 1))[::-1]]:
+        n <= 5, for every nonempty subset."""
+        for n in range(1, 6):
+            for a in oracle_avecs(n):
                 for inst in all_layouts(n, a):
-                    for S in nonempty_subsets(inst.I):
-                        expected = insertion_chain_exponent(inst, S)
-                        assert chain_exponent(inst, S) == expected, (inst, S)
+                    assert_matches_insertion_chain(inst)
+
+    def test_matches_insertion_chain_at_the_lemma_suite_n(self):
+        """The same on seeded random layouts at n = 6 and 7, the largest n
+        the pinned lemma suites draw."""
+        for n in (6, 7):
+            for I, J in seeded_layouts(n, 12):
+                for a in oracle_avecs(n):
+                    assert_matches_insertion_chain(Instance(n, a, I, J))
 
     @given(paired_layers())
     @settings(max_examples=100, deadline=None)
@@ -198,6 +218,7 @@ class TestCompiledLayout:
                     ((-1) ** len(T), T) for T in subsets
                 ], base
                 assert layout.subsets[0][2] == (0, (0,) * (n + 1))
+                assert layout.npc == npc_holds(base.I, base.J), base
                 for a in avecs:
                     inst = Instance(n, a, base.I, base.J)
                     for (_, _, chain), (_, T, layer) in zip(layout.subsets[1:], layout.terms):
@@ -216,6 +237,7 @@ class TestCompiledLayout:
         )
         assert layout.terms == ((-1, (0,), (0, (0, 1, 0))),)
         assert layout.box == ((0, 0, -1), (1, 0, 0))
+        assert layout.npc
         with pytest.raises(ValueError):
             compile_layout(2, (0,), (0,))
 
@@ -296,6 +318,24 @@ class TestVerifyPaired:
         inst = Instance(6, (1,) * 7, (2, 5, 6), (0, 1, 3))
         with pytest.raises(NpcViolationError):
             verify_paired(inst.a, compiled(inst), shared_source([inst]))
+
+    def test_reads_the_verdict_compiled_into_the_layout(self, monkeypatch):
+        """The check reads ``Layout.npc``, which ``compile_layout`` set,
+        and runs no crossing test of its own; a crossing layout is rejected
+        before the source is touched."""
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"read {name}")
+
+        crossing = compile_layout(6, (2, 5, 6), (0, 1, 3))
+        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
+        layout, source = compiled(inst), shared_source([inst])
+        assert layout.npc and not crossing.npc
+        monkeypatch.setattr("qdyson.paired.npc_holds", None)
+        assert verify_paired(inst.a, layout, source).holds
+        with pytest.raises(NpcViolationError):
+            verify_paired((1,) * 7, crossing, Untouchable())
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

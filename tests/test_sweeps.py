@@ -500,10 +500,11 @@ def test_main_encodes_its_extra_once_per_layout(tmp_path, monkeypatch):
         }
 
 
-def _counting_everywhere(monkeypatch, name, calls):
-    """Rebind the ``qpoly`` function ``name`` in every ``qdyson`` module
-    that binds it, to a wrapper that appends its arguments to calls."""
-    original = getattr(qpoly, name)
+def _counting_everywhere(monkeypatch, name, calls, home=qpoly):
+    """Rebind the function ``name`` of the module ``home`` in every
+    ``qdyson`` module that binds it, to a wrapper that appends its
+    arguments to calls."""
+    original = getattr(home, name)
 
     def counting(*args):
         calls.append(args)
@@ -552,6 +553,50 @@ def test_a_read_outside_the_source_box_raises_before_any_read(name):
         source.packed = _Unread(source.packed)
         with pytest.raises(ValueError, match="outside the box"):
             identity.check(a, layout, source)
+
+
+def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatch):
+    """``lemma_suite_reports(7, 5, 0)``, a pinned suite, sums each
+    factorization's left side as integer weights by exponent, so
+    ``factorization_sides`` calls ``QPoly.__add__`` zero times.  It still
+    reaches, through their module globals, the names whose calls the
+    tracer's ``paired.*`` metrics count: the chain exponent, as often as
+    before its one-pass form, and the three lemma checks.  The counters
+    count, as one sum in the tracked scope shows."""
+    names = ("chain_exponent", "verify_factorization", "tail_cancel_values",
+             "matrix_choice_property")
+    calls = {name: [] for name in names}
+    for name in names:
+        _counting_everywhere(monkeypatch, name, calls[name], home=paired)
+    adds, inside = [], []
+    add, sides = qpoly.QPoly.__add__, paired.factorization_sides
+
+    def counting_add(self, other):
+        if inside:
+            adds.append(other)
+        return add(self, other)
+
+    def tracked_sides(*args):
+        inside.append(args)
+        try:
+            return sides(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qpoly.QPoly, "__add__", counting_add)
+    monkeypatch.setattr(qpoly.QPoly, "__radd__", counting_add)
+    monkeypatch.setattr(paired, "factorization_sides", tracked_sides)
+    reps = lemma_suite_reports(7, 5, 0)
+    assert len(reps) == 717 and all(rep.holds for rep in reps)
+    assert adds == []
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "chain_exponent": 2319,
+        "verify_factorization": sweeps.FACTORIZATION_DRAWS,
+        "tail_cancel_values": 213,
+        "matrix_choice_property": len(sweeps.CHOICE_PRODUCT_SIZES),
+    }
+    inside.append(())
+    assert qpoly.ONE + qpoly.ONE == qpoly.q_power(0, 2) and len(adds) == 1
 
 
 def test_grid_expand_reaches_every_traced_check_step(tmp_path):
