@@ -5,10 +5,12 @@ pruned pass over the box of exponent vectors each check needs, reads the
 classical Dyson values off them at q = 1, evaluates the known closed forms
 for first-layer coefficients and their corrected variants, and verifies each
 identity exactly — including the one modification that is known to fail.
-``Instance(n, a, I, J)`` validates input; every check reads an exponent
-vector a, the ``Layout`` that ``compile_layout(n, I, J)`` compiled and
-validated, and the product its caller built.  ``verify(identity, n, a, I,
-J)`` checks one instance end to end, and ``run_sweep`` a whole grid.
+``Instance(n, a, I, J)`` validates input; every check is
+``check(layout, source)``: it reads the ``Layout`` that
+``compile_layout(n, I, J)`` compiled and validated, and the product its
+caller built, which carries the exponent vector a.
+``verify(identity, n, a, I, J)`` checks one instance end to end, and
+``run_sweep`` a whole grid.
 """
 
 __version__ = "0.1.0"

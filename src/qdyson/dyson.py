@@ -19,20 +19,24 @@ oracle for them, a list of ``LaurentPoly`` binomials.
 
 ``Instance`` validates the input: n, a and a layer (I, J) paired
 positionally, and ``Instance.layer_monomial`` builds the layer monomial
-x_{J(S)}/x_S of a subset S of I.  A check reads an exponent vector a and a
-``Layout``: everything the identities need of n and (I, J), compiled and
-validated once by ``paired.compile_layout`` before any a is drawn, with
-each q-exponent kept as an affine function of a that ``evaluate`` turns
-into a number by one dot product.  The layout is the one carrier of
-(n, I, J) a check and its report read.  The products built here read only
-n and a: ``pair_factors`` is the one loop over the pairs, given the
-lengths of each pair's two q-shifted factorials, for the q-Dyson product
-and for ``kadell``'s modified one.  A check builds no product: it reads
-the coefficients from ``source``, one pruned pass its caller made over a
-box that holds what the check reads, and refuses a source that is not the
-product of its a with ``ValueError``.  Which box that is, is the read rule
-of the identity's row in ``sweeps.IDENTITIES``: for the constant terms
-here, the box of the empty layer, the origin.
+x_{J(S)}/x_S of a subset S of I.  A check is ``check(layout, source)``.
+The ``Layout`` holds everything the identities need of n and (I, J),
+compiled and validated once by ``paired.compile_layout`` before any a is
+drawn, with each q-exponent kept as an affine function of a that
+``evaluate`` turns into a number by one dot product.  The layout is the
+one carrier of (n, I, J) a check and its report read.  The products built
+here read only n and a: ``pair_factors`` is the one loop over the pairs,
+given the lengths of each pair's two q-shifted factorials, for the
+q-Dyson product and for ``kadell``'s modified one.  A check builds no
+product: ``source`` is one pruned pass its caller made over a box that
+holds what the check reads, and it carries the a of its q-Dyson product,
+the one carrier of a a check and its report read.  Before reading
+anything, a check passes ``FactoredProduct.reads``, which refuses with
+``ValueError`` a source that holds no q-Dyson product, lacks the spare
+bits the check computes with, or does not hold the check's box.  Which
+box that is, is the read rule of the identity's row in
+``sweeps.IDENTITIES``: for the constant terms here, the box of the empty
+layer, the origin.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .laurent import FactoredProduct, LaurentPoly, Pair
-from .qpoly import ONE, multinomial, q_multinomial_poly
+from .qpoly import ONE, multinomial, packed_at_q1, q_multinomial_poly, unpack
 from .reports import VerificationReport, report
 
 
@@ -196,30 +200,30 @@ def q_dyson_source(
 ) -> FactoredProduct:
     """The q-Dyson product's coefficients over the box lo <= e <= hi,
     packed with ``headroom`` spare bits for the checks that compute on
-    them, and recording inst.a, which every check compares with its own."""
+    them, and recording inst.a, which every check reads as its a."""
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom, inst.a)
 
 
-def verify_q_dyson(
-    a: tuple[int, ...], layout: Layout, source: FactoredProduct
-) -> VerificationReport:
-    """Constant term of the q-analog product of a against the
-    q-multinomial; ``layout`` is the empty layer over x_0..x_n."""
-    source.check_a(a)
+def verify_q_dyson(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """Constant term of the q-Dyson product held by ``source`` against the
+    q-multinomial of its a; ``layout`` is the empty layer over x_0..x_n,
+    whose box is the origin."""
+    packed = source.reads(*layout.box)
     t0 = time.perf_counter()
-    ct = source.constant_term()
+    a = source.a
+    ct = unpack(packed.get(layout.box[0], 0), source.k, 0)
     rhs = q_multinomial_poly(a)
     return report("qdyson", a, layout, t0, ct == rhs, ct, rhs)
 
 
-def verify_dyson(
-    a: tuple[int, ...], layout: Layout, source: FactoredProduct
-) -> VerificationReport:
-    """Constant term of the classical product of a, read off the
-    q-product's constant term at q = 1, against the multinomial;
-    ``layout`` is the empty layer over x_0..x_n."""
-    source.check_a(a)
+def verify_dyson(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """Constant term of the classical product of the source's a, the
+    q-Dyson constant term at q = 1, read packed by one residue
+    (``qpoly.packed_at_q1``), against the multinomial; ``layout`` is the
+    empty layer over x_0..x_n, whose box is the origin."""
+    packed = source.reads(*layout.box)
     t0 = time.perf_counter()
-    ct = source.constant_term().at_q1()
+    a = source.a
+    ct = packed_at_q1(packed.get(layout.box[0], 0), source.k)
     rhs = multinomial(a)
     return report("dyson", a, layout, t0, ct == rhs, ct, rhs)

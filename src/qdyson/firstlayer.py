@@ -33,8 +33,10 @@ the spare bits of k that ``first_layer_headroom`` derives.
 ``first_layer_closed`` builds the closed form as a ``QRat`` to render it
 when a check fails.  The q = 1 closed value depends on I and a only and is
 computed once per pair, its terms grouped by denominator as on the q side
-and folded as integers into one ``Fraction``.  Like every check, these read
-an exponent vector a and the compiled ``Layout`` of the layer.
+and folded as integers into one ``Fraction``.  The closed forms read an
+exponent vector a and the compiled ``Layout`` of the layer; like every
+check, ``verify_first_layer`` reads the layout and takes a from its
+source.
 """
 
 from __future__ import annotations
@@ -204,12 +206,10 @@ def first_layer_headroom(layout: Layout) -> int:
     return m + 2**m - 2 if m else 0
 
 
-def verify_first_layer(
-    a: tuple[int, ...], layout: Layout, source: FactoredProduct
-) -> VerificationReport:
-    """Brute-force first-layer coefficient of the product of a against the
-    closed form, plus its q = 1 value against the classical closed sum, on
-    the compiled layout.
+def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """Brute-force first-layer coefficient of the product of the source's a
+    against the closed form, plus its q = 1 value against the classical
+    closed sum, on the compiled layout.
 
     The closed form is compared without division, as brute * den against
     qmult(a) * num in the terms of ``first_layer_closed``, with both sides
@@ -219,18 +219,18 @@ def verify_first_layer(
     ``qpoly.q_multinomial_at``.  A check that holds
     prints the brute's text on both sides, which is what the closed form
     renders to; only a failing one builds and renders
-    ``first_layer_closed``.  The one target is read once, by ``coeff``,
-    which checks the box; its packed integer is then a plain dict lookup.
-    An empty layer is rejected before anything is read, and a source with
-    less headroom than ``first_layer_headroom``, or not the product of a,
-    with ``ValueError``."""
+    ``first_layer_closed``.  An empty layer is rejected before anything is
+    read, and so, by the guard ``FactoredProduct.reads``, is a source that
+    holds no q-Dyson product, has less headroom than
+    ``first_layer_headroom`` or does not hold the target.  The one target
+    is then read packed, and unpacked by ``coeff``."""
     if not layout.terms:
         raise ValueError("layer must select at least one index")
-    if source.headroom < first_layer_headroom(layout):
-        raise ValueError("source packed with too little headroom for the first-layer check")
-    source.check_a(a)
+    target = layout.subsets[-1][0]
+    packed = source.reads(target, target, first_layer_headroom(layout))
     t0 = time.perf_counter()
-    total, k = sum(a), source.k
+    a, k = source.a, source.k
+    total = sum(a)
     exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
     base = min(exponents)
     groups: dict[int, int] = {}
@@ -243,9 +243,8 @@ def verify_first_layer(
     num, den = 0, 1
     for d, part in groups.items():
         num, den = num - (num << (k * d)) + part * den, den - (den << (k * d))
-    target = layout.subsets[-1][0]
     brute = source.coeff(target)
-    brute_den = source.packed.get(target, 0) * den
+    brute_den = packed.get(target, 0) * den
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(a, layout)
     holds = (

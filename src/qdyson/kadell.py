@@ -42,15 +42,15 @@ from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, q_multinomial_
 from .reports import VerificationReport, report
 
 
-def corrected_ct(a: tuple[int, ...], layout: Layout, source: FactoredProduct) -> int:
+def corrected_ct(layout: Layout, source: FactoredProduct) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product of a,
     taken at q = 1 from ``source``, the q-Dyson product of a, with
     ``layout`` the compiled layer of the binomials.  They multiply out to
     the sum over subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant
     term is the sum of (-1)^|S| times the coefficient at the flipped
     monomial, summed packed and read at q = 1 by one residue.  The reads
-    lie in ``layout.box``, checked once."""
-    packed = source.reads(a, *layout.box)
+    lie in ``layout.box``, guarded once."""
+    packed = source.reads(*layout.box)
     v = sum(sign * packed.get(flipped, 0) for flipped, sign, _ in layout.subsets)
     return packed_at_q1(v, source.k)
 
@@ -83,14 +83,13 @@ def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[Fraction, str, int]:
     return closed, str(closed), rhs
 
 
-def verify_kadell(
-    a: tuple[int, ...], layout: Layout, source: FactoredProduct
-) -> VerificationReport:
-    """Scaled corrected constant term of the product of a against its
-    product-free value, and the corrected constant term itself against its
-    closed form, on the compiled layout."""
+def verify_kadell(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """Scaled corrected constant term of the product of the source's a
+    against its product-free value, and the corrected constant term itself
+    against its closed form, on the compiled layout."""
     t0 = time.perf_counter()
-    ct = corrected_ct(a, layout, source)
+    ct = corrected_ct(layout, source)
+    a = source.a
     s_i = sum(a[i] for i in layout.I)
     lhs = (1 + sum(a) - s_i) * ct
     closed, closed_text, rhs = _ct_closed(a, s_i)

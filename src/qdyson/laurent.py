@@ -21,16 +21,17 @@ caller that goes on computing with the packed values asks for
 computes.
 
 ``FactoredProduct`` runs the pass once per product and keeps the packed
-integers and, for a q-Dyson product, its exponent vector a.  Every check
-first compares its own a with the product's (``check_a``).  A check that
-reads many coefficients then checks once that its read box lies in the
-product's (``reads``) and reads each as a plain ``dict.get`` with default
-0, as the pass keeps no zero and drops nothing else inside its box;
-``packed_coeff`` and ``coeff`` read one coefficient, packed or unpacked,
-after the same box check.  ``rotated`` turns the q-Dyson product D(a) over
-a cube into D(rot(a))'s over the same cube without a pass, by rotating each
-key one place and shifting its packed integer: a layer sweep makes one pass
-per cyclic orbit of a and steps it once per further member.
+integers and, for a q-Dyson product, its exponent vector a, the one a
+check reads.  Every check passes one guard before it reads anything
+(``reads``): the source holds a q-Dyson product, packed with the spare
+bits the check computes with, over a box that holds the check's reads.
+It then reads each coefficient as a plain ``dict.get`` with default 0, as
+the pass keeps no zero and drops nothing else inside its box; ``coeff``
+unpacks one coefficient of any product after the same box check.
+``rotated`` turns the q-Dyson product D(a) over a cube into D(rot(a))'s
+over the same cube without a pass, by rotating each key one place and
+shifting its packed integer: a layer sweep makes one pass per cyclic
+orbit of a and steps it once per further member.
 ``ct_of_factor_list`` is the pass over a single point.
 
 ``LaurentPoly`` is a sparse multivariate Laurent polynomial over ``QPoly``:
@@ -295,10 +296,11 @@ class FactoredProduct:
     in one pruned pass at construction and kept packed, with ``headroom``
     spare bits of k for the caller's arithmetic on them (see
     ``packed_in_box``).  ``a`` is the exponent vector of the q-Dyson
-    product the source holds, which ``dyson.q_dyson_source`` records, and
-    None for any other product.  The box is the set of coefficients the
-    caller's checks read; reading outside it raises ``ValueError`` instead
-    of returning a zero that was never computed.  ``coeff`` unpacks one
+    product the source holds, which ``dyson.q_dyson_source`` records and
+    every check reads as its a, and None for any other product, which no
+    check reads.  The box is the set of coefficients the caller's checks
+    read; reading outside it raises ``ValueError`` instead of returning a
+    zero that was never computed.  ``coeff`` unpacks one
     coefficient; ``expanded`` is the whole box unpacked, once; ``rotated``
     makes the product of a rotated exponent vector from a q-Dyson
     product."""
@@ -319,21 +321,23 @@ class FactoredProduct:
         self.a = a
         self.packed, self.k = packed_in_box(n, pairs, lo, hi, headroom)
 
-    def check_a(self, a: tuple[int, ...]) -> None:
-        """Raises ``ValueError`` unless this is the q-Dyson product of the
-        exponent vector a: a check's one tuple comparison before it reads."""
-        if a != self.a:
-            raise ValueError(f"the source is the product of a = {self.a!r}, not of {a!r}")
-
     def reads(
-        self, a: tuple[int, ...], lo: Sequence[int], hi: Sequence[int]
+        self, lo: Sequence[int], hi: Sequence[int], headroom: int = 0
     ) -> dict[Monomial, int]:
         """The packed coefficients by exponent vector, for a check of the
-        product of a that reads only inside the box lo..hi, where every
-        vector missing from the dict has coefficient 0 (the pass keeps no
-        zero).  Before anything is read, ``check_a`` and one box check:
-        ``ValueError`` unless lo..hi lies inside the box of the pass."""
-        self.check_a(a)
+        q-Dyson product that reads only inside the box lo..hi and computes
+        on them with ``headroom`` spare bits of k, where every vector
+        missing from the dict has coefficient 0 (the pass keeps no zero).
+        The one guard of every check, before anything is read:
+        ``ValueError`` unless the source holds a q-Dyson product (``a`` is
+        not None), was packed with at least ``headroom`` spare bits, and
+        its box holds lo..hi."""
+        if self.a is None:
+            raise ValueError("the source holds no q-Dyson product")
+        if self.headroom < headroom:
+            raise ValueError(
+                f"the source was packed with {self.headroom} spare bits, not {headroom}"
+            )
         self._check_box(lo, hi)
         return self.packed
 
@@ -343,15 +347,12 @@ class FactoredProduct:
                 f"exponents {tuple(lo)!r}..{tuple(hi)!r} outside the box {self.lo!r}..{self.hi!r}"
             )
 
-    def packed_coeff(self, target: Sequence[int]) -> int:
-        """The coefficient at ``target``, a polynomial in q, at q = 2^k; a
-        target outside the box raises ``ValueError``."""
+    def coeff(self, target: Sequence[int]) -> QPoly:
+        """The coefficient at ``target``, unpacked; a target outside the box
+        raises ``ValueError``."""
         key = tuple(target)
         self._check_box(key, key)
-        return self.packed.get(key, 0)
-
-    def coeff(self, target: Sequence[int]) -> QPoly:
-        return unpack(self.packed_coeff(target), self.k, 0)
+        return unpack(self.packed.get(key, 0), self.k, 0)
 
     def rotated(self) -> "FactoredProduct":
         """For this product the q-Dyson product D(a) over a cube, the same
@@ -380,9 +381,6 @@ class FactoredProduct:
         out.a = None if self.a is None else self.a[-1:] + self.a[:-1]
         out.packed, out.k = packed, k
         return out
-
-    def constant_term(self) -> QPoly:
-        return self.coeff((0,) * (self.n + 1))
 
     @functools.cached_property
     def expanded(self) -> LaurentPoly:

@@ -40,10 +40,11 @@ every exponent by a dot product with a, and the verdict as a field.
 ``verify_paired`` computes on the product's coefficients as the source keeps
 them, packed into integers at q = 2^k, so both sides of the identity are
 compared as two integers; ``paired_headroom`` derives the spare bits of k
-that make the comparison exact.  It checks once that its reads lie in the
-layout's box and then reads each coefficient as a plain dict lookup.  The
-report's ``extra`` depends on the layout alone, so it is built, and its
-JSON text encoded, once per (I, J) (``reports.Extra``).
+that make the comparison exact.  Its one guard, ``FactoredProduct.reads``,
+checks that headroom and the layout's box before anything is read, and
+each coefficient is then a plain dict lookup.  The report's ``extra``
+depends on the layout alone, so it is built, and its JSON text encoded,
+once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -190,17 +191,15 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     return rhs, unpack(rhs, k, 0).render()
 
 
-@functools.lru_cache(maxsize=256)  # a grid sweep has at most 125 layouts up to n = 4
+@functools.cache  # one entry per layout the process compiles
 def _pairing(I: tuple[int, ...], J: tuple[int, ...]) -> Extra:  # noqa: E741
     """The ``extra`` of every report of the layout (I, J), with its text."""
     return Extra({"semantics": "multiset", "pairing": [[i, j] for i, j in zip(I, J)]})
 
 
-def verify_paired(
-    a: tuple[int, ...], layout: Layout, source: FactoredProduct
-) -> VerificationReport:
-    """The paired-layer identity for the product of a on the compiled
-    layout.  The constant term of the multiplied product is, term
+def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """The paired-layer identity for the product of the source's a on the
+    compiled layout.  The constant term of the multiplied product is, term
     by term of the multiplier, its weight times the product's coefficient at
     the flipped monomial.  Both sides stay packed at q = 2^k, as ``source``
     holds its coefficients: the sum over subsets adds shifted integers, the
@@ -208,16 +207,15 @@ def verify_paired(
     packed and rendered once per a.  A check that holds prints the right
     side's text on both sides; only a failing one unpacks its left side.
     Layers violating the no-crossing condition are rejected with
-    ``NpcViolationError``, and a source with less headroom than
-    ``paired_headroom``, or not the product of a, or whose box does not
-    hold ``layout.box``, with ``ValueError``."""
+    ``NpcViolationError`` before the source is touched, and by the guard
+    ``FactoredProduct.reads`` a source that holds no q-Dyson product, has
+    less headroom than ``paired_headroom`` or does not hold ``layout.box``,
+    with ``ValueError``."""
     if not layout.npc:
         raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
-    if source.headroom < paired_headroom(layout):
-        raise ValueError("source packed with too little headroom for the paired check")
+    packed = source.reads(*layout.box, paired_headroom(layout))
     t0 = time.perf_counter()
-    k = source.k
-    packed = source.reads(a, *layout.box)
+    a, k = source.a, source.k
     terms = [
         (sign, packed.get(flipped, 0), evaluate(chain, a))
         for flipped, sign, chain in layout.subsets

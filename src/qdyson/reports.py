@@ -146,7 +146,7 @@ def _head(engine: str, holds: bool, identity: str) -> str:
     return f'"engine":{_string(engine)},"holds":{dumps(holds)},"identity":{_string(identity)},'
 
 
-@functools.lru_cache(maxsize=256)  # a grid sweep has at most 125 layouts up to n = 4
+@functools.cache  # one entry per (I, J) the process reports on
 def _layer(I: tuple[int, ...], J: tuple[int, ...]) -> str:  # noqa: E741
     return f'"I":[{",".join(map(str, I))}],"J":[{",".join(map(str, J))}],'
 

@@ -9,6 +9,8 @@ compute on the packed coefficients), both worked out from the compiled
 layout.  Every check reads a product its caller built, and ``_run_task`` is
 the one caller that builds it: one pruned pass over a box, with the most
 headroom any of the task's layouts needs, then every check of the task.
+A check is ``check(layout, source)`` and takes its exponent vector a from
+the source, which records the a it was built from.
 
 A task is ``(context, orbit)``.  The context (identity, n, layouts, box) is
 what every task of one sweep shares, built once per sweep: the identity's
@@ -80,11 +82,12 @@ def _target(layout: Layout) -> Box:
 
 @dataclass(frozen=True)
 class Identity:
-    """``check(a, layout, source)`` verifies the identity for the exponent
-    vector a on the compiled ``layout``, with ``source`` the q-Dyson product
+    """``check(layout, source)`` verifies the identity on the compiled
+    ``layout`` for the exponent vector a of ``source``, the q-Dyson product
     of a, read over a box that holds ``reads(layout)`` and packed with at
-    least ``headroom(layout)`` spare bits; a check of None marks the lemma
-    suite, which only sweeps."""
+    least ``headroom(layout)`` spare bits, which the check's guard
+    (``FactoredProduct.reads``) makes sure of before it reads; a check of
+    None marks the lemma suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
     reads: Callable[[Layout], Box] = lambda layout: layout.box
@@ -97,17 +100,17 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda a, layout, source: verify_dyson(a, layout, source)),
-    "qdyson": Identity(lambda a, layout, source: verify_q_dyson(a, layout, source)),
+    "dyson": Identity(lambda layout, source: verify_dyson(layout, source)),
+    "qdyson": Identity(lambda layout, source: verify_q_dyson(layout, source)),
     "firstlayer": Identity(
-        lambda a, layout, source: verify_first_layer(a, layout, source),
+        lambda layout, source: verify_first_layer(layout, source),
         reads=_target,
         headroom=first_layer_headroom,
         mmin=1,
     ),
-    "kadell": Identity(lambda a, layout, source: verify_kadell(a, layout, source), mmin=0),
+    "kadell": Identity(lambda layout, source: verify_kadell(layout, source), mmin=0),
     "main": Identity(
-        lambda a, layout, source: verify_paired(a, layout, source),
+        lambda layout, source: verify_paired(layout, source),
         headroom=paired_headroom,
         mmin=0,
         admissible=npc_holds,
@@ -252,7 +255,7 @@ def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationRepor
     for a in orbit:
         if reports:
             member = member.rotated()
-        reports[a] = [identity.check(a, lay, member) for lay in layouts]
+        reports[a] = [identity.check(lay, member) for lay in layouts]
     return pass_ms, reports
 
 
@@ -331,11 +334,12 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
 # -- randomized lemma suite ----------------------------------------------------
 
 
-def random_instance(rng: random.Random, nmax: int, amax: int, mmin: int = 1) -> Instance:
-    """Uniform-ish draw of an instance with m >= mmin, n <= nmax and every
-    a_k <= amax; draws n, m, I, J, then a."""
-    n = rng.randint(max(2, mmin), nmax)
-    m = rng.randint(mmin, n)
+def random_instance(rng: random.Random, nmax: int, amax: int) -> Instance:
+    """Uniform-ish draw of an instance with 2 <= m <= n <= nmax and every
+    a_k <= amax, as the lemmas need two selected indices; draws n, m, I, J,
+    then a."""
+    n = rng.randint(2, nmax)
+    m = rng.randint(2, n)
     I = tuple(sorted(rng.sample(range(n + 1), m)))  # noqa: E741
     rest = [x for x in range(n + 1) if x not in I]
     J = tuple(sorted(rng.choices(rest, k=m)))
@@ -343,30 +347,26 @@ def random_instance(rng: random.Random, nmax: int, amax: int, mmin: int = 1) -> 
     return Instance(n, a, I, J)
 
 
-def lemma_suite_reports(
-    nmax: int,
-    amax: int,
-    seed: int,
-    factorization_draws: int = FACTORIZATION_DRAWS,
-    tail_cancel_draws: int = TAIL_CANCEL_DRAWS,
-) -> list[VerificationReport]:
+def lemma_suite_reports(nmax: int, amax: int, seed: int) -> list[VerificationReport]:
     """Randomized checks of the supporting combinatorial statements:
-    factorization of subset sums (with the vanishing product under the
-    no-crossing condition), tail cancellation, and the exhaustive
-    inversion-pair property of choice products."""
+    ``FACTORIZATION_DRAWS`` of the factorization of subset sums (with the
+    vanishing product under the no-crossing condition),
+    ``TAIL_CANCEL_DRAWS`` of tail cancellation, and the exhaustive
+    inversion-pair property of choice products at
+    ``CHOICE_PRODUCT_SIZES``."""
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
 
-    for _ in range(factorization_draws):
-        inst = random_instance(rng, nmax, amax, mmin=2)
+    for _ in range(FACTORIZATION_DRAWS):
+        inst = random_instance(rng, nmax, amax)
         usize = rng.randint(1, inst.m - 1)
         U = tuple(sorted(rng.sample(inst.I, usize)))
         floors = [x for x in inst.I if x <= min(U)]
         i_v = rng.choice(floors)
         reports.append(verify_factorization(inst, U, i_v))
 
-    for _ in range(tail_cancel_draws):
-        inst = random_instance(rng, nmax, amax, mmin=2)
+    for _ in range(TAIL_CANCEL_DRAWS):
+        inst = random_instance(rng, nmax, amax)
         for h in range(2, inst.m + 1):
             reports.append(verify_tail_cancel(inst, h))
 

@@ -193,7 +193,7 @@ def test_criterion_3_first_layer_closed_form(classical_expanded):
         qsrc = shared_source(insts)
         csrc = classical_expanded[(3, a)]
         for inst in insts:
-            rep = verify_first_layer(a, compiled(inst), qsrc)
+            rep = verify_first_layer(compiled(inst), qsrc)
             oracle = as_int(csrc.coeff(first_layer_target(inst)))
             checked += 1
             failed += 0 if rep.holds and rep.params["extra"]["q1_brute"] == str(oracle) else 1
@@ -245,7 +245,7 @@ def test_criterion_5_corrected_constant_terms(classical_expanded):
             qsrc = shared_source(insts)
             src = classical_expanded[(n, a)]
             for inst in insts:
-                rep = verify_kadell(a, compiled(inst), qsrc)
+                rep = verify_kadell(compiled(inst), qsrc)
                 correction = expand_product(correction_factors(inst), n)
                 oracle = as_int(ct_times(src, correction))
                 checked += 1

@@ -48,8 +48,9 @@ def oracle_avecs(n):
 
 
 def seeded_layouts(n, count, seed=0):
-    """count random layouts (I, J) over x_0..x_n with m >= 1, drawn as
-    ``sweeps.random_instance`` draws them at that n."""
+    """count random layouts (I, J) over x_0..x_n, each I and J drawn as
+    ``sweeps.random_instance`` draws them at that n, but with m from 1..n
+    where it draws m from 2..n."""
     rng = random.Random(seed)
     for _ in range(count):
         m = rng.randint(1, n)
@@ -231,14 +232,14 @@ class TestClosedForm:
 
         inst = Instance(2, (1, 1, 1))
         with pytest.raises(ValueError):
-            verify_first_layer(inst.a, compiled(inst), Unreadable())
+            verify_first_layer(compiled(inst), Unreadable())
 
     def test_verify_rejects_a_source_without_headroom(self):
         inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
         layout = compiled(inst)
         source = q_dyson_source(inst, *layout.box, first_layer_headroom(layout) - 1)
         with pytest.raises(ValueError):
-            verify_first_layer(inst.a, layout, source)
+            verify_first_layer(layout, source)
 
     def test_known_coefficient(self):
         inst = Instance(2, (1, 1, 1), (0,), (1,))
@@ -275,7 +276,7 @@ class TestClosedForm:
         grid fail, and every report is the one the ``QPoly`` check gives: a
         failing one renders the closed form on the right, not the brute's
         text.  The wrong product is relabelled with the checks' a, which a
-        check refuses to read otherwise."""
+        check reads off its source."""
         failed = 0
         for a in itertools.product(range(1, 3), repeat=3):
             insts = list(all_layouts(2, a))
@@ -283,7 +284,7 @@ class TestClosedForm:
             wrong.a = a
             for inst in insts:
                 layout = compiled(inst)
-                rep = verify_first_layer(inst.a, layout, wrong)
+                rep = verify_first_layer(layout, wrong)
                 expected = verify_first_layer_oracle(inst.a, layout, wrong)
                 assert (rep.holds, rep.lhs, rep.rhs, rep.params) == (
                     expected.holds, expected.lhs, expected.rhs, expected.params

@@ -302,7 +302,7 @@ class TestVerifyPaired:
                 insts = list(all_layouts(n, a, mmin=0))
                 source = shared_source(insts)
                 for inst in insts:
-                    rep = verify_paired(inst.a, compiled(inst), source)
+                    rep = verify_paired(compiled(inst), source)
                     assert rep.holds, inst
 
     def test_semantics_divergence_instance(self, monkeypatch):
@@ -317,7 +317,7 @@ class TestVerifyPaired:
     def test_rejects_crossing_pairing(self):
         inst = Instance(6, (1,) * 7, (2, 5, 6), (0, 1, 3))
         with pytest.raises(NpcViolationError):
-            verify_paired(inst.a, compiled(inst), shared_source([inst]))
+            verify_paired(compiled(inst), shared_source([inst]))
 
     def test_reads_the_verdict_compiled_into_the_layout(self, monkeypatch):
         """The check reads ``Layout.npc``, which ``compile_layout`` set,
@@ -333,9 +333,9 @@ class TestVerifyPaired:
         layout, source = compiled(inst), shared_source([inst])
         assert layout.npc and not crossing.npc
         monkeypatch.setattr("qdyson.paired.npc_holds", None)
-        assert verify_paired(inst.a, layout, source).holds
+        assert verify_paired(layout, source).holds
         with pytest.raises(NpcViolationError):
-            verify_paired((1,) * 7, crossing, Untouchable())
+            verify_paired(crossing, Untouchable())
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -343,7 +343,7 @@ class TestVerifyPaired:
         inst = Instance(2, (1, 1, 1), (0,), (1,))
         layout = compiled(inst)
         with pytest.raises(ValueError):  # packed without the check's headroom
-            verify_paired(inst.a, layout, q_dyson_source(inst, *layout.box))
+            verify_paired(layout, q_dyson_source(inst, *layout.box))
 
 
 class TestRemovalExponent:

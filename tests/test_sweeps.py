@@ -25,6 +25,8 @@ from qdyson.sweeps import (
     verify,
 )
 
+CHECKED = [name for name, row in sweeps.IDENTITIES.items() if row.check]
+
 
 def test_a_grid():
     assert a_grid(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -211,7 +213,7 @@ def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
     assert json.loads(rep.to_json())["elapsed_ms"] == rep.elapsed_ms
 
 
-@pytest.mark.parametrize("name", [name for name, row in sweeps.IDENTITIES.items() if row.check])
+@pytest.mark.parametrize("name", CHECKED)
 def test_a_check_reports_the_layer_of_its_layout(name):
     """For every layout of ``layout_grid(3, 0, 3)`` the identity's row
     accepts, its check of a on that compiled layout holds, and the report's
@@ -224,7 +226,7 @@ def test_a_check_reports_the_layer_of_its_layout(name):
             continue
         layout = compile_layout(3, I, J)
         source = q_dyson_source(Instance(3, a), *identity.reads(layout), identity.headroom(layout))
-        rep = identity.check(a, layout, source)
+        rep = identity.check(layout, source)
         assert rep.holds and rep.identity == name, (I, J)
         assert (rep.n, rep.a, rep.I, rep.J) == (layout.n, a, layout.I, layout.J) == (3, a, I, J)
         checked += 1
@@ -373,9 +375,11 @@ def test_a_row_parses_its_line_once_and_only_when_read(monkeypatch):
 
 
 def test_random_layer_draws_are_deterministic():
+    """A seed fixes the draws, and each draw selects at least the two
+    indices the lemmas need."""
     one = [random_instance(random.Random(5), 5, 3).pairs for _ in range(5)]
     two = [random_instance(random.Random(5), 5, 3).pairs for _ in range(5)]
-    assert one == two
+    assert one == two and all(len(pairs) >= 2 for pairs in one)
 
 
 def test_crossing_layouts_are_rejected_not_failed():
@@ -418,10 +422,10 @@ def test_layer_sweep_reports_follow_grid_order():
     assert seen == [(a, I, J) for a in a_grid(2, 2) for I, J in layouts]  # noqa: E741
 
 
-def test_lemma_suite_shapes():
-    reports = lemma_suite_reports(
-        nmax=4, amax=3, seed=3, factorization_draws=25, tail_cancel_draws=10
-    )
+def test_lemma_suite_shapes(monkeypatch):
+    monkeypatch.setattr(sweeps, "FACTORIZATION_DRAWS", 25)
+    monkeypatch.setattr(sweeps, "TAIL_CANCEL_DRAWS", 10)
+    reports = lemma_suite_reports(nmax=4, amax=3, seed=3)
     kinds = [r.identity for r in reports]
     assert kinds.count("factorization") == 25
     assert kinds.count("choiceproduct") == 4
@@ -429,9 +433,11 @@ def test_lemma_suite_shapes():
     assert all(r.holds for r in reports)
 
 
-def test_lemma_suite_seed_changes_draws():
-    one = lemma_suite_reports(4, 3, seed=1, factorization_draws=5, tail_cancel_draws=1)
-    two = lemma_suite_reports(4, 3, seed=2, factorization_draws=5, tail_cancel_draws=1)
+def test_lemma_suite_seed_changes_draws(monkeypatch):
+    monkeypatch.setattr(sweeps, "FACTORIZATION_DRAWS", 5)
+    monkeypatch.setattr(sweeps, "TAIL_CANCEL_DRAWS", 1)
+    one = lemma_suite_reports(4, 3, seed=1)
+    two = lemma_suite_reports(4, 3, seed=2)
     params_one = [r.params for r in one if r.identity == "factorization"]
     params_two = [r.params for r in two if r.identity == "factorization"]
     assert params_one != params_two
@@ -476,7 +482,9 @@ def test_tracer_binds_every_traced_name(tmp_path):
 def test_main_encodes_its_extra_once_per_layout(tmp_path, monkeypatch):
     """``sweep main --n 4 --amax 1 --json PATH`` writes 4,000 lines, but
     encodes ``main``'s extra, which reads the layout alone, at most once
-    per layout, and every line still carries its layout's pairing."""
+    per layout, and every line still carries its layout's pairing.  So
+    does ``sweep main --n 5 --amax 1 --m 3``, whose 374 layouts are more
+    than a cache sized for the 125 of n = 4 would hold."""
     encoded, dumps = [], reports.dumps
 
     def counting(obj):
@@ -485,19 +493,22 @@ def test_main_encodes_its_extra_once_per_layout(tmp_path, monkeypatch):
         return dumps(obj)
 
     monkeypatch.setattr(reports, "dumps", counting)
-    paired._pairing.cache_clear()
     path = tmp_path / "main.jsonl"
-    assert cli.main(["sweep", "main", "--n", "4", "--amax", "1", "--json", str(path)]) == 0
-    *lines, summary = path.read_text(encoding="utf-8").splitlines()
-    checks = json.loads(summary)["total"]
-    layouts = checks // 2**5
-    assert checks == len(lines) == 4000 and layouts == 125
-    assert 0 < len(encoded) <= layouts
-    for line in lines:
-        params = json.loads(line)["params"]
-        assert params["extra"] == {
-            "semantics": "multiset", "pairing": [list(p) for p in zip(params["I"], params["J"])]
-        }
+    for argv, checks, layouts in [
+        (("--n", "4", "--amax", "1"), 4000, 125),
+        (("--n", "5", "--amax", "1", "--m", "3"), 23936, 374),
+    ]:
+        encoded.clear()
+        paired._pairing.cache_clear()
+        assert cli.main(["sweep", "main", *argv, "--json", str(path)]) == 0
+        *lines, summary = path.read_text(encoding="utf-8").splitlines()
+        total = json.loads(summary)["total"]
+        assert total == len(lines) == checks == layouts * 2 ** (int(argv[1]) + 1)
+        assert 0 < len(encoded) <= layouts
+        for line in lines:
+            params = json.loads(line)["params"]
+            pairing = [list(p) for p in zip(params["I"], params["J"])]
+            assert params["extra"] == {"semantics": "multiset", "pairing": pairing}
 
 
 def _counting_everywhere(monkeypatch, name, calls, home=qpoly):
@@ -524,7 +535,7 @@ def test_kadell_sweep_unpacks_nothing(monkeypatch):
     _, summary = run_sweep(SweepConfig(identity="kadell", n=3, amax=2))
     assert summary["failed"] == 0 and summary["passed"] == 35 * 81
     assert calls == []
-    q_dyson_source(Instance(2, (1, 1, 1)), (0,) * 3, (0,) * 3).constant_term()
+    q_dyson_source(Instance(2, (1, 1, 1)), (0,) * 3, (0,) * 3).coeff((0,) * 3)
     assert len(calls) == 1
 
 
@@ -537,7 +548,7 @@ class _Unread(dict):
     __getitem__ = get
 
 
-@pytest.mark.parametrize("name", [name for name, row in sweeps.IDENTITIES.items() if row.check])
+@pytest.mark.parametrize("name", CHECKED)
 def test_a_read_outside_the_source_box_raises_before_any_read(name):
     """A check whose read box is not inside its source's box raises
     ``ValueError`` before it reads a coefficient: a source over the point
@@ -552,7 +563,7 @@ def test_a_read_outside_the_source_box_raises_before_any_read(name):
         source = q_dyson_source(Instance(3, a), *box, identity.headroom(layout))
         source.packed = _Unread(source.packed)
         with pytest.raises(ValueError, match="outside the box"):
-            identity.check(a, layout, source)
+            identity.check(layout, source)
 
 
 def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatch):
@@ -623,34 +634,53 @@ def test_grid_expand_reaches_every_traced_check_step(tmp_path):
 
 def test_a_check_refuses_the_product_of_another_a():
     """Kadell's identity on a = (1, 2, 1, 1), read off the product of
-    (1, 1, 1, 1), would fail (lhs 120 against rhs 360) though it holds: the
-    check refuses that source with ``ValueError`` instead, and so does every
-    other check."""
+    (1, 1, 1, 1), would fail (lhs 120 against rhs 360) though it holds.  A
+    check takes no a, so it cannot be pointed at the product of another a:
+    each check of that product reads a = (1, 1, 1, 1) off it and holds, and
+    Kadell's check of a = (1, 2, 1, 1) reads the product of that a."""
     layout = compile_layout(3, (1,), (2,))
-    source = q_dyson_source(Instance(3, (1, 1, 1, 1)), *layout.box)
-    with pytest.raises(ValueError, match=r"product of a = \(1, 1, 1, 1\), not of \(1, 2, 1, 1\)"):
-        kadell.verify_kadell((1, 2, 1, 1), layout, source)
-    assert kadell.verify_kadell((1, 1, 1, 1), layout, source).holds
     ones = Instance(3, (1, 1, 1, 1))
-    for name, identity in sweeps.IDENTITIES.items():
-        if identity.check is None:
-            continue
+    for name in CHECKED:
+        identity = sweeps.IDENTITIES[name]
         lay = compile_layout(3, (), ()) if identity.mmin is None else layout
-        src = q_dyson_source(ones, *identity.reads(lay), identity.headroom(lay))
-        with pytest.raises(ValueError, match="not of"):
-            identity.check((1, 2, 1, 1), lay, src)
+        rep = identity.check(lay, q_dyson_source(ones, *identity.reads(lay), identity.headroom(lay)))
+        assert rep.holds and rep.a == (1, 1, 1, 1), name
+    rep = kadell.verify_kadell(layout, q_dyson_source(Instance(3, (1, 2, 1, 1)), *layout.box))
+    assert rep.holds and rep.a == (1, 2, 1, 1)
 
 
 def test_a_rotated_source_is_the_product_of_the_rotated_a():
     """``rotated`` carries the product's a along: the member of the orbit of
-    (1, 2, 1, 1) one step on is the product of (1, 1, 2, 1), which its
-    checks read, and which a check of the first member refuses."""
-    a, layout = (1, 2, 1, 1), compile_layout(3, (1,), (2,))
+    (1, 2, 1, 1) one step on is the product of (1, 1, 2, 1), and every
+    check reads that a off it and holds."""
+    layout = compile_layout(3, (1,), (2,))
     cube = (-1,) * 4, (1,) * 4
-    member = q_dyson_source(Instance(3, a), *cube, 1).rotated()
+    member = q_dyson_source(Instance(3, (1, 2, 1, 1)), *cube, 3).rotated()
     assert member.a == (1, 1, 2, 1)
-    for name in ("kadell", "main"):
-        check = sweeps.IDENTITIES[name].check
-        assert check((1, 1, 2, 1), layout, member).holds
-        with pytest.raises(ValueError, match="not of"):
-            check(a, layout, member)
+    for name in CHECKED:
+        identity = sweeps.IDENTITIES[name]
+        lay = compile_layout(3, (), ()) if identity.mmin is None else layout
+        rep = identity.check(lay, member)
+        assert rep.holds and rep.a == (1, 1, 2, 1), name
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_check_refuses_a_source_it_may_not_read_before_any_read(name):
+    """A check raises ``ValueError`` before it reads a coefficient from a
+    source that holds no q-Dyson product, here Kadell's modified product of
+    the same a over the same box, which records no a, and from a q-Dyson
+    product packed with one spare bit fewer than the row's headroom.  The
+    q-Dyson product over that box, with that headroom, serves it."""
+    identity = sweeps.IDENTITIES[name]
+    inst = Instance(3, (1, 2, 1, 1), *(() if identity.mmin is None else ((0, 2), (1, 1))))
+    layout = compile_layout(3, inst.I, inst.J)
+    box, headroom = identity.reads(layout), identity.headroom(layout)
+    modified = laurent.FactoredProduct(3, kadell.modified_q_product(inst), *box, headroom)
+    sources = [(modified, "no q-Dyson product")]
+    if headroom:
+        sources.append((q_dyson_source(inst, *box, headroom - 1), "spare bits"))
+    for source, message in sources:
+        source.packed = _Unread(source.packed)
+        with pytest.raises(ValueError, match=message):
+            identity.check(layout, source)
+    assert identity.check(layout, q_dyson_source(inst, *box, headroom)).holds
