@@ -37,6 +37,7 @@ CAMPAIGN = [
     ("kadell", 3, 2, None),
     ("main", 2, 2, None),
     ("main", 3, 2, None),
+    ("main", 4, 1, None),  # the one grid here with a crossing layout: 32 rejected
     ("lemmas", 6, 5, None),
 ]
 

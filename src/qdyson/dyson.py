@@ -33,10 +33,12 @@ holds what the check reads, and it carries the a of its q-Dyson product,
 the one carrier of a a check and its report read.  Before reading
 anything, a check passes ``FactoredProduct.reads``, which refuses with
 ``ValueError`` a source that holds no q-Dyson product, lacks the spare
-bits the check computes with, or does not hold the check's box.  Which
-box that is, is the read rule of the identity's row in
-``sweeps.IDENTITIES``: for the constant terms here, the box of the empty
-layer, the origin.
+bits the check computes with, or does not hold the check's box.  A
+check calls it with its read rule, (lo, hi, headroom) as a function of
+the layout, which is also the rule of its row in ``sweeps.IDENTITIES``
+and the arguments ``q_dyson_source`` takes after the instance.  For the
+constant terms here it is the row default (*layout.box, 0): the box of
+the empty layer, the origin, with no spare bits.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class Layout:
     S = I, which holds every flipped monomial; for the empty layer it is
     the origin.  ``npc`` is the verdict of ``paired.npc_holds`` on (I, J):
     whether the pairing avoids the crossing pattern the paired identity
-    excludes."""
+    excludes, which ``main`` admits a layout by."""
 
     n: int
     I: tuple[int, ...]  # noqa: E741 - interface name
@@ -200,7 +202,9 @@ def q_dyson_source(
 ) -> FactoredProduct:
     """The q-Dyson product's coefficients over the box lo <= e <= hi,
     packed with ``headroom`` spare bits for the checks that compute on
-    them, and recording inst.a, which every check reads as its a."""
+    them, and recording inst.a, which every check reads as its a.
+    (lo, hi, headroom) is what a check's read rule returns, so
+    ``q_dyson_source(inst, *rule(layout))`` serves that check."""
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom, inst.a)
 
 

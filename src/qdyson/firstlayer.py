@@ -10,11 +10,12 @@ equivalently the coefficient of (prod x_i) / (prod x_j) in the product
 itself, the flipped layer monomial of S = I, which a compiled ``Layout``
 lists last among its subsets.  The brute-force side is that one
 coefficient: ``verify_first_layer`` reads it, and nothing else, from the
-source its caller built (the read rule of ``firstlayer`` in
-``sweeps.IDENTITIES``).  The closed form is a signed sum over nonempty
-subsets T of I whose q-exponents are the layer exponents computed here.  Its
-q = 1 value, the first-layer coefficient of the classical product, is read
-off the same extracted q-coefficient.
+source its caller built.  ``first_layer_reads`` is that read rule, the
+one statement of what the check reads: its guard is called with it, and
+its row of ``sweeps.IDENTITIES`` names it.  The closed form is a signed
+sum over nonempty subsets T of I whose q-exponents are the layer
+exponents computed here.  Its q = 1 value, the first-layer coefficient of
+the classical product, is read off the same extracted q-coefficient.
 
 ``layer_coefficients`` is one formula read straight off the layout, whatever
 the smallest selected index: the layer exponent as an affine function of a.
@@ -29,7 +30,7 @@ each check reads every exponent by one dot product with a.
 ``verify_first_layer`` compares the brute coefficient with the closed form
 without dividing and without ``QPoly`` arithmetic: both cross-multiplied
 sides are integers at q = 2^k, as the source keeps the coefficients, with
-the spare bits of k that ``first_layer_headroom`` derives.
+the spare bits of k that ``first_layer_reads`` derives.
 ``first_layer_closed`` builds the closed form as a ``QRat`` to render it
 when a check fails.  The q = 1 closed value depends on I and a only and is
 computed once per pair, its terms grouped by denominator as on the q side
@@ -185,25 +186,31 @@ def _closed_q1(I: tuple[int, ...], a: tuple[int, ...]) -> Fraction:  # noqa: E74
     return Fraction(multinomial(a) * num, den)
 
 
-def first_layer_headroom(layout: Layout) -> int:
-    """Spare bits of k that ``verify_first_layer`` needs to compare its two
-    sides packed (``qpoly.packed_equal``): m + D - 1, with D = 2^m - 1 the
-    most distinct denominators the 2^m - 1 subsets T can give; 0 for the
-    empty layer, which the check rejects.
+def first_layer_reads(layout: Layout) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """What ``verify_first_layer`` reads, as the arguments (lo, hi,
+    headroom) of its guard ``FactoredProduct.reads`` and of
+    ``dyson.q_dyson_source``: the target alone, the flipped monomial of
+    S = I, with m + D - 1 spare bits of k, D = 2^m - 1 the most distinct
+    denominators the 2^m - 1 subsets T can give.  An empty layer has no
+    first layer and raises ``ValueError``.
 
-    With B the bound of ``laurent.packed_in_box``, 2^(k - 1 - headroom) > B.
-    The sides are brute * den and qmult(a) * num, where den is the product
-    of the D distinct (1 - q^d) and num sums, over the subsets T,
-    +-q^L(T) (1 - q^(s_T)) times the D - 1 factors of den other than T's.
-    By L1 norms: brute, one coefficient of the product, is at most B, so
-    brute * den is at most 2^D B; each subset's term of num is at most 2^D,
-    and qmult(a) at most B (see ``paired.paired_headroom``), so
-    qmult(a) * num is at most (2^m - 1) 2^D B.  So |X_i| + |Y_i| <=
-    2^(m + D) B < 2^(k + m + D - 1 - headroom), and headroom m + D - 1 puts
-    it below 2^k.
+    The spare bits make the packed comparison (``qpoly.packed_equal``)
+    exact.  With B the bound of ``laurent.packed_in_box``,
+    2^(k - 1 - headroom) > B.  The sides are brute * den and
+    qmult(a) * num, where den is the product of the D distinct (1 - q^d)
+    and num sums, over the subsets T, +-q^L(T) (1 - q^(s_T)) times the
+    D - 1 factors of den other than T's.  By L1 norms: brute, one
+    coefficient of the product, is at most B, so brute * den is at most
+    2^D B; each subset's term of num is at most 2^D, and qmult(a) at most
+    B (see ``paired.paired_reads``), so qmult(a) * num is at most
+    (2^m - 1) 2^D B.  So |X_i| + |Y_i| <= 2^(m + D) B <
+    2^(k + m + D - 1 - headroom), and headroom m + D - 1 puts it below
+    2^k.
     """
-    m = len(layout.I)
-    return m + 2**m - 2 if m else 0
+    if not layout.terms:
+        raise ValueError("layer must select at least one index")
+    m, target = len(layout.I), layout.subsets[-1][0]
+    return target, target, m + 2**m - 2
 
 
 def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationReport:
@@ -220,14 +227,13 @@ def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationR
     prints the brute's text on both sides, which is what the closed form
     renders to; only a failing one builds and renders
     ``first_layer_closed``.  An empty layer is rejected before anything is
-    read, and so, by the guard ``FactoredProduct.reads``, is a source that
-    holds no q-Dyson product, has less headroom than
-    ``first_layer_headroom`` or does not hold the target.  The one target
-    is then read packed, and unpacked by ``coeff``."""
-    if not layout.terms:
-        raise ValueError("layer must select at least one index")
-    target = layout.subsets[-1][0]
-    packed = source.reads(target, target, first_layer_headroom(layout))
+    read, by its read rule ``first_layer_reads``, and so, by the guard
+    ``FactoredProduct.reads`` called with that rule, is a source that holds
+    no q-Dyson product, has less headroom than the rule names or does not
+    hold the target.  The one target is then read packed, and unpacked by
+    ``coeff``."""
+    reads = first_layer_reads(layout)  # raises on an empty layer: source untouched
+    packed, target = source.reads(*reads), reads[0]
     t0 = time.perf_counter()
     a, k = source.a, source.k
     total = sum(a)

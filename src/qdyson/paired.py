@@ -33,16 +33,20 @@ layer of a subset X of I (X with its paired j's), are
 Both exponents are affine in a, with coefficients read off the layout
 alone.  ``compile_layout`` writes them out once per layout, with the flipped
 layer monomials and signs and the verdict of ``npc_holds`` (a
-``dyson.Layout``): a sweep compiles each of its layouts once, a single
-``verify`` its one layout, and each check of the layer identities reads
-every exponent by a dot product with a, and the verdict as a field.
+``dyson.Layout``): a sweep compiles each of its candidate layouts once, a
+single ``verify`` its one layout, and each check of the layer identities
+reads every exponent by a dot product with a, and the verdict as a field.
+The sweep's no-crossing filter and ``verify``'s rejection read that field
+too, so the verdict is computed once per layout.
 
 ``verify_paired`` computes on the product's coefficients as the source keeps
 them, packed into integers at q = 2^k, so both sides of the identity are
-compared as two integers; ``paired_headroom`` derives the spare bits of k
-that make the comparison exact.  Its one guard, ``FactoredProduct.reads``,
-checks that headroom and the layout's box before anything is read, and
-each coefficient is then a plain dict lookup.  The report's ``extra``
+compared as two integers.  Its read rule ``paired_reads`` is the one
+statement of what it reads: the layout's box, with the spare bits of k
+that make the comparison exact.  The check's one guard,
+``FactoredProduct.reads``, is called with that rule before anything is
+read, and ``sweeps.IDENTITIES`` names the same rule, so each coefficient
+is then a plain dict lookup.  The report's ``extra``
 depends on the layout alone, so it is built, and its JSON text encoded,
 once per (I, J) (``reports.Extra``).
 
@@ -160,22 +164,26 @@ def correction_polynomial(a: tuple[int, ...], layout: Layout) -> LaurentPoly:
     })
 
 
-def paired_headroom(layout: Layout) -> int:
-    """Spare bits of k that ``verify_paired`` needs to compare its two sides
-    packed (``qpoly.packed_equal``): 1, for every layout.
+def paired_reads(layout: Layout) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """What ``verify_paired`` reads, as the arguments (lo, hi, headroom) of
+    its guard ``FactoredProduct.reads`` and of ``dyson.q_dyson_source``:
+    the layout's box, which holds every flipped monomial, with 1 spare bit
+    of k, for every layout.
 
-    With B the bound of ``laurent.packed_in_box``, 2^(k - 1 - headroom) > B.
-    The constant term is a signed, shifted sum of the product's coefficients
-    at distinct monomials, so its q-coefficients have L1 norm at most B,
-    however many subsets there are; times (1 - q^A), at most 2B.  The right
-    side (1 - q^(1 + total)) qmult(a) has L1 norm 2 multinomial(a), and
-    multinomial(a) <= (n + 1)^total <= 2^(n total) = B, the product of the
-    L1 norms 2^(a_i + a_j) of the q-Dyson product's pair factors.  So
+    The spare bit makes the packed comparison (``qpoly.packed_equal``)
+    exact.  With B the bound of ``laurent.packed_in_box``,
+    2^(k - 1 - headroom) > B.  The constant term is a signed, shifted sum
+    of the product's coefficients at distinct monomials, so its
+    q-coefficients have L1 norm at most B, however many subsets there are;
+    times (1 - q^A), at most 2B.  The right side (1 - q^(1 + total))
+    qmult(a) has L1 norm 2 multinomial(a), and multinomial(a) <=
+    (n + 1)^total <= 2^(n total) = B, the product of the L1 norms
+    2^(a_i + a_j) of the q-Dyson product's pair factors.  So
     |X_i| + |Y_i| <= 4B < 2^(k + 1 - headroom): headroom 1 puts it below
     2^k, and keeps the left side's coefficients below 2^(k - 1), so a
     failing check unpacks it.
     """
-    return 1
+    return (*layout.box, 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -183,9 +191,10 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     """(1 - q^(1 + total)) qmult(a) at q = 2^k, v - (v << k (1 + total))
     for v = qmult(a) at 2^k, and its text: once per exponent vector in a
     sweep, whose tasks each keep one k.  The text is read back at this k,
-    which is exact at the k of any source that ``verify_paired`` accepts:
-    by the bound of ``paired_headroom`` each coefficient of the right side
-    is at most its L1 norm 2 multinomial(a) <= 2B < 2^(k - 1)."""
+    which is exact at the k of any source that ``verify_paired`` accepts,
+    one packed with the spare bit of ``paired_reads``: by its bound each
+    coefficient of the right side is at most its L1 norm
+    2 multinomial(a) <= 2B < 2^(k - 1)."""
     v = q_multinomial_at(a, k)
     rhs = v - (v << k * (1 + sum(a)))
     return rhs, unpack(rhs, k, 0).render()
@@ -208,12 +217,12 @@ def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport
     side's text on both sides; only a failing one unpacks its left side.
     Layers violating the no-crossing condition are rejected with
     ``NpcViolationError`` before the source is touched, and by the guard
-    ``FactoredProduct.reads`` a source that holds no q-Dyson product, has
-    less headroom than ``paired_headroom`` or does not hold ``layout.box``,
-    with ``ValueError``."""
+    ``FactoredProduct.reads``, called with the read rule ``paired_reads``,
+    a source that holds no q-Dyson product, has less headroom than the rule
+    names or does not hold ``layout.box``, with ``ValueError``."""
     if not layout.npc:
         raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
-    packed = source.reads(*layout.box, paired_headroom(layout))
+    packed = source.reads(*paired_reads(layout))
     t0 = time.perf_counter()
     a, k = source.a, source.k
     terms = [

@@ -3,32 +3,40 @@
 
 ``IDENTITIES`` is the one table of identities, used by ``qdyson verify`` and
 ``qdyson sweep`` alike.  Each row names the check, the layers it accepts,
-its read rule (the box of exponent vectors its check reads from the q-Dyson
-product) and its headroom rule (the spare bits of k its check needs to
-compute on the packed coefficients), both worked out from the compiled
-layout.  Every check reads a product its caller built, and ``_run_task`` is
-the one caller that builds it: one pruned pass over a box, with the most
-headroom any of the task's layouts needs, then every check of the task.
-A check is ``check(layout, source)`` and takes its exponent vector a from
-the source, which records the a it was built from.
+and its read rule: a function of the compiled layout that returns
+(lo, hi, headroom), the box of exponent vectors its check reads from the
+q-Dyson product and the spare bits of k its check needs to compute on the
+packed coefficients.  These are the arguments of ``q_dyson_source`` and of
+the check's guard ``FactoredProduct.reads``, which each check calls with
+the same rule (``firstlayer.first_layer_reads``,
+``paired.paired_reads``, and the row default (*layout.box, 0), the box of
+the layout with no spare bits).  Every check reads a product its caller
+built, and ``_run_task`` is the one caller that builds it: one pruned
+pass, built with the union of its layouts' rules, then every check of the
+task.  A check is ``check(layout, source)`` and takes its exponent vector
+a from the source, which records the a it was built from.
 
-A task is ``(context, orbit)``.  The context (identity, n, layouts, box) is
-what every task of one sweep shares, built once per sweep: the identity's
-name, n, the compiled layouts and the bounding box of what they read.  The
-orbit is a tuple of exponent vectors that one pass serves.  ``verify`` runs
-one instance as a task of one a and one layout, read over that layout's
-box, after rejecting any layer the row does not accept and validating
-(n, a, I, J) as an ``Instance``.  A sweep walks every exponent vector a in
-[0..amax]^(n+1) — and, for layer identities, every admissible (I, J)
-layout — and checks the chosen identity on each pair of a and layout.  The
-no-crossing filter of ``main`` reads layouts only, before any a is drawn.
-So does ``compile_layout``: the sweep compiles and validates every
-admissible layout once, the one carrier of (n, I, J) that a check and its
-report read, and each check evaluates its exponents at its a by dot
-products.  A layer sweep makes one task per cyclic orbit (a, rot(a), ...)
-of the grid, rot(a) = (a_n, a_0, ..., a_{n-1}): one pass for a, the one
-``Instance`` the task validates, stepped one rotation further
-(``FactoredProduct.rotated``) for each next member, which the union box
+A task is ``(context, orbit)``.  The context (identity, n, layouts, reads)
+is what every task of one sweep shares, built once per sweep by
+``_context``: the identity's name, n, the compiled layouts and
+reads = (lo, hi, headroom), the rules of their checks united, the
+bounding box of their boxes with the most headroom any needs.  The orbit
+is a tuple of exponent vectors that one pass serves.  ``verify`` runs one
+instance as a task of one a and one layout, with that layout's rule as
+its context's, after rejecting any layer the row does not accept and
+validating (n, a, I, J) as an ``Instance``.  A sweep walks every exponent
+vector a in [0..amax]^(n+1) — and, for layer identities, every candidate
+(I, J) layout — and checks the chosen identity on each pair of a and
+admitted layout.  It compiles every candidate layout once, before any a
+is drawn, with ``compile_layout``, the one carrier of (n, I, J) that a
+check and its report read, which also keeps the no-crossing verdict; the
+row's ``admissible`` reads the compiled layout, so ``main`` admits a
+layout off that verdict, computed once per layout.  Each check evaluates
+its exponents at its a by dot products.  A layer sweep makes one task
+per cyclic orbit (a, rot(a), ...) of the grid,
+rot(a) = (a_n, a_0, ..., a_{n-1}): one pass for a, the one ``Instance``
+the task validates, stepped one rotation further
+(``FactoredProduct.rotated``) for each next member, which the united box
 allows because it is a cube, as the sweep asserts.  The constant-term
 sweeps keep one task and one pass per a, so each product is checked on its
 own.  With ``--jobs`` above one, a process pool gets the context once per
@@ -57,14 +65,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
-from .firstlayer import first_layer_headroom, verify_first_layer
+from .firstlayer import first_layer_reads, verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
     NpcViolationError,
     compile_layout,
     matrix_choice_property,
-    npc_holds,
-    paired_headroom,
+    paired_reads,
     verify_factorization,
     verify_paired,
     verify_tail_cancel,
@@ -72,28 +79,25 @@ from .paired import (
 from .reports import ReportRow, VerificationReport, report
 
 
-Box = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _target(layout: Layout) -> Box:
-    """The first-layer target alone: the flipped monomial of S = I."""
-    return layout.subsets[-1][0], layout.subsets[-1][0]
+Reads = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
 class Identity:
     """``check(layout, source)`` verifies the identity on the compiled
     ``layout`` for the exponent vector a of ``source``, the q-Dyson product
-    of a, read over a box that holds ``reads(layout)`` and packed with at
-    least ``headroom(layout)`` spare bits, which the check's guard
-    (``FactoredProduct.reads``) makes sure of before it reads; a check of
-    None marks the lemma suite, which only sweeps."""
+    of a.  ``reads(layout)`` is the check's read rule, (lo, hi, headroom):
+    the source must hold the box lo..hi and be packed with at least
+    ``headroom`` spare bits, which the check's guard
+    (``FactoredProduct.reads``), called with the same rule, makes sure of
+    before it reads.  ``admissible(layout)`` says whether a sweep checks
+    the compiled layout and ``verify`` accepts it.  A check of None marks
+    the lemma suite, which only sweeps."""
 
     check: Callable[..., VerificationReport] | None
-    reads: Callable[[Layout], Box] = lambda layout: layout.box
-    headroom: Callable[[Layout], int] = lambda layout: 0
+    reads: Callable[[Layout], Reads] = lambda layout: (*layout.box, 0)
     mmin: int | None = None  # smallest layer size; None: no layer
-    admissible: Callable[[tuple, tuple], bool] = lambda I, J: True  # layouts a sweep checks
+    admissible: Callable[[Layout], bool] = lambda layout: True
     nmin: int = 1  # smallest n a sweep accepts
 
 
@@ -104,16 +108,15 @@ IDENTITIES = {
     "qdyson": Identity(lambda layout, source: verify_q_dyson(layout, source)),
     "firstlayer": Identity(
         lambda layout, source: verify_first_layer(layout, source),
-        reads=_target,
-        headroom=first_layer_headroom,
+        reads=first_layer_reads,
         mmin=1,
     ),
     "kadell": Identity(lambda layout, source: verify_kadell(layout, source), mmin=0),
     "main": Identity(
         lambda layout, source: verify_paired(layout, source),
-        headroom=paired_headroom,
+        reads=paired_reads,
         mmin=0,
-        admissible=npc_holds,
+        admissible=lambda layout: layout.npc,
     ),
     # random_instance draws n from 2..nmax
     "lemmas": Identity(None, nmin=2),
@@ -236,20 +239,28 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
 # -- per-orbit workers (top level so they pickle) -----------------------------
 
 
+def _context(name: str, n: int, layouts: Sequence[Layout]) -> tuple:
+    """The context (identity, n, layouts, reads) that every task of a sweep,
+    or ``verify``'s one task, shares: reads = (lo, hi, headroom) unites the
+    read rules of the identity's checks on the compiled layouts, the
+    bounding box of their boxes with the most spare bits any needs."""
+    los, his, headrooms = zip(*map(IDENTITIES[name].reads, layouts))
+    box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+    return name, n, layouts, (*box, max(headrooms))
+
+
 def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationReport]]]:
     """Check a task ``(context, orbit)``, context = (identity, n, compiled
-    layouts, box), on one product per member of the orbit, a tuple (a,
+    layouts, reads), on one product per member of the orbit, a tuple (a,
     rot(a), rot^2(a), ...): one pass for a, validated here as the one
-    ``Instance`` of the task, read over the box and packed
-    with the headroom every layout's check needs, then rotated one step
-    for each next member before its checks start their clocks.  Returns
-    the pass's time in ms with each member's reports, in layout order,
-    keyed by its exponent vector."""
-    (name, n, layouts, box), orbit = task
+    ``Instance`` of the task, built with the united read rule, then rotated
+    one step for each next member before its checks start their clocks.
+    Returns the pass's time in ms with each member's reports, in layout
+    order, keyed by its exponent vector."""
+    (name, n, layouts, reads), orbit = task
     identity = IDENTITIES[name]
-    headroom = max(map(identity.headroom, layouts), default=0)
     t0 = time.perf_counter()
-    member = q_dyson_source(Instance(n, orbit[0]), *box, headroom)
+    member = q_dyson_source(Instance(n, orbit[0]), *reads)
     pass_ms = (time.perf_counter() - t0) * 1000.0
     reports = {}
     for a in orbit:
@@ -267,7 +278,7 @@ def pool_workers(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-# The context (identity, n, layouts, box) of the pool's sweep, set once in
+# The context (identity, n, layouts, reads) of the pool's sweep, set once in
 # each worker by the pool's initializer.  The parent never sets it.
 _shared: tuple | None = None
 
@@ -308,11 +319,12 @@ def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[i
 
 
 def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationReport:  # noqa: E741
-    """Check one instance (n, a, I, J) of the identity ``name``, read over
-    the box its table row names.  A layer the row does not accept is
-    rejected before any product is built: (I, J) where the identity has no
-    layer, an empty layer where it needs one, a layout a sweep would not
-    admit.  ``elapsed_ms`` covers the product's pass as well as the check."""
+    """Check one instance (n, a, I, J) of the identity ``name``, on a
+    product built with the read rule its table row names.  A layer the row
+    does not accept is rejected before any product is built: (I, J) where
+    the identity has no layer, an empty layer where it needs one, a
+    compiled layout a sweep would not admit.  ``elapsed_ms`` covers the
+    product's pass as well as the check."""
     identity = IDENTITIES.get(name)
     if identity is None or identity.check is None:
         checked = tuple(key for key, row in IDENTITIES.items() if row.check)
@@ -322,11 +334,10 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
     inst = Instance(n, a, I, J)
     if inst.m < (identity.mmin or 0):
         raise ValueError("layer must select at least one index")
-    if not identity.admissible(inst.I, inst.J):
-        raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
     layout = compile_layout(n, inst.I, inst.J)
-    context = (name, n, [layout], identity.reads(layout))
-    pass_ms, reports = _run_task((context, (inst.a,)))
+    if not identity.admissible(layout):
+        raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
+    pass_ms, reports = _run_task((_context(name, n, [layout]), (inst.a,)))
     [rep] = reports[inst.a]
     return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
 
@@ -397,18 +408,18 @@ def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport | ReportRow]
     else:
         avecs = a_grid(n, amax)
         if identity.mmin is None:  # the constant terms: one pass per a
-            grid, orbits = [((), ())], [(a,) for a in avecs]
+            candidates, orbits = [((), ())], [(a,) for a in avecs]
         else:
             mmax = n if config.mmax is None else config.mmax
             candidates = layout_grid(n, identity.mmin, mmax)
-            grid = [lay for lay in candidates if identity.admissible(*lay)]
-            rejected = (len(candidates) - len(grid)) * len(avecs)
             orbits = cyclic_orbits(avecs)
-        layouts = [compile_layout(n, I, J) for I, J in grid]
-        los, his = zip(*map(identity.reads, layouts))
-        box = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
-        assert len(set(box[0])) == len(set(box[1])) == 1, f"{box} is not a cube"
-        by_a = _execute(orbits, (config.identity, n, layouts, box), config.jobs)
+        compiled = [compile_layout(n, I, J) for I, J in candidates]
+        layouts = [lay for lay in compiled if identity.admissible(lay)]
+        rejected = (len(compiled) - len(layouts)) * len(avecs)
+        context = _context(config.identity, n, layouts)
+        lo, hi, _ = context[-1]
+        assert len(set(lo)) == len(set(hi)) == 1, f"{lo}..{hi} is not a cube"
+        by_a = _execute(orbits, context, config.jobs)
         reports = [rep for a in avecs for rep in by_a[a]]
 
     passed = sum(1 for r in reports if r.holds)

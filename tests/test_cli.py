@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import runpy
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -434,6 +435,37 @@ def test_script_runs_from_checkout(script, tmp_path):
         assert proc.returncode == 0, proc.stderr
         name, lines, statements = proc.stdout.splitlines()[-1].split()
         assert name == "tests" and int(lines) > 0 and int(statements) > 0
+
+
+def test_run_grids_runs_its_campaign(tmp_path):
+    """``scripts/run_grids.py --json-dir``, run from another directory,
+    prints one row per sweep of its ``CAMPAIGN``, in order, none failing,
+    and the 32 rejected checks of ``main`` at n = 4, amax = 1; each sweep's
+    JSONL holds one line per report and ends with its summary line."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "scripts", "run_grids.py")
+    campaign = runpy.run_path(path)["CAMPAIGN"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, path, "--json-dir", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(row[0], int(row[1]), int(row[2])) for row in rows] == [
+        (identity, n, amax) for identity, n, amax, _ in campaign
+    ]
+    for identity, n, amax, total, passed, failed, rejected, *_ in rows:
+        assert failed == "0", (identity, n, amax)
+        assert rejected == ("32" if (identity, n, amax) == ("main", "4", "1") else "0")
+        lines = (out / f"{identity}_n{n}_a{amax}.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1]) == {
+            "total": int(total), "passed": int(passed), "failed": 0,
+            "rejected": int(rejected), "seed": 0,
+        }
+        assert len(lines) == int(total) + 1
+    assert "main 4 1" in {" ".join(row[:3]) for row in rows}
 
 
 def test_no_module_imports_an_unused_name():

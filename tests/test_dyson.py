@@ -30,8 +30,8 @@ from qdyson.dyson import (
     q_dyson_source,
 )
 from qdyson.laurent import FactoredProduct, LaurentPoly, Pair, ct_of_factor_list, expand_product
-from qdyson.firstlayer import first_layer_headroom
-from qdyson.paired import compile_layout, paired_headroom
+from qdyson.firstlayer import first_layer_reads
+from qdyson.paired import compile_layout, paired_reads
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, q_multinomial, q_multinomial_poly
 from qdyson.sweeps import a_grid, verify
 
@@ -161,10 +161,13 @@ def layer_box(inst):
 def shared_source(insts):
     """The q-Dyson product of instances sharing n and a, over the bounding
     box of their layer boxes, as a sweep reads it, packed with the headroom
-    that the first-layer and paired checks of every instance need."""
+    that the read rules of the first-layer and paired checks of every
+    instance name; an empty layer has no first layer."""
     los, his = zip(*map(layer_box, insts))
+    layouts = list(map(compiled, insts))
     headroom = max(
-        max(first_layer_headroom(lay), paired_headroom(lay)) for lay in map(compiled, insts)
+        [paired_reads(lay)[2] for lay in layouts]
+        + [first_layer_reads(lay)[2] for lay in layouts if lay.I]
     )
     return q_dyson_source(
         insts[0], tuple(map(min, zip(*los))), tuple(map(max, zip(*his))), headroom

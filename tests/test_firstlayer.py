@@ -10,7 +10,7 @@ from qdyson.dyson import Instance, q_dyson_source
 from qdyson.firstlayer import (
     first_layer_closed,
     first_layer_closed_q1,
-    first_layer_headroom,
+    first_layer_reads,
     layer_coefficients,
     layer_exponent,
     nonempty_subsets,
@@ -237,7 +237,7 @@ class TestClosedForm:
     def test_verify_rejects_a_source_without_headroom(self):
         inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
         layout = compiled(inst)
-        source = q_dyson_source(inst, *layout.box, first_layer_headroom(layout) - 1)
+        source = q_dyson_source(inst, *layout.box, first_layer_reads(layout)[2] - 1)
         with pytest.raises(ValueError):
             verify_first_layer(layout, source)
 

@@ -175,6 +175,36 @@ class TestQModification:
         assert rep is not checked and rep.params["extra"]["confirmed"] is True
         assert json.loads(rep.to_json())["params"]["extra"]["expected_failure"] is True
 
+    @pytest.mark.parametrize(
+        "n, amax, held, instances", [(2, 2, 207, 243), (2, 3, 468, 576), (3, 2, 1878, 2754)]
+    )
+    def test_where_the_naive_q_analog_holds(self, n, amax, held, instances):
+        """Where the naive q-analog fails: over every layout with m >= 1,
+        crossing or not, and every a with each a_k <= amax, it holds on
+        ``held`` of the ``instances``.  It holds on every instance of three
+        families:
+
+        - the sum of a over I is 0;
+        - at most one a_k is nonzero;
+        - m = n.  Then I is every index but one, j, and J = (j, ..., j),
+          as J avoids I.  The pairs are (i, j) for every i != j, so the
+          modified product raises by one the length a_j of each factor
+          (x_j/x_i; q) or (q x_j/x_i; q), i != j, and no other length: it
+          is the q-Dyson product D(a + e_j).  Its constant term is the
+          q-multinomial of a + e_j, qmult(a) (1 - q^(1 + total)) /
+          (1 - q^(1 + a_j)).  As 1 + total - (sum of a over I) = 1 + a_j,
+          the left side is (1 - q^(1 + a_j)) times that, which is the
+          right side (1 - q^(1 + total)) qmult(a).
+        """
+        count = holding = 0
+        for a in itertools.product(range(amax + 1), repeat=n + 1):
+            for inst in all_layouts(n, a):
+                holds = verify_q_kadell(inst).holds
+                count, holding = count + 1, holding + holds
+                family = sum(a[i] for i in inst.I) == 0 or sum(map(bool, a)) <= 1 or inst.m == n
+                assert holds or not family, inst
+        assert (holding, count) == (held, instances)
+
     def test_counterexample_ct_recomputed_from_product(self):
         factors = modified_q_product(Instance(2, (1, 1, 1), (0,), (1,)))
         ct = ct_of_factor_list(factors, (0, 0, 0))

@@ -222,9 +222,8 @@ def sweep_passes(argv, monkeypatch):
     run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
     assert tasks
     return [
-        (n, q_dyson_factors(Instance(n, orbit[0])), lo, hi,
-         max(map(IDENTITIES[name].headroom, layouts), default=0))
-        for (name, n, layouts, (lo, hi)), orbit in tasks
+        (n, q_dyson_factors(Instance(n, orbit[0])), lo, hi, headroom)
+        for (_, n, _, (lo, hi, headroom)), orbit in tasks
     ]
 
 
@@ -331,7 +330,7 @@ def test_headroom_bound_is_tight(name, m):
     whose L1 norm is at most B: with its headroom 0 a sum that reaches B,
     of either sign, unpacks exactly, and with one bit less it does not."""
     layout = compile_layout(m, tuple(range(m)), (m,) * m)
-    headroom = IDENTITIES[name].headroom(layout)
+    headroom = IDENTITIES[name].reads(layout)[2]
     bound = 2**20 - 1  # the largest B with 2^(k - 1 - headroom) > B, k - headroom = 21
     k = bound.bit_length() + 1 + headroom
     if name == "kadell":

@@ -214,19 +214,30 @@ def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
 
 
 @pytest.mark.parametrize("name", CHECKED)
-def test_a_check_reports_the_layer_of_its_layout(name):
+def test_a_check_reports_the_layer_of_its_layout(name, monkeypatch):
     """For every layout of ``layout_grid(3, 0, 3)`` the identity's row
     accepts, its check of a on that compiled layout holds, and the report's
     n, a, I and J are a and the layout's: a check reads (n, I, J) from its
-    layout and nowhere else."""
+    layout and nowhere else.  Each check calls its guard
+    ``FactoredProduct.reads`` once, with the (lo, hi, headroom) of its
+    row's read rule, so what it reads is stated once."""
     identity, a = sweeps.IDENTITIES[name], (1, 2, 1, 1)
-    mmin, checked = identity.mmin, 0
+    mmin, checked, guarded = identity.mmin, 0, []
+    guard = laurent.FactoredProduct.reads
+
+    def recording(source, lo, hi, headroom=0):
+        guarded.append((tuple(lo), tuple(hi), headroom))
+        return guard(source, lo, hi, headroom)
+
+    monkeypatch.setattr(laurent.FactoredProduct, "reads", recording)
     for I, J in layout_grid(3, 0, 3):  # noqa: E741
-        if (len(I) > 0 if mmin is None else len(I) < mmin) or not identity.admissible(I, J):
-            continue
         layout = compile_layout(3, I, J)
-        source = q_dyson_source(Instance(3, a), *identity.reads(layout), identity.headroom(layout))
-        rep = identity.check(layout, source)
+        if (len(I) > 0 if mmin is None else len(I) < mmin) or not identity.admissible(layout):
+            continue
+        rule = identity.reads(layout)
+        rep = identity.check(layout, q_dyson_source(Instance(3, a), *rule))
+        assert guarded == [rule], (I, J)
+        guarded.clear()
         assert rep.holds and rep.identity == name, (I, J)
         assert (rep.n, rep.a, rep.I, rep.J) == (layout.n, a, layout.I, layout.J) == (3, a, I, J)
         checked += 1
@@ -291,12 +302,21 @@ def test_verify_rejects_what_only_sweeps(monkeypatch):
             verify(name, 2, (1, 1, 1))
 
 
-@pytest.mark.parametrize(
-    "grid_set, slot", [(name, slot) for name, grids in GRID_SETS.items() for slot, _ in grids]
-)
+# The most spare bits a check of each benchmark grid needs: 1 for main,
+# 0 for kadell, m + 2^m - 2 for firstlayer at its largest m, 3 by default
+# and 2 under the held-out grid's m bound.
+UNITED_HEADROOM = {
+    ("default", "main"): 1, ("default", "firstlayer"): 9, ("default", "kadell"): 0,
+    ("default", "npc"): 1, ("heldout", "main"): 1, ("heldout", "firstlayer"): 4,
+    ("heldout", "kadell"): 0, ("heldout", "npc"): 1,
+}
+
+
+@pytest.mark.parametrize("grid_set, slot", list(UNITED_HEADROOM))
 def test_sweep_reads_the_union_of_its_read_boxes(grid_set, slot, monkeypatch):
     """Every task of a benchmark grid reads the cube [-min(m bound, n), 1]^(n+1),
-    the union of the boxes its layouts' checks read.  No check runs."""
+    the union of the boxes its layouts' checks read, with the most headroom
+    any of their read rules names.  No check runs."""
     tasks = []
 
     def collect(orbits, context, jobs):
@@ -307,8 +327,11 @@ def test_sweep_reads_the_union_of_its_read_boxes(grid_set, slot, monkeypatch):
     args = cli.build_parser().parse_args(dict(GRID_SETS[grid_set])[slot])
     run_sweep(SweepConfig(identity=args.identity, n=args.n, amax=args.amax, mmax=args.m))
     depth = min(args.n if args.m is None else args.m, args.n)
-    cube = ((-depth,) * (args.n + 1), (1,) * (args.n + 1))
-    assert tasks and all(context[-1] == cube for context, _ in tasks)
+    reads = ((-depth,) * (args.n + 1), (1,) * (args.n + 1), UNITED_HEADROOM[grid_set, slot])
+    assert tasks and all(context[-1] == reads for context, _ in tasks)
+    assert sorted(UNITED_HEADROOM) == sorted(
+        (name, slot) for name, grids in GRID_SETS.items() for slot, _ in grids
+    )
 
 
 def _without_elapsed(line):
@@ -398,6 +421,29 @@ def test_crossing_layouts_are_rejected_not_failed():
         "seed": 0,
     }
     assert len(reports) == 1638
+
+
+def test_a_layer_sweep_judges_each_candidate_layout_once(monkeypatch):
+    """``sweep main --n 4 --amax 1`` calls ``paired.npc_holds`` once per
+    candidate layout, 126 times: ``compile_layout`` keeps the verdict, and
+    the row admits the compiled layout off it.  The sweep still rejects
+    the 32 checks of its one crossing layout, and ``verify main`` on that
+    layout raises ``NpcViolationError`` before any pass is built."""
+    calls, judge = [], paired.npc_holds
+
+    def counting(I, J):  # noqa: E741
+        calls.append((I, J))
+        return judge(I, J)
+
+    monkeypatch.setattr(paired, "npc_holds", counting)
+    _, summary = run_sweep(SweepConfig(identity="main", n=4, amax=1))
+    assert len(calls) == len(layout_grid(4, 0, 4)) == 126
+    assert summary["rejected"] == 32 and summary["failed"] == 0
+    passes = []
+    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", lambda *args: passes.append(args))
+    with pytest.raises(paired.NpcViolationError):
+        verify("main", 4, (1,) * 5, (1, 3, 4), (0, 0, 2))
+    assert passes == []
 
 
 def test_small_grids_all_pass():
@@ -556,11 +602,11 @@ def test_a_read_outside_the_source_box_raises_before_any_read(name):
     check of (I, J) = ((0, 2), (1, 1))."""
     identity, a = sweeps.IDENTITIES[name], (1, 2, 1, 1)
     layout = compile_layout(3, *(((), ()) if identity.mmin is None else ((0, 2), (1, 1))))
-    lo, hi = identity.reads(layout)
+    lo, hi, headroom = identity.reads(layout)
     for box in (((1, 0, -1, 0),) * 2, (hi, hi), (lo, lo)):
         if box == (lo, hi):
             continue
-        source = q_dyson_source(Instance(3, a), *box, identity.headroom(layout))
+        source = q_dyson_source(Instance(3, a), *box, headroom)
         source.packed = _Unread(source.packed)
         with pytest.raises(ValueError, match="outside the box"):
             identity.check(layout, source)
@@ -643,7 +689,7 @@ def test_a_check_refuses_the_product_of_another_a():
     for name in CHECKED:
         identity = sweeps.IDENTITIES[name]
         lay = compile_layout(3, (), ()) if identity.mmin is None else layout
-        rep = identity.check(lay, q_dyson_source(ones, *identity.reads(lay), identity.headroom(lay)))
+        rep = identity.check(lay, q_dyson_source(ones, *identity.reads(lay)))
         assert rep.holds and rep.a == (1, 1, 1, 1), name
     rep = kadell.verify_kadell(layout, q_dyson_source(Instance(3, (1, 2, 1, 1)), *layout.box))
     assert rep.holds and rep.a == (1, 2, 1, 1)
@@ -674,7 +720,7 @@ def test_a_check_refuses_a_source_it_may_not_read_before_any_read(name):
     identity = sweeps.IDENTITIES[name]
     inst = Instance(3, (1, 2, 1, 1), *(() if identity.mmin is None else ((0, 2), (1, 1))))
     layout = compile_layout(3, inst.I, inst.J)
-    box, headroom = identity.reads(layout), identity.headroom(layout)
+    *box, headroom = identity.reads(layout)
     modified = laurent.FactoredProduct(3, kadell.modified_q_product(inst), *box, headroom)
     sources = [(modified, "no q-Dyson product")]
     if headroom:
