@@ -16,7 +16,9 @@ Exit codes:
     2   malformed input or configuration (bad index lists, overlap,
         crossing pairing where forbidden, bad bounds, a grid sweep of more
         than sweeps.MAX_SWEEP_CHECKS checks, a lemma suite past
-        sweeps.MAX_LEMMA_N or sweeps.MAX_LEMMA_AMAX)
+        sweeps.MAX_LEMMA_N or sweeps.MAX_LEMMA_AMAX, a --json path that
+        cannot be opened for writing: a sweep checks it before its first
+        pass)
 
 With --json, one report object is written per line, followed (for sweeps) by
 a summary object {"total", "passed", "failed", "rejected", "seed"}.
@@ -100,6 +102,9 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
+    config.validate()
+    if args.json is not None:  # fail before any pass; append mode truncates nothing
+        open(args.json, "a").close()
     reports, summary = run_sweep(config)
     for report in reports:
         if not report.holds:

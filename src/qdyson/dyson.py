@@ -101,10 +101,6 @@ class Instance:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.I, self.J))
 
-    def position(self, value: int) -> int:
-        """1-based position of a selected index within I."""
-        return self.I.index(value) + 1
-
     def layer_monomial(self, subset: Sequence[int]) -> tuple[int, ...]:
         """Exponent vector of the layer monomial x_{J(S)}/x_S, the product of
         x_{j_k}/x_{i_k} over the selected indices i_k in S.  It is -1 exactly

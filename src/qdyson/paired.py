@@ -53,8 +53,12 @@ once per (I, J) (``reports.Extra``).
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
 implemented here as directly checkable statements.  They read the same
-one-pass exponents, and the factorization sums its left side as integer
-weights by exponent into one ``QPoly``.
+one-pass exponents.  The factorization reads I by value, not by the
+paper's ranks of I \\ U: its residual, the indices of I outside U
+above the floor, is both the set whose subsets the left side joins and the
+right side's factors; each factor's removal exponent is one walk over I;
+and the left side's first superset gives the right side's power of q.  It
+sums its left side as integer weights by exponent into one ``QPoly``.
 """
 
 from __future__ import annotations
@@ -247,45 +251,37 @@ def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport
 # -- supporting combinatorial statements ------------------------------------
 
 
-def _t_positions(inst: Instance, U: Sequence[int]) -> list[int]:
-    """1-based positions of I \\ U, ascending."""
-    uset = set(U)
-    return [p for p in range(1, inst.m + 1) if inst.I[p - 1] not in uset]
+def removal_exponent(inst: Instance, U: Sequence[int], i_v: int, x: int) -> int:
+    """Exponent gap g of the unselected index x, relative to floor i_v: the
+    step that joining x adds to the combined exponent of a superset of
+    U + {i_v} within I.  With j* the index paired with x,
 
+        - sum over y in I \\ U with i_v < y < x of [y > j* > i_v] * a_y
+        + sum over y in I \\ U with y > x of [not (y > j* > i_v)] * a_y
 
-def removal_exponent(inst: Instance, U: Sequence[int], i_v: int, s: int) -> int:
-    """Exponent gap g for the s-th unselected index, relative to floor i_v.
-
-    With t_1 < ... < t_{m-d} the positions of I \\ U and v the position of
-    i_v, writing j* for the j paired at position t_s:
-
-        - sum_{k=v..s-1}   [i_{t_k} > j* > i_v] * a_{i_{t_k}}
-        + sum_{k=s+1..m-d} [not (i_{t_k} > j* > i_v)] * a_{i_{t_k}}
+    The paper writes this with t_1 < ... < t_{m-d} the positions of I \\ U
+    and v the position of i_v, summing over ranks k = v..s-1 and
+    k = s+1..m-d for x = i_{t_s}.  Every index of I below i_v lies outside
+    U, so the ranks k >= v run exactly over the y in I \\ U with y >= i_v;
+    at y = i_v the bracket is false, so the sums above are the same.
+    Requires a selected floor i_v <= min U and a selected x outside U with
+    x > i_v.
     """
-    a = inst.a
     uset = set(U)
-    if i_v not in inst.I:
-        raise ValueError("floor index must be selected")
-    if uset and i_v > min(uset):
-        raise ValueError("floor index must not exceed the subset minimum")
-    tpos = _t_positions(inst, U)
-    if not 1 <= s <= len(tpos):
-        raise ValueError(f"index {s} out of range")
-    target = inst.I[tpos[s - 1] - 1]
-    if target in uset or target == i_v:
-        raise ValueError("indexed element must lie outside the subset and floor")
-    v = inst.position(i_v)
-    j_star = inst.J[tpos[s - 1] - 1]
-    acc = 0
-    for k in range(v, s):
-        ik = inst.I[tpos[k - 1] - 1]
-        if ik > j_star > i_v:
-            acc -= a[ik]
-    for k in range(s + 1, len(tpos) + 1):
-        ik = inst.I[tpos[k - 1] - 1]
-        if not (ik > j_star > i_v):
-            acc += a[ik]
-    return acc
+    if i_v not in inst.I or (uset and i_v > min(uset)) or x in uset or x not in inst.I or x <= i_v:
+        raise ValueError("needs a selected floor at most min U and a selected x > floor outside U")
+    a = inst.a
+    j_star = inst.J[inst.I.index(x)]
+    g = 0
+    for y in inst.I:
+        if y <= i_v or y == x or y in uset:
+            continue
+        crossed = y > j_star > i_v
+        if y < x and crossed:
+            g -= a[y]
+        elif y > x and not crossed:
+            g += a[y]
+    return g
 
 
 def factorization_sides(
@@ -296,43 +292,35 @@ def factorization_sides(
     left:  sum over supersets S of U within I with min S = i_v of
            (-1)^(|S|+|U|) q^(chain exponent of S + layer exponent of U in S)
     right: (-1)^[min U != i_v] q^(chain exponent of U+{i_v} + layer exponent
-           of U in U+{i_v}) * prod over unselected indices past i_v of
-           (1 - q^(removal exponent))
+           of U in U+{i_v}) * prod over x in I \\ U with x > i_v of
+           (1 - q^(removal exponent of x))
 
-    The left side's terms are summed as integer weights by exponent and
-    built as one ``QPoly``.  Returns (left, right, residual indices).
+    The supersets are U + {i_v} joined by each subset of the residual, the
+    indices x of I \\ U above i_v, which are also the right side's
+    factors.  Each superset's exponent is computed once; the first
+    superset, U + {i_v} itself, gives the right side's power of q.  The
+    left side's terms are summed as integer weights by exponent and built
+    as one ``QPoly``.  Returns (left, right, residual).
     """
     U = tuple(sorted(U))
-    if not U:
-        raise ValueError("subset must be nonempty")
-    if not set(U) <= set(inst.I):
-        raise ValueError("subset must consist of selected indices")
-    if i_v not in inst.I or i_v > min(U):
-        raise ValueError("floor must be a selected index at most min(U)")
-    d = len(U)
-    v = inst.position(i_v)
-
+    if not U or not set(U) <= set(inst.I) or i_v not in inst.I or i_v > U[0]:
+        raise ValueError("needs a nonempty subset U of I and a selected floor at most min U")
+    residual = tuple(x for x in inst.I if x > i_v and x not in U)
     fixed = set(U) | {i_v}
-    candidates = [x for x in inst.I if x > i_v and x not in fixed]
+    supersets = [
+        tuple(sorted(fixed.union(extra)))
+        for r in range(len(residual) + 1)
+        for extra in itertools.combinations(residual, r)
+    ]
+    exponents = [chain_exponent(inst, S) + layer_exponent(U, inst, S) for S in supersets]
     weights: dict[int, int] = {}  # the left side's coefficient at each q-exponent
-    for r in range(len(candidates) + 1):
-        for extra in itertools.combinations(candidates, r):
-            s_l = tuple(sorted(fixed.union(extra)))
-            sign = -1 if (len(s_l) + d) % 2 else 1
-            exponent = chain_exponent(inst, s_l) + layer_exponent(U, inst, s_l)
-            weights[exponent] = weights.get(exponent, 0) + sign
+    for S, exponent in zip(supersets, exponents):
+        weights[exponent] = weights.get(exponent, 0) + (-1) ** (len(S) + len(U))
     low = min(weights)
     left = QPoly(low, [weights.get(e, 0) for e in range(low, max(weights) + 1)])
-
-    base = tuple(sorted(fixed))
-    base_exp = chain_exponent(inst, base) + layer_exponent(U, inst, base)
-    sign = -1 if min(U) != i_v else 1
-    right = q_power(base_exp, sign)
-    tpos = _t_positions(inst, U)
-    residual = tuple(inst.I[p - 1] for p in tpos if p > v)
-    for s, p in enumerate(tpos, start=1):
-        if p > v:
-            right = right * one_minus_q(removal_exponent(inst, U, i_v, s))
+    right = q_power(exponents[0], -1 if U[0] != i_v else 1)
+    for x in residual:
+        right = right * one_minus_q(removal_exponent(inst, U, i_v, x))
     return left, right, residual
 
 

@@ -209,6 +209,21 @@ class TestJsonOutput:
             assert set(obj) == REPORT_KEYS
             assert dumps(obj) == line
 
+    def test_unwritable_sweep_path_fails_before_any_pass(self, tmp_path, monkeypatch, capsys):
+        """A ``--json`` path under a missing directory exits 2 before any
+        task runs; a rejected configuration still leaves no file."""
+
+        def no_pass(task):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr("qdyson.sweeps._run_task", no_pass)
+        missing = tmp_path / "missing" / "sweep.jsonl"
+        assert cli.main(["sweep", "main", "--n", "3", "--amax", "2", "--json", str(missing)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        rejected = tmp_path / "rejected.jsonl"
+        assert cli.main(["sweep", "main", "--n", "3", "--amax", "-1", "--json", str(rejected)]) == 2
+        assert not rejected.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -23,11 +23,10 @@ from qdyson.paired import (
     verify_factorization,
     verify_paired,
     verify_tail_cancel,
-    _t_positions,
 )
 from qdyson.qpoly import QPoly, ZERO, one_minus_q, q_multinomial_poly, q_power
 from qdyson.reports import report
-from qdyson.sweeps import verify
+from qdyson.sweeps import layout_grid, verify
 from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
 from tests.test_firstlayer import (
     all_layouts,
@@ -66,8 +65,7 @@ class TestPairedLayer:
     def test_pairing_is_positional(self):
         inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 3))
         assert inst.pairs == ((0, 1), (2, 3))
-        assert inst.position(2) == 2
-        assert inst.J[2 - 1] == 3
+        assert inst.J[inst.I.index(2)] == 3
         assert paired_js(inst, (2, 0)) == [1, 3]
 
     def test_paired_js_keeps_multiplicity(self):
@@ -346,19 +344,71 @@ class TestVerifyPaired:
             verify_paired(layout, q_dyson_source(inst, *layout.box))
 
 
+def positional_removal_exponent(inst, U, i_v, s):
+    """The removal exponent in the paper's positional form, for the s-th
+    unselected index: with t_1 < ... < t_{m-d} the 1-based positions of
+    I \\ U, v the position of i_v and j* the j paired at position t_s,
+
+        - sum_{k=v..s-1}   [i_{t_k} > j* > i_v] * a_{i_{t_k}}
+        + sum_{k=s+1..m-d} [not (i_{t_k} > j* > i_v)] * a_{i_{t_k}}
+
+    The oracle the by-value ``removal_exponent`` is checked against."""
+    uset = set(U)
+    tpos = [p for p in range(1, inst.m + 1) if inst.I[p - 1] not in uset]
+    v = inst.I.index(i_v) + 1
+    j_star = inst.J[tpos[s - 1] - 1]
+    acc = 0
+    for k in range(v, s):
+        ik = inst.I[tpos[k - 1] - 1]
+        if ik > j_star > i_v:
+            acc -= inst.a[ik]
+    for k in range(s + 1, len(tpos) + 1):
+        ik = inst.I[tpos[k - 1] - 1]
+        if not (ik > j_star > i_v):
+            acc += inst.a[ik]
+    return acc
+
+
 class TestRemovalExponent:
     def test_single_unselected_index_gives_zero(self):
         inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 3))
-        assert removal_exponent(inst, (0,), 0, 1) == 0
+        assert removal_exponent(inst, (0,), 0, 2) == 0
 
     def test_preconditions(self):
-        inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 3))
+        """Each call breaks exactly one precondition of the valid first one."""
+        inst = Instance(4, (1,) * 5, (0, 2, 3), (1, 4, 4))
+        removal_exponent(inst, (2,), 0, 3)
         with pytest.raises(ValueError):
-            removal_exponent(inst, (0,), 1, 1)  # floor not selected
+            removal_exponent(inst, (2,), 1, 3)  # floor not selected
         with pytest.raises(ValueError):
-            removal_exponent(inst, (0,), 2, 1)  # floor above min U
+            removal_exponent(inst, (0,), 2, 3)  # floor above min U
         with pytest.raises(ValueError):
-            removal_exponent(inst, (0,), 0, 2)  # s out of range
+            removal_exponent(inst, (2, 3), 0, 3)  # x in U
+        with pytest.raises(ValueError):
+            removal_exponent(inst, (3,), 2, 0)  # x not above the floor
+
+    def test_matches_the_positional_form(self):
+        """On every layout with 2 <= m <= n <= 5, for every nonempty U, floor
+        i_v <= min U and unselected x above it, at a = (1, ..., 1),
+        (0, 1, ..., n) and its reverse, the by-value exponent is the
+        positional one at the rank s of x in I \\ U."""
+        cases = 0
+        for n in range(2, 6):
+            avecs = ((1,) * (n + 1), tuple(range(n + 1)), tuple(range(n, -1, -1)))
+            for I, J in layout_grid(n, 2, n):
+                for a in avecs:
+                    inst = Instance(n, a, I, J)
+                    for U in nonempty_subsets(I):
+                        rest = [y for y in I if y not in U]
+                        for i_v in (i for i in I if i <= min(U)):
+                            for x in (y for y in rest if y > i_v):
+                                s = rest.index(x) + 1
+                                g = removal_exponent(inst, U, i_v, x)
+                                assert g == positional_removal_exponent(inst, U, i_v, s), (
+                                    inst, U, i_v, x,
+                                )
+                                cases += 1
+        assert cases == 14121
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -371,14 +421,11 @@ class TestRemovalExponent:
         U = tuple(sorted(data.draw(st.permutations(inst.I))[:d]))
         floors = [i for i in inst.I if i <= min(U)]
         i_v = data.draw(st.sampled_from(floors))
-        v = inst.position(i_v)
-        tpos = _t_positions(inst, U)
-        later = [(s, p) for s, p in enumerate(tpos, start=1) if p > v]
+        later = [y for y in inst.I if y > i_v and y not in U]
         if not later:
             return
-        s, p = data.draw(st.sampled_from(later))
-        x = inst.I[p - 1]
-        cands = [y for y in inst.I if y > i_v and y not in set(U) and y != x]
+        x = data.draw(st.sampled_from(later))
+        cands = [y for y in later if y != x]
         extra = data.draw(st.permutations(cands))[
             : data.draw(st.integers(0, len(cands)))
         ]
@@ -388,7 +435,7 @@ class TestRemovalExponent:
         def combined(S):
             return chain_exponent(inst, S) + exponent_within(inst, U, S)
 
-        g = removal_exponent(inst, U, i_v, s)
+        g = removal_exponent(inst, U, i_v, x)
         assert combined(joined) - combined(without) == g
 
 

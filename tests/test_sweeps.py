@@ -617,9 +617,11 @@ def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatc
     factorization's left side as integer weights by exponent, so
     ``factorization_sides`` calls ``QPoly.__add__`` zero times.  It still
     reaches, through their module globals, the names whose calls the
-    tracer's ``paired.*`` metrics count: the chain exponent, as often as
-    before its one-pass form, and the three lemma checks.  The counters
-    count, as one sum in the tracked scope shows."""
+    tracer's ``paired.*`` metrics count: the chain exponent, once per
+    superset of each factorization (its first superset also gives the
+    right side's power) and twice per tail cancellation, and the three
+    lemma checks.  The counters count, as one sum in the tracked scope
+    shows."""
     names = ("chain_exponent", "verify_factorization", "tail_cancel_values",
              "matrix_choice_property")
     calls = {name: [] for name in names}
@@ -647,7 +649,7 @@ def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatc
     assert len(reps) == 717 and all(rep.holds for rep in reps)
     assert adds == []
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "chain_exponent": 2319,
+        "chain_exponent": 1819,
         "verify_factorization": sweeps.FACTORIZATION_DRAWS,
         "tail_cancel_values": 213,
         "matrix_choice_property": len(sweeps.CHOICE_PRODUCT_SIZES),
