@@ -20,7 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from qdyson.reports import write_jsonl  # noqa: E402
+from qdyson.reports import open_jsonl, write_jsonl  # noqa: E402
 from qdyson.sweeps import SweepConfig, run_sweep  # noqa: E402
 
 # (identity, n, amax, mmax)
@@ -74,7 +74,8 @@ def main(argv=None) -> int:
                 if not report.holds:
                     print(f"  FAIL {report.summary_line()}")
         if json_dir:
-            write_jsonl(str(json_dir / f"{identity}_n{n}_a{amax}.jsonl"), reports, summary)
+            with open_jsonl(str(json_dir / f"{identity}_n{n}_a{amax}.jsonl")) as out:
+                write_jsonl(out, reports, summary)
     return 1 if any_failed else 0
 
 

@@ -17,8 +17,8 @@ Exit codes:
         crossing pairing where forbidden, bad bounds, a grid sweep of more
         than sweeps.MAX_SWEEP_CHECKS checks, a lemma suite past
         sweeps.MAX_LEMMA_N or sweeps.MAX_LEMMA_AMAX, a --json path that
-        cannot be opened for writing: a sweep checks it before its first
-        pass)
+        cannot be opened for writing: verify and sweep check it after the
+        input and before the first pass)
 
 With --json, one report object is written per line, followed (for sweeps) by
 a summary object {"total", "passed", "failed", "rejected", "seed"}.
@@ -32,8 +32,8 @@ import sys
 from typing import Sequence
 
 from .kadell import reproduce_counterexample
-from .reports import write_jsonl
-from .sweeps import IDENTITIES, SweepConfig, run_sweep, verify
+from .reports import open_jsonl, write_jsonl
+from .sweeps import IDENTITIES, SweepConfig, prepare_verify, run_sweep
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -87,9 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    report = verify(args.identity, args.n, args.a, args.I, args.J)
+    run = prepare_verify(args.identity, args.n, args.a, args.I, args.J)
+    with open_jsonl(args.json) as out:  # after the input, before the pass
+        report = run()
+        write_jsonl(out, [report])
     print(report.summary_line())
-    write_jsonl(args.json, [report])
     return 0 if report.holds else 1
 
 
@@ -103,9 +105,9 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     config.validate()
-    if args.json is not None:  # fail before any pass; append mode truncates nothing
-        open(args.json, "a").close()
-    reports, summary = run_sweep(config)
+    with open_jsonl(args.json) as out:  # after the input, before any pass
+        reports, summary = run_sweep(config)
+        write_jsonl(out, reports, summary)
     for report in reports:
         if not report.holds:
             print(report.summary_line())
@@ -113,7 +115,6 @@ def _cmd_sweep(args) -> int:
         f"{args.identity}: total={summary['total']} passed={summary['passed']} "
         f"failed={summary['failed']} rejected={summary['rejected']} seed={summary['seed']}"
     )
-    write_jsonl(args.json, reports, summary)
     return 0 if summary["failed"] == 0 else 1
 
 
@@ -127,7 +128,8 @@ def _cmd_counterexample(args) -> int:
         print("expected failure confirmed: LHS != RHS, both sides as pinned")
     else:  # pragma: no cover - would indicate a kernel regression
         print("UNEXPECTED: instance did not reproduce the pinned values")
-    write_jsonl(args.json, [report])
+    with open_jsonl(args.json) as out:
+        write_jsonl(out, [report])
     return 0 if confirmed else 1
 
 

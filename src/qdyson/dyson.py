@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import mul
+from operator import le, lt, mul
 from typing import Callable, Sequence
 
 from .laurent import FactoredProduct, LaurentPoly, Pair
@@ -67,26 +67,29 @@ class Instance:
     J: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("a", "I", "J"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.n < 0:
+        n, a, I, J = self.n, tuple(self.a), tuple(self.I), tuple(self.J)  # noqa: E741
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "J", J)
+        if n < 0:
             raise ValueError("need at least one variable")
-        if len(self.a) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} exponents, got {len(self.a)}")
-        if any(ai < 0 for ai in self.a):
+        if len(a) != n + 1:
+            raise ValueError(f"expected {n + 1} exponents, got {len(a)}")
+        if min(a) < 0:
             raise ValueError("exponents must be nonnegative")
-        if len(self.I) != len(self.J):
+        if len(I) != len(J):
             raise ValueError("index lists must have equal length")
-        if len(self.I) > self.n:
+        if len(I) > n:
             raise ValueError("at most n indices may be selected")
-        for v in self.I + self.J:
-            if not 0 <= v <= self.n:
-                raise ValueError(f"index {v} out of range 0..{self.n}")
-        if any(x >= y for x, y in zip(self.I, self.I[1:])):
+        indices = I + J
+        if indices and not 0 <= min(indices) <= max(indices) <= n:
+            v = next(v for v in indices if not 0 <= v <= n)  # the first out of range
+            raise ValueError(f"index {v} out of range 0..{n}")
+        if not all(map(lt, I, I[1:])):
             raise ValueError("I must be strictly increasing")
-        if any(x > y for x, y in zip(self.J, self.J[1:])):
+        if not all(map(le, J, J[1:])):
             raise ValueError("J must be weakly increasing")
-        if set(self.I) & set(self.J):
+        if not set(I).isdisjoint(J):
             raise ValueError("I and J must be disjoint")
 
     @property

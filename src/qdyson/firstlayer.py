@@ -22,10 +22,12 @@ the smallest selected index: the layer exponent as an affine function of a.
 Its coefficients are one prefix sum over 0..n, of +1 at each selected index
 and -1 at each paired j, so a layer exponent costs one pass over the
 layout however many indices it counts below each k.
-It also takes the exponent within the layer of a subset X of I (X with its
-paired j's), which is how ``paired`` uses it.  A ``Layout`` holds these
-coefficients for every T, compiled once per layout, so the closed form of
-each check reads every exponent by one dot product with a.
+The prefix sum, ``layer_levels``, also reads the layer of a subset X of I
+(X with its paired j's): ``paired.chain_exponent`` adds the exponent
+within that layer to the chain exponent of X off one such prefix sum.  A
+``Layout`` holds the coefficients for every T, compiled once per layout,
+so the closed form of each check reads every exponent by one dot product
+with a.
 
 ``verify_first_layer`` compares the brute coefficient with the closed form
 without dividing and without ``QPoly`` arithmetic: both cross-multiplied
@@ -63,14 +65,12 @@ def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(values, size)
 
 
-def layer_coefficients(
-    T: Sequence[int], inst: Instance, within: Sequence[int] | None = None
-) -> Affine:
+def layer_coefficients(T: Sequence[int], inst: Instance) -> Affine:
     """The q-exponent attached to a nonempty subset T of the layer (X, J_X),
-    as (c0, c) with the exponent c0 + sum of c_k * a_k: X is ``within``
-    (all of I by default) and J_X its paired j's.  Reads only n, I and J.
-    With count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity,
-    and t = #{j in J_X : j < min X}, c0 = t and
+    as (c0, c) with the exponent c0 + sum of c_k * a_k: X is I and J_X its
+    paired j's, J.  Reads only n, I and J.  With
+    count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity, and
+    t = #{j in J_X : j < min X}, c0 = t and
 
         c_k = t + count_upto(k, X) - count_upto(k, J_X)  for k not in T,
         c_k = 0                                          for k in T.
@@ -91,8 +91,7 @@ def layer_coefficients(
     """
     if not T:
         raise ValueError("subset must be nonempty")
-    X = inst.I if within is None else within
-    levels, t = layer_levels(inst, X)
+    levels, t = layer_levels(inst, inst.I)
     for k in T:
         levels[k] = 0
     return t, tuple(levels)
@@ -117,13 +116,6 @@ def layer_levels(inst: Instance, X: Sequence[int]) -> tuple[list[int], int]:
         t += j < lo
     delta[0] += t
     return list(itertools.accumulate(delta)), t
-
-
-def layer_exponent(
-    T: Sequence[int], inst: Instance, within: Sequence[int] | None = None
-) -> int:
-    """The q-exponent of ``layer_coefficients`` at inst.a."""
-    return evaluate(layer_coefficients(T, inst, within), inst.a)
 
 
 def first_layer_closed(a: tuple[int, ...], layout: Layout) -> QRat:

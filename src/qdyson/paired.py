@@ -26,9 +26,11 @@ the tests, as the oracle the gate refutes.  The reports still name the
 multiset reading in a constant field, so their bytes are unchanged.
 Every function here reads I and J as paired positionally, i_k with j_k:
 the exponent formulas and the lemmas off one ``Instance``, the check off a
-compiled ``Layout``.  The layer exponents it adds, of a subset U within the
-layer of a subset X of I (X with its paired j's), are
-``firstlayer.layer_exponent(U, inst, X)``, read off the same instance.
+compiled ``Layout``.  The lemmas only ever add the chain exponent of a
+subset S to the layer exponent of a subset U of S within the layer of S
+(S with its paired j's), so ``chain_exponent(inst, S, U)`` returns that
+sum: one ``layer_levels`` prefix sum of S and one pass over the pairs, as
+the chain's -level_k and the layer's +level_k cancel outside S.
 
 Both exponents are affine in a, with coefficients read off the layout
 alone.  ``compile_layout`` writes them out once per layout, with the flipped
@@ -52,13 +54,15 @@ once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
-implemented here as directly checkable statements.  They read the same
-one-pass exponents.  The factorization reads I by value, not by the
-paper's ranks of I \\ U: its residual, the indices of I outside U
-above the floor, is both the set whose subsets the left side joins and the
-right side's factors; each factor's removal exponent is one walk over I;
-and the left side's first superset gives the right side's power of q.  It
-sums its left side as integer weights by exponent into one ``QPoly``.
+implemented here as directly checkable statements.  They read each
+combined exponent off one prefix sum.  The factorization reads I by
+value, not by the paper's ranks of I \\ U: its residual, the indices of
+I outside U above the floor, is both the set whose subsets the left side
+joins and the right side's factors; each factor's removal exponent is one
+walk over I; and the left side's first superset gives the right side's
+power of q.  It sums its left side as integer weights by exponent into
+one ``QPoly``, and a check whose sides agree renders that one polynomial
+for both.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import time
 from typing import Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
-from .firstlayer import layer_coefficients, layer_exponent, layer_levels, nonempty_subsets
+from .firstlayer import layer_coefficients, layer_levels, nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import QPoly, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
 from .reports import Extra, VerificationReport, report
@@ -129,9 +133,44 @@ def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
     return 1 - t, tuple(c)
 
 
-def chain_exponent(inst: Instance, subset: Sequence[int]) -> int:
-    """The q-exponent of ``chain_coefficients`` at inst.a."""
-    return evaluate(chain_coefficients(inst, subset), inst.a)
+def chain_exponent(
+    inst: Instance, subset: Sequence[int], U: Sequence[int] | None = None
+) -> int:
+    """The q-exponent of ``chain_coefficients`` at inst.a; given a nonempty
+    U within S = ``subset``, the combined exponent chain(S) + layer(U in S),
+    the chain exponent of S plus the layer exponent of U within the layer
+    of S, from one ``layer_levels`` prefix sum.  With L the levels of S,
+    lo = min S and total the sum of a, that sum is
+
+        1 + total - sum over k in U of a_k
+          + sum over k in S \\ U of (L_k - 1) * a_k
+          + sum over i in I \\ S with i > lo of (L_i - [lo < j_i <= i]) * a_i
+
+    Proof, from ``chain_coefficients`` and ``firstlayer.layer_coefficients``
+    of the layer (S, J_S), which read the same levels L and the same t: the
+    constants add to 1 - t + t = 1.  On U the chain and the layer both
+    give 0, which is 1 - 1.  On S \\ U the chain gives 0 and the layer
+    L_k.  At an inserted i > lo the chain gives 1 - [lo < j_i <= i] and the
+    layer L_i.  At every other k, outside S, the chain's 1 - L_k and the
+    layer's +L_k cancel to 1.  Raises ``ValueError`` unless U is a nonempty
+    subset of S.
+    """
+    if U is None:
+        return evaluate(chain_coefficients(inst, subset), inst.a)
+    uset, sset = set(U), set(subset)
+    if not uset or not uset <= sset:
+        raise ValueError("U must be a nonempty subset of S")
+    levels, _ = layer_levels(inst, subset)  # raises on an index outside I
+    a, lo = inst.a, min(subset)
+    e = 1 + inst.total
+    for i, j in zip(inst.I, inst.J):
+        if i in uset:
+            e -= a[i]
+        elif i in sset:
+            e += (levels[i] - 1) * a[i]
+        elif i > lo:
+            e += (levels[i] - (lo < j <= i)) * a[i]
+    return e
 
 
 def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noqa: E741
@@ -297,7 +336,8 @@ def factorization_sides(
 
     The supersets are U + {i_v} joined by each subset of the residual, the
     indices x of I \\ U above i_v, which are also the right side's
-    factors.  Each superset's exponent is computed once; the first
+    factors.  Each superset's combined exponent is computed once, as
+    ``chain_exponent(inst, S, U)`` off one prefix sum; the first
     superset, U + {i_v} itself, gives the right side's power of q.  The
     left side's terms are summed as integer weights by exponent and built
     as one ``QPoly``.  Returns (left, right, residual).
@@ -312,7 +352,7 @@ def factorization_sides(
         for r in range(len(residual) + 1)
         for extra in itertools.combinations(residual, r)
     ]
-    exponents = [chain_exponent(inst, S) + layer_exponent(U, inst, S) for S in supersets]
+    exponents = [chain_exponent(inst, S, U) for S in supersets]
     weights: dict[int, int] = {}  # the left side's coefficient at each q-exponent
     for S, exponent in zip(supersets, exponents):
         weights[exponent] = weights.get(exponent, 0) + (-1) ** (len(S) + len(U))
@@ -327,10 +367,14 @@ def factorization_sides(
 def verify_factorization(inst: Instance, U: Sequence[int], i_v: int) -> VerificationReport:
     """Exact equality of the factorization sides; additionally, under the
     no-crossing condition a nonempty residual forces the right side to
-    vanish, which is checked as well."""
+    vanish, which is checked as well.  Sides that agree are passed to
+    ``report`` as one ``QPoly``, rendered once: equal canonical polynomials
+    render the same text."""
     t0 = time.perf_counter()
     left, right, residual = factorization_sides(inst, U, i_v)
     holds = left == right
+    if holds:
+        right = left
     npc = npc_holds(inst.I, inst.J)
     if npc and residual:
         holds = holds and right.is_zero()
@@ -349,13 +393,15 @@ def verify_factorization(inst: Instance, U: Sequence[int], i_v: int) -> Verifica
 def tail_cancel_values(inst: Instance, h: int) -> tuple[int, int, int]:
     """Combined exponents for the tail subset U = {i_h, ..., i_m}: with the
     bare tail, with i_{h-1} joined in, and the predicted common value
-    1 + total - sum of a over U."""
+    1 + total - sum of a over U.  The first two are
+    ``chain_exponent(inst, S, U)`` at S = U and S = U + {i_{h-1}}, each
+    off one prefix sum."""
     if not 2 <= h <= inst.m:
         raise ValueError(f"tail start {h} out of range 2..{inst.m}")
     U = inst.I[h - 1 :]
     with_prev = inst.I[h - 2 :]
-    bare = chain_exponent(inst, U) + layer_exponent(U, inst, U)
-    joined = chain_exponent(inst, with_prev) + layer_exponent(U, inst, with_prev)
+    bare = chain_exponent(inst, U, U)
+    joined = chain_exponent(inst, with_prev, U)
     expected = 1 + inst.total - sum(inst.a[u] for u in U)
     return bare, joined, expected
 

@@ -24,10 +24,12 @@ bounding box of their boxes with the most headroom any needs.  The orbit
 is a tuple of exponent vectors that one pass serves.  ``verify`` runs one
 instance as a task of one a and one layout, with that layout's rule as
 its context's, after rejecting any layer the row does not accept and
-validating (n, a, I, J) as an ``Instance``.  A sweep walks every exponent
-vector a in [0..amax]^(n+1) — and, for layer identities, every candidate
-(I, J) layout — and checks the chosen identity on each pair of a and
-admitted layout.  It compiles every candidate layout once, before any a
+validating (n, a, I, J) as an ``Instance``; ``prepare_verify`` does the
+rejecting and validating and returns the pass still to run, so the
+command line can check its output path in between.  A sweep walks every
+exponent vector a in [0..amax]^(n+1) — and, for layer identities, every
+candidate (I, J) layout — and checks the chosen identity on each pair of
+a and admitted layout.  It compiles every candidate layout once, before any a
 is drawn, with ``compile_layout``, the one carrier of (n, I, J) that a
 check and its report read, which also keeps the no-crossing verdict; the
 row's ``admissible`` reads the compiled layout, so ``main`` admits a
@@ -128,9 +130,10 @@ MAX_SWEEP_CHECKS = 1_000_000
 
 # The largest n and amax a lemma suite may draw from, checked before any
 # draw: its time grows exponentially in n and its polynomials' lengths
-# with amax.  One ``qdyson sweep lemmas`` process, 2-core VM, Python 3.11:
-# 0.2 s at n = 7 with amax = 5, the pinned suites, 0.8 s at n = 16 with
-# amax = 5 and 0.7 s at both limits, whose draws differ.
+# with amax.  One ``qdyson sweep lemmas`` process, interpreter start
+# included, median of 5 on a 2-core VM, Python 3.11: 0.2 s at n = 7 with
+# amax = 5, the pinned suites, 0.45 s at n = 16 with amax = 5 and 0.49 s
+# at both limits, whose draws differ.
 MAX_LEMMA_N = 16
 MAX_LEMMA_AMAX = 256
 
@@ -320,11 +323,20 @@ def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[i
 
 def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationReport:  # noqa: E741
     """Check one instance (n, a, I, J) of the identity ``name``, on a
-    product built with the read rule its table row names.  A layer the row
-    does not accept is rejected before any product is built: (I, J) where
-    the identity has no layer, an empty layer where it needs one, a
-    compiled layout a sweep would not admit.  ``elapsed_ms`` covers the
-    product's pass as well as the check."""
+    product built with the read rule its table row names: the check
+    ``prepare_verify`` validates, run at once."""
+    return prepare_verify(name, n, a, I, J)()
+
+
+def prepare_verify(
+    name: str, n: int, a: Sequence[int], I=(), J=()  # noqa: E741
+) -> Callable[[], VerificationReport]:
+    """The check of one instance (n, a, I, J) of the identity ``name``,
+    validated, as a function of no arguments that runs its pass and returns
+    the report.  A layer the row does not accept is rejected here, before
+    any product is built: (I, J) where the identity has no layer, an empty
+    layer where it needs one, a compiled layout a sweep would not admit.
+    ``elapsed_ms`` covers the product's pass as well as the check."""
     identity = IDENTITIES.get(name)
     if identity is None or identity.check is None:
         checked = tuple(key for key, row in IDENTITIES.items() if row.check)
@@ -337,9 +349,14 @@ def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationRepor
     layout = compile_layout(n, inst.I, inst.J)
     if not identity.admissible(layout):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")
-    pass_ms, reports = _run_task((_context(name, n, [layout]), (inst.a,)))
-    [rep] = reports[inst.a]
-    return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
+    task = (_context(name, n, [layout]), (inst.a,))
+
+    def run() -> VerificationReport:
+        pass_ms, reports = _run_task(task)
+        [rep] = reports[inst.a]
+        return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
+
+    return run
 
 
 # -- randomized lemma suite ----------------------------------------------------

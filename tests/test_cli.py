@@ -224,6 +224,28 @@ class TestJsonOutput:
         assert cli.main(["sweep", "main", "--n", "3", "--amax", "-1", "--json", str(rejected)]) == 2
         assert not rejected.exists()
 
+    def test_unwritable_verify_path_fails_before_the_pass(self, tmp_path, monkeypatch, capsys):
+        """``verify`` checks its ``--json`` path after the input and before
+        the pass: a path under a missing directory exits 2 with no pass run
+        and nothing printed, and a crossing layout exits 2 before the path
+        is opened, so no file is made."""
+
+        def no_pass(task):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr("qdyson.sweeps._run_task", no_pass)
+        missing = tmp_path / "missing" / "x.jsonl"
+        argv = ["verify", "qdyson", "--n", "3", "--a", "3,3,3,3", "--json", str(missing)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "No such file or directory" in err
+        crossing = tmp_path / "crossing.jsonl"
+        argv = ["verify", "main", "--n", "4", "--a", "1,1,1,1,1", "--I", "1,3,4", "--J", "0,0,2",
+                "--json", str(crossing)]
+        assert cli.main(argv) == 2
+        assert "crossing pattern" in capsys.readouterr().err
+        assert not crossing.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

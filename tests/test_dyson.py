@@ -17,6 +17,7 @@ into."""
 
 import functools
 import itertools
+import re
 
 import pytest
 
@@ -175,19 +176,31 @@ def shared_source(insts):
 
 
 def test_spec_validation():
-    """Checks on n and a; the layer checks are ``TestLayerSpec::test_invalid``
-    in ``test_firstlayer``.  An a whose length does not match n is rejected
-    with or without a layer."""
-    for n, a, I, J in [
-        (1, (1,), (), ()),
-        (1, (1, -1), (), ()),
-        (-1, (), (), ()),
-        (3, (1, 1), (0,), (1,)),
-        (2, (1, 1, 1, 1), (0,), (1,)),
+    """Each rule of ``Instance`` on one minimal bad input, with its message;
+    ``TestLayerSpec::test_invalid`` in ``test_firstlayer`` has more layers.
+    An a whose length does not match n is rejected with or without a layer.
+    An index out of range is named, and of two the first in I + J is, which
+    is not the smallest here."""
+    for n, a, I, J, message in [
+        (-1, (), (), (), "need at least one variable"),
+        (1, (1,), (), (), "expected 2 exponents, got 1"),
+        (3, (1, 1), (0,), (1,), "expected 4 exponents, got 2"),
+        (2, (1, 1, 1, 1), (0,), (1,), "expected 3 exponents, got 4"),
+        (1, (1, -1), (), (), "exponents must be nonnegative"),
+        (2, (1, 1, 1), (0, 1), (2,), "index lists must have equal length"),
+        (1, (1, 1), (0, 1), (1, 0), "at most n indices may be selected"),
+        (2, (1, 1, 1), (0,), (5,), "index 5 out of range 0..2"),
+        (3, (1, 1, 1, 1), (0, 7), (-2, 1), "index 7 out of range 0..3"),
+        (3, (1, 1, 1, 1), (-1,), (1,), "index -1 out of range 0..3"),
+        (3, (1, 1, 1, 1), (2, 0), (1, 3), "I must be strictly increasing"),
+        (3, (1, 1, 1, 1), (1, 1), (0, 2), "I must be strictly increasing"),
+        (3, (1, 1, 1, 1), (0, 1), (3, 2), "J must be weakly increasing"),
+        (3, (1, 1, 1, 1), (0, 1), (1, 2), "I and J must be disjoint"),
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Instance(n, a, I, J)
     assert Instance(2, (1, 0, 2)).total == 3
+    assert Instance(3, [1, 0, 2, 0], [0, 2], [1, 1]).J == (1, 1)
 
 
 @pytest.mark.parametrize("n, amax", [(3, 2), (4, 1)])

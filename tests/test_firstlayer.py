@@ -6,13 +6,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from qdyson.dyson import Instance, q_dyson_source
+from qdyson.dyson import Instance, evaluate, q_dyson_source
 from qdyson.firstlayer import (
     first_layer_closed,
     first_layer_closed_q1,
     first_layer_reads,
     layer_coefficients,
-    layer_exponent,
+    layer_levels,
     nonempty_subsets,
     verify_first_layer,
 )
@@ -112,6 +112,15 @@ def test_nonempty_subsets_order():
     ]
 
 
+def layer_exponent(T, inst, within=None):
+    """The layer exponent of T within the layer of ``within`` (all of I by
+    default) with its paired j's: ``layer_coefficients`` of that layer's
+    instance, at inst.a."""
+    X = inst.I if within is None else tuple(sorted(within))
+    induced = Instance(inst.n, inst.a, X, paired_js(inst, X))
+    return evaluate(layer_coefficients(T, induced), inst.a)
+
+
 def paper_layer_exponent(T, inst):
     """The layer exponent of T in the layer (I, J) of inst, in its split
     form: with i1 = min(I), t = #{j in J : j < i1}, J- = {j < i1},
@@ -173,8 +182,8 @@ class TestExponents:
         inst = Instance(3, (1, 1, 1, 1), (0, 1), (2, 2))
         with pytest.raises(ValueError):
             layer_coefficients((), inst)
-        with pytest.raises(ValueError):  # 3 is not selected, so has no paired j
-            layer_coefficients((0,), inst, (0, 3))
+        with pytest.raises(ValueError, match="selected indices"):  # 3 has no paired j
+            layer_levels(inst, (0, 3))
 
 
 def assert_matches_paper_form(inst):

@@ -31,6 +31,7 @@ from tests.test_dyson import compiled, layer_box, layer_sum, shared_source
 from tests.test_firstlayer import (
     all_layouts,
     count_upto,
+    layer_exponent,
     oracle_avecs,
     paired_js,
     paper_layer_exponent,
@@ -183,6 +184,34 @@ class TestChainExponent:
             for I, J in seeded_layouts(n, 12):
                 for a in oracle_avecs(n):
                     assert_matches_insertion_chain(Instance(n, a, I, J))
+
+    def test_combined_exponent_is_chain_plus_layer(self):
+        """Given U, ``chain_exponent(inst, S, U)`` is the chain exponent of
+        S plus the layer exponent of U within the layer of S, on every
+        layout of ``layout_grid(n, 1, n)`` with n <= 5, crossing ones
+        included, for every nonempty S within I and nonempty U within S, at
+        a = (1, ..., 1), (0, 1, ..., n), its reverse and ((3k + 1) mod 5)_k."""
+        cases = 0
+        for n in range(1, 6):
+            avecs = oracle_avecs(n) + [tuple((3 * k + 1) % 5 for k in range(n + 1))]
+            for I, J in layout_grid(n, 1, n):
+                for a in avecs:
+                    inst = Instance(n, a, I, J)
+                    for S in nonempty_subsets(I):
+                        chain = chain_exponent(inst, S)
+                        for U in nonempty_subsets(S):
+                            expected = chain + layer_exponent(U, inst, S)
+                            assert chain_exponent(inst, S, U) == expected, (inst, S, U)
+                            cases += 1
+        assert cases == 49308
+
+    def test_combined_exponent_needs_a_nonempty_subset_of_s(self):
+        inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
+        for U in ((), (1,), (0, 1)):
+            with pytest.raises(ValueError, match="nonempty subset of S"):
+                chain_exponent(inst, (0,), U)
+        with pytest.raises(ValueError, match="selected indices"):
+            chain_exponent(inst, (0, 2), (0,))
 
     @given(paired_layers())
     @settings(max_examples=100, deadline=None)

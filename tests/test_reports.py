@@ -12,7 +12,7 @@ import pytest
 from benchmark import gate, workloads
 from qdyson import cli
 from qdyson.paired import compile_layout
-from qdyson.reports import Extra, ReportRow, VerificationReport, report, write_jsonl
+from qdyson.reports import Extra, ReportRow, VerificationReport, open_jsonl, report, write_jsonl
 from qdyson.sweeps import verify
 from tests.test_cli import two_usable_cpus
 
@@ -158,15 +158,25 @@ def test_a_row_takes_the_params_of_its_line_apart(extra):
 
 
 def test_one_writer_for_every_jsonl_file(tmp_path):
-    """Reports and rows are written by their lines, then the summary; with
-    no path nothing is written or encoded."""
+    """Reports and rows are written by their lines, then the summary, in
+    place of what the file held; opening it truncates nothing.  With no path
+    nothing is written or encoded."""
     rep = verify("kadell", 2, (1, 0, 1), (0,), (1,))
     row = ReportRow(rep.holds, rep.to_json())
     path = tmp_path / "out.jsonl"
-    write_jsonl(str(path), [rep, row], {"total": 2})
     line = rep.to_json()
+    with open_jsonl(str(path)) as out:
+        write_jsonl(out, [rep, row], {"total": 2})
     assert path.read_text(encoding="utf-8") == f"{line}\n{line}\n" + '{"total":2}\n'
-    write_jsonl(None, [object()])
+    old = "an old file, longer than the reports\n" * 100
+    path.write_text(old, encoding="utf-8")
+    with open_jsonl(str(path)) as out:
+        assert path.read_text(encoding="utf-8") == old
+        write_jsonl(out, [row], {"total": 1})
+    assert path.read_text(encoding="utf-8") == f"{line}\n" + '{"total":1}\n'
+    with open_jsonl(None) as out:
+        assert out is None
+        write_jsonl(out, [object()])
 
 
 # -- raw bytes of pinned units --------------------------------------------------

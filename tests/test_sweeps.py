@@ -620,13 +620,16 @@ def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatc
     tracer's ``paired.*`` metrics count: the chain exponent, once per
     superset of each factorization (its first superset also gives the
     right side's power) and twice per tail cancellation, and the three
-    lemma checks.  The counters count, as one sum in the tracked scope
-    shows."""
+    lemma checks.  Each chain exponent, which there adds a layer exponent
+    of the same superset, builds one ``layer_levels`` prefix sum.  The
+    counters count, as one sum in the tracked scope shows."""
     names = ("chain_exponent", "verify_factorization", "tail_cancel_values",
              "matrix_choice_property")
     calls = {name: [] for name in names}
     for name in names:
         _counting_everywhere(monkeypatch, name, calls[name], home=paired)
+    levels = []
+    _counting_everywhere(monkeypatch, "layer_levels", levels, home=firstlayer)
     adds, inside = [], []
     add, sides = qpoly.QPoly.__add__, paired.factorization_sides
 
@@ -654,6 +657,7 @@ def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatc
         "tail_cancel_values": 213,
         "matrix_choice_property": len(sweeps.CHOICE_PRODUCT_SIZES),
     }
+    assert len(levels) == 1819
     inside.append(())
     assert qpoly.ONE + qpoly.ONE == qpoly.q_power(0, 2) and len(adds) == 1
 
