@@ -17,7 +17,7 @@ Exit codes:
         crossing pairing where forbidden, bad bounds, a grid sweep of more
         than sweeps.MAX_SWEEP_CHECKS checks, a lemma suite past
         sweeps.MAX_LEMMA_N or sweeps.MAX_LEMMA_AMAX, a --json path that
-        cannot be opened for writing: verify and sweep check it after the
+        cannot be opened for writing: every command checks it after the
         input and before the first pass)
 
 With --json, one report object is written per line, followed (for sweeps) by
@@ -119,17 +119,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    report = reproduce_counterexample()
+    with open_jsonl(args.json) as out:  # before the pass
+        report = reproduce_counterexample()
+        write_jsonl(out, [report])
     confirmed = report.extra["confirmed"]
     print(f"CT  = {report.extra['ct']}")
     print(f"LHS = {report.lhs}")
     print(f"RHS = {report.rhs}")
     if confirmed:
         print("expected failure confirmed: LHS != RHS, both sides as pinned")
-    else:  # pragma: no cover - would indicate a kernel regression
+    else:  # would indicate a kernel regression
         print("UNEXPECTED: instance did not reproduce the pinned values")
-    with open_jsonl(args.json) as out:
-        write_jsonl(out, [report])
     return 0 if confirmed else 1
 
 

@@ -27,14 +27,16 @@ drawn, with each q-exponent kept as an affine function of a that
 one carrier of (n, I, J) a check and its report read.  The products built
 here read only n and a: ``pair_factors`` is the one loop over the pairs,
 given the lengths of each pair's two q-shifted factorials, for the
-q-Dyson product and for ``kadell``'s modified one.  A check builds no
-product: ``source`` is one pruned pass its caller made over a box that
-holds what the check reads, and it carries the a of its q-Dyson product,
-the one carrier of a a check and its report read.  Before reading
-anything, a check passes ``FactoredProduct.reads``, which refuses with
-``ValueError`` a source that holds no q-Dyson product, lacks the spare
-bits the check computes with, or does not hold the check's box.  A
-check calls it with its read rule, (lo, hi, headroom) as a function of
+q-Dyson product and for ``kadell``'s modified one, which no check reads:
+its own pass is the independent oracle that confirms the pinned
+counterexample.  A check builds no product: ``source`` is one pruned pass
+its caller made over a box that holds what the check reads, and it
+carries the a of its q-Dyson product, the one carrier of a a check and
+its report read.  Before reading anything, a check passes
+``FactoredProduct.reads``, which refuses with ``ValueError`` a source
+that holds no q-Dyson product, lacks the spare bits the check computes
+with, or does not hold the check's box.  A check calls it with its read
+rule, (lo, hi, headroom) as a function of
 the layout, which is also the rule of its row in ``sweeps.IDENTITIES``
 and the arguments ``q_dyson_source`` takes after the instance.  For the
 constant terms here it is the row default (*layout.box, 0): the box of
@@ -135,7 +137,10 @@ class Layout:
     size, lexicographic within): the flipped layer monomial, the negated
     ``layer_monomial(S)``; the sign (-1)^|S|; and the chain exponent of S,
     which is 0 for the empty subset, whose weight is 1.  No two subsets
-    share a monomial.  ``terms`` holds, for each nonempty T in the same
+    share a monomial.  ``naive`` is ``subsets`` with the naive weight
+    w(S) = sum over i_k in S of (a_{j_k} + [j_k > i_k]) in place of the
+    chain exponent, the weight that ``kadell.verify_q_kadell`` reads each
+    flipped monomial with.  ``terms`` holds, for each nonempty T in the same
     order: the sign (-1)^|T|, T itself and the layer exponent of T.  ``box``
     is (lo, hi) of the exponent vectors the layer identities read from the
     product: the box spanned by the origin and the flipped monomial of
@@ -148,6 +153,7 @@ class Layout:
     I: tuple[int, ...]  # noqa: E741 - interface name
     J: tuple[int, ...]
     subsets: tuple[tuple[tuple[int, ...], int, Affine], ...]
+    naive: tuple[tuple[tuple[int, ...], int, Affine], ...]
     terms: tuple[tuple[int, tuple[int, ...], Affine], ...]
     box: tuple[tuple[int, ...], tuple[int, ...]]
     npc: bool

@@ -22,11 +22,16 @@ multinomial of the right side comes with the closed form, once per
 (a, sum of a over I).
 
 The q-analog obtained by bumping the affected q-shifted factorial lengths by
-one does NOT satisfy the corresponding identity.  Its product is the
-q-Dyson product's pairs with some lengths raised by one
-(``modified_q_product``), so the box pass reads its constant term like any
-other; ``reproduce_counterexample`` pins down the smallest failing instance
-exactly.
+one does NOT satisfy the corresponding identity.  Raising a length by one
+multiplies the q-Dyson product by one more binomial, so the modified
+product is the q-Dyson product times signed layer monomials, as the
+paired-layer q-analog is, under another power of q: ``verify_q_kadell``
+reads the flipped monomials of the same source and shares its sides and
+its packed comparison with ``paired.verify_paired``
+(``paired.check_layer_sum``).  ``reproduce_counterexample`` pins down the
+smallest failing instance exactly, and confirms its constant term on an
+independent path: the modified product's own factors
+(``modified_q_product``) in their own box pass.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from .dyson import Instance, Layout, pair_factors
+from .dyson import Instance, Layout, pair_factors, q_dyson_source
 from .laurent import FactoredProduct, Pair, ct_of_factor_list
-from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, q_multinomial_poly
+from .paired import check_layer_sum, compile_layout, paired_reads
+from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, unpack
 from .reports import VerificationReport, report
 
 
@@ -104,51 +110,70 @@ def modified_q_product(inst: Instance) -> list[Pair]:
     """q-analog product with pair-adjusted factorial lengths, one ``Pair``
     (s, t, a, b) per s < t: the factor (x_s/x_t; q)_a (q x_t/x_s; q)_b with
     a = a_s, plus one if (t, s) is a pair of the layer, and b = a_t, plus
-    one if (s, t) is."""
+    one if (s, t) is.  No check reads it: its own box pass is the
+    independent path of ``reproduce_counterexample``'s confirmation."""
     pair_set = set(inst.pairs)
     return pair_factors(inst.n, lambda i, j: inst.a[i] + ((j, i) in pair_set))
 
 
-def verify_q_kadell(inst: Instance) -> VerificationReport:
-    """The would-be q-analog of the corrected identity:
+def verify_q_kadell(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """The would-be q-analog of the corrected identity on the compiled
+    layout, for the source's a:
 
         (1 - q^(1 + total - sum of a over I)) * CT(modified product)
             =? (1 - q^(1 + total)) * qmultinomial(a)
 
     This equality is FALSE in general; the report records whether it holds
-    for the given instance.
-    """
-    t0 = time.perf_counter()
-    ct = ct_of_factor_list(modified_q_product(inst), (0,) * (inst.n + 1))
-    lhs = one_minus_q(1 + inst.total - sum(inst.a[i] for i in inst.I)) * ct
-    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
-    return report("qkadell", inst.a, inst, t0, lhs == rhs, lhs, rhs, lambda: {"ct": ct.render()})
+    for the given instance, with the constant term in ``extra``.
+
+    The modified product (``modified_q_product``) raises by one the length
+    of the factor in x_j/x_i for each pair (i, j) = (i_k, j_k) of the
+    layer, and no other.  If j < i that factor is (x_j/x_i; q)_{a_j}, and
+    (x_j/x_i; q)_{a_j + 1} = (x_j/x_i; q)_{a_j} (1 - q^(a_j) x_j/x_i).  If
+    j > i it is (q x_j/x_i; q)_{a_j}, and (q x_j/x_i; q)_{a_j + 1} =
+    (q x_j/x_i; q)_{a_j} (1 - q^(a_j + 1) x_j/x_i).  The i's are distinct
+    and no (j, i) is a pair too, as I and J are disjoint, so each pair
+    raises a factor of its own, and the modified product is D(a) times
+    prod_k (1 - q^(a_{j_k} + [j_k > i_k]) x_{j_k}/x_{i_k}).  Multiplied
+    out, that is the sum over subsets S of I of (-1)^|S| q^(w(S))
+    x_{J(S)}/x_S, with w(S) the sum over i_k in S of a_{j_k} + [j_k > i_k]
+    (``Layout.naive``, affine in a).  The constant term of D(a) times
+    x_{J(S)}/x_S is D(a)'s coefficient at the flipped monomial of S, so
+
+        CT(modified product) = sum over S of (-1)^|S| q^(w(S)) [x^(flipped S)] D(a),
+
+    ``paired.check_layer_sum`` weighted by w, reading through
+    ``paired.paired_reads`` as ``main`` does.  Unlike ``main``, it admits
+    layouts with the crossing pattern."""
+    return check_layer_sum(
+        "qkadell", layout, source, layout.naive,
+        lambda ct, k, base: {"ct": unpack(ct, k, base).render()},
+    )
 
 
-# Known values for the smallest failing instance of the q-modification:
-# n=2, I={0}, J={1}, a=(1,1,1).  The modified product has constant term
-# 1 + 2q + 3q^2 + 2q^3, so the two sides differ as polynomials.
+# The smallest failing instance of the q-modification: n=2, I={0}, J={1},
+# a=(1,1,1).  The modified product has constant term 1 + 2q + 3q^2 + 2q^3,
+# so the two sides differ as polynomials.
 _CE = Instance(2, (1, 1, 1), (0,), (1,))
-
-
-def _expected_counterexample() -> tuple[QPoly, QPoly, QPoly]:
-    ct = QPoly(0, (1, 2, 3, 2))
-    lhs = one_minus_q(3) * ct
-    rhs = one_minus_q(4) * QPoly(0, (1, 1)) * QPoly(0, (1, 1, 1))
-    return ct, lhs, rhs
 
 
 def reproduce_counterexample() -> VerificationReport:
     """Evaluate the pinned failing instance and confirm both sides come out
-    as the known polynomials (which are unequal): the report of
-    ``verify_q_kadell``, derived anew with the expected failure and its
-    confirmation added to ``extra``."""
-    rep = verify_q_kadell(_CE)
-    ct_expected, lhs_expected, rhs_expected = _expected_counterexample()
+    as the known polynomials (which are unequal), and its constant term as
+    the modified product's own box pass gives it: the report of
+    ``verify_q_kadell`` on the q-Dyson product of the instance, derived
+    anew with the expected failure and its confirmation added to
+    ``extra``."""
+    layout = compile_layout(_CE.n, _CE.I, _CE.J)
+    rep = verify_q_kadell(layout, q_dyson_source(_CE, *paired_reads(layout)))
+    # the pinned constant term, and the two sides it gives
+    ct = QPoly(0, (1, 2, 3, 2))
+    lhs, rhs = one_minus_q(3) * ct, one_minus_q(4) * QPoly(0, (1, 1)) * QPoly(0, (1, 1, 1))
     confirmed = (
-        not rep.holds
-        and rep.extra["ct"] == ct_expected.render()
-        and rep.lhs == lhs_expected.render()
-        and rep.rhs == rhs_expected.render()
+        ct_of_factor_list(modified_q_product(_CE), (0,) * (_CE.n + 1)) == ct
+        and not rep.holds
+        and rep.extra["ct"] == ct.render()
+        and rep.lhs == lhs.render()
+        and rep.rhs == rhs.render()
     )
     return replace(rep, extra=rep.extra | {"expected_failure": True, "confirmed": confirmed})

@@ -34,23 +34,29 @@ the chain's -level_k and the layer's +level_k cancel outside S.
 
 Both exponents are affine in a, with coefficients read off the layout
 alone.  ``compile_layout`` writes them out once per layout, with the flipped
-layer monomials and signs and the verdict of ``npc_holds`` (a
-``dyson.Layout``): a sweep compiles each of its candidate layouts once, a
-single ``verify`` its one layout, and each check of the layer identities
-reads every exponent by a dot product with a, and the verdict as a field.
+layer monomials and signs, the naive weights of ``kadell`` and the verdict
+of ``npc_holds`` (a ``dyson.Layout``): a sweep compiles each of its
+candidate layouts once, a single ``verify`` its one layout, and each check
+of the layer identities reads every exponent by a dot product with a, and
+the verdict as a field.
 The sweep's no-crossing filter and ``verify``'s rejection read that field
 too, so the verdict is computed once per layout.
 
-``verify_paired`` computes on the product's coefficients as the source keeps
-them, packed into integers at q = 2^k, so both sides of the identity are
-compared as two integers.  Its read rule ``paired_reads`` is the one
-statement of what it reads: the layout's box, with the spare bits of k
-that make the comparison exact.  The check's one guard,
-``FactoredProduct.reads``, is called with that rule before anything is
-read, and ``sweeps.IDENTITIES`` names the same rule, so each coefficient
-is then a plain dict lookup.  The report's ``extra``
-depends on the layout alone, so it is built, and its JSON text encoded,
-once per (I, J) (``reports.Extra``).
+The naive q-analog of ``kadell`` has the same two sides, with the
+q-Dyson product multiplied by the same signed layer monomials under
+another weight, so ``check_layer_sum`` checks both: ``verify_paired``
+with the chain exponents, ``kadell.verify_q_kadell`` with the naive
+weights, each a column of the layout.  It computes on the product's
+coefficients as the source keeps them, packed into integers at q = 2^k,
+so both sides of the identity are compared as two integers.  Its read
+rule ``paired_reads`` is the one statement of what it reads: the
+layout's box, with the spare bits of k that make the comparison exact,
+whatever the weights.  The check's one guard, ``FactoredProduct.reads``,
+is called with that rule before anything is read, and
+``sweeps.IDENTITIES`` names the same rule for ``main``, so each
+coefficient is then a plain dict lookup.  The ``extra`` of a ``main``
+report depends on the layout alone, so it is built, and its JSON text
+encoded, once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -70,7 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import layer_coefficients, layer_levels, nonempty_subsets
@@ -177,18 +183,25 @@ def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noq
     """Everything the layer identities read off the layout (I, J) over
     x_0..x_n, for every exponent vector at once.  The chain coefficients
     are looked up here when called, so rebinding ``chain_coefficients``
-    (as the tests do for the refuted reading) reaches every check."""
+    (as the tests do for the refuted reading) reaches every check.  The
+    naive weight w(S) has the constant #{i_k in S : j_k > i_k} and, as I
+    and J are disjoint, the positive part of S's layer monomial as its
+    coefficients: a_j counts once per i_k in S paired with j."""
     inst = Instance(n, (0,) * (n + 1), I, J)
     subsets = [()] + list(nonempty_subsets(inst.I))
     signs = [(-1) ** len(S) for S in subsets]
     flipped = [tuple(-e for e in inst.layer_monomial(S)) for S in subsets]
     chains = [(0, (0,) * (n + 1))] + [chain_coefficients(inst, S) for S in subsets[1:]]
+    above = {i for i, j in inst.pairs if j > i}
+    naive = [(len(above.intersection(S)), tuple([-e if e < 0 else 0 for e in f]))
+             for S, f in zip(subsets, flipped)]
     target = flipped[-1]
     return Layout(
         n,
         inst.I,
         inst.J,
         subsets=tuple(zip(flipped, signs, chains)),
+        naive=tuple(zip(flipped, signs, naive)),
         terms=tuple(
             (sign, T, layer_coefficients(T, inst)) for sign, T in zip(signs[1:], subsets[1:])
         ),
@@ -208,23 +221,26 @@ def correction_polynomial(a: tuple[int, ...], layout: Layout) -> LaurentPoly:
 
 
 def paired_reads(layout: Layout) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """What ``verify_paired`` reads, as the arguments (lo, hi, headroom) of
-    its guard ``FactoredProduct.reads`` and of ``dyson.q_dyson_source``:
+    """What ``check_layer_sum`` reads, for ``verify_paired`` and for
+    ``kadell.verify_q_kadell`` alike, as the arguments (lo, hi, headroom)
+    of its guard ``FactoredProduct.reads`` and of ``dyson.q_dyson_source``:
     the layout's box, which holds every flipped monomial, with 1 spare bit
-    of k, for every layout.
+    of k, for every layout and every weight of the subsets.
 
     The spare bit makes the packed comparison (``qpoly.packed_equal``)
     exact.  With B the bound of ``laurent.packed_in_box``,
     2^(k - 1 - headroom) > B.  The constant term is a signed, shifted sum
     of the product's coefficients at distinct monomials, so its
-    q-coefficients have L1 norm at most B, however many subsets there are;
-    times (1 - q^A), at most 2B.  The right side (1 - q^(1 + total))
-    qmult(a) has L1 norm 2 multinomial(a), and multinomial(a) <=
+    q-coefficients have L1 norm at most B, however many subsets there are
+    and whatever powers of q weight them; times (1 - q^A), at most 2B.
+    The right side (1 - q^(1 + total)) qmult(a) has L1 norm
+    2 multinomial(a), and multinomial(a) <=
     (n + 1)^total <= 2^(n total) = B, the product of the L1 norms
     2^(a_i + a_j) of the q-Dyson product's pair factors.  So
     |X_i| + |Y_i| <= 4B < 2^(k + 1 - headroom): headroom 1 puts it below
-    2^k, and keeps the left side's coefficients below 2^(k - 1), so a
-    failing check unpacks it.
+    2^k, and keeps the left side's and the constant term's coefficients
+    below 2^(k - 1), so a failing check unpacks its left side, and the
+    naive check its constant term.
     """
     return (*layout.box, 1)
 
@@ -234,7 +250,7 @@ def _paired_rhs(a: tuple[int, ...], k: int) -> tuple[int, str]:
     """(1 - q^(1 + total)) qmult(a) at q = 2^k, v - (v << k (1 + total))
     for v = qmult(a) at 2^k, and its text: once per exponent vector in a
     sweep, whose tasks each keep one k.  The text is read back at this k,
-    which is exact at the k of any source that ``verify_paired`` accepts,
+    which is exact at the k of any source that ``check_layer_sum`` accepts,
     one packed with the spare bit of ``paired_reads``: by its bound each
     coefficient of the right side is at most its L1 norm
     2 multinomial(a) <= 2B < 2^(k - 1)."""
@@ -249,29 +265,35 @@ def _pairing(I: tuple[int, ...], J: tuple[int, ...]) -> Extra:  # noqa: E741
     return Extra({"semantics": "multiset", "pairing": [[i, j] for i, j in zip(I, J)]})
 
 
-def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport:
-    """The paired-layer identity for the product of the source's a on the
-    compiled layout.  The constant term of the multiplied product is, term
-    by term of the multiplier, its weight times the product's coefficient at
-    the flipped monomial.  Both sides stay packed at q = 2^k, as ``source``
-    holds its coefficients: the sum over subsets adds shifted integers, the
-    factor (1 - q^A) is one shift and subtraction, and the right side is
-    packed and rendered once per a.  A check that holds prints the right
-    side's text on both sides; only a failing one unpacks its left side.
-    Layers violating the no-crossing condition are rejected with
-    ``NpcViolationError`` before the source is touched, and by the guard
-    ``FactoredProduct.reads``, called with the read rule ``paired_reads``,
-    a source that holds no q-Dyson product, has less headroom than the rule
-    names or does not hold ``layout.box``, with ``ValueError``."""
-    if not layout.npc:
-        raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
+def check_layer_sum(
+    identity: str, layout: Layout, source: FactoredProduct,
+    rows: Sequence[tuple[tuple[int, ...], int, Affine]], extra: Callable[[int, int, int], dict],
+) -> VerificationReport:
+    """The identity
+
+        (1 - q^(1 + total - sum of a over I)) * CT = (1 - q^(1 + total)) * qmult(a)
+
+    for the q-Dyson product D(a) of the source's a times the multiplier
+    sum over subsets S of I of (-1)^|S| q^(weight of S) x_{J(S)}/x_S.
+    ``rows`` holds one row (flipped monomial, sign, weight) per subset,
+    read off the compiled layout: ``layout.subsets``, weighted by the chain
+    exponent, for ``main``, and ``layout.naive`` for ``qkadell``.  The
+    constant term is, row by row, the signed weight times D(a)'s
+    coefficient at the flipped monomial.  Both sides stay packed at
+    q = 2^k, as ``source`` holds its coefficients: the sum over subsets
+    adds shifted integers, the factor (1 - q^A) is one shift and
+    subtraction, and the right side is packed and rendered once per a.  A check that holds prints the right side's
+    text on both sides; only a failing one unpacks its left side.  The
+    report's ``extra`` is ``extra(ct, k, base)``, with ct the constant term
+    packed, q^base times the polynomial whose value at q = 2^k is ct.  The
+    guard ``FactoredProduct.reads``, called with the read rule
+    ``paired_reads``, refuses a source that holds no q-Dyson product, has
+    less headroom than the rule names or does not hold ``layout.box``, with
+    ``ValueError``, before anything is read."""
     packed = source.reads(*paired_reads(layout))
     t0 = time.perf_counter()
     a, k = source.a, source.k
-    terms = [
-        (sign, packed.get(flipped, 0), evaluate(chain, a))
-        for flipped, sign, chain in layout.subsets
-    ]
+    terms = [(sign, packed.get(flipped, 0), evaluate(weight, a)) for flipped, sign, weight in rows]
     base = min(e for _, _, e in terms)
     ct = 0
     for sign, c, e in terms:
@@ -282,8 +304,20 @@ def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport
     # the left side is q^base times the polynomial whose value at q = 2^k is lhs
     holds = packed_equal(lhs, rhs, base, k)
     return report(
-        "main", a, layout, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
-        lambda: _pairing(layout.I, layout.J),
+        identity, a, layout, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
+        lambda: extra(ct, k, base),
+    )
+
+
+def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport:
+    """The paired-layer identity for the product of the source's a on the
+    compiled layout: ``check_layer_sum`` weighted by the chain exponents.
+    Layers violating the no-crossing condition are rejected with
+    ``NpcViolationError`` before the source is touched."""
+    if not layout.npc:
+        raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
+    return check_layer_sum(
+        "main", layout, source, layout.subsets, lambda *_: _pairing(layout.I, layout.J)
     )
 
 

@@ -208,13 +208,12 @@ def report(
     extra: Callable[[], dict] | None = None,
 ) -> VerificationReport:
     """The report of one check of the exponent vector a on ``layer``, a
-    compiled ``Layout`` or, for the lemma and q-Kadell reports, an
-    ``Instance``, begun at t0 (a ``time.perf_counter`` reading).  The clock
-    is read first, so ``elapsed_ms`` covers the check and nothing of its
-    report: only then are ``extra()`` built and lhs and rhs rendered (by
-    their ``render`` method, else by ``str``), once when they are the same
-    object.  The report keeps a and the layer's n and its I and J tuples
-    as they are."""
+    compiled ``Layout`` or, for the lemma reports, an ``Instance``, begun
+    at t0 (a ``time.perf_counter`` reading).  The clock is read first, so
+    ``elapsed_ms`` covers the check and nothing of its report: only then
+    are ``extra()`` built and lhs and rhs rendered (by their ``render``
+    method, else by ``str``), once when they are the same object.  The
+    report keeps a and the layer's n and its I and J tuples as they are."""
     elapsed = time.perf_counter() - t0
     lhs_text = _render(lhs)
     return VerificationReport(

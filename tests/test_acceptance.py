@@ -29,7 +29,6 @@ from qdyson.kadell import reproduce_counterexample, verify_kadell
 from qdyson.laurent import FactoredProduct, LaurentPoly, ct_of_factor_list, expand_product
 from qdyson.paired import correction_polynomial, npc_holds
 from qdyson.qpoly import ONE, QPoly, one_minus_q, q_multinomial_poly
-from qdyson.reports import dumps
 from qdyson.sweeps import SweepConfig, a_grid, layout_grid, run_sweep, verify
 from tests.test_dyson import (
     as_int,
@@ -42,7 +41,7 @@ from tests.test_dyson import (
     shared_source,
 )
 from tests.test_firstlayer import verify_first_layer_oracle
-from tests.test_kadell import verify_kadell_oracle
+from tests.test_kadell import stripped, verify_kadell_oracle
 from tests.test_paired import use_set_reading, verify_paired_oracle
 
 # (n, amax) grids named by the criteria below
@@ -450,12 +449,6 @@ def test_crossing_layouts_fail_without_the_guard():
 # -- the packed checks against the QPoly checks they replaced ------------------
 
 
-def _stripped(rep):
-    fields = rep.to_dict()
-    del fields["elapsed_ms"]
-    return dumps(fields)
-
-
 def _compare_with(monkeypatch, oracle):
     """Make every sweep task, and so every ``verify``, compare the report of
     each of its checks with ``oracle(a, layout, source)`` on the product
@@ -482,7 +475,7 @@ def _compare_with(monkeypatch, oracle):
         assert list(reports) == list(orbit)
         for a, source in zip(orbit, members, strict=True):
             expected = [oracle(a, lay, source) for lay in layouts]
-            assert list(map(_stripped, reports[a])) == list(map(_stripped, expected))
+            assert list(map(stripped, reports[a])) == list(map(stripped, expected))
         compared[0] += sum(map(len, reports.values()))
         return pass_ms, reports
 

@@ -246,6 +246,22 @@ class TestJsonOutput:
         assert "crossing pattern" in capsys.readouterr().err
         assert not crossing.exists()
 
+    def test_unwritable_counterexample_path_fails_before_the_check(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``counterexample`` opens its ``--json`` path before it checks the
+        instance: a path under a missing directory exits 2, prints nothing
+        on stdout and never calls ``reproduce_counterexample``."""
+
+        def no_check():
+            raise AssertionError("the counterexample was checked")
+
+        monkeypatch.setattr(cli, "reproduce_counterexample", no_check)
+        missing = tmp_path / "missing" / "x.jsonl"
+        assert cli.main(["counterexample", "--json", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "No such file or directory" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from qdyson.dyson import Instance, q_dyson_factors
+from qdyson import cli, kadell
+from qdyson.dyson import Instance, q_dyson_factors, q_dyson_source
 from qdyson.kadell import (
     corrected_ct,
     corrected_ct_closed,
@@ -15,9 +16,9 @@ from qdyson.kadell import (
     reproduce_counterexample,
     verify_q_kadell,
 )
-from qdyson.laurent import ct_of_factor_list, expand_product
-from qdyson.paired import compile_layout
-from qdyson.qpoly import QPoly, q_multinomial_poly, q_power
+from qdyson.laurent import FactoredProduct, ct_of_factor_list, expand_product
+from qdyson.paired import compile_layout, paired_reads
+from qdyson.qpoly import QPoly, one_minus_q, q_multinomial_poly, q_power
 from qdyson.reports import dumps, report
 from qdyson.sweeps import verify
 from tests.test_dyson import (
@@ -30,6 +31,7 @@ from tests.test_dyson import (
     shared_source,
 )
 from tests.test_firstlayer import all_layouts
+from tests.test_sweeps import _Unread
 
 
 def verify_kadell_oracle(a, layout, source):
@@ -44,6 +46,64 @@ def verify_kadell_oracle(a, layout, source):
     holds = lhs == corrected_dyson_rhs(a) and (closed is None or closed == ct)
     extra = {"ct": str(ct)} if closed is None else {"ct": str(ct), "ct_closed": str(closed)}
     return report("kadell", a, layout, t0, holds, lhs, corrected_dyson_rhs(a), lambda: extra)
+
+
+def verify_q_kadell_oracle(inst):
+    """The naive q-analog on the modified product itself: its factors built
+    with the raised lengths, its own box pass to the origin, and both sides
+    as ``QPoly`` products.  ``verify_q_kadell``, which reads the q-Dyson
+    product's flipped monomials under the naive weights, must give the
+    same report, ``elapsed_ms`` apart."""
+    t0 = time.perf_counter()
+    ct = ct_of_factor_list(modified_q_product(inst), (0,) * (inst.n + 1))
+    lhs = one_minus_q(1 + inst.total - sum(inst.a[i] for i in inst.I)) * ct
+    rhs = one_minus_q(1 + inst.total) * q_multinomial_poly(inst.a)
+    return report("qkadell", inst.a, inst, t0, lhs == rhs, lhs, rhs, lambda: {"ct": ct.render()})
+
+
+def naive_check(inst):
+    """``verify_q_kadell`` on the instance's layout, on the q-Dyson product
+    of its a packed as ``paired_reads`` names."""
+    layout = compiled(inst)
+    return verify_q_kadell(layout, q_dyson_source(inst, *paired_reads(layout)))
+
+
+def naive_grid(n, amax, mmin=1):
+    """(instance, ``verify_q_kadell`` report) for every layout over
+    x_0..x_n with m >= mmin, crossing ones included, and every a with each
+    a_k <= amax: one q-Dyson source per a, over the bounding box of the
+    layouts' boxes, with the headroom ``paired_reads`` names."""
+    layouts = [compiled(inst) for inst in all_layouts(n, (0,) * (n + 1), mmin)]
+    lo = tuple(map(min, zip(*(lay.box[0] for lay in layouts))))
+    hi = tuple(map(max, zip(*(lay.box[1] for lay in layouts))))
+    headroom = max(paired_reads(lay)[2] for lay in layouts)
+    for a in itertools.product(range(amax + 1), repeat=n + 1):
+        source = q_dyson_source(Instance(n, a), lo, hi, headroom)
+        for lay in layouts:
+            yield Instance(n, a, lay.I, lay.J), verify_q_kadell(lay, source)
+
+
+def stripped(rep):
+    """The report's JSON line without ``elapsed_ms``."""
+    fields = rep.to_dict()
+    del fields["elapsed_ms"]
+    return dumps(fields)
+
+
+def cyclic_arc_rule(inst):
+    """Whether the naive q-analog holds at inst by the conjectured rule of
+    ``test_where_the_naive_q_analog_holds``."""
+    size, a, partner = inst.n + 1, inst.a, dict(inst.pairs)
+
+    def arc(lo, hi):  # the open cyclic arc lo + 1, ..., hi - 1 modulo n + 1
+        return {(lo + d) % size for d in range(1, (hi - lo) % size)}
+
+    return all(
+        a[x] == 0 or (x in partner and partner[x] not in arc(x, i))
+        for i, j in inst.pairs
+        if a[i] > 0
+        for x in arc(j, i)
+    )
 
 
 def test_positional_pairs():
@@ -139,13 +199,54 @@ class TestQModification:
                 assert modified_q_product(inst) == q_dyson_factors(inst), a
 
     def test_holds_for_empty_layer(self):
-        rep = verify_q_kadell(Instance(2, (1, 1, 1)))
+        rep = naive_check(Instance(2, (1, 1, 1)))
         assert rep.holds
         assert rep.identity == "qkadell"
 
     def test_fails_on_pinned_instance(self):
-        rep = verify_q_kadell(Instance(2, (1, 1, 1), (0,), (1,)))
+        rep = naive_check(Instance(2, (1, 1, 1), (0,), (1,)))
         assert not rep.holds
+
+    def test_matches_the_oracle(self):
+        """On every layout, crossing ones and the empty one included, of
+        n <= 3 with each a_k <= 2 and of n = 2 with each a_k <= 3, the
+        check on the shared q-Dyson source gives the report of the modified
+        product's own pass, ``elapsed_ms`` apart."""
+        compared = 0
+        for n, amax in ((0, 2), (1, 2), (2, 3), (3, 2)):
+            for inst, rep in naive_grid(n, amax, mmin=0):
+                assert stripped(rep) == stripped(verify_q_kadell_oracle(inst)), inst
+                compared += 1
+        assert compared == 3 * 1 + 9 * 3 + 64 * 10 + 81 * 35
+
+    def test_refuses_a_source_it_may_not_read_before_any_read(self):
+        """The check raises ``ValueError`` before it reads a coefficient
+        from the modified product of the same a over the same box, which
+        records no a, and from the q-Dyson product packed with no spare
+        bit; the q-Dyson product packed as ``paired_reads`` names serves
+        it."""
+        inst = Instance(3, (1, 2, 1, 1), (0, 2), (1, 1))
+        layout = compiled(inst)
+        *box, headroom = paired_reads(layout)
+        assert headroom == 1
+        sources = [
+            (FactoredProduct(3, modified_q_product(inst), *box, headroom), "no q-Dyson product"),
+            (q_dyson_source(inst, *box, 0), "spare bits"),
+        ]
+        for source, message in sources:
+            source.packed = _Unread(source.packed)
+            with pytest.raises(ValueError, match=message):
+                verify_q_kadell(layout, source)
+        assert naive_check(inst).identity == "qkadell"
+
+    def test_another_ct_of_the_modified_product_is_not_confirmed(self, monkeypatch, capsys):
+        """The modified product's own pass is the counterexample's
+        independent path: were its constant term another, the failure
+        would not be confirmed, and ``qdyson counterexample`` exits 1."""
+        monkeypatch.setattr(kadell, "ct_of_factor_list", lambda pairs, target: QPoly(0, (1, 2, 3)))
+        assert reproduce_counterexample().extra["confirmed"] is False
+        assert cli.main(["counterexample"]) == 1
+        assert "UNEXPECTED" in capsys.readouterr().out
 
     def test_counterexample_exact_values(self):
         rep = reproduce_counterexample()
@@ -162,8 +263,8 @@ class TestQModification:
         line it kept stays its own."""
         built = []
 
-        def recording(inst):
-            rep = verify_q_kadell(inst)
+        def recording(layout, source):
+            rep = verify_q_kadell(layout, source)
             built.append((rep, rep.to_json()))
             return rep
 
@@ -176,13 +277,25 @@ class TestQModification:
         assert json.loads(rep.to_json())["params"]["extra"]["expected_failure"] is True
 
     @pytest.mark.parametrize(
-        "n, amax, held, instances", [(2, 2, 207, 243), (2, 3, 468, 576), (3, 2, 1878, 2754)]
+        "n, amax, held, instances",
+        [(2, 2, 207, 243), (2, 3, 468, 576), (3, 2, 1878, 2754), (4, 1, 2762, 4000),
+         (2, 5, 1494, 1944)],
     )
     def test_where_the_naive_q_analog_holds(self, n, amax, held, instances):
         """Where the naive q-analog fails: over every layout with m >= 1,
         crossing or not, and every a with each a_k <= amax, it holds on
-        ``held`` of the ``instances``.  It holds on every instance of three
-        families:
+        ``held`` of the ``instances``, and on each of them exactly as a
+        cyclic-arc rule predicts.
+
+        Conjecture (the cyclic-arc rule).  Read indices modulo n + 1, and
+        for a pair (i, j) of the layer let A(i, j) be the open cyclic arc
+        j + 1, j + 2, ..., i - 1.  The naive identity holds at a if and
+        only if, for every pair (i, j) with a_i > 0, every x in A(i, j)
+        with a_x > 0 is in I, and its own partner j_x is not in the open
+        arc x + 1, ..., i - 1.
+
+        It holds on every instance of three families, which the rule
+        contains:
 
         - the sum of a over I is 0;
         - at most one a_k is nonzero;
@@ -194,15 +307,16 @@ class TestQModification:
           q-multinomial of a + e_j, qmult(a) (1 - q^(1 + total)) /
           (1 - q^(1 + a_j)).  As 1 + total - (sum of a over I) = 1 + a_j,
           the left side is (1 - q^(1 + a_j)) times that, which is the
-          right side (1 - q^(1 + total)) qmult(a).
+          right side (1 - q^(1 + total)) qmult(a).  In the rule, every
+          arc A(i, j) lies in I and every partner is j, which lies past i.
         """
         count = holding = 0
-        for a in itertools.product(range(amax + 1), repeat=n + 1):
-            for inst in all_layouts(n, a):
-                holds = verify_q_kadell(inst).holds
-                count, holding = count + 1, holding + holds
-                family = sum(a[i] for i in inst.I) == 0 or sum(map(bool, a)) <= 1 or inst.m == n
-                assert holds or not family, inst
+        for inst, rep in naive_grid(n, amax):
+            a = inst.a
+            count, holding = count + 1, holding + rep.holds
+            assert rep.holds == cyclic_arc_rule(inst), inst
+            family = sum(a[i] for i in inst.I) == 0 or sum(map(bool, a)) <= 1 or inst.m == n
+            assert rep.holds or not family, inst
         assert (holding, count) == (held, instances)
 
     def test_counterexample_ct_recomputed_from_product(self):

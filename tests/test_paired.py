@@ -255,14 +255,20 @@ class TestCompiledLayout:
     def test_known_layout(self):
         """x_2/x_0 over x_0..x_2: chain exponent 1 + a_2 and layer exponent
         a_1, read off the layout alone (2 and 1 at a = (1, 1, 1), as in
-        ``test_known_value`` and ``test_known_values``).  Compiling validates
-        I and J as an instance does."""
+        ``test_known_value`` and ``test_known_values``), and naive weight
+        1 + a_2, as 2 > 0; x_0/x_2 has naive weight a_0.  Compiling
+        validates I and J as an instance does."""
         layout = compile_layout(2, (0,), (2,))
         assert layout.subsets == (
             ((0, 0, 0), 1, (0, (0, 0, 0))),
             ((1, 0, -1), -1, (1, (0, 0, 1))),
         )
         assert layout.terms == ((-1, (0,), (0, (0, 1, 0))),)
+        assert layout.naive == (
+            ((0, 0, 0), 1, (0, (0, 0, 0))),
+            ((1, 0, -1), -1, (1, (0, 0, 1))),
+        )
+        assert compile_layout(2, (2,), (0,)).naive[1][2] == (0, (1, 0, 0))
         assert layout.box == ((0, 0, -1), (1, 0, 0))
         assert layout.npc
         with pytest.raises(ValueError):
