@@ -29,15 +29,21 @@ within that layer to the chain exponent of X off one such prefix sum.  A
 so the closed form of each check reads every exponent by one dot product
 with a.
 
-``verify_first_layer`` compares the brute coefficient with the closed form
-without dividing and without ``QPoly`` arithmetic: both cross-multiplied
-sides are integers at q = 2^k, as the source keeps the coefficients, with
-the spare bits of k that ``first_layer_reads`` derives.
-``first_layer_closed`` builds the closed form as a ``QRat`` to render it
-when a check fails.  The q = 1 closed value depends on I and a only and is
-computed once per pair, its terms grouped by denominator as on the q side
-and folded as integers into one ``Fraction``.  The closed forms read an
-exponent vector a and the compiled ``Layout`` of the layer; like every
+The q side of the closed form is folded in one place, ``_closed_packed``,
+as integers at q = 2^k.  ``verify_first_layer`` compares the brute
+coefficient with it without dividing and without ``QPoly`` arithmetic:
+both cross-multiplied sides are integers at q = 2^k, as the source keeps
+the coefficients, with the spare bits of k that ``first_layer_reads``
+derives.  ``first_layer_closed`` runs the same fold at a k of its own and
+unpacks it into a ``QRat``, to render the closed form when a check fails,
+as ``qpoly.q_multinomial_poly`` unpacks the packed q-multinomial.  The
+q = 1 closed value keeps its own fold: there every (1 - q^(s_T)) /
+(1 - q^d) is 0 / 0, so it is a limit, s_T / d, not the value of the q
+side at any 2^k, and folding it apart from the q side checks the
+classical formula on a path of its own.  It depends on I and a only and
+is computed once per pair, its terms grouped by denominator as on the q
+side and folded as integers into one ``Fraction``.  The closed forms read
+an exponent vector a and the compiled ``Layout`` of the layer; like every
 check, ``verify_first_layer`` reads the layout and takes a from its
 source.
 """
@@ -52,10 +58,7 @@ from typing import Iterator, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .laurent import FactoredProduct
-from .qpoly import (
-    ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, packed_equal, q_multinomial_at,
-    q_multinomial_poly,
-)
+from .qpoly import QRat, multinomial, packed_equal, q_multinomial_at, q_multinomial_poly, unpack
 from .reports import VerificationReport, report
 
 
@@ -130,21 +133,44 @@ def first_layer_closed(a: tuple[int, ...], layout: Layout) -> QRat:
     over T), so the sum is one numerator over the product of the distinct
     (1 - q^d), each taken once; the q-multinomial multiplies the numerator.
     Layers with m = 0 are rejected.
+
+    It is the fold of the check, ``_closed_packed``, run at k = m + 2^m and
+    unpacked, which reads num and den back exactly.  With D <= 2^m - 1
+    the number of distinct denominators, den is a product of D factors
+    (1 - q^d), of L1 norm at most 2^D; each of the 2^m - 1 terms of num is
+    +-q^L (1 - q^(s_T)) times D - 1 of those factors, of L1 norm at most
+    2^D, so num has L1 norm at most (2^m - 1) 2^D.  Both are below
+    2^(m + 2^m - 1) = 2^(k - 1), and so is every coefficient of num and
+    den: ``qpoly.unpack`` reads each one back.
     """
     if not layout.terms:
         raise ValueError("layer must select at least one index")
+    k = len(layout.I) + 2 ** len(layout.I)
+    num, den, base = _closed_packed(a, layout, k)
+    return QRat(q_multinomial_poly(a) * unpack(num, k, base), unpack(den, k, 0))
+
+
+def _closed_packed(a: tuple[int, ...], layout: Layout, k: int) -> tuple[int, int, int]:
+    """(num, den, base) of the closed form at a, packed at q = 2^k: num
+    and den as in ``first_layer_closed`` with the q-multinomial left out,
+    num divided by q^base, the lowest layer exponent, so both are
+    polynomials.  Each (1 - q^d) is a shift and a subtraction; the values
+    are exact at every k >= 1, and unpack exactly under the bound of
+    ``first_layer_closed``."""
     total = sum(a)
-    groups: dict[int, QPoly] = {}
-    for sign, T, exponent in layout.terms:
-        s_t = sum(a[k] for k in T)
-        term = one_minus_q(s_t).shifted(evaluate(exponent, a))
+    exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
+    base = min(exponents)
+    groups: dict[int, int] = {}
+    for (sign, T, _), e in zip(layout.terms, exponents):
+        s_t = sum(a[i] for i in T)
+        term = 1 << (k * (e - base))
+        term -= term << (k * s_t)
         d = 1 + total - s_t
-        groups[d] = groups.get(d, ZERO) + (term if sign > 0 else -term)
-    num, den = ZERO, ONE
+        groups[d] = groups.get(d, 0) + (term if sign > 0 else -term)
+    num, den = 0, 1
     for d, part in groups.items():
-        factor = one_minus_q(d)
-        num, den = num * factor + part * den, den * factor
-    return QRat(q_multinomial_poly(a) * num, den)
+        num, den = num - (num << (k * d)) + part * den, den - (den << (k * d))
+    return num, den, base
 
 
 def first_layer_closed_q1(a: tuple[int, ...], layout: Layout) -> Fraction:
@@ -157,7 +183,9 @@ def first_layer_closed_q1(a: tuple[int, ...], layout: Layout) -> Fraction:
     (``first_layer_closed``), the terms are grouped by their denominator
     d = 1 + total - (sum of a over T) and folded as integers into one
     numerator over the product of the distinct d, so it builds a single
-    ``Fraction``.
+    ``Fraction``.  It is not the packed q side read at q = 1: that side's
+    num and den both vanish at q = 1, and this value is their limit.  Its
+    own fold is the check's independent path to the classical formula.
     """
     if not layout.I:
         raise ValueError("layer must select at least one index")
@@ -213,12 +241,11 @@ def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationR
     The closed form is compared without division, as brute * den against
     qmult(a) * num in the terms of ``first_layer_closed``, with both sides
     packed at q = 2^k as ``source`` holds the coefficients: den and num are
-    folded up group by group, each factor (1 - q^d) a shift and a
-    subtraction, and qmult(a) at 2^k is built once per (a, k) by
-    ``qpoly.q_multinomial_at``.  A check that holds
-    prints the brute's text on both sides, which is what the closed form
-    renders to; only a failing one builds and renders
-    ``first_layer_closed``.  An empty layer is rejected before anything is
+    ``_closed_packed`` at the source's k, and qmult(a) at 2^k is built once
+    per (a, k) by ``qpoly.q_multinomial_at``.  A check that holds prints
+    the brute's text on both sides, which is what the closed form renders
+    to; only a failing one builds and renders ``first_layer_closed``, the
+    same fold unpacked.  An empty layer is rejected before anything is
     read, by its read rule ``first_layer_reads``, and so, by the guard
     ``FactoredProduct.reads`` called with that rule, is a source that holds
     no q-Dyson product, has less headroom than the rule names or does not
@@ -228,19 +255,7 @@ def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationR
     packed, target = source.reads(*reads), reads[0]
     t0 = time.perf_counter()
     a, k = source.a, source.k
-    total = sum(a)
-    exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
-    base = min(exponents)
-    groups: dict[int, int] = {}
-    for (sign, T, _), e in zip(layout.terms, exponents):
-        s_t = sum(a[i] for i in T)
-        term = 1 << (k * (e - base))
-        term -= term << (k * s_t)
-        d = 1 + total - s_t
-        groups[d] = groups.get(d, 0) + (term if sign > 0 else -term)
-    num, den = 0, 1
-    for d, part in groups.items():
-        num, den = num - (num << (k * d)) + part * den, den - (den << (k * d))
+    num, den, base = _closed_packed(a, layout, k)
     brute = source.coeff(target)
     brute_den = packed.get(target, 0) * den
     q1_brute = brute.at_q1()

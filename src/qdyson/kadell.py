@@ -75,33 +75,34 @@ def corrected_ct_closed(a: tuple[int, ...], layout: Layout) -> Fraction:
     """
     if not layout.I:
         raise ValueError("layer must select at least one index")
-    return _ct_closed(a, sum(a[i] for i in layout.I))[0]
+    return Fraction(corrected_dyson_rhs(a), 1 + sum(a) - sum(a[i] for i in layout.I))
 
 
 @functools.lru_cache(maxsize=1024)
-def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[Fraction, str, int]:
-    """The closed form at a, with s_i the sum of a over I, its text and the
-    right side ``corrected_dyson_rhs(a)`` of the scaled identity, which it
-    divides by 1 + total - s_i: once per (a, s_i), which is all they
-    read."""
+def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[int, str]:
+    """The right side ``corrected_dyson_rhs(a)`` of the scaled identity at
+    a, with s_i the sum of a over I, and the text of the closed form
+    ``corrected_ct_closed``, which divides it by 1 + total - s_i: once per
+    (a, s_i), which is all they read."""
     rhs = corrected_dyson_rhs(a)
-    closed = Fraction(rhs, 1 + sum(a) - s_i)
-    return closed, str(closed), rhs
+    return rhs, str(Fraction(rhs, 1 + sum(a) - s_i))
 
 
 def verify_kadell(layout: Layout, source: FactoredProduct) -> VerificationReport:
     """Scaled corrected constant term of the product of the source's a
-    against its product-free value, and the corrected constant term itself
-    against its closed form, on the compiled layout."""
+    against its product-free value, on the compiled layout, with the
+    corrected constant term and its closed form in ``extra``.  The scaled
+    identity is the one comparison: with c = 1 + total - s_I >= 1 the
+    closed form is rhs / c, and the scaled side is c * CT, so CT equals
+    the closed form exactly when c * CT equals rhs."""
     t0 = time.perf_counter()
     ct = corrected_ct(layout, source)
     a = source.a
     s_i = sum(a[i] for i in layout.I)
     lhs = (1 + sum(a) - s_i) * ct
-    closed, closed_text, rhs = _ct_closed(a, s_i)
-    holds = lhs == rhs and (not layout.I or closed == ct)
+    rhs, closed_text = _ct_closed(a, s_i)
     return report(
-        "kadell", a, layout, t0, holds, lhs, rhs,
+        "kadell", a, layout, t0, lhs == rhs, lhs, rhs,
         lambda: {"ct": str(ct), "ct_closed": closed_text} if layout.I else {"ct": str(ct)},
     )
 

@@ -29,6 +29,7 @@ from qdyson.dyson import (
     pair_factors,
     q_dyson_factors,
     q_dyson_source,
+    verify_q_dyson,
 )
 from qdyson.laurent import FactoredProduct, LaurentPoly, Pair, ct_of_factor_list, expand_product
 from qdyson.firstlayer import first_layer_reads
@@ -351,6 +352,22 @@ def test_q1_specialisation_matches_multinomial():
             factors = [eval_q1(f) for f in oracle_factors(n, pairs)]
             assert as_int(expand_product(factors, n).coeff(origin)) == multinomial(a), (n, a)
             assert ct_of_factor_list(pairs, origin).at_q1() == multinomial(a), (n, a)
+
+
+def test_failing_q_dyson_check_renders_the_q_multinomial():
+    """Read off the product of another a, relabelled with the check's a,
+    which a check reads off its source, the packed comparison fails, and
+    the report puts the product's own constant term on the left and the
+    q-multinomial of the check's a on the right."""
+    for n, a in [(1, (1, 2)), (2, (1, 1, 1)), (2, (0, 2, 1)), (3, (1, 0, 2, 1))]:
+        other = (a[0] + 1,) + a[1:]
+        layout = compile_layout(n, (), ())
+        wrong = q_dyson_source(Instance(n, other), *layout.box)
+        wrong.a = a
+        rep = verify_q_dyson(layout, wrong)
+        assert not rep.holds, a
+        assert rep.lhs == q_multinomial_poly(other).render(), a
+        assert rep.rhs == q_multinomial_poly(a).render() != rep.lhs, a
 
 
 def test_verify_reports():

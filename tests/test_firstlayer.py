@@ -17,7 +17,7 @@ from qdyson.firstlayer import (
     verify_first_layer,
 )
 from qdyson.paired import compile_layout
-from qdyson.qpoly import QPoly, QRat, multinomial, one_minus_q
+from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
 from qdyson.reports import report
 from qdyson.sweeps import verify
 from tests.test_dyson import (
@@ -208,14 +208,36 @@ def test_target_vector():
     assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
 
 
+def first_layer_closed_oracle(a, layout):
+    """The closed form at a folded in ``QPoly`` arithmetic: each term
+    (-1)^|T| q^(layer exponent of T) (1 - q^(s_T)) added into the group of
+    its denominator d = 1 + total - s_T, and the groups folded into one
+    numerator over the product of the distinct (1 - q^d), the numerator
+    times the q-multinomial.  ``first_layer_closed`` unpacks the packed fold
+    of the check and must give this num and den exactly."""
+    total = sum(a)
+    groups = {}
+    for sign, T, exponent in layout.terms:
+        s_t = sum(a[k] for k in T)
+        term = one_minus_q(s_t).shifted(evaluate(exponent, a))
+        d = 1 + total - s_t
+        groups[d] = groups.get(d, ZERO) + (term if sign > 0 else -term)
+    num, den = ZERO, ONE
+    for d, part in groups.items():
+        factor = one_minus_q(d)
+        num, den = num * factor + part * den, den * factor
+    return QRat(q_multinomial_poly(a) * num, den)
+
+
 def verify_first_layer_oracle(a, layout, source):
     """The first-layer check with ``QPoly`` arithmetic, reading the whole box
-    of ``source`` unpacked at once: the closed form built as a ``QRat``,
-    compared with the brute coefficient by cross-multiplication and rendered
-    by exact division.  The packed ``verify_first_layer`` must give the same
-    report, ``elapsed_ms`` apart."""
+    of ``source`` unpacked at once: the closed form built as a ``QRat`` by
+    ``first_layer_closed_oracle``, compared with the brute coefficient by
+    cross-multiplication and rendered by exact division.  The packed
+    ``verify_first_layer`` must give the same report, ``elapsed_ms``
+    apart."""
     t0 = time.perf_counter()
-    closed = first_layer_closed(a, layout)
+    closed = first_layer_closed_oracle(a, layout)
     brute = source.expanded.coeff(first_layer_target(Instance(layout.n, a, layout.I, layout.J)))
     q1_brute = brute.at_q1()
     q1_closed = first_layer_closed_q1(a, layout)
@@ -279,6 +301,22 @@ class TestClosedForm:
                 for inst in insts:
                     brute = source.coeff(first_layer_target(inst))
                     assert QRat(brute) == first_layer_closed(inst.a, compiled(inst)), inst
+
+    def test_unpacked_fold_is_the_qpoly_fold(self):
+        """``first_layer_closed``, the check's packed fold unpacked, gives
+        the ``QPoly`` fold's num and den exactly, not only an equal
+        quotient, on every layout with n <= 4 (m <= n <= 4), at a with all
+        entries 1, an entry of 5 and entries up to 6."""
+        checked = 0
+        for n in (1, 2, 3, 4):
+            avecs = [(1,) * (n + 1), (5,) + (0, 2, 1, 3)[:n], tuple(range(6, 5 - n, -1))]
+            for inst in all_layouts(n, (0,) * (n + 1)):
+                layout = compiled(inst)
+                for a in avecs:
+                    closed, oracle = first_layer_closed(a, layout), first_layer_closed_oracle(a, layout)
+                    assert (closed.num, closed.den) == (oracle.num, oracle.den), (inst, a)
+                    checked += 1
+        assert checked == 3 * (2 + 9 + 34 + 125)
 
     def test_failing_check_reports_as_the_qpoly_check(self):
         """Read off the product of another a, 70 of the 72 checks of a small

@@ -3,6 +3,7 @@ combinatorial statements."""
 
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +318,17 @@ def verify_paired_oracle(a, layout, source):
     )
 
 
+def crossing_triples(layout):
+    """The selected indices (i_s, i_t, i_u) of each crossing triple of the
+    layout: positions s < t < u with j_t < i_s < j_u < i_t."""
+    I, J = layout.I, layout.J  # noqa: E741
+    return [
+        (I[s], I[t], I[u])
+        for s, t, u in itertools.combinations(range(len(I)), 3)
+        if J[t] < I[s] < J[u] < I[t]
+    ]
+
+
 class TestVerifyPaired:
     def test_known_holding_instances(self):
         a = (1, 1, 1)
@@ -369,6 +381,33 @@ class TestVerifyPaired:
         assert verify_paired(layout, source).holds
         with pytest.raises(NpcViolationError):
             verify_paired(crossing, Untouchable())
+
+    def test_where_main_holds_without_the_no_crossing_condition(self):
+        """Conjecture: on a layout with the crossing pattern, ``main`` holds
+        at a if and only if no crossing triple, positions s < t < u with
+        j_t < i_s < j_u < i_t, has a_(i_s), a_(i_t) and a_(i_u) all
+        positive.  The check is forced past its refusal by compiling the
+        layout with ``npc`` set; the headroom bound of ``paired_reads``
+        does not use the condition, so these checks stay exact.  Every
+        crossing layout of two grids, one source per a over the union of
+        their boxes: n = 4 with a_k <= 2 (one layout, 171 hold, 72 fail)
+        and n = 5 with a_k <= 1 (11 layouts, 604 hold, 100 fail)."""
+        for n, amax, counts in ((4, 2, (1, 171, 72)), (5, 1, (11, 604, 100))):
+            crossing = [replace(compile_layout(n, I, J), npc=True)
+                        for I, J in layout_grid(n, 1, n) if not npc_holds(I, J)]
+            triples = [crossing_triples(layout) for layout in crossing]
+            los, his = zip(*(layout.box for layout in crossing))
+            lo, hi = tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+            held = failed = 0
+            for a in itertools.product(range(amax + 1), repeat=n + 1):
+                source = q_dyson_source(Instance(n, a), lo, hi, 1)
+                for layout, crossed in zip(crossing, triples):
+                    rep = verify_paired(layout, source)
+                    rule = not any(a[x] and a[y] and a[z] for x, y, z in crossed)
+                    assert rep.holds == rule, (layout.I, layout.J, a)
+                    held += rep.holds
+                    failed += not rep.holds
+            assert (len(crossing), held, failed) == counts
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
