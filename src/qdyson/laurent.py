@@ -6,14 +6,17 @@ a ``Pair``.  The heavy operation is reading a few coefficients out of a
 large such product.  ``packed_in_box`` multiplies the pairs incrementally
 and discards every partial monomial that can no longer reach the box of
 exponent vectors the caller reads, using per-variable bounds on what the
-remaining pairs may still contribute.  At one partial monomial the usable
-terms of a pair are one interval of powers of x_i/x_j, and only terms some
-partial monomial can use are built.  Inside the pass an exponent vector
-is one integer key, a mixed-radix number over the hull of these bounds,
-so a term adds a fixed integer to it, and a step reads only the two
-digits its pair moves.  Each q-coefficient is one integer too, its value
-at q = 2^k (Kronecker substitution), with k read off the pairs' lengths,
-so each surviving coefficient unpacks to a unique ``QPoly``.  The pass
+remaining pairs may still contribute.  One test before the first pair
+decides whether the box can be reached at all, and one forward pass over
+the pairs then plans every step with constant state per pair.  At one
+partial monomial the usable terms of a pair are one interval of powers of
+x_i/x_j, and only terms some partial monomial can use are built.  Inside
+the pass an exponent vector is one integer key, a mixed-radix number over
+the hull of these bounds, so a term adds a fixed integer to it, and a step
+reads only the two digits its pair moves.  Each q-coefficient is one
+integer too, its value at q = 2^k (Kronecker substitution), with k read
+off the pairs' lengths, so each surviving coefficient unpacks to a unique
+``QPoly``.  The pass
 builds its Gaussian binomials as such integers (``qpoly.q_binomial_row``)
 and a term from one of them by a shift, so it builds no ``QPoly``.  A
 caller that goes on computing with the packed values asks for
@@ -191,12 +194,32 @@ def packed_in_box(
     if its r lies in that interval for some vector of window t.  An empty
     pair list is the constant 1.
 
+    Along x_v let high and low be the most and least a pair moves e_v by
+    (a and -b at v = i, b and -a at v = j, 0 elsewhere), most_t and
+    least_t their sums over the first t pairs, and floor_t and ceiling_t
+    lo_v and hi_v minus the sums of high and of low over the rest.  Window
+    t along x_v is max(floor_t, least_t)..min(ceiling_t, most_t).  Both
+    floor_t - most_t = lo_v - (sum of every high) and least_t - ceiling_t
+    = (sum of every low) - hi_v are the same at every t, least_t <= most_t,
+    and floor_t - ceiling_t <= lo_v - hi_v, with equality at the end.  So
+    if lo <= hi, window t is empty exactly when window 0 is, that is when
+    lo_v exceeds the sum of every high or hi_v falls below the sum of
+    every low, for some v; if lo_v > hi_v, the last window is empty.  One
+    test before the first pair therefore decides whether any window is
+    empty, and then the product has no term in the box.  Otherwise window
+    0 is the origin, and one forward pass over the pairs plans every step:
+    at pair t it reads window t along x_i and x_j, adds the pair's moves to
+    most and least, reads window t + 1 there, and keeps that and the
+    usable interval of r, constant state per pair.
+
     Inside the pass an exponent vector is one integer, a mixed-radix number
     whose digit v is e_v minus the least value of coordinate v over all the
-    windows, in base the width of the windows' hull along v.  Term r adds
-    r (stride_i - stride_j) to the key, so a step decodes only digits i
-    and j.  Every key stays inside the hull, so no digit carries into the
-    next.  The survivors are decoded to exponent tuples once, at the end.
+    windows, in base the width of the windows' hull along v.  A pair
+    changes the windows only along its x_i and x_j, so the plan extends
+    the hull there, from the origin.  Term r adds r (stride_i - stride_j)
+    to the key, so a step decodes only digits i and j.  Every key stays
+    inside the hull, so no digit carries into the next.  The survivors
+    are decoded to exponent tuples once, at the end.
 
     Coefficients travel through the pass as integers, their values at
     q = 2^k, so partial coefficients are multiplied and added as plain ints
@@ -217,60 +240,59 @@ def packed_in_box(
     width = n + 1
     if len(lo) != width or len(hi) != width:
         raise AmbientMismatchError(f"box {lo!r}..{hi!r} does not fit {width} variables")
+    # floor and ceiling: the box minus what all the pairs may add
+    floor, ceiling = list(lo), list(hi)
     for pair in pairs:
-        if not 0 <= pair.i < pair.j <= n or pair.a < 0 or pair.b < 0:
+        i, j, a, b = pair
+        if not 0 <= i < j <= n or a < 0 or b < 0:
             raise ValueError(f"{pair!r} is no pair factor over x_0..x_{n}")
-
+        floor[i] -= a
+        floor[j] -= b
+        ceiling[i] += b
+        ceiling[j] += a
     ordered = sorted(pairs, key=Pair.num_terms)
     k = sum(a + b for _, _, a, b in ordered) + 2 + headroom
-    # each pair's range of moves: e_i by -b..a, e_j by -a..b
-    spans = [((i, -b, a), (j, -a, b)) for i, j, a, b in ordered]
+    # some window is empty exactly when one of these holds (see above)
+    if any(map(gt, lo, hi)) or any(f > 0 or c < 0 for f, c in zip(floor, ceiling)):
+        return {}, k
 
-    # backward: the box minus what pairs t..end may still add
-    floor, ceiling = list(lo), list(hi)
-    reach = [(tuple(lo), tuple(hi))]
-    for span in reversed(spans):
-        for v, low, high in span:
-            floor[v] -= high
-            ceiling[v] -= low
-        reach.append((tuple(floor), tuple(ceiling)))
-    reach.reverse()
-    # forward: what pairs 0..t-1 can produce; window t is the intersection
-    least, most = [0] * width, [0] * width
-    windows = []
-    for span, (floor, ceiling) in zip(spans + [()], reach):
-        window = tuple(map(max, floor, least)), tuple(map(min, ceiling, most))
-        if any(map(gt, *window)):
-            return {}, k
-        windows.append(window)
-        for v, low, high in span:
-            least[v] += low
-            most[v] += high
+    least, most = [0] * width, [0] * width  # what the pairs so far can add
 
-    base = [min(w[0][v] for w in windows) for v in range(width)]
-    radix = [max(w[1][v] for w in windows) - base[v] + 1 for v in range(width)]
-    stride = [math.prod(radix[:v]) for v in range(width)]
+    # window t along x_v, as floor_t = floor + most_t and ceiling_t = ceiling + least_t
+    def window(v: int) -> tuple[int, int]:
+        return max(floor[v] + most[v], least[v]), min(ceiling[v] + least[v], most[v])
 
-    # r is usable from window t if e_i + r and e_j - r lie in window t + 1
-    usable = [
-        (max(-b, lo2[i] - hi1[i], lo1[j] - hi2[j]), min(a, hi2[i] - lo1[i], hi1[j] - lo2[j]))
-        for (i, j, a, b), ((lo1, hi1), (lo2, hi2)) in zip(ordered, zip(windows, windows[1:]))
-    ]
-    # min(a - r, b + r) peaks at r = (a - b) // 2, or at the nearer end
+    base, top = [0] * width, [0] * width  # the windows' hull; window 0 is the origin
+    plan = []
     depth: dict[int, int] = {}
-    for (_, _, a, b), (r0, r1) in zip(ordered, usable):
+    for i, j, a, b in ordered:
+        (lo1i, hi1i), (lo1j, hi1j) = window(i), window(j)
+        least[i] -= b
+        most[i] += a
+        least[j] -= a
+        most[j] += b
+        (lo2i, hi2i), (lo2j, hi2j) = window(i), window(j)
+        base[i], top[i] = min(base[i], lo2i), max(top[i], hi2i)
+        base[j], top[j] = min(base[j], lo2j), max(top[j], hi2j)
+        # r is usable from window t if e_i + r and e_j - r lie in window t + 1
+        r0, r1 = max(-b, lo2i - hi1i, lo1j - hi2j), min(a, hi2i - lo1i, hi1j - lo2j)
+        # min(a - r, b + r) peaks at r = (a - b) // 2, or at the nearer end
         r = min(max((a - b) // 2, r0), r1)
         depth[a + b] = max(depth.get(a + b, 0), min(a - r, b + r))
+        plan.append((i, j, a, b, r0, r1, lo2i, hi2i, lo2j, hi2j))
+
+    radix = [t - g + 1 for g, t in zip(base, top)]
+    stride = [math.prod(radix[:v]) for v in range(width)]
     rows = {m: q_binomial_row(m, d, k) for m, d in depth.items()}
     partial = {-sum(map(mul, base, stride)): 1}
-    for (i, j, a, b), (lo2, hi2), (r0, r1) in zip(ordered, windows[1:], usable):
+    for i, j, a, b, r0, r1, lo2i, hi2i, lo2j, hi2j in plan:
         row, delta = rows[a + b], stride[i] - stride[j]
         terms = [(r, row[min(a - r, b + r)] << k * (r * (r - 1) // 2)) for r in range(r0, r1 + 1)]
         steps = [(r * delta, -v if r % 2 else v) for r, v in terms]
         # at digits d_i, d_j the usable steps are steps[start:stop]
         si, ri, sj, rj = stride[i], radix[i], stride[j], radix[j]
-        bi, ti = lo2[i] - base[i] - r0, hi2[i] - base[i] - r0 + 1
-        bj, tj = hi2[j] - base[j] + r0, lo2[j] - base[j] + r0 - 1
+        bi, ti = lo2i - base[i] - r0, hi2i - base[i] - r0 + 1
+        bj, tj = hi2j - base[j] + r0, lo2j - base[j] + r0 - 1
         grown: dict[int, int] = {}
         for key, c1 in partial.items():
             di, dj = key // si % ri, key // sj % rj

@@ -139,12 +139,10 @@ def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
     return 1 - t, tuple(c)
 
 
-def chain_exponent(
-    inst: Instance, subset: Sequence[int], U: Sequence[int] | None = None
-) -> int:
-    """The q-exponent of ``chain_coefficients`` at inst.a; given a nonempty
-    U within S = ``subset``, the combined exponent chain(S) + layer(U in S),
-    the chain exponent of S plus the layer exponent of U within the layer
+def chain_exponent(inst: Instance, subset: Sequence[int], U: Sequence[int]) -> int:
+    """For a nonempty U within S = ``subset``, the combined exponent
+    chain(S) + layer(U in S) at inst.a: the chain exponent of S (that of
+    ``chain_coefficients``) plus the layer exponent of U within the layer
     of S, from one ``layer_levels`` prefix sum.  With L the levels of S,
     lo = min S and total the sum of a, that sum is
 
@@ -161,8 +159,6 @@ def chain_exponent(
     layer's +L_k cancel to 1.  Raises ``ValueError`` unless U is a nonempty
     subset of S.
     """
-    if U is None:
-        return evaluate(chain_coefficients(inst, subset), inst.a)
     uset, sset = set(U), set(subset)
     if not uset or not uset <= sset:
         raise ValueError("U must be a nonempty subset of S")

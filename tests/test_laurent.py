@@ -7,6 +7,7 @@ q-binomial form of ``shifted_factorial``."""
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,8 +91,8 @@ def small_qpolys(draw):
 
 
 @st.composite
-def pair_instances(draw):
-    n = draw(st.integers(0, 3))
+def pair_instances(draw, nmax=3):
+    n = draw(st.integers(0, nmax))
     width = n + 1
     pairs = []
     for _ in range(draw(st.integers(0, 3)) if n else 0):
@@ -193,6 +194,72 @@ def test_pruned_extraction_is_lossless(instance):
     assert source.expanded == LaurentPoly(n, {e: full.coeff(e) for e in box})
     assert_pass_matches_oracle(n, pairs, lo, hi)
     assert_pass_matches_oracle(n, pairs, target, target)
+
+
+def moves(n, pairs):
+    """(most, least): per coordinate, the sums over the pairs of the most
+    and of the least a pair moves it by, the product's range along it."""
+    most, least = [0] * (n + 1), [0] * (n + 1)
+    for i, j, a, b in pairs:
+        most[i] += a
+        most[j] += b
+        least[i] -= b
+        least[j] -= a
+    return most, least
+
+
+@st.composite
+def perturbed_boxes(draw):
+    """A ``pair_instances`` draw with n <= 4, whose box along one coordinate
+    v is kept, inverted, or moved to start above or end below the product's
+    range along x_v."""
+    n, pairs, _, lo, hi = draw(pair_instances(nmax=4))
+    lo, hi = list(lo), list(hi)
+    v = draw(st.integers(0, n))
+    most, least = moves(n, pairs)
+    kind = draw(st.sampled_from(["kept", "inverted", "above", "below"]))
+    if kind == "inverted":
+        lo[v], hi[v] = hi[v] + draw(st.integers(1, 2)), lo[v]
+    elif kind == "above":
+        lo[v] = most[v] + draw(st.integers(1, 2))
+        hi[v] = max(hi[v], lo[v])
+    elif kind == "below":
+        hi[v] = least[v] - draw(st.integers(1, 2))
+        lo[v] = min(lo[v], hi[v])
+    return n, pairs, tuple(lo), tuple(hi)
+
+
+@settings(max_examples=200)
+@given(perturbed_boxes())
+def test_one_emptiness_test_decides_an_empty_pass(instance):
+    """The pass finds no term exactly when, along some x_v, the box is
+    inverted, starts above the product's range or ends below it: the test
+    ``packed_in_box`` makes once, before the first pair.  Otherwise it
+    keeps the terms of the ``QPoly`` pass, which prunes step by step."""
+    n, pairs, lo, hi = instance
+    most, least = moves(n, pairs)
+    empty = any(b > t or b > m or t < s for b, t, m, s in zip(lo, hi, most, least))
+    if empty:
+        assert packed_in_box(n, pairs, lo, hi) == ({}, sum(p.a + p.b for p in pairs) + 2)
+    assert_pass_matches_oracle(n, pairs, lo, hi)
+
+
+def test_pass_state_does_not_grow_with_the_pairs():
+    """At a = 0 over x_0..x_60 the q-Dyson product is 1, and each of its
+    1,830 pairs is the constant 1.  The pass keeps constant state per pair,
+    so its peak allocation stays below 2 MB; two tuples of width n + 1 per
+    pair would take more than twice that."""
+    n = 60
+    pairs = q_dyson_factors(Instance(n, (0,) * (n + 1)))
+    origin = (0,) * (n + 1)
+    tracemalloc.start()
+    try:
+        packed = packed_in_box(n, pairs, origin, origin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert packed == ({origin: 1}, 2)
+    assert peak < 2_000_000, peak
 
 
 # The sweeps of criteria 1, 3 and 7 of ``tests/test_acceptance.py``, then the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdyson import paired
 from qdyson.dyson import Instance, evaluate, q_dyson_source
 from qdyson.firstlayer import nonempty_subsets
 from qdyson.paired import (
@@ -91,12 +92,19 @@ class TestNpc:
         assert J[1] < I[0] < J[2] < I[1]
 
 
+def chain_at(inst, subset):
+    """The chain exponent of ``subset`` at inst.a: its ``chain_coefficients``,
+    looked up through the module global as ``compile_layout`` looks them
+    up, evaluated at a."""
+    return evaluate(paired.chain_coefficients(inst, subset), inst.a)
+
+
 def insertion_chain_exponent(inst, subset, semantics="multiset"):
     """The chain exponent as an insertion chain: rebuild the selection from
     the subset by inserting the indices of I outside it highest position
     first, keep every intermediate set, and read each step's j-values off
-    the set that step produces.  The reference ``chain_exponent`` is
-    checked against.  ``semantics="set"`` collapses each step's repeated
+    the set that step produces.  The reference ``chain_at`` is checked
+    against.  ``semantics="set"`` collapses each step's repeated
     j-values: the reading the gate refutes, which the program does not
     offer."""
     a = inst.a
@@ -132,42 +140,42 @@ def set_reading_coefficients(inst, subset):
 def use_set_reading(monkeypatch):
     """Swap the refuted "set" reading, which collapses repeated j-values, in
     for the program's chain coefficients.  ``compile_layout`` and
-    ``chain_exponent`` reach them through the module global, so every layout
-    a ``--jobs 1`` sweep or a ``verify`` compiles afterwards is checked
-    under it."""
+    ``chain_at`` reach them through the module global, so every layout a
+    ``--jobs 1`` sweep or a ``verify`` compiles afterwards is checked under
+    it."""
     monkeypatch.setattr("qdyson.paired.chain_coefficients", set_reading_coefficients)
 
 
 def assert_matches_insertion_chain(inst):
-    """``chain_exponent`` against the insertion chain, for every nonempty
+    """``chain_at`` against the insertion chain, for every nonempty
     subset of the selection of inst."""
     for S in nonempty_subsets(inst.I):
-        assert chain_exponent(inst, S) == insertion_chain_exponent(inst, S), (inst, S)
+        assert chain_at(inst, S) == insertion_chain_exponent(inst, S), (inst, S)
 
 
 class TestChainExponent:
     def test_known_value(self):
         inst = Instance(2, (1, 1, 1), (0,), (2,))
-        assert chain_exponent(inst, (0,)) == 2
+        assert chain_at(inst, (0,)) == 2
 
     def test_rejects_empty_subset(self):
         inst = Instance(2, (1, 1, 1), (0,), (2,))
         with pytest.raises(ValueError):
-            chain_exponent(inst, ())
+            chain_at(inst, ())
 
     def test_rejects_foreign_indices(self):
         inst = Instance(2, (1, 1, 1), (0, 1), (2, 2))
         with pytest.raises(ValueError):
-            chain_exponent(inst, (2,))
+            chain_at(inst, (2,))
         with pytest.raises(ValueError):
-            chain_exponent(inst, (0, 2))
+            chain_at(inst, (0, 2))
 
     def test_semantics_differ_on_repeated_j(self):
         """Inserting 2 (paired with 1) into S = (0,) meets the j-values 1, 1:
         two with multiplicity, as the program counts them, one under the
         refuted "set" reading."""
         inst = Instance(2, (1, 1, 1), (0, 2), (1, 1))
-        assert chain_exponent(inst, (0,)) == insertion_chain_exponent(inst, (0,)) == 2
+        assert chain_at(inst, (0,)) == insertion_chain_exponent(inst, (0,)) == 2
         assert insertion_chain_exponent(inst, (0,), "set") == 3
 
     def test_matches_insertion_chain(self):
@@ -199,7 +207,7 @@ class TestChainExponent:
                 for a in avecs:
                     inst = Instance(n, a, I, J)
                     for S in nonempty_subsets(I):
-                        chain = chain_exponent(inst, S)
+                        chain = chain_at(inst, S)
                         for U in nonempty_subsets(S):
                             expected = chain + layer_exponent(U, inst, S)
                             assert chain_exponent(inst, S, U) == expected, (inst, S, U)
@@ -219,7 +227,7 @@ class TestChainExponent:
     def test_full_selection_combined_exponent(self, inst):
         """C(I) + L*(I|I) collapses to 1 + total - sum of a over I."""
         a = inst.a
-        combined = chain_exponent(inst, inst.I) + exponent_within(inst, inst.I, inst.I)
+        combined = chain_at(inst, inst.I) + exponent_within(inst, inst.I, inst.I)
         assert combined == 1 + sum(a) - sum(a[i] for i in inst.I)
 
 
@@ -293,9 +301,9 @@ class TestCorrectionPolynomial:
         poly = correction_polynomial(inst.a, compiled(inst))
         assert poly.num_terms() == 4
         assert poly.coeff((0, 0, 0)) == QPoly(0, (1,))
-        assert poly.coeff((-1, 0, 1)) == q_power(chain_exponent(inst, (0,)), -1)
-        assert poly.coeff((0, -1, 1)) == q_power(chain_exponent(inst, (1,)), -1)
-        assert poly.coeff((-1, -1, 2)) == q_power(chain_exponent(inst, (0, 1)), 1)
+        assert poly.coeff((-1, 0, 1)) == q_power(chain_at(inst, (0,)), -1)
+        assert poly.coeff((0, -1, 1)) == q_power(chain_at(inst, (1,)), -1)
+        assert poly.coeff((-1, -1, 2)) == q_power(chain_at(inst, (0, 1)), 1)
 
 
 def verify_paired_oracle(a, layout, source):
@@ -507,7 +515,7 @@ class TestRemovalExponent:
         joined = tuple(sorted(set(without) | {x}))
 
         def combined(S):
-            return chain_exponent(inst, S) + exponent_within(inst, U, S)
+            return chain_at(inst, S) + exponent_within(inst, U, S)
 
         g = removal_exponent(inst, U, i_v, x)
         assert combined(joined) - combined(without) == g
