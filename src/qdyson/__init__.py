@@ -49,7 +49,6 @@ from .firstlayer import (  # noqa: F401
 )
 from .kadell import (  # noqa: F401
     corrected_ct,
-    corrected_ct_closed,
     reproduce_counterexample,
     verify_kadell,
 )

@@ -22,10 +22,11 @@ positionally, and ``Instance.layer_monomial`` builds the layer monomial
 x_{J(S)}/x_S of a subset S of I.  A check is ``check(layout, source)``.
 The ``Layout`` holds everything the identities need of n and (I, J),
 compiled and validated once by ``paired.compile_layout`` before any a is
-drawn, with each q-exponent kept as an affine function of a that
-``evaluate`` turns into a number by one dot product.  The layout is the
-one carrier of (n, I, J) a check and its report read.  The products built
-here read only n and a: ``pair_factors`` is the one loop over the pairs,
+drawn, with each chain exponent kept as an affine function of a that
+``evaluate`` turns into a number by one dot product, and every layer
+exponent read off one prefix sum.  The layout is the one carrier of
+(n, I, J) a check and its report read.  The products built here read
+only n and a: ``pair_factors`` is the one loop over the pairs,
 given the lengths of each pair's two q-shifted factorials, for the
 q-Dyson product and for ``kadell``'s modified one, which no check reads:
 its own pass is the independent oracle that confirms the pinned
@@ -133,28 +134,28 @@ class Layout:
     once, validated when ``paired.compile_layout`` built it.  Each
     q-exponent is an ``Affine`` (c0, c), read at a by ``evaluate``.
 
-    ``subsets`` holds, for each subset S of I (the empty one first, then by
-    size, lexicographic within): the flipped layer monomial, the negated
-    ``layer_monomial(S)``; the sign (-1)^|S|; and the chain exponent of S,
-    which is 0 for the empty subset, whose weight is 1.  No two subsets
-    share a monomial.  ``naive`` is ``subsets`` with the naive weight
-    w(S) = sum over i_k in S of (a_{j_k} + [j_k > i_k]) in place of the
-    chain exponent, the weight that ``kadell.verify_q_kadell`` reads each
-    flipped monomial with.  ``terms`` holds, for each nonempty T in the same
-    order: the sign (-1)^|T|, T itself and the layer exponent of T.  ``box``
-    is (lo, hi) of the exponent vectors the layer identities read from the
-    product: the box spanned by the origin and the flipped monomial of
-    S = I, which holds every flipped monomial; for the empty layer it is
-    the origin.  ``npc`` is the verdict of ``paired.npc_holds`` on (I, J):
-    whether the pairing avoids the crossing pattern the paired identity
-    excludes, which ``main`` admits a layout by."""
+    ``subsets`` holds one row per subset S of I (the empty one first, then
+    by size, lexicographic within): S itself; the flipped layer monomial,
+    the negated ``layer_monomial(S)``; the sign (-1)^|S|; and the chain
+    exponent of S, which is 0 for the empty subset, whose weight is 1.  No
+    two subsets share a monomial.  ``levels`` is (t, L), the prefix sum
+    ``paired.layer_levels`` of I: the layer exponent of a nonempty T is
+    t + sum over k of L_k a_k less the sum over k in T of L_k a_k, so the
+    first-layer closed form reads every T's exponent off it; for the empty
+    layer it is zero.  The naive weights of ``kadell.verify_q_kadell`` are
+    read off the rows and the pairs, in that module.  ``box`` is (lo, hi)
+    of the exponent vectors the layer identities read from the product:
+    the box spanned by the origin and the flipped monomial of S = I, which
+    holds every flipped monomial; for the empty layer it is the origin.
+    ``npc`` is the verdict of ``paired.npc_holds`` on (I, J): whether the
+    pairing avoids the crossing pattern the paired identity excludes,
+    which ``main`` admits a layout by."""
 
     n: int
     I: tuple[int, ...]  # noqa: E741 - interface name
     J: tuple[int, ...]
-    subsets: tuple[tuple[tuple[int, ...], int, Affine], ...]
-    naive: tuple[tuple[tuple[int, ...], int, Affine], ...]
-    terms: tuple[tuple[int, tuple[int, ...], Affine], ...]
+    subsets: tuple[tuple[tuple[int, ...], tuple[int, ...], int, Affine], ...]
+    levels: Affine
     box: tuple[tuple[int, ...], tuple[int, ...]]
     npc: bool
 

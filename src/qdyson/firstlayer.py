@@ -14,20 +14,16 @@ source its caller built.  ``first_layer_reads`` is that read rule, the
 one statement of what the check reads: its guard is called with it, and
 its row of ``sweeps.IDENTITIES`` names it.  The closed form is a signed
 sum over nonempty subsets T of I whose q-exponents are the layer
-exponents computed here.  Its q = 1 value, the first-layer coefficient of
-the classical product, is read off the same extracted q-coefficient.
+exponents.  Its q = 1 value, the first-layer coefficient of the classical
+product, is read off the same extracted q-coefficient.
 
-``layer_coefficients`` is one formula read straight off the layout, whatever
-the smallest selected index: the layer exponent as an affine function of a.
-Its coefficients are one prefix sum over 0..n, of +1 at each selected index
-and -1 at each paired j, so a layer exponent costs one pass over the
-layout however many indices it counts below each k.
-The prefix sum, ``layer_levels``, also reads the layer of a subset X of I
-(X with its paired j's): ``paired.chain_exponent`` adds the exponent
-within that layer to the chain exponent of X off one such prefix sum.  A
-``Layout`` holds the coefficients for every T, compiled once per layout,
-so the closed form of each check reads every exponent by one dot product
-with a.
+The layer exponent of T is affine in a, whatever the smallest selected
+index: its constant is t, the number of j's below min I, and its
+coefficients are one prefix sum over 0..n, started at t, of +1 at each
+selected index and -1 at each paired j, zeroed on T.  A ``Layout`` holds
+that prefix sum once, as its ``levels`` (t, L), so the closed form of each
+check multiplies L by a once and reads every T's exponent off that
+product by a sum over T (``_closed_packed``).
 
 The q side of the closed form is folded in one place, ``_closed_packed``,
 as integers at q = 2^k.  ``verify_first_layer`` compares the brute
@@ -54,9 +50,10 @@ import functools
 import itertools
 import time
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
-from .dyson import Affine, Instance, Layout, evaluate
+from .dyson import Layout
 from .laurent import FactoredProduct
 from .qpoly import QRat, multinomial, packed_equal, q_multinomial_at, q_multinomial_poly, unpack
 from .reports import VerificationReport, report
@@ -66,59 +63,6 @@ def nonempty_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets in a fixed order: by size, lexicographic within."""
     for size in range(1, len(values) + 1):
         yield from itertools.combinations(values, size)
-
-
-def layer_coefficients(T: Sequence[int], inst: Instance) -> Affine:
-    """The q-exponent attached to a nonempty subset T of the layer (X, J_X),
-    as (c0, c) with the exponent c0 + sum of c_k * a_k: X is I and J_X its
-    paired j's, J.  Reads only n, I and J.  With
-    count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity, and
-    t = #{j in J_X : j < min X}, c0 = t and
-
-        c_k = t + count_upto(k, X) - count_upto(k, J_X)  for k not in T,
-        c_k = 0                                          for k in T.
-
-    The first line, for every k at once, is one prefix sum over the layout
-    (``layer_levels``), which the entries on T then overwrite.
-
-    It is the split form, for i_1 = min X,
-
-        t + sum_{k=i_1..n} (count_upto(k, X) - count_upto(k, J+)) * w_k
-          + sum_{k<i_1} (t - count_upto(k, J-)) * a_k
-
-    with J- = {j < i_1}, J+ = {j > i_1} and w the copy of a zeroed on T.
-    Both sums have the coefficient above: no j equals i_1 (I and J are
-    disjoint), so count_upto(k, J_X) = t + count_upto(k, J+) for k >= i_1;
-    and for k < i_1, count_upto(k, X) = 0, every j <= k lies in J-, and
-    k is not in T.  With t = 0 it is the form for layers starting at x_0.
-    """
-    if not T:
-        raise ValueError("subset must be nonempty")
-    levels, t = layer_levels(inst, inst.I)
-    for k in T:
-        levels[k] = 0
-    return t, tuple(levels)
-
-
-def layer_levels(inst: Instance, X: Sequence[int]) -> tuple[list[int], int]:
-    """([t + count_upto(k, X) - count_upto(k, J_X) for k = 0..n], t), with
-    J_X the j's paired with X and t = #{j in J_X : j < min X}: a prefix sum
-    of +1 at each x in X and -1 at each paired j, started at t.  Raises
-    ``ValueError`` on an index of X outside I."""
-    I, J = inst.I, inst.J  # noqa: E741
-    lo = min(X)
-    delta = [0] * (inst.n + 1)
-    t = 0
-    for x in X:
-        try:
-            j = J[I.index(x)]
-        except ValueError:
-            raise ValueError("subset must consist of selected indices") from None
-        delta[x] += 1
-        delta[j] -= 1
-        t += j < lo
-    delta[0] += t
-    return list(itertools.accumulate(delta)), t
 
 
 def first_layer_closed(a: tuple[int, ...], layout: Layout) -> QRat:
@@ -143,7 +87,7 @@ def first_layer_closed(a: tuple[int, ...], layout: Layout) -> QRat:
     2^(m + 2^m - 1) = 2^(k - 1), and so is every coefficient of num and
     den: ``qpoly.unpack`` reads each one back.
     """
-    if not layout.terms:
+    if not layout.I:
         raise ValueError("layer must select at least one index")
     k = len(layout.I) + 2 ** len(layout.I)
     num, den, base = _closed_packed(a, layout, k)
@@ -156,13 +100,22 @@ def _closed_packed(a: tuple[int, ...], layout: Layout, k: int) -> tuple[int, int
     num divided by q^base, the lowest layer exponent, so both are
     polynomials.  Each (1 - q^d) is a shift and a subtraction; the values
     are exact at every k >= 1, and unpack exactly under the bound of
-    ``first_layer_closed``."""
+    ``first_layer_closed``.
+
+    The layer exponent of T is t + sum over k of L_k a_k less the sum over
+    i in T of L_i a_i, with (t, L) the layout's levels: its coefficients
+    are c0 = t, and c_k = L_k off T and 0 on T (``paired.layer_levels``).
+    """
     total = sum(a)
-    exponents = [evaluate(exponent, a) for _, _, exponent in layout.terms]
+    t, L = layout.levels
+    weighted = list(map(mul, L, a))
+    top = t + sum(weighted)
+    rows = layout.subsets[1:]
+    exponents = [top - sum(map(weighted.__getitem__, T)) for T, _, _, _ in rows]
     base = min(exponents)
     groups: dict[int, int] = {}
-    for (sign, T, _), e in zip(layout.terms, exponents):
-        s_t = sum(a[i] for i in T)
+    for (T, _, sign, _), e in zip(rows, exponents):
+        s_t = sum(map(a.__getitem__, T))
         term = 1 << (k * (e - base))
         term -= term << (k * s_t)
         d = 1 + total - s_t
@@ -227,9 +180,9 @@ def first_layer_reads(layout: Layout) -> tuple[tuple[int, ...], tuple[int, ...],
     2^(k + m + D - 1 - headroom), and headroom m + D - 1 puts it below
     2^k.
     """
-    if not layout.terms:
+    if not layout.I:
         raise ValueError("layer must select at least one index")
-    m, target = len(layout.I), layout.subsets[-1][0]
+    m, target = len(layout.I), layout.subsets[-1][1]
     return target, target, m + 2**m - 2
 
 

@@ -41,7 +41,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from .dyson import Instance, Layout, pair_factors, q_dyson_source
+from .dyson import Affine, Instance, Layout, pair_factors, q_dyson_source
 from .laurent import FactoredProduct, Pair, ct_of_factor_list
 from .paired import check_layer_sum, compile_layout, paired_reads
 from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, unpack
@@ -57,7 +57,7 @@ def corrected_ct(layout: Layout, source: FactoredProduct) -> int:
     monomial, summed packed and read at q = 1 by one residue.  The reads
     lie in ``layout.box``, guarded once."""
     packed = source.reads(*layout.box)
-    v = sum(sign * packed.get(flipped, 0) for flipped, sign, _ in layout.subsets)
+    v = sum(sign * packed.get(flipped, 0) for _, flipped, sign, _ in layout.subsets)
     return packed_at_q1(v, source.k)
 
 
@@ -65,24 +65,11 @@ def corrected_dyson_rhs(a: tuple[int, ...]) -> int:
     return (1 + sum(a)) * multinomial(a)
 
 
-def corrected_ct_closed(a: tuple[int, ...], layout: Layout) -> Fraction:
-    """Closed form of the corrected constant term itself, at a on the
-    compiled layout:
-
-        (1 + (sum of a over I) / (1 + total - sum of a over I)) * multinomial(a)
-
-    Only defined for nonempty I.
-    """
-    if not layout.I:
-        raise ValueError("layer must select at least one index")
-    return Fraction(corrected_dyson_rhs(a), 1 + sum(a) - sum(a[i] for i in layout.I))
-
-
 @functools.lru_cache(maxsize=1024)
 def _ct_closed(a: tuple[int, ...], s_i: int) -> tuple[int, str]:
     """The right side ``corrected_dyson_rhs(a)`` of the scaled identity at
-    a, with s_i the sum of a over I, and the text of the closed form
-    ``corrected_ct_closed``, which divides it by 1 + total - s_i: once per
+    a, with s_i the sum of a over I, and the text of the closed form of the
+    corrected constant term, which divides it by 1 + total - s_i: once per
     (a, s_i), which is all they read."""
     rhs = corrected_dyson_rhs(a)
     return rhs, str(Fraction(rhs, 1 + sum(a) - s_i))
@@ -117,6 +104,19 @@ def modified_q_product(inst: Instance) -> list[Pair]:
     return pair_factors(inst.n, lambda i, j: inst.a[i] + ((j, i) in pair_set))
 
 
+def naive_rows(layout: Layout) -> list[tuple[tuple[int, ...], tuple[int, ...], int, Affine]]:
+    """The layout's rows with the naive weight w(S) of ``verify_q_kadell``
+    in place of the chain exponent.  Its constant is
+    #{i_k in S : j_k > i_k}, and, as I and J are disjoint, its coefficients
+    are the positive part of the negated flipped monomial: a_j counts once
+    per i_k in S paired with j."""
+    above = {i for i, j in zip(layout.I, layout.J) if j > i}
+    return [
+        (S, flipped, sign, (len(above.intersection(S)), tuple([max(-e, 0) for e in flipped])))
+        for S, flipped, sign, _ in layout.subsets
+    ]
+
+
 def verify_q_kadell(layout: Layout, source: FactoredProduct) -> VerificationReport:
     """The would-be q-analog of the corrected identity on the compiled
     layout, for the source's a:
@@ -138,7 +138,7 @@ def verify_q_kadell(layout: Layout, source: FactoredProduct) -> VerificationRepo
     prod_k (1 - q^(a_{j_k} + [j_k > i_k]) x_{j_k}/x_{i_k}).  Multiplied
     out, that is the sum over subsets S of I of (-1)^|S| q^(w(S))
     x_{J(S)}/x_S, with w(S) the sum over i_k in S of a_{j_k} + [j_k > i_k]
-    (``Layout.naive``, affine in a).  The constant term of D(a) times
+    (``naive_rows``, affine in a).  The constant term of D(a) times
     x_{J(S)}/x_S is D(a)'s coefficient at the flipped monomial of S, so
 
         CT(modified product) = sum over S of (-1)^|S| q^(w(S)) [x^(flipped S)] D(a),
@@ -147,7 +147,7 @@ def verify_q_kadell(layout: Layout, source: FactoredProduct) -> VerificationRepo
     ``paired.paired_reads`` as ``main`` does.  Unlike ``main``, it admits
     layouts with the crossing pattern."""
     return check_layer_sum(
-        "qkadell", layout, source, layout.naive,
+        "qkadell", layout, source, naive_rows(layout),
         lambda ct, k, base: {"ct": unpack(ct, k, base).render()},
     )
 

@@ -17,8 +17,8 @@ corrects, for each index of I outside S, by how many selected and paired
 indices the insertion of that index passes; each insertion reads only S and
 its own pair.  Less the layer exponent of S within its own layer, each
 insertion's count cancels against that exponent's level, so the
-coefficients are one prefix sum over 0..n (``firstlayer.layer_levels``)
-and one pass over the pairs, with no insertion counted.  The j-values an
+coefficients are one prefix sum over 0..n (``layer_levels``) and one
+pass over the pairs, with no insertion counted.  The j-values an
 insertion reads count with multiplicity: an index repeated in J counts once
 per copy.  Collapsing the repeats fails the identity on 252 of the 3132
 instances with n <= 3 and every a_k <= 2, so that reading is kept only in
@@ -33,30 +33,31 @@ sum: one ``layer_levels`` prefix sum of S and one pass over the pairs, as
 the chain's -level_k and the layer's +level_k cancel outside S.
 
 Both exponents are affine in a, with coefficients read off the layout
-alone.  ``compile_layout`` writes them out once per layout, with the flipped
-layer monomials and signs, the naive weights of ``kadell`` and the verdict
-of ``npc_holds`` (a ``dyson.Layout``): a sweep compiles each of its
-candidate layouts once, a single ``verify`` its one layout, and each check
-of the layer identities reads every exponent by a dot product with a, and
-the verdict as a field.
-The sweep's no-crossing filter and ``verify``'s rejection read that field
-too, so the verdict is computed once per layout.
+alone.  ``compile_layout`` writes one row per subset, with its flipped
+layer monomial, sign and chain coefficients, the levels of I, which give
+every layer exponent, and the verdict of ``npc_holds`` (a
+``dyson.Layout``): 2^m prefix sums per layout.  A sweep compiles each of
+its candidate layouts once, a single ``verify`` its one layout, and each
+check of the layer identities reads its exponents by dot products with a,
+and the verdict as a field.  The sweep's no-crossing filter and
+``verify``'s rejection read that field too, so the verdict is computed
+once per layout.
 
 The naive q-analog of ``kadell`` has the same two sides, with the
 q-Dyson product multiplied by the same signed layer monomials under
 another weight, so ``check_layer_sum`` checks both: ``verify_paired``
-with the chain exponents, ``kadell.verify_q_kadell`` with the naive
-weights, each a column of the layout.  It computes on the product's
-coefficients as the source keeps them, packed into integers at q = 2^k,
-so both sides of the identity are compared as two integers.  Its read
-rule ``paired_reads`` is the one statement of what it reads: the
-layout's box, with the spare bits of k that make the comparison exact,
-whatever the weights.  The check's one guard, ``FactoredProduct.reads``,
-is called with that rule before anything is read, and
-``sweeps.IDENTITIES`` names the same rule for ``main``, so each
-coefficient is then a plain dict lookup.  The ``extra`` of a ``main``
-report depends on the layout alone, so it is built, and its JSON text
-encoded, once per (I, J) (``reports.Extra``).
+with the chain exponents of the layout's rows, ``kadell.verify_q_kadell``
+with the naive weights, which it reads off the same rows and the pairs.
+It computes on the product's coefficients as the source keeps them,
+packed into integers at q = 2^k, so both sides of the identity are
+compared as two integers.  Its read rule ``paired_reads`` is the one
+statement of what it reads: the layout's box, with the spare bits of k
+that make the comparison exact, whatever the weights.  The check's one
+guard, ``FactoredProduct.reads``, is called with that rule before
+anything is read, and ``sweeps.IDENTITIES`` names the same rule for
+``main``, so each coefficient is then a plain dict lookup.  The
+``extra`` of a ``main`` report depends on the layout alone, so it is
+built, and its JSON text encoded, once per (I, J) (``reports.Extra``).
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -79,10 +80,11 @@ import time
 from typing import Callable, Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
-from .firstlayer import layer_coefficients, layer_levels, nonempty_subsets
+from .firstlayer import nonempty_subsets
 from .laurent import FactoredProduct, LaurentPoly
 from .qpoly import QPoly, one_minus_q, packed_equal, q_multinomial_at, q_power, unpack
 from .reports import Extra, VerificationReport, report
+
 
 class NpcViolationError(ValueError):
     """The layer's pairing contains the crossing pattern the identity
@@ -96,6 +98,28 @@ def npc_holds(I: Sequence[int], J: Sequence[int]) -> bool:  # noqa: E741
         if J[t] < I[s] < J[u] < I[t]:
             return False
     return True
+
+
+def layer_levels(inst: Instance, X: Sequence[int]) -> tuple[list[int], int]:
+    """([t + count_upto(k, X) - count_upto(k, J_X) for k = 0..n], t), with
+    count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity, J_X
+    the j's paired with X and t = #{j in J_X : j < min X}: a prefix sum of
+    +1 at each x in X and -1 at each paired j, started at t, and all zero
+    for an empty X.  Raises ``ValueError`` on an index of X outside I."""
+    I, J = inst.I, inst.J  # noqa: E741
+    lo = min(X) if X else 0
+    delta = [0] * (inst.n + 1)
+    t = 0
+    for x in X:
+        try:
+            j = J[I.index(x)]
+        except ValueError:
+            raise ValueError("subset must consist of selected indices") from None
+        delta[x] += 1
+        delta[j] -= 1
+        t += j < lo
+    delta[0] += t
+    return list(itertools.accumulate(delta)), t
 
 
 def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
@@ -117,9 +141,9 @@ def chain_coefficients(inst: Instance, subset: Sequence[int]) -> Affine:
     The sum collapses to one pass over the layout.  With
     t = #{j in J_S : j < lo} and level_k = t + count_upto(k, S) -
     count_upto(k, J_S), the last term is t plus level_k * a_k summed over
-    k not in S (``firstlayer.layer_coefficients``).  So c0 = 1 - t, c_k = 0
-    on S, and c_k = 1 - level_k at every k that no step inserts, and at
-    every inserted i < lo, whose step adds 0.  At an inserted i > lo, no j
+    k not in S (see ``dyson.Layout``).  So c0 = 1 - t, c_k = 0 on S, and
+    c_k = 1 - level_k at every k that no step inserts, and at every
+    inserted i < lo, whose step adds 0.  At an inserted i > lo, no j
     equals lo (I and J are disjoint), so the step counts
     count_upto(i, J_S) - t + [lo < j_i <= i] j-values and adds
     level_i - [lo < j_i <= i]; the level cancels against the last term's,
@@ -150,14 +174,14 @@ def chain_exponent(inst: Instance, subset: Sequence[int], U: Sequence[int]) -> i
           + sum over k in S \\ U of (L_k - 1) * a_k
           + sum over i in I \\ S with i > lo of (L_i - [lo < j_i <= i]) * a_i
 
-    Proof, from ``chain_coefficients`` and ``firstlayer.layer_coefficients``
-    of the layer (S, J_S), which read the same levels L and the same t: the
-    constants add to 1 - t + t = 1.  On U the chain and the layer both
-    give 0, which is 1 - 1.  On S \\ U the chain gives 0 and the layer
-    L_k.  At an inserted i > lo the chain gives 1 - [lo < j_i <= i] and the
-    layer L_i.  At every other k, outside S, the chain's 1 - L_k and the
-    layer's +L_k cancel to 1.  Raises ``ValueError`` unless U is a nonempty
-    subset of S.
+    Proof, from ``chain_coefficients`` and the layer exponent of U within
+    the layer (S, J_S), t + sum over k not in U of L_k a_k, which read the
+    same levels L and the same t: the constants add to 1 - t + t = 1.  On
+    U the chain and the layer both give 0, which is 1 - 1.  On S \\ U the
+    chain gives 0 and the layer L_k.  At an inserted i > lo the chain
+    gives 1 - [lo < j_i <= i] and the layer L_i.  At every other k,
+    outside S, the chain's 1 - L_k and the layer's +L_k cancel to 1.
+    Raises ``ValueError`` unless U is a nonempty subset of S.
     """
     uset, sset = set(U), set(subset)
     if not uset or not uset <= sset:
@@ -177,30 +201,22 @@ def chain_exponent(inst: Instance, subset: Sequence[int], U: Sequence[int]) -> i
 
 def compile_layout(n: int, I: Sequence[int], J: Sequence[int]) -> Layout:  # noqa: E741
     """Everything the layer identities read off the layout (I, J) over
-    x_0..x_n, for every exponent vector at once.  The chain coefficients
-    are looked up here when called, so rebinding ``chain_coefficients``
-    (as the tests do for the refuted reading) reaches every check.  The
-    naive weight w(S) has the constant #{i_k in S : j_k > i_k} and, as I
-    and J are disjoint, the positive part of S's layer monomial as its
-    coefficients: a_j counts once per i_k in S paired with j."""
+    x_0..x_n, for every exponent vector at once: one ``layer_levels``
+    prefix sum for the levels of I and one per nonempty subset for its
+    chain coefficients.  The chain coefficients are looked up here when
+    called, so rebinding ``chain_coefficients`` (as the tests do for the
+    refuted reading) reaches every check."""
     inst = Instance(n, (0,) * (n + 1), I, J)
-    subsets = [()] + list(nonempty_subsets(inst.I))
-    signs = [(-1) ** len(S) for S in subsets]
-    flipped = [tuple(-e for e in inst.layer_monomial(S)) for S in subsets]
-    chains = [(0, (0,) * (n + 1))] + [chain_coefficients(inst, S) for S in subsets[1:]]
-    above = {i for i, j in inst.pairs if j > i}
-    naive = [(len(above.intersection(S)), tuple([-e if e < 0 else 0 for e in f]))
-             for S, f in zip(subsets, flipped)]
-    target = flipped[-1]
+    levels, t = layer_levels(inst, inst.I)
+    rows = [((), (0,) * (n + 1), 1, (0, (0,) * (n + 1)))] + [
+        (S, tuple(-e for e in inst.layer_monomial(S)), (-1) ** len(S), chain_coefficients(inst, S))
+        for S in nonempty_subsets(inst.I)
+    ]
+    target = rows[-1][1]
     return Layout(
-        n,
-        inst.I,
-        inst.J,
-        subsets=tuple(zip(flipped, signs, chains)),
-        naive=tuple(zip(flipped, signs, naive)),
-        terms=tuple(
-            (sign, T, layer_coefficients(T, inst)) for sign, T in zip(signs[1:], subsets[1:])
-        ),
+        n, inst.I, inst.J,
+        subsets=tuple(rows),
+        levels=(t, tuple(levels)),
         box=(tuple(min(e, 0) for e in target), tuple(max(e, 0) for e in target)),
         npc=npc_holds(inst.I, inst.J),
     )
@@ -212,7 +228,7 @@ def correction_polynomial(a: tuple[int, ...], layout: Layout) -> LaurentPoly:
     with weight 1 on the empty one."""
     return LaurentPoly(layout.n, {
         tuple(-e for e in flipped): q_power(evaluate(chain, a), sign)
-        for flipped, sign, chain in layout.subsets
+        for _, flipped, sign, chain in layout.subsets
     })
 
 
@@ -263,7 +279,8 @@ def _pairing(I: tuple[int, ...], J: tuple[int, ...]) -> Extra:  # noqa: E741
 
 def check_layer_sum(
     identity: str, layout: Layout, source: FactoredProduct,
-    rows: Sequence[tuple[tuple[int, ...], int, Affine]], extra: Callable[[int, int, int], dict],
+    rows: Sequence[tuple[tuple[int, ...], tuple[int, ...], int, Affine]],
+    extra: Callable[[int, int, int], dict],
 ) -> VerificationReport:
     """The identity
 
@@ -271,17 +288,19 @@ def check_layer_sum(
 
     for the q-Dyson product D(a) of the source's a times the multiplier
     sum over subsets S of I of (-1)^|S| q^(weight of S) x_{J(S)}/x_S.
-    ``rows`` holds one row (flipped monomial, sign, weight) per subset,
-    read off the compiled layout: ``layout.subsets``, weighted by the chain
-    exponent, for ``main``, and ``layout.naive`` for ``qkadell``.  The
+    ``rows`` holds one row (S, flipped monomial, sign, weight) per subset,
+    in the shape of the compiled layout's: ``layout.subsets``, weighted by
+    the chain exponent, for ``main``, and the naive rows that
+    ``kadell.naive_rows`` reads off it for ``qkadell``.  The
     constant term is, row by row, the signed weight times D(a)'s
     coefficient at the flipped monomial.  Both sides stay packed at
     q = 2^k, as ``source`` holds its coefficients: the sum over subsets
     adds shifted integers, the factor (1 - q^A) is one shift and
-    subtraction, and the right side is packed and rendered once per a.  A check that holds prints the right side's
-    text on both sides; only a failing one unpacks its left side.  The
-    report's ``extra`` is ``extra(ct, k, base)``, with ct the constant term
-    packed, q^base times the polynomial whose value at q = 2^k is ct.  The
+    subtraction, and the right side is packed and rendered once per a.  A
+    check that holds prints the right side's text on both sides; only a
+    failing one unpacks its left side.  The report's ``extra`` is
+    ``extra(ct, k, base)``, with ct the constant term packed, q^base times
+    the polynomial whose value at q = 2^k is ct.  The
     guard ``FactoredProduct.reads``, called with the read rule
     ``paired_reads``, refuses a source that holds no q-Dyson product, has
     less headroom than the rule names or does not hold ``layout.box``, with
@@ -289,7 +308,9 @@ def check_layer_sum(
     packed = source.reads(*paired_reads(layout))
     t0 = time.perf_counter()
     a, k = source.a, source.k
-    terms = [(sign, packed.get(flipped, 0), evaluate(weight, a)) for flipped, sign, weight in rows]
+    terms = [
+        (sign, packed.get(flipped, 0), evaluate(weight, a)) for _, flipped, sign, weight in rows
+    ]
     base = min(e for _, _, e in terms)
     ct = 0
     for sign, c, e in terms:

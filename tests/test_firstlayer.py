@@ -11,12 +11,10 @@ from qdyson.firstlayer import (
     first_layer_closed,
     first_layer_closed_q1,
     first_layer_reads,
-    layer_coefficients,
-    layer_levels,
     nonempty_subsets,
     verify_first_layer,
 )
-from qdyson.paired import compile_layout
+from qdyson.paired import compile_layout, layer_levels
 from qdyson.qpoly import ONE, ZERO, QPoly, QRat, multinomial, one_minus_q, q_multinomial_poly
 from qdyson.reports import report
 from qdyson.sweeps import verify
@@ -112,6 +110,42 @@ def test_nonempty_subsets_order():
     ]
 
 
+def layer_coefficients(T, inst):
+    """The q-exponent attached to a nonempty subset T of the layer (X, J_X),
+    as (c0, c) with the exponent c0 + sum of c_k * a_k: X is I and J_X its
+    paired j's, J.  Reads only n, I and J.  With
+    count_upto(k, V) = #{v in V : v <= k}, counted with multiplicity, and
+    t = #{j in J_X : j < min X}, c0 = t and
+
+        c_k = t + count_upto(k, X) - count_upto(k, J_X)  for k not in T,
+        c_k = 0                                          for k in T.
+
+    The first line, for every k at once, is one prefix sum over the layout
+    (``paired.layer_levels``), which the entries on T then overwrite.  So
+    the exponent is t + sum over k of L_k a_k less the sum over k in T of
+    L_k a_k, with (t, L) the levels of I, which is how the first-layer
+    closed form reads it off a compiled layout.
+
+    It is the split form, for i_1 = min X,
+
+        t + sum_{k=i_1..n} (count_upto(k, X) - count_upto(k, J+)) * w_k
+          + sum_{k<i_1} (t - count_upto(k, J-)) * a_k
+
+    with J- = {j < i_1}, J+ = {j > i_1} and w the copy of a zeroed on T.
+    Both sums have the coefficient above: no j equals i_1 (I and J are
+    disjoint), so count_upto(k, J_X) = t + count_upto(k, J+) for k >= i_1;
+    and for k < i_1, count_upto(k, X) = 0, every j <= k lies in J-, and
+    k is not in T.  With t = 0 it is the form for layers starting at x_0.
+    ``paper_layer_exponent`` is the split form itself.
+    """
+    if not T:
+        raise ValueError("subset must be nonempty")
+    levels, t = layer_levels(inst, inst.I)
+    for k in T:
+        levels[k] = 0
+    return t, tuple(levels)
+
+
 def layer_exponent(T, inst, within=None):
     """The layer exponent of T within the layer of ``within`` (all of I by
     default) with its paired j's: ``layer_coefficients`` of that layer's
@@ -202,7 +236,7 @@ def test_target_vector():
     """The target is the top corner of the layer box in I and its bottom
     corner in J, and the last flipped monomial of the compiled layout."""
     inst = Instance(3, (1, 1, 1, 1), (0, 2), (1, 1))
-    assert first_layer_target(inst) == compiled(inst).subsets[-1][0] == (1, -2, 1, 0)
+    assert first_layer_target(inst) == compiled(inst).subsets[-1][1] == (1, -2, 1, 0)
     assert layer_box(inst) == compiled(inst).box == ((0, -2, 0, 0), (1, 0, 1, 0))
     assert first_layer_target(Instance(2, (1, 1, 1))) == (0, 0, 0)
     assert compiled(Instance(2, (1, 1, 1))).box == ((0, 0, 0), (0, 0, 0))
@@ -213,15 +247,17 @@ def first_layer_closed_oracle(a, layout):
     (-1)^|T| q^(layer exponent of T) (1 - q^(s_T)) added into the group of
     its denominator d = 1 + total - s_T, and the groups folded into one
     numerator over the product of the distinct (1 - q^d), the numerator
-    times the q-multinomial.  ``first_layer_closed`` unpacks the packed fold
-    of the check and must give this num and den exactly."""
-    total = sum(a)
+    times the q-multinomial.  The layer exponents are the split form
+    ``paper_layer_exponent``, not the layout's levels.
+    ``first_layer_closed`` unpacks the packed fold of the check and must
+    give this num and den exactly."""
+    total, inst = sum(a), Instance(layout.n, a, layout.I, layout.J)
     groups = {}
-    for sign, T, exponent in layout.terms:
+    for T in nonempty_subsets(layout.I):
         s_t = sum(a[k] for k in T)
-        term = one_minus_q(s_t).shifted(evaluate(exponent, a))
+        term = one_minus_q(s_t).shifted(paper_layer_exponent(T, inst))
         d = 1 + total - s_t
-        groups[d] = groups.get(d, ZERO) + (term if sign > 0 else -term)
+        groups[d] = groups.get(d, ZERO) + (-term if len(T) % 2 else term)
     num, den = ZERO, ONE
     for d, part in groups.items():
         factor = one_minus_q(d)

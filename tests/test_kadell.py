@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,6 @@ from qdyson import cli, kadell
 from qdyson.dyson import Instance, q_dyson_factors, q_dyson_source
 from qdyson.kadell import (
     corrected_ct,
-    corrected_ct_closed,
     corrected_dyson_rhs,
     modified_q_product,
     reproduce_counterexample,
@@ -34,13 +34,27 @@ from tests.test_firstlayer import all_layouts
 from tests.test_sweeps import _Unread
 
 
+def corrected_ct_closed(a, layout):
+    """Closed form of the corrected constant term itself, at a on the
+    compiled layout:
+
+        (1 + (sum of a over I) / (1 + total - sum of a over I)) * multinomial(a)
+
+    Only defined for nonempty I.  The check compares the scaled identity
+    instead, and renders this value's text in ``extra``.
+    """
+    if not layout.I:
+        raise ValueError("layer must select at least one index")
+    return Fraction(corrected_dyson_rhs(a), 1 + sum(a) - sum(a[i] for i in layout.I))
+
+
 def verify_kadell_oracle(a, layout, source):
     """The kadell check reading the whole box of ``source`` unpacked at
     once and adding the coefficients at the flipped monomials at q = 1, one
     by one.  ``verify_kadell``, which adds them packed and unpacks the sum,
     must give the same report, ``elapsed_ms`` apart."""
     t0 = time.perf_counter()
-    ct = sum(sign * source.expanded.coeff(flipped).at_q1() for flipped, sign, _ in layout.subsets)
+    ct = sum(sign * source.expanded.coeff(flipped).at_q1() for _, flipped, sign, _ in layout.subsets)
     lhs = (1 + sum(a) - sum(a[i] for i in layout.I)) * ct
     closed = corrected_ct_closed(a, layout) if layout.I else None
     holds = lhs == corrected_dyson_rhs(a) and (closed is None or closed == ct)

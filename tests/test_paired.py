@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qdyson import paired
 from qdyson.dyson import Instance, evaluate, q_dyson_source
 from qdyson.firstlayer import nonempty_subsets
+from qdyson.kadell import naive_rows
 from qdyson.paired import (
     NpcViolationError,
     chain_exponent,
@@ -233,11 +234,14 @@ class TestChainExponent:
 
 class TestCompiledLayout:
     def test_matches_the_oracles(self):
-        """On every layout with n <= 4: the monomials and signs are the
-        signed layer sum, in its order, and the box is the layer box; and for
-        every a in {0,1,2}^(n+1) each compiled exponent, evaluated at a, is
-        the insertion chain or the split form of the layer exponent.  So the
-        exponents are affine in a, with the compiled coefficients."""
+        """On every layout with n <= 4: the rows are the subsets of I, the
+        empty one first, then in ``nonempty_subsets`` order, with the
+        monomials and signs of the signed layer sum, in its order, and the
+        box is the layer box; and for every a in {0,1,2}^(n+1) each
+        compiled chain exponent, evaluated at a, is the insertion chain,
+        and each layer exponent read off the levels, t + sum of L_k a_k
+        less the sum over T, is the split form.  So the exponents are
+        affine in a, with the compiled coefficients."""
         for n in range(1, 5):
             avecs = list(itertools.product(range(3), repeat=n + 1))
             for base in all_layouts(n, (0,) * (n + 1), mmin=0):
@@ -246,20 +250,40 @@ class TestCompiledLayout:
                 signed = layer_sum(base, lambda S: q_power(0, (-1) ** len(S)))
                 unflipped = [
                     (tuple(-e for e in flipped), q_power(0, sign))
-                    for flipped, sign, _ in layout.subsets
+                    for _, flipped, sign, _ in layout.subsets
                 ]
                 assert unflipped == list(signed.terms.items()), base
-                subsets = list(nonempty_subsets(base.I))
-                assert [(sign, T) for sign, T, _ in layout.terms] == [
-                    ((-1) ** len(T), T) for T in subsets
-                ], base
-                assert layout.subsets[0][2] == (0, (0,) * (n + 1))
+                rows = layout.subsets[1:]
+                assert [T for T, _, _, _ in rows] == list(nonempty_subsets(base.I)), base
+                assert layout.subsets[0] == ((), (0,) * (n + 1), 1, (0, (0,) * (n + 1)))
                 assert layout.npc == npc_holds(base.I, base.J), base
+                if not base.I:
+                    assert layout.levels == (0, (0,) * (n + 1))
+                L = layout.levels[1]
                 for a in avecs:
                     inst = Instance(n, a, base.I, base.J)
-                    for (_, _, chain), (_, T, layer) in zip(layout.subsets[1:], layout.terms):
+                    top = evaluate(layout.levels, a)
+                    for T, _, _, chain in rows:
                         assert evaluate(chain, a) == insertion_chain_exponent(inst, T), (inst, T)
-                        assert evaluate(layer, a) == paper_layer_exponent(T, inst), (inst, T)
+                        layer = top - sum(L[k] * a[k] for k in T)
+                        assert layer == paper_layer_exponent(T, inst), (inst, T)
+
+    def test_compiling_makes_one_prefix_sum_per_subset(self, monkeypatch):
+        """Compiling a layout with m selected indices builds 2^m
+        ``layer_levels`` prefix sums, for m = 0..3: one for the levels of
+        I, all zero for the empty layer, and one per nonempty subset for
+        its chain coefficients."""
+        calls, original = [], paired.layer_levels
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(paired, "layer_levels", counting)
+        for m in range(4):
+            calls.clear()
+            compile_layout(3, tuple(range(m)), (3,) * m)
+            assert len(calls) == 2**m, m
 
     def test_known_layout(self):
         """x_2/x_0 over x_0..x_2: chain exponent 1 + a_2 and layer exponent
@@ -269,15 +293,15 @@ class TestCompiledLayout:
         validates I and J as an instance does."""
         layout = compile_layout(2, (0,), (2,))
         assert layout.subsets == (
-            ((0, 0, 0), 1, (0, (0, 0, 0))),
-            ((1, 0, -1), -1, (1, (0, 0, 1))),
+            ((), (0, 0, 0), 1, (0, (0, 0, 0))),
+            ((0,), (1, 0, -1), -1, (1, (0, 0, 1))),
         )
-        assert layout.terms == ((-1, (0,), (0, (0, 1, 0))),)
-        assert layout.naive == (
-            ((0, 0, 0), 1, (0, (0, 0, 0))),
-            ((1, 0, -1), -1, (1, (0, 0, 1))),
-        )
-        assert compile_layout(2, (2,), (0,)).naive[1][2] == (0, (1, 0, 0))
+        assert layout.levels == (0, (1, 1, 0))  # the layer exponent of (0,): a_1
+        assert naive_rows(layout) == [
+            ((), (0, 0, 0), 1, (0, (0, 0, 0))),
+            ((0,), (1, 0, -1), -1, (1, (0, 0, 1))),
+        ]
+        assert naive_rows(compile_layout(2, (2,), (0,)))[1][3] == (0, (1, 0, 0))
         assert layout.box == ((0, 0, -1), (1, 0, 0))
         assert layout.npc
         with pytest.raises(ValueError):
@@ -314,7 +338,7 @@ def verify_paired_oracle(a, layout, source):
     apart."""
     t0 = time.perf_counter()
     ct = ZERO
-    for flipped, sign, chain in layout.subsets:
+    for _, flipped, sign, chain in layout.subsets:
         term = source.expanded.coeff(flipped).shifted(evaluate(chain, a))
         ct = ct + term if sign > 0 else ct - term
     lhs = one_minus_q(1 + sum(a) - sum(a[i] for i in layout.I)) * ct

@@ -629,7 +629,7 @@ def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatc
     for name in names:
         _counting_everywhere(monkeypatch, name, calls[name], home=paired)
     levels = []
-    _counting_everywhere(monkeypatch, "layer_levels", levels, home=firstlayer)
+    _counting_everywhere(monkeypatch, "layer_levels", levels, home=paired)
     adds, inside = [], []
     add, sides = qpoly.QPoly.__add__, paired.factorization_sides
 
