@@ -36,12 +36,14 @@ carries the a of its q-Dyson product, the one carrier of a a check and
 its report read.  Before reading anything, a check passes
 ``FactoredProduct.reads``, which refuses with ``ValueError`` a source
 that holds no q-Dyson product, lacks the spare bits the check computes
-with, or does not hold the check's box.  A check calls it with its read
-rule, (lo, hi, headroom) as a function of
-the layout, which is also the rule of its row in ``sweeps.IDENTITIES``
-and the arguments ``q_dyson_source`` takes after the instance.  For the
-constant terms here it is the row default (*layout.box, 0): the box of
-the empty layer, the origin, with no spare bits.
+with, or does not hold the check's box, and with ``AmbientMismatchError``
+a box of another width than the source's.  A check calls it with its read
+rule, (lo, hi, headroom) as a function of the layout, which is also the
+rule of its row in ``sweeps.IDENTITIES`` and the arguments
+``q_dyson_source`` takes after the instance.  For the constant terms here
+it is ``dyson_reads``: the origin, the box of the empty layer, with no
+spare bits; a layout with a layer raises ``ValueError`` there, as its box
+is not the origin.
 """
 
 from __future__ import annotations
@@ -214,10 +216,21 @@ def q_dyson_source(
     return FactoredProduct(inst.n, q_dyson_factors(inst), lo, hi, headroom, inst.a)
 
 
+def dyson_reads(layout: Layout) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """What ``verify_dyson`` and ``verify_q_dyson`` read, as the arguments
+    (lo, hi, headroom) of their guard ``FactoredProduct.reads`` and of
+    ``q_dyson_source``: the origin alone, the box of the empty layer, with
+    no spare bits.  The constant term has no layer, and a layout with one
+    raises ``ValueError``, as its box is not the origin."""
+    if layout.I:
+        raise ValueError("the constant term has no layer, so I and J do not apply")
+    return (*layout.box, 0)
+
+
 def verify_q_dyson(layout: Layout, source: FactoredProduct) -> VerificationReport:
     """Constant term of the q-Dyson product held by ``source`` against the
     q-multinomial of its a; ``layout`` is the empty layer over x_0..x_n,
-    whose box is the origin.
+    whose box is the origin, as its read rule ``dyson_reads`` requires.
 
     Both sides are compared packed, as integers at q = 2^k, the constant
     term as the source holds it and the q-multinomial by
@@ -229,7 +242,7 @@ def verify_q_dyson(layout: Layout, source: FactoredProduct) -> VerificationRepor
     of both lies below B < 2^(k - 1), where the base-2^k digits of a
     polynomial are unique.  The constant term is unpacked once, for the
     text; only a failing check renders ``qpoly.q_multinomial_poly``."""
-    packed = source.reads(*layout.box)
+    packed = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
     t0 = time.perf_counter()
     a, k = source.a, source.k
     v = packed.get(layout.box[0], 0)
@@ -242,8 +255,9 @@ def verify_dyson(layout: Layout, source: FactoredProduct) -> VerificationReport:
     """Constant term of the classical product of the source's a, the
     q-Dyson constant term at q = 1, read packed by one residue
     (``qpoly.packed_at_q1``), against the multinomial; ``layout`` is the
-    empty layer over x_0..x_n, whose box is the origin."""
-    packed = source.reads(*layout.box)
+    empty layer over x_0..x_n, whose box is the origin, as its read rule
+    ``dyson_reads`` requires."""
+    packed = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
     t0 = time.perf_counter()
     a = source.a
     ct = packed_at_q1(packed.get(layout.box[0], 0), source.k)

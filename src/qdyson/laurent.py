@@ -353,7 +353,8 @@ class FactoredProduct:
         The one guard of every check, before anything is read:
         ``ValueError`` unless the source holds a q-Dyson product (``a`` is
         not None), was packed with at least ``headroom`` spare bits, and
-        its box holds lo..hi."""
+        its box holds lo..hi; a box lo..hi of another width than the
+        source's x_0..x_n raises ``AmbientMismatchError``, a ``ValueError``."""
         if self.a is None:
             raise ValueError("the source holds no q-Dyson product")
         if self.headroom < headroom:
@@ -364,6 +365,8 @@ class FactoredProduct:
         return self.packed
 
     def _check_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
+        if len(lo) != len(self.lo) or len(hi) != len(self.hi):  # map stops at the shorter
+            raise AmbientMismatchError(f"box {lo!r}..{hi!r} does not fit {len(self.lo)} variables")
         if any(map(lt, lo, self.lo)) or any(map(gt, hi, self.hi)):
             raise ValueError(
                 f"exponents {tuple(lo)!r}..{tuple(hi)!r} outside the box {self.lo!r}..{self.hi!r}"
@@ -371,7 +374,8 @@ class FactoredProduct:
 
     def coeff(self, target: Sequence[int]) -> QPoly:
         """The coefficient at ``target``, unpacked; a target outside the box
-        raises ``ValueError``."""
+        raises ``ValueError``, and one of another width
+        ``AmbientMismatchError``."""
         key = tuple(target)
         self._check_box(key, key)
         return unpack(self.packed.get(key, 0), self.k, 0)

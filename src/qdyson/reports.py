@@ -2,7 +2,9 @@
 
 A report keeps what its JSON line needs and nothing more: the identity,
 the verdict, the rendered sides, the time, the exponent vector a and the
-layer's (n, I, J) as the check had them, and its ``extra`` mapping.
+layer's (n, I, J) as the check had them, and its ``extra`` mapping.  It
+is plain data: its constructor is the one ``dataclass`` generates, and a,
+I and J are tuples, which ``ReportRow`` makes of the lists it parses.
 ``params``, ``to_dict()`` and the line are built from those fields when
 something reads them.  The line is joined from its parts
 (``VerificationReport.to_json``) and is the one ``dumps(to_dict())`` gives,
@@ -57,13 +59,15 @@ class Extra(dict):
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
 
 
-@dataclass(init=False, slots=True)
+@dataclass(slots=True)
 class VerificationReport:
     """Outcome of one identity check.
 
     ``holds`` records exact equality of the two sides; ``lhs``/``rhs`` are
-    their canonical renderings.  A report is not changed once built: derive
-    another with ``dataclasses.replace``.
+    their canonical renderings.  a, I and J are tuples of ints, as the
+    check had them; ``ReportRow`` converts the lists of a parsed line.  A
+    report is not changed once built: derive another with
+    ``dataclasses.replace``.
     """
 
     identity: str
@@ -76,25 +80,7 @@ class VerificationReport:
     I: tuple[int, ...]  # noqa: E741 - interface name
     J: tuple[int, ...]
     extra: dict
-    engine: str
-
-    def __init__(
-        self, identity, holds, lhs, rhs, elapsed_ms, n=0, a=(), I=(), J=(),  # noqa: E741
-        extra=None, engine=ENGINE,
-    ) -> None:
-        """The fields, with a, I and J any sequences of ints and no extra
-        an empty one."""
-        self.identity = identity
-        self.holds = holds
-        self.lhs = lhs
-        self.rhs = rhs
-        self.elapsed_ms = elapsed_ms
-        self.n = n
-        self.a = tuple(a)
-        self.I = tuple(I)
-        self.J = tuple(J)
-        self.extra = {} if extra is None else extra
-        self.engine = engine
+    engine: str = ENGINE
 
     @property
     def params(self) -> dict:
@@ -170,8 +156,8 @@ class ReportRow:
     back.  ``holds`` and ``to_json`` read them as they are; every other
     field and method is that of the ``VerificationReport`` parsed from the
     line on the first such read and kept, its ``params`` object taken apart
-    into the fields.  So a passing check written out with ``--json`` is
-    never parsed."""
+    into the fields, with a, I and J made tuples.  So a passing check
+    written out with ``--json`` is never parsed."""
 
     __slots__ = ("holds", "_line", "_report")
 
@@ -189,12 +175,9 @@ class ReportRow:
         if self._report is None:
             fields = json.loads(self._line)
             params = fields.pop("params")
+            params.update((key, tuple(params[key])) for key in "aIJ")
             self._report = VerificationReport(**fields, **params)
         return getattr(self._report, name)
-
-
-def _render(value: Any) -> str:
-    return value.render() if hasattr(value, "render") else str(value)
 
 
 def report(
@@ -211,14 +194,16 @@ def report(
     compiled ``Layout`` or, for the lemma reports, an ``Instance``, begun
     at t0 (a ``time.perf_counter`` reading).  The clock is read first, so
     ``elapsed_ms`` covers the check and nothing of its report: only then
-    are ``extra()`` built and lhs and rhs rendered (by their ``render``
-    method, else by ``str``), once when they are the same object.  The
-    report keeps a and the layer's n and its I and J tuples as they are."""
+    are ``extra()`` built and lhs and rhs rendered by ``str``, once when
+    they are the same object: ``QPoly`` and ``QRat`` render as their
+    ``render`` method does, and an int or a string as itself.  The report
+    keeps a and the layer's n and its I and J tuples as they are, and no
+    ``extra`` as an empty one."""
     elapsed = time.perf_counter() - t0
-    lhs_text = _render(lhs)
+    lhs_text = str(lhs)
     return VerificationReport(
-        identity, holds, lhs_text, lhs_text if rhs is lhs else _render(rhs),
-        round(elapsed * 1000.0, 3), layer.n, a, layer.I, layer.J, extra() if extra else None,
+        identity, holds, lhs_text, lhs_text if rhs is lhs else str(rhs),
+        round(elapsed * 1000.0, 3), layer.n, a, layer.I, layer.J, extra() if extra else {},
     )
 
 

@@ -8,13 +8,16 @@ and its read rule: a function of the compiled layout that returns
 q-Dyson product and the spare bits of k its check needs to compute on the
 packed coefficients.  These are the arguments of ``q_dyson_source`` and of
 the check's guard ``FactoredProduct.reads``, which each check calls with
-the same rule (``firstlayer.first_layer_reads``,
-``paired.paired_reads``, and the row default (*layout.box, 0), the box of
-the layout with no spare bits).  Every check reads a product its caller
-built, and ``_run_task`` is the one caller that builds it: one pruned
-pass, built with the union of its layouts' rules, then every check of the
-task.  A check is ``check(layout, source)`` and takes its exponent vector
-a from the source, which records the a it was built from.
+the same rule (``dyson.dyson_reads``, ``firstlayer.first_layer_reads``,
+``paired.paired_reads``, and for ``kadell`` the row default
+(*layout.box, 0), the box of the layout with no spare bits).  A rule
+refuses a layout its check cannot read with ``ValueError``: the empty
+layer for the first layer, any other for the constant terms.  Every check
+reads a product its caller built, and ``_run_task`` is the one caller that
+builds it: one pruned pass, built with the union of its layouts' rules,
+then every check of the task.  A check is ``check(layout, source)`` and
+takes its exponent vector a from the source, which records the a it was
+built from.
 
 A task is ``(context, orbit)``.  The context (identity, n, layouts, reads)
 is what every task of one sweep shares, built once per sweep by
@@ -66,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .dyson import Instance, Layout, q_dyson_source, verify_dyson, verify_q_dyson
+from .dyson import Instance, Layout, dyson_reads, q_dyson_source, verify_dyson, verify_q_dyson
 from .firstlayer import first_layer_reads, verify_first_layer
 from .kadell import verify_kadell
 from .paired import (
@@ -106,8 +109,8 @@ class Identity:
 # The checks look the verify functions up when called, not when this table is
 # built, so rebinding a module-level name (as a tracer does) reaches them.
 IDENTITIES = {
-    "dyson": Identity(lambda layout, source: verify_dyson(layout, source)),
-    "qdyson": Identity(lambda layout, source: verify_q_dyson(layout, source)),
+    "dyson": Identity(lambda layout, source: verify_dyson(layout, source), reads=dyson_reads),
+    "qdyson": Identity(lambda layout, source: verify_q_dyson(layout, source), reads=dyson_reads),
     "firstlayer": Identity(
         lambda layout, source: verify_first_layer(layout, source),
         reads=first_layer_reads,
@@ -226,12 +229,10 @@ def cyclic_orbits(avecs: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...
 
 def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (I, J) layouts with mmin <= m <= mmax: I runs over m-subsets of
-    0..n, J over weakly increasing m-tuples from the complement."""
+    0..n, J over weakly increasing m-tuples from the complement, so m = 0
+    gives the empty layout alone."""
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for m in range(mmin, min(mmax, n) + 1):
-        if m == 0:
-            out.append(((), ()))
-            continue
         for I in itertools.combinations(range(n + 1), m):  # noqa: E741
             rest = [x for x in range(n + 1) if x not in I]
             for J in itertools.combinations_with_replacement(rest, m):
@@ -334,9 +335,11 @@ def prepare_verify(
     """The check of one instance (n, a, I, J) of the identity ``name``,
     validated, as a function of no arguments that runs its pass and returns
     the report.  A layer the row does not accept is rejected here, before
-    any product is built: (I, J) where the identity has no layer, an empty
-    layer where it needs one, a compiled layout a sweep would not admit.
-    ``elapsed_ms`` covers the product's pass as well as the check."""
+    any product is built: (I, J) where the identity has no layer, a
+    compiled layout a sweep would not admit, and one its read rule refuses,
+    as ``first_layer_reads`` refuses the empty layer when ``_context``
+    applies it.  ``elapsed_ms`` covers the product's pass as well as the
+    check."""
     identity = IDENTITIES.get(name)
     if identity is None or identity.check is None:
         checked = tuple(key for key, row in IDENTITIES.items() if row.check)
@@ -344,8 +347,6 @@ def prepare_verify(
     if identity.mmin is None and (I or J):
         raise ValueError(f"{name} has no layer, so I and J do not apply")
     inst = Instance(n, a, I, J)
-    if inst.m < (identity.mmin or 0):
-        raise ValueError("layer must select at least one index")
     layout = compile_layout(n, inst.I, inst.J)
     if not identity.admissible(layout):
         raise NpcViolationError(f"crossing pattern in pairing {inst.pairs}")

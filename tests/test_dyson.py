@@ -26,9 +26,11 @@ from qdyson.dyson import (
     Instance,
     _unit,
     dyson_factors,
+    dyson_reads,
     pair_factors,
     q_dyson_factors,
     q_dyson_source,
+    verify_dyson,
     verify_q_dyson,
 )
 from qdyson.laurent import FactoredProduct, LaurentPoly, Pair, ct_of_factor_list, expand_product
@@ -368,6 +370,24 @@ def test_failing_q_dyson_check_renders_the_q_multinomial():
         assert not rep.holds, a
         assert rep.lhs == q_multinomial_poly(other).render(), a
         assert rep.rhs == q_multinomial_poly(a).render() != rep.lhs, a
+
+
+@pytest.mark.parametrize("check", [verify_dyson, verify_q_dyson])
+def test_a_constant_term_check_refuses_a_layer(check):
+    """The constant term has no layer.  Given the layout of (I, J) =
+    ((0,), (1,)) over x_0..x_2, whose box (0, -1, 0)..(1, 0, 0) is not the
+    origin, a check would read the coefficient at (0, -1, 0) and report a
+    false failure carrying I and J; its read rule ``dyson_reads`` raises
+    ``ValueError`` instead.  The product over that box holds the origin,
+    and the empty layer's check of it holds."""
+    layout = compile_layout(2, (0,), (1,))
+    source = q_dyson_source(Instance(2, (1, 1, 1)), *layout.box)
+    for refused in (lambda: dyson_reads(layout), lambda: check(layout, source)):
+        with pytest.raises(ValueError, match="constant term has no layer"):
+            refused()
+    empty = compile_layout(2, (), ())
+    assert dyson_reads(empty) == (*empty.box, 0) == ((0, 0, 0), (0, 0, 0), 0)
+    assert check(empty, source).holds
 
 
 def test_verify_reports():

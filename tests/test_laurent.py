@@ -437,6 +437,24 @@ def test_read_outside_box_raises():
         ct_times(source, LaurentPoly(1, {(1, -1): ONE}))  # reads x^(-1, 1)
 
 
+def test_a_read_of_another_width_raises():
+    """A box or target of another width than the source's x_0..x_n raises
+    ``AmbientMismatchError``, a ``ValueError``, though every exponent it
+    has lies inside the box: comparing coordinatewise with ``map`` alone
+    would stop at the shorter tuple, and ``coeff((0, 0, 0))`` on a source
+    over x_0..x_3 would read 0."""
+    inst = Instance(3, (1, 1, 1, 1))
+    source = q_dyson_source(inst, (-1,) * 4, (1,) * 4)
+    message = "does not fit 4 variables"
+    for target in ((0, 0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(AmbientMismatchError, match=message):
+            source.coeff(target)
+    for box in (((0, 0, 0), (0, 0, 0)), ((0,) * 4, (0, 0, 0)), ((0, 0, 0), (0,) * 4)):
+        with pytest.raises(AmbientMismatchError, match=message):
+            source.reads(*box)
+    assert source.coeff((0,) * 4) == source.expanded.coeff((0,) * 4) != ZERO
+
+
 def test_reads_just_outside_the_box_raise():
     """A read one step outside the box, along any coordinate and on either
     side, raises the same ``ValueError``, before and after every key inside

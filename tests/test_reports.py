@@ -5,15 +5,17 @@ import itertools
 import json
 import os
 import pickle
+import dataclasses
 from dataclasses import replace
 
 import pytest
 
 from benchmark import gate, workloads
 from qdyson import cli
+from qdyson.kadell import reproduce_counterexample
 from qdyson.paired import compile_layout
 from qdyson.reports import Extra, ReportRow, VerificationReport, open_jsonl, report, write_jsonl
-from qdyson.sweeps import verify
+from qdyson.sweeps import lemma_suite_reports, verify
 from tests.test_cli import two_usable_cpus
 
 
@@ -25,10 +27,10 @@ def canonical(obj) -> str:
 
 def parsed(line):
     """The report a line was encoded from, its ``params`` object taken apart
-    into the fields."""
+    into the fields, a, I and J as tuples."""
     fields = json.loads(line)
     params = fields.pop("params")
-    return VerificationReport(**fields, **params)
+    return VerificationReport(**fields, **params | {k: tuple(params[k]) for k in ("a", "I", "J")})
 
 
 def assert_encoded(rep):
@@ -155,6 +157,41 @@ def test_a_row_takes_the_params_of_its_line_apart(extra):
         assert (row.identity, row.lhs, row.rhs) == ("edge", "1", "2")
         assert row.elapsed_ms == rep.elapsed_ms
         assert row.to_dict() == rep.to_dict()
+
+
+def every_check_report():
+    """One report of every check: the five ``verify`` runs, the naive
+    q-analog's counterexample, and the first of each lemma check."""
+    reports = [
+        verify("dyson", 2, (2, 0, 1)),
+        verify("qdyson", 2, (2, 1, 1)),
+        verify("firstlayer", 3, (1, 0, 2, 1), (1, 3), (0, 2)),
+        verify("kadell", 2, (2, 1, 0), (0,), (2,)),
+        verify("main", 4, (1, 0, 2, 0, 1), (0, 2), (1, 1)),
+        reproduce_counterexample(),
+    ]
+    lemmas = lemma_suite_reports(4, 2, 0)
+    return reports + [
+        next(rep for rep in lemmas if rep.identity == name)
+        for name in ("factorization", "tailcancel", "choiceproduct")
+    ]
+
+
+def test_a_row_reads_back_as_the_report_of_its_line():
+    """For a report of every check, the fields a ``ReportRow`` reads off
+    the report's line make a report equal to it: a, I and J come back as
+    the tuples the check had, not as the lists the line holds."""
+    reports = every_check_report()
+    assert {rep.identity for rep in reports} == {
+        "dyson", "qdyson", "firstlayer", "kadell", "main", "qkadell",
+        "factorization", "tailcancel", "choiceproduct",
+    }
+    for rep in reports:
+        row = ReportRow(rep.holds, rep.to_json())
+        again = VerificationReport(
+            **{f.name: getattr(row, f.name) for f in dataclasses.fields(VerificationReport)}
+        )
+        assert again == rep, rep.identity
 
 
 def test_one_writer_for_every_jsonl_file(tmp_path):

@@ -612,6 +612,22 @@ def test_a_read_outside_the_source_box_raises_before_any_read(name):
             identity.check(layout, source)
 
 
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_check_refuses_a_source_of_another_width_before_any_read(name):
+    """A check of a layout over x_0..x_2 raises ``AmbientMismatchError``
+    before it reads a coefficient from a q-Dyson product over x_0..x_3
+    whose box is the check's own with a zero appended.  Comparing the boxes
+    coordinatewise alone would stop at the shorter and pass them, and the
+    check would read no coefficient and report a false failure."""
+    identity = sweeps.IDENTITIES[name]
+    layout = compile_layout(2, *(((), ()) if identity.mmin is None else ((0,), (1,))))
+    lo, hi, headroom = identity.reads(layout)
+    source = q_dyson_source(Instance(3, (1, 1, 1, 1)), (*lo, 0), (*hi, 0), headroom)
+    source.packed = _Unread(source.packed)
+    with pytest.raises(laurent.AmbientMismatchError, match="does not fit 4 variables"):
+        identity.check(layout, source)
+
+
 def test_lemma_suite_adds_no_polynomials_and_reaches_its_traced_names(monkeypatch):
     """``lemma_suite_reports(7, 5, 0)``, a pinned suite, sums each
     factorization's left side as integer weights by exponent, so
