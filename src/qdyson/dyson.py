@@ -33,17 +33,19 @@ its own pass is the independent oracle that confirms the pinned
 counterexample.  A check builds no product: ``source`` is one pruned pass
 its caller made over a box that holds what the check reads, and it
 carries the a of its q-Dyson product, the one carrier of a a check and
-its report read.  Before reading anything, a check passes
-``FactoredProduct.reads``, which refuses with ``ValueError`` a source
-that holds no q-Dyson product, lacks the spare bits the check computes
-with, or does not hold the check's box, and with ``AmbientMismatchError``
-a box of another width than the source's.  A check calls it with its read
-rule, (lo, hi, headroom) as a function of the layout, which is also the
-rule of its row in ``sweeps.IDENTITIES`` and the arguments
-``q_dyson_source`` takes after the instance.  For the constant terms here
-it is ``dyson_reads``: the origin, the box of the empty layer, with no
-spare bits; a layout with a layer raises ``ValueError`` there, as its box
-is not the origin.
+its report read.  A check runs four steps in order: its guard, its clock,
+its arithmetic and its report.  The guard, ``FactoredProduct.reads``, is
+the one step that touches the source: it refuses with ``ValueError`` a
+source that holds no q-Dyson product, lacks the spare bits the check
+computes with, or does not hold the check's box, and with
+``AmbientMismatchError`` a box of another width than the source's, and
+otherwise hands back (packed, a, k), all the check reads.  A check calls
+it with its read rule, (lo, hi, headroom) as a function of the layout,
+which is also the rule of its row in ``sweeps.IDENTITIES`` and the
+arguments ``q_dyson_source`` takes after the instance.  For the constant
+terms here it is ``dyson_reads``: the origin, the box of the empty layer,
+with no spare bits; a layout with a layer raises ``ValueError`` there, as
+its box is not the origin.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ class Instance:
     vector a and a layer of m <= n selected indices I (strictly increasing)
     with m indices J (weakly increasing, disjoint from I), paired
     positionally, i_k with j_k.  The plain Dyson identities take the empty
-    layer.  All input validation happens here, once."""
+    layer.  All input validation happens here, once: n and every entry of
+    a, I and J must be of type ``int`` exactly, so that a bool or a float
+    is refused here, not written into a report or met deep in a pass."""
 
     n: int
     a: tuple[int, ...]
@@ -76,6 +80,8 @@ class Instance:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "J", J)
+        if type(n) is not int or not set(map(type, a + I + J)) <= {int}:
+            raise ValueError("n and the entries of a, I and J must be integers")
         if n < 0:
             raise ValueError("need at least one variable")
         if len(a) != n + 1:
@@ -241,10 +247,11 @@ def verify_q_dyson(layout: Layout, source: FactoredProduct) -> VerificationRepor
     multinomial(a) <= B (see ``paired.paired_reads``).  Every coefficient
     of both lies below B < 2^(k - 1), where the base-2^k digits of a
     polynomial are unique.  The constant term is unpacked once, for the
-    text; only a failing check renders ``qpoly.q_multinomial_poly``."""
-    packed = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
+    text; only a failing check renders ``qpoly.q_multinomial_poly``.  The
+    guard hands the check its packed coefficients, a and k, before the
+    clock starts."""
+    packed, a, k = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
     t0 = time.perf_counter()
-    a, k = source.a, source.k
     v = packed.get(layout.box[0], 0)
     holds = v == q_multinomial_at(a, k)
     ct = unpack(v, k, 0)
@@ -256,10 +263,10 @@ def verify_dyson(layout: Layout, source: FactoredProduct) -> VerificationReport:
     q-Dyson constant term at q = 1, read packed by one residue
     (``qpoly.packed_at_q1``), against the multinomial; ``layout`` is the
     empty layer over x_0..x_n, whose box is the origin, as its read rule
-    ``dyson_reads`` requires."""
-    packed = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
+    ``dyson_reads`` requires.  The guard hands the check its packed
+    coefficients, a and k, before the clock starts."""
+    packed, a, k = source.reads(*dyson_reads(layout))  # raises on a layer: source untouched
     t0 = time.perf_counter()
-    a = source.a
-    ct = packed_at_q1(packed.get(layout.box[0], 0), source.k)
+    ct = packed_at_q1(packed.get(layout.box[0], 0), k)
     rhs = multinomial(a)
     return report("dyson", a, layout, t0, ct == rhs, ct, rhs)

@@ -41,7 +41,7 @@ is computed once per pair, its terms grouped by denominator as on the q
 side and folded as integers into one ``Fraction``.  The closed forms read
 an exponent vector a and the compiled ``Layout`` of the layer; like every
 check, ``verify_first_layer`` reads the layout and takes a from its
-source.
+source's guard.
 """
 
 from __future__ import annotations
@@ -202,12 +202,12 @@ def verify_first_layer(layout: Layout, source: FactoredProduct) -> VerificationR
     read, by its read rule ``first_layer_reads``, and so, by the guard
     ``FactoredProduct.reads`` called with that rule, is a source that holds
     no q-Dyson product, has less headroom than the rule names or does not
-    hold the target.  The one target is then read packed, and unpacked by
-    ``coeff``."""
+    hold the target.  The guard hands the check its packed coefficients, a
+    and k, before the clock starts; the one target is then read packed, and
+    unpacked by ``coeff``, a guarded read too."""
     reads = first_layer_reads(layout)  # raises on an empty layer: source untouched
-    packed, target = source.reads(*reads), reads[0]
+    (packed, a, k), target = source.reads(*reads), reads[0]
     t0 = time.perf_counter()
-    a, k = source.a, source.k
     num, den, base = _closed_packed(a, layout, k)
     brute = source.coeff(target)
     brute_den = packed.get(target, 0) * den

@@ -9,9 +9,10 @@ a clean rational factor:
 The correction binomials carry no q, so the corrected classical constant term
 is read off the corrected q-Dyson one at q = 1.  Multiplied out they are the
 signed layer monomials of a compiled ``Layout``, so the check adds the
-source's packed integers at the layout's flipped monomials with signs and
-takes the sum at q = 1 without unpacking it.  The sum v is p(2^k) for a
-polynomial p in q, and 2^k = 1 modulo 2^k - 1, so v = p(1) modulo 2^k - 1.
+packed integers its guard hands it at the layout's flipped monomials with
+signs and takes the sum at q = 1 without unpacking it (``corrected_ct``).
+The sum v is p(2^k) for a polynomial p in q, and 2^k = 1 modulo 2^k - 1,
+so v = p(1) modulo 2^k - 1.
 Its terms are coefficients of one product at distinct monomials, so p's
 q-coefficients have L1 norm at most B, the bound of
 ``laurent.packed_in_box`` that every source's k already clears, and
@@ -42,23 +43,22 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .dyson import Affine, Instance, Layout, pair_factors, q_dyson_source
-from .laurent import FactoredProduct, Pair, ct_of_factor_list
+from .laurent import FactoredProduct, Monomial, Pair, ct_of_factor_list
 from .paired import check_layer_sum, compile_layout, paired_reads
-from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1, unpack
+from .qpoly import QPoly, multinomial, one_minus_q, packed_at_q1
 from .reports import VerificationReport, report
 
 
-def corrected_ct(layout: Layout, source: FactoredProduct) -> int:
+def corrected_ct(layout: Layout, packed: dict[Monomial, int], k: int) -> int:
     """CT of prod_k (1 - x_{j_k}/x_{i_k}) * classical Dyson product of a,
-    taken at q = 1 from ``source``, the q-Dyson product of a, with
-    ``layout`` the compiled layer of the binomials.  They multiply out to
-    the sum over subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant
-    term is the sum of (-1)^|S| times the coefficient at the flipped
-    monomial, summed packed and read at q = 1 by one residue.  The reads
-    lie in ``layout.box``, guarded once."""
-    packed = source.reads(*layout.box)
+    taken at q = 1 from ``packed``, the q-Dyson product of a packed at
+    q = 2^k as its guard hands it over ``layout.box``, with ``layout`` the
+    compiled layer of the binomials.  They multiply out to the sum over
+    subsets S of I of (-1)^|S| x_{J(S)}/x_S, so the constant term is the
+    sum of (-1)^|S| times the coefficient at the flipped monomial, summed
+    packed and read at q = 1 by one residue."""
     v = sum(sign * packed.get(flipped, 0) for _, flipped, sign, _ in layout.subsets)
-    return packed_at_q1(v, source.k)
+    return packed_at_q1(v, k)
 
 
 def corrected_dyson_rhs(a: tuple[int, ...]) -> int:
@@ -81,10 +81,13 @@ def verify_kadell(layout: Layout, source: FactoredProduct) -> VerificationReport
     corrected constant term and its closed form in ``extra``.  The scaled
     identity is the one comparison: with c = 1 + total - s_I >= 1 the
     closed form is rhs / c, and the scaled side is c * CT, so CT equals
-    the closed form exactly when c * CT equals rhs."""
+    the closed form exactly when c * CT equals rhs.  Its guard reads the
+    layout's box with no spare bits, the rule its row of
+    ``sweeps.IDENTITIES`` names, and hands it (packed, a, k) before the
+    clock starts."""
+    packed, a, k = source.reads(*layout.box)
     t0 = time.perf_counter()
-    ct = corrected_ct(layout, source)
-    a = source.a
+    ct = corrected_ct(layout, packed, k)
     s_i = sum(a[i] for i in layout.I)
     lhs = (1 + sum(a) - s_i) * ct
     rhs, closed_text = _ct_closed(a, s_i)
@@ -144,12 +147,10 @@ def verify_q_kadell(layout: Layout, source: FactoredProduct) -> VerificationRepo
         CT(modified product) = sum over S of (-1)^|S| q^(w(S)) [x^(flipped S)] D(a),
 
     ``paired.check_layer_sum`` weighted by w, reading through
-    ``paired.paired_reads`` as ``main`` does.  Unlike ``main``, it admits
+    ``paired.paired_reads`` as ``main`` does, with no ``extra`` of its own,
+    so the report's is the constant term.  Unlike ``main``, it admits
     layouts with the crossing pattern."""
-    return check_layer_sum(
-        "qkadell", layout, source, naive_rows(layout),
-        lambda ct, k, base: {"ct": unpack(ct, k, base).render()},
-    )
+    return check_layer_sum("qkadell", layout, source, naive_rows(layout), None)
 
 
 # The smallest failing instance of the q-modification: n=2, I={0}, J={1},

@@ -28,9 +28,11 @@ integers and, for a q-Dyson product, its exponent vector a, the one a
 check reads.  Every check passes one guard before it reads anything
 (``reads``): the source holds a q-Dyson product, packed with the spare
 bits the check computes with, over a box that holds the check's reads.
-It then reads each coefficient as a plain ``dict.get`` with default 0, as
-the pass keeps no zero and drops nothing else inside its box; ``coeff``
-unpacks one coefficient of any product after the same box check.
+The guard hands back what it guarded, (packed, a, k), and the check
+reads nothing else of the source: each coefficient is a plain
+``dict.get`` with default 0, as the pass keeps no zero and drops nothing
+else inside its box; ``coeff`` unpacks one coefficient of any product
+after the same box check.
 ``rotated`` turns the q-Dyson product D(a) over a cube into D(rot(a))'s
 over the same cube without a pass, by rotating each key one place and
 shifting its packed integer: a layer sweep makes one pass per cyclic
@@ -319,10 +321,10 @@ class FactoredProduct:
     spare bits of k for the caller's arithmetic on them (see
     ``packed_in_box``).  ``a`` is the exponent vector of the q-Dyson
     product the source holds, which ``dyson.q_dyson_source`` records and
-    every check reads as its a, and None for any other product, which no
-    check reads.  The box is the set of coefficients the caller's checks
-    read; reading outside it raises ``ValueError`` instead of returning a
-    zero that was never computed.  ``coeff`` unpacks one
+    the guard ``reads`` hands every check as its a, and None for any other
+    product, which no check reads.  The box is the set of coefficients the
+    caller's checks read; reading outside it raises ``ValueError`` instead
+    of returning a zero that was never computed.  ``coeff`` unpacks one
     coefficient; ``expanded`` is the whole box unpacked, once; ``rotated``
     makes the product of a rotated exponent vector from a q-Dyson
     product."""
@@ -345,16 +347,19 @@ class FactoredProduct:
 
     def reads(
         self, lo: Sequence[int], hi: Sequence[int], headroom: int = 0
-    ) -> dict[Monomial, int]:
-        """The packed coefficients by exponent vector, for a check of the
-        q-Dyson product that reads only inside the box lo..hi and computes
-        on them with ``headroom`` spare bits of k, where every vector
-        missing from the dict has coefficient 0 (the pass keeps no zero).
-        The one guard of every check, before anything is read:
-        ``ValueError`` unless the source holds a q-Dyson product (``a`` is
-        not None), was packed with at least ``headroom`` spare bits, and
-        its box holds lo..hi; a box lo..hi of another width than the
-        source's x_0..x_n raises ``AmbientMismatchError``, a ``ValueError``."""
+    ) -> tuple[dict[Monomial, int], tuple[int, ...], int]:
+        """(packed, a, k) for a check of the q-Dyson product that reads only
+        inside the box lo..hi and computes on its coefficients with
+        ``headroom`` spare bits of k: the packed coefficients by exponent
+        vector, where every vector missing from the dict has coefficient 0
+        (the pass keeps no zero), the product's exponent vector a, and the
+        k they are packed at.  The one guard of every check, before
+        anything is read, and all a check reads of the source but
+        ``coeff``: ``ValueError`` unless the source holds a q-Dyson product
+        (``a`` is not None), was packed with at least ``headroom`` spare
+        bits, and its box holds lo..hi; a box lo..hi of another width than
+        the source's x_0..x_n raises ``AmbientMismatchError``, a
+        ``ValueError``."""
         if self.a is None:
             raise ValueError("the source holds no q-Dyson product")
         if self.headroom < headroom:
@@ -362,7 +367,7 @@ class FactoredProduct:
                 f"the source was packed with {self.headroom} spare bits, not {headroom}"
             )
         self._check_box(lo, hi)
-        return self.packed
+        return self.packed, self.a, self.k
 
     def _check_box(self, lo: Sequence[int], hi: Sequence[int]) -> None:
         if len(lo) != len(self.lo) or len(hi) != len(self.hi):  # map stops at the shorter

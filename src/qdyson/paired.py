@@ -55,9 +55,11 @@ statement of what it reads: the layout's box, with the spare bits of k
 that make the comparison exact, whatever the weights.  The check's one
 guard, ``FactoredProduct.reads``, is called with that rule before
 anything is read, and ``sweeps.IDENTITIES`` names the same rule for
-``main``, so each coefficient is then a plain dict lookup.  The
-``extra`` of a ``main`` report depends on the layout alone, so it is
-built, and its JSON text encoded, once per (I, J) (``reports.Extra``).
+``main``; it hands the check (packed, a, k), so each coefficient is then
+a plain dict lookup.  The ``extra`` of a report is data the caller
+passes: for ``main`` it depends on the layout alone, so it is built, and
+its JSON text encoded, once per (I, J) (``reports.Extra``); the naive
+q-analog passes none and reports its constant term.
 
 The supporting combinatorial facts — the factorization of the subset sums, the
 tail cancellation, and the inversion-pair property of choice products — are
@@ -77,7 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dyson import Affine, Instance, Layout, evaluate
 from .firstlayer import nonempty_subsets
@@ -280,7 +282,7 @@ def _pairing(I: tuple[int, ...], J: tuple[int, ...]) -> Extra:  # noqa: E741
 def check_layer_sum(
     identity: str, layout: Layout, source: FactoredProduct,
     rows: Sequence[tuple[tuple[int, ...], tuple[int, ...], int, Affine]],
-    extra: Callable[[int, int, int], dict],
+    extra: Extra | None,
 ) -> VerificationReport:
     """The identity
 
@@ -299,15 +301,14 @@ def check_layer_sum(
     subtraction, and the right side is packed and rendered once per a.  A
     check that holds prints the right side's text on both sides; only a
     failing one unpacks its left side.  The report's ``extra`` is
-    ``extra(ct, k, base)``, with ct the constant term packed, q^base times
-    the polynomial whose value at q = 2^k is ct.  The
-    guard ``FactoredProduct.reads``, called with the read rule
-    ``paired_reads``, refuses a source that holds no q-Dyson product, has
-    less headroom than the rule names or does not hold ``layout.box``, with
-    ``ValueError``, before anything is read."""
-    packed = source.reads(*paired_reads(layout))
+    ``extra``, or, when that is None, the constant term {"ct": text},
+    rendered after the clock stops.  The guard ``FactoredProduct.reads``,
+    called with the read rule ``paired_reads``, refuses a source that
+    holds no q-Dyson product, has less headroom than the rule names or
+    does not hold ``layout.box``, with ``ValueError``, before anything is
+    read, and hands the check (packed, a, k) before the clock starts."""
+    packed, a, k = source.reads(*paired_reads(layout))
     t0 = time.perf_counter()
-    a, k = source.a, source.k
     terms = [
         (sign, packed.get(flipped, 0), evaluate(weight, a)) for _, flipped, sign, weight in rows
     ]
@@ -322,20 +323,19 @@ def check_layer_sum(
     holds = packed_equal(lhs, rhs, base, k)
     return report(
         identity, a, layout, t0, holds, rhs_text if holds else unpack(lhs, k, base), rhs_text,
-        lambda: extra(ct, k, base),
+        lambda: {"ct": unpack(ct, k, base).render()} if extra is None else extra,
     )
 
 
 def verify_paired(layout: Layout, source: FactoredProduct) -> VerificationReport:
     """The paired-layer identity for the product of the source's a on the
-    compiled layout: ``check_layer_sum`` weighted by the chain exponents.
-    Layers violating the no-crossing condition are rejected with
-    ``NpcViolationError`` before the source is touched."""
+    compiled layout: ``check_layer_sum`` weighted by the chain exponents,
+    with the layout's pairing as ``extra``.  Layers violating the
+    no-crossing condition are rejected with ``NpcViolationError`` before
+    the source is touched."""
     if not layout.npc:
         raise NpcViolationError(f"crossing pattern in pairing {tuple(zip(layout.I, layout.J))}")
-    return check_layer_sum(
-        "main", layout, source, layout.subsets, lambda *_: _pairing(layout.I, layout.J)
-    )
+    return check_layer_sum("main", layout, source, layout.subsets, _pairing(layout.I, layout.J))
 
 
 # -- supporting combinatorial statements ------------------------------------

@@ -15,9 +15,11 @@ refuses a layout its check cannot read with ``ValueError``: the empty
 layer for the first layer, any other for the constant terms.  Every check
 reads a product its caller built, and ``_run_task`` is the one caller that
 builds it: one pruned pass, built with the union of its layouts' rules,
-then every check of the task.  A check is ``check(layout, source)`` and
-takes its exponent vector a from the source, which records the a it was
-built from.
+then every check of the task, and it returns the reports alone.  A check
+is ``check(layout, source)`` and takes its exponent vector a from its
+guard, with the packed coefficients and their k: the source records the a
+it was built from.  A sweep report's ``elapsed_ms`` times its check alone,
+and ``verify``'s the whole task, pass included.
 
 A task is ``(context, orbit)``.  The context (identity, n, layouts, reads)
 is what every task of one sweep shares, built once per sweep by
@@ -53,9 +55,10 @@ back.  The parent wraps them as ``ReportRow``s, which parse their line,
 as a failing check's summary line.  A task keys each member's reports by
 its a, and so do ``_execute`` and the pool's rows: ``run_sweep`` reads them
 back a by a in grid order.  Before any of that, ``SweepConfig.validate``
-counts the checks of a grid sweep by formula and refuses one of more than
-``MAX_SWEEP_CHECKS``, so that no grid too large to enumerate is built, and
-refuses a lemma suite with n past ``MAX_LEMMA_N`` or amax past
+refuses an n, amax, m bound, jobs or seed whose type is not exactly
+``int``, counts the checks of a grid sweep by formula and refuses one of
+more than ``MAX_SWEEP_CHECKS``, so that no grid too large to enumerate is
+built, and refuses a lemma suite with n past ``MAX_LEMMA_N`` or amax past
 ``MAX_LEMMA_AMAX``, before anything is drawn.
 """
 from __future__ import annotations
@@ -157,6 +160,9 @@ class SweepConfig:
     def validate(self) -> None:
         if self.identity not in IDENTITIES:
             raise ValueError(f"unknown identity {self.identity!r}; choose from {tuple(IDENTITIES)}")
+        numbers = (self.n, self.amax, self.jobs, self.seed)
+        if not set(map(type, numbers)) <= {int} or type(self.mmax) not in (int, type(None)):
+            raise ValueError("n, amax, the m bound, jobs and seed must be integers")
         nmin = IDENTITIES[self.identity].nmin
         if self.n < nmin:
             raise ValueError(f"n must be at least {nmin} for {self.identity}")
@@ -253,25 +259,23 @@ def _context(name: str, n: int, layouts: Sequence[Layout]) -> tuple:
     return name, n, layouts, (*box, max(headrooms))
 
 
-def _run_task(task) -> tuple[float, dict[tuple[int, ...], list[VerificationReport]]]:
+def _run_task(task) -> dict[tuple[int, ...], list[VerificationReport]]:
     """Check a task ``(context, orbit)``, context = (identity, n, compiled
     layouts, reads), on one product per member of the orbit, a tuple (a,
     rot(a), rot^2(a), ...): one pass for a, validated here as the one
     ``Instance`` of the task, built with the united read rule, then rotated
     one step for each next member before its checks start their clocks.
-    Returns the pass's time in ms with each member's reports, in layout
-    order, keyed by its exponent vector."""
+    Returns each member's reports, in layout order, keyed by its exponent
+    vector; each report's ``elapsed_ms`` times its own check alone."""
     (name, n, layouts, reads), orbit = task
     identity = IDENTITIES[name]
-    t0 = time.perf_counter()
     member = q_dyson_source(Instance(n, orbit[0]), *reads)
-    pass_ms = (time.perf_counter() - t0) * 1000.0
     reports = {}
     for a in orbit:
         if reports:
             member = member.rotated()
         reports[a] = [identity.check(lay, member) for lay in layouts]
-    return pass_ms, reports
+    return reports
 
 
 def pool_workers(jobs: int, tasks: int) -> int:
@@ -297,8 +301,10 @@ def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], list
     reaches it) on the worker's shared context and this orbit, then each
     report as the row (holds, JSON line) that goes back to the parent in
     its place, keyed by its member's exponent vector, in layout order."""
-    reports = _run_task((_shared, orbit))[1]
-    return {a: [(rep.holds, rep.to_json()) for rep in reps] for a, reps in reports.items()}
+    return {
+        a: [(rep.holds, rep.to_json()) for rep in reps]
+        for a, reps in _run_task((_shared, orbit)).items()
+    }
 
 
 def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[int, ...], list]:
@@ -309,7 +315,7 @@ def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[i
     rows its workers send back."""
     workers = pool_workers(jobs, len(orbits))
     if workers <= 1:
-        return {a: reps for orbit in orbits for a, reps in _run_task((context, orbit))[1].items()}
+        return {a: reps for orbit in orbits for a, reps in _run_task((context, orbit)).items()}
     largest_first = sorted(orbits, key=len, reverse=True)
     with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
         return {
@@ -325,7 +331,8 @@ def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[i
 def verify(name: str, n: int, a: Sequence[int], I=(), J=()) -> VerificationReport:  # noqa: E741
     """Check one instance (n, a, I, J) of the identity ``name``, on a
     product built with the read rule its table row names: the check
-    ``prepare_verify`` validates, run at once."""
+    ``prepare_verify`` validates, run at once, whose ``elapsed_ms`` covers
+    the pass, the check and the report."""
     return prepare_verify(name, n, a, I, J)()
 
 
@@ -338,8 +345,8 @@ def prepare_verify(
     any product is built: (I, J) where the identity has no layer, a
     compiled layout a sweep would not admit, and one its read rule refuses,
     as ``first_layer_reads`` refuses the empty layer when ``_context``
-    applies it.  ``elapsed_ms`` covers the product's pass as well as the
-    check."""
+    applies it.  ``elapsed_ms`` times the whole task: the product's pass,
+    the check and its report."""
     identity = IDENTITIES.get(name)
     if identity is None or identity.check is None:
         checked = tuple(key for key, row in IDENTITIES.items() if row.check)
@@ -353,9 +360,9 @@ def prepare_verify(
     task = (_context(name, n, [layout]), (inst.a,))
 
     def run() -> VerificationReport:
-        pass_ms, reports = _run_task(task)
-        [rep] = reports[inst.a]
-        return replace(rep, elapsed_ms=round(rep.elapsed_ms + pass_ms, 3))
+        t0 = time.perf_counter()
+        [rep] = _run_task(task)[inst.a]
+        return replace(rep, elapsed_ms=round((time.perf_counter() - t0) * 1000.0, 3))
 
     return run
 

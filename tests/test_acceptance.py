@@ -16,8 +16,11 @@ parameter ranges for the identities themselves, plus seeded randomized suites
 for the supporting combinatorial statements.
 """
 
+import ast
 import json
+import pathlib
 import random
+import sys
 import time
 
 import pytest
@@ -470,14 +473,14 @@ def _compare_with(monkeypatch, oracle):
 
     def checked(task):
         members.clear()
-        pass_ms, reports = run_task(task)
+        reports = run_task(task)
         (_, _, layouts, _), orbit = task
         assert list(reports) == list(orbit)
         for a, source in zip(orbit, members, strict=True):
             expected = [oracle(a, lay, source) for lay in layouts]
             assert list(map(stripped, reports[a])) == list(map(stripped, expected))
         compared[0] += sum(map(len, reports.values()))
-        return pass_ms, reports
+        return reports
 
     monkeypatch.setattr("qdyson.sweeps.q_dyson_source", passing)
     monkeypatch.setattr(FactoredProduct, "rotated", stepping)
@@ -514,3 +517,26 @@ def test_packed_checks_match_the_qpoly_checks(criterion, monkeypatch):
         refuted = _main_totals(MAIN_GRIDS)
         assert refuted == [3132, 252, 0]
         assert compared[0] == held[0] + refuted[0]
+
+
+def test_the_runtime_has_no_dependencies():
+    """Every absolute import of the package's modules names the standard
+    library or the package itself, so the runtime installs with no
+    dependencies (``pyproject.toml`` lists none)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "qdyson"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 10
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                (path.name, name) for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"qdyson"}
+            ]
+    assert foreign == []

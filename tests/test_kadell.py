@@ -153,7 +153,8 @@ def test_corrected_ct_known_values():
     a = (1, 1, 1)
     for I, J, value in (((0,), (1,), 8), ((0, 1), (2, 2), 12)):
         inst = Instance(2, a, I, J)
-        assert corrected_ct(compiled(inst), shared_source([inst])) == value
+        packed, _, k = shared_source([inst]).reads(*compiled(inst).box)
+        assert corrected_ct(compiled(inst), packed, k) == value
     assert corrected_ct_closed(a, compile_layout(2, (0,), (1,))) == 8
     assert corrected_ct_closed(a, compile_layout(2, (0, 1), (2, 2))) == 12
 
@@ -181,7 +182,8 @@ def test_identity_small_grid():
             source = shared_source(insts)
             classical = classical_product(Instance(n, a))
             for inst in insts:
-                ct = corrected_ct(compiled(inst), source)
+                packed, _, k = source.reads(*compiled(inst).box)
+                ct = corrected_ct(compiled(inst), packed, k)
                 correction = expand_product(correction_factors(inst), n)
                 assert ct == as_int(ct_times(classical, correction)), inst
                 scale = 1 + sum(a) - sum(a[i] for i in inst.I)

@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -196,17 +197,17 @@ def test_verify_reads_the_box_of_its_identity(name, layer, box, monkeypatch):
 
 @pytest.mark.parametrize("name, layer", [("main", ((0, 2), (1, 1))), ("qdyson", ((), ()))])
 def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
-    """``verify`` adds the pass to ``elapsed_ms`` in a new report, so its
+    """``verify`` times its whole task into ``elapsed_ms`` of a new report, so its
     JSON line carries that time even when the check's report was encoded
     first, as a pool worker encodes it."""
     run_task = sweeps._run_task
 
     def encoding(task):
-        pass_ms, reports = run_task(task)
+        reports = run_task(task)
         for reps in reports.values():
             for rep in reps:
                 rep.to_json()
-        return pass_ms, reports
+        return reports
 
     monkeypatch.setattr("qdyson.sweeps._run_task", encoding)
     rep = verify(name, 3, (1, 1, 1, 1), *layer)
@@ -293,6 +294,73 @@ def test_a_lemma_suite_over_a_limit_fails_before_drawing(monkeypatch, capsys):
     assert "failed=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("a", [(True, 1, 1), (1.5, 1, 1)])
+def test_verify_refuses_an_exponent_that_is_not_an_int(a, monkeypatch):
+    """An entry of a that is a bool or a float is refused with
+    ``ValueError`` before any product is built.  Unrefused, True was
+    checked as 1 and written into the JSON line as ``True``, which is not
+    JSON, and 1.5 raised ``TypeError`` inside the pass.  So are n and
+    every entry of I and J."""
+    monkeypatch.setattr("qdyson.sweeps.q_dyson_source", None)
+    with pytest.raises(ValueError, match="must be integers"):
+        verify("qdyson", 2, a)
+    for n, I, J in [(2.0, (), ()), (2, (0.0,), (1,)), (2, (0,), (True,))]:  # noqa: E741
+        with pytest.raises(ValueError, match="must be integers"):
+            Instance(n, (1, 1, 1), I, J)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", True), ("n", 2.0), ("amax", 1.0), ("mmax", False), ("jobs", 1.0),
+                     ("seed", None)],
+)
+def test_a_sweep_refuses_a_number_that_is_not_an_int(field, value, monkeypatch):
+    """A sweep whose n, amax, m bound, jobs or seed is not an ``int`` is
+    refused by ``SweepConfig.validate`` with ``ValueError`` before any
+    task runs.  Unrefused, n = True swept n = 1 and wrote ``"n":True``
+    lines, and n = 2.0 raised ``TypeError`` while the checks were
+    counted."""
+    monkeypatch.setattr("qdyson.sweeps._execute", None)
+    config = replace(SweepConfig(identity="main", n=2, amax=1), **{field: value})
+    with pytest.raises(ValueError, match="must be integers"):
+        run_sweep(config)
+
+
+class _GuardOnly:
+    """A source that exposes its two guarded reads, ``reads`` and
+    ``coeff``, and nothing else."""
+
+    __slots__ = ("reads", "coeff")
+
+    def __init__(self, source):
+        self.reads, self.coeff = source.reads, source.coeff
+
+
+@pytest.mark.parametrize("name", [*CHECKED, "qkadell"])
+def test_a_check_reads_its_source_only_through_its_guard(name):
+    """Every check of ``IDENTITIES``, and the naive q-analog, gives the same
+    report, ``elapsed_ms`` apart, from a source that exposes only its
+    guarded reads as from the source itself: what a check knows of its
+    product, a included, is what its guard hands it.  The naive q-analog
+    fails on some of these, so its failing path is covered too."""
+    if name == "qkadell":
+        check, rule = kadell.verify_q_kadell, paired.paired_reads
+        layers = [((0,), (1,)), ((0, 2), (1, 1))]
+    else:
+        identity = sweeps.IDENTITIES[name]
+        check, rule = identity.check, identity.reads
+        layers = ([((), ())] if identity.mmin is None else
+                  [((), ()), ((0,), (1,)), ((0, 2), (1, 1)), ((1, 3), (0, 2))][identity.mmin:])
+    failed = 0
+    for I, J in layers:  # noqa: E741
+        layout = compile_layout(3, I, J)
+        for a in [(1, 2, 1, 1), (0, 1, 2, 0), (2, 0, 1, 1)]:
+            source = q_dyson_source(Instance(3, a), *rule(layout))
+            rep = check(layout, source)
+            failed += not rep.holds
+            assert replace(check(layout, _GuardOnly(source)), elapsed_ms=rep.elapsed_ms) == rep
+    assert (failed > 0) == (name == "qkadell")
+
+
 def test_verify_rejects_what_only_sweeps(monkeypatch):
     """The lemma suite and unknown names fail with ValueError, and build no
     product."""
@@ -356,7 +424,7 @@ def test_a_pool_task_sends_rows_back(monkeypatch):
     monkeypatch.setattr("qdyson.sweeps._shared", None)  # restored after the test
     sweeps._share(context)
     rows = sweeps._run_orbit(orbit)
-    serial = sweeps._run_task((context, orbit))[1]
+    serial = sweeps._run_task((context, orbit))
     assert len(orbit) == 3 and list(rows) == list(serial) == list(orbit)
     for a in orbit:
         assert len(rows[a]) == len(serial[a]) == len(context[2])
