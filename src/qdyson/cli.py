@@ -72,7 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, required=True, help="largest variable index")
     p_sweep.add_argument("--amax", type=int, required=True, help="upper bound on each exponent")
     p_sweep.add_argument("--m", type=int, default=None, help="upper bound on layer size")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes (capped at the usable CPUs)")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1,
+        help="processes that run checks, this one included, so 2 starts one child "
+        "(capped at the usable CPUs)",
+    )
     p_sweep.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p_sweep.add_argument("--json", metavar="PATH", default=None)
     p_sweep.set_defaults(run=_cmd_sweep)

@@ -108,9 +108,9 @@ class VerificationReport:
         and an ``extra`` of strings are joined here, an ``Extra`` gives its
         text, and any other ``extra`` goes through ``dumps``.  Strings are escaped by the
         encoder's own ``encode_basestring_ascii`` and the time, a finite
-        float, is its ``repr``, as ``json`` writes them.  A pool worker
-        encodes its reports, and only each one's ``holds`` and line go back
-        to the parent, as a ``ReportRow``."""
+        float, is its ``repr``, as ``json`` writes them.  A pool sweep's
+        child encodes its reports, and only each one's ``holds`` and line go
+        back to the parent, as a ``ReportRow``."""
         return (
             f'{{"elapsed_ms":{float.__repr__(self.elapsed_ms)},'
             f"{_head(self.engine, self.holds, self.identity)}"
@@ -152,8 +152,8 @@ def _extra(extra: dict) -> str:
 
 
 class ReportRow:
-    """A check's verdict and its JSON line, as a pool worker sends them
-    back.  ``holds`` and ``to_json`` read them as they are; every other
+    """A check's verdict and its JSON line, as a pool sweep's child sends
+    them back.  ``holds`` and ``to_json`` read them as they are; every other
     field and method is that of the ``VerificationReport`` parsed from the
     line on the first such read and kept, its ``params`` object taken apart
     into the fields, with a, I and J made tuples.  So a passing check

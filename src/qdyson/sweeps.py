@@ -46,14 +46,17 @@ the task validates, stepped one rotation further
 (``FactoredProduct.rotated``) for each next member, which the united box
 allows because it is a cube, as the sweep asserts.  The constant-term
 sweeps keep one task and one pass per a, so each product is checked on its
-own.  With ``--jobs`` above one, a process pool gets the context once per
-worker, through its initializer, and then one orbit per task, largest
-first; each worker encodes its reports, each line joined from its parts
-by ``VerificationReport.to_json``, and only rows (holds, JSON line) travel
-back.  The parent wraps them as ``ReportRow``s, which parse their line,
-``params`` and all, only when a field other than those two is read, such
-as a failing check's summary line.  A task keys each member's reports by
-its a, and so do ``_execute`` and the pool's rows: ``run_sweep`` reads them
+own.  With ``--jobs`` above one, ``_execute`` deals the orbits into one
+share per worker, starts one child process for each share after the
+first, handing it the context and its share once, and runs the first
+share itself.  Each child encodes its reports, each line joined from its
+parts by ``VerificationReport.to_json``, and sends back one message of
+rows (holds, JSON line).  The parent wraps them as ``ReportRow``s, which
+parse their line, ``params`` and all, only when a field other than those
+two is read, such as a failing check's summary line: a pool sweep's
+reports are the parent's ``VerificationReport``s and the children's
+``ReportRow``s, read alike.  A task keys each member's reports by its a,
+and so do ``_execute`` and a child's message: ``run_sweep`` reads them
 back a by a in grid order.  Before any of that, ``SweepConfig.validate``
 refuses an n, amax, m bound, jobs or seed whose type is not exactly
 ``int``, counts the checks of a grid sweep by formula and refuses one of
@@ -65,10 +68,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -246,7 +249,7 @@ def layout_grid(n: int, mmin: int, mmax: int) -> list[tuple[tuple[int, ...], tup
     return out
 
 
-# -- per-orbit workers (top level so they pickle) -----------------------------
+# -- tasks and the pool (top level so they pickle) ----------------------------
 
 
 def _context(name: str, n: int, layouts: Sequence[Layout]) -> tuple:
@@ -280,49 +283,75 @@ def _run_task(task) -> dict[tuple[int, ...], list[VerificationReport]]:
 
 def pool_workers(jobs: int, tasks: int) -> int:
     """At most one worker per task and per usable CPU, those of the
-    process's affinity set where the platform has one: under fork the pool
-    starts all its workers at once, however many ``--jobs`` asks for."""
+    process's affinity set where the platform has one, however many
+    ``--jobs`` asks for: the parent is one worker, and ``_execute`` starts
+    one child for each other."""
     affinity = getattr(os, "sched_getaffinity", None)
     return min(jobs, tasks, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
-# The context (identity, n, layouts, reads) of the pool's sweep, set once in
-# each worker by the pool's initializer.  The parent never sets it.
-_shared: tuple | None = None
-
-
-def _share(context: tuple) -> None:
-    global _shared
-    _shared = context
-
-
-def _run_orbit(orbit: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], list[tuple[bool, str]]]:
-    """A pool task: ``_run_task`` (looked up when called, so a rebinding
-    reaches it) on the worker's shared context and this orbit, then each
-    report as the row (holds, JSON line) that goes back to the parent in
-    its place, keyed by its member's exponent vector, in layout order."""
-    return {
-        a: [(rep.holds, rep.to_json()) for rep in reps]
-        for a, reps in _run_task((_shared, orbit)).items()
-    }
+def _run_share(context: tuple, share: Sequence[tuple], conn) -> None:
+    """A child's work: ``_run_task`` (looked up when called, so a rebinding
+    reaches it) on the task (context, orbit) of each orbit of its share,
+    then one message on ``conn``: each report as the row (holds, JSON line)
+    that goes back to the parent in its place, keyed by its member's
+    exponent vector, in layout order; or the exception the share raised,
+    which the parent raises again."""
+    try:
+        message = {
+            a: [(rep.holds, rep.to_json()) for rep in reps]
+            for orbit in share
+            for a, reps in _run_task((context, orbit)).items()
+        }
+    except Exception as exc:
+        message = exc
+    conn.send(message)
+    conn.close()
 
 
 def _execute(orbits: Sequence[tuple], context: tuple, jobs: int) -> dict[tuple[int, ...], list]:
     """The reports of every member a of the orbits, each in layout order,
-    keyed by a, from the tasks (context, orbit), one per orbit: serially in
-    the given order, as ``VerificationReport``s; in a pool, which gets the
-    context once per worker, largest orbit first, as ``ReportRow``s of the
-    rows its workers send back."""
+    keyed by a, from the tasks (context, orbit), one per orbit.  The orbits
+    are dealt, in the given order, into ``pool_workers`` near-equal shares.
+    One ``multiprocessing.Process`` per share after the first gets the
+    context, its share and the write end of a one-way pipe, and sends back
+    one message (``_run_share``); meanwhile the parent runs the first share
+    itself, in its order, then reads one message per child.  The parent's
+    reports are ``VerificationReport``s and a child's are ``ReportRow``s of
+    the rows it sent.  With one worker no child starts, and this is the
+    serial sweep.  An exception in either side is raised here, once every
+    child is stopped and joined, so none outlives the call.  The start
+    method is the platform's default: the parent starts no thread, so
+    fork is safe where it is the default, and spawn would pay a fresh
+    interpreter per child."""
     workers = pool_workers(jobs, len(orbits))
-    if workers <= 1:
-        return {a: reps for orbit in orbits for a, reps in _run_task((context, orbit)).items()}
-    largest_first = sorted(orbits, key=len, reverse=True)
-    with ProcessPoolExecutor(max_workers=workers, initializer=_share, initargs=(context,)) as pool:
-        return {
-            a: [ReportRow(*row) for row in rows]
-            for member_rows in pool.map(_run_orbit, largest_first)
-            for a, rows in member_rows.items()
-        }
+    shares = [orbits[w::workers] for w in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_share, args=(context, share, send))
+            child.start()
+            children.append((child, receive))
+            send.close()  # so that recv sees EOF if the child dies
+        by_a = {a: reps for orbit in shares[0] for a, reps in _run_task((context, orbit)).items()}
+        for _, receive in children:
+            try:
+                message = receive.recv()
+            except EOFError:
+                raise RuntimeError("a sweep worker exited without sending its reports") from None
+            if isinstance(message, Exception):
+                raise message
+            by_a.update((a, [ReportRow(*row) for row in rows]) for a, rows in message.items())
+        return by_a
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
 
 
 # -- one instance --------------------------------------------------------------
@@ -422,7 +451,8 @@ def lemma_suite_reports(nmax: int, amax: int, seed: int) -> list[VerificationRep
 def run_sweep(config: SweepConfig) -> tuple[list[VerificationReport | ReportRow], dict]:
     """Execute a sweep; returns the reports in grid order plus a summary
     {"total", "passed", "failed", "rejected", "seed"}.  A pool sweep's
-    reports are ``ReportRow``s, read like the serial ``VerificationReport``s."""
+    reports are the parent's ``VerificationReport``s and the children's
+    ``ReportRow``s (see ``_execute``), read alike."""
     config.validate()
     identity = IDENTITIES[config.identity]
     n, amax = config.n, config.amax

@@ -3,7 +3,7 @@ package source itself: no module imports a name it never uses."""
 
 import argparse
 import ast
-import functools
+import contextlib
 import json
 import multiprocessing
 import os
@@ -12,13 +12,12 @@ import re
 import runpy
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import qdyson
-from qdyson import cli
-from qdyson.reports import VerificationReport, dumps
+from qdyson import cli, sweeps
+from qdyson.reports import ReportRow, VerificationReport, dumps
 from qdyson.sweeps import IDENTITIES, SweepConfig, a_grid, run_sweep
 from tests.test_paired import use_set_reading
 
@@ -31,6 +30,18 @@ def two_usable_cpus(monkeypatch):
     """Let a sweep with ``--jobs 2`` start its pool on any machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+
+@contextlib.contextmanager
+def start_method(method):
+    """Let a pool sweep start its children by ``method``, then put the
+    default back."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
 
 
 class TestVerifyExitCodes:
@@ -328,12 +339,13 @@ class TestParallelParity:
         "identity, n", [("firstlayer", 3), ("kadell", 3), ("main", 3), ("main", 4)]
     )
     def test_compiled_layouts_cross_the_pool(self, identity, n):
-        """Compiled layouts and their box reach each worker once, through the
-        pool's initializer; each task is one cyclic orbit of a, and each
-        worker rotates its one pass to the orbit's other members and encodes
-        the reports: the layer identities give the same reports and JSON
-        lines, in grid order, and summary with one process as with two.
-        ``main n=4 amax=1`` is the grid with rejected layouts."""
+        """Compiled layouts and their box reach the child once, with its
+        share of the orbits; each task is one cyclic orbit of a, each
+        process rotates its one pass to the orbit's other members, and the
+        child encodes its reports: the layer identities give the same
+        reports and JSON lines, in grid order, and summary with one process
+        as with two.  ``main n=4 amax=1`` is the grid with rejected
+        layouts."""
         runs = [
             run_sweep(SweepConfig(identity=identity, n=n, amax=1, jobs=jobs)) for jobs in (1, 2)
         ]
@@ -346,47 +358,81 @@ class TestParallelParity:
         assert _stripped_lines(seq) == _stripped_lines(par)
 
     def test_only_orbits_cross_the_pool(self, monkeypatch):
-        """Each item the pool maps over is one orbit, a tuple of exponent
-        tuples with no ``Layout`` in it, largest first, and together they
-        are the grid and pickle to under 2 KB (the layouts sent with every
+        """The one child gets the sweep's context once and a share of
+        orbits, tuples of exponent tuples with no ``Layout`` in them; the
+        parent's share and the child's together are the grid, each a once,
+        and a pickled share stays under 2 KB (the layouts sent with every
         task came to about 400 KB on this grid)."""
-        submitted = []
+        parent, children, own = os.getpid(), [], []
+        process, run_task = multiprocessing.Process, sweeps._run_task
 
-        class Recording(ProcessPoolExecutor):
-            def map(self, fn, *iterables, **kwargs):
-                (items,) = map(list, iterables)
-                submitted.extend(items)
-                return super().map(fn, items, **kwargs)
+        def recording(*, target, args):
+            children.append(args[:2])
+            return process(target=target, args=args)
+
+        def running(task):
+            if os.getpid() == parent:
+                own.append(task)
+            return run_task(task)
 
         two_usable_cpus(monkeypatch)
-        monkeypatch.setattr("qdyson.sweeps.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(multiprocessing, "Process", recording)
+        monkeypatch.setattr("qdyson.sweeps._run_task", running)
         _, summary = run_sweep(SweepConfig(identity="main", n=4, amax=1, jobs=2))
         assert summary["total"] == 4000 and summary["failed"] == 0
+        [(context, share)] = children
+        assert own and all(task[0] is context for task in own)
         assert all(
             type(orbit) is tuple
             and all(type(a) is tuple and all(type(x) is int for x in a) for a in orbit)
-            for orbit in submitted
+            for orbit in share
         )
-        sizes = [len(orbit) for orbit in submitted]
-        assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
-        assert sorted(a for orbit in submitted for a in orbit) == a_grid(4, 1)
-        assert len(pickle.dumps(submitted)) < 2048
+        theirs = [a for orbit in share for a in orbit]
+        assert sorted(theirs + [a for _, orbit in own for a in orbit]) == a_grid(4, 1)
+        assert 0 < len(theirs) < len(a_grid(4, 1))
+        assert len(pickle.dumps(share)) < 2048
 
-    def test_the_pool_runs_under_spawn(self, monkeypatch):
-        """The workers take the sweep's layouts from the pool's initializer,
-        not from a forked parent: under spawn (the default on macOS; Python
-        3.14 defaults to forkserver on Linux) a pool sweep gives the serial
-        reports."""
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_the_pool_runs_under_each_start_method(self, method, monkeypatch):
+        """The child takes the sweep's layouts from its arguments, not from a
+        forked parent: under every start method (fork, the default on Linux
+        up to Python 3.13; spawn, the default on macOS; forkserver, the
+        default on Linux from 3.14) a pool sweep gives the serial
+        reports, some of them sent back by the child."""
         seq, seq_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=1))
-        spawn = multiprocessing.get_context("spawn")
         two_usable_cpus(monkeypatch)
-        monkeypatch.setattr(
-            "qdyson.sweeps.ProcessPoolExecutor",
-            functools.partial(ProcessPoolExecutor, mp_context=spawn),
-        )
-        par, par_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=2))
+        with start_method(method):
+            par, par_summary = run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=2))
         assert seq_summary == par_summary
         assert _stripped_lines(seq) == _stripped_lines(par)
+        assert any(type(rep) is ReportRow for rep in par)
+
+    @pytest.mark.parametrize("where", ["child", "parent", "dead child"])
+    def test_a_failing_share_fails_the_sweep(self, where, monkeypatch):
+        """A check that raises only in the child, or only on the parent's own
+        share, makes a pool sweep raise the same type and message in the
+        parent; a child that exits without a message makes it raise
+        ``RuntimeError``.  Either way no child outlives the sweep.  The
+        children fork, so that they run the patched check."""
+        parent, check = os.getpid(), sweeps.verify_paired
+
+        def failing(layout, source):
+            if os.getpid() != parent and where == "dead child":
+                os._exit(3)
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"no check in the {where}")
+            return check(layout, source)
+
+        two_usable_cpus(monkeypatch)
+        monkeypatch.setattr("qdyson.sweeps.verify_paired", failing)
+        error, message = {
+            "child": (ValueError, "no check in the child"),
+            "parent": (ValueError, "no check in the parent"),
+            "dead child": (RuntimeError, "exited without sending its reports"),
+        }[where]
+        with start_method("fork"), pytest.raises(error, match=message):
+            run_sweep(SweepConfig(identity="main", n=2, amax=1, jobs=2))
+        assert multiprocessing.active_children() == []
 
 
 class TestPoolRows:

@@ -1,10 +1,12 @@
 """Grid enumeration, sweep summaries, and the randomized lemma suite."""
 
 import json
+import multiprocessing
 import os
 import pickle
 import random
 from dataclasses import replace
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -25,6 +27,7 @@ from qdyson.sweeps import (
     run_sweep,
     verify,
 )
+from tests.test_cli import two_usable_cpus
 
 CHECKED = [name for name, row in sweeps.IDENTITIES.items() if row.check]
 
@@ -199,7 +202,7 @@ def test_verify_reads_the_box_of_its_identity(name, layer, box, monkeypatch):
 def test_verify_keeps_the_line_of_its_report(name, layer, monkeypatch):
     """``verify`` times its whole task into ``elapsed_ms`` of a new report, so its
     JSON line carries that time even when the check's report was encoded
-    first, as a pool worker encodes it."""
+    first, as a pool sweep's child encodes it."""
     run_task = sweeps._run_task
 
     def encoding(task):
@@ -409,10 +412,10 @@ def _without_elapsed(line):
 
 
 def test_a_pool_task_sends_rows_back(monkeypatch):
-    """A pool task, run in process on the context its initializer shares,
-    returns only (holds, JSON line) rows, keyed by the orbit's members: the
-    verdicts and lines of the serial reports of each member, apart from
-    ``elapsed_ms``, in their order."""
+    """A child's share, run in process, sends one message of (holds, JSON
+    line) rows alone, keyed by the members of its orbits: the verdicts and
+    lines of the serial reports of each member, apart from ``elapsed_ms``,
+    in layout order."""
     tasks = []
     monkeypatch.setattr(
         "qdyson.sweeps._execute",
@@ -421,9 +424,10 @@ def test_a_pool_task_sends_rows_back(monkeypatch):
     )
     run_sweep(SweepConfig(identity="main", n=2, amax=1))
     context, orbit = max(tasks, key=lambda task: len(task[1]))
-    monkeypatch.setattr("qdyson.sweeps._shared", None)  # restored after the test
-    sweeps._share(context)
-    rows = sweeps._run_orbit(orbit)
+    receive, send = multiprocessing.Pipe(duplex=False)
+    with receive:
+        sweeps._run_share(context, [orbit], send)
+        rows = receive.recv()
     serial = sweeps._run_task((context, orbit))
     assert len(orbit) == 3 and list(rows) == list(serial) == list(orbit)
     for a in orbit:
@@ -591,6 +595,37 @@ def test_tracer_binds_every_traced_name(tmp_path):
 
 
 # -- the per-check hot path, guarded by counts ---------------------------------
+
+
+def test_a_pool_sweep_forks_once_and_reads_one_message(monkeypatch):
+    """With two usable CPUs, ``sweep main --n 4 --amax 1 --jobs 2`` starts
+    exactly one child and reads exactly one message, and the parent runs
+    ``_run_task`` itself on its own share: the pool costs one fork and one
+    message per extra worker, not a round trip per orbit."""
+    parent, starts, messages, own = os.getpid(), [], [], []
+    start, recv, run_task = multiprocessing.Process.start, Connection.recv, sweeps._run_task
+
+    def starting(process):
+        starts.append(process)
+        start(process)
+
+    def receiving(conn):
+        messages.append(recv(conn))
+        return messages[-1]
+
+    def running(task):
+        if os.getpid() == parent:
+            own.append(task[1])
+        return run_task(task)
+
+    two_usable_cpus(monkeypatch)
+    monkeypatch.setattr(multiprocessing.Process, "start", starting)
+    monkeypatch.setattr(Connection, "recv", receiving)
+    monkeypatch.setattr("qdyson.sweeps._run_task", running)
+    assert cli.main(["sweep", "main", "--n", "4", "--amax", "1", "--jobs", "2"]) == 0
+    assert len(starts) == 1 and len(messages) == 1
+    mine = [a for orbit in own for a in orbit]
+    assert mine and sorted(mine + list(messages[0])) == a_grid(4, 1)
 
 
 def test_main_encodes_its_extra_once_per_layout(tmp_path, monkeypatch):
